@@ -2,8 +2,9 @@
 
 Everything here is pure and small so ``perfbench/tests`` can pin it down:
 which percentile a sample count supports, how a span's self time is
-carved out of its children, what a metric name may look like, and the
-run-to-run spread the acceptance rule is written in.
+carved out of its children and how much time the spans below the roots
+cover, what a metric name may look like, and the run-to-run spread the
+acceptance rule is written in.
 """
 
 from __future__ import annotations
@@ -96,19 +97,19 @@ def by_name(spans: Sequence[Span]) -> Dict[str, Tuple[float, int]]:
     return out
 
 
-def interpolate_rate(
-    lo: Tuple[float, float], hi: Tuple[float, float], level: float
-) -> float:
-    """Rate where a score falling with load crosses ``level``.
+def attributed(spans: Sequence[Span], skip: Iterable[str] = ()) -> float:
+    """Time covered by the spans below the roots.
 
-    ``lo`` is the highest rung at or above ``level`` and ``hi`` the
-    rung above it, below ``level``, each given as ``(rate, score)``.
-    The crossing is linear in the score on a log-rate axis, so the
-    result moves smoothly with the system instead of jumping rung to
-    rung.
+    A root span (no parent) is the window it wraps, so its self time is
+    whatever its wrapped children miss; this is the part they do catch.
+    Spans under a root named in ``skip`` are left out.
     """
-    (r_lo, s_lo), (r_hi, s_hi) = lo, hi
-    if s_lo <= s_hi:
-        return r_lo
-    f = min(1.0, max(0.0, (s_lo - level) / (s_lo - s_hi)))
-    return r_lo * (r_hi / r_lo) ** f
+    skipped = set(skip)
+    root: List[int] = []
+    for i, (_name, _start, _end, parent) in enumerate(spans):
+        root.append(i if parent is None else root[parent])
+    return _covered([
+        (start, end)
+        for i, (_name, start, end, parent) in enumerate(spans)
+        if parent is not None and spans[root[i]][0] not in skipped
+    ])

@@ -5,9 +5,11 @@ Usage, from the root of a checkout::
     python3 perfbench/run.py --workload light-er --seed 1 --seconds 20 --trace 0
 
 Workloads (see ``BENCHMARK.json`` for why each exists): ``light-er``,
-``doubling-geo`` and ``serve-mixed``.  Every run constructs, certifies,
-builds an oracle and serves the structure it built (``serve-mixed``
-serves a fixed larger spanner) through ``python -m repro serve``.
+``doubling-geo`` and ``serve-mixed``.  Every run constructs, certifies
+and builds an oracle; the construction workloads spend ``--seconds`` on
+that, while ``serve-mixed`` spends half of it building a fixed larger
+spanner again and again and half serving it through
+``python -m repro serve``.
 
 ``--trace 0`` prints the end-to-end metrics; ``--trace 1`` makes a
 separate traced pass that wraps the program's functions from outside
@@ -29,6 +31,7 @@ import subprocess
 import sys
 import threading
 import time
+from statistics import fmean
 from typing import Dict, List, Tuple
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -38,8 +41,12 @@ SCRATCH = os.path.join(ROOT, ".perfbench")
 NAMES = ("light-er", "doubling-geo", "serve-mixed")
 
 #: set-up repetitions per run (``setup_s`` is their median)
-SETUP_PROBES = 5
-SERVE_LAUNCHES = 5
+SETUP_PROBES = 9
+SERVE_LAUNCHES = 7
+#: share of ``--seconds`` that serve-mixed serves; the rest rebuilds its
+#: fixed spanner, because its construct_s needs a window as long as the
+#: other workloads' to average over the machine's slow spells
+SERVE_SHARE = 0.5
 #: deterministic metrics a self-check compares
 DETERMINISTIC = ("lightness", "stretch", "rounds")
 
@@ -78,6 +85,8 @@ ROUND_GROUPS = ("bfs", "mst", "tour", "approx-spt", "buckets", "scales", "other"
 #: room for; a later change names its prediction from here.  "-" marks
 #: the serving latencies: on a shared host they spread more from run to
 #: run than any end-to-end bound allows, so they have none to move.
+#: The ``serve.*`` metrics are measured on ``serve-mixed`` only and read
+#: 0 on the construction workloads, which start no daemon.
 PER_LAYER: Dict[str, Tuple[str, str, str]] = {
     "graphs.generate_s": ("s", "setup_s", "light-er"),
     "graphs.freeze_s": ("s", "construct_s", "light-er"),
@@ -115,9 +124,9 @@ PER_LAYER: Dict[str, Tuple[str, str, str]] = {
     "kernels.sssp_s": ("s", "oracle_build_s", "light-er"),
     "kernels.sssp_calls": ("count", "oracle_build_s", "light-er"),
     "oracle.build_s": ("s", "oracle_build_s", "light-er"),
-    "oracle.query_us": ("us", "-", "serve-mixed"),
-    "oracle.cache_hit_ratio": ("ratio", "-", "serve-mixed"),
-    "oracle.searches": ("count", "-", "serve-mixed"),
+    "oracle.query_us": ("us", "-", "light-er, serve-mixed"),
+    "oracle.cache_hit_ratio": ("ratio", "-", "light-er, serve-mixed"),
+    "oracle.searches": ("count", "-", "light-er, serve-mixed"),
     "serve.ready_s": ("s", "setup_s", "serve-mixed"),
     "serve.payload_bytes": ("bytes", "setup_s", "serve-mixed"),
     "serve.ping_p50_us": ("us", "-", "serve-mixed"),
@@ -173,29 +182,38 @@ def _probe_setup(workload: str, seed: int, speed) -> Tuple[float, float]:
     return wall, ref
 
 
-def _construct(wl, seed: int, budget: float, speed):
+def _construct(wl, seed: int, budget: float, speed, probes: int = 0):
     """Iterations until ``budget`` seconds pass, at least the minimum.
 
-    Returns the iterations and the peak RSS once the minimum was done
-    (the same work on every run of a seed).
+    With ``probes``, the budget is cut into that many slices and a
+    set-up probe runs after each: the machine's speed drifts over
+    seconds, and probes spread over the run see more of that drift than
+    a burst of them would.  Returns the iterations, the peak RSS once
+    the minimum was done (the same work on every run of a seed) and the
+    probes' (wall, reference) seconds.
     """
     from workloads import input_seed
 
     its = []
+    setups: List[Tuple[float, float]] = []
     rss = 0.0
-    deadline = time.perf_counter() + budget
-    while len(its) < wl.min_iterations or time.perf_counter() < deadline:
-        i = len(its)
-        its.append(wl.iterate(wl.make_input(seed, i), i, input_seed(seed, i),
-                              speed))
-        if len(its) == wl.min_iterations:
-            rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-    return its, rss
+    start = time.perf_counter()
+    for k in range(1, max(1, probes) + 1):
+        deadline = start + budget * k / max(1, probes)
+        while time.perf_counter() < deadline or (
+                k >= probes and len(its) < wl.min_iterations):
+            i = len(its)
+            its.append(wl.iterate(wl.make_input(seed, i), i,
+                                  input_seed(seed, i), speed))
+            if len(its) == wl.min_iterations:
+                rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+        if probes:
+            setups.append(_probe_setup(wl.name, seed, speed))
+    return its, rss, setups
 
 
-def _serve(wl, structure, seed: int, budget: float, launches: int, speed,
-           server_cpus):
-    """Launch the daemon ``launches`` times (timing READY), serve on the last.
+def _serve(wl, structure, seed: int, budget: float, speed, server_cpus):
+    """Launch the daemon a few times (timing READY), serve on the last.
 
     Returns the serving result and each launch's (wall, reference)
     seconds to READY.
@@ -203,7 +221,9 @@ def _serve(wl, structure, seed: int, budget: float, launches: int, speed,
     from serving import Daemon, ServePlan, serve_phases, write_structure
     from speed import slowdown
 
-    # serving runs on the client's CPU and the daemon's
+    # a launch runs on the daemon's CPU while the client waits; serving
+    # runs on the client's CPU and the daemon's
+    launch_speed = speed.on(sorted(server_cpus))
     speed = speed.on(sorted(set(speed.cpus) | server_cpus))
     os.makedirs(SCRATCH, exist_ok=True)
     path = os.path.join(SCRATCH, f"{wl.name}-{seed}-{os.getpid()}.edges")
@@ -211,16 +231,16 @@ def _serve(wl, structure, seed: int, budget: float, launches: int, speed,
     ready: List[Tuple[float, float]] = []
     daemon = None
     try:
-        for k in range(launches):
-            before = speed.sample()
+        for k in range(SERVE_LAUNCHES):
+            before = launch_speed.sample()
             daemon = Daemon(path, seed, _env(), ROOT, server_cpus)
-            ready.append((daemon.ready_s,
-                          daemon.ready_s / slowdown(before, speed.sample())))
-            if k < launches - 1:
+            ready.append((daemon.ready_s, daemon.ready_s
+                          / slowdown(before, launch_speed.sample())))
+            if k < SERVE_LAUNCHES - 1:
                 daemon.stop()
                 daemon = None
         plan = ServePlan(ping_s=0.05 * budget, query_s=0.2 * budget,
-                         batch_s=0.15 * budget, rung_s=0.1 * budget)
+                         batch_s=0.15 * budget, rung_s=0.05 * budget)
         return serve_phases(daemon, structure, seed, plan, speed), ready
     finally:
         if daemon is not None:
@@ -241,24 +261,36 @@ def _raw_line(its, setups, served) -> str:
         "construct_s": median(it.wall[0] for it in its),
         "certify_s": median(it.wall[1] for it in its),
         "oracle_build_s": median(it.wall[2] for it in its),
-        **{f"{k}_p50": v for k, v in served.wall_p50.items()},
     }
+    if served is not None:
+        raw.update({f"{k}_p50": v for k, v in served.wall_p50.items()})
     return "wall " + json.dumps({k: round(v, 6) for k, v in raw.items()})
 
 
-def run_untraced(wl, seed: int, seconds: float, speed, server_cpus):
-    from arith import median, percentile
+def _serve_notes(served) -> List[str]:
     from serving import LATENCY_LIMIT_MS
 
-    serving = wl.name == "serve-mixed"
-    setups = [] if serving else [_probe_setup(wl.name, seed, speed)
-                                 for _ in range(SETUP_PROBES)]
-    its, rss = _construct(wl, seed, wl.construct_share * seconds, speed)
-    served, ready = _serve(wl, its[0].served.graph, seed,
-                           (1.0 - wl.construct_share) * seconds,
-                           SERVE_LAUNCHES if serving else 1, speed,
-                           server_cpus)
-    setups = ready if serving else setups
+    return [
+        f"query samples {len(served.query_us)}; batches {len(served.batch_ms)}",
+        "ladder " + ", ".join(
+            f"{r.rate}/s p99 {r.p99_ms:.2f}ms in-limit {r.share:.2f}"
+            for r in served.rungs),
+        f"sustained {served.sustained_qps:.0f} q/s at p99 <= "
+        f"{LATENCY_LIMIT_MS} ms; open-loop lateness p99 "
+        f"{served.lag_p99_ms:.3f} ms",
+    ]
+
+
+def run_untraced(wl, seed: int, seconds: float, speed, server_cpus):
+    from arith import median
+
+    served = None
+    if wl.serves:
+        its, rss, _ = _construct(wl, seed, (1.0 - SERVE_SHARE) * seconds, speed)
+        served, setups = _serve(wl, its[0].served.graph, seed,
+                                SERVE_SHARE * seconds, speed, server_cpus)
+    else:
+        its, rss, setups = _construct(wl, seed, seconds, speed, SETUP_PROBES)
     first = its[:wl.min_iterations]
     metrics = {
         "setup_s": median(r for _w, r in setups),
@@ -267,19 +299,15 @@ def run_untraced(wl, seed: int, seconds: float, speed, server_cpus):
         "oracle_build_s": median(it.oracle_build_s for it in its),
         "peak_rss_mb": rss,
         "lightness": median(it.served.lightness for it in first),
-        "stretch": median(it.served.stretch for it in first),
+        # a mean: on light-er most spanners certify at exactly 1.0, so
+        # a median sits on 1.0 until half the structures get worse
+        "stretch": fmean(it.served.stretch for it in first),
         "rounds": median(it.rounds for it in first),
     }
     notes = [
         f"iterations {len(its)} (deterministic metrics over the first "
         f"{len(first)})",
-        f"query samples {len(served.query_us)}; batches {len(served.batch_ms)}",
-        "ladder " + ", ".join(
-            f"{r.rate}/s p99 {r.p99_ms:.2f}ms in-limit {r.share:.2f}"
-            for r in served.rungs),
-        f"sustained {served.sustained_qps:.1f} q/s at p99 <= "
-        f"{LATENCY_LIMIT_MS} ms; open-loop lateness p99 "
-        f"{served.lag_p99_ms:.3f} ms",
+        *(_serve_notes(served) if served else []),
         _raw_line(its, setups, served),
     ]
     return its, served, metrics, notes
@@ -287,11 +315,11 @@ def run_untraced(wl, seed: int, seconds: float, speed, server_cpus):
 
 def run_traced(wl, seed: int, seconds: float, speed, server_cpus):
     """Untraced and traced pass on fresh copies of each input; serving."""
-    from arith import by_name, median, percentile
+    from arith import attributed, by_name, median, percentile, self_times
+    from serving import mix_pairs, time_inprocess, CHUNK
     from tracer import Tracer
     from workloads import input_seed
 
-    serving = wl.name == "serve-mixed"
     tracer = Tracer()
     bare, traced = [], []
     for i in range(wl.traced_iterations):
@@ -303,10 +331,6 @@ def run_traced(wl, seed: int, seconds: float, speed, server_cpus):
             with tracer.span("graphs.generate"):
                 graph = wl.make_input(seed, i)
             traced.append(wl.iterate(graph, i, key, speed, tracer.span))
-    served, ready = _serve(wl, traced[0].served.graph, seed,
-                           (1.0 - wl.construct_share) * seconds,
-                           SERVE_LAUNCHES if serving else 1, speed,
-                           server_cpus)
     spans = tracer.closed()
     os.makedirs(SCRATCH, exist_ok=True)
     tracer.dump(os.path.join(SCRATCH, f"trace-{wl.name}-{seed}.jsonl"),
@@ -338,33 +362,56 @@ def run_traced(wl, seed: int, seconds: float, speed, server_cpus):
         sum(c["edges_in_spanner"] for c in certs)
         / max(1, sum(c["edges_total"] for c in certs))
     )
-    inproc = percentile(served.inproc_us, 50)
-    ping = percentile(served.ping_us, 50)
-    query = percentile(served.query_us, 50)
-    lookups = served.cache.get("hits", 0) + served.cache.get("misses", 0)
+    structure = traced[0].served.graph
+    notes = [f"traced iterations {count}; spans {len(spans)}"]
+    if wl.serves:
+        served, ready = _serve(wl, structure, seed, SERVE_SHARE * seconds,
+                               speed, server_cpus)
+        inproc_us, cache = served.inproc_us, served.cache
+        ping = percentile(served.ping_us, 50)
+        query = percentile(served.query_us, 50)
+        metrics.update({
+            "serve.ready_s": median(r for _w, r in ready),
+            "serve.payload_bytes": float(served.payload_bytes),
+            "serve.ping_p50_us": ping,
+            "serve.relay_us": query - ping - percentile(inproc_us, 50),
+            "serve.batch_p50_ms": percentile(served.batch_ms, 50),
+            "serve.query_p50_us": query,
+            "serve.query_p99_us": served.query_p99_us,
+            "serve.query_samples": float(len(served.query_us)),
+            "serve.sustained_qps": served.sustained_qps,
+            "serve.sched_lag_p99_ms": served.lag_p99_ms,
+        })
+        notes += _serve_notes(served)
+    else:
+        served = None
+        inproc_us, _wall, cache = time_inprocess(
+            structure, seed, mix_pairs(structure, seed, 2 * CHUNK), speed)
+        metrics.update({k: 0.0 for k in PER_LAYER if k.startswith("serve.")})
+        notes.append("serve.* read 0: no daemon runs on this workload")
+    lookups = cache.get("hits", 0) + cache.get("misses", 0)
     metrics.update({
-        "oracle.query_us": inproc,
-        "oracle.cache_hit_ratio": served.cache.get("hits", 0) / max(1, lookups),
-        "oracle.searches": float(served.cache.get("searches", 0)),
-        "serve.ready_s": median(r for _w, r in ready),
-        "serve.payload_bytes": float(served.payload_bytes),
-        "serve.ping_p50_us": ping,
-        "serve.relay_us": query - ping - inproc,
-        "serve.batch_p50_ms": percentile(served.batch_ms, 50),
-        "serve.query_p50_us": query,
-        "serve.query_p99_us": served.query_p99_us,
-        "serve.query_samples": float(len(served.query_us)),
-        "serve.sustained_qps": served.sustained_qps,
-        "serve.sched_lag_p99_ms": served.lag_p99_ms,
+        "oracle.query_us": percentile(inproc_us, 50),
+        "oracle.cache_hit_ratio": cache.get("hits", 0) / max(1, lookups),
+        "oracle.searches": float(cache.get("searches", 0)),
     })
+    # The root spans (core.*, analysis.certify_*, oracle.build) wrap the
+    # timed windows whole, so every span's self time adds up to the
+    # windows by construction.  What the wrappers catch is the time
+    # covered by the spans below those roots.
     windows = sum(sum(it.wall) for it in traced)
-    attributed = sum(own for name, (own, _n) in per.items()
-                     if name != "graphs.generate")
+    below = attributed(spans, skip=("graphs.generate",))
+    roots = sum(own for (name, _s, _e, parent), own
+                in zip(spans, self_times(spans))
+                if parent is None and name != "graphs.generate")
+    metrics["trace.attributed_pct"] = 100.0 * below / windows
     untraced = median(it.construct_s for it in bare)
     metrics["trace.overhead_pct"] = 100.0 * (
         median(it.construct_s for it in traced) / untraced - 1.0)
-    metrics["trace.attributed_pct"] = 100.0 * attributed / windows
-    notes = [f"traced iterations {count}; spans {len(spans)}"]
+    notes.append(
+        f"trace: spans below the roots cover {100.0 * below / windows:.1f}% "
+        f"of construct+certify+oracle; the roots' own time is "
+        f"{100.0 * roots / windows:.1f}%")
     return traced + bare, served, metrics, notes
 
 
@@ -428,9 +475,14 @@ def main(argv=None) -> int:
                for line in it.digest_lines(wl.name)]
     for line in dict.fromkeys(digests):  # a traced pass repeats them
         print(line)
-    violations = _violations(its) + served.notes
-    failed = len(_violations(its)) + served.failed
-    attempted = sum(len(it.structures) for it in its) + served.attempted
+    # each iteration: its structures, and the oracle built over one
+    attempted = sum(len(it.structures) + 1 for it in its)
+    violations = _violations(its)
+    failed = len(violations)
+    if served is not None:
+        attempted += served.attempted
+        failed += served.failed
+        violations += served.notes
     for note in notes + violations:
         print(note)
     units = END_TO_END if not args.trace else {k: u for k, (u, _m, _w) in PER_LAYER.items()}

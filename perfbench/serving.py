@@ -12,7 +12,8 @@ process on at most two connections:
   rates of :data:`LADDER`, each request timed from when it was due.
 
 Every answer is checked against an in-process
-:class:`~repro.oracle.DistanceOracle` over the same structure.
+:class:`~repro.oracle.DistanceOracle` over the same structure, and the
+same mix is timed on that in-process oracle (:func:`time_inprocess`).
 """
 
 from __future__ import annotations
@@ -28,30 +29,31 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from arith import interpolate_rate, median, min_samples, percentile
+from arith import min_samples, percentile
 from speed import Speed, slowdown
 from repro.graphs import WeightedGraph
 from repro.oracle import DistanceOracle
 from repro.serve import ConnectionClosed, ProtocolError, ServeClient, address_of
 
-#: Daemon oracle settings (the in-process reference uses the same).
-LANDMARKS, CACHE_SIZE = 8, 4096
-#: Query mix: this many hot pairs take this share of single queries.
-HOT_PAIRS, HOT_SHARE = 512, 0.8
+#: Query mix and oracle settings: the ``stress`` tier of
+#: ``repro.harness.queries.QUERY_MIXES`` (hot_set=250, hot_fraction=0.6,
+#: landmarks=16), which the repo's own query and load suites serve; a
+#: test keeps the two in step.  The 250 hot pairs fit the 4096-entry
+#: LRU the daemon and the in-process reference both use.
+HOT_PAIRS, HOT_SHARE, LANDMARKS = 250, 0.6, 16
+CACHE_SIZE = 4096
 BATCH = 100
 #: Open loop: p99 latency limit (from the due time) and the fixed ladder
-#: of offered rates, in queries per second over both connections.  A
-#: rung is sustained when most of its WINDOW_S windows keep their p99
-#: within the limit: a growing backlog fails every later window, while
-#: one stall of the machine fails only the window it falls in.  The
-#: limit sits well above the few milliseconds a busy neighbour on a
-#: shared machine adds, and well below what a backlog reaches in one
-#: window.
+#: of offered rates, in queries per second over both connections, climbed
+#: until a rung fails.  A rung passes when at least half of its WINDOW_S
+#: windows keep their p99 within the limit: a growing backlog fails every
+#: later window, while one stall of the machine fails only the window it
+#: falls in.  The limit sits well above the few milliseconds a busy
+#: neighbour on a shared machine adds, and well below what a backlog
+#: reaches in one window.
 LATENCY_LIMIT_MS = 25.0
 WINDOW_S = 0.25
-LADDER = tuple(round(250 * 1.05 ** k) for k in range(100))
-#: rungs per step of the first climb (x1.28), before bisecting
-COARSE = 5
+LADDER = (1000, 2000, 2500, 3000, 3500, 4000, 5000)
 READY_TIMEOUT_S = 90.0
 #: Closed loops calibrate between chunks of this many requests, the
 #: fewest whose p99 has ten samples above it.  query_p99_us is the lower
@@ -295,52 +297,22 @@ def _open_rung(clients: Sequence[ServeClient], rate: float, seconds: float,
                 percentile(lag, 99) if lag else math.inf, share)
 
 
-def _ladder(clients, mix, seed, capacity, rung_s, checker, result) -> None:
-    """Find the highest sustained rung of :data:`LADDER`.
+def _ladder(clients, mix, seed, rung_s, checker, result) -> None:
+    """Climb :data:`LADDER` until a rung fails; keep the last that passed.
 
-    The climb starts under half the closed-loop capacity and moves
-    :data:`COARSE` rungs at a time until a rung is not sustained, then
-    bisects between the last sustained rung and the first that was not.
-    A rung that fails is run once more before it counts, so one stall
-    of the machine does not end the search.
+    ``sustained_qps`` is the highest passing rate (0 when the first rung
+    fails) and ``lag_p99_ms`` the generator's lateness on that rung (on
+    the first rung when none passed).
     """
-    tried: Dict[int, Rung] = {}
-
-    def sustained(i: int) -> bool:
-        rate = LADDER[i]
+    for i, rate in enumerate(LADDER):
         seconds = max(rung_s, 4 * WINDOW_S, min_samples(99) / rate)
-        for attempt in range(2):
-            rung = _open_rung(clients, rate, seconds, mix,
-                              seed * 997 + i * 2 + attempt, checker)
-            result.rungs.append(rung)
-            if rung.passed:
-                break
-        tried[i] = rung
-        return rung.passed
-
-    i = max([k for k, r in enumerate(LADDER) if r <= 0.45 * capacity] or [0])
-    lo: Optional[int] = None
-    hi: Optional[int] = None
-    while 0 <= i < len(LADDER) and (lo is None or hi is None):
-        if sustained(i):
-            lo, i = i, i + COARSE
-        else:
-            hi, i = i, i - COARSE
-    while lo is not None and hi is not None and hi - lo > 1:
-        mid = (lo + hi) // 2
-        if sustained(mid):
-            lo = mid
-        else:
-            hi = mid
-    if lo is None:
-        low = tried[hi]
-        result.sustained_qps = low.rate * max(low.share, 0.05) / 0.5
-        result.lag_p99_ms = low.lag_p99_ms
-        return
-    ok = tried[lo]
-    result.lag_p99_ms = ok.lag_p99_ms
-    result.sustained_qps = ok.rate if hi is None else interpolate_rate(
-        (ok.rate, ok.share), (tried[hi].rate, tried[hi].share), 0.5)
+        rung = _open_rung(clients, rate, seconds, mix, seed * 997 + i, checker)
+        result.rungs.append(rung)
+        if not rung.passed:
+            break
+    passed = [r for r in result.rungs if r.passed]
+    result.sustained_qps = float(passed[-1].rate) if passed else 0.0
+    result.lag_p99_ms = (passed or result.rungs)[-1].lag_p99_ms
 
 
 @dataclass
@@ -378,8 +350,8 @@ def serve_phases(daemon: Daemon, structure: WeightedGraph, seed: int,
                 plan.batch_s, 4, 5, lambda c, p: c.query_many(p), speed,
             )
             with ServeClient.open(daemon.address) as second:
-                _ladder([client, second], mix, seed, 1e6 / median(query_wall),
-                        plan.rung_s, checker, result)
+                _ladder([client, second], mix, seed, plan.rung_s, checker,
+                        result)
             for part in client.stats().get("caches", []):
                 for key, value in (part.get("cache") or {}).items():
                     result.cache[key] = result.cache.get(key, 0) + int(value)
@@ -390,17 +362,10 @@ def serve_phases(daemon: Daemon, structure: WeightedGraph, seed: int,
     result.query_us = [us for c in query_ref for us in c]
     result.query_p99_us = percentile([percentile(c, 99) for c in query_ref], 25)
     result.batch_ms = [us / 1e3 for c in batch_ref for us in c]
-    # in-process timing on the same mix, on a fresh oracle so the LRU
-    # sees the same sequence the daemon's worker saw
-    timed = DistanceOracle.build(
-        structure, landmarks=LANDMARKS, seed=seed, cache_size=CACHE_SIZE
-    )
-    replay = iter(pairs)
-    _, _, inproc_wall, inproc_ref = _closed_loop(
-        timed, lambda: next(replay), 0.0, len(query_ref), CHUNK,
-        lambda o, p: o.query(label_of[p[0]], label_of[p[1]]), speed,
-    )
-    result.inproc_us = [us for c in inproc_ref for us in c]
+    # the LRU of a fresh in-process oracle sees the sequence the daemon's
+    # worker saw
+    result.inproc_us, inproc_wall, _cache = time_inprocess(
+        structure, seed, pairs, speed)
     result.wall_p50 = {
         "ping_us": percentile(ping_wall, 50),
         "query_us": percentile(query_wall, 50),
@@ -411,3 +376,27 @@ def serve_phases(daemon: Daemon, structure: WeightedGraph, seed: int,
     for batch, got in zip(batches, batch_answers):
         checker.check(batch, got)
     return result
+
+
+def mix_pairs(structure: WeightedGraph, seed: int, count: int) -> List[Pair]:
+    """``count`` single-query pairs of the seeded mix over ``structure``."""
+    mix = Mix(sorted(str(v) for v in structure.vertices()), seed)
+    return [mix.single() for _ in range(count)]
+
+
+def time_inprocess(structure: WeightedGraph, seed: int, pairs: Sequence[Pair],
+                   speed: Speed) -> Tuple[List[float], List[float], Dict[str, int]]:
+    """Time ``pairs`` (whole chunks of them) on a fresh in-process oracle.
+
+    Returns reference µs, wall µs and the oracle's ``cache_info()``.
+    """
+    label_of = {str(v): v for v in structure.vertices()}
+    oracle = DistanceOracle.build(
+        structure, landmarks=LANDMARKS, seed=seed, cache_size=CACHE_SIZE
+    )
+    replay = iter(pairs)
+    _, _, wall, ref = _closed_loop(
+        oracle, lambda: next(replay), 0.0, len(pairs) // CHUNK, CHUNK,
+        lambda o, p: o.query(label_of[p[0]], label_of[p[1]]), speed,
+    )
+    return [us for c in ref for us in c], wall, oracle.cache_info()

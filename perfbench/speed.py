@@ -25,6 +25,13 @@ T = TypeVar("T")
 #: Nominal time of one calibration task; reference seconds are wall
 #: seconds on a machine where the task takes exactly this long.
 REFERENCE_S = 0.0065
+#: A sample runs the task in this many equal parts and scales up the
+#: fastest one.  A neighbour's burst of a few milliseconds slows one
+#: part, not the much longer step the sample brackets; taken whole, such
+#: bursts moved a 0.3 s step's reference time by up to 1.6x (measured on
+#: a 2-vCPU virtual machine: the per-run median of a fixed construction
+#: spread 0.088 in reference time from whole samples, 0.034 from parts).
+PARTS = 4
 
 
 def _graph() -> List[List[Tuple[int, float]]]:
@@ -56,21 +63,26 @@ class Speed:
         return Speed(cpus, self.sources)
 
     def sample(self) -> float:
-        """Mean wall seconds of the reference task over the CPUs."""
+        """Mean wall seconds of the reference task over the CPUs.
+
+        On each CPU the task runs in :data:`PARTS` parts and the fastest
+        part, times :data:`PARTS`, stands for the whole task.
+        """
         home = os.sched_getaffinity(0)
         try:
             total = 0.0
             for cpu in self.cpus:
                 os.sched_setaffinity(0, {cpu})
-                total += self._task()
+                part = min(self._task(self.sources // PARTS) for _ in range(PARTS))
+                total += PARTS * part
         finally:
             os.sched_setaffinity(0, home)
         return total / len(self.cpus)
 
-    def _task(self) -> float:
+    def _task(self, sources: int) -> float:
         adj = self.adj
         t0 = time.perf_counter()
-        for s in range(self.sources):
+        for s in range(sources):
             dist = {s: 0.0}
             heap = [(0.0, s)]
             while heap:

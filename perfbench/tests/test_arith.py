@@ -14,8 +14,8 @@ BENCH = os.path.dirname(HERE)
 sys.path.insert(0, BENCH)
 
 from arith import (  # noqa: E402
+    attributed,
     by_name,
-    interpolate_rate,
     min_samples,
     percentile,
     self_times,
@@ -132,17 +132,47 @@ class TestMetricNames:
         }
 
 
-class TestSpreadAndInterpolation:
+class TestAttributed:
+    def test_roots_alone_attribute_nothing(self):
+        assert attributed([("core", 0.0, 5.0, None)]) == 0.0
+
+    def test_children_and_grandchildren_counted_once(self):
+        spans = [
+            ("core", 0.0, 10.0, None),
+            ("mst", 1.0, 4.0, 0),
+            ("bfs", 2.0, 3.0, 1),
+            ("spt", 6.0, 7.0, 0),
+        ]
+        assert attributed(spans) == pytest.approx(4.0)
+
+    def test_skipped_roots_leave_their_subtree_out(self):
+        spans = [
+            ("graphs.generate", 0.0, 2.0, None),
+            ("graphs.freeze", 0.5, 1.0, 0),
+            ("core", 3.0, 9.0, None),
+            ("graphs.freeze", 4.0, 6.0, 2),
+        ]
+        assert attributed(spans, skip=("graphs.generate",)) == pytest.approx(2.0)
+        assert attributed(spans) == pytest.approx(2.5)
+
+    def test_root_self_time_is_the_rest_of_the_window(self):
+        spans = [("core", 0.0, 10.0, None), ("mst", 1.0, 4.0, 0)]
+        assert self_times(spans)[0] + attributed(spans) == pytest.approx(10.0)
+
+
+class TestSpread:
     def test_spread_is_iqr_over_median(self):
         # statistics.quantiles (exclusive method) on 1..9: q1 2.5, q3 7.5
         assert spread([1, 2, 3, 4, 5, 6, 7, 8, 9]) == pytest.approx(5.0 / 5.0)
 
-    def test_interpolation_hits_the_level_crossing(self):
-        # the score falls 1.0 -> 0.0 between rungs; 0.5 is halfway in log-rate
-        rate = interpolate_rate((1000.0, 1.0), (4000.0, 0.0), 0.5)
-        assert rate == pytest.approx(2000.0)
 
-    def test_interpolation_is_clamped_to_the_rungs(self):
-        assert interpolate_rate((1000.0, 0.9), (2000.0, 0.6), 0.5) == 2000.0
-        assert interpolate_rate((1000.0, 0.4), (2000.0, 0.0), 0.5) == 1000.0
-        assert interpolate_rate((1000.0, 0.5), (2000.0, 0.5), 0.5) == 1000.0
+class TestServingMix:
+    def test_mix_is_the_stress_query_tier(self):
+        sys.path.insert(0, os.path.join(os.path.dirname(BENCH), "src"))
+        from repro.harness.queries import QUERY_MIXES
+        import serving
+
+        stress = QUERY_MIXES["stress"]
+        assert (serving.HOT_PAIRS, serving.HOT_SHARE, serving.LANDMARKS) == (
+            stress.hot_set, stress.hot_fraction, stress.landmarks)
+        assert serving.HOT_PAIRS <= serving.CACHE_SIZE

@@ -21,7 +21,9 @@ from typing import Any, Callable, ContextManager, Dict, List, Tuple
 
 from repro.analysis import slt_report, spanner_report
 from repro.core import doubling_spanner, light_spanner, shallow_light_tree
-from repro.graphs import WeightedGraph, erdos_renyi_graph, random_geometric_graph
+from repro.graphs import (
+    WeightedGraph, dijkstra, erdos_renyi_graph, random_geometric_graph,
+)
 from repro.oracle import DistanceOracle
 from speed import Speed
 
@@ -37,6 +39,9 @@ SERVE_N, SERVE_P, SERVE_GRAPH_SEED = 1200, 0.006, 1200
 
 #: Seed for claims made after a change was written (never tuned on).
 HELD_OUT_SEED = 9973
+
+#: Oracle answers checked against Dijkstra on the structure, per iteration.
+ORACLE_CHECKS = 16
 
 SpanFn = Callable[[str], ContextManager[None]]
 
@@ -141,6 +146,20 @@ def _check(ok: bool, what: str, violations: List[str]) -> None:
         violations.append(what)
 
 
+def _check_oracle(oracle: DistanceOracle, graph: WeightedGraph, key: int,
+                  violations: List[str]) -> None:
+    """The oracle's answers from one seeded source equal Dijkstra's."""
+    rng = random.Random(key)
+    vertices = sorted(graph.vertices(), key=repr)
+    source = rng.choice(vertices)
+    dist, _parents = dijkstra(graph, source)
+    for target in rng.sample(vertices, min(ORACLE_CHECKS, len(vertices))):
+        got, want = oracle.query(source, target), dist.get(target, math.inf)
+        if not math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-9):
+            violations.append(f"oracle: d({source},{target}) = {got} != {want}")
+            return
+
+
 def _certify_spanner(
     graph: WeightedGraph, result: Any, kind: str, formula: float,
     violations: List[str], span: SpanFn,
@@ -170,8 +189,8 @@ class Workload:
     name = ""
     #: iterations every run makes; deterministic metrics use exactly these
     min_iterations = 1
-    #: share of ``--seconds`` spent constructing (the rest serves)
-    construct_share = 0.5
+    #: True when the workload also serves what it built over a socket
+    serves = False
     #: iterations of the traced pass (fixed, so traced counts repeat)
     traced_iterations = 1
 
@@ -193,7 +212,10 @@ class Workload:
         self, graph: WeightedGraph, index: int, key: int, speed: Speed,
         span: SpanFn = no_span,
     ) -> Iteration:
-        """Construct, certify and build the oracle; time each step."""
+        """Construct, certify and build the oracle; time each step.
+
+        The oracle's answers are spot-checked outside the timed steps.
+        """
         violations: List[str] = []
         built, c_wall, c_ref = speed.timed(
             lambda: self.construct(graph, key, span))
@@ -201,11 +223,12 @@ class Workload:
             lambda: self.certify(graph, built, violations, span))
         served = structures[-1]
 
-        def build() -> None:
+        def build() -> DistanceOracle:
             with span("oracle.build"):
-                DistanceOracle.build(served.graph, kernel="auto")
+                return DistanceOracle.build(served.graph, kernel="auto")
 
-        _, o_wall, o_ref = speed.timed(build)
+        oracle, o_wall, o_ref = speed.timed(build)
+        _check_oracle(oracle, served.graph, key, violations)
         it = Iteration(index, c_ref, v_ref, o_ref, (c_wall, v_wall, o_wall),
                        structures, served, violations)
         for kind, result in built:
@@ -221,7 +244,7 @@ class LightER(Workload):
     """§4 SLT and §5 light spanner on seeded Erdős–Rényi graphs."""
 
     name = "light-er"
-    min_iterations = 20
+    min_iterations = 30
     traced_iterations = 4
 
     def make_input(self, seed: int, index: int) -> WeightedGraph:
@@ -265,7 +288,6 @@ class DoublingGeo(Workload):
 
     name = "doubling-geo"
     min_iterations = 16
-    construct_share = 0.6
     traced_iterations = 4
 
     def make_input(self, seed: int, index: int) -> WeightedGraph:
@@ -289,8 +311,8 @@ class ServeMixed(Workload):
     """A fixed §5 spanner served under a hot/cold query mix."""
 
     name = "serve-mixed"
-    min_iterations = 6
-    construct_share = 0.0
+    min_iterations = 12
+    serves = True
     traced_iterations = 2
 
     def make_input(self, seed: int, index: int) -> WeightedGraph:
