@@ -157,6 +157,10 @@ def _env() -> Dict[str, str]:
     )
     env["PYTHONUNBUFFERED"] = "1"
     env["PYTHONHASHSEED"] = "0"
+    # children cache bytecode, as an installed package has it: otherwise
+    # whether set-up compiles every module depends on the caller's
+    # environment and on what an earlier run left behind
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
     return env
 
 
