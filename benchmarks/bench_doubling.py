@@ -1,0 +1,347 @@
+"""§7 doubling-spanner speedup evidence: seconds and call counts per phase.
+
+Times ``doubling_spanner(..., net_method="greedy")`` on the
+``doubling-geometric`` and ``doubling-grid`` harness profiles at the
+smoke and stress tiers, split into the construction's phases:
+
+* **nets** — time inside ``greedy_net`` (one call per scale), with the
+  shortest-path searches it starts;
+* **explorations** — time inside ``bounded_approx_spt`` (one call per
+  net point per scale), with the weight roundings behind it;
+* **path walk and the rest** — the remaining construction time: the
+  per-scale loop that walks each reported path into the spanner
+  (``path_steps`` counts ``WeightedGraph.has_edge`` calls, one per step
+  walked), the BFS tree and the MST.
+
+Both sides run this same script in a child process, on a fresh input
+graph per run: the baseline on a ``git archive`` export of
+:data:`BASELINE_COMMIT` (the commit before the §7 hot-path rewrite),
+the change on the checkout this script sits in.  Every case's edge and
+ledger digests must be equal on both sides, and the stress tier must
+clear :data:`REQUIRED_SPEEDUP`.  The files written:
+
+* ``benchmarks/BENCH_doubling_speedup.txt`` — the human-readable table;
+* ``benchmarks/BENCH_doubling_speedup.json`` — the record CI's
+  ``bench-smoke`` job gates on.
+
+Run modes::
+
+    python benchmarks/bench_doubling.py --run    # measure + rewrite both files
+    python benchmarks/bench_doubling.py --check  # validate the committed JSON
+
+Not a pytest file on purpose: the baseline's stress tier alone takes
+about a minute.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import importlib
+import json
+import os
+import platform
+import random
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import Any, Callable, Dict, Iterator, List, Tuple
+
+HERE = Path(__file__).resolve().parent
+ROOT = HERE.parent
+TXT_PATH = HERE / "BENCH_doubling_speedup.txt"
+JSON_PATH = HERE / "BENCH_doubling_speedup.json"
+
+#: the commit before the §7 hot-path rewrite
+BASELINE_COMMIT = "529f358"
+#: (profile, tier) cases; timed runs per tier (each side reports medians)
+CASES: List[Tuple[str, str]] = [
+    ("doubling-geometric", "smoke"), ("doubling-grid", "smoke"),
+    ("doubling-geometric", "stress"), ("doubling-grid", "stress"),
+]
+RUNS = {"smoke": 5, "stress": 3}
+#: stress-tier acceptance bars: baseline seconds / change seconds
+REQUIRED_SPEEDUP = {"doubling-geometric": 4.0, "doubling-grid": 2.0}
+
+PHASES = ("nets", "explorations", "path_walk_and_rest", "total")
+#: (module, attribute, phase): the functions timed, wrapped under the
+#: names their caller bound
+TIMED: List[Tuple[str, str, str]] = [
+    ("repro.core.doubling_spanner", "greedy_net", "nets"),
+    ("repro.core.doubling_spanner", "bounded_approx_spt", "explorations"),
+]
+#: (module, attribute, counter): the functions counted.  A name absent
+#: on one side counts nothing there: the rewrite changed what the nets
+#: search with and where the rounding rule lives.
+COUNTED: List[Tuple[str, str, str]] = [
+    ("repro.core.doubling_spanner", "greedy_net", "net_calls"),
+    ("repro.core.nets", "dijkstra", "net_searches"),
+    ("repro.core.nets", "bounded_dijkstra", "net_searches"),
+    ("repro.core.doubling_spanner", "bounded_approx_spt", "exploration_calls"),
+    ("repro.spt.approx_spt", "_round_up_weight", "weight_roundings"),
+    ("repro.graphs.csr", "round_up_weight", "weight_roundings"),
+    ("repro.graphs.weighted_graph", "WeightedGraph.has_edge", "path_steps"),
+]
+REQUIRED_JSON_KEYS = {
+    "baseline_commit", "machine", "cases", "runs", "required_speedup",
+}
+#: what the child process runs: :func:`measure` against the ``repro``
+#: its ``PYTHONPATH`` names
+CHILD = "import sys; sys.path.append({here!r}); import bench_doubling; " \
+        "sys.exit(bench_doubling.measure())"
+
+Wrapper = Callable[[Callable[..., Any], str], Callable[..., Any]]
+
+
+@contextlib.contextmanager
+def _wrapped(targets: List[Tuple[str, str, str]], make: Wrapper) -> Iterator[None]:
+    """Replace each present target by ``make(original, key)``; restore after."""
+    saved = []
+    try:
+        for module, path, key in targets:
+            owner: Any = importlib.import_module(module)
+            *outer, attr = path.split(".")
+            for part in outer:
+                owner = getattr(owner, part)
+            if attr in owner.__dict__:
+                original = owner.__dict__[attr]
+                saved.append((owner, attr, original))
+                setattr(owner, attr, make(original, key))
+        yield
+    finally:
+        for owner, attr, original in reversed(saved):
+            setattr(owner, attr, original)
+
+
+def _case(profile_name: str, tier: str) -> Tuple[Callable[[], Any], Callable[[Any], Any]]:
+    """A fresh-input factory and the construction, for one case."""
+    from repro.core import doubling_spanner
+    from repro.harness import get_profile
+
+    profile = get_profile(profile_name)
+    params = profile.algo_params(tier)
+
+    def construct(graph: Any) -> Any:
+        return doubling_spanner(graph, params["eps"], random.Random(profile.seed),
+                                net_method=params["net_method"])
+
+    return lambda: profile.build_graph(tier), construct
+
+
+def _timed_run(make_graph: Callable[[], Any],
+               construct: Callable[[Any], Any]) -> Tuple[Any, Dict[str, float]]:
+    """One construction on a fresh input; wall seconds per phase."""
+    spent = {phase: 0.0 for _m, _a, phase in TIMED}
+
+    def timer(fn: Callable[..., Any], phase: str) -> Callable[..., Any]:
+        def timed(*args: Any, **kwargs: Any) -> Any:
+            t0 = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                spent[phase] += time.perf_counter() - t0
+        return timed
+
+    graph = make_graph()
+    with _wrapped(TIMED, timer):
+        t0 = time.perf_counter()
+        result = construct(graph)
+        total = time.perf_counter() - t0
+    rest = total - spent["nets"] - spent["explorations"]
+    return result, dict(spent, path_walk_and_rest=rest, total=total)
+
+
+def _counted_run(make_graph: Callable[[], Any],
+                 construct: Callable[[Any], Any]) -> Dict[str, int]:
+    """One untimed construction on a fresh input; calls per counter."""
+    counts = {key: 0 for _m, _a, key in COUNTED}
+
+    def counter(fn: Callable[..., Any], key: str) -> Callable[..., Any]:
+        def counted(*args: Any, **kwargs: Any) -> Any:
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    graph = make_graph()
+    with _wrapped(COUNTED, counter):
+        construct(graph)
+    return counts
+
+
+def _digests(result: Any) -> Dict[str, str]:
+    lines = sorted(f"{u!r} {v!r} {w!r}\n" for u, v, w in result.spanner.edges())
+    ledger = json.dumps(result.ledger.by_phase(), sort_keys=True)
+    return {
+        "edges": hashlib.sha256("".join(lines).encode()).hexdigest(),
+        "ledger": hashlib.sha256(ledger.encode()).hexdigest(),
+    }
+
+
+def measure() -> int:
+    """Child side: measure every case with the ``repro`` on the path."""
+    import repro
+
+    _timed_run(*_case(*CASES[0]))  # warm-up: imports, first-call set-up
+    cases = {}
+    for profile_name, tier in CASES:
+        make_graph, construct = _case(profile_name, tier)
+        runs = [_timed_run(make_graph, construct) for _ in range(RUNS[tier])]
+        result = runs[0][0]
+        cases[f"{profile_name}/{tier}"] = {
+            "n": result.spanner.n,
+            "scales": len(result.scales),
+            "spanner_edges": result.spanner.m,
+            "seconds": {p: round(statistics.median(s[p] for _r, s in runs), 4)
+                        for p in PHASES},
+            "total_runs": [round(s["total"], 4) for _r, s in runs],
+            "counts": _counted_run(make_graph, construct),
+            "digests": _digests(result),
+        }
+    print(json.dumps({"source": repro.__file__, "cases": cases}))
+    return 0
+
+
+def _measure_side(src: Path) -> Dict[str, Any]:
+    """Run :func:`measure` in a child process importing ``repro`` from ``src``."""
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD.format(here=str(HERE))],
+        env=dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED="0"),
+        cwd=ROOT, capture_output=True, text=True, check=True,
+    )
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    if not Path(out["source"]).resolve().is_relative_to(src.resolve()):
+        raise RuntimeError(f"measured {out['source']}, not the sources in {src}")
+    return out["cases"]
+
+
+def _machine() -> Dict[str, Any]:
+    cpu = platform.processor() or platform.machine()
+    cpuinfo = Path("/proc/cpuinfo")
+    if cpuinfo.exists():
+        for line in cpuinfo.read_text().splitlines():
+            if line.startswith("model name"):
+                cpu = line.split(":", 1)[1].strip()
+                break
+    return {"cpu": cpu, "cores": os.cpu_count(),
+            "python": platform.python_version()}
+
+
+def _speedup(sides: Dict[str, Any]) -> float:
+    return sides["baseline"]["seconds"]["total"] / sides["change"]["seconds"]["total"]
+
+
+def _table(record: Dict[str, Any]) -> List[str]:
+    machine = record["machine"]
+    lines = [
+        f"=== §7 doubling spanner, greedy nets: commit {record['baseline_commit']}"
+        " (baseline) vs this change ===",
+        f"{machine['cpu']}, {machine['cores']} cores, CPython "
+        f"{machine['python']}; wall seconds, per-phase medians of "
+        f"{RUNS['smoke']} (smoke) / {RUNS['stress']} (stress) runs on fresh inputs",
+    ]
+    for case, sides in record["cases"].items():
+        base, new = sides["baseline"], sides["change"]
+        same = "equal" if base["digests"] == new["digests"] else "DIFFER"
+        lines += [
+            "",
+            f"--- {case}: n={new['n']}, {new['scales']} scales, "
+            f"{new['spanner_edges']} spanner edges; speedup "
+            f"{_speedup(sides):.2f}x; edge and ledger digests {same} ---",
+            f"{'phase':<22} {'baseline s':>11} {'change s':>10} {'ratio':>8}",
+        ]
+        for phase in PHASES:
+            b, c = base["seconds"][phase], new["seconds"][phase]
+            ratio = f"{b / c:.1f}x" if c > 0 else "-"
+            lines.append(f"{phase:<22} {b:>11.4f} {c:>10.4f} {ratio:>8}")
+        lines.append(f"{'calls':<22} {'baseline':>11} {'change':>10}")
+        for key, b in base["counts"].items():
+            lines.append(f"{key:<22} {b:>11} {new['counts'][key]:>10}")
+    return lines
+
+
+def run() -> int:
+    with tempfile.TemporaryDirectory(prefix="doubling-baseline-") as tmp:
+        tar = subprocess.run(
+            ["git", "-C", str(ROOT), "archive", BASELINE_COMMIT, "src"],
+            capture_output=True, check=True,
+        ).stdout
+        subprocess.run(["tar", "-x", "-C", tmp], input=tar, check=True)
+        base = _measure_side(Path(tmp) / "src")
+    new = _measure_side(ROOT / "src")
+    record = {
+        "baseline_commit": BASELINE_COMMIT,
+        "machine": _machine(),
+        "runs": RUNS,
+        "required_speedup": REQUIRED_SPEEDUP,
+        "cases": {case: {"baseline": base[case], "change": new[case]}
+                  for case in base},
+    }
+    lines = _table(record)
+    TXT_PATH.write_text("\n".join(lines) + "\n")
+    JSON_PATH.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+    print("\n".join(lines))
+    print(f"\nwrote {TXT_PATH.name} and {JSON_PATH.name}")
+    return check()
+
+
+def check() -> int:
+    """CI gate: the committed record exists, parses and clears the bars."""
+    if not JSON_PATH.exists() or not TXT_PATH.exists():
+        print(f"FAIL: {JSON_PATH.name} or {TXT_PATH.name} is missing "
+              "(run --run and commit both)")
+        return 1
+    record = json.loads(JSON_PATH.read_text())
+    missing = REQUIRED_JSON_KEYS - set(record)
+    if missing:
+        print(f"FAIL: {JSON_PATH.name} lacks keys: {sorted(missing)}")
+        return 1
+    if record["baseline_commit"] != BASELINE_COMMIT:
+        print(f"FAIL: committed baseline {record['baseline_commit']} "
+              f"!= {BASELINE_COMMIT}")
+        return 1
+    expected = sorted(f"{p}/{t}" for p, t in CASES)
+    if sorted(record["cases"]) != expected:
+        print(f"FAIL: cases {sorted(record['cases'])} != {expected}")
+        return 1
+    failures = []
+    for case, sides in sorted(record["cases"].items()):
+        base, new = sides["baseline"], sides["change"]
+        if base["digests"] != new["digests"]:
+            failures.append(f"{case}: edge or ledger digests differ")
+        if any(set(side["seconds"]) != set(PHASES) for side in (base, new)):
+            failures.append(f"{case}: per-phase seconds incomplete")
+            continue
+        profile, tier = case.split("/")
+        # gate against this script's bars, not the file's copy of them
+        if tier == "stress" and _speedup(sides) < REQUIRED_SPEEDUP[profile]:
+            failures.append(f"{case}: speedup {_speedup(sides):.2f}x is below "
+                            f"the {REQUIRED_SPEEDUP[profile]}x bar")
+    for failure in failures:
+        print(f"FAIL: {failure}")
+    if failures:
+        return 1
+    stress = ", ".join(f"{c} {_speedup(s):.1f}x"
+                       for c, s in sorted(record["cases"].items())
+                       if c.endswith("/stress"))
+    print(f"OK: vs commit {BASELINE_COMMIT}: {stress}; digests equal on "
+          f"all {len(expected)} cases")
+    return 0
+
+
+def main(argv: Any = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--run", action="store_true",
+                      help="measure both sides and rewrite the evidence files")
+    mode.add_argument("--check", action="store_true",
+                      help="validate the committed evidence (the CI gate)")
+    args = parser.parse_args(argv)
+    return run() if args.run else check()
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,6 +1,8 @@
 """Light (1+ε)-spanners for doubling graphs — §7 (Theorem 5).
 
-For every distance scale ``Δ = (1+ε)^i`` up to the MST weight:
+For every distance scale ``Δ = (1+ε)^i`` from ``min(1, w_min)`` (``w_min``
+the lightest edge weight, rounded down to a power of 1+ε) up to the MST
+weight:
 
 1. build a net whose covering radius is ``ε·Δ/2`` (via Theorem 3 with
    δ = 1/2, i.e. a ``(εΔ/2, 2εΔ/9)``-net — our net parametrization with
@@ -41,7 +43,7 @@ class ScaleStats:
     """Per-scale diagnostics for the benchmarks."""
 
     index: int
-    scale: float  # Δ = (1+ε)^i
+    scale: float  # Δ = (1+ε)^i; i < 0 only when some edge is lighter than 1
     net_size: int
     paths_added: int
     max_overlap: int  # max explorations any vertex participated in
@@ -87,8 +89,10 @@ def _bounded_exploration(
     true accumulated weight so reported paths genuinely fit the bound.
     The single-source case of :func:`~repro.spt.approx_spt.bounded_approx_spt`
     (origin tracking discarded), which runs over the graph's CSR index
-    arrays — §7 launches one exploration per net point per scale, so this
-    is the construction's hottest code.
+    arrays and relaxes over :meth:`CSRGraph.rounded_weights`, the rounded
+    column cached on the frozen graph.  §7 launches one exploration per
+    net point per scale, all with the same ε, so each weight is rounded
+    once per construction rather than once per relaxation.
     """
     csr = graph.freeze() if isinstance(graph, WeightedGraph) else graph
     true_dist, parent, _origin = bounded_approx_spt(csr, [source], radius, eps)
@@ -140,11 +144,14 @@ def doubling_spanner(
 
     base = 1.0 + eps
     num_scales = max(1, math.ceil(math.log(max(mst_weight, base), base))) + 1
+    # the smallest scale must not exceed the lightest edge, or edges
+    # lighter than 1 are never explored
+    first_scale = min(0, math.floor(math.log(csr.min_weight(), base))) if csr.m else 0
     delta = 0.5  # the paper's "e.g., we can take δ = 1/2"
     skeleton_size = max(1, math.ceil(math.sqrt(n * max(math.log(n + 1), 1.0))))
     beta = max(1, math.ceil(math.log2(n + 1)))  # charged [EN16] hopbound
 
-    for i in range(num_scales):
+    for i in range(first_scale, num_scales):
         scale = base ** i
         scale_ledger = RoundLedger()
 
@@ -170,16 +177,22 @@ def doubling_spanner(
         radius = 2.0 * scale
         participation: Dict[Vertex, int] = {}
         paths_added = 0
-        for u in sorted(net_points, key=repr):
+        rank = {v: repr(v) for v in net_points}
+        for u in sorted(net_points, key=rank.__getitem__):
             true_dist, parent = _bounded_exploration(csr, u, radius, eps)
             for v in true_dist:
                 participation[v] = participation.get(v, 0) + 1
+            # every vertex on an already-walked path leads to u over edges
+            # this exploration has added, so a later walk stops there
+            walked: Set[Vertex] = set()
+            rank_u = rank[u]
             for v in net_points:
-                if v == u or repr(v) <= repr(u) or v not in true_dist:
+                if rank[v] <= rank_u or v not in true_dist:
                     continue
                 # add the reported path to the spanner
                 node = v
-                while parent[node] is not None:
+                while node not in walked and parent[node] is not None:
+                    walked.add(node)
                     prev = parent[node]
                     if not spanner.has_edge(prev, node):
                         spanner.add_edge(prev, node, graph.weight(prev, node))

@@ -20,12 +20,12 @@ import math
 import random
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import List, Optional, Set
 
 from repro.congest.bfs import build_bfs_tree
 from repro.congest.ledger import RoundLedger
 from repro.determinism import ensure_rng
-from repro.graphs.shortest_paths import dijkstra
+from repro.graphs.shortest_paths import bounded_dijkstra
 from repro.graphs.weighted_graph import Vertex, WeightedGraph
 from repro.lelists.le_lists import compute_le_lists, first_in_ball
 from repro.spt.approx_spt import bkkl_round_cost, bounded_approx_spt
@@ -173,14 +173,20 @@ def greedy_net(graph: WeightedGraph, radius: float) -> Set[Vertex]:
     Scan vertices in id order; keep each vertex farther than ``radius``
     from all kept ones.  Inherently sequential (the paper's motivation for
     Theorem 3), but optimal parameters: r-covering and r-separated.
+
+    Only whether a vertex lies within ``radius`` of a kept one matters,
+    so each kept vertex explores its ``radius``-ball alone; below the
+    minimum edge weight every ball is a single vertex and the net is
+    all of ``V`` without any search.
     """
-    net: List[Vertex] = []
-    covered_dist: Dict[Vertex, float] = {}
-    for v in sorted(graph.vertices(), key=repr):
-        if covered_dist.get(v, float("inf")) > radius:
-            net.append(v)
-            dist, _ = dijkstra(graph, v)
-            for u, d in dist.items():
-                if d < covered_dist.get(u, float("inf")):
-                    covered_dist[u] = d
-    return set(net)
+    csr = graph.freeze() if isinstance(graph, WeightedGraph) else graph
+    order = sorted(csr.vertices(), key=repr)
+    if radius < csr.min_weight():
+        return set(order)
+    net: Set[Vertex] = set()
+    covered: Set[Vertex] = set()
+    for v in order:
+        if v not in covered:
+            net.add(v)
+            covered.update(bounded_dijkstra(csr, v, radius)[0])
+    return net

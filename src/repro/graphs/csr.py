@@ -26,12 +26,13 @@ no hashing at all.  Build via :meth:`CSRGraph.from_weighted` or the
 The label-level inspection API (``vertices``/``edges``/``neighbors``/
 ``neighbor_items``/``degree``/``has_edge``/``weight``...) mirrors
 ``WeightedGraph`` so read-only consumers accept either backend; the
-index-level API (``row``, ``indices``, ``weights``, ``mirror``) is what
-the rewritten hot paths use directly.
+index-level API (``row``, ``indices``, ``weights``, ``mirror``,
+``rounded_weights``) is what the rewritten hot paths use directly.
 """
 
 from __future__ import annotations
 
+import math
 from array import array
 from bisect import bisect_left
 from typing import TYPE_CHECKING, Dict, Hashable, Iterator, List, Optional, Set, Tuple
@@ -41,6 +42,19 @@ if TYPE_CHECKING:
 
 Vertex = Hashable
 Edge = Tuple[Vertex, Vertex]
+
+
+def round_up_weight(w: float, eps: float) -> float:
+    """Round ``w`` up to the next integer power of ``1 + eps``.
+
+    The library's concrete (1+ε)-approximation (DESIGN.md substitution
+    3); ``eps <= 0`` leaves ``w`` unchanged.
+    """
+    if eps <= 0:
+        return w
+    base = 1.0 + eps
+    exponent = math.ceil(math.log(w, base) - 1e-12)
+    return base ** exponent
 
 
 class CSRGraph:
@@ -53,7 +67,8 @@ class CSRGraph:
     """
 
     __slots__ = (
-        "indptr", "indices", "weights", "verts", "_index", "_mirror", "_sorted",
+        "indptr", "indices", "weights", "verts", "_index", "_mirror",
+        "_rounded", "_sorted",
     )
 
     def __init__(
@@ -71,6 +86,7 @@ class CSRGraph:
         self.verts = verts
         self._index: Dict[Vertex, int] = {v: i for i, v in enumerate(verts)}
         self._mirror: Optional[List[int]] = None
+        self._rounded: Dict[float, "array[float]"] = {}
         # when the label order is already canonical (the common case:
         # generators insert int vertices 0..n-1 in order), edges() can
         # yield (verts[i], verts[j]) directly without re-canonicalising
@@ -162,6 +178,23 @@ class CSRGraph:
                     mirror[s] = self.edge_slot(indices[s], i)
             self._mirror = mirror
         return self._mirror
+
+    def rounded_weights(self, eps: float) -> "array[float]":
+        """``weights`` with each entry rounded by :func:`round_up_weight`.
+
+        The column the (1+ε)-approximate explorations relax over.  Built
+        lazily (one rounding per slot) and cached per ``eps``, so the §7
+        explorations, which all share one ε, round each weight once
+        rather than once per relaxation.  ``eps <= 0`` returns
+        ``weights`` itself.
+        """
+        if eps <= 0:
+            return self.weights
+        column = self._rounded.get(eps)
+        if column is None:
+            column = array("d", [round_up_weight(w, eps) for w in self.weights])
+            self._rounded[eps] = column
+        return column
 
     def edges_idx(self) -> Iterator[Tuple[int, int, float]]:
         """Each undirected edge once, as ``(i, j, w)`` with ``i < j``."""

@@ -23,19 +23,10 @@ import math
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.congest.ledger import RoundLedger
-from repro.graphs.csr import CSRGraph
+from repro.graphs.csr import CSRGraph, round_up_weight
 from repro.graphs.shortest_paths import dijkstra
 from repro.graphs.weighted_graph import Vertex, WeightedGraph
 from repro.spt.tree import SPTree
-
-
-def _round_up_weight(w: float, eps: float) -> float:
-    """Round ``w`` up to the next integer power of ``1 + eps``."""
-    if eps <= 0:
-        return w
-    base = 1.0 + eps
-    exponent = math.ceil(math.log(w, base) - 1e-12)
-    return base ** exponent
 
 
 def bkkl_round_cost(n: int, height: int, eps: float) -> int:
@@ -81,7 +72,7 @@ def approx_spt(
     rounds = led.charge(phase, bkkl_round_cost(n, height, max(eps, 1e-9)))
 
     if eps > 0:
-        rounded = graph.reweighted(lambda u, v, w: _round_up_weight(w, eps))
+        rounded = graph.reweighted(lambda u, v, w: round_up_weight(w, eps))
     else:
         rounded = graph
     _, parent = dijkstra(rounded, root)
@@ -140,7 +131,7 @@ def bounded_approx_spt(
 
     if eps > 0:
         def weight_of(u: Vertex, v: Vertex) -> float:
-            return _round_up_weight(graph.weight(u, v), eps)
+            return round_up_weight(graph.weight(u, v), eps)
     else:
         weight_of = graph.weight
 
@@ -187,6 +178,7 @@ def _csr_bounded_approx_spt(
 
     n = csr.n
     indptr, indices, weights, verts = csr.indptr, csr.indices, csr.weights, csr.verts
+    rounded = csr.rounded_weights(eps)
     INF = float("inf")
     dist: List[float] = [INF] * n
     true_dist: List[float] = [INF] * n
@@ -209,8 +201,8 @@ def _csr_bounded_approx_spt(
         tu = true_dist[u]
         ou = origin[u]
         a, b = indptr[u], indptr[u + 1]
-        for v, w in zip(indices[a:b], weights[a:b]):
-            nd = d + (_round_up_weight(w, eps) if eps > 0 else w)
+        for v, w, r in zip(indices[a:b], weights[a:b], rounded[a:b]):
+            nd = d + r
             nt = tu + w
             if nt <= radius and nd < dist[v]:
                 dist[v] = nd

@@ -14,12 +14,15 @@ fragments, a broadcast that lets everyone evaluate the global lengths
 those stages faithfully over the fragment decomposition — each value is
 computed from exactly the information the paper says the vertex has — and
 charge the ledger with each stage's measured cost.  A direct recursive DFS
-cross-checks the staged result (they must agree exactly), so the tour used
-downstream is *certified*.
+cross-checks the staged result, so the tour used downstream is
+*certified*.  The two add the same weights in different orders, so they
+agree to a relative 1e-9 rather than exactly; a larger disagreement
+raises :class:`EulerTourMismatch`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional, Tuple
 
@@ -29,6 +32,15 @@ from repro.graphs.weighted_graph import WeightedGraph
 from repro.mst.fragments import FragmentDecomposition, decompose_fragments, _rooted_children
 
 Vertex = Hashable
+
+
+class EulerTourMismatch(RuntimeError):
+    """The staged §3 tour computation disagrees with the direct DFS walk."""
+
+
+def _agree(a: float, b: float) -> bool:
+    """Equal up to summation-order round-off, at any weight scale."""
+    return math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-9)
 
 
 @dataclass
@@ -187,6 +199,8 @@ def compute_euler_tour(
     ------
     ValueError
         If ``tree`` is not a tree.
+    EulerTourMismatch
+        If the staged computation disagrees with the direct walk.
     """
     if not tree.is_tree():
         raise ValueError("Euler tour requires a tree")
@@ -235,18 +249,20 @@ def compute_euler_tour(
     order, times = _direct_tour(tree, root)
 
     # Certification: the staged quantities must agree with the direct walk.
-    assert abs(times[-1] - global_len[root]) < 1e-9, "g(rt) must equal tour length"
-    assert len(order) == 2 * n - 1, "tour must have 2n - 1 positions"
+    if not _agree(times[-1], global_len[root]):
+        raise EulerTourMismatch("g(rt) must equal tour length")
+    if len(order) != 2 * n - 1:
+        raise EulerTourMismatch("tour must have 2n - 1 positions")
 
     appearances: Dict[Vertex, List[int]] = {}
     for i, v in enumerate(order):
         appearances.setdefault(v, []).append(i)
 
     for v, (entry, exit_) in intervals.items():
-        first = appearances[v][0]
-        assert abs(times[first] - entry) < 1e-9, f"interval entry mismatch at {v!r}"
-        last = appearances[v][-1]
-        assert abs(times[last] - exit_) < 1e-9, f"interval exit mismatch at {v!r}"
+        if not _agree(times[appearances[v][0]], entry):
+            raise EulerTourMismatch(f"interval entry mismatch at {v!r}")
+        if not _agree(times[appearances[v][-1]], exit_):
+            raise EulerTourMismatch(f"interval exit mismatch at {v!r}")
 
     return EulerTour(
         tree=tree,

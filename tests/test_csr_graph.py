@@ -6,6 +6,7 @@ both backends and the results compared exactly.
 """
 
 import random
+from array import array
 
 import pytest
 
@@ -28,6 +29,7 @@ from repro.graphs import (
     star_graph,
     unit_ball_graph,
 )
+from repro.graphs.csr import round_up_weight
 from repro.graphs.shortest_paths import bounded_dijkstra, hop_distances
 from repro.spanners.baswana_sen import baswana_sen_spanner
 
@@ -110,6 +112,15 @@ class TestStructuralParity:
                 assert csr.indices[mirror[s]] == i
                 assert mirror[mirror[s]] == s
                 assert csr.weights[mirror[s]] == csr.weights[s]
+
+    @pytest.mark.parametrize("eps", [0.02, 0.1, 0.5])
+    def test_rounded_weights_match_scalar_rule(self, pair, eps):
+        _, csr = pair
+        column = csr.rounded_weights(eps)
+        want = array("d", [round_up_weight(w, eps) for w in csr.weights])
+        assert column.tobytes() == want.tobytes()  # bit for bit
+        assert csr.rounded_weights(eps) is column  # built once per eps
+        assert csr.rounded_weights(0.0) is csr.weights
 
 
 class TestTraversalParity:

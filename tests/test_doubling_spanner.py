@@ -59,6 +59,20 @@ class TestGuarantees:
         assert res.spanner.m <= 60 * g.n
 
 
+class TestWeightsBelowOne:
+    """Scales start at the lightest edge: starting at Δ = 1 never
+    explored lighter edges and could leave the spanner disconnected."""
+
+    @pytest.mark.parametrize("factor, eps", [(1e-4, 0.02), (0.01, 0.1)])
+    def test_stretch_and_connectivity(self, factor, eps):
+        g = random_geometric_graph(30, seed=3).reweighted(
+            lambda u, v, w: w * factor)
+        res = doubling_spanner(g, eps, random.Random(3), net_method="greedy")
+        assert res.scales[0].scale <= g.min_weight()
+        assert res.spanner.is_connected()
+        assert max_pairwise_stretch(g, res.spanner) <= res.stretch_bound + 1e-9
+
+
 class TestScales:
     def test_scale_stats_cover_all_scales(self):
         g = random_geometric_graph(25, seed=9)

@@ -1,10 +1,17 @@
 """Tests for the §3 Euler tour (Lemma 2)."""
 
+import random
+
 import pytest
 
-from repro.graphs import WeightedGraph, path_graph, random_tree, star_graph
+import repro.traversal.euler_tour as euler_tour_module
+from repro.analysis import max_edge_stretch
+from repro.core import light_spanner, shallow_light_tree
+from repro.graphs import (
+    WeightedGraph, path_graph, random_geometric_graph, random_tree, star_graph,
+)
 from repro.mst import decompose_fragments
-from repro.traversal import compute_euler_tour
+from repro.traversal import EulerTourMismatch, compute_euler_tour
 
 
 @pytest.fixture
@@ -141,3 +148,31 @@ class TestValidation:
         tour = compute_euler_tour(g, 0)
         assert tour.order == [0]
         assert tour.length == 0.0
+
+
+class TestWeightScale:
+    """The staged tour and the direct walk add the same weights in
+    different orders, so at large weights they differ in the last bits;
+    the cross-check is relative, and a real mismatch is a typed error
+    that ``python -O`` keeps."""
+
+    @pytest.mark.parametrize("seed, factor", [(5, 1e6), (6, 1e9), (5, 1e12)])
+    def test_slt_and_light_spanner_on_heavy_weights(self, seed, factor):
+        g = random_geometric_graph(40, seed=seed).reweighted(
+            lambda u, v, w: w * factor)
+        slt = shallow_light_tree(g, 0, 2.0)
+        assert slt.tree.is_tree()
+        assert set(slt.tree.vertices()) == set(g.vertices())
+        res = light_spanner(g, 2, 0.25, random.Random(seed))
+        assert max_edge_stretch(g, res.spanner) <= res.stretch_bound * (1 + 1e-9)
+
+    def test_mismatch_is_a_typed_error(self, monkeypatch):
+        direct = euler_tour_module._direct_tour
+
+        def skewed(tree, root):
+            order, times = direct(tree, root)
+            return order, [t * 1.001 for t in times]
+
+        monkeypatch.setattr(euler_tour_module, "_direct_tour", skewed)
+        with pytest.raises(EulerTourMismatch, match="tour length"):
+            compute_euler_tour(random_tree(20, seed=3), 0)

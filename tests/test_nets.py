@@ -8,6 +8,8 @@ import pytest
 from repro.analysis import verify_net
 from repro.core import build_net, greedy_net
 from repro.graphs import (
+    WeightedGraph,
+    dijkstra,
     erdos_renyi_graph,
     grid_graph,
     path_graph)
@@ -116,3 +118,52 @@ class TestDistributedNetOnDoublingGraphs:
         res = build_net(geometric, 25.0, 0.5, random.Random(2))
         mst_w = kruskal_mst(geometric).total_weight()
         assert len(res.points) <= math.ceil(2 * mst_w / res.beta)
+
+
+def _reference_greedy_net(graph, radius):
+    """The greedy net with a full Dijkstra from every kept vertex."""
+    net, covered = [], {}
+    for v in sorted(graph.vertices(), key=repr):
+        if covered.get(v, math.inf) > radius:
+            net.append(v)
+            for u, d in dijkstra(graph, v)[0].items():
+                covered[u] = min(d, covered.get(u, math.inf))
+    return set(net)
+
+
+def _string_labelled(graph):
+    out = WeightedGraph([f"v{v}" for v in graph.vertices()])
+    for u, v, w in graph.edges():
+        out.add_edge(f"v{u}", f"v{v}", w)
+    return out
+
+
+PARITY_GRAPHS = {
+    "er": lambda: erdos_renyi_graph(40, 0.15, seed=31),
+    "grid": lambda: grid_graph(6, 6, jitter=0.3, seed=32),
+    "disconnected": lambda: erdos_renyi_graph(
+        30, 0.05, seed=33, ensure_connected=False),
+    "string-labels": lambda: _string_labelled(erdos_renyi_graph(30, 0.2, seed=34)),
+}
+
+
+class TestGreedyNetParity:
+    """``greedy_net`` searches radius-balls only, and not at all below the
+    lightest edge; a full-Dijkstra greedy must give the same net, down to
+    the set's iteration order."""
+
+    @pytest.mark.parametrize("radius_at", ["below-min", "min", "mid", "above-diameter"])
+    @pytest.mark.parametrize("family", sorted(PARITY_GRAPHS))
+    def test_matches_full_dijkstra_reference(self, family, radius_at):
+        g = PARITY_GRAPHS[family]()
+        assert g.is_connected() == (family != "disconnected")
+        w_min = g.min_weight()
+        radius = {
+            "below-min": w_min / 2,
+            "min": w_min,
+            "mid": g.total_weight() / g.m,
+            "above-diameter": g.total_weight() + 1.0,
+        }[radius_at]
+        got, want = greedy_net(g, radius), _reference_greedy_net(g, radius)
+        assert got == want
+        assert list(got) == list(want)
