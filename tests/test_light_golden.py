@@ -1,0 +1,104 @@
+"""Golden output of the §5 light spanner, the §4 SLT and Borůvka's ledger.
+
+The digests below were recorded before the round charges that walk
+clusters and MST fragments were rewritten to run in linear time (the
+§5 ``per_cluster`` edge-collection charge, fragment and Borůvka
+component hop diameters).  Those rewrites promise byte-identical
+output, so any change to the edges, the round ledgers or the light
+spanner's per-bucket statistics on these inputs fails here.
+"""
+
+import hashlib
+import json
+import random
+
+import pytest
+
+from repro.core import light_spanner, shallow_light_tree
+from repro.graphs import erdos_renyi_graph
+from repro.mst import boruvka_mst
+
+#: name -> (edges, ledger.by_phase(), BucketStats (index, case,
+#: num_clusters, spanner_edges, rounds)) sha256 digests, plus the plain
+#: edge and bucket counts
+LIGHT_GOLDEN = {
+    "er400-1": (
+        "df2a03217b0bacd78eeef839dc8dd71f3a054348d8d7cafadc562bec6a59e312",
+        "fcbc416cad320286af54d798e8eb3a168e596375c23913c35752146d596398b0",
+        "dd031bda184d511341a7bf36ed37b9ebcd2f5e0c231b53553314afc7d72c951f",
+        6208, 13,
+    ),
+    "er400-2": (
+        "737c820ada6fa6ee435422a1ea200548dcdbfa2256385d44c53c5532a5c842bf",
+        "51e209c71a7efb20570f5de5e7c5c35f54ee10c54dd8b9883a9f9f643a2c87d4",
+        "095a5f36e165d110a696cae2de6e69f0d904943b683ab182b8143a63e784124a",
+        6402, 13,
+    ),
+    "er400-3": (
+        "3babacf8cba8434e03161f28690b378c738ac532776f4d632da6cebbfc60bebf",
+        "366053ffbc70499bbc1012e804ede35031ace045959804c2c5cc744f371aa5e1",
+        "f1bfada7fd09bfee6bb27b3f0166a03cda7ac17e4707e321ce55b8bbdbe372f4",
+        6508, 12,
+    ),
+    "serve-mixed": (
+        "0f9750e9c6a316b5cd2ab3cd1d003d29aae090205faa47d5c2ee6be85384ab03",
+        "35d29d6b53de096b1e7341c84f0a2f3faaa99448e8cfe230fb30fdfcc697ab12",
+        "96fac3d0c84a424b6eb853af147f6f846e3489ebab41b64c721676bc237798f2",
+        5523, 7,
+    ),
+}
+
+#: shallow_light_tree(α=5) on ER(400, 0.08, seed=1): (edges, ledger)
+SLT_GOLDEN = (
+    "cb59ab89b9166b33758090844f82384f39f4c62445621f76508fdf808d7f931f",
+    "166ada8343a2d28b4939c1b5b71b63b694cc391e386d5d0430b73d48bc2d5544",
+)
+
+#: boruvka_mst on ER(500, 0.02, seed=3): (ledger, phases)
+BORUVKA_GOLDEN = (
+    "9f8cb8ff89b1bbb419dc7f3a7e4b35d1268ba89169b5943d8a25113bb797d5d8", 4,
+)
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _edges_digest(graph) -> str:
+    return _sha256("".join(sorted(f"{u!r} {v!r} {w!r}\n" for u, v, w in graph.edges())))
+
+
+def _ledger_digest(ledger) -> str:
+    return _sha256(json.dumps(ledger.by_phase(), sort_keys=True))
+
+
+def _light_input(name):
+    if name == "serve-mixed":
+        return erdos_renyi_graph(1200, 0.006, seed=1200), 1200
+    seed = int(name[len("er400-"):])
+    return erdos_renyi_graph(400, 0.08, seed=seed), seed
+
+
+@pytest.mark.parametrize("name", sorted(LIGHT_GOLDEN))
+def test_light_spanner_matches_golden(name):
+    edges, ledger, buckets, m, num_buckets = LIGHT_GOLDEN[name]
+    graph, seed = _light_input(name)
+    res = light_spanner(graph, 3, 0.25, random.Random(seed))
+    assert (res.spanner.m, len(res.buckets)) == (m, num_buckets)
+    assert _edges_digest(res.spanner) == edges
+    assert _ledger_digest(res.ledger) == ledger
+    assert _sha256(json.dumps(
+        [[b.index, b.case, b.num_clusters, b.spanner_edges, b.rounds]
+         for b in res.buckets]
+    )) == buckets
+
+
+def test_shallow_light_tree_matches_golden():
+    graph = erdos_renyi_graph(400, 0.08, seed=1)
+    res = shallow_light_tree(graph, min(graph.vertices(), key=repr), 5.0)
+    assert (_edges_digest(res.tree), _ledger_digest(res.ledger)) == SLT_GOLDEN
+
+
+def test_boruvka_ledger_matches_golden():
+    res = boruvka_mst(erdos_renyi_graph(500, 0.02, seed=3))
+    assert (_ledger_digest(res.ledger), res.phases) == BORUVKA_GOLDEN
