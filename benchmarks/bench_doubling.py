@@ -36,20 +36,16 @@ about a minute.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import hashlib
-import importlib
 import json
-import os
-import platform
 import random
 import statistics
-import subprocess
 import sys
-import tempfile
 import time
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterator, List, Tuple
+from typing import Any, Callable, Dict, List, Tuple
+
+from evidence import machine, measure_baseline, measure_side, wrapped
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
@@ -89,34 +85,6 @@ COUNTED: List[Tuple[str, str, str]] = [
 REQUIRED_JSON_KEYS = {
     "baseline_commit", "machine", "cases", "runs", "required_speedup",
 }
-#: what the child process runs: :func:`measure` against the ``repro``
-#: its ``PYTHONPATH`` names
-CHILD = "import sys; sys.path.append({here!r}); import bench_doubling; " \
-        "sys.exit(bench_doubling.measure())"
-
-Wrapper = Callable[[Callable[..., Any], str], Callable[..., Any]]
-
-
-@contextlib.contextmanager
-def _wrapped(targets: List[Tuple[str, str, str]], make: Wrapper) -> Iterator[None]:
-    """Replace each present target by ``make(original, key)``; restore after."""
-    saved = []
-    try:
-        for module, path, key in targets:
-            owner: Any = importlib.import_module(module)
-            *outer, attr = path.split(".")
-            for part in outer:
-                owner = getattr(owner, part)
-            if attr in owner.__dict__:
-                original = owner.__dict__[attr]
-                saved.append((owner, attr, original))
-                setattr(owner, attr, make(original, key))
-        yield
-    finally:
-        for owner, attr, original in reversed(saved):
-            setattr(owner, attr, original)
-
-
 def _case(profile_name: str, tier: str) -> Tuple[Callable[[], Any], Callable[[Any], Any]]:
     """A fresh-input factory and the construction, for one case."""
     from repro.core import doubling_spanner
@@ -147,7 +115,7 @@ def _timed_run(make_graph: Callable[[], Any],
         return timed
 
     graph = make_graph()
-    with _wrapped(TIMED, timer):
+    with wrapped(TIMED, timer):
         t0 = time.perf_counter()
         result = construct(graph)
         total = time.perf_counter() - t0
@@ -167,7 +135,7 @@ def _counted_run(make_graph: Callable[[], Any],
         return counted
 
     graph = make_graph()
-    with _wrapped(COUNTED, counter):
+    with wrapped(COUNTED, counter):
         construct(graph)
     return counts
 
@@ -205,31 +173,6 @@ def measure() -> int:
     return 0
 
 
-def _measure_side(src: Path) -> Dict[str, Any]:
-    """Run :func:`measure` in a child process importing ``repro`` from ``src``."""
-    proc = subprocess.run(
-        [sys.executable, "-c", CHILD.format(here=str(HERE))],
-        env=dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED="0"),
-        cwd=ROOT, capture_output=True, text=True, check=True,
-    )
-    out = json.loads(proc.stdout.strip().splitlines()[-1])
-    if not Path(out["source"]).resolve().is_relative_to(src.resolve()):
-        raise RuntimeError(f"measured {out['source']}, not the sources in {src}")
-    return out["cases"]
-
-
-def _machine() -> Dict[str, Any]:
-    cpu = platform.processor() or platform.machine()
-    cpuinfo = Path("/proc/cpuinfo")
-    if cpuinfo.exists():
-        for line in cpuinfo.read_text().splitlines():
-            if line.startswith("model name"):
-                cpu = line.split(":", 1)[1].strip()
-                break
-    return {"cpu": cpu, "cores": os.cpu_count(),
-            "python": platform.python_version()}
-
-
 def _speedup(sides: Dict[str, Any]) -> float:
     return sides["baseline"]["seconds"]["total"] / sides["change"]["seconds"]["total"]
 
@@ -264,17 +207,11 @@ def _table(record: Dict[str, Any]) -> List[str]:
 
 
 def run() -> int:
-    with tempfile.TemporaryDirectory(prefix="doubling-baseline-") as tmp:
-        tar = subprocess.run(
-            ["git", "-C", str(ROOT), "archive", BASELINE_COMMIT, "src"],
-            capture_output=True, check=True,
-        ).stdout
-        subprocess.run(["tar", "-x", "-C", tmp], input=tar, check=True)
-        base = _measure_side(Path(tmp) / "src")
-    new = _measure_side(ROOT / "src")
+    base = measure_baseline("bench_doubling", BASELINE_COMMIT)
+    new = measure_side("bench_doubling", ROOT / "src")
     record = {
         "baseline_commit": BASELINE_COMMIT,
-        "machine": _machine(),
+        "machine": machine(),
         "runs": RUNS,
         "required_speedup": REQUIRED_SPEEDUP,
         "cases": {case: {"baseline": base[case], "change": new[case]}

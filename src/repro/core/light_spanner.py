@@ -37,6 +37,7 @@ from __future__ import annotations
 import math
 import random
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -131,9 +132,10 @@ def _case2_clusters(
             centers.append(j)
             continue
         # condition 1: some integer s has R_{x_{j-1}} < s·εw_i <= R_{x_j};
-        # the smallest candidate is floor(R_{x_{j-1}}/εw_i) + 1.
+        # the smallest candidate is floor(R_{x_{j-1}}/εw_i) + 1.  The slack
+        # is relative so that scaling every weight cannot change the test.
         s_min = math.floor(tour.times[j - 1] / eps_wi) + 1
-        if s_min * eps_wi <= tour.times[j] + 1e-12:
+        if s_min * eps_wi <= tour.times[j] * (1.0 + 1e-12):
             centers.append(j)
 
     cluster_of: Dict[Vertex, int] = {}
@@ -327,7 +329,7 @@ def light_spanner(
                 )
             # w.h.p. O(n^{1/k} log n) spanner edges per cluster (§5 case 2)
             per_cluster = max(
-                [sum(1 for e in run.edges if c in e) for c in adjacency], default=0
+                Counter(c for edge in run.edges for c in edge).values(), default=0
             )
             bucket_ledger.charge(
                 f"bucket{i}:edge-collection",

@@ -25,8 +25,8 @@ from typing import Dict, Hashable, Optional, Tuple
 
 from repro.congest.ledger import RoundLedger
 from repro.congest.primitives import broadcast_rounds, local_phase_rounds
-from repro.graphs.shortest_paths import hop_distances
 from repro.graphs.weighted_graph import WeightedGraph
+from repro.mst.fragments import subtree_hop_diameter
 from repro.mst.kruskal import UnionFind, edge_sort_key
 
 Vertex = Hashable
@@ -54,22 +54,6 @@ class BoruvkaResult:
     def rounds(self) -> int:
         """Total charged rounds."""
         return self.ledger.total
-
-
-def _component_hop_diameter(tree: WeightedGraph, members) -> int:
-    """Hop diameter of a component of the current MST forest.
-
-    Two BFS sweeps (exact on trees): farthest vertex from an arbitrary
-    member, then farthest from that.
-    """
-    members = list(members)
-    if len(members) <= 1:
-        return 0
-    sub = tree.subgraph(members)
-    d0 = hop_distances(sub, members[0])
-    far = max(d0, key=lambda v: d0[v])
-    d1 = hop_distances(sub, far)
-    return max(d1.values())
 
 
 def boruvka_mst(graph: WeightedGraph, bfs_height: Optional[int] = None) -> BoruvkaResult:
@@ -122,7 +106,8 @@ def boruvka_mst(graph: WeightedGraph, bfs_height: Optional[int] = None) -> Boruv
         for v in graph.vertices():
             comp_members.setdefault(uf.find(v), []).append(v)
         max_diam = max(
-            _component_hop_diameter(forest, members) for members in comp_members.values()
+            subtree_hop_diameter(forest, set(members), members[0])
+            for members in comp_members.values()
         )
         ledger.charge(f"phase{phases}:moe-convergecast", local_phase_rounds(max_diam))
         ledger.charge(

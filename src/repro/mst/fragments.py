@@ -22,12 +22,45 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Set, Tuple
+from typing import Container, Dict, Hashable, List, Optional, Set, Tuple
 
-from repro.graphs.shortest_paths import hop_distances
 from repro.graphs.weighted_graph import WeightedGraph
 
 Vertex = Hashable
+
+
+def _farthest_member(
+    tree: WeightedGraph, members: Container[Vertex], source: Vertex
+) -> Tuple[Vertex, int]:
+    """BFS from ``source`` that never leaves ``members``; returns a vertex
+    of the last layer and its hop distance."""
+    seen = {source}
+    frontier = [source]
+    depth = 0
+    while True:
+        nxt = []
+        for u in frontier:
+            for v in tree.neighbors(u):
+                if v in members and v not in seen:
+                    seen.add(v)
+                    nxt.append(v)
+        if not nxt:
+            return frontier[0], depth
+        frontier, depth = nxt, depth + 1
+
+
+def subtree_hop_diameter(
+    tree: WeightedGraph, members: Container[Vertex], start: Vertex
+) -> int:
+    """Hop diameter of the connected subtree of ``tree`` spanned by ``members``.
+
+    Two BFS sweeps from ``start`` (a member) that skip non-members.  On a
+    subtree the tree path between two members never leaves it, so this
+    equals the diameter of ``tree.subgraph(members)``, and each sweep
+    costs the members' degrees instead of a pass over the whole tree.
+    """
+    far, _ = _farthest_member(tree, members, start)
+    return _farthest_member(tree, members, far)[1]
 
 
 @dataclass
@@ -51,14 +84,7 @@ class Fragment:
 
     def hop_diameter(self, tree: WeightedGraph) -> int:
         """Hop diameter of the fragment inside the MST."""
-        members = list(self.members)
-        if len(members) <= 1:
-            return 0
-        sub = tree.subgraph(members)
-        d0 = hop_distances(sub, members[0])
-        far = max(d0, key=lambda v: d0[v])
-        d1 = hop_distances(sub, far)
-        return max(d1.values())
+        return subtree_hop_diameter(tree, self.members, self.root)
 
 
 @dataclass

@@ -148,3 +148,29 @@ class TestValidation:
     def test_works_on_all_workloads(self, workload):
         res = light_spanner(workload, 2, 0.25, random.Random(7))
         verify_spanner(workload, res.spanner, res.stretch_bound)
+
+
+class TestScaleInvariance:
+    """Multiplying every weight by a power of two is exact in floating
+    point, so it must not change the spanner: the same edges (with scaled
+    weights), the same rounds and the same per-bucket clustering."""
+
+    @pytest.mark.parametrize("seed", range(1, 7))
+    @pytest.mark.parametrize("exponent", [-60, -40, -20, 20, 40])
+    def test_power_of_two_scaling(self, seed, exponent):
+        g = erdos_renyi_graph(60, 0.2, seed=seed)
+        factor = 2.0 ** exponent
+        base = light_spanner(g, 3, 0.25, random.Random(seed))
+        scaled = light_spanner(
+            g.reweighted(lambda u, v, w: w * factor), 3, 0.25, random.Random(seed)
+        )
+        assert sorted(scaled.spanner.edges()) == sorted(
+            (u, v, w * factor) for u, v, w in base.spanner.edges()
+        )
+        assert scaled.ledger.by_phase() == base.ledger.by_phase()
+
+        def clustering(res):
+            return [(b.index, b.case, b.num_clusters, b.spanner_edges)
+                    for b in res.buckets]
+
+        assert clustering(scaled) == clustering(base)

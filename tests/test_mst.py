@@ -6,11 +6,15 @@ import pytest
 
 from repro.graphs import (
     WeightedGraph,
+    caterpillar_graph,
     complete_graph,
     cycle_graph,
+    erdos_renyi_graph,
+    hop_distances,
     path_graph,
     random_tree,
     ring_of_cliques,
+    star_graph,
 )
 from repro.mst import (
     UnionFind,
@@ -18,6 +22,8 @@ from repro.mst import (
     decompose_fragments,
     kruskal_mst,
 )
+from repro.mst import boruvka as boruvka_module
+from repro.mst.fragments import subtree_hop_diameter
 
 
 class TestUnionFind:
@@ -197,3 +203,78 @@ class TestFragments:
         for f in decomp.fragments:
             members |= f.members
         assert members == set(t.vertices())
+
+
+def _reference_hop_diameter(tree, members):
+    """Induced subgraph plus two BFS sweeps: the computation the linear
+    helper replaced, kept here as the oracle it must agree with."""
+    members = list(members)
+    if len(members) <= 1:
+        return 0
+    sub = tree.subgraph(members)
+    d0 = hop_distances(sub, members[0])
+    far = max(d0, key=lambda v: d0[v])
+    d1 = hop_distances(sub, far)
+    return max(d1.values())
+
+
+def _string_tree(n, seed):
+    """A random tree whose vertices are strings, not ints."""
+    t = random_tree(n, seed=seed)
+    g = WeightedGraph()
+    for u, v, w in t.edges():
+        g.add_edge(f"v{u}", f"v{v}", w)
+    return g
+
+
+#: name -> tree; every shape the fragment and Borůvka charges meet
+TREES = {
+    "path1": path_graph(1),
+    "path2": path_graph(2),
+    "path30": path_graph(30),
+    "star20": star_graph(20),
+    "caterpillar": caterpillar_graph(12, legs_per_vertex=3),
+    "random60": random_tree(60, seed=9),
+    "strings": _string_tree(45, seed=10),
+    "er-mst": kruskal_mst(erdos_renyi_graph(120, 0.05, seed=11)),
+    "er-mst-dense": kruskal_mst(erdos_renyi_graph(80, 0.3, seed=12)),
+}
+
+
+class TestSubtreeHopDiameter:
+    @pytest.mark.parametrize("name", sorted(TREES))
+    def test_whole_tree_from_every_start(self, name):
+        tree = TREES[name]
+        members = set(tree.vertices())
+        expected = _reference_hop_diameter(tree, members)
+        for start in tree.vertices():
+            assert subtree_hop_diameter(tree, members, start) == expected
+
+    @pytest.mark.parametrize("name", sorted(TREES))
+    @pytest.mark.parametrize("target_size", [1, 2, None, "n"])
+    def test_fragments_match_reference(self, name, target_size):
+        tree = TREES[name]
+        root = min(tree.vertices(), key=repr)
+        size = tree.n if target_size == "n" else target_size
+        decomp = decompose_fragments(tree, root, target_size=size)
+        expected = [_reference_hop_diameter(tree, f.members) for f in decomp.fragments]
+        assert [f.hop_diameter(tree) for f in decomp.fragments] == expected
+        assert decomp.max_hop_diameter() == max(expected)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_boruvka_components_match_reference(self, seed, monkeypatch):
+        calls = []
+
+        def checked(forest, members, start):
+            got = subtree_hop_diameter(forest, members, start)
+            calls.append((len(members), got, _reference_hop_diameter(forest, members)))
+            return got
+
+        monkeypatch.setattr(boruvka_module, "subtree_hop_diameter", checked)
+        g = erdos_renyi_graph(150, 0.04, seed=seed)
+        res = boruvka_mst(g)
+        assert res.tree == kruskal_mst(g)
+        assert all(got == ref for _size, got, ref in calls)
+        # the forest was checked partway through: multi-vertex components
+        # that are not yet the whole tree
+        assert any(1 < size < g.n for size, _got, _ref in calls)
