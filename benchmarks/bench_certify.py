@@ -1,16 +1,33 @@
-"""Certification-engine speedup evidence: legacy full-SSSP vs bounded engine.
+"""Certification-engine evidence: the legacy certifier, the baseline engine, this engine.
 
 The PR-1 CSR work left ``max_edge_stretch`` on ER(2000, 0.01) at 15.3s —
 one full Dijkstra in H per vertex.  The bounded-radius batched engine
 (:mod:`repro.analysis.certify`) certifies the same instance with
-targeted, radius-truncated searches; this script measures both on the
-exact workload ``bench_csr.py`` used (same generator seed, same
-Baswana–Sen k=3 spanner) and writes the committed evidence files:
+targeted, radius-truncated searches.  This script measures two things:
 
-* ``benchmarks/BENCH_certify_speedup.txt`` — the human-readable table;
-* ``benchmarks/BENCH_certify_speedup.json`` — the machine-readable
-  record CI's ``certify-smoke`` job gates on (structure + the >= 3x
-  acceptance bar).
+* **legacy vs engine**, in this process, on the exact workload
+  ``bench_csr.py`` used (same generator seed, same Baswana–Sen k=3
+  spanner): the engine's >= 3x acceptance bar over one full SSSP per
+  vertex;
+* **baseline engine vs this engine**: the same :func:`measure` in a
+  child process on a ``git archive`` export of :data:`BASELINE_COMMIT`
+  (the engine before a target closed at its first witness path) and on
+  this checkout, on that ER(2000) input (exact and bounded) and on one
+  light-er input (``light_spanner(k=3, ε=0.25)`` on ER(400, 0.08),
+  bounded at its stretch guarantee).  Wall seconds are split into
+  building the work list (``_build_work``), running the searches
+  (``_certify_chunk``) and the rest; the fastest of :data:`RUNS` runs is
+  reported.
+
+The files written:
+
+* ``benchmarks/BENCH_certify_speedup.txt`` — the human-readable tables;
+* ``benchmarks/BENCH_certify_speedup.json`` — the record CI's
+  ``certify-smoke`` job gates on: the legacy bar, every case's
+  certificate equal to the baseline engine's (``max_stretch`` hex-equal,
+  ``bound_exceeded`` and the counters equal, ``fallbacks`` no higher) and
+  :data:`REQUIRED_BASELINE_SPEEDUP` over the baseline on the ER(2000)
+  exact run.
 
 Run modes::
 
@@ -30,21 +47,44 @@ import random
 import sys
 import time
 from pathlib import Path
+from typing import Any, Callable, Dict, List, Tuple
+
+from evidence import machine, measure_baseline, measure_side, wrapped
 
 #: the acceptance bar: engine must beat the legacy certifier by this factor
 REQUIRED_SPEEDUP = 3.0
 #: the PR-1 measurement this PR's motivation quotes (same workload)
 PR1_BASELINE_SECONDS = 15.3
+#: the engine before targets closed at their first witness path
+BASELINE_COMMIT = "36b6fa5"
+#: this engine must beat the baseline engine by this factor on
+#: :data:`GATED_CASE`
+REQUIRED_BASELINE_SPEEDUP = 3.0
+GATED_CASE = "er2000-bs3 exact"
+#: timed runs per case and side; the fastest is reported
+RUNS = 3
 
 HERE = Path(__file__).resolve().parent
+ROOT = HERE.parent
 TXT_PATH = HERE / "BENCH_certify_speedup.txt"
 JSON_PATH = HERE / "BENCH_certify_speedup.json"
+
+#: ER(N, P) seeded GRAPH_SEED, Baswana–Sen k=K seeded SPANNER_SEED
+N, P, K, GRAPH_SEED, SPANNER_SEED = 2000, 0.01, 3, 21, 5
+CASES = ("er2000-bs3 exact", "er2000-bs3 bounded", "light-er bounded")
+PHASES = ("build_work", "search", "rest", "total")
+#: (module, attribute, phase): the engine functions timed
+TIMED: List[Tuple[str, str, str]] = [
+    ("repro.analysis.certify", "_build_work", "build_work"),
+    ("repro.analysis.certify", "_certify_chunk", "search"),
+]
 
 REQUIRED_JSON_KEYS = {
     "workload", "legacy_seconds", "engine_seconds", "speedup",
     "bounded_seconds", "parallel_seconds", "sampled_seconds",
     "max_stretch", "certification", "required_speedup",
-    "pr1_baseline_seconds",
+    "pr1_baseline_seconds", "baseline_commit", "machine", "runs",
+    "required_baseline_speedup", "cases",
 }
 
 
@@ -73,18 +113,83 @@ def _timed(fn, *args, **kwargs):
     return result, time.perf_counter() - t0
 
 
-def run() -> int:
-    from repro.analysis.certify import certify_edge_stretch
+def _er_input() -> Tuple[Any, Any]:
     from repro.graphs import erdos_renyi_graph
     from repro.spanners.baswana_sen import baswana_sen_spanner
 
-    n, p, k = 2000, 0.01, 3
-    graph = erdos_renyi_graph(n, p, seed=21)
-    spanner = baswana_sen_spanner(graph, k, random.Random(5))
-    bound = 2 * k - 1
+    graph = erdos_renyi_graph(N, P, seed=GRAPH_SEED)
+    spanner = baswana_sen_spanner(graph, K, random.Random(SPANNER_SEED))
     graph.freeze()
-    spanner.freeze()  # both certifiers ride the same cached CSR views
+    spanner.freeze()  # every certifier rides the same cached CSR views
+    return graph, spanner
 
+
+def _cases() -> Dict[str, Tuple[Any, Any, Dict[str, Any]]]:
+    """name -> (graph, spanner, certify_edge_stretch keyword arguments)."""
+    from repro.core import light_spanner
+    from repro.graphs import erdos_renyi_graph
+
+    graph, spanner = _er_input()
+    light_graph = erdos_renyi_graph(400, 0.08, seed=1)
+    light = light_spanner(light_graph, 3, 0.25, random.Random(1))
+    light_graph.freeze()
+    light.spanner.freeze()
+    return {
+        "er2000-bs3 exact": (graph, spanner, {}),
+        "er2000-bs3 bounded": (graph, spanner, {"bound": 2.0 * K - 1.0}),
+        "light-er bounded": (light_graph, light.spanner,
+                             {"bound": light.stretch_bound}),
+    }
+
+
+def _timed_certify(graph: Any, spanner: Any,
+                   kwargs: Dict[str, Any]) -> Tuple[Any, Dict[str, float]]:
+    """One certification: its result and wall seconds per phase."""
+    from repro.analysis.certify import certify_edge_stretch
+
+    spent = {phase: 0.0 for phase in PHASES}
+
+    def timer(fn: Callable[..., Any], phase: str) -> Callable[..., Any]:
+        def timed(*args: Any, **kw: Any) -> Any:
+            t0 = time.perf_counter()
+            try:
+                return fn(*args, **kw)
+            finally:
+                spent[phase] += time.perf_counter() - t0
+        return timed
+
+    with wrapped(TIMED, timer):
+        cert, spent["total"] = _timed(certify_edge_stretch, graph, spanner, **kwargs)
+    spent["rest"] = spent["total"] - spent["build_work"] - spent["search"]
+    return cert, spent
+
+
+def measure() -> int:
+    """Child side: every case with the ``repro`` on the path."""
+    import repro
+
+    cases = {}
+    for name, (graph, spanner, kwargs) in _cases().items():
+        _timed_certify(graph, spanner, kwargs)  # warm-up
+        runs = [_timed_certify(graph, spanner, kwargs) for _ in range(RUNS)]
+        cert, fastest = min(runs, key=lambda run: run[1]["total"])
+        cases[name] = {
+            "seconds": {p: round(fastest[p], 4) for p in PHASES},
+            "total_runs": [round(s["total"], 4) for _c, s in runs],
+            "max_stretch": cert.max_stretch.hex(),
+            "bound_exceeded": cert.bound_exceeded,
+            "certification": cert.to_dict(),
+        }
+    print(json.dumps({"source": repro.__file__, "cases": cases}))
+    return 0
+
+
+def _legacy_vs_engine() -> Tuple[Dict[str, Any], List[str]]:
+    """The in-process legacy measurement: record fields and table lines."""
+    from repro.analysis.certify import certify_edge_stretch
+
+    graph, spanner = _er_input()
+    bound = 2 * K - 1
     legacy_value, legacy_s = _timed(_legacy_max_edge_stretch, graph, spanner)
     exact, exact_s = _timed(certify_edge_stretch, graph, spanner)
     bounded, bounded_s = _timed(certify_edge_stretch, graph, spanner, bound=bound)
@@ -97,15 +202,13 @@ def run() -> int:
 
     for name, cert in (("exact", exact), ("bounded", bounded), ("parallel", parallel)):
         if abs(cert.max_stretch - legacy_value) > 1e-9:
-            print(f"FATAL: {name} engine disagrees with the legacy certifier: "
-                  f"{cert.max_stretch!r} vs {legacy_value!r}")
-            return 1
+            raise SystemExit(f"FATAL: {name} engine disagrees with the legacy "
+                             f"certifier: {cert.max_stretch!r} vs {legacy_value!r}")
     if sampled.max_stretch > legacy_value + 1e-9:
-        print("FATAL: sampled mode exceeded the exact maximum")
-        return 1
+        raise SystemExit("FATAL: sampled mode exceeded the exact maximum")
 
     speedup = legacy_s / exact_s
-    workload = f"max_edge_stretch, ER(n={n}, p={p}) m={graph.m}, Baswana-Sen k={k}"
+    workload = f"max_edge_stretch, ER(n={N}, p={P}) m={graph.m}, Baswana-Sen k={K}"
     lines = [
         f"=== Certification engine speedup: {workload} ===",
         "",
@@ -130,12 +233,9 @@ def run() -> int:
         f" acceptance bar: >= {REQUIRED_SPEEDUP:.0f}x over the measured legacy"
         f" run (achieved {speedup:.1f}x)",
     ]
-    TXT_PATH.write_text("\n".join(lines) + "\n")
-    print("\n".join(lines))
-
-    record = {
-        "workload": {"n": n, "p": p, "k": k, "m": graph.m,
-                     "graph_seed": 21, "spanner_seed": 5},
+    fields = {
+        "workload": {"n": N, "p": P, "k": K, "m": graph.m,
+                     "graph_seed": GRAPH_SEED, "spanner_seed": SPANNER_SEED},
         "legacy_seconds": round(legacy_s, 4),
         "engine_seconds": round(exact_s, 4),
         "bounded_seconds": round(bounded_s, 4),
@@ -147,42 +247,128 @@ def run() -> int:
         "required_speedup": REQUIRED_SPEEDUP,
         "pr1_baseline_seconds": PR1_BASELINE_SECONDS,
     }
+    return fields, lines
+
+
+def _baseline_speedup(case: Dict[str, Any]) -> float:
+    return (case["baseline"]["seconds"]["total"]
+            / case["change"]["seconds"]["total"])
+
+
+def _baseline_table(record: Dict[str, Any]) -> List[str]:
+    machine_info = record["machine"]
+    lines = [
+        f"=== Baseline engine (commit {record['baseline_commit']}) vs this "
+        f"engine ===",
+        f"{machine_info['cpu']}, {machine_info['cores']} cores, CPython "
+        f"{machine_info['python']}; wall seconds per phase of the fastest of "
+        f"{record['runs']} runs",
+    ]
+    for name, case in record["cases"].items():
+        base, new = case["baseline"], case["change"]
+        cert = new["certification"]
+        same = ("equal" if base["max_stretch"] == new["max_stretch"]
+                else "DIFFER")
+        closed = cert["edges_resolved"] / max(1, cert["edges_checked"])
+        lines += [
+            "",
+            f"{name}: speedup {_baseline_speedup(case):.2f}x; max_stretch "
+            f"{new['max_stretch']} ({same}); {cert['edges_checked']} edges "
+            f"checked, {cert['edges_resolved']} ({closed:.1%}) closed at their "
+            f"first witness path",
+            f"  {'phase':<12} {'baseline s':>11} {'change s':>10} {'ratio':>8}",
+        ]
+        for phase in PHASES:
+            b, c = base["seconds"][phase], new["seconds"][phase]
+            ratio = f"{b / c:.1f}x" if c > 0 else "-"
+            lines.append(f"  {phase:<12} {b:>11.4f} {c:>10.4f} {ratio:>8}")
+    return lines
+
+
+def run() -> int:
+    base = measure_baseline("bench_certify", BASELINE_COMMIT)
+    new = measure_side("bench_certify", ROOT / "src")
+    fields, lines = _legacy_vs_engine()
+    record = dict(
+        fields,
+        baseline_commit=BASELINE_COMMIT,
+        machine=machine(),
+        runs=RUNS,
+        required_baseline_speedup=REQUIRED_BASELINE_SPEEDUP,
+        cases={name: {"baseline": base[name], "change": new[name]}
+               for name in CASES},
+    )
+    lines += [""] + _baseline_table(record)
+    TXT_PATH.write_text("\n".join(lines) + "\n")
     JSON_PATH.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+    print("\n".join(lines))
     print(f"\nwrote {TXT_PATH.name} and {JSON_PATH.name}")
-    if speedup < REQUIRED_SPEEDUP:
-        print(f"FAIL: speedup {speedup:.2f}x below the "
-              f"{REQUIRED_SPEEDUP:.0f}x acceptance bar")
-        return 1
-    return 0
+    return check()
+
+
+def _certificate_failures(name: str, case: Dict[str, Any]) -> List[str]:
+    """How a case's certificate differs from the baseline engine's."""
+    base, new = case["baseline"], case["change"]
+    failures = []
+    if (base["max_stretch"], base["bound_exceeded"]) != (
+            new["max_stretch"], new["bound_exceeded"]):
+        failures.append(
+            f"{name}: max_stretch/bound_exceeded {new['max_stretch']}/"
+            f"{new['bound_exceeded']} != baseline {base['max_stretch']}/"
+            f"{base['bound_exceeded']}")
+    want, got = base["certification"], new["certification"]
+    if got["fallbacks"] > want["fallbacks"]:
+        failures.append(f"{name}: fallbacks {got['fallbacks']} > baseline "
+                        f"{want['fallbacks']}")
+    differing = sorted(key for key in want
+                       if key != "fallbacks" and got.get(key) != want[key])
+    if differing:
+        failures.append(f"{name}: certification entries differ: {differing}")
+    return failures
 
 
 def check() -> int:
-    """CI gate: the committed JSON must exist, parse, and clear the bar."""
-    if not JSON_PATH.exists():
-        print(f"FAIL: {JSON_PATH} is missing (run --run and commit it)")
+    """CI gate: the committed record exists, parses and clears the bars."""
+    if not JSON_PATH.exists() or not TXT_PATH.exists():
+        print(f"FAIL: {JSON_PATH.name} or {TXT_PATH.name} is missing "
+              "(run --run and commit both)")
         return 1
     record = json.loads(JSON_PATH.read_text())
     missing = REQUIRED_JSON_KEYS - set(record)
     if missing:
         print(f"FAIL: {JSON_PATH.name} lacks keys: {sorted(missing)}")
         return 1
-    # gate against the script's own constant, not the committed file's
-    # copy of it — a regressed re-run must not lower the bar it is
-    # measured against
+    failures = []
+    # gate against the script's own constants, not the committed file's
+    # copies — a regressed re-run must not lower the bar it is measured
+    # against
     if record["speedup"] < REQUIRED_SPEEDUP:
-        print(f"FAIL: committed speedup {record['speedup']}x is below the "
-              f"{REQUIRED_SPEEDUP}x bar")
-        return 1
-    if not TXT_PATH.exists():
-        print(f"FAIL: {TXT_PATH} is missing (run --run and commit it)")
-        return 1
+        failures.append(f"committed speedup {record['speedup']}x over the "
+                        f"legacy certifier is below the {REQUIRED_SPEEDUP}x bar")
     cert = record["certification"]
     if cert["mode"] != "exact" or cert["edges_total"] <= 0:
-        print("FAIL: committed certification block is not an exact-mode run")
+        failures.append("committed certification block is not an exact-mode run")
+    if record["baseline_commit"] != BASELINE_COMMIT:
+        failures.append(f"committed baseline {record['baseline_commit']} "
+                        f"!= {BASELINE_COMMIT}")
+    cases = record["cases"]
+    if sorted(cases) != sorted(CASES):
+        failures.append(f"cases {sorted(cases)} != {sorted(CASES)}")
+    else:
+        for name in CASES:
+            failures += _certificate_failures(name, cases[name])
+        gated = _baseline_speedup(cases[GATED_CASE])
+        if gated < REQUIRED_BASELINE_SPEEDUP:
+            failures.append(f"{GATED_CASE}: {gated:.2f}x over the baseline "
+                            f"engine is below the {REQUIRED_BASELINE_SPEEDUP}x bar")
+    for failure in failures:
+        print(f"FAIL: {failure}")
+    if failures:
         return 1
-    print(f"OK: committed evidence shows {record['speedup']}x "
-          f"(bar {record['required_speedup']}x) on "
-          f"ER(n={record['workload']['n']}, p={record['workload']['p']})")
+    print(f"OK: {record['speedup']}x over the legacy certifier (bar "
+          f"{REQUIRED_SPEEDUP}x); {gated:.1f}x over the engine of commit "
+          f"{BASELINE_COMMIT} on {GATED_CASE} (bar {REQUIRED_BASELINE_SPEEDUP}x); "
+          f"certificates equal on all {len(CASES)} cases")
     return 0
 
 

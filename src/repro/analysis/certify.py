@@ -26,7 +26,22 @@ the §7 doubling spanner uses for its 2Δ-bounded searches):
   ``workers=N`` fans out across :mod:`multiprocessing` workers;
 * **sampling** — ``sample=p`` certifies a seeded random ``p``-fraction
   of the eligible edges, for graphs too big for exact certification
-  (the result is then a lower bound on the true maximum).
+  (the result is then a lower bound on the true maximum);
+* **first witness** — a target is closed, without waiting to be
+  settled, as soon as a relaxation gives it a tentative label ``nd``
+  with ``nd <= w(e)`` and ``nd <= cap`` (counted in
+  ``Certification.edges_resolved``).  Its final label is at most ``nd``
+  and float division rounds monotonically, so its ratio is at most
+  ``nd / w(e) <= 1.0``, the value every maximum starts from: it cannot
+  raise the result.  ``nd <= cap`` means its pop would not have crossed
+  the radius either, so a target whose final label lies beyond the
+  radius is never closed and the search still pops past the radius
+  before it ends.  The heap sees the same pushes in the same order and
+  each search stops after a prefix of the pops it made without the
+  rule: ``max_stretch`` is unchanged bit for bit and the radius
+  verdicts (``bound_exceeded``, ``fallbacks``) are the same.  A closing
+  depends on its own search only, so ``edges_resolved`` is the same for
+  every ``workers``.
 
 Exactness contract: every non-sampled mode returns the same value as the
 classic full-SSSP certifier up to float round-off (far below the 1e-9
@@ -80,6 +95,7 @@ class Certification:
     edges_total: int  # eligible G edges (before any pruning)
     edges_in_spanner: int  # pruned: already in H at no larger weight
     edges_checked: int  # targets actually certified by a search
+    edges_resolved: int  # checked targets closed before being settled
     sources_explored: int  # sources that ran a targeted search
     sources_short_circuited: int  # sources with every incident edge pruned
     fallbacks: int  # searches that crossed the radius and kept going
@@ -107,6 +123,7 @@ class Certification:
             "edges_total": self.edges_total,
             "edges_in_spanner": self.edges_in_spanner,
             "edges_checked": self.edges_checked,
+            "edges_resolved": self.edges_resolved,
             "sources_explored": self.sources_explored,
             "sources_short_circuited": self.sources_short_circuited,
             "fallbacks": self.fallbacks,
@@ -173,9 +190,10 @@ def _certify_chunk(
     hi: int,
     bound: Optional[float],
     fail_fast: bool,
-) -> Tuple[float, int, bool, Snapshot]:
-    """Certify ``work[lo:hi]``; returns ``(worst, fallbacks, exceeded,
-    metrics snapshot)``.
+) -> Tuple[float, int, int, bool, Snapshot]:
+    """Certify ``work[lo:hi]``; returns ``(worst, fallbacks, resolved,
+    exceeded, metrics snapshot)``, ``resolved`` counting the targets
+    closed at their first witness path (see the module docstring).
 
     The scratch arrays are version-stamped so consecutive sources reuse
     them without O(n) clears: an entry is live only when its stamp
@@ -196,10 +214,14 @@ def _certify_chunk(
     dist = [0.0] * n
     stamp = [0] * n  # dist[v] is live iff stamp[v] == version
     done = [0] * n  # v is settled iff done[v] == version
-    is_target = [0] * n  # v is an unsettled target iff is_target[v] == version
+    # is_target[v] == version: v is an open target (neither settled nor
+    # closed); == -version: v was closed at its first witness path
+    is_target = [0] * n
+    target_w = [0.0] * n  # w(e) of the source's edge to target v
     version = 0
     worst = 1.0
     fallbacks = 0
+    resolved = 0
     push, pop = heapq.heappush, heapq.heappop
     for src, targets in work[lo:hi]:
         targets_hist.observe(len(targets))
@@ -211,9 +233,10 @@ def _certify_chunk(
             if bound is not None else INF
         )
         remaining = 0
-        for vh, _ in targets:
+        for vh, w in targets:
             if is_target[vh] != version:
                 is_target[vh] = version
+                target_w[vh] = w
                 remaining += 1
         stamp[src] = version
         dist[src] = 0.0
@@ -226,7 +249,7 @@ def _certify_chunk(
                 # every unsettled target is beyond bound · max_incident_w:
                 # the certificate is already violated for its edge
                 if fail_fast:
-                    return INF, fallbacks, True, chunk_metrics.snapshot()
+                    return INF, fallbacks, resolved, True, chunk_metrics.snapshot()
                 fallbacks += 1
                 cap = INF  # lift the radius and keep draining the same heap
             done[u] = version
@@ -243,14 +266,25 @@ def _certify_chunk(
                     stamp[v] = version
                     dist[v] = nd
                     push(heap, (nd, v))
+                    if (is_target[v] == version and nd <= target_w[v]
+                            and nd <= cap):
+                        # first witness: v's final label is at most
+                        # nd <= w(e), so its ratio is at most 1.0
+                        is_target[v] = -version
+                        resolved += 1
+                        remaining -= 1
+                        if not remaining:
+                            break
         for vh, w in targets:
+            if is_target[vh] == -version:
+                continue  # closed: its ratio is at most 1.0
             if done[vh] != version:
                 # unreachable in H
-                return INF, fallbacks, False, chunk_metrics.snapshot()
+                return INF, fallbacks, resolved, False, chunk_metrics.snapshot()
             ratio = dist[vh] / w
             if ratio > worst:
                 worst = ratio
-    return worst, fallbacks, False, chunk_metrics.snapshot()
+    return worst, fallbacks, resolved, False, chunk_metrics.snapshot()
 
 
 def _certify_chunk_numpy(
@@ -327,7 +361,7 @@ def _pool_init(
     _POOL_STATE["args"] = (hcsr, work, bound, fail_fast)
 
 
-def _pool_chunk(span: Tuple[int, int]) -> Tuple[float, int, bool, Snapshot]:
+def _pool_chunk(span: Tuple[int, int]) -> Tuple[float, int, int, bool, Snapshot]:
     hcsr, work, bound, fail_fast = _POOL_STATE["args"]
     return _certify_chunk(hcsr, work, span[0], span[1], bound, fail_fast)
 
@@ -406,11 +440,14 @@ def certify_edge_stretch(
         )
     edges_checked = sum(len(targets) for _, targets in work)
 
-    def _result(worst: float, fallbacks: int, exceeded: bool) -> Certification:
+    def _result(
+        worst: float, fallbacks: int, resolved: int, exceeded: bool
+    ) -> Certification:
         reg = obs_metrics.registry()
         reg.counter("certify.edges.total").inc(edges_total)
         reg.counter("certify.edges.pruned").inc(edges_in_spanner)
         reg.counter("certify.edges.checked").inc(edges_checked)
+        reg.counter("certify.edges.resolved").inc(resolved)
         reg.counter("certify.sources.explored").inc(len(work))
         reg.counter("certify.sources.short_circuited").inc(pruned)
         reg.counter("certify.search.fallbacks").inc(fallbacks)
@@ -426,6 +463,7 @@ def certify_edge_stretch(
             edges_total=edges_total,
             edges_in_spanner=edges_in_spanner,
             edges_checked=edges_checked,
+            edges_resolved=resolved,
             sources_explored=len(work),
             sources_short_circuited=pruned,
             fallbacks=fallbacks,
@@ -436,9 +474,9 @@ def certify_edge_stretch(
     if missing:
         # an edge endpoint is not even a vertex of H: stretch is inf
         # (matches the classic certifier's dist.get(v, inf) early return)
-        return _result(INF, 0, False)
+        return _result(INF, 0, 0, False)
     if not work:
-        return _result(1.0, 0, False)
+        return _result(1.0, 0, 0, False)
 
     if backend == "numpy":
         with obs_trace.span("certify.chunk", sources=len(work), kernel="numpy"):
@@ -446,21 +484,21 @@ def certify_edge_stretch(
                 hcsr, work, bound, fail_fast
             )
         obs_metrics.merge(chunk_snap)
-        return _result(worst, fallbacks, exceeded)
+        return _result(worst, fallbacks, 0, exceeded)
 
     if workers == 1 or len(work) < 2 * workers:
         with obs_trace.span("certify.chunk", sources=len(work)):
-            worst, fallbacks, exceeded, chunk_snap = _certify_chunk(
+            worst, fallbacks, resolved, exceeded, chunk_snap = _certify_chunk(
                 hcsr, work, 0, len(work), bound, fail_fast
             )
         obs_metrics.merge(chunk_snap)
-        return _result(worst, fallbacks, exceeded)
+        return _result(worst, fallbacks, resolved, exceeded)
 
     # a few chunks per worker smooths imbalance between cheap
     # (short-circuiting) and expensive (deep-exploration) sources
     step = max(1, len(work) // (workers * 4))
     spans = [(lo, min(lo + step, len(work))) for lo in range(0, len(work), step)]
-    worst, fallbacks, exceeded = 1.0, 0, False
+    worst, fallbacks, resolved, exceeded = 1.0, 0, 0, False
     with obs_trace.span("certify.pool", workers=workers, chunks=len(spans)):
         with multiprocessing.Pool(
             processes=workers,
@@ -469,14 +507,15 @@ def certify_edge_stretch(
         ) as pool:
             # imap_unordered so a fail_fast violation stops the run at the
             # first exceeded chunk instead of draining every span
-            for w, f, e, chunk_snap in pool.imap_unordered(_pool_chunk, spans):
+            for w, f, r, e, chunk_snap in pool.imap_unordered(_pool_chunk, spans):
                 # fold the worker's local metrics in at the chunk boundary
                 # (workers never touch the parent's registry directly)
                 obs_metrics.merge(chunk_snap)
                 worst = max(worst, w)
                 fallbacks += f
+                resolved += r
                 exceeded = exceeded or e
                 if exceeded and fail_fast:
                     pool.terminate()
                     break
-    return _result(worst, fallbacks, exceeded)
+    return _result(worst, fallbacks, resolved, exceeded)

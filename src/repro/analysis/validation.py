@@ -8,6 +8,7 @@ fails loudly rather than skewing the measured numbers.
 
 from __future__ import annotations
 
+import math
 import random
 from typing import TYPE_CHECKING, Iterable, Optional
 
@@ -30,14 +31,16 @@ def verify_subgraph(graph: WeightedGraph, subgraph: WeightedGraph) -> None:
 
     The paper's spanners and SLTs are subgraphs of G — virtual shortcuts
     are not allowed (hopset edges must be expanded to witness paths first).
+    Weights are compared with a relative tolerance of 1e-9, so the check
+    reads the same at every weight scale.
     """
     for u, v, w in subgraph.edges():
         if not graph.has_edge(u, v):
             raise ValidationError(f"edge {{{u!r}, {v!r}}} not in the host graph")
-        if abs(graph.weight(u, v) - w) > 1e-9:
+        host = graph.weight(u, v)
+        if host != w and not math.isclose(host, w, rel_tol=1e-9):
             raise ValidationError(
-                f"edge {{{u!r}, {v!r}}} weight {w} differs from host "
-                f"{graph.weight(u, v)}"
+                f"edge {{{u!r}, {v!r}}} weight {w} differs from host {host}"
             )
 
 
@@ -161,7 +164,11 @@ def verify_net(
     alpha: float,
     beta: float,
 ) -> None:
-    """``points`` must be an (α, β)-net: α-covering and β-separated (§6)."""
+    """``points`` must be an (α, β)-net: α-covering and β-separated (§6).
+
+    Both radii get a relative slack of 1e-9, so the check reads the same
+    at every weight scale.
+    """
     points = set(points)
     if not points:
         raise ValidationError("net is empty")
@@ -171,7 +178,7 @@ def verify_net(
     dist, _ = dijkstra(graph, points)
     for v in graph.vertices():
         d = dist.get(v, float("inf"))
-        if d > alpha + 1e-9:
+        if d > alpha * (1.0 + 1e-9):
             raise ValidationError(
                 f"covering violated at {v!r}: nearest net point at {d:.6f} > α={alpha:.6f}"
             )
@@ -181,7 +188,7 @@ def verify_net(
         for q in pts:
             if q == p:
                 continue
-            if dp.get(q, float("inf")) <= beta - 1e-9:
+            if dp.get(q, float("inf")) <= beta * (1.0 - 1e-9):
                 raise ValidationError(
                     f"separation violated: d({p!r}, {q!r}) = {dp[q]:.6f} <= β={beta:.6f}"
                 )

@@ -1,5 +1,7 @@
 """Tests for the measurement/validation package itself."""
 
+import math
+
 import pytest
 
 from repro.analysis import (
@@ -133,3 +135,21 @@ class TestVerifiers:
 
     def test_accepts_valid_net(self, square):
         verify_net(square, {0, 2}, alpha=1.0, beta=1.5)
+
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+    def test_subgraph_weight_check_is_scale_free(self, scale):
+        g = path_graph(5, [scale, 2.0 * scale, 3.0 * scale, 4.0 * scale])
+        with pytest.raises(ValidationError, match="differs from host"):
+            verify_subgraph(g, g.reweighted(lambda u, v, w: 2.0 * w))
+        # round-off, not a different weight
+        verify_subgraph(g, g.reweighted(lambda u, v, w: math.nextafter(w, math.inf)))
+
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+    def test_net_checks_are_scale_free(self, scale):
+        g = cycle_graph(4, weight=scale)
+        with pytest.raises(ValidationError, match="covering"):
+            verify_net(g, {0}, alpha=1e-3 * scale, beta=1e-3 * scale)
+        with pytest.raises(ValidationError, match="separation"):
+            verify_net(g, {0, 1}, alpha=2.0 * scale, beta=1.5 * scale)
+        # covered exactly at distance α, separated exactly by β
+        verify_net(g, {0, 2}, alpha=scale, beta=2.0 * scale)

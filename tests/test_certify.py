@@ -8,11 +8,16 @@ every smoke-tier spanner profile; sampling must lower-bound it.  CI's
 ``certify-smoke`` job runs exactly this file.
 """
 
+import contextlib
+import dataclasses
+import heapq
 import json
 import random
+from unittest import mock
 
 import pytest
 
+import repro.analysis.certify as certify_engine
 from repro.analysis import (
     average_stretch,
     certify_edge_stretch,
@@ -28,12 +33,18 @@ from repro.graphs import (
     bounded_dijkstra,
     dijkstra,
     erdos_renyi_graph,
+    grid_graph,
     path_graph,
+    random_geometric_graph,
 )
 from repro.harness import TIERS, get_profile, run_profile
 from repro.harness.profiles import Profile
 from repro.harness.runner import ALGORITHMS, SPANNER_CERTIFIED_ALGORITHMS
 from repro.mst import kruskal_mst
+from repro.obs import metrics as obs_metrics
+from repro.obs.metrics import DEFAULT_COUNT_BOUNDS, MetricsRegistry
+from repro.spanners.baswana_sen import baswana_sen_spanner
+from repro.spanners.greedy import greedy_spanner
 
 INF = float("inf")
 
@@ -154,7 +165,7 @@ class TestEngineEdgeCases:
         cert = certify_edge_stretch(g, g)
         assert cert.max_stretch == 1.0
         assert cert.sources_explored == 0
-        assert cert.edges_checked == 0
+        assert cert.edges_checked == 0 and cert.edges_resolved == 0
 
     def test_spanner_missing_vertices_is_infinite(self):
         g = path_graph(4)
@@ -183,6 +194,236 @@ class TestEngineEdgeCases:
         assert a.max_stretch == b.max_stretch
         assert a.sampled_edges == b.sampled_edges
         assert (c.sampled_edges, c.max_stretch) != (a.sampled_edges, a.max_stretch)
+
+
+def _parent_certify_chunk(hcsr, work, lo, hi, bound, fail_fast):
+    """The engine's search loop as it was before targets closed at their
+    first witness path, kept verbatim as the parity reference: every
+    target is settled (popped) before a search stops."""
+    chunk_metrics = MetricsRegistry()
+    targets_hist = chunk_metrics.histogram(
+        "certify.source.targets", DEFAULT_COUNT_BOUNDS
+    )
+    n = hcsr.n
+    indptr, indices, weights = hcsr.indptr, hcsr.indices, hcsr.weights
+    dist = [0.0] * n
+    stamp = [0] * n  # dist[v] is live iff stamp[v] == version
+    done = [0] * n  # v is settled iff done[v] == version
+    is_target = [0] * n  # v is an unsettled target iff is_target[v] == version
+    version = 0
+    worst = 1.0
+    fallbacks = 0
+    push, pop = heapq.heappush, heapq.heappop
+    for src, targets in work[lo:hi]:
+        targets_hist.observe(len(targets))
+        version += 1
+        # the + 1e-9 mirrors the verifiers' ratio tolerance: a crossing
+        # proves ratio > bound + 1e-9 for every unsettled target's edge
+        cap = (
+            (bound + 1e-9) * max(w for _, w in targets)
+            if bound is not None else INF
+        )
+        remaining = 0
+        for vh, _ in targets:
+            if is_target[vh] != version:
+                is_target[vh] = version
+                remaining += 1
+        stamp[src] = version
+        dist[src] = 0.0
+        heap = [(0.0, src)]
+        while heap and remaining:
+            d, u = pop(heap)
+            if done[u] == version or d > dist[u]:
+                continue
+            if d > cap:
+                # every unsettled target is beyond bound · max_incident_w:
+                # the certificate is already violated for its edge
+                if fail_fast:
+                    return INF, fallbacks, True, chunk_metrics.snapshot()
+                fallbacks += 1
+                cap = INF  # lift the radius and keep draining the same heap
+            done[u] = version
+            if is_target[u] == version:
+                is_target[u] = 0
+                remaining -= 1
+                if not remaining:
+                    break
+            a, b = indptr[u], indptr[u + 1]
+            for s in range(a, b):
+                v = indices[s]
+                nd = d + weights[s]
+                if stamp[v] != version or nd < dist[v]:
+                    stamp[v] = version
+                    dist[v] = nd
+                    push(heap, (nd, v))
+        for vh, w in targets:
+            if done[vh] != version:
+                # unreachable in H
+                return INF, fallbacks, False, chunk_metrics.snapshot()
+            ratio = dist[vh] / w
+            if ratio > worst:
+                worst = ratio
+    return worst, fallbacks, False, chunk_metrics.snapshot()
+
+
+class _InlinePool:
+    """``multiprocessing.Pool`` stand-in that runs every chunk in this
+    process, in order, so the reference loop serves the pool path too."""
+
+    def __init__(self, processes, initializer, initargs):
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def imap_unordered(self, fn, items):
+        return map(fn, items)
+
+    def terminate(self):
+        pass
+
+
+@contextlib.contextmanager
+def _parent_engine():
+    """Run :func:`certify_edge_stretch` on the reference search loop."""
+
+    def chunk(*args):
+        worst, fallbacks, exceeded, snap = _parent_certify_chunk(*args)
+        return worst, fallbacks, 0, exceeded, snap
+
+    try:
+        with mock.patch.object(certify_engine, "_certify_chunk", chunk), \
+                mock.patch.object(certify_engine.multiprocessing, "Pool",
+                                  _InlinePool):
+            yield
+    finally:
+        certify_engine._POOL_STATE.clear()
+
+
+def _parity_failure(graph, spanner, **kwargs):
+    """Why the engine's certificate differs from the reference's, or None.
+
+    Every field must be equal, ``max_stretch`` bit for bit, except
+    ``fallbacks`` (may only be lower) and ``edges_resolved`` (the
+    reference closes no target early)."""
+    got = certify_edge_stretch(graph, spanner, **kwargs)
+    with _parent_engine():
+        want = certify_edge_stretch(graph, spanner, **kwargs)
+    if got.max_stretch.hex() != want.max_stretch.hex():
+        return f"max_stretch {got.max_stretch!r} != {want.max_stretch!r}"
+    if got.fallbacks > want.fallbacks:
+        return f"fallbacks {got.fallbacks} > {want.fallbacks}"
+    if not 0 <= got.edges_resolved <= got.edges_checked:
+        return f"edges_resolved {got.edges_resolved} of {got.edges_checked}"
+    same = dataclasses.replace(
+        got, fallbacks=want.fallbacks, edges_resolved=want.edges_resolved)
+    if same != want:
+        return f"{got} != {want}"
+    return None
+
+
+def _fuzz_graph(family, seed):
+    if family == "er":
+        return erdos_renyi_graph(60, 0.15, seed=seed)
+    if family == "geometric":
+        return random_geometric_graph(50, seed=seed)
+    # seed 1 keeps every weight equal: ties everywhere
+    return grid_graph(7, 7, seed=seed, jitter=0.0 if seed == 1 else 1.0)
+
+
+def _fuzz_structures(graph, seed):
+    """name -> (spanner, the stretch it promises)."""
+    rng = random.Random(seed)
+    kept = [(u, v) for u, v, _w in sorted(graph.edges()) if rng.random() < 0.6]
+    structures = {
+        f"baswana-sen-k{k}": (baswana_sen_spanner(graph, k, random.Random(seed)),
+                              2.0 * k - 1.0)
+        for k in (2, 3, 4)
+    }
+    structures["greedy"] = (greedy_spanner(graph, 3.0), 3.0)
+    structures["mst"] = (kruskal_mst(graph), float(graph.n - 1))
+    structures["subgraph60"] = (graph.edge_subgraph(kept), 10.0)
+    return structures
+
+
+class TestParentLoopParity:
+    """The first-witness rule against a verbatim copy of the loop without
+    it: ER, geometric and grid graphs × six structures × every mode ×
+    three weight scales."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("family", ["er", "geometric", "grid"])
+    def test_certificates_equal_the_reference(self, family, seed):
+        graph = _fuzz_graph(family, seed)
+        failures, cases = [], 0
+        for name, (spanner, promise) in _fuzz_structures(graph, seed).items():
+            exact = certify_edge_stretch(graph, spanner).max_stretch
+            met = exact if exact < INF else promise
+            violated = met / 1.5  # below 1.0 when the spanner is exact
+            modes = {
+                "exact": {},
+                "bounded": {"bound": promise},
+                "bounded-violated": {"bound": violated},
+                "fail-fast-met": {"bound": met, "fail_fast": True},
+                "fail-fast-violated": {"bound": violated, "fail_fast": True},
+            }
+            for scale in (1.0, 1e-6, 1e6):
+                g, h = (x.reweighted(lambda u, v, w: w * scale)
+                        for x in (graph, spanner))
+                for mode, kwargs in modes.items():
+                    cases += 1
+                    failure = _parity_failure(g, h, **kwargs)
+                    if failure:
+                        failures.append(f"{name} {mode} ×{scale}: {failure}")
+            for kwargs in ({"bound": violated, "workers": 2},
+                           {"bound": violated, "workers": 2, "fail_fast": True}):
+                cases += 1
+                failure = _parity_failure(graph, spanner, **kwargs)
+                if failure:
+                    failures.append(f"{name} {kwargs}: {failure}")
+        assert cases == 6 * 17
+        assert not failures, "\n".join(failures)
+
+    def test_reference_engine_closes_nothing(self):
+        # the fuzz compares two different loops, on the pool path too
+        g = erdos_renyi_graph(60, 0.15, seed=1)
+        h = baswana_sen_spanner(g, 3, random.Random(1))
+        assert certify_edge_stretch(g, h).edges_resolved > 0
+        with _parent_engine():
+            for workers in (1, 2):
+                ref = certify_edge_stretch(g, h, workers=workers)
+                assert ref.edges_checked > 0 and ref.edges_resolved == 0
+
+
+class TestResolvedTargets:
+    """``edges_resolved``: checked targets closed at their first witness
+    path, before the search settled them."""
+
+    @staticmethod
+    def _input():
+        g = erdos_renyi_graph(120, 0.2, seed=3)
+        return g, baswana_sen_spanner(g, 3, random.Random(3))
+
+    def test_most_targets_close_before_settling(self):
+        g, h = self._input()
+        cert = certify_edge_stretch(g, h, bound=5.0)
+        assert cert.edges_checked / 2 < cert.edges_resolved <= cert.edges_checked
+        assert cert.to_dict()["edges_resolved"] == cert.edges_resolved
+
+    def test_counter_matches_and_sums_over_pool_chunks(self):
+        g, h = self._input()
+        counts = []
+        for workers in (1, 2):
+            obs_metrics.reset()
+            cert = certify_edge_stretch(g, h, bound=5.0, workers=workers)
+            counter = obs_metrics.registry().counter("certify.edges.resolved")
+            counts.append((cert.edges_resolved, counter.value))
+        # a closing depends on its own search only, not on the chunking
+        (serial, serial_counter), (pooled, pooled_counter) = counts
+        assert serial == serial_counter == pooled == pooled_counter
 
 
 class TestDisconnectedContract:

@@ -205,13 +205,6 @@ def test_golden_covers_fallbacks_and_violations():
     assert GOLDEN["subgraph60-exact"][0] == "inf"
 
 
-def _scaled(graph, factor):
-    out = WeightedGraph(graph.vertices())
-    for u, v, w in graph.edges():
-        out.add_edge(u, v, w * factor)
-    return out
-
-
 @pytest.mark.parametrize("name", ["light-1-exact", "light-2-bounded",
                                   "doubling-exact", "mst-bounded"])
 @pytest.mark.parametrize("exponent", [-40, 40])
@@ -221,7 +214,8 @@ def test_power_of_two_scaling_keeps_the_certificate(name, exponent):
     graph, spanner, kwargs = _case(name)
     factor = 2.0 ** exponent
     scaled = certify_edge_stretch(
-        _scaled(graph, factor), _scaled(spanner, factor), **kwargs)
+        graph.reweighted(lambda u, v, w: w * factor),
+        spanner.reweighted(lambda u, v, w: w * factor), **kwargs)
     assert scaled.max_stretch.hex() == GOLDEN[name][0]
     assert scaled.to_dict() == certify_edge_stretch(
         graph, spanner, **kwargs).to_dict()
