@@ -45,7 +45,7 @@ import time
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Tuple
 
-from evidence import machine, measure_baseline, measure_side, wrapped
+from evidence import machine, measure_baseline, measure_side, timed_phases, wrapped
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
@@ -105,17 +105,8 @@ def _timed_run(make_graph: Callable[[], Any],
     """One construction on a fresh input; wall seconds per phase."""
     spent = {phase: 0.0 for _m, _a, phase in TIMED}
 
-    def timer(fn: Callable[..., Any], phase: str) -> Callable[..., Any]:
-        def timed(*args: Any, **kwargs: Any) -> Any:
-            t0 = time.perf_counter()
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                spent[phase] += time.perf_counter() - t0
-        return timed
-
     graph = make_graph()
-    with wrapped(TIMED, timer):
+    with timed_phases(TIMED, spent):
         t0 = time.perf_counter()
         result = construct(graph)
         total = time.perf_counter() - t0

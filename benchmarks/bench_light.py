@@ -52,9 +52,9 @@ import statistics
 import sys
 import time
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Any, Dict, List, Tuple
 
-from evidence import machine, measure_baseline, measure_side, wrapped
+from evidence import machine, measure_baseline, measure_side, timed_phases
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
@@ -125,17 +125,8 @@ def _timed_run(name: str, graph: Any, n: int) -> Tuple[Any, Dict[str, float]]:
     ledger, and wall seconds per phase."""
     spent = {phase: 0.0 for phase in PHASES[name]}
 
-    def timer(fn: Callable[..., Any], phase: str) -> Callable[..., Any]:
-        def timed(*args: Any, **kwargs: Any) -> Any:
-            t0 = time.perf_counter()
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                spent[phase] += time.perf_counter() - t0
-        return timed
-
     fresh = graph.copy()  # no CSR view cached by an earlier run
-    with wrapped(TIMED[name], timer):
+    with timed_phases(TIMED[name], spent):
         t0 = time.perf_counter()
         result = _construct(name, fresh, n)
         spent["total"] = time.perf_counter() - t0

@@ -5,8 +5,8 @@ side runs the script's ``measure()`` in a child process whose
 ``PYTHONPATH`` points at a ``git archive`` export of the baseline
 commit's ``src``, the change side does the same against this checkout's
 ``src``.  The helpers here are that plumbing: the child launch, the
-export, the machine description and the temporary function wrapping
-the per-phase timers use.
+export, the machine description, and the temporary function wrapping
+with the per-phase timers built on it.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import platform
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, List, Tuple
 
@@ -52,6 +53,26 @@ def wrapped(targets: List[Tuple[str, str, str]], make: Wrapper) -> Iterator[None
     finally:
         for owner, attr, original in reversed(saved):
             setattr(owner, attr, original)
+
+
+@contextlib.contextmanager
+def timed_phases(
+    targets: List[Tuple[str, str, str]], spent: Dict[str, float]
+) -> Iterator[None]:
+    """:func:`wrapped` with timers: each call of a target adds its wall
+    seconds to ``spent[key]``."""
+
+    def timer(fn: Callable[..., Any], key: str) -> Callable[..., Any]:
+        def timed(*args: Any, **kwargs: Any) -> Any:
+            t0 = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                spent[key] += time.perf_counter() - t0
+        return timed
+
+    with wrapped(targets, timer):
+        yield
 
 
 def measure_side(module: str, src: Path) -> Dict[str, Any]:

@@ -4,8 +4,11 @@ engine (repro.analysis.certify) and the certifier bugfix sweep.
 The anchor is ``_legacy_max_edge_stretch`` — a verbatim copy of the
 pre-engine certifier (one full SSSP in H per vertex).  Every exact engine
 mode (plain, bounded, process-parallel) must agree with it to 1e-9 on
-every smoke-tier spanner profile; sampling must lower-bound it.  CI's
-``certify-smoke`` job runs exactly this file.
+every smoke-tier spanner profile; sampling must lower-bound it.  A second
+anchor, ``_parent_certify_chunk``, is the engine's search loop without
+first-witness closing: the parity fuzz requires whole certificates equal
+to it, bit for bit.  CI's ``certify-smoke`` job runs this file and
+``tests/test_certify_golden.py``.
 """
 
 import contextlib

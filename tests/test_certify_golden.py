@@ -1,8 +1,8 @@
 """Golden certificates of the bounded-radius certification engine.
 
-The records below were taken from the engine before its searches learnt
-to stop early.  A search may stop earlier, but the certificate must not
-change: ``max_stretch`` is compared bit for bit through ``float.hex``,
+The records below were taken from the engine before a search could close
+a target at its first witness path.  A search may stop earlier, but the
+certificate must not change: ``max_stretch`` is compared bit for bit through ``float.hex``,
 ``bound_exceeded`` and every ``Certification.to_dict()`` entry recorded
 here must be equal, and ``fallbacks`` (searches that crossed the §5.1
 radius and kept going) may only go down.
