@@ -31,7 +31,6 @@ from repro.congest.bfs import build_bfs_tree
 from repro.congest.ledger import RoundLedger
 from repro.core.nets import build_net, greedy_net
 from repro.determinism import ensure_rng
-from repro.graphs.csr import CSRGraph
 from repro.graphs.weighted_graph import Vertex, WeightedGraph
 from repro.hopsets.hopset import bounded_exploration_cost, en16_round_cost
 from repro.mst.kruskal import kruskal_mst
@@ -79,26 +78,6 @@ class DoublingSpannerResult:
         return self.ledger.total
 
 
-def _bounded_exploration(
-    graph: "WeightedGraph | CSRGraph", source: Vertex, radius: float, eps: float
-) -> Tuple[Dict[Vertex, float], Dict[Vertex, Optional[Vertex]]]:
-    """Single-source ``radius``-bounded (1+ε)-approximate exploration.
-
-    Priorities use weights rounded up to powers of (1+ε) (the same
-    concrete approximation as everywhere in the library); pruning uses
-    true accumulated weight so reported paths genuinely fit the bound.
-    The single-source case of :func:`~repro.spt.approx_spt.bounded_approx_spt`
-    (origin tracking discarded), which runs over the graph's CSR index
-    arrays and relaxes over :meth:`CSRGraph.rounded_weights`, the rounded
-    column cached on the frozen graph.  §7 launches one exploration per
-    net point per scale, all with the same ε, so each weight is rounded
-    once per construction rather than once per relaxation.
-    """
-    csr = graph.freeze() if isinstance(graph, WeightedGraph) else graph
-    true_dist, parent, _origin = bounded_approx_spt(csr, [source], radius, eps)
-    return true_dist, parent
-
-
 def doubling_spanner(
     graph: WeightedGraph,
     eps: float,
@@ -121,14 +100,18 @@ def doubling_spanner(
     Raises
     ------
     ValueError
-        On invalid parameters.
+        On invalid parameters, on a graph with no vertices, and on a
+        disconnected graph (raised by the BFS tree, naming a vertex it
+        did not reach).
     """
     if not 0 < eps < 0.125:
         raise ValueError(f"eps must be in (0, 1/8), got {eps}")
     if net_method not in ("distributed", "greedy"):
         raise ValueError(f"unknown net_method {net_method!r}")
-    rng = ensure_rng(rng)
     n = graph.n
+    if n == 0:
+        raise ValueError("doubling_spanner needs a graph with at least one vertex")
+    rng = ensure_rng(rng)
     if root is None:
         root = min(graph.vertices(), key=repr)
 
@@ -150,6 +133,11 @@ def doubling_spanner(
     delta = 0.5  # the paper's "e.g., we can take δ = 1/2"
     skeleton_size = max(1, math.ceil(math.sqrt(n * max(math.log(n + 1), 1.0))))
     beta = max(1, math.ceil(math.log2(n + 1)))  # charged [EN16] hopbound
+    # net point -> (clip, parent map, walked set) of its last exploration.
+    # The search repeats itself decision for decision at every radius
+    # below its clip, and the radius 2·(1+ε)^i grows strictly with i, so
+    # an exploration re-runs only once the radius reaches its clip.
+    explored: Dict[Vertex, Tuple[float, Dict[Vertex, Optional[Vertex]], Set[Vertex]]] = {}
 
     for i in range(first_scale, num_scales):
         scale = base ** i
@@ -179,15 +167,19 @@ def doubling_spanner(
         paths_added = 0
         rank = {v: repr(v) for v in net_points}
         for u in sorted(net_points, key=rank.__getitem__):
-            true_dist, parent = _bounded_exploration(csr, u, radius, eps)
-            for v in true_dist:
+            memo = explored.get(u)
+            if memo is None or radius >= memo[0]:
+                run = bounded_approx_spt(csr, [u], radius, eps)
+                memo = explored[u] = (run.clip, run.parent, set())
+            _clip, parent, walked = memo
+            for v in parent:
                 participation[v] = participation.get(v, 0) + 1
             # every vertex on an already-walked path leads to u over edges
-            # this exploration has added, so a later walk stops there
-            walked: Set[Vertex] = set()
+            # a walk of this same tree added, at this scale or an earlier
+            # one, so a later walk stops there
             rank_u = rank[u]
             for v in net_points:
-                if rank[v] <= rank_u or v not in true_dist:
+                if rank[v] <= rank_u or v not in parent:
                     continue
                 # add the reported path to the spanner
                 node = v

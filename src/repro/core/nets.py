@@ -150,9 +150,9 @@ def build_net(
         ledger.charge(
             f"iter{iterations}:approx-spt", bkkl_round_cost(n, height, delta)
         )
-        tree_dist, _, _ = bounded_approx_spt(
+        tree_dist = bounded_approx_spt(
             graph, joiners, radius=(1.0 + delta) * delta_param, eps=delta
-        )
+        ).dist
         active = {v for v in active if v not in tree_dist}
 
     return NetResult(

@@ -12,12 +12,13 @@ substitution 3 we provide:
   SPT (weights rounded up to powers of (1+ε) before the tree is chosen, so
   the approximation is real, not cosmetic), charged at the [BKKL17] cost;
 * :func:`~repro.spt.approx_spt.bounded_approx_spt` — the Δ-bounded
-  multi-source variant §7 needs.
+  multi-source variant §7 needs; its :class:`~repro.spt.approx_spt.BoundedSPT`
+  result reports the radius up to which the same search repeats.
 """
 
 from repro.spt.tree import SPTree
 from repro.spt.bellman_ford import DistributedBellmanFord, exact_spt_distributed
-from repro.spt.approx_spt import approx_spt, bounded_approx_spt, bkkl_round_cost
+from repro.spt.approx_spt import BoundedSPT, approx_spt, bounded_approx_spt, bkkl_round_cost
 from repro.spt.bounded_bellman_ford import BoundedBellmanFord, bounded_bellman_ford
 
 __all__ = [
@@ -26,6 +27,7 @@ __all__ = [
     "exact_spt_distributed",
     "approx_spt",
     "bounded_approx_spt",
+    "BoundedSPT",
     "bkkl_round_cost",
     "BoundedBellmanFord",
     "bounded_bellman_ford",

@@ -20,7 +20,7 @@ once, uniform across constructions).
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.congest.ledger import RoundLedger
 from repro.graphs.csr import CSRGraph, round_up_weight
@@ -97,12 +97,21 @@ def approx_spt(
     return SPTree(root=root, parent=parent, dist=dist, rounds=rounds)
 
 
+class BoundedSPT(NamedTuple):
+    """Result of :func:`bounded_approx_spt`; the fields are documented there."""
+
+    dist: Dict[Vertex, float]
+    parent: Dict[Vertex, Optional[Vertex]]
+    origin: Dict[Vertex, Vertex]
+    clip: float
+
+
 def bounded_approx_spt(
-    graph: WeightedGraph,
+    graph: "WeightedGraph | CSRGraph",
     sources: Iterable[Vertex],
     radius: float,
     eps: float,
-) -> Tuple[Dict[Vertex, float], Dict[Vertex, Optional[Vertex]], Dict[Vertex, Vertex]]:
+) -> BoundedSPT:
     """Multi-source ``radius``-bounded (1+ε)-approximate shortest paths.
 
     The §7 doubling spanner runs, from every net point in parallel, a
@@ -111,11 +120,14 @@ def bounded_approx_spt(
 
     Returns
     -------
-    (dist, parent, origin):
+    BoundedSPT(dist, parent, origin, clip):
         ``dist[v]`` — weight (true weights) of the chosen path from the
         nearest source, present only when ``<= radius``;
         ``parent[v]`` — predecessor on that path (None at sources);
-        ``origin[v]`` — which source the path starts at.
+        ``origin[v]`` — which source the path starts at;
+        ``clip`` — the smallest true path weight the radius test turned
+        away on a relaxation that would have lowered a label, or ∞ when
+        it turned none away.  Always ``> radius``.
 
     Notes
     -----
@@ -123,6 +135,18 @@ def bounded_approx_spt(
     pruned by *true* accumulated weight against ``radius``, so every
     reported path genuinely fits the bound while its weight is within
     (1+ε) of optimal among radius-bounded paths.
+
+    The radius enters the search only through that pruning test.  A
+    relaxation it accepts at ``radius`` it accepts at any larger radius,
+    and one it rejects at ``radius`` stays rejected below ``clip``; a
+    relaxation that would not lower a label is rejected at every radius.
+    So a call with any radius in ``[radius, clip)`` makes every decision
+    the same way, in the same order, and returns an equal result —
+    ``clip`` included.  The §7 construction uses this to skip repeated
+    explorations across scales.  A :class:`CSRGraph` input runs over its
+    index arrays and relaxes over :meth:`CSRGraph.rounded_weights`, the
+    rounded column cached on the frozen graph, so every weight is
+    rounded once per ε rather than once per relaxation.
     """
     import heapq
 
@@ -135,11 +159,13 @@ def bounded_approx_spt(
     else:
         weight_of = graph.weight
 
+    inf = float("inf")
     dist: Dict[Vertex, float] = {}
     true_dist: Dict[Vertex, float] = {}
     parent: Dict[Vertex, Optional[Vertex]] = {}
     origin: Dict[Vertex, Vertex] = {}
     heap: List[Tuple[float, int, Vertex]] = []
+    clip = inf
     counter = 0
     for s in sources:
         dist[s] = 0.0
@@ -156,15 +182,18 @@ def bounded_approx_spt(
         settled.add(u)
         for v, w in graph.neighbor_items(u):
             nd = d + weight_of(u, v)
-            nt = true_dist[u] + w
-            if nt <= radius and nd < dist.get(v, float("inf")):
-                dist[v] = nd
-                true_dist[v] = nt
-                parent[v] = u
-                origin[v] = origin[u]
-                heapq.heappush(heap, (nd, counter, v))
-                counter += 1
-    return true_dist, parent, origin
+            if nd < dist.get(v, inf):
+                nt = true_dist[u] + w
+                if nt <= radius:
+                    dist[v] = nd
+                    true_dist[v] = nt
+                    parent[v] = u
+                    origin[v] = origin[u]
+                    heapq.heappush(heap, (nd, counter, v))
+                    counter += 1
+                elif nt < clip:
+                    clip = nt
+    return BoundedSPT(true_dist, parent, origin, clip)
 
 
 def _csr_bounded_approx_spt(
@@ -172,7 +201,7 @@ def _csr_bounded_approx_spt(
     sources: Iterable[Vertex],
     radius: float,
     eps: float,
-) -> Tuple[Dict[Vertex, float], Dict[Vertex, Optional[Vertex]], Dict[Vertex, Vertex]]:
+) -> BoundedSPT:
     """Indexed variant of :func:`bounded_approx_spt` over a CSR graph."""
     import heapq
 
@@ -185,6 +214,7 @@ def _csr_bounded_approx_spt(
     parent: List[int] = [-2] * n
     origin: List[int] = [-1] * n
     heap: List[Tuple[float, int]] = []
+    clip = INF
     for s in sources:
         i = csr.index_of(s)
         dist[i] = 0.0
@@ -203,13 +233,16 @@ def _csr_bounded_approx_spt(
         a, b = indptr[u], indptr[u + 1]
         for v, w, r in zip(indices[a:b], weights[a:b], rounded[a:b]):
             nd = d + r
-            nt = tu + w
-            if nt <= radius and nd < dist[v]:
-                dist[v] = nd
-                true_dist[v] = nt
-                parent[v] = u
-                origin[v] = ou
-                push(heap, (nd, v))
+            if nd < dist[v]:
+                nt = tu + w
+                if nt <= radius:
+                    dist[v] = nd
+                    true_dist[v] = nt
+                    parent[v] = u
+                    origin[v] = ou
+                    push(heap, (nd, v))
+                elif nt < clip:
+                    clip = nt
     out_dist: Dict[Vertex, float] = {}
     out_parent: Dict[Vertex, Optional[Vertex]] = {}
     out_origin: Dict[Vertex, Vertex] = {}
@@ -220,4 +253,4 @@ def _csr_bounded_approx_spt(
         out_dist[verts[i]] = true_dist[i]
         out_parent[verts[i]] = None if p == -1 else verts[p]
         out_origin[verts[i]] = verts[origin[i]]
-    return out_dist, out_parent, out_origin
+    return BoundedSPT(out_dist, out_parent, out_origin, clip)

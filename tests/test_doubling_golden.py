@@ -10,6 +10,7 @@ per-scale statistics on these inputs fails here.
 """
 
 import hashlib
+import importlib
 import json
 import random
 
@@ -62,6 +63,17 @@ GOLDEN = {
     ),
 }
 
+#: name -> (explorations run, net-point visits).  An exploration re-runs
+#: only once the scale's radius reaches the clip of its last run, so a
+#: weaker reuse rule raises the first count.
+EXPLORATIONS = {
+    "geo1": (551, 2303),
+    "geo2": (591, 2266),
+    "geo3": (556, 2241),
+    "grid-smoke": (250, 900),
+    "geo-stress": (2426, 6769),
+}
+
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
@@ -93,3 +105,19 @@ def test_doubling_spanner_matches_golden(name):
     assert _sha256(json.dumps(
         [[s.net_size, s.paths_added, s.max_overlap] for s in res.scales]
     )) == per_scale
+
+
+@pytest.mark.parametrize("name", sorted(EXPLORATIONS))
+def test_explorations_rerun_only_past_their_clip(name, monkeypatch):
+    module = importlib.import_module("repro.core.doubling_spanner")
+    original = module.bounded_approx_spt
+    runs = []
+
+    def counted(*args, **kwargs):
+        runs.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, "bounded_approx_spt", counted)
+    res = _build(name)
+    visits = sum(s.net_size for s in res.scales)
+    assert (len(runs), visits) == EXPLORATIONS[name]

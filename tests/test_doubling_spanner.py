@@ -1,5 +1,6 @@
 """Tests for the §7 doubling-graph spanner (Theorem 5)."""
 
+import math
 import random
 
 import pytest
@@ -9,8 +10,21 @@ from repro.analysis import (
     max_pairwise_stretch,
     verify_subgraph,
 )
+from repro.congest import RoundLedger, build_bfs_tree
 from repro.core import doubling_spanner
-from repro.graphs import grid_graph, random_geometric_graph, unit_ball_graph
+from repro.core.doubling_spanner import ScaleStats
+from repro.core.nets import build_net, greedy_net
+from repro.graphs import (
+    WeightedGraph,
+    erdos_renyi_graph,
+    grid_graph,
+    random_geometric_graph,
+    unit_ball_graph,
+)
+from repro.hopsets.hopset import bounded_exploration_cost, en16_round_cost
+from repro.lelists.le_lists import fl16_round_cost
+from repro.mst import kruskal_mst
+from repro.spt import bounded_approx_spt
 
 
 class TestGuarantees:
@@ -122,3 +136,140 @@ class TestValidation:
         g = random_geometric_graph(15, seed=15)
         with pytest.raises(ValueError):
             doubling_spanner(g, 0.1, net_method="quantum")
+
+
+class TestInputContract:
+    def test_empty_graph_is_named(self):
+        with pytest.raises(ValueError, match="at least one vertex"):
+            doubling_spanner(WeightedGraph(), 0.1, random.Random(0))
+
+    @pytest.mark.parametrize("net_method", ["greedy", "distributed"])
+    def test_single_vertex(self, net_method):
+        res = doubling_spanner(WeightedGraph([0]), 0.1, random.Random(0),
+                               net_method=net_method)
+        assert list(res.spanner.vertices()) == [0]
+        assert res.spanner.m == 0
+        assert all(s.net_size == 1 and s.paths_added == 0 for s in res.scales)
+
+    @pytest.mark.parametrize("net_method", ["greedy", "distributed"])
+    def test_two_vertices_keep_their_edge(self, net_method):
+        g = WeightedGraph()
+        g.add_edge("a", "b", 3.5)
+        res = doubling_spanner(g, 0.1, random.Random(0), net_method=net_method)
+        assert list(res.spanner.edges()) == [("a", "b", 3.5)]
+
+    def test_two_components_name_an_unreached_vertex(self):
+        g = WeightedGraph(range(4))
+        g.add_edge(0, 1, 1.0)
+        g.add_edge(2, 3, 1.0)
+        with pytest.raises(ValueError, match="disconnected: 2 unreached"):
+            doubling_spanner(g, 0.1, random.Random(0), net_method="greedy")
+
+
+def _every_exploration_spanner(graph, eps, rng, net_method):
+    """The per-scale loop before explorations were reused across scales:
+    one fresh ``bounded_approx_spt`` per net point per scale.  The
+    reference :class:`TestParentLoopParity` compares against."""
+    n = graph.n
+    root = min(graph.vertices(), key=repr)
+    ledger = RoundLedger()
+    bfs = build_bfs_tree(graph, root)
+    ledger.charge("bfs-tree", bfs.rounds)
+    height = bfs.height
+    mst_weight = kruskal_mst(graph).total_weight()
+    spanner = WeightedGraph(graph.vertices())
+    scales = []
+    csr = graph.freeze()
+    base = 1.0 + eps
+    num_scales = max(1, math.ceil(math.log(max(mst_weight, base), base))) + 1
+    first_scale = min(0, math.floor(math.log(csr.min_weight(), base))) if csr.m else 0
+    delta = 0.5
+    skeleton_size = max(1, math.ceil(math.sqrt(n * max(math.log(n + 1), 1.0))))
+    beta = max(1, math.ceil(math.log2(n + 1)))
+    for i in range(first_scale, num_scales):
+        scale = base ** i
+        scale_ledger = RoundLedger()
+        net_param = eps * scale / 3.0
+        if net_method == "distributed":
+            net_res = build_net(graph, net_param, delta, rng, root=root)
+            net_points = net_res.points
+            scale_ledger.merge(net_res.ledger, prefix=f"scale{i}:net:")
+        else:
+            net_points = greedy_net(graph, net_param)
+            iters = math.ceil(math.log2(n + 2))
+            scale_ledger.charge(
+                f"scale{i}:net", iters * fl16_round_cost(n, height, delta))
+        scale_ledger.charge(f"scale{i}:hopset", en16_round_cost(n, height, beta))
+        radius = 2.0 * scale
+        participation = {}
+        paths_added = 0
+        rank = {v: repr(v) for v in net_points}
+        for u in sorted(net_points, key=rank.__getitem__):
+            run = bounded_approx_spt(csr, [u], radius, eps)
+            true_dist, parent = run.dist, run.parent
+            for v in true_dist:
+                participation[v] = participation.get(v, 0) + 1
+            walked = set()
+            rank_u = rank[u]
+            for v in net_points:
+                if rank[v] <= rank_u or v not in true_dist:
+                    continue
+                node = v
+                while node not in walked and parent[node] is not None:
+                    walked.add(node)
+                    prev = parent[node]
+                    if not spanner.has_edge(prev, node):
+                        spanner.add_edge(prev, node, graph.weight(prev, node))
+                    node = prev
+                paths_added += 1
+        max_overlap = max(participation.values(), default=0)
+        scale_ledger.charge(
+            f"scale{i}:explorations",
+            bounded_exploration_cost(n, height, beta, max_overlap, skeleton_size),
+        )
+        ledger.merge(scale_ledger)
+        scales.append(ScaleStats(
+            index=i, scale=scale, net_size=len(net_points),
+            paths_added=paths_added, max_overlap=max_overlap,
+            rounds=scale_ledger.total,
+        ))
+    return spanner, ledger, scales
+
+
+def _parity_graph(family, n, seed):
+    if family == "geometric":
+        return random_geometric_graph(n, seed=seed)
+    if family == "er":
+        return erdos_renyi_graph(n, 4.0 / n, seed=seed)
+    rows = {12: 3, 25: 5, 45: 5}[n]
+    return grid_graph(rows, n // rows)  # every weight 1: ties everywhere
+
+
+def _parity_cases():
+    for family in ("geometric", "er", "ties"):
+        for eps in (0.03, 0.08, 0.12):
+            for n in (12, 25):
+                for factor in (1.0, 1e-3, 1e3):
+                    yield family, n, 1, eps, factor, "greedy"
+            yield family, 12, 2, eps, 1.0, "distributed"
+        yield family, 45, 1, 0.12, 1.0, "greedy"
+
+
+class TestParentLoopParity:
+    """Reused explorations give the spanner every loop that re-runs
+    each exploration gives it: the same edges in the same insertion
+    order, the same ledger and the same per-scale statistics."""
+
+    @pytest.mark.parametrize("family, n, seed, eps, factor, net_method",
+                             list(_parity_cases()))
+    def test_matches_every_exploration_loop(self, family, n, seed, eps,
+                                            factor, net_method):
+        g = _parity_graph(family, n, seed)
+        if factor != 1.0:
+            g = g.reweighted(lambda u, v, w: w * factor)
+        res = doubling_spanner(g, eps, random.Random(seed), net_method=net_method)
+        spanner, ledger, scales = _every_exploration_spanner(
+            g, eps, random.Random(seed), net_method)
+        assert list(res.spanner.edges()) == list(spanner.edges())
+        assert res.ledger.entries() == ledger.entries()
+        assert res.scales == scales
