@@ -237,6 +237,29 @@ class TestAnalysisIntegration:
         with pytest.raises(ValidationError, match="vertices"):
             verify_oracle(medium_er, build_oracle(triangle, landmarks=1))
 
+    def test_verify_oracle_accepts_round_off_at_large_weights(self):
+        """At ×1e12 the oracle's sums differ from Dijkstra's in the last
+        bits, (58, 30) reading ...689.83 against ...689.81; an absolute
+        1e-9 rejected that."""
+        g = erdos_renyi_graph(60, 0.1, seed=3).reweighted(lambda u, v, w: w * 1e12)
+        verify_oracle(g, build_oracle(g))
+
+    def test_verify_oracle_rejects_high_answers_at_small_weights(self):
+        """At ×1e-12 every distance is below 1e-9, so an absolute
+        tolerance accepted answers that are all 50% high."""
+
+        class Inflated:
+            def __init__(self, oracle):
+                self.csr = oracle.csr
+                self._oracle = oracle
+
+            def query(self, u, v):
+                return 1.5 * self._oracle.query(u, v)
+
+        g = erdos_renyi_graph(60, 0.1, seed=3).reweighted(lambda u, v, w: w * 1e-12)
+        with pytest.raises(ValidationError, match="oracle answer"):
+            verify_oracle(g, Inflated(build_oracle(g)))
+
     def test_sample_pairwise_stretch_lower_bounds_exact(self, small_er, rng):
         from repro.spanners import baswana_sen_spanner
 
