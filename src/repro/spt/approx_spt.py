@@ -127,7 +127,7 @@ def bounded_approx_spt(
         ``origin[v]`` — which source the path starts at;
         ``clip`` — the smallest true path weight the radius test turned
         away on a relaxation that would have lowered a label, or ∞ when
-        it turned none away.  Always ``> radius``.
+        it turned none away; above ``radius`` unless both are ∞.
 
     Notes
     -----
