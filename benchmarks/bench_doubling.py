@@ -13,12 +13,21 @@ smoke and stress tiers, split into the construction's phases:
   (``path_steps`` counts ``WeightedGraph.has_edge`` calls, one per step
   walked), the BFS tree and the MST.
 
-Both sides run this same script in a child process, on a fresh input
+``exploration_calls`` counts the searches that actually run: since
+explorations are reused across scales, fewer than one per net point per
+scale.  ``peak_mb`` is the construction's tracemalloc peak, measured in
+a separate untimed run, because the reuse keeps each net point's last
+tree alive.
+
+Three sides run this same script in a child process, on a fresh input
 graph per run: the baseline on a ``git archive`` export of
 :data:`BASELINE_COMMIT` (the commit before the §7 hot-path rewrite),
-the change on the checkout this script sits in.  Every case's edge and
-ledger digests must be equal on both sides, and the stress tier must
-clear :data:`REQUIRED_SPEEDUP`.  The files written:
+the parent on an export of :data:`PARENT_COMMIT` (the commit before
+explorations were reused across scales), and the change on the
+checkout this script sits in.  Every case's edge, insertion-order and
+ledger digests must be equal on all three sides, and the stress tier
+must clear :data:`REQUIRED_SPEEDUP` over the baseline and
+:data:`REQUIRED_PARENT_SPEEDUP` over the parent.  The files written:
 
 * ``benchmarks/BENCH_doubling_speedup.txt`` — the human-readable table;
 * ``benchmarks/BENCH_doubling_speedup.json`` — the record CI's
@@ -42,6 +51,7 @@ import random
 import statistics
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Tuple
 
@@ -54,6 +64,8 @@ JSON_PATH = HERE / "BENCH_doubling_speedup.json"
 
 #: the commit before the §7 hot-path rewrite
 BASELINE_COMMIT = "529f358"
+#: the commit before explorations were reused across scales
+PARENT_COMMIT = "0131e6b"
 #: (profile, tier) cases; timed runs per tier (each side reports medians)
 CASES: List[Tuple[str, str]] = [
     ("doubling-geometric", "smoke"), ("doubling-grid", "smoke"),
@@ -62,6 +74,10 @@ CASES: List[Tuple[str, str]] = [
 RUNS = {"smoke": 5, "stress": 3}
 #: stress-tier acceptance bars: baseline seconds / change seconds
 REQUIRED_SPEEDUP = {"doubling-geometric": 4.0, "doubling-grid": 2.0}
+#: stress-tier acceptance bars: parent seconds / change seconds
+REQUIRED_PARENT_SPEEDUP = {"doubling-geometric": 2.0, "doubling-grid": 1.6}
+#: the sides of every case, oldest first
+SIDES = ("baseline", "parent", "change")
 
 PHASES = ("nets", "explorations", "path_walk_and_rest", "total")
 #: (module, attribute, phase): the functions timed, wrapped under the
@@ -83,8 +99,11 @@ COUNTED: List[Tuple[str, str, str]] = [
     ("repro.graphs.weighted_graph", "WeightedGraph.has_edge", "path_steps"),
 ]
 REQUIRED_JSON_KEYS = {
-    "baseline_commit", "machine", "cases", "runs", "required_speedup",
+    "baseline_commit", "parent_commit", "machine", "cases", "runs",
+    "required_speedup", "required_parent_speedup",
 }
+
+
 def _case(profile_name: str, tier: str) -> Tuple[Callable[[], Any], Callable[[Any], Any]]:
     """A fresh-input factory and the construction, for one case."""
     from repro.core import doubling_spanner
@@ -131,12 +150,27 @@ def _counted_run(make_graph: Callable[[], Any],
     return counts
 
 
+def _peak_run(make_graph: Callable[[], Any],
+              construct: Callable[[Any], Any]) -> float:
+    """One untimed construction on a fresh input; its tracemalloc peak, MB."""
+    graph = make_graph()
+    tracemalloc.start()
+    try:
+        construct(graph)
+        return round(tracemalloc.get_traced_memory()[1] / 2**20, 3)
+    finally:
+        tracemalloc.stop()
+
+
 def _digests(result: Any) -> Dict[str, str]:
-    lines = sorted(f"{u!r} {v!r} {w!r}\n" for u, v, w in result.spanner.edges())
-    ledger = json.dumps(result.ledger.by_phase(), sort_keys=True)
+    def sha256(text: str) -> str:
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    lines = [f"{u!r} {v!r} {w!r}\n" for u, v, w in result.spanner.edges()]
     return {
-        "edges": hashlib.sha256("".join(lines).encode()).hexdigest(),
-        "ledger": hashlib.sha256(ledger.encode()).hexdigest(),
+        "edges": sha256("".join(sorted(lines))),
+        "ordered_edges": sha256("".join(lines)),
+        "ledger": sha256(json.dumps(result.ledger.by_phase(), sort_keys=True)),
     }
 
 
@@ -158,54 +192,68 @@ def measure() -> int:
                         for p in PHASES},
             "total_runs": [round(s["total"], 4) for _r, s in runs],
             "counts": _counted_run(make_graph, construct),
+            "peak_mb": _peak_run(make_graph, construct),
             "digests": _digests(result),
         }
     print(json.dumps({"source": repro.__file__, "cases": cases}))
     return 0
 
 
-def _speedup(sides: Dict[str, Any]) -> float:
-    return sides["baseline"]["seconds"]["total"] / sides["change"]["seconds"]["total"]
+def _speedup(sides: Dict[str, Any], side: str) -> float:
+    """``side``'s total seconds over the change's."""
+    return sides[side]["seconds"]["total"] / sides["change"]["seconds"]["total"]
 
 
 def _table(record: Dict[str, Any]) -> List[str]:
     machine = record["machine"]
     lines = [
         f"=== §7 doubling spanner, greedy nets: commit {record['baseline_commit']}"
-        " (baseline) vs this change ===",
+        f" (baseline) and commit {record['parent_commit']} (parent) vs this"
+        " change ===",
         f"{machine['cpu']}, {machine['cores']} cores, CPython "
         f"{machine['python']}; wall seconds, per-phase medians of "
         f"{RUNS['smoke']} (smoke) / {RUNS['stress']} (stress) runs on fresh inputs",
     ]
     for case, sides in record["cases"].items():
-        base, new = sides["baseline"], sides["change"]
-        same = "equal" if base["digests"] == new["digests"] else "DIFFER"
+        new = sides["change"]
+        same = ("equal" if all(sides[side]["digests"] == new["digests"]
+                               for side in SIDES) else "DIFFER")
         lines += [
             "",
             f"--- {case}: n={new['n']}, {new['scales']} scales, "
             f"{new['spanner_edges']} spanner edges; speedup "
-            f"{_speedup(sides):.2f}x; edge and ledger digests {same} ---",
-            f"{'phase':<22} {'baseline s':>11} {'change s':>10} {'ratio':>8}",
+            f"{_speedup(sides, 'baseline'):.2f}x over the baseline, "
+            f"{_speedup(sides, 'parent'):.2f}x over the parent; digests {same} ---",
+            f"{'phase':<22} {'baseline s':>11} {'parent s':>10} {'change s':>10}"
+            f" {'vs base':>8} {'vs parent':>10}",
         ]
         for phase in PHASES:
-            b, c = base["seconds"][phase], new["seconds"][phase]
-            ratio = f"{b / c:.1f}x" if c > 0 else "-"
-            lines.append(f"{phase:<22} {b:>11.4f} {c:>10.4f} {ratio:>8}")
-        lines.append(f"{'calls':<22} {'baseline':>11} {'change':>10}")
-        for key, b in base["counts"].items():
-            lines.append(f"{key:<22} {b:>11} {new['counts'][key]:>10}")
+            b, p, c = (sides[side]["seconds"][phase] for side in SIDES)
+            ratios = (f"{b / c:.1f}x", f"{p / c:.1f}x") if c > 0 else ("-", "-")
+            lines.append(f"{phase:<22} {b:>11.4f} {p:>10.4f} {c:>10.4f}"
+                         f" {ratios[0]:>8} {ratios[1]:>10}")
+        lines.append(f"{'calls':<22} {'baseline':>11} {'parent':>10} {'change':>10}")
+        for key in new["counts"]:
+            b, p, c = (sides[side]["counts"][key] for side in SIDES)
+            lines.append(f"{key:<22} {b:>11} {p:>10} {c:>10}")
+        b, p, c = (sides[side]["peak_mb"] for side in SIDES)
+        lines.append(f"{'peak_mb (tracemalloc)':<22} {b:>11.3f} {p:>10.3f} {c:>10.3f}")
     return lines
 
 
 def run() -> int:
     base = measure_baseline("bench_doubling", BASELINE_COMMIT)
+    parent = measure_baseline("bench_doubling", PARENT_COMMIT)
     new = measure_side("bench_doubling", ROOT / "src")
     record = {
         "baseline_commit": BASELINE_COMMIT,
+        "parent_commit": PARENT_COMMIT,
         "machine": machine(),
         "runs": RUNS,
         "required_speedup": REQUIRED_SPEEDUP,
-        "cases": {case: {"baseline": base[case], "change": new[case]}
+        "required_parent_speedup": REQUIRED_PARENT_SPEEDUP,
+        "cases": {case: {"baseline": base[case], "parent": parent[case],
+                         "change": new[case]}
                   for case in base},
     }
     lines = _table(record)
@@ -227,36 +275,46 @@ def check() -> int:
     if missing:
         print(f"FAIL: {JSON_PATH.name} lacks keys: {sorted(missing)}")
         return 1
-    if record["baseline_commit"] != BASELINE_COMMIT:
-        print(f"FAIL: committed baseline {record['baseline_commit']} "
-              f"!= {BASELINE_COMMIT}")
-        return 1
+    for key, commit in (("baseline_commit", BASELINE_COMMIT),
+                        ("parent_commit", PARENT_COMMIT)):
+        if record[key] != commit:
+            print(f"FAIL: committed {key} {record[key]} != {commit}")
+            return 1
     expected = sorted(f"{p}/{t}" for p, t in CASES)
     if sorted(record["cases"]) != expected:
         print(f"FAIL: cases {sorted(record['cases'])} != {expected}")
         return 1
+    # gate against this script's bars, not the file's copy of them
+    bars = {"baseline": REQUIRED_SPEEDUP, "parent": REQUIRED_PARENT_SPEEDUP}
     failures = []
     for case, sides in sorted(record["cases"].items()):
-        base, new = sides["baseline"], sides["change"]
-        if base["digests"] != new["digests"]:
-            failures.append(f"{case}: edge or ledger digests differ")
-        if any(set(side["seconds"]) != set(PHASES) for side in (base, new)):
+        if set(sides) != set(SIDES):
+            failures.append(f"{case}: sides {sorted(sides)} != {sorted(SIDES)}")
+            continue
+        new = sides["change"]
+        for side in ("baseline", "parent"):
+            if sides[side]["digests"] != new["digests"]:
+                failures.append(f"{case}: digests differ from the {side}'s")
+        if any(set(sides[side]["seconds"]) != set(PHASES) for side in SIDES):
             failures.append(f"{case}: per-phase seconds incomplete")
             continue
         profile, tier = case.split("/")
-        # gate against this script's bars, not the file's copy of them
-        if tier == "stress" and _speedup(sides) < REQUIRED_SPEEDUP[profile]:
-            failures.append(f"{case}: speedup {_speedup(sides):.2f}x is below "
-                            f"the {REQUIRED_SPEEDUP[profile]}x bar")
+        if tier != "stress":
+            continue
+        for side, bar in bars.items():
+            if _speedup(sides, side) < bar[profile]:
+                failures.append(f"{case}: speedup {_speedup(sides, side):.2f}x "
+                                f"over the {side} is below the "
+                                f"{bar[profile]}x bar")
     for failure in failures:
         print(f"FAIL: {failure}")
     if failures:
         return 1
-    stress = ", ".join(f"{c} {_speedup(s):.1f}x"
-                       for c, s in sorted(record["cases"].items())
-                       if c.endswith("/stress"))
-    print(f"OK: vs commit {BASELINE_COMMIT}: {stress}; digests equal on "
-          f"all {len(expected)} cases")
+    stress = "; ".join(
+        f"{c} {_speedup(s, 'baseline'):.1f}x / {_speedup(s, 'parent'):.1f}x"
+        for c, s in sorted(record["cases"].items()) if c.endswith("/stress"))
+    print(f"OK: vs commits {BASELINE_COMMIT} / {PARENT_COMMIT}: {stress}; "
+          f"digests equal on all {len(expected)} cases")
     return 0
 
 
