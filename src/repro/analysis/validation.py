@@ -132,7 +132,8 @@ def verify_oracle(
     profile's structure.  ``tolerance`` is relative: an answer passes
     when it equals Dijkstra's or lies within ``tolerance`` times the
     larger of the two, so the check reads the same at every weight
-    scale and absorbs only round-off from summing in another order.
+    scale; the default 1e-9 absorbs round-off from summing a path's
+    weights in another order.
     """
     verts = sorted(structure.vertices(), key=repr)
     oracle_verts = set(oracle.csr.verts)
