@@ -1,9 +1,10 @@
 """Dict backend vs indexed CSR fast path.
 
-Times the same operation on both backends of Table-1-sized instances
-(n >= 2000) and prints the speedup: single-source Dijkstra, the full
-edge sweep (the §5 bucketing pattern), the Baswana–Sen spanner, and the
-one-off freeze cost that buys all of it.
+Times the full edge sweep (the §5 bucketing pattern) on both backends
+of a Table-1-sized instance (n = 2000) and prints the speedup, then
+pins the Baswana–Sen spanner's end-to-end time on the frozen view.
+Every shortest-path search runs on the CSR view, so there is
+no dict Dijkstra left to compare.
 """
 
 from __future__ import annotations
@@ -15,8 +16,7 @@ import pytest
 
 from conftest import print_table, run_once
 
-from repro.graphs import dijkstra, erdos_renyi_graph
-from repro.graphs.shortest_paths import _dict_dijkstra
+from repro.graphs import erdos_renyi_graph
 from repro.spanners.baswana_sen import baswana_sen_spanner
 
 
@@ -28,31 +28,6 @@ def _timed(fn, *args, repeat: int = 3):
         result = fn(*args)
         best = min(best, time.perf_counter() - t0)
     return result, best
-
-
-@pytest.mark.parametrize("n,p", [(2000, 0.01), (4000, 0.005)])
-def test_dijkstra_csr_vs_dict(benchmark, n, p):
-    g = erdos_renyi_graph(n, p, seed=n)
-    csr = g.to_csr()
-    # _dict_dijkstra is the label-keyed adjacency-map path; the public
-    # dijkstra() auto-freezes WeightedGraph inputs, so calling it with g
-    # would time CSR against CSR
-    (dist_dict, _), t_dict = _timed(_dict_dijkstra, g, 0)
-    (dist_csr, _), t_csr = _timed(dijkstra, csr, 0)
-    assert dist_dict == dist_csr
-    _, t_freeze = _timed(g.to_csr)
-    run_once(benchmark, dijkstra, csr, 0)
-    print_table(
-        f"Dijkstra, ER(n={n}, p={p}), m={g.m}",
-        ["backend", "seconds", "speedup"],
-        [
-            ["dict", f"{t_dict:.4f}", "1.0x"],
-            ["CSR", f"{t_csr:.4f}", f"{t_dict / t_csr:.2f}x"],
-            ["(freeze cost)", f"{t_freeze:.4f}", "amortized"],
-        ],
-    )
-    benchmark.extra_info.update(n=n, dict_s=t_dict, csr_s=t_csr)
-    assert t_csr < t_dict, "CSR Dijkstra must beat the dict backend"
 
 
 @pytest.mark.parametrize("n,p", [(2000, 0.01)])

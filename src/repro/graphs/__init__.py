@@ -10,7 +10,6 @@ from repro.graphs.weighted_graph import WeightedGraph, canonical_edge
 from repro.graphs.csr import CSRGraph
 from repro.graphs.shortest_paths import (
     dijkstra,
-    dijkstra_path,
     bounded_dijkstra,
     all_pairs_shortest_paths,
     eccentricity,
@@ -49,7 +48,6 @@ __all__ = [
     "CSRGraph",
     "canonical_edge",
     "dijkstra",
-    "dijkstra_path",
     "bounded_dijkstra",
     "all_pairs_shortest_paths",
     "eccentricity",

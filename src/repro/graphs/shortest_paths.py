@@ -9,11 +9,11 @@ and small-graph all-pairs distances.
 
 from __future__ import annotations
 
-import heapq
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.graphs.csr import CSRGraph
-from repro.graphs.weighted_graph import Vertex, WeightedGraph, canonical_edge
+from repro.graphs.weighted_graph import Vertex, WeightedGraph
+from repro.kernels import pykern
 
 INF = float("inf")
 
@@ -55,187 +55,62 @@ def _normalize_sources(
     return out
 
 
-def _csr_dijkstra(
-    csr: CSRGraph, sources: Iterable[Vertex] | Vertex
+def _labelled_sssp(
+    graph: GraphLike, sources: Iterable[Vertex] | Vertex, cap: Optional[float]
 ) -> Tuple[Dict[Vertex, float], Dict[Vertex, Optional[Vertex]]]:
-    """Array-indexed Dijkstra over a CSR graph.
+    """One :func:`repro.kernels.pykern.sssp` run, translated to labels.
 
-    The inner loop touches only dense int indices — distance/parent are
-    flat lists and heap entries are ``(float, int)`` pairs, so no vertex
-    hashing or tie-break counter is needed.  Results are converted back
-    to label-keyed dicts to match the public contract.
+    A :class:`WeightedGraph` is frozen to its cached CSR view first.  A
+    full SSSP is Ω(m) anyway, so freezing (invalidated by mutation) costs
+    at most one extra edge sweep, and every later call on the same graph
+    reuses the index arrays.
     """
+    csr = graph.freeze() if isinstance(graph, WeightedGraph) else graph
     sources = _normalize_sources(csr, sources)
-    n = csr.n
-    indptr, indices, weights, verts = csr.indptr, csr.indices, csr.weights, csr.verts
-    dist: List[float] = [INF] * n
-    parent: List[int] = [-2] * n  # -2 = untouched, -1 = source
-    heap: List[Tuple[float, int]] = []
-    for s in sources:
-        i = csr.index_of(s)
-        dist[i] = 0.0
-        parent[i] = -1
-        heap.append((0.0, i))
-    heapq.heapify(heap)
-    push, pop = heapq.heappush, heapq.heappop
-    while heap:
-        d, u = pop(heap)
-        if d > dist[u]:
-            continue  # stale entry
-        a, b = indptr[u], indptr[u + 1]
-        for v, w in zip(indices[a:b], weights[a:b]):
-            nd = d + w
-            if nd < dist[v]:
-                dist[v] = nd
-                parent[v] = u
-                push(heap, (nd, v))
-    out_dist: Dict[Vertex, float] = {}
-    out_parent: Dict[Vertex, Optional[Vertex]] = {}
-    for i in range(n):
-        p = parent[i]
-        if p == -2:
-            continue
-        out_dist[verts[i]] = dist[i]
-        out_parent[verts[i]] = None if p == -1 else verts[p]
-    return out_dist, out_parent
-
-
-def dijkstra(
-    graph: GraphLike,
-    sources: Iterable[Vertex] | Vertex,
-    weight_override: Optional[Dict[Tuple[Vertex, Vertex], float]] = None,
-    kernel: str = "python",
-) -> Tuple[Dict[Vertex, float], Dict[Vertex, Optional[Vertex]]]:
-    """Multi-source Dijkstra.
-
-    Parameters
-    ----------
-    graph:
-        The weighted graph — either a :class:`WeightedGraph` or a frozen
-        :class:`CSRGraph` (the latter takes the indexed fast path).
-    sources:
-        A single vertex or an iterable of source vertices (all at
-        distance 0).
-    weight_override:
-        Optional map from canonical edges to replacement weights.  A
-        falsy override (``None`` *or* an empty dict) overrides nothing,
-        so both take the indexed CSR fast path.
-    kernel:
-        SSSP backend: ``"python"`` (default), ``"numpy"``, or ``"auto"``
-        — resolved by :mod:`repro.kernels`.  Distances agree to 1e-9
-        across backends; parent choices may differ on equal-length ties
-        (both are witness shortest paths).  Ignored with a
-        ``weight_override`` (the dict path has no CSR to hand a kernel).
-
-    Returns
-    -------
-    (dist, parent):
-        ``dist[v]`` is the distance from the nearest source (vertices
-        unreachable from every source are absent); ``parent[v]`` is the
-        predecessor on a shortest path (``None`` for sources).
-
-    Raises
-    ------
-    ValueError
-        On an empty source set or a non-vertex string source.
-    """
-    if not weight_override:
-        # a full SSSP is Ω(m) anyway, so freezing (cached on the graph,
-        # invalidated by mutation) costs at most one extra edge sweep and
-        # every later call on the same graph rides the indexed fast path
-        if isinstance(graph, WeightedGraph):
-            graph = graph.freeze()
-        if kernel != "python":
-            return _kernel_dijkstra(graph, sources, kernel)
-        return _csr_dijkstra(graph, sources)
-    return _dict_dijkstra(graph, sources, weight_override)
-
-
-def _kernel_dijkstra(
-    csr: CSRGraph, sources: Iterable[Vertex] | Vertex, kernel: str
-) -> Tuple[Dict[Vertex, float], Dict[Vertex, Optional[Vertex]]]:
-    """:func:`_csr_dijkstra` through the :mod:`repro.kernels` dispatch.
-
-    The kernels layer works on raw CSR columns and dense indices; this
-    wrapper owns the label translation on both sides, so the public
-    dict-shaped contract is identical for every backend.
-    """
-    from repro.kernels import sssp as kernel_sssp
-
-    sources = _normalize_sources(csr, sources)
-    dist, parent = kernel_sssp(
+    dist, parent = pykern.sssp(
         csr.indptr, csr.indices, csr.weights,
-        [csr.index_of(s) for s in sources], kernel=kernel,
+        [csr.index_of(s) for s in sources], cap,
     )
     verts = csr.verts
     out_dist: Dict[Vertex, float] = {}
     out_parent: Dict[Vertex, Optional[Vertex]] = {}
     for i in range(csr.n):
         p = parent[i]
-        if p == -2:
+        if p == pykern.PARENT_UNREACHED:
             continue
         out_dist[verts[i]] = dist[i]
-        out_parent[verts[i]] = None if p == -1 else verts[p]
+        out_parent[verts[i]] = None if p == pykern.PARENT_SOURCE else verts[p]
     return out_dist, out_parent
 
 
-def _dict_dijkstra(
-    graph: GraphLike,
-    sources: Iterable[Vertex] | Vertex,
-    weight_override: Optional[Dict[Tuple[Vertex, Vertex], float]] = None,
+def dijkstra(
+    graph: GraphLike, sources: Iterable[Vertex] | Vertex
 ) -> Tuple[Dict[Vertex, float], Dict[Vertex, Optional[Vertex]]]:
-    """Label-keyed Dijkstra over the adjacency-map API.
+    """Multi-source Dijkstra.
 
-    The general path: handles ``weight_override`` and any graph exposing
-    ``neighbor_items``.  Kept separate so benchmarks can compare it
-    against the CSR fast path directly.
-    """
-    sources = _normalize_sources(graph, sources)
-    dist: Dict[Vertex, float] = {}
-    parent: Dict[Vertex, Optional[Vertex]] = {}
-    heap: List[Tuple[float, int, Vertex]] = []
-    counter = 0
-    for s in sources:
-        dist[s] = 0.0
-        parent[s] = None
-        heapq.heappush(heap, (0.0, counter, s))
-        counter += 1
-    settled = set()
-    while heap:
-        d, _, u = heapq.heappop(heap)
-        if u in settled:
-            continue
-        settled.add(u)
-        for v, w in graph.neighbor_items(u):
-            if weight_override is not None:
-                w = weight_override.get(canonical_edge(u, v), w)
-            nd = d + w
-            if nd < dist.get(v, INF):
-                dist[v] = nd
-                parent[v] = u
-                heapq.heappush(heap, (nd, counter, v))
-                counter += 1
-    return dist, parent
+    Parameters
+    ----------
+    graph:
+        The weighted graph — either a :class:`WeightedGraph` (frozen to
+        its cached CSR view) or a :class:`CSRGraph`.
+    sources:
+        A single vertex or an iterable of source vertices (all at
+        distance 0).
 
-
-def dijkstra_path(
-    graph: WeightedGraph, source: Vertex, target: Vertex
-) -> Tuple[float, List[Vertex]]:
-    """Distance and one shortest path from ``source`` to ``target``.
+    Returns
+    -------
+    (dist, parent):
+        ``dist[v]`` is the distance from the nearest source (vertices
+        unreachable from every source are absent); ``parent[v]`` is the
+        predecessor on a shortest path (``None`` for sources).  Both
+        dicts list vertices in CSR index order.
 
     Raises
     ------
     ValueError
-        If ``target`` is unreachable from ``source``.
+        On an empty source set or a non-vertex string source.
     """
-    dist, parent = dijkstra(graph, source)
-    if target not in dist:
-        raise ValueError(f"{target!r} unreachable from {source!r}")
-    path = [target]
-    while parent[path[-1]] is not None:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return dist[target], path
+    return _labelled_sssp(graph, sources, None)
 
 
 def bounded_dijkstra(
@@ -245,63 +120,23 @@ def bounded_dijkstra(
 
     Only vertices at distance ``<= radius`` from the nearest source
     appear in the output.  This is the sequential analogue of the
-    Δ-bounded explorations of §7; out-of-radius labels are never pushed,
-    so the heap holds the ball and nothing else.  (The bounded-radius
-    certification engine in :mod:`repro.analysis.certify` is the batched,
-    target-tracking sibling of this primitive.)
+    Δ-bounded explorations of §7; the kernel never sets a label above
+    ``radius``, so the heap holds the ball and nothing else.  (The
+    bounded-radius certification engine in :mod:`repro.analysis.certify`
+    is the batched, target-tracking sibling of this primitive.)
 
     Like :func:`dijkstra`, ``sources`` may be a single vertex or an
-    iterable of vertices (all at distance 0).  A :class:`WeightedGraph`
-    input is frozen to its cached CSR view first — a bounded exploration
-    is exactly the repeated-call pattern the cache exists for.
+    iterable of vertices (all at distance 0), and a
+    :class:`WeightedGraph` input is frozen to its cached CSR view first —
+    a bounded exploration is exactly the repeated-call pattern the cache
+    exists for.
 
     Raises
     ------
     ValueError
         On an empty source set or a non-vertex string source.
     """
-    if isinstance(graph, WeightedGraph):
-        graph = graph.freeze()
-    return _csr_bounded_dijkstra(graph, sources, radius)
-
-
-def _csr_bounded_dijkstra(
-    csr: CSRGraph, sources: Iterable[Vertex] | Vertex, radius: float
-) -> Tuple[Dict[Vertex, float], Dict[Vertex, Optional[Vertex]]]:
-    """Indexed multi-source variant of :func:`bounded_dijkstra`."""
-    sources = _normalize_sources(csr, sources)
-    n = csr.n
-    indptr, indices, weights, verts = csr.indptr, csr.indices, csr.weights, csr.verts
-    dist: List[float] = [INF] * n
-    parent: List[int] = [-2] * n
-    heap: List[Tuple[float, int]] = []
-    for s in sources:
-        i = csr.index_of(s)
-        dist[i] = 0.0
-        parent[i] = -1
-        heap.append((0.0, i))
-    heapq.heapify(heap)
-    push, pop = heapq.heappush, heapq.heappop
-    while heap:
-        d, u = pop(heap)
-        if d > dist[u]:
-            continue
-        a, b = indptr[u], indptr[u + 1]
-        for v, w in zip(indices[a:b], weights[a:b]):
-            nd = d + w
-            if nd <= radius and nd < dist[v]:
-                dist[v] = nd
-                parent[v] = u
-                push(heap, (nd, v))
-    out_dist: Dict[Vertex, float] = {}
-    out_parent: Dict[Vertex, Optional[Vertex]] = {}
-    for i in range(n):
-        p = parent[i]
-        if p == -2:
-            continue
-        out_dist[verts[i]] = dist[i]
-        out_parent[verts[i]] = None if p == -1 else verts[p]
-    return out_dist, out_parent
+    return _labelled_sssp(graph, sources, radius)
 
 
 def all_pairs_shortest_paths(graph: GraphLike) -> Dict[Vertex, Dict[Vertex, float]]:
@@ -331,23 +166,10 @@ def eccentricity(graph: GraphLike, v: Vertex) -> float:
 
 
 def hop_distances(graph: GraphLike, source: Vertex) -> Dict[Vertex, int]:
-    """Unweighted (hop) distances from ``source`` via BFS."""
-    if isinstance(graph, CSRGraph):
-        verts = graph.verts
-        return {
-            verts[i]: d for i, d in _csr_hop_distances(graph, graph.index_of(source))
-        }
-    dist = {source: 0}
-    frontier = [source]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in graph.neighbors(u):
-                if v not in dist:
-                    dist[v] = dist[u] + 1
-                    nxt.append(v)
-        frontier = nxt
-    return dist
+    """Unweighted (hop) distances from ``source`` via BFS over the CSR view."""
+    csr = graph.freeze() if isinstance(graph, WeightedGraph) else graph
+    verts = csr.verts
+    return {verts[i]: d for i, d in _csr_hop_distances(csr, csr.index_of(source))}
 
 
 def _csr_hop_distances(csr: CSRGraph, src: int) -> List[Tuple[int, int]]:
@@ -411,32 +233,4 @@ def hop_diameter(graph: GraphLike) -> int:
         if reached != n:
             raise ValueError("hop diameter undefined: graph is disconnected")
         best = max(best, depth)
-    return best
-
-
-def weak_diameter(graph: GraphLike, cluster: Iterable[Vertex]) -> float:
-    """Weak diameter of a cluster: max d_G(u, v) over u, v in the cluster (§2)."""
-    cluster = list(cluster)
-    csr = graph.freeze() if isinstance(graph, WeightedGraph) else graph
-    best = 0.0
-    for v in cluster:
-        dist, _ = dijkstra(csr, v)
-        for u in cluster:
-            if u not in dist:
-                return INF
-            best = max(best, dist[u])
-    return best
-
-
-def strong_diameter(graph: GraphLike, cluster: Iterable[Vertex]) -> float:
-    """Strong diameter: max distance inside the induced subgraph ``G[C]`` (§2)."""
-    if isinstance(graph, CSRGraph):
-        graph = graph.to_weighted()
-    sub = graph.subgraph(cluster).freeze()
-    best = 0.0
-    for v in sub.vertices():
-        dist, _ = dijkstra(sub, v)
-        if len(dist) != sub.n:
-            return INF
-        best = max(best, max(dist.values()))
     return best

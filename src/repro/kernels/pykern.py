@@ -12,7 +12,10 @@ and the ``memoryview`` columns an mmap-ed
 Cap contract (shared with :mod:`repro.kernels.npkern`): with a finite
 ``cap``, every vertex whose true distance is ``<= cap`` is settled
 exactly; entries beyond the cap are either valid upper bounds or
-``inf`` — callers must not read them as exact.
+``inf`` — callers must not read them as exact.  This kernel never sets
+a label above the cap, so here every entry beyond it is ``inf`` with
+parent ``-2``: the ball ``B(sources, cap)`` exactly, which is what
+:func:`repro.graphs.shortest_paths.bounded_dijkstra` returns.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import List, Optional, Sequence, Tuple
 
 INF = float("inf")
 
-#: parent-array sentinels, matching ``shortest_paths._csr_dijkstra``
+#: parent-array sentinels, shared with :mod:`repro.kernels.npkern`
 PARENT_SOURCE = -1
 PARENT_UNREACHED = -2
 
@@ -39,9 +42,11 @@ def sssp(
     Returns flat ``(dist, parent)`` lists of length ``n``; ``parent[v]``
     is ``-1`` for sources, ``-2`` for unreached vertices, else the
     predecessor index on a shortest path.  Duplicate sources are
-    harmless.
+    harmless.  A label above ``cap`` is never set, so vertices farther
+    than ``cap`` from every source come back unreached.
     """
     n = len(indptr) - 1
+    bound = INF if cap is None else cap
     dist: List[float] = [INF] * n
     parent: List[int] = [PARENT_UNREACHED] * n
     heap: List[Tuple[float, int]] = []
@@ -55,13 +60,11 @@ def sssp(
     while heap:
         d, u = pop(heap)
         if d > dist[u]:
-            continue
-        if cap is not None and d > cap:
-            break  # all vertices with true dist <= cap are already settled
-        for e in range(indptr[u], indptr[u + 1]):
-            v = indices[e]
-            nd = d + weights[e]
-            if nd < dist[v]:
+            continue  # stale entry
+        a, b = indptr[u], indptr[u + 1]
+        for v, w in zip(indices[a:b], weights[a:b]):
+            nd = d + w
+            if nd < dist[v] and nd <= bound:
                 dist[v] = nd
                 parent[v] = u
                 push(heap, (nd, v))

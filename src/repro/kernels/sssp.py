@@ -1,10 +1,13 @@
 """Kernel-dispatching SSSP entry points.
 
-Callers across the stack — ``shortest_paths``, the certify engine,
-landmark selection, the harness — funnel through these three functions
-with raw CSR columns and a ``kernel`` name; resolution happens here
-(see :mod:`repro.kernels.dispatch`), and the numpy backend is only
-imported after it resolved, so the module itself is stdlib-safe.
+The oracle (landmark potentials and batched ``query_many``) and the
+harness's kernel profiles call these three functions with raw CSR
+columns and a ``kernel`` name; resolution happens here (see
+:mod:`repro.kernels.dispatch`), and the numpy backend is only imported
+after it resolved, so the module itself is stdlib-safe.  The label-keyed
+``dijkstra`` and ``bounded_dijkstra`` of
+:mod:`repro.graphs.shortest_paths` have no backend to choose and call
+:func:`repro.kernels.pykern.sssp` directly.
 
 Outputs are normalized to plain Python containers (lists of floats /
 ints), because every caller immediately builds label-keyed dicts or

@@ -27,9 +27,8 @@ matters; two seeded strategies are provided:
 
 from __future__ import annotations
 
-import heapq
 import random
-from typing import Callable, List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.graphs.csr import CSRGraph
 
@@ -39,41 +38,17 @@ INF = float("inf")
 STRATEGIES = ("far", "degree")
 
 
-def _sssp(csr: CSRGraph, src: int) -> List[float]:
-    """Plain full Dijkstra from dense index ``src`` (one potential array)."""
-    n = csr.n
-    indptr, indices, weights = csr.indptr, csr.indices, csr.weights
-    dist = [INF] * n
-    dist[src] = 0.0
-    heap: List[Tuple[float, int]] = [(0.0, src)]
-    push, pop = heapq.heappush, heapq.heappop
-    while heap:
-        d, u = pop(heap)
-        if d > dist[u]:
-            continue
-        for s in range(indptr[u], indptr[u + 1]):
-            v = indices[s]
-            nd = d + weights[s]
-            if nd < dist[v]:
-                dist[v] = nd
-                push(heap, (nd, v))
-    return dist
-
-
 def _far_sampling(
-    csr: CSRGraph,
-    count: int,
-    rng: random.Random,
-    run_sssp: Optional[Callable[[CSRGraph, int], List[float]]] = None,
+    csr: CSRGraph, count: int, rng: random.Random, kernel: str
 ) -> Tuple[List[int], List[List[float]]]:
     """Farthest-point sampling over the structure's own metric.
 
     Returns the chosen landmarks *and* each one's full distance array —
     selection needs exactly the Dijkstras the oracle's ALT potentials
     are made of, so the caller reuses them instead of recomputing.
-    ``run_sssp`` swaps the per-round SSSP (the kernels dispatch path);
-    the default is the local heap Dijkstra.
     """
+    from repro.kernels import sssp
+
     n = csr.n
     chosen = [rng.randrange(n)]
     potentials: List[List[float]] = []
@@ -81,7 +56,9 @@ def _far_sampling(
     # one Dijkstra from it, min-merged into the running array
     best = [INF] * n
     while True:
-        dist = (run_sssp or _sssp)(csr, chosen[-1])
+        dist = sssp(
+            csr.indptr, csr.indices, csr.weights, [chosen[-1]], kernel=kernel
+        )[0]
         potentials.append(dist)
         for v in range(n):
             if dist[v] < best[v]:
@@ -143,10 +120,11 @@ def landmarks_with_potentials(
     selection itself is backend-independent — distances agree to 1e-9,
     and both the ``"far"`` argmax and the ``"degree"`` ordering depend
     only on distances/degrees — so a fixed ``(strategy, seed)`` picks
-    the same landmarks on every kernel.  Under ``"numpy"`` the
-    ``"degree"`` strategy computes all its potentials as one batched
-    matrix SSSP; ``"far"`` stays one (vectorized) SSSP per round, since
-    each round's source depends on the previous round's distances.
+    the same landmarks on every kernel.  The ``"degree"`` strategy
+    computes all its potentials in one :func:`repro.kernels.sssp_matrix`
+    call (one matrix pass under ``"numpy"``); ``"far"`` makes one
+    :func:`repro.kernels.sssp` call per round, since each round's source
+    depends on the previous round's distances.
 
     Raises
     ------
@@ -165,25 +143,12 @@ def landmarks_with_potentials(
     rng = random.Random(seed)
     # resolve once: an explicit "numpy" on a numpy-less host must raise
     # here, not silently run the python loop
-    from repro.kernels import resolve_kernel
+    from repro.kernels import resolve_kernel, sssp_matrix
 
     backend = resolve_kernel(kernel)
     if strategy == "degree":
         chosen = _by_degree(csr, count, rng)
-        if backend == "numpy":
-            from repro.kernels import sssp_matrix
-
-            return chosen, sssp_matrix(
-                csr.indptr, csr.indices, csr.weights, chosen, kernel=backend
-            )
-        return chosen, [_sssp(csr, i) for i in chosen]
-    if backend == "numpy":
-        from repro.kernels import sssp as kernel_sssp
-
-        return _far_sampling(
-            csr, count, rng,
-            run_sssp=lambda c, s: kernel_sssp(
-                c.indptr, c.indices, c.weights, [s], kernel="numpy"
-            )[0],
+        return chosen, sssp_matrix(
+            csr.indptr, csr.indices, csr.weights, chosen, kernel=backend
         )
-    return _far_sampling(csr, count, rng)
+    return _far_sampling(csr, count, rng, backend)

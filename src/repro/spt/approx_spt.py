@@ -19,6 +19,7 @@ once, uniform across constructions).
 
 from __future__ import annotations
 
+import heapq
 import math
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
@@ -27,6 +28,8 @@ from repro.graphs.csr import CSRGraph, round_up_weight
 from repro.graphs.shortest_paths import dijkstra
 from repro.graphs.weighted_graph import Vertex, WeightedGraph
 from repro.spt.tree import SPTree
+
+INF = float("inf")
 
 
 def bkkl_round_cost(n: int, height: int, eps: float) -> int:
@@ -143,72 +146,17 @@ def bounded_approx_spt(
     So a call with any radius in ``[radius, clip)`` makes every decision
     the same way, in the same order, and returns an equal result —
     ``clip`` included.  The §7 construction uses this to skip repeated
-    explorations across scales.  A :class:`CSRGraph` input runs over its
-    index arrays and relaxes over :meth:`CSRGraph.rounded_weights`, the
-    rounded column cached on the frozen graph, so every weight is
-    rounded once per ε rather than once per relaxation.
+    explorations across scales.  A :class:`WeightedGraph` input is frozen
+    to its cached CSR view first, so :func:`repro.core.nets.build_net`
+    and the doubling spanner run the same loop.  The search relaxes over
+    :meth:`CSRGraph.rounded_weights`, the rounded column cached on the
+    frozen graph, so every weight is rounded once per ε rather than once
+    per relaxation.
     """
-    import heapq
-
-    if isinstance(graph, CSRGraph):
-        return _csr_bounded_approx_spt(graph, sources, radius, eps)
-
-    if eps > 0:
-        def weight_of(u: Vertex, v: Vertex) -> float:
-            return round_up_weight(graph.weight(u, v), eps)
-    else:
-        weight_of = graph.weight
-
-    inf = float("inf")
-    dist: Dict[Vertex, float] = {}
-    true_dist: Dict[Vertex, float] = {}
-    parent: Dict[Vertex, Optional[Vertex]] = {}
-    origin: Dict[Vertex, Vertex] = {}
-    heap: List[Tuple[float, int, Vertex]] = []
-    clip = inf
-    counter = 0
-    for s in sources:
-        dist[s] = 0.0
-        true_dist[s] = 0.0
-        parent[s] = None
-        origin[s] = s
-        heapq.heappush(heap, (0.0, counter, s))
-        counter += 1
-    settled = set()
-    while heap:
-        d, _, u = heapq.heappop(heap)
-        if u in settled:
-            continue
-        settled.add(u)
-        for v, w in graph.neighbor_items(u):
-            nd = d + weight_of(u, v)
-            if nd < dist.get(v, inf):
-                nt = true_dist[u] + w
-                if nt <= radius:
-                    dist[v] = nd
-                    true_dist[v] = nt
-                    parent[v] = u
-                    origin[v] = origin[u]
-                    heapq.heappush(heap, (nd, counter, v))
-                    counter += 1
-                elif nt < clip:
-                    clip = nt
-    return BoundedSPT(true_dist, parent, origin, clip)
-
-
-def _csr_bounded_approx_spt(
-    csr: CSRGraph,
-    sources: Iterable[Vertex],
-    radius: float,
-    eps: float,
-) -> BoundedSPT:
-    """Indexed variant of :func:`bounded_approx_spt` over a CSR graph."""
-    import heapq
-
+    csr = graph.freeze() if isinstance(graph, WeightedGraph) else graph
     n = csr.n
     indptr, indices, weights, verts = csr.indptr, csr.indices, csr.weights, csr.verts
     rounded = csr.rounded_weights(eps)
-    INF = float("inf")
     dist: List[float] = [INF] * n
     true_dist: List[float] = [INF] * n
     parent: List[int] = [-2] * n

@@ -509,21 +509,12 @@ class TestVerifierFixes:
 
 
 class TestDijkstraRegressions:
-    def test_empty_weight_override_takes_csr_fast_path(self):
-        g = path_graph(5, [1.0, 2.0, 3.0, 4.0])
-        with_none, _ = dijkstra(g, 0, weight_override=None)
-        with_empty, _ = dijkstra(g, 0, weight_override={})
-        assert with_none == with_empty
-        assert g._csr_cache is not None  # the empty dict froze the graph too
-
     def test_empty_sources_raise(self):
         g = path_graph(3)
         with pytest.raises(ValueError, match="at least one source"):
             dijkstra(g, [])
         with pytest.raises(ValueError, match="at least one source"):
             dijkstra(g.freeze(), iter(()))
-        with pytest.raises(ValueError, match="at least one source"):
-            dijkstra(g, [], weight_override={(0, 1): 5.0})
         with pytest.raises(ValueError, match="at least one source"):
             bounded_dijkstra(g, [], 2.0)
 

@@ -8,7 +8,7 @@ The suite fuzzes that contract over every smoke-tier harness profile
 plus the adversarial shapes vectorized relaxation gets wrong first
 (zero-weight edges, disconnected components, isolated vertices,
 duplicate sources), and then checks the kernel= plumbing end to end:
-dijkstra, stretch certification, the oracle, and the harness profile.
+stretch certification, the oracle, and the harness profile.
 
 numpy-side tests skip cleanly when numpy is absent — the no-numpy CI
 leg runs exactly the python half of this file.
@@ -21,7 +21,6 @@ import math
 import pytest
 
 from repro.graphs import WeightedGraph, erdos_renyi_graph, ring_chords_graph
-from repro.graphs.shortest_paths import dijkstra
 from repro.harness import all_profiles, get_profile, run_profile
 from repro.kernels import (
     KERNELS,
@@ -145,14 +144,19 @@ def test_python_kernel_duplicate_sources():
 def test_python_kernel_cap_contract():
     g = erdos_renyi_graph(60, 0.08, seed=3)
     ip, idx, w = _csr_columns(g)
-    exact, _ = sssp(ip, idx, w, [0])
+    exact, exact_parent = sssp(ip, idx, w, [0])
     cap = sorted(d for d in exact if not math.isinf(d))[len(exact) // 3]
-    capped, _ = sssp(ip, idx, w, [0], cap=cap)
+    capped, parent = sssp(ip, idx, w, [0], cap=cap)
+    beyond = 0
     for v, d in enumerate(exact):
         if d <= cap:
-            assert abs(capped[v] - d) <= 1e-9  # within cap: exact
+            assert capped[v] == d  # within cap: exact
+            assert parent[v] == exact_parent[v]
         else:
-            assert capped[v] >= d - 1e-9  # beyond: upper bound or inf
+            # the python kernel never sets a label above the cap
+            assert math.isinf(capped[v]) and parent[v] == -2
+            beyond += 1
+    assert beyond > 0
 
 
 def test_residual_detects_perturbation():
@@ -237,19 +241,6 @@ def test_numpy_parent_witnesses():
 # ----------------------------------------------------- kernel= integration
 
 @needs_numpy
-def test_dijkstra_kernel_flag():
-    g = erdos_renyi_graph(60, 0.08, seed=4)
-    base_d, _ = dijkstra(g, 0)
-    np_d, np_p = dijkstra(g, 0, kernel="numpy")
-    assert set(base_d) == set(np_d)
-    for v, d in base_d.items():
-        assert abs(np_d[v] - d) <= 1e-9
-    for v, p in np_p.items():
-        if p is not None:
-            assert abs(np_d[v] - (np_d[p] + g.weight(p, v))) <= 1e-9
-
-
-@needs_numpy
 def test_certify_kernel_flag():
     from repro.analysis import max_edge_stretch
     from repro.analysis.certify import certify_edge_stretch
@@ -273,12 +264,15 @@ def test_certify_kernel_flag():
 
 
 @needs_numpy
-def test_oracle_kernel_flag():
+@pytest.mark.parametrize("strategy", ["far", "degree"])
+def test_oracle_kernel_flag(strategy):
     from repro.oracle import DistanceOracle
 
     g = erdos_renyi_graph(40, 0.15, seed=8)
-    base = DistanceOracle.build(g, landmarks=4, seed=0)
-    fast = DistanceOracle.build(g, landmarks=4, seed=0, kernel="numpy")
+    base = DistanceOracle.build(g, landmarks=4, strategy=strategy, seed=0)
+    fast = DistanceOracle.build(
+        g, landmarks=4, strategy=strategy, seed=0, kernel="numpy"
+    )
     # backend-independent selection: same landmarks, same answers
     assert base.landmarks == fast.landmarks
     verts = sorted(g.vertices(), key=repr)

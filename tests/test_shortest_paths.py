@@ -6,7 +6,6 @@ from repro.graphs import (
     WeightedGraph,
     cycle_graph,
     dijkstra,
-    dijkstra_path,
     bounded_dijkstra,
     all_pairs_shortest_paths,
     eccentricity,
@@ -15,7 +14,6 @@ from repro.graphs import (
     hop_diameter,
     path_graph,
 )
-from repro.graphs.shortest_paths import path_weight, strong_diameter, weak_diameter
 
 
 class TestDijkstra:
@@ -46,24 +44,6 @@ class TestDijkstra:
         g.add_edge(0, 1, 1.0)
         dist, _ = dijkstra(g, 0)
         assert 2 not in dist
-
-    def test_weight_override(self):
-        g = path_graph(3, [1.0, 1.0])
-        dist, _ = dijkstra(g, 0, weight_override={(1, 2): 10.0})
-        assert dist[2] == 11.0
-
-
-class TestDijkstraPath:
-    def test_returns_actual_path(self, triangle):
-        d, path = dijkstra_path(triangle, 0, 2)
-        assert d == pytest.approx(2.5)
-        assert path == [0, 2]
-        assert path_weight(triangle, path) == pytest.approx(d)
-
-    def test_unreachable_raises(self):
-        g = WeightedGraph(range(2))
-        with pytest.raises(ValueError):
-            dijkstra_path(g, 0, 1)
 
 
 class TestBoundedDijkstra:
@@ -125,19 +105,6 @@ class TestDiameters:
         g = path_graph(4, [1.0, 1.0, 1.0])
         assert eccentricity(g, 0) == 3.0
         assert eccentricity(g, 1) == 2.0
-
-    def test_weak_vs_strong_diameter(self):
-        # cluster {0, 2} in a triangle with a shortcut through 1
-        g = WeightedGraph()
-        g.add_edge(0, 1, 1.0)
-        g.add_edge(1, 2, 1.0)
-        g.add_edge(0, 2, 5.0)
-        assert weak_diameter(g, [0, 2]) == pytest.approx(2.0)
-        assert strong_diameter(g, [0, 2]) == pytest.approx(5.0)
-
-    def test_strong_diameter_disconnected_cluster(self):
-        g = path_graph(3)
-        assert strong_diameter(g, [0, 2]) == float("inf")
 
     def test_all_pairs_symmetric(self, small_er):
         apsp = all_pairs_shortest_paths(small_er)
