@@ -13,6 +13,11 @@ Both sides take the min over ``REPEATS`` timed runs — wall-clock noise
 on shared machines swings either side by tens of percent, and the
 minimum is the standard low-variance estimator for CPU-bound loops.
 
+When scipy imports, ``scipy.sparse.csgraph.dijkstra`` runs the same
+sources over the same columns as a compiled reference floor.  That row
+is report-only: it is never gated, ``--check`` does not read it, and
+scipy is not a dependency — without it the row is skipped.
+
 Committed evidence files (CI's ``kernels-smoke`` job gates on them):
 
 * ``benchmarks/BENCH_kernels_speedup.txt`` — the human-readable table;
@@ -69,6 +74,25 @@ def _min_timed(fn, repeats=REPEATS):
     return result, best
 
 
+def _scipy_floor(ip, idx, w, n, sources):
+    """``(seconds, matrix, version)`` of ``scipy.sparse.csgraph.dijkstra``
+    on the same columns and sources, or None when scipy does not import."""
+    try:
+        import numpy as np
+        import scipy
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import dijkstra
+    except ImportError:
+        return None
+    graph = csr_matrix(
+        (np.asarray(w), np.asarray(idx), np.asarray(ip)), shape=(n, n)
+    )
+    matrix, seconds = _min_timed(
+        lambda: dijkstra(graph, directed=True, indices=sources)
+    )
+    return seconds, matrix, scipy.__version__
+
+
 def run() -> int:
     from repro.kernels import ensure_packed, has_numpy, load_packed, npkern, pykern
 
@@ -107,13 +131,19 @@ def run() -> int:
             lambda: npkern.residual_matrix_prepared(prep, np_matrix)
         )
 
+        # ---- report-only floor: scipy's compiled Dijkstra, if present
+        floor = _scipy_floor(ip, idx, w, pg.n, sources)
+
         # parity spot-check before any timing is trusted: one full row
-        row0 = np_matrix[0]
-        for v in range(0, pg.n, max(1, pg.n // 5000)):
-            if abs(py_matrix[0][v] - float(row0[v])) > 1e-9:
-                print(f"FATAL: kernels disagree at vertex {v}: "
-                      f"{py_matrix[0][v]!r} vs {float(row0[v])!r}")
-                return 1
+        rows = {"numpy": np_matrix[0]}
+        if floor is not None:
+            rows["scipy"] = floor[1][0]
+        for name, row0 in rows.items():
+            for v in range(0, pg.n, max(1, pg.n // 5000)):
+                if abs(py_matrix[0][v] - float(row0[v])) > 1e-9:
+                    print(f"FATAL: python and {name} disagree at vertex {v}: "
+                          f"{py_matrix[0][v]!r} vs {float(row0[v])!r}")
+                    return 1
         m_arcs = pg.m_arcs
     finally:
         pg.close()
@@ -144,7 +174,15 @@ def run() -> int:
         f"acceptance bar >= {REQUIRED_SPEEDUP:.0f}x)",
         f"certified: residual {max(py_worst, np_worst):.2e}, "
         f"0 unsettled arcs on both kernels",
+        "",
     ]
+    if floor is None:
+        lines.append("floor: skipped (scipy is not installed)")
+    else:
+        lines.append(
+            f"floor: scipy {floor[2]} sparse.csgraph.dijkstra, same "
+            f"{SOURCES} sources: {floor[0]:.3f}s (report-only, never gated)"
+        )
     TXT_PATH.write_text("\n".join(lines) + "\n")
     print("\n".join(lines))
 
@@ -163,6 +201,8 @@ def run() -> int:
         "unsettled_arcs": int(py_unsettled + np_unsettled),
         "repeats": REPEATS,
         "required_speedup": REQUIRED_SPEEDUP,
+        "scipy_sssp_seconds": None if floor is None else round(floor[0], 4),
+        "scipy_version": None if floor is None else floor[2],
     }
     JSON_PATH.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     print(f"\nwrote {TXT_PATH.name} and {JSON_PATH.name}")
