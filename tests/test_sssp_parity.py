@@ -187,7 +187,8 @@ KINDS = ("weighted", "csr", "strings")
 
 def _graph(family: str, factor: float) -> WeightedGraph:
     if family == "er":
-        g = erdos_renyi_graph(40, 0.08, seed=3)  # sparse: unreachable parts
+        g = erdos_renyi_graph(40, 0.08, seed=3)
+        g.add_edge(40, 41, 1.0)  # a component no source reaches
     elif family == "geometric":
         g = random_geometric_graph(40, seed=5)
     else:
