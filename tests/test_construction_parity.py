@@ -1,0 +1,404 @@
+"""§4/§5 building blocks against verbatim copies of their earlier code.
+
+``kruskal_mst``, ``approx_spt`` and ``elkin_neiman_spanner`` must give
+outputs equal with ``==`` and in the same insertion order as the
+references below:
+
+* ``_ref_kruskal_mst`` sorts labelled edges by ``edge_sort_key`` and
+  merges through a dict-backed union-find;
+* ``_ref_approx_spt`` copies the graph with rounded weights
+  (``WeightedGraph.reweighted``) and runs ``dijkstra`` on the copy;
+* ``_ref_elkin_neiman_spanner`` runs the k rounds over every node.
+
+The MST and SPT inputs are seeded ER graphs with integer, all-equal and
+rescaled (×1e-6, ×1e6) weights, string, mixed int/str and shuffled
+vertex labels; the SPTs run at ε ∈ {0, 0.1, 0.5, 1}.  The Elkin–Neiman
+inputs are the cluster graphs ``light_spanner`` builds, random
+adjacencies with isolated nodes and an asymmetric adjacency.  String
+labels make edge sets iterate in hash order, so every comparison is
+made within one process.
+"""
+
+from __future__ import annotations
+
+import copy
+import importlib
+import math
+import random
+from dataclasses import dataclass, field
+from typing import Dict, FrozenSet, Hashable, List, Mapping, Optional, Set, Tuple
+
+import pytest
+
+from repro.congest.ledger import RoundLedger
+from repro.core import light_spanner
+from repro.determinism import ensure_rng
+from repro.graphs import WeightedGraph, dijkstra, erdos_renyi_graph
+from repro.graphs.csr import round_up_weight
+from repro.graphs.weighted_graph import canonical_edge
+from repro.mst import kruskal_mst
+from repro.spanners import elkin_neiman_spanner, sample_shifts
+from repro.spt import approx_spt
+from repro.spt.approx_spt import bkkl_round_cost
+from repro.spt.tree import SPTree
+
+Vertex = Hashable
+Node = Hashable
+
+
+# ------------------------------------------------------------- references
+
+class _RefUnionFind:
+    def __init__(self) -> None:
+        self._parent: Dict[Vertex, Vertex] = {}
+        self._size: Dict[Vertex, int] = {}
+
+    def add(self, v: Vertex) -> None:
+        if v not in self._parent:
+            self._parent[v] = v
+            self._size[v] = 1
+
+    def find(self, v: Vertex) -> Vertex:
+        root = v
+        while self._parent[root] != root:
+            root = self._parent[root]
+        while self._parent[v] != root:  # path compression
+            self._parent[v], v = root, self._parent[v]
+        return root
+
+    def union(self, u: Vertex, v: Vertex) -> bool:
+        ru, rv = self.find(u), self.find(v)
+        if ru == rv:
+            return False
+        if self._size[ru] < self._size[rv]:
+            ru, rv = rv, ru
+        self._parent[rv] = ru
+        self._size[ru] += self._size[rv]
+        return True
+
+
+def _ref_edge_sort_key(u: Vertex, v: Vertex, w: float) -> Tuple[float, str, str]:
+    a, b = canonical_edge(u, v)
+    return (w, repr(a), repr(b))
+
+
+def _ref_kruskal_mst(graph):
+    if isinstance(graph, WeightedGraph):
+        graph = graph.freeze()
+    uf = _RefUnionFind()
+    for v in graph.vertices():
+        uf.add(v)
+    edges: List[Tuple[Vertex, Vertex, float]] = sorted(
+        graph.edges(), key=lambda e: _ref_edge_sort_key(*e)
+    )
+    tree = WeightedGraph(graph.vertices())
+    taken = 0
+    for u, v, w in edges:
+        if uf.union(u, v):
+            tree.add_edge(u, v, w)
+            taken += 1
+            if taken == graph.n - 1:
+                break
+    if taken != graph.n - 1 and graph.n > 0:
+        raise ValueError("graph is disconnected; MST does not exist")
+    return tree
+
+
+def _ref_approx_spt(graph, root, eps, bfs_height=None, ledger=None,
+                    phase="approx-spt"):
+    n = graph.n
+    height = bfs_height if bfs_height is not None else (math.isqrt(max(n - 1, 0)) + 1)
+    led = ledger if ledger is not None else RoundLedger()
+    rounds = led.charge(phase, bkkl_round_cost(n, height, max(eps, 1e-9)))
+
+    if eps > 0:
+        rounded = graph.reweighted(lambda u, v, w: round_up_weight(w, eps))
+    else:
+        rounded = graph
+    _, parent = dijkstra(rounded, root)
+    if len(parent) != n:
+        raise ValueError(f"graph disconnected: approximate SPT from {root!r} failed")
+
+    dist: Dict[Vertex, float] = {root: 0.0}
+    order: List[Vertex] = [root]
+    children: Dict[Vertex, List[Vertex]] = {v: [] for v in parent}
+    for v, p in parent.items():
+        if p is not None:
+            children[p].append(v)
+    idx = 0
+    while idx < len(order):
+        u = order[idx]
+        idx += 1
+        for c in children[u]:
+            dist[c] = dist[u] + graph.weight(u, c)
+            order.append(c)
+
+    return SPTree(root=root, parent=parent, dist=dist, rounds=rounds)
+
+
+@dataclass
+class _RefRun:
+    edges: Set[FrozenSet[Node]]
+    shifts: Dict[Node, float]
+    rounds: int
+    messages_per_round: List[int] = field(default_factory=list)
+
+
+def _ref_elkin_neiman_spanner(
+    adjacency: Mapping[Node, Set[Node]],
+    k: int,
+    rng: Optional[random.Random] = None,
+    beta: Optional[float] = None,
+    shifts: Optional[Dict[Node, float]] = None,
+) -> _RefRun:
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    rng = ensure_rng(rng)
+    nodes = list(adjacency)
+    if shifts is None:
+        shifts = sample_shifts(nodes, k, rng, beta)
+
+    n_nodes = len(nodes)
+    node_index = {x: i for i, x in enumerate(nodes)}
+    repr_rank = {i: r for r, i in enumerate(sorted(range(n_nodes), key=lambda i: repr(nodes[i])))}
+    indptr: List[int] = [0] * (n_nodes + 1)
+    total = 0
+    for i, x in enumerate(nodes):
+        total += len(adjacency[x])
+        indptr[i + 1] = total
+    indices: List[int] = [0] * total
+    pos = 0
+    for x in nodes:
+        row = sorted((node_index[nbr] for nbr in adjacency[x]), key=repr_rank.__getitem__)
+        for j in row:
+            indices[pos] = j
+            pos += 1
+
+    m: List[float] = [shifts[x] for x in nodes]
+    source: List[int] = list(range(n_nodes))
+    best: List[Dict[int, Tuple[float, int]]] = [{} for _ in range(n_nodes)]
+    out_src: List[int] = list(range(n_nodes))
+    out_val: List[float] = [m[i] - 1 for i in range(n_nodes)]
+    messages_per_round: List[int] = []
+
+    for _round in range(k):
+        messages_per_round.append(total)
+        new_src = list(out_src)
+        new_val = list(out_val)
+        for x in range(n_nodes):
+            bx = best[x]
+            mx = m[x]
+            sx = source[x]
+            for sender in indices[indptr[x]:indptr[x + 1]]:
+                src = out_src[sender]
+                val = out_val[sender]
+                cur = bx.get(src)
+                if cur is None or val > cur[0]:
+                    bx[src] = (val, sender)
+                if val > mx:
+                    mx = val
+                    sx = src
+            m[x] = mx
+            source[x] = sx
+            new_src[x] = sx
+            new_val[x] = mx - 1
+        out_src = new_src
+        out_val = new_val
+
+    edges: Set[FrozenSet[Node]] = set()
+    for x in range(n_nodes):
+        mx_cut = m[x] - 1
+        for src, (val, sender) in best[x].items():
+            if src == x:
+                continue
+            if val >= mx_cut:
+                edges.add(frozenset((nodes[x], nodes[sender])))
+    return _RefRun(
+        edges=edges, shifts=shifts, rounds=k, messages_per_round=messages_per_round
+    )
+
+
+# ----------------------------------------------------------------- inputs
+
+def _relabelled(g: WeightedGraph, label) -> WeightedGraph:
+    out = WeightedGraph(label(v) for v in g.vertices())
+    for u, v, w in g.edges():
+        out.add_edge(label(u), label(v), w)
+    return out
+
+
+def _shuffled(g: WeightedGraph, seed: int) -> WeightedGraph:
+    order = list(g.vertices())
+    random.Random(seed).shuffle(order)
+    edges = list(g.edges())
+    random.Random(seed + 1).shuffle(edges)
+    out = WeightedGraph(order)
+    for u, v, w in edges:
+        out.add_edge(u, v, w)
+    return out
+
+
+def _graph(name: str) -> WeightedGraph:
+    family, seed = name.rsplit("-", 1)
+    g = erdos_renyi_graph(40, 0.12, seed=int(seed))
+    if family == "er":
+        return g
+    if family == "int":
+        return g.reweighted(lambda u, v, w: float(1 + int(w) % 4))
+    if family == "equal":
+        return g.reweighted(lambda u, v, w: 1.0)
+    if family == "strings":
+        return _relabelled(g, lambda v: f"v{v}")
+    if family == "mixed":
+        return _relabelled(g, lambda v: v if v % 3 else f"s{v}")
+    if family == "shuffled":
+        return _shuffled(g, int(seed))
+    if family == "tiny":
+        return g.reweighted(lambda u, v, w: w * 1e-6)
+    if family == "huge":
+        return g.reweighted(lambda u, v, w: w * 1e6)
+    raise ValueError(family)
+
+
+GRAPHS = [
+    f"{family}-{seed}"
+    for family in ("er", "int", "equal", "strings", "mixed", "shuffled",
+                   "tiny", "huge")
+    for seed in (1, 2, 3, 4, 5)
+]
+EPSILONS = (0.0, 0.1, 0.5, 1.0)
+
+
+def _tree_snapshot(tree: WeightedGraph):
+    return (
+        list(tree.edges()),
+        [(v, list(tree.neighbor_items(v))) for v in tree.vertices()],
+    )
+
+
+def _spt_snapshot(spt: SPTree):
+    return spt.root, list(spt.parent.items()), list(spt.dist.items()), spt.rounds
+
+
+def _run_snapshot(run, rng: random.Random):
+    return (
+        list(run.edges), list(run.shifts.items()), run.rounds,
+        run.messages_per_round, rng.getstate(),
+    )
+
+
+def _random_adjacency(seed: int) -> Dict[Node, Set[Node]]:
+    """A symmetric adjacency over shuffled int and tuple labels, with
+    isolated nodes."""
+    rng = random.Random(seed)
+    size = rng.randint(1, 40)
+    nodes: List[Node] = [i if i % 4 else (i, "c") for i in range(size)]
+    rng.shuffle(nodes)
+    adjacency: Dict[Node, Set[Node]] = {x: set() for x in nodes}
+    p = rng.choice((0.0, 0.03, 0.1, 0.3))
+    for a in range(size):
+        for b in range(a + 1, size):
+            if rng.random() < p:
+                adjacency[nodes[a]].add(nodes[b])
+                adjacency[nodes[b]].add(nodes[a])
+    return adjacency
+
+
+def _cluster_graphs() -> List[Tuple[Dict[Node, Set[Node]], int, object]]:
+    """Every (adjacency, k, rng state) ``light_spanner`` hands to
+    ``elkin_neiman_spanner`` on three inputs at k = 2 and 3."""
+    calls: List[Tuple[Dict[Node, Set[Node]], int, object]] = []
+    # the package re-exports the function under the module's name
+    light_module = importlib.import_module("repro.core.light_spanner")
+    original = light_module.elkin_neiman_spanner
+
+    def recording(adjacency, k, rng=None, **kwargs):
+        calls.append((copy.deepcopy(adjacency), k, rng.getstate()))
+        return original(adjacency, k, rng, **kwargs)
+
+    light_module.elkin_neiman_spanner = recording
+    try:
+        for seed in (1, 2, 3):
+            for k in (2, 3):
+                g = erdos_renyi_graph(150, 0.08, seed=seed)
+                light_spanner(g, k, 0.25, random.Random(seed))
+    finally:
+        light_module.elkin_neiman_spanner = original
+    return calls
+
+
+# ------------------------------------------------------------------ tests
+
+class TestKruskalParity:
+    @pytest.mark.parametrize("name", GRAPHS)
+    def test_tree_and_neighbour_order_equal_reference(self, name):
+        graph = _graph(name)
+        want = _tree_snapshot(_ref_kruskal_mst(graph))
+        for _ in range(2):  # the second call reads the cached MST
+            assert _tree_snapshot(kruskal_mst(graph)) == want
+
+    @pytest.mark.parametrize("name", ["er-1", "mixed-2", "shuffled-3"])
+    def test_csr_input_equals_reference(self, name):
+        csr = _graph(name).freeze()
+        want = _tree_snapshot(_ref_kruskal_mst(csr))
+        for _ in range(2):
+            assert _tree_snapshot(kruskal_mst(csr)) == want
+
+    def test_inputs_take_both_edge_orders(self):
+        assert _graph("er-1").freeze()._sorted
+        for name in ("mixed-1", "shuffled-1"):
+            assert not _graph(name).freeze()._sorted
+
+
+class TestApproxSPTParity:
+    @pytest.mark.parametrize("eps", EPSILONS)
+    @pytest.mark.parametrize("name", GRAPHS)
+    def test_tree_equals_reference(self, name, eps):
+        graph = _graph(name)
+        verts = list(graph.vertices())
+        for root in (verts[0], verts[len(verts) // 2]):
+            for height in (None, 7):
+                want = _ref_approx_spt(graph, root, eps, height, phase="p")
+                got = approx_spt(graph, root, eps, height, phase="p")
+                assert _spt_snapshot(got) == _spt_snapshot(want)
+
+
+class TestElkinNeimanParity:
+    def test_light_spanner_cluster_graphs_equal_reference(self):
+        calls = _cluster_graphs()
+        assert len(calls) > 20
+        isolated = sum(1 for adj, _k, _s in calls for row in adj.values() if not row)
+        assert isolated > 0
+        for adjacency, k, state in calls:
+            rng_ref, rng_new = random.Random(0), random.Random(0)
+            rng_ref.setstate(state)
+            rng_new.setstate(state)
+            want = _run_snapshot(
+                _ref_elkin_neiman_spanner(adjacency, k, rng_ref), rng_ref)
+            got = _run_snapshot(elkin_neiman_spanner(adjacency, k, rng_new), rng_new)
+            assert got == want
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("seed", range(15))
+    def test_random_adjacency_equals_reference(self, seed, k):
+        adjacency = _random_adjacency(seed)
+        want_rng, got_rng = random.Random(seed), random.Random(seed)
+        want = _run_snapshot(
+            _ref_elkin_neiman_spanner(adjacency, k, want_rng), want_rng)
+        got = _run_snapshot(elkin_neiman_spanner(adjacency, k, got_rng), got_rng)
+        assert got == want
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_asymmetric_adjacency_equals_reference(self, k):
+        adjacency: Dict[Node, Set[Node]] = {
+            "a": {"b", "c"}, "b": set(), "c": {"a", "d"}, "d": set(),
+            "e": {"a", "b", "c", "d"}, "f": set(),
+        }
+        shifts = {x: 0.1 * (i + 1) for i, x in enumerate("fedcba")}
+        for kwargs in ({"shifts": shifts}, {}):
+            want_rng, got_rng = random.Random(k), random.Random(k)
+            want = _run_snapshot(
+                _ref_elkin_neiman_spanner(adjacency, k, want_rng, **kwargs), want_rng)
+            got = _run_snapshot(
+                elkin_neiman_spanner(adjacency, k, got_rng, **kwargs), got_rng)
+            assert got == want

@@ -5,7 +5,9 @@ clusters and MST fragments were rewritten to run in linear time (the
 §5 ``per_cluster`` edge-collection charge, fragment and Borůvka
 component hop diameters).  Those rewrites promise byte-identical
 output, so any change to the edges, the round ledgers or the light
-spanner's per-bucket statistics on these inputs fails here.
+spanner's per-bucket statistics on these inputs fails here.  The
+insertion-order digests hash ``list(graph.edges())`` unsorted, so they
+also pin the order in which the MST and the spanner edges were added.
 """
 
 import hashlib
@@ -20,38 +22,44 @@ from repro.mst import boruvka_mst
 
 #: name -> (edges, ledger.by_phase(), BucketStats (index, case,
 #: num_clusters, spanner_edges, rounds)) sha256 digests, plus the plain
-#: edge and bucket counts
+#: edge and bucket counts and the insertion-order edge digest
 LIGHT_GOLDEN = {
     "er400-1": (
         "df2a03217b0bacd78eeef839dc8dd71f3a054348d8d7cafadc562bec6a59e312",
         "fcbc416cad320286af54d798e8eb3a168e596375c23913c35752146d596398b0",
         "dd031bda184d511341a7bf36ed37b9ebcd2f5e0c231b53553314afc7d72c951f",
         6208, 13,
+        "5cce92c9eccc6793c7723c700e7b577c088a5a785c031ee3d9f8e71dd2eaca7c",
     ),
     "er400-2": (
         "737c820ada6fa6ee435422a1ea200548dcdbfa2256385d44c53c5532a5c842bf",
         "51e209c71a7efb20570f5de5e7c5c35f54ee10c54dd8b9883a9f9f643a2c87d4",
         "095a5f36e165d110a696cae2de6e69f0d904943b683ab182b8143a63e784124a",
         6402, 13,
+        "d9d438d21e04633689a727cbb354c9c2a79616f87118b3d841b203a1f4b0df8c",
     ),
     "er400-3": (
         "3babacf8cba8434e03161f28690b378c738ac532776f4d632da6cebbfc60bebf",
         "366053ffbc70499bbc1012e804ede35031ace045959804c2c5cc744f371aa5e1",
         "f1bfada7fd09bfee6bb27b3f0166a03cda7ac17e4707e321ce55b8bbdbe372f4",
         6508, 12,
+        "3719a48efdb2c6222f4ef53fe582e8383f5dc4bc8bcf39f3e2902f35cb6f3b56",
     ),
     "serve-mixed": (
         "0f9750e9c6a316b5cd2ab3cd1d003d29aae090205faa47d5c2ee6be85384ab03",
         "35d29d6b53de096b1e7341c84f0a2f3faaa99448e8cfe230fb30fdfcc697ab12",
         "96fac3d0c84a424b6eb853af147f6f846e3489ebab41b64c721676bc237798f2",
         5523, 7,
+        "8c87a96d6d117f4586b6a78f82ed840f9f06455c6ec5ba7dd86e2a762a21f431",
     ),
 }
 
-#: shallow_light_tree(α=5) on ER(400, 0.08, seed=1): (edges, ledger)
+#: shallow_light_tree(α=5) on ER(400, 0.08, seed=1): (edges, ledger,
+#: insertion-order edges)
 SLT_GOLDEN = (
     "cb59ab89b9166b33758090844f82384f39f4c62445621f76508fdf808d7f931f",
     "166ada8343a2d28b4939c1b5b71b63b694cc391e386d5d0430b73d48bc2d5544",
+    "207e442d85e6df3d08e4f7cd7bc9b1a55bd794ba10def5d97392528cd6dccb2b",
 )
 
 #: boruvka_mst on ER(500, 0.02, seed=3): (ledger, phases)
@@ -64,8 +72,16 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def _edge_lines(graph):
+    return [f"{u!r} {v!r} {w!r}\n" for u, v, w in graph.edges()]
+
+
 def _edges_digest(graph) -> str:
-    return _sha256("".join(sorted(f"{u!r} {v!r} {w!r}\n" for u, v, w in graph.edges())))
+    return _sha256("".join(sorted(_edge_lines(graph))))
+
+
+def _ordered_edges_digest(graph) -> str:
+    return _sha256("".join(_edge_lines(graph)))
 
 
 def _ledger_digest(ledger) -> str:
@@ -81,11 +97,12 @@ def _light_input(name):
 
 @pytest.mark.parametrize("name", sorted(LIGHT_GOLDEN))
 def test_light_spanner_matches_golden(name):
-    edges, ledger, buckets, m, num_buckets = LIGHT_GOLDEN[name]
+    edges, ledger, buckets, m, num_buckets, ordered = LIGHT_GOLDEN[name]
     graph, seed = _light_input(name)
     res = light_spanner(graph, 3, 0.25, random.Random(seed))
     assert (res.spanner.m, len(res.buckets)) == (m, num_buckets)
     assert _edges_digest(res.spanner) == edges
+    assert _ordered_edges_digest(res.spanner) == ordered
     assert _ledger_digest(res.ledger) == ledger
     assert _sha256(json.dumps(
         [[b.index, b.case, b.num_clusters, b.spanner_edges, b.rounds]
@@ -96,7 +113,10 @@ def test_light_spanner_matches_golden(name):
 def test_shallow_light_tree_matches_golden():
     graph = erdos_renyi_graph(400, 0.08, seed=1)
     res = shallow_light_tree(graph, min(graph.vertices(), key=repr), 5.0)
-    assert (_edges_digest(res.tree), _ledger_digest(res.ledger)) == SLT_GOLDEN
+    assert (
+        _edges_digest(res.tree), _ledger_digest(res.ledger),
+        _ordered_edges_digest(res.tree),
+    ) == SLT_GOLDEN
 
 
 def test_boruvka_ledger_matches_golden():
