@@ -215,12 +215,22 @@ def light_spanner(
     spanner = mst.copy()
     buckets: List[BucketStats] = []
 
-    # the input graph is scanned edge-by-edge twice below (E' extraction
-    # and bucketing); both sweeps run over the frozen CSR view
-    csr = graph.freeze()
+    # one sweep of the frozen CSR view splits the edges: E' at or below
+    # L/n, the buckets E_i up to L, and the heavier edges, which the MST
+    # covers
+    low_cap = big_l / n
+    i_max = math.ceil(math.log(n, 1.0 + eps)) if n > 1 else 0
+    low_edges: List[Tuple[Vertex, Vertex]] = []
+    bucket_edges: Dict[int, List[Tuple[Vertex, Vertex, float]]] = {}
+    for u, v, w in graph.freeze().edges():
+        if w <= low_cap:
+            low_edges.append((u, v))
+        elif w <= big_l:
+            i = _bucket_index(w, big_l, eps)
+            if 0 <= i <= i_max:
+                bucket_edges.setdefault(i, []).append((u, v, w))
 
     # ---------------- low-weight bucket E' ----------------
-    low_edges = [(u, v) for u, v, w in csr.edges() if w <= big_l / n]
     low_graph = graph.edge_subgraph(low_edges)
     bs_ledger = RoundLedger()
     h_prime = baswana_sen_spanner(low_graph, k, rng, bs_ledger)
@@ -231,7 +241,7 @@ def light_spanner(
     buckets.append(
         BucketStats(
             index=-1,
-            weight_cap=big_l / n,
+            weight_cap=low_cap,
             num_edges=len(low_edges),
             case=0,
             num_clusters=n,
@@ -241,15 +251,6 @@ def light_spanner(
     )
 
     # ---------------- weight buckets E_i ----------------
-    i_max = math.ceil(math.log(n, 1.0 + eps)) if n > 1 else 0
-    bucket_edges: Dict[int, List[Tuple[Vertex, Vertex, float]]] = {}
-    for u, v, w in csr.edges():
-        if w <= big_l / n or w > big_l:
-            continue  # E' below, MST-covered above
-        i = _bucket_index(w, big_l, eps)
-        if 0 <= i <= i_max:
-            bucket_edges.setdefault(i, []).append((u, v, w))
-
     case_threshold = (
         math.log(eps * n ** (k / (2.0 * k + 1.0)), 1.0 + eps) if n > 1 else 0.0
     )
@@ -295,8 +296,8 @@ def light_spanner(
 
         added = 0
         for edge in run.edges:
-            a, b = sorted(edge)
-            u, v, w = representative[(a, b)]
+            a, b = edge
+            u, v, w = representative[(a, b) if a < b else (b, a)]
             if not spanner.has_edge(u, v):
                 spanner.add_edge(u, v, w)
             added += 1

@@ -27,7 +27,8 @@ The label-level inspection API (``vertices``/``edges``/``neighbors``/
 ``neighbor_items``/``degree``/``has_edge``/``weight``...) mirrors
 ``WeightedGraph`` so read-only consumers accept either backend; the
 index-level API (``row``, ``indices``, ``weights``, ``mirror``,
-``rounded_weights``) is what the rewritten hot paths use directly.
+``rounded_weights``, ``mst_edges``) is what the rewritten hot paths use
+directly.
 """
 
 from __future__ import annotations
@@ -35,7 +36,9 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_left
-from typing import TYPE_CHECKING, Dict, Hashable, Iterator, List, Optional, Set, Tuple
+from typing import (
+    TYPE_CHECKING, Callable, Dict, Hashable, Iterator, List, Optional, Set, Tuple,
+)
 
 if TYPE_CHECKING:
     from repro.graphs.weighted_graph import WeightedGraph
@@ -68,7 +71,7 @@ class CSRGraph:
 
     __slots__ = (
         "indptr", "indices", "weights", "verts", "_index", "_mirror",
-        "_rounded", "_sorted",
+        "_rounded", "_sorted", "_mst",
     )
 
     def __init__(
@@ -87,6 +90,7 @@ class CSRGraph:
         self._index: Dict[Vertex, int] = {v: i for i, v in enumerate(verts)}
         self._mirror: Optional[List[int]] = None
         self._rounded: Dict[float, "array[float]"] = {}
+        self._mst: Optional[List[Tuple[int, int, float]]] = None
         # when the label order is already canonical (the common case:
         # generators insert int vertices 0..n-1 in order), edges() can
         # yield (verts[i], verts[j]) directly without re-canonicalising
@@ -195,6 +199,22 @@ class CSRGraph:
             column = array("d", [round_up_weight(w, eps) for w in self.weights])
             self._rounded[eps] = column
         return column
+
+    def mst_edges(
+        self, compute: Callable[["CSRGraph"], List[Tuple[int, int, float]]]
+    ) -> List[Tuple[int, int, float]]:
+        """The MST's ``(i, j, w)`` index triples, cached on the view.
+
+        ``compute`` (:mod:`repro.mst.kruskal`'s index Kruskal) runs on
+        the first call only; every later call returns the same list, so
+        the constructions and reports that ask for the MST of one frozen
+        graph share one run.  The cache holds ``n − 1`` triples and goes
+        away with the view, which ``WeightedGraph`` drops on mutation.
+        A ``compute`` that raises (a disconnected graph) caches nothing.
+        """
+        if self._mst is None:
+            self._mst = compute(self)
+        return self._mst
 
     def edges_idx(self) -> Iterator[Tuple[int, int, float]]:
         """Each undirected edge once, as ``(i, j, w)`` with ``i < j``."""

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, List, Tuple
 
+from repro.graphs.csr import CSRGraph
 from repro.graphs.weighted_graph import WeightedGraph, canonical_edge
 
 Vertex = Hashable
@@ -60,39 +61,74 @@ def edge_sort_key(u: Vertex, v: Vertex, w: float) -> Tuple[float, str, str]:
     return (w, repr(a), repr(b))
 
 
-def kruskal_mst(graph: WeightedGraph) -> WeightedGraph:
+def _kruskal_edges(csr: CSRGraph) -> List[Tuple[int, int, float]]:
+    """The MST of ``csr`` as ``(i, j, w)`` index triples, ``i < j``, in
+    the order Kruskal accepts them.
+
+    One stable sort keyed on weight runs over the slot numbers of the
+    edges, which ascend in ``csr.edges()`` order; each run of equal
+    weights is then re-sorted by :func:`edge_sort_key`, which yields
+    exactly the order of ``sorted(csr.edges(), key=edge_sort_key)``.
+    """
+    indptr, indices, weights, verts = csr.indptr, csr.indices, csr.weights, csr.verts
+    n = len(verts)
+    heads = [0] * len(indices)  # heads[s]: the vertex whose row holds slot s
+    for i in range(n):
+        a, b = indptr[i], indptr[i + 1]
+        heads[a:b] = [i] * (b - a)
+    order = sorted(
+        [s for s, (i, j) in enumerate(zip(heads, indices)) if i < j],
+        key=weights.__getitem__,
+    )
+    uf = UnionFind()
+    for i in range(n):
+        uf.add(i)
+    tree: List[Tuple[int, int, float]] = []
+    start, total = 0, len(order)
+    while start < total and len(tree) < n - 1:
+        w = weights[order[start]]
+        end = start + 1
+        while end < total and weights[order[end]] == w:
+            end += 1
+        run = order[start:end]
+        if len(run) > 1:
+            run.sort(key=lambda s: edge_sort_key(verts[heads[s]], verts[indices[s]], w))
+        for s in run:
+            i, j = heads[s], indices[s]
+            if uf.union(i, j):
+                tree.append((i, j, w))
+                if len(tree) == n - 1:
+                    break
+        start = end
+    if n > 0 and len(tree) != n - 1:
+        raise ValueError("graph is disconnected; MST does not exist")
+    return tree
+
+
+def kruskal_mst(graph: "WeightedGraph | CSRGraph") -> WeightedGraph:
     """The unique MST of ``graph`` under the deterministic edge order.
 
-    Accepts a :class:`WeightedGraph` (frozen to its cached CSR view so the
-    edge sweep runs over index arrays) or a
-    :class:`~repro.graphs.csr.CSRGraph` directly.
+    Accepts a :class:`WeightedGraph` (frozen to its cached CSR view) or a
+    :class:`~repro.graphs.csr.CSRGraph` directly.  The tree's index
+    edges are computed once per frozen graph and cached on it, so the
+    constructions and the reports that all ask for the MST of one
+    unchanged graph share one Kruskal run; a mutation drops the view and
+    its cached tree together.
 
     Returns
     -------
     WeightedGraph
-        A tree spanning all of ``graph``'s vertices.
+        A fresh tree spanning all of ``graph``'s vertices, its edges
+        added in the order Kruskal accepts them.
 
     Raises
     ------
     ValueError
         If ``graph`` is disconnected (no spanning tree exists).
     """
-    if isinstance(graph, WeightedGraph):
-        graph = graph.freeze()
-    uf = UnionFind()
-    for v in graph.vertices():
-        uf.add(v)
-    edges: List[Tuple[Vertex, Vertex, float]] = sorted(
-        graph.edges(), key=lambda e: edge_sort_key(*e)
-    )
-    tree = WeightedGraph(graph.vertices())
-    taken = 0
-    for u, v, w in edges:
-        if uf.union(u, v):
-            tree.add_edge(u, v, w)
-            taken += 1
-            if taken == graph.n - 1:
-                break
-    if taken != graph.n - 1 and graph.n > 0:
-        raise ValueError("graph is disconnected; MST does not exist")
+    csr = graph.freeze() if isinstance(graph, WeightedGraph) else graph
+    verts = csr.verts
+    tree = WeightedGraph(verts)
+    for i, j, w in csr.mst_edges(_kruskal_edges):
+        tree.add_edge(verts[i], verts[j], w)
     return tree

@@ -120,19 +120,23 @@ def elkin_neiman_spanner(
     # moving the per-round scans to integer-indexed lists.
     n_nodes = len(nodes)
     node_index = {x: i for i, x in enumerate(nodes)}
-    repr_rank = {i: r for r, i in enumerate(sorted(range(n_nodes), key=lambda i: repr(nodes[i])))}
+    reprs = [repr(x) for x in nodes]
+    repr_rank: List[int] = [0] * n_nodes
+    for r, i in enumerate(sorted(range(n_nodes), key=reprs.__getitem__)):
+        repr_rank[i] = r
     indptr: List[int] = [0] * (n_nodes + 1)
-    total = 0
+    indices: List[int] = []
     for i, x in enumerate(nodes):
-        total += len(adjacency[x])
-        indptr[i + 1] = total
-    indices: List[int] = [0] * total
-    pos = 0
-    for x in nodes:
-        row = sorted((node_index[nbr] for nbr in adjacency[x]), key=repr_rank.__getitem__)
-        for j in row:
-            indices[pos] = j
-            pos += 1
+        row = [node_index[nbr] for nbr in adjacency[x]]
+        if len(row) > 1:
+            row.sort(key=repr_rank.__getitem__)
+        indices += row
+        indptr[i + 1] = len(indices)
+    total = len(indices)
+    # a node with an empty row receives nothing: its m, source and best
+    # never change and its output stays the round-0 message, so the
+    # rounds and the edge selection visit only the linked nodes
+    linked = [x for x in range(n_nodes) if indptr[x] < indptr[x + 1]]
 
     # m[x]: best shifted value seen; best[x][y] = (value, delivering neighbour)
     m: List[float] = [shifts[x] for x in nodes]
@@ -147,7 +151,7 @@ def elkin_neiman_spanner(
         messages_per_round.append(total)
         new_src = list(out_src)
         new_val = list(out_val)
-        for x in range(n_nodes):
+        for x in linked:
             bx = best[x]
             mx = m[x]
             sx = source[x]
@@ -168,7 +172,7 @@ def elkin_neiman_spanner(
         out_val = new_val
 
     edges: Set[FrozenSet[Node]] = set()
-    for x in range(n_nodes):
+    for x in linked:
         mx_cut = m[x] - 1
         for src, (val, sender) in best[x].items():
             if src == x:

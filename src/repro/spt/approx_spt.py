@@ -24,9 +24,9 @@ import math
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.congest.ledger import RoundLedger
-from repro.graphs.csr import CSRGraph, round_up_weight
-from repro.graphs.shortest_paths import dijkstra
+from repro.graphs.csr import CSRGraph
 from repro.graphs.weighted_graph import Vertex, WeightedGraph
+from repro.kernels import pykern
 from repro.spt.tree import SPTree
 
 INF = float("inf")
@@ -68,19 +68,29 @@ def approx_spt(
     ------
     ValueError
         If the graph is disconnected.
+
+    Notes
+    -----
+    The tree is selected by one :func:`repro.kernels.pykern.sssp` run
+    over the frozen graph's :meth:`CSRGraph.rounded_weights` column, the
+    same cached column the §7 explorations relax over, so no rounded
+    copy of the graph is built.
     """
     n = graph.n
     height = bfs_height if bfs_height is not None else (math.isqrt(max(n - 1, 0)) + 1)
     led = ledger if ledger is not None else RoundLedger()
     rounds = led.charge(phase, bkkl_round_cost(n, height, max(eps, 1e-9)))
 
-    if eps > 0:
-        rounded = graph.reweighted(lambda u, v, w: round_up_weight(w, eps))
-    else:
-        rounded = graph
-    _, parent = dijkstra(rounded, root)
-    if len(parent) != n:
-        raise ValueError(f"graph disconnected: approximate SPT from {root!r} failed")
+    csr = graph.freeze()
+    _, parent_idx = pykern.sssp(
+        csr.indptr, csr.indices, csr.rounded_weights(eps), [csr.index_of(root)], None
+    )
+    verts = csr.verts
+    parent: Dict[Vertex, Optional[Vertex]] = {}
+    for i, p in enumerate(parent_idx):
+        if p == pykern.PARENT_UNREACHED:
+            raise ValueError(f"graph disconnected: approximate SPT from {root!r} failed")
+        parent[verts[i]] = None if p == pykern.PARENT_SOURCE else verts[p]
 
     # true weights of the chosen tree paths
     dist: Dict[Vertex, float] = {root: 0.0}

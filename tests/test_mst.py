@@ -90,6 +90,43 @@ class TestKruskal:
         assert t.is_tree()
 
 
+class TestKruskalCache:
+    """One MST per frozen graph: cached on the CSR view, copied per call."""
+
+    def test_add_edge_shows_in_the_next_mst(self):
+        g = cycle_graph(5, weight=2.0)
+        first = kruskal_mst(g)
+        g.add_edge(0, 2, 0.5)
+        second = kruskal_mst(g)
+        assert not first.has_edge(0, 2)
+        assert second.has_edge(0, 2) and second.is_tree()
+        assert second == kruskal_mst(g.copy())
+
+    def test_each_call_returns_a_fresh_tree(self, medium_er):
+        first = kruskal_mst(medium_er)
+        want = list(first.edges())
+        u, v, _w = want[0]
+        first.remove_edge(u, v)
+        first.add_edge(u, "extra", 1.0)
+        second = kruskal_mst(medium_er)
+        assert second is not first
+        assert list(second.edges()) == want
+        assert "extra" not in second
+
+    def test_csr_input(self, medium_er):
+        csr = medium_er.to_csr()
+        assert kruskal_mst(csr) == kruskal_mst(medium_er)
+        assert list(kruskal_mst(csr).edges()) == list(kruskal_mst(medium_er).edges())
+
+    def test_disconnected_raises_on_every_call(self):
+        g = WeightedGraph(range(4))
+        g.add_edge(0, 1, 1.0)
+        g.add_edge(2, 3, 1.0)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="disconnected"):
+                kruskal_mst(g)
+
+
 class TestBoruvka:
     def test_agrees_with_kruskal(self, medium_er):
         res = boruvka_mst(medium_er)
