@@ -112,8 +112,11 @@ def build_bfs_tree(
     Raises
     ------
     ValueError
-        If the graph is disconnected (some node never hears the flood).
+        If ``root`` is not a vertex of ``graph``, or the graph is
+        disconnected (some node never hears the flood).
     """
+    if not graph.has_vertex(root):
+        raise ValueError(f"BFS root {root!r} is not a vertex of the graph")
     net = network if network is not None else SyncNetwork(graph)
     net.reset()
     rounds = net.run(DistributedBFS(root))

@@ -186,14 +186,17 @@ def light_spanner(
     Raises
     ------
     ValueError
-        On invalid parameters or a disconnected graph.
+        On invalid parameters, an empty or disconnected graph, or a
+        ``root`` that is not a vertex.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if not 0 < eps <= 0.5:
         raise ValueError(f"eps must be in (0, 1/2], got {eps}")
-    rng = ensure_rng(rng)
     n = graph.n
+    if n == 0:
+        raise ValueError("light_spanner needs a graph with at least one vertex")
+    rng = ensure_rng(rng)
     if root is None:
         root = min(graph.vertices(), key=repr)
 

@@ -67,7 +67,7 @@ def approx_spt(
     Raises
     ------
     ValueError
-        If the graph is disconnected.
+        If ``root`` is not a vertex or the graph is disconnected.
 
     Notes
     -----
@@ -76,6 +76,8 @@ def approx_spt(
     same cached column the §7 explorations relax over, so no rounded
     copy of the graph is built.
     """
+    if not graph.has_vertex(root):
+        raise ValueError(f"root {root!r} is not a vertex of the graph")
     n = graph.n
     height = bfs_height if bfs_height is not None else (math.isqrt(max(n - 1, 0)) + 1)
     led = ledger if ledger is not None else RoundLedger()

@@ -143,6 +143,36 @@ class TestTinyGraphs:
         assert net.points == {0}
 
 
+class TestEntryPointPreconditions:
+    """§4/§5 entry points name the precondition a bad input breaks."""
+
+    @pytest.fixture
+    def graph(self):
+        return cycle_graph(5, weight=1.0)
+
+    def test_light_spanner_empty_graph(self):
+        with pytest.raises(ValueError, match="at least one vertex"):
+            light_spanner(WeightedGraph(), 2, 0.25)
+
+    def test_light_spanner_root_not_a_vertex(self, graph):
+        with pytest.raises(ValueError, match="root 7 is not a vertex"):
+            light_spanner(graph, 2, 0.25, random.Random(0), root=7)
+
+    def test_slt_root_not_a_vertex(self, graph):
+        with pytest.raises(ValueError, match="root 7 is not a vertex"):
+            shallow_light_tree(graph, 7, 5.0)
+
+    def test_slt_empty_graph(self):
+        with pytest.raises(ValueError, match="root 0 is not a vertex"):
+            shallow_light_tree(WeightedGraph(), 0, 5.0)
+
+    def test_approx_spt_root_not_a_vertex(self, graph):
+        from repro.spt import approx_spt
+
+        with pytest.raises(ValueError, match="root 7 is not a vertex"):
+            approx_spt(graph, 7, 0.1)
+
+
 class TestDeterminism:
     """Same seed → identical output, across every randomized construction."""
 
