@@ -30,6 +30,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.congest.ledger import RoundLedger
 from repro.determinism import ensure_rng
+from repro.graphs.csr import round_up_weight
 from repro.graphs.weighted_graph import Vertex, WeightedGraph
 
 INF = float("inf")
@@ -79,12 +80,7 @@ def _rounded_graph(graph: WeightedGraph, delta: float) -> WeightedGraph:
     """The concrete H of Theorem 4: weights rounded up to powers of 1+δ."""
     if delta <= 0:
         return graph
-    base = 1.0 + delta
-
-    def up(_u: Vertex, _v: Vertex, w: float) -> float:
-        return base ** math.ceil(math.log(w, base) - 1e-12)
-
-    return graph.reweighted(up)
+    return graph.reweighted(lambda _u, _v, w: round_up_weight(w, delta))
 
 
 def compute_le_lists(
