@@ -19,14 +19,19 @@ constructions' phases:
 A least-squares fit of log(total seconds) against log(n + m) over the
 three sizes gives each construction's scaling slope.
 
-Both sides run this same script in a child process, on a fresh copy of
+Three sides run this same script in a child process, on a fresh copy of
 each input per run: the baseline on a ``git archive`` export of
 :data:`BASELINE_COMMIT` (the commit before the round charges went
-linear), the change on the checkout this script sits in.  Every case's
-edge and ledger digests must be equal on both sides, the light spanner
-must clear :data:`REQUIRED_SPEEDUP` at the largest size and its
-change-side slope must stay at or below :data:`MAX_SLOPE`.  The files
-written:
+linear), the parent on an export of :data:`PARENT_COMMIT` (the commit
+before Kruskal ran over index arrays once per frozen graph, the SPTs
+relaxed the cached rounded column and Elkin–Neiman skipped clusters
+without a neighbour), and the change on the checkout this script sits
+in.  Every case's edge and ledger digests must be equal on all three
+sides, the light spanner must clear :data:`REQUIRED_SPEEDUP` over the
+baseline at the largest size and its change-side slope must stay at or
+below :data:`MAX_SLOPE`, and the SLT must clear
+:data:`REQUIRED_PARENT_SPEEDUP` over the parent at the largest size.
+The files written:
 
 * ``benchmarks/BENCH_light_speedup.txt`` — the human-readable table;
 * ``benchmarks/BENCH_light_speedup.json`` — the record CI's
@@ -63,6 +68,8 @@ JSON_PATH = HERE / "BENCH_light_speedup.json"
 
 #: the commit before the linear-time round charges
 BASELINE_COMMIT = "03979ab"
+#: the commit before the §4/§5 building blocks did each piece of work once
+PARENT_COMMIT = "dd2fd5a"
 #: input sizes n of ER(n, 10/n); timed runs per size.  The fastest run
 #: is reported: a shared machine's speed can drift by 2x within seconds,
 #: and the fastest run is the one a slow spell disturbed least.
@@ -72,6 +79,10 @@ RUNS = 5
 #: largest size, and the change side's log-log slope in n + m
 REQUIRED_SPEEDUP = 5.0
 MAX_SLOPE = 1.4
+#: SLT acceptance bar: parent / change seconds at the largest size
+REQUIRED_PARENT_SPEEDUP = 1.2
+#: the sides of every case, oldest first
+SIDES = ("baseline", "parent", "change")
 
 CONSTRUCTIONS = ("light_spanner", "slt")
 #: construction -> (module, attribute, phase) of the functions timed,
@@ -99,7 +110,8 @@ PHASES = {
     "slt": ("bfs_tree", "kruskal", "fragments_and_tour", "approx_spt", "rest", "total"),
 }
 REQUIRED_JSON_KEYS = {
-    "baseline_commit", "machine", "cases", "runs", "required_speedup", "max_slope",
+    "baseline_commit", "parent_commit", "machine", "cases", "runs",
+    "required_speedup", "required_parent_speedup", "max_slope",
 }
 
 
@@ -178,8 +190,9 @@ def _slope(cases: Dict[str, Any], side: str, name: str) -> float:
             / sum((x - mx) ** 2 for x, _y in points))
 
 
-def _speedup(case: Dict[str, Any], name: str) -> float:
-    return (case["baseline"][name]["seconds"]["total"]
+def _speedup(case: Dict[str, Any], name: str, side: str = "baseline") -> float:
+    """``side``'s total seconds over the change's."""
+    return (case[side][name]["seconds"]["total"]
             / case["change"][name]["seconds"]["total"])
 
 
@@ -187,40 +200,50 @@ def _table(record: Dict[str, Any]) -> List[str]:
     machine_info, cases = record["machine"], record["cases"]
     lines = [
         f"=== §5 light spanner and §4 SLT on ER(n, 10/n): commit "
-        f"{record['baseline_commit']} (baseline) vs this change ===",
+        f"{record['baseline_commit']} (baseline) and commit "
+        f"{record['parent_commit']} (parent) vs this change ===",
         f"{machine_info['cpu']}, {machine_info['cores']} cores, CPython "
         f"{machine_info['python']}; wall seconds per phase of the fastest of "
         f"{record['runs']} runs on fresh copies of each input",
     ]
     for name in CONSTRUCTIONS:
-        lines += ["", f"--- {name}: log-log slope of seconds in n+m: baseline "
-                      f"{_slope(cases, 'baseline', name):.2f}, change "
-                      f"{_slope(cases, 'change', name):.2f} ---"]
+        slopes = ", ".join(f"{side} {_slope(cases, side, name):.2f}" for side in SIDES)
+        lines += ["", f"--- {name}: log-log slope of seconds in n+m: {slopes} ---"]
         for key, case in cases.items():
-            base, new = case["baseline"][name], case["change"][name]
-            same = "equal" if base["digests"] == new["digests"] else "DIFFER"
+            sides = [case[side][name] for side in SIDES]
+            same = ("equal" if all(s["digests"] == sides[-1]["digests"] for s in sides)
+                    else "DIFFER")
             lines += [
                 f"{key}, m={case['change']['m']}: speedup "
-                f"{_speedup(case, name):.2f}x; edge and ledger digests {same}",
-                f"  {'phase':<20} {'baseline s':>11} {'change s':>10} {'ratio':>8}",
+                f"{_speedup(case, name):.2f}x over the baseline, "
+                f"{_speedup(case, name, 'parent'):.2f}x over the parent; "
+                f"edge and ledger digests {same}",
+                f"  {'phase':<20} {'baseline s':>11} {'parent s':>10} {'change s':>10}"
+                f" {'vs base':>8} {'vs parent':>10}",
             ]
             for phase in PHASES[name]:
-                b, c = base["seconds"][phase], new["seconds"][phase]
-                ratio = f"{b / c:.1f}x" if c > 0 else "-"
-                lines.append(f"  {phase:<20} {b:>11.4f} {c:>10.4f} {ratio:>8}")
+                b, p, c = (s["seconds"][phase] for s in sides)
+                ratios = (f"{b / c:.1f}x", f"{p / c:.1f}x") if c > 0 else ("-", "-")
+                lines.append(f"  {phase:<20} {b:>11.4f} {p:>10.4f} {c:>10.4f}"
+                             f" {ratios[0]:>8} {ratios[1]:>10}")
     return lines
 
 
 def run() -> int:
     base = measure_baseline("bench_light", BASELINE_COMMIT)
+    parent = measure_baseline("bench_light", PARENT_COMMIT)
     new = measure_side("bench_light", ROOT / "src")
     record = {
         "baseline_commit": BASELINE_COMMIT,
+        "parent_commit": PARENT_COMMIT,
         "machine": machine(),
         "runs": RUNS,
         "required_speedup": REQUIRED_SPEEDUP,
+        "required_parent_speedup": REQUIRED_PARENT_SPEEDUP,
         "max_slope": MAX_SLOPE,
-        "cases": {key: {"baseline": base[key], "change": new[key]} for key in base},
+        "cases": {key: {"baseline": base[key], "parent": parent[key],
+                        "change": new[key]}
+                  for key in base},
     }
     lines = _table(record)
     TXT_PATH.write_text("\n".join(lines) + "\n")
@@ -241,10 +264,11 @@ def check() -> int:
     if missing:
         print(f"FAIL: {JSON_PATH.name} lacks keys: {sorted(missing)}")
         return 1
-    if record["baseline_commit"] != BASELINE_COMMIT:
-        print(f"FAIL: committed baseline {record['baseline_commit']} "
-              f"!= {BASELINE_COMMIT}")
-        return 1
+    for key, commit in (("baseline_commit", BASELINE_COMMIT),
+                        ("parent_commit", PARENT_COMMIT)):
+        if record[key] != commit:
+            print(f"FAIL: committed {key} {record[key]} != {commit}")
+            return 1
     cases = record["cases"]
     expected = [f"n={n}" for n in SIZES]
     if sorted(cases) != sorted(expected):
@@ -252,11 +276,17 @@ def check() -> int:
         return 1
     failures = []
     for key in expected:
+        if set(cases[key]) != set(SIDES):
+            failures.append(f"{key}: sides {sorted(cases[key])} != {sorted(SIDES)}")
+            continue
         for name in CONSTRUCTIONS:
-            sides = [cases[key][side][name] for side in ("baseline", "change")]
-            if sides[0]["digests"] != sides[1]["digests"]:
-                failures.append(f"{key} {name}: edge or ledger digests differ")
-            if any(set(s["seconds"]) != set(PHASES[name]) for s in sides):
+            new = cases[key]["change"][name]
+            for side in ("baseline", "parent"):
+                if cases[key][side][name]["digests"] != new["digests"]:
+                    failures.append(f"{key} {name}: edge or ledger digests differ "
+                                    f"from the {side}'s")
+            if any(set(cases[key][side][name]["seconds"]) != set(PHASES[name])
+                   for side in SIDES):
                 failures.append(f"{key} {name}: per-phase seconds incomplete")
     # gate against this script's bars, not the file's copy of them
     largest = expected[-1]
@@ -269,14 +299,20 @@ def check() -> int:
         if slope > MAX_SLOPE:
             failures.append(f"light_spanner: change-side slope {slope:.2f} is "
                             f"above {MAX_SLOPE}")
+        slt_parent = _speedup(cases[largest], "slt", "parent")
+        if slt_parent < REQUIRED_PARENT_SPEEDUP:
+            failures.append(f"slt at {largest}: speedup {slt_parent:.2f}x over the "
+                            f"parent is below the {REQUIRED_PARENT_SPEEDUP}x bar")
     for failure in failures:
         print(f"FAIL: {failure}")
     if failures:
         return 1
     print(f"OK: vs commit {BASELINE_COMMIT}: light_spanner {speedup:.1f}x at "
           f"{largest}, slope {_slope(cases, 'baseline', 'light_spanner'):.2f} -> "
-          f"{slope:.2f}; slt {_speedup(cases[largest], 'slt'):.1f}x; digests equal "
-          f"on all {len(expected)} sizes")
+          f"{slope:.2f}; slt {_speedup(cases[largest], 'slt'):.1f}x; vs commit "
+          f"{PARENT_COMMIT}: light_spanner "
+          f"{_speedup(cases[largest], 'light_spanner', 'parent'):.2f}x, slt "
+          f"{slt_parent:.2f}x; digests equal on all {len(expected)} sizes")
     return 0
 
 
