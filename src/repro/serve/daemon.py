@@ -331,13 +331,12 @@ class Server:
 
     def _register_worker(self, worker: _Worker) -> None:
         assert self._sel is not None
+        # keyed by the record, not the id: one select batch can carry a
+        # dead worker's pipe EOF and its sentinel, and the first of them
+        # already put a replacement under the same id
+        self._sel.register(worker.conn, selectors.EVENT_READ, ("worker", worker))
         self._sel.register(
-            worker.conn, selectors.EVENT_READ, ("worker", worker.worker_id)
-        )
-        self._sel.register(
-            worker.proc.sentinel,
-            selectors.EVENT_READ,
-            ("sentinel", worker.worker_id),
+            worker.proc.sentinel, selectors.EVENT_READ, ("sentinel", worker)
         )
 
     def start(self) -> None:
@@ -683,7 +682,7 @@ class Server:
         try:
             worker.conn.send((req_id, op, args))
         except (BrokenPipeError, OSError):
-            self._worker_died(worker.worker_id)
+            self._worker_died(worker)
 
     def _crash_worker(self, client: _Client, args: Dict[str, Any]) -> None:
         """Kill one worker (test/ops endpoint exercising crash isolation)."""
@@ -755,16 +754,15 @@ class Server:
         )
 
     # -- worker events -------------------------------------------------
-    def _worker_readable(self, worker_id: int) -> None:
-        worker = self._workers.get(worker_id)
-        if worker is None or not worker.alive:
+    def _worker_readable(self, worker: _Worker) -> None:
+        if not worker.alive:
             return
         try:
             while worker.conn.poll():
                 req_id, envelope = worker.conn.recv()
                 self._worker_reply(worker, req_id, envelope)
         except (EOFError, OSError):
-            self._worker_died(worker_id)
+            self._worker_died(worker)
 
     def _worker_reply(
         self, worker: _Worker, req_id: int, envelope: Dict[str, Any]
@@ -795,12 +793,12 @@ class Server:
                 self._count_error(str(error["code"]))
         self._send_to_client(client, envelope)
 
-    def _worker_died(self, worker_id: int) -> None:
+    def _worker_died(self, worker: _Worker) -> None:
         assert self._sel is not None
-        worker = self._workers.get(worker_id)
-        if worker is None or not worker.alive:
+        if not worker.alive:
             return
         worker.alive = False
+        worker_id = worker.worker_id
         for fileobj in (worker.conn, worker.proc.sentinel):
             try:
                 self._sel.unregister(fileobj)

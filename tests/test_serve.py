@@ -17,7 +17,9 @@ Three layers of contract:
 from __future__ import annotations
 
 import json
+import multiprocessing
 import pickle
+import selectors
 import socket
 import struct
 import subprocess
@@ -406,6 +408,16 @@ class TestRobustness:
 # ---------------------------------------------------------------------------
 # crash isolation and lifecycle
 # ---------------------------------------------------------------------------
+class _PipeFirstSelector(selectors.DefaultSelector):
+    """Reports a worker's pipe events ahead of its sentinel's in each
+    batch: which of a dead worker's fds the kernel reports first depends
+    on the order the worker's fds close in, so fix the harder order."""
+
+    def select(self, timeout=None):
+        events = super().select(timeout)
+        return sorted(events, key=lambda event: event[0].data[0] == "sentinel")
+
+
 class TestLifecycle:
     def test_worker_crash_respawns_and_service_continues(self):
         server = Server(ORACLE, workers=2, port=0)
@@ -435,6 +447,32 @@ class TestLifecycle:
             server.request_shutdown()
             thread.join(timeout=30)
             assert not thread.is_alive()
+
+    def test_one_crash_respawns_one_worker(self, monkeypatch):
+        """A dead worker's pipe EOF and its sentinel arrive in one select
+        batch; the replacement started on the first of them is not taken
+        for dead on the second."""
+        monkeypatch.setattr(selectors, "DefaultSelector", _PipeFirstSelector)
+        server = Server(ORACLE, workers=1, port=0)
+        before = set(multiprocessing.active_children())
+        server.start()
+        (worker,) = set(multiprocessing.active_children()) - before
+        worker.kill()
+        worker.join(timeout=10)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            with ServeClient.open(server.address) as c:
+                snap = c.stats()["snapshot"]
+                assert snap["serve.workers.crashed"]["value"] == 1
+                assert snap["serve.workers.respawned"]["value"] == 1
+                assert c.query("0", "9") == pytest.approx(
+                    ORACLE.query(0, 9), abs=1e-9
+                )
+        finally:
+            server.request_shutdown()
+            thread.join(timeout=30)
+        assert not thread.is_alive()
 
     def test_shutdown_op_stops_the_daemon(self):
         server = Server(ORACLE, workers=1, port=0)
