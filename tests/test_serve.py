@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import os
 import pickle
 import selectors
+import signal
 import socket
 import struct
 import subprocess
@@ -34,7 +36,8 @@ import pytest
 from repro.analysis import verify_oracle
 from repro.graphs import erdos_renyi_graph
 from repro.graphs.shortest_paths import dijkstra
-from repro.harness.loadgen import run_closed_level
+from repro.harness.loadgen import launch_daemon, run_closed_level, stop_daemon
+from repro.io import write_json
 from repro.oracle import build_oracle
 from repro.serve import (
     ConnectionClosed,
@@ -508,6 +511,156 @@ class TestLifecycle:
         thread.join(timeout=30)
         server.close()
         server.close()
+
+
+# ---------------------------------------------------------------------------
+# a CLI daemon's workers: what a respawned worker holds and obeys
+# ---------------------------------------------------------------------------
+def _proc_stat(pid):
+    """``(state, ppid)`` of ``pid`` from /proc, or None once it is reaped."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return None
+    fields = stat.rsplit(")", 1)[1].split()
+    return fields[0], int(fields[1])
+
+
+def _exited(pid):
+    stat = _proc_stat(pid)
+    return stat is None or stat[0] == "Z"
+
+
+def _workers_of(daemon_pid):
+    """Live worker pids of a daemon: its children, minus the
+    multiprocessing resource tracker."""
+    pids = []
+    for entry in sorted(Path("/proc").iterdir()):
+        if not entry.name.isdigit():
+            continue
+        stat = _proc_stat(entry.name)
+        if stat is None or stat[0] == "Z" or stat[1] != daemon_pid:
+            continue
+        try:
+            cmdline = (entry / "cmdline").read_bytes()
+        except OSError:
+            continue
+        if b"resource_tracker" not in cmdline:
+            pids.append(int(entry.name))
+    return sorted(pids)
+
+
+def _wait_for(predicate, timeout):
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if predicate():
+            return True
+        time.sleep(0.05)
+    return predicate()
+
+
+def _respawned(client):
+    snap = client.stats()["snapshot"]
+    return snap.get("serve.workers.respawned", {"value": 0})["value"] >= 1
+
+
+class _CliDaemons:
+    """``repro serve`` daemons on a small structure file.  Teardown stops
+    each one and SIGKILLs every worker the test listed that still runs,
+    so a failing test leaves no process behind."""
+
+    def __init__(self, path):
+        self.path = path
+        self.procs = []
+        self.seen = set()
+
+    def launch(self, workers):
+        proc, address = launch_daemon([
+            "--structure", str(self.path), "--workers", str(workers),
+            "--port", "0", "--landmarks", "4",
+        ])
+        self.procs.append(proc)
+        self.workers(proc)
+        return proc, address
+
+    def workers(self, proc):
+        pids = _workers_of(proc.pid)
+        self.seen.update(pids)
+        return pids
+
+    def close(self):
+        for proc in self.procs:
+            self.workers(proc)
+            stop_daemon(proc)
+        for pid in self.seen:
+            if not _exited(pid):
+                os.kill(pid, signal.SIGKILL)
+
+
+@pytest.fixture()
+def cli_daemons(tmp_path):
+    path = tmp_path / "structure.json"
+    write_json(GRAPH, path)
+    daemons = _CliDaemons(path)
+    yield daemons
+    daemons.close()
+
+
+class TestCliDaemonWorkers:
+    """``repro serve`` runs one thread, as it does when deployed."""
+
+    def test_respawn_leaves_client_connections_to_the_parent(
+        self, cli_daemons
+    ):
+        _proc, address = cli_daemons.launch(1)
+        sock = socket.create_connection(address, timeout=10)
+        sock.settimeout(10)
+        try:
+            # the parent has accepted the connection once it answers
+            sock.sendall(encode_frame({"op": "ping"}))
+            assert result_of(read_frame(sock))["pong"] is True
+            with ServeClient.open(address) as c:
+                c.crash_worker(worker=0)
+                assert _wait_for(lambda: _respawned(c), 30)
+                assert c.query("0", "9") == pytest.approx(
+                    ORACLE.query(0, 9), abs=1e-9
+                )
+            sock.sendall(struct.pack("!I", DEFAULT_MAX_FRAME + 1))
+            assert read_frame(sock)["error"]["code"] == "oversized_frame"
+            # the parent closed the connection and no worker holds it
+            with pytest.raises(ConnectionClosed):
+                read_frame(sock)
+        finally:
+            sock.close()
+
+    def test_workers_exit_when_the_parent_is_killed(self, cli_daemons):
+        proc, address = cli_daemons.launch(2)
+        with ServeClient.open(address) as c:
+            c.crash_worker(worker=0)
+            assert _wait_for(lambda: _respawned(c), 30)
+            for u, v in PAIRS[:4]:
+                c.query(str(u), str(v))
+        workers = cli_daemons.workers(proc)
+        assert len(workers) == 2
+        os.kill(proc.pid, signal.SIGKILL)
+        proc.wait(timeout=10)
+        assert _wait_for(lambda: all(_exited(p) for p in workers), 10), [
+            p for p in workers if not _exited(p)
+        ]
+
+    def test_sigterm_ends_a_respawned_worker(self, cli_daemons):
+        proc, address = cli_daemons.launch(1)
+        (first,) = cli_daemons.workers(proc)
+        with ServeClient.open(address) as c:
+            c.crash_worker(worker=0)
+            assert _wait_for(lambda: _respawned(c), 30)
+            # answered, so the replacement is past its start-up
+            assert c.query("0", "9") == pytest.approx(
+                ORACLE.query(0, 9), abs=1e-9
+            )
+        (worker,) = [p for p in cli_daemons.workers(proc) if p != first]
+        os.kill(worker, signal.SIGTERM)
+        assert _wait_for(lambda: _exited(worker), 5)
 
 
 # ---------------------------------------------------------------------------
