@@ -82,6 +82,21 @@ class ServeClient:
             protocol.read_frame(self._sock, max_frame=self._max_frame)
         )
 
+    def _call_object(self, op: str) -> Dict[str, Any]:
+        """:meth:`call` for an op whose result is a JSON object.
+
+        Raises
+        ------
+        ProtocolError
+            ``malformed_frame`` when the result is not an object.
+        """
+        result = self.call(op)
+        if not isinstance(result, dict):
+            raise protocol.ProtocolError(
+                "malformed_frame", f"{op} result is not an object: {result!r}"
+            )
+        return result
+
     # -- typed convenience wrappers ------------------------------------
     def ping(self) -> bool:
         """True iff the daemon answers."""
@@ -89,9 +104,7 @@ class ServeClient:
 
     def info(self) -> Dict[str, Any]:
         """Daemon/structure metadata (n, m, workers, payload bytes...)."""
-        result = self.call("info")
-        assert isinstance(result, dict)
-        return result
+        return self._call_object("info")
 
     def vertices(self, limit: int = 100, offset: int = 0) -> List[str]:
         """Up to ``limit`` vertex labels starting at ``offset``."""
@@ -116,9 +129,7 @@ class ServeClient:
 
     def stats(self) -> Dict[str, Any]:
         """Merged daemon metrics snapshot plus per-worker cache info."""
-        result = self.call("stats")
-        assert isinstance(result, dict)
-        return result
+        return self._call_object("stats")
 
     def shutdown(self) -> None:
         """Ask the daemon to stop (it answers before stopping)."""

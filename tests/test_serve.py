@@ -130,6 +130,19 @@ class TestProtocol:
             result_of(error_response("unknown_vertex", "no such vertex"))
         assert err.value.code == "unknown_vertex"
 
+    @pytest.mark.parametrize("op", ["info", "stats"])
+    def test_client_rejects_a_non_object_result(self, op):
+        ours, daemon = socket.socketpair()
+        try:
+            # the fake daemon's answer waits in the socket before the ask
+            daemon.sendall(encode_frame(ok_response([1])))
+            with pytest.raises(ProtocolError) as err:
+                getattr(ServeClient(ours), op)()
+            assert err.value.code == "malformed_frame"
+        finally:
+            ours.close()
+            daemon.close()
+
     def test_address_of(self):
         assert address_of("127.0.0.1:80") == ("127.0.0.1", 80)
         assert address_of("unix:/tmp/s.sock") == "/tmp/s.sock"
