@@ -458,6 +458,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if bool(args.profile) == bool(args.structure):
         raise SystemExit("error: give exactly one of --profile or --structure")
     landmarks = args.landmarks
+    t0 = time.perf_counter()
     if args.structure:
         structure = _load(args.structure)
         seed = args.seed if args.seed is not None else 0
@@ -483,6 +484,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             f"construction {build_s:.3f}s",
             flush=True,
         )
+    startup = {"load_s": time.perf_counter() - t0}
     t0 = time.perf_counter()
     oracle = DistanceOracle.build(
         structure,
@@ -491,7 +493,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         seed=seed,
         cache_size=args.cache_size,
     )
-    print(f"oracle built in {time.perf_counter() - t0:.3f}s", flush=True)
+    startup["oracle_s"] = time.perf_counter() - t0
     server = Server(
         oracle,
         workers=args.workers,
@@ -502,6 +504,13 @@ def cmd_serve(args: argparse.Namespace) -> int:
         max_frame=args.max_frame,
     )
     server.start()
+    for step in ("publish_s", "workers_s", "bind_s"):
+        startup[step] = server.metrics.gauge(f"serve.startup.{step}").value
+    # where launch-to-READY went, interpreter start-up and imports aside
+    print(
+        "startup " + " ".join(f"{k}={v:.4f}" for k, v in startup.items()),
+        flush=True,
+    )
     address = server.address
     spec = (
         f"unix:{address}" if isinstance(address, str)

@@ -342,13 +342,18 @@ class Server:
     def start(self) -> None:
         """Publish the segment, spawn workers, wait ready, bind the socket.
 
+        The seconds each of the three steps took are the gauges
+        ``serve.startup.publish_s``, ``.workers_s`` and ``.bind_s``.
+
         Raises
         ------
         RuntimeError
             When a worker fails to report ready within ``ready_timeout``.
         """
+        step = time.perf_counter()
         self._share = publish_oracle(self.oracle)
         self._started_at = time.monotonic()
+        step = self._startup_step("publish_s", step)
         try:
             for worker_id in range(self.workers):
                 self._spawn_worker(worker_id)
@@ -370,6 +375,7 @@ class Server:
                     raise RuntimeError(
                         f"worker {worker.worker_id} sent {info!r} instead of ready"
                     )
+            step = self._startup_step("workers_s", step)
             if self.unix_path is not None:
                 try:
                     os.unlink(self.unix_path)
@@ -391,9 +397,17 @@ class Server:
             self._wake_r, self._wake_w = socket.socketpair()
             self._wake_r.setblocking(False)
             self._sel.register(self._wake_r, selectors.EVENT_READ, ("wake", None))
+            self._startup_step("bind_s", step)
         except BaseException:
             self.close()
             raise
+
+    def _startup_step(self, name: str, began: float) -> float:
+        """Record the seconds since ``began`` as ``serve.startup.<name>``;
+        return now."""
+        now = time.perf_counter()
+        self.metrics.gauge(f"serve.startup.{name}").set(now - began)
+        return now
 
     def request_shutdown(self) -> None:
         """Ask the loop to stop (thread- and signal-safe)."""

@@ -348,6 +348,12 @@ class TestDaemonOps:
             client.call("k_nearest", v="0", k="three")
         assert err.value.code == "bad_request"
 
+    def test_stats_carries_the_startup_split(self, client):
+        snapshot = client.stats()["snapshot"]
+        for step in ("publish_s", "workers_s", "bind_s"):
+            gauge = snapshot[f"serve.startup.{step}"]
+            assert gauge["type"] == "gauge" and gauge["value"] > 0
+
     def test_stats_merges_worker_registries(self, served, client):
         before = client.stats()["snapshot"].get(
             "serve.worker.requests", {}
@@ -660,6 +666,31 @@ class TestCliDaemonWorkers:
         assert _wait_for(lambda: all(_exited(p) for p in workers), 10), [
             p for p in workers if not _exited(p)
         ]
+
+    def test_prints_the_startup_split_before_ready(self, tmp_path):
+        path = tmp_path / "structure.json"
+        write_json(GRAPH, path)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--structure", str(path),
+             "--workers", "1", "--port", "0"],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+            env={**os.environ, "PYTHONUNBUFFERED": "1"},
+        )
+        lines = []
+        try:
+            for line in proc.stdout:
+                lines.append(line)
+                if line.startswith("READY "):
+                    break
+        finally:
+            stop_daemon(proc)
+        assert lines[-1].startswith("READY "), lines
+        (startup,) = [line for line in lines if line.startswith("startup ")]
+        fields = dict(part.split("=") for part in startup.split()[1:])
+        assert list(fields) == [
+            "load_s", "oracle_s", "publish_s", "workers_s", "bind_s"
+        ]
+        assert all(float(value) >= 0 for value in fields.values())
 
     def test_sigterm_ends_a_respawned_worker(self, cli_daemons):
         proc, address = cli_daemons.launch(1)
