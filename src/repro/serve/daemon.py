@@ -41,7 +41,6 @@ import selectors
 import signal
 import socket
 import struct
-import threading
 import time
 from multiprocessing import get_context
 from multiprocessing.connection import Connection
@@ -291,7 +290,9 @@ class Server:
         self._ctx = get_context("spawn")
         self._wake_r: Optional[socket.socket] = None
         self._wake_w: Optional[socket.socket] = None
-        self._stop = threading.Event()
+        # a plain flag: a signal handler that waited on a lock the
+        # interrupted main thread holds would never return
+        self._stopping = False
         self._closed = False
         self._started_at = 0.0
 
@@ -411,7 +412,7 @@ class Server:
 
     def request_shutdown(self) -> None:
         """Ask the loop to stop (thread- and signal-safe)."""
-        self._stop.set()
+        self._stopping = True
         wake = self._wake_w
         if wake is not None:
             try:
@@ -426,7 +427,7 @@ class Server:
         if self._sel is None:
             raise RuntimeError("serve_forever() before start()")
         try:
-            while not self._stop.is_set():
+            while not self._stopping:
                 for key, mask in self._sel.select(timeout=0.5):
                     kind, tag = key.data
                     if kind == "listener":
@@ -588,7 +589,7 @@ class Server:
     def _handle_request(
         self, client: _Client, op: str, args: Dict[str, Any]
     ) -> None:
-        if self._stop.is_set():
+        if self._stopping:
             self._count_error("shutting_down")
             self._send_to_client(
                 client,
@@ -849,7 +850,7 @@ class Server:
             )
         worker.outstanding.clear()
         self._workers.pop(worker_id, None)
-        if self.respawn and not self._stop.is_set():
+        if self.respawn and not self._stopping:
             self._spawn_worker(worker_id)
             self.metrics.counter("serve.workers.respawned").inc()
 
@@ -859,7 +860,7 @@ class Server:
         if self._closed:
             return
         self._closed = True
-        self._stop.set()
+        self._stopping = True
         # in-flight requests are answered with a typed shutting_down error
         for request in list(self._requests.values()):
             client = self._clients.get(request.client_fd)

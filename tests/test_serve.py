@@ -523,6 +523,30 @@ class TestLifecycle:
             thread.join(timeout=30)
         assert not Path(path).exists()  # stale socket files are removed
 
+    def test_request_shutdown_takes_no_lock(self):
+        """repro serve calls request_shutdown from its signal handlers,
+        which run wherever the main thread was interrupted: waiting there
+        for a lock the interrupted code holds never returns."""
+        lock_types = (type(threading.Lock()), type(threading.RLock()))
+        taken = []
+
+        def profile(frame, event, arg):
+            if event == "c_call" and isinstance(
+                getattr(arg, "__self__", None), lock_types
+            ):
+                taken.append(arg)
+
+        server = Server(ORACLE, workers=1, port=0)
+        thread = _serve_in_thread(server)
+        sys.setprofile(profile)
+        try:
+            server.request_shutdown()
+        finally:
+            sys.setprofile(None)
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert taken == []
+
     def test_close_is_idempotent(self):
         server = Server(ORACLE, workers=1, port=0)
         thread = _serve_in_thread(server)
