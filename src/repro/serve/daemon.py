@@ -5,7 +5,7 @@ Architecture — one parent event loop, N compute workers::
     clients ── TCP / unix socket ──▶ parent (selectors loop)
                                         │  per-worker duplex Pipe
                                         ▼
-                       worker 0 … worker N-1  (spawned processes)
+                       worker 0 … worker N-1  (forked or spawned)
                                         ▲
                 one shared segment ─────┘  (repro.serve.shm)
 
@@ -17,6 +17,14 @@ still holds the client connections of the requests that died with it,
 answers each with a typed ``worker_crashed`` error, and respawns the
 worker — the daemon as a whole never hangs and never drops a
 connection because of a worker failure.
+
+Workers are forked while the daemon runs one thread, as ``repro serve``
+does, and spawned otherwise (a ``Server`` whose loop runs in a thread):
+a forked worker starts from the parent's imported modules instead of a
+fresh interpreter, and forking a multi-threaded process can deadlock
+the child.  A forked worker first closes the fds it inherited from the
+parent (:meth:`Server._parent_fds` lists them and why) and resets
+SIGTERM to its default.
 
 Requests are dispatched to the live worker with the fewest outstanding
 requests; ``stats`` fans out to every worker and folds the per-worker
@@ -44,7 +52,7 @@ import struct
 import time
 from multiprocessing import get_context
 from multiprocessing.connection import Connection
-from typing import Any, Dict, List, Optional, Set
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.obs.metrics import MetricsRegistry
 from repro.oracle.oracle import DistanceOracle
@@ -149,20 +157,32 @@ def _execute(
 
 
 def worker_main(
-    worker_id: int, shm_name: str, conn: Connection, warm: int
+    worker_id: int,
+    shm_name: str,
+    conn: Connection,
+    warm: int,
+    parent_fds: Tuple[int, ...],
 ) -> None:
-    """Entry point of one serving worker (spawned process).
+    """Entry point of one serving worker (a forked or spawned process).
 
-    Attaches the shared oracle segment (zero-copy), optionally warms the
-    scratch arrays and cache with ``warm`` seeded self-queries, reports
-    ready, then answers ``(req_id, op, args)`` messages from the parent
-    until told to exit or the pipe closes.  All state is local to the
-    process: a private metrics registry, the label-resolution dict, and
-    the attached oracle — nothing global is written.
+    A forked worker first closes ``parent_fds``, the parent's fds it
+    inherited (a spawned one gets ``()``), and both kinds reset the
+    parent's signal handlers.  Then it attaches the shared oracle
+    segment (zero-copy), optionally warms the scratch arrays and cache
+    with ``warm`` seeded self-queries, reports ready, then answers
+    ``(req_id, op, args)`` messages from the parent until told to exit
+    or the pipe closes.  All state is local to the process: a private
+    metrics registry, the label-resolution dict, and the attached
+    oracle — nothing global is written.
     """
-    # the parent handles SIGINT for the whole process group; a worker
-    # interrupted mid-recv would otherwise die with a KeyboardInterrupt
-    # traceback instead of exiting through the pipe protocol
+    for fd in parent_fds:
+        os.close(fd)
+    # a worker forked after ``repro serve`` installed its handlers would
+    # otherwise ignore terminate(); the parent handles SIGINT for the
+    # whole process group, and a worker interrupted mid-recv would die
+    # with a KeyboardInterrupt traceback instead of exiting through the
+    # pipe protocol
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     handle = attach_oracle(shm_name)
     oracle = handle.oracle
@@ -199,6 +219,23 @@ def worker_main(
 # ----------------------------------------------------------------------
 # Parent side
 # ----------------------------------------------------------------------
+def _start_method() -> str:
+    """``fork`` while this process runs one thread, else ``spawn``.
+
+    A forked worker starts from the parent's imported modules in a few
+    milliseconds, where a spawned one starts a fresh interpreter and
+    imports ``repro`` again.  Forking a process that runs other threads
+    can deadlock the child (CPython 3.12+ warns), so the thread count
+    the OS reports decides, as it does for that warning; without
+    ``/proc`` to count them, workers are spawned.
+    """
+    try:
+        threads = len(os.listdir("/proc/self/task"))
+    except OSError:
+        return "spawn"
+    return "fork" if threads == 1 else "spawn"
+
+
 class _Worker:
     """Parent-side record of one worker process."""
 
@@ -287,7 +324,6 @@ class Server:
         self._next_req = 0
         self._listener: Optional[socket.socket] = None
         self._sel: Optional[selectors.BaseSelector] = None
-        self._ctx = get_context("spawn")
         self._wake_r: Optional[socket.socket] = None
         self._wake_w: Optional[socket.socket] = None
         # a plain flag: a signal handler that waited on a lock the
@@ -314,10 +350,13 @@ class Server:
 
     def _spawn_worker(self, worker_id: int) -> _Worker:
         assert self._share is not None
-        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        proc = self._ctx.Process(
+        method = _start_method()
+        ctx = get_context(method)
+        parent_conn, child_conn = ctx.Pipe(duplex=True)
+        parent_fds = self._parent_fds(parent_conn) if method == "fork" else ()
+        proc = ctx.Process(
             target=worker_main,
-            args=(worker_id, self._share.name, child_conn, self.warm),
+            args=(worker_id, self._share.name, child_conn, self.warm, parent_fds),
             name=f"repro-serve-worker-{worker_id}",
             daemon=True,
         )
@@ -329,6 +368,27 @@ class Server:
         if self._sel is not None:
             self._register_worker(worker)
         return worker
+
+    def _parent_fds(self, own_end: Connection) -> Tuple[int, ...]:
+        """The fds a forked worker must close before anything else.
+
+        A worker holding a client socket keeps the connection open after
+        the parent closes it, so the client never reads EOF; holding the
+        listener keeps the port bound after the parent exits; the wake
+        sockets and the selector belong to the parent's loop.  A worker
+        holding another worker's pipe end, or ``own_end`` (the parent end
+        of its own new pipe), keeps that worker from reading EOF when
+        the parent dies.
+        """
+        fds = [own_end.fileno()]
+        fds += [client.fd for client in self._clients.values()]
+        fds += [worker.conn.fileno() for worker in self._workers.values()]
+        for sock in (self._listener, self._wake_r, self._wake_w):
+            if sock is not None:
+                fds.append(sock.fileno())
+        if self._sel is not None:
+            fds.append(self._sel.fileno())
+        return tuple(fds)
 
     def _register_worker(self, worker: _Worker) -> None:
         assert self._sel is not None

@@ -444,6 +444,7 @@ class TestLifecycle:
     def test_worker_crash_respawns_and_service_continues(self):
         server = Server(ORACLE, workers=2, port=0)
         thread = _serve_in_thread(server)
+        before = set(multiprocessing.active_children())
         try:
             with ServeClient.open(server.address) as c:
                 killed = c.crash_worker(worker=0)
@@ -465,6 +466,12 @@ class TestLifecycle:
                     assert c.query(str(u), str(v)) == pytest.approx(
                         ORACLE.query(u, v), abs=1e-9
                     )
+                # the loop runs in a thread, so the replacement was
+                # spawned: forking a multi-threaded process can deadlock
+                (replacement,) = set(multiprocessing.active_children()) - before
+                assert b"multiprocessing" in Path(
+                    f"/proc/{replacement.pid}/cmdline"
+                ).read_bytes()
         finally:
             server.request_shutdown()
             thread.join(timeout=30)
@@ -651,6 +658,18 @@ def cli_daemons(tmp_path):
 
 class TestCliDaemonWorkers:
     """``repro serve`` runs one thread, as it does when deployed."""
+
+    def test_workers_are_forked(self, cli_daemons):
+        proc, address = cli_daemons.launch(2)
+        with ServeClient.open(address) as c:
+            c.crash_worker(worker=0)
+            assert _wait_for(lambda: _respawned(c), 30)
+            assert c.ping() is True
+        cmdline = Path(f"/proc/{proc.pid}/cmdline").read_bytes()
+        workers = cli_daemons.workers(proc)
+        assert len(workers) == 2
+        for pid in workers:
+            assert Path(f"/proc/{pid}/cmdline").read_bytes() == cmdline
 
     def test_respawn_leaves_client_connections_to_the_parent(
         self, cli_daemons
