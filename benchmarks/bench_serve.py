@@ -1,10 +1,10 @@
-"""Serving-daemon speedup evidence: workers=4 vs workers=1 qps.
+"""Serving-daemon evidence: workers=4 vs workers=1 qps, and launch to READY.
 
 The workload is the CI smoke profile (``slt-er`` at the smoke tier):
 the oracle is built once, published to shared memory once, and two
 in-process daemons — one worker, then four — serve the same seeded
-closed-loop mix at the saturation concurrency.  The evidence has two
-halves:
+closed-loop mix at the saturation concurrency.  The evidence has three
+parts:
 
 * **throughput scaling** — the qps-vs-concurrency curve at workers=4
   plus the saturation ratio against workers=1.  The >= 3x acceptance
@@ -20,6 +20,17 @@ halves:
   segment and touches every array value; a control subprocess unpickles
   its own private copy and touches the same values.  The attach side's
   private-memory delta must stay under half the copy side's.
+* **launch to READY** — ``python -m repro serve --structure`` on the
+  same structure, pinned to one CPU as perfbench pins its daemon, timed
+  from the launch to the READY line at each worker count in
+  :data:`LAUNCH_WORKERS`.  Two sides take turns, :data:`LAUNCHES` times
+  each: a ``git archive`` export of :data:`FORK_PARENT_COMMIT`, the
+  commit before workers were forked from the daemon, and this checkout.
+  Both read bytecode from one cache that an untimed launch each fills.
+  Each side records its fastest launch, the median, and the median of
+  each step of the ``startup`` line the daemon prints.  The checkout's
+  fastest launch must stay within :data:`MAX_LAUNCH_RATIO` of the
+  parent's.
 
 Run modes::
 
@@ -36,12 +47,17 @@ import argparse
 import json
 import os
 import pickle
+import shutil
+import statistics
 import subprocess
 import sys
 import tempfile
 import textwrap
 import threading
+import time
 from pathlib import Path
+
+from evidence import exported_src, machine
 
 #: acceptance bar on a machine with >= GATE_CORES usable cores
 REQUIRED_SPEEDUP = 3.0
@@ -63,6 +79,18 @@ REPEATS = 3  # qps is max-of-repeats on both sides (min-variance for rates)
 RESIDENCY_N, RESIDENCY_P, RESIDENCY_LANDMARKS = 3000, 0.006, 6
 MIN_RESIDENCY_PAYLOAD = 500_000
 
+#: launch part: the commit before workers were forked from the daemon,
+#: the worker counts launched, launches per side and worker count (the
+#: sides take turns), and the bars on the checkout's fastest launch over
+#: the parent's.  The fastest launch is the one a slow spell of the
+#: shared machine disturbed least.
+FORK_PARENT_COMMIT = "a6ff567"
+LAUNCH_WORKERS = (1, 2, 4)
+LAUNCHES = 7
+MAX_LAUNCH_RATIO = {1: 0.8, 4: 0.6}
+#: the steps of the ``startup`` line ``repro serve`` prints before READY
+STARTUP_STEPS = ("load_s", "oracle_s", "publish_s", "workers_s", "bind_s")
+
 HERE = Path(__file__).resolve().parent
 TXT_PATH = HERE / "BENCH_serve_speedup.txt"
 JSON_PATH = HERE / "BENCH_serve_speedup.json"
@@ -73,6 +101,7 @@ REQUIRED_JSON_KEYS = {
     "residency_workload",
     "payload_bytes", "attach_private_bytes", "copy_private_bytes",
     "residency_ratio", "repeats", "required_speedup", "min_no_collapse",
+    "launch",
 }
 
 RESIDENCY_PROBE = textwrap.dedent("""\
@@ -142,6 +171,104 @@ def _measure_residency(oracle, payload_share):
         return attach["delta"], copy["delta"]
 
 
+def _launch(src, env, structure, workers, cpu):
+    """Seconds from starting ``repro serve`` on the ``structure`` file,
+    importing ``repro`` from ``src`` and pinned to ``cpu``, to its READY
+    line; and the ``startup`` split it printed."""
+    from repro.harness.loadgen import stop_daemon
+
+    env = dict(env, PYTHONPATH=str(src), PYTHONUNBUFFERED="1")
+    own = os.sched_getaffinity(0)
+    t0 = time.perf_counter()
+    os.sched_setaffinity(0, {cpu})  # the daemon inherits this CPU set
+    try:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--structure", structure,
+             "--workers", str(workers), "--port", "0"],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+            env=env, cwd=src.parent,
+        )
+    finally:
+        os.sched_setaffinity(0, own)
+    split = {}
+    try:
+        for line in proc.stdout:
+            if line.startswith("startup "):
+                split = {k: float(v) for k, v in
+                         (part.split("=") for part in line.split()[1:])}
+            elif line.startswith("READY "):
+                ready_s = time.perf_counter() - t0
+                break
+        else:
+            raise RuntimeError(f"the daemon from {src} exited before READY")
+    finally:
+        stop_daemon(proc)
+    return ready_s, split
+
+
+def _imports_from(src, env):
+    """Fail unless ``import repro`` with ``src`` on PYTHONPATH imports
+    the ``repro`` under ``src``."""
+    out = subprocess.run(
+        [sys.executable, "-c", "import repro; print(repro.__file__)"],
+        env=dict(env, PYTHONPATH=str(src)), cwd=src.parent,
+        capture_output=True, text=True, check=True,
+    )
+    if not Path(out.stdout.strip()).resolve().is_relative_to(src.resolve()):
+        raise RuntimeError(f"{src} side imports {out.stdout.strip()}")
+
+
+def _launch_row(runs):
+    """Fastest and median launch, and the median of each startup step;
+    ``rest_s`` is what the steps leave out: interpreter start-up, imports
+    and the READY handshake."""
+    ready = [r for r, _ in runs]
+    return {
+        "fastest_s": round(min(ready), 4),
+        "median_s": round(statistics.median(ready), 4),
+        "startup": {step: round(statistics.median(s[step] for _, s in runs), 4)
+                    for step in STARTUP_STEPS},
+        "rest_s": round(statistics.median(
+            r - sum(s[step] for step in STARTUP_STEPS) for r, s in runs), 4),
+    }
+
+
+def _measure_launches(structure):
+    """The launch part: per worker count, a row per side."""
+    cpu = max(os.sched_getaffinity(0))
+    runs = {side: {w: [] for w in LAUNCH_WORKERS} for side in ("parent", "change")}
+    pycache = tempfile.mkdtemp(prefix="bench-pycache-")
+    try:
+        with exported_src(FORK_PARENT_COMMIT) as parent_src:
+            srcs = {"parent": parent_src, "change": HERE.parent / "src"}
+            # both sides read bytecode from one cache, filled by an
+            # untimed launch each: a side that found no bytecode would
+            # compile every module it imports, in the daemon and in each
+            # spawned worker
+            env = {k: v for k, v in os.environ.items()
+                   if k != "PYTHONDONTWRITEBYTECODE"}
+            env["PYTHONPYCACHEPREFIX"] = pycache
+            for src in srcs.values():
+                _imports_from(src, env)
+                _launch(src, env, structure, 1, cpu)
+            for i in range(LAUNCHES):
+                order = (("parent", "change") if i % 2 == 0
+                         else ("change", "parent"))
+                for workers in LAUNCH_WORKERS:
+                    for side in order:
+                        runs[side][workers].append(
+                            _launch(srcs[side], env, structure, workers, cpu))
+    finally:
+        # the last daemon's resource tracker, which nobody waits for, may
+        # still be writing bytecode here
+        shutil.rmtree(pycache, ignore_errors=True)
+    rows = {
+        str(w): {side: _launch_row(runs[side][w]) for side in runs}
+        for w in LAUNCH_WORKERS
+    }
+    return cpu, rows
+
+
 def _serve(oracle, workers):
     """(server, serving thread) for an in-process daemon."""
     from repro.serve import Server
@@ -179,6 +306,7 @@ def run() -> int:
     from repro.serve import publish_oracle
 
     from repro.graphs import erdos_renyi_graph
+    from repro.io import write_edge_list
     from repro.oracle import build_oracle
 
     cores = len(os.sched_getaffinity(0))
@@ -190,6 +318,12 @@ def run() -> int:
     oracle = DistanceOracle.build(
         structure, landmarks=mix.landmarks, seed=profile.seed
     )
+
+    # ---- launch to READY, before any in-process daemon starts a thread
+    with tempfile.TemporaryDirectory() as tmp:
+        structure_path = str(Path(tmp) / "structure.edges")
+        write_edge_list(structure, structure_path)
+        launch_cpu, launch_rows = _measure_launches(structure_path)
 
     # ---- residency evidence (a dedicated ~1 MB oracle; see above)
     big = build_oracle(
@@ -256,7 +390,27 @@ def run() -> int:
         f"saturation speedup (workers=4 / workers=1): {speedup:.2f}x "
         f"(best of {REPEATS}; bar >= {REQUIRED_SPEEDUP:.0f}x on "
         f">= {GATE_CORES} cores, >= {MIN_NO_COLLAPSE} no-collapse below)",
+        "",
+        f"launch to READY: repro serve --structure ({PROFILE}@{TIER}), daemon "
+        f"pinned to CPU {launch_cpu}, {LAUNCHES} launches per side taking "
+        f"turns; parent = {FORK_PARENT_COMMIT}; seconds, startup steps as "
+        f"medians",
+        f"{'workers':>7} {'side':>6} {'fastest':>8} {'median':>7} "
+        + " ".join(f"{step:>9}" for step in STARTUP_STEPS) + f" {'rest_s':>7}",
     ]
+    for workers, row in launch_rows.items():
+        for side in ("parent", "change"):
+            r = row[side]
+            lines.append(
+                f"{workers:>7} {side:>6} {r['fastest_s']:>8.4f} "
+                f"{r['median_s']:>7.4f} "
+                + " ".join(f"{r['startup'][s]:>9.4f}" for s in STARTUP_STEPS)
+                + f" {r['rest_s']:>7.4f}")
+    lines.append("fastest launch, checkout / parent: " + ", ".join(
+        f"workers={w} {row['change']['fastest_s'] / row['parent']['fastest_s']:.2f}"
+        for w, row in launch_rows.items())
+        + " (bars: " + ", ".join(
+            f"workers={w} <= {bar}" for w, bar in MAX_LAUNCH_RATIO.items()) + ")")
     TXT_PATH.write_text("\n".join(lines) + "\n")
     print("\n".join(lines))
 
@@ -292,6 +446,14 @@ def run() -> int:
         "repeats": REPEATS,
         "required_speedup": REQUIRED_SPEEDUP,
         "min_no_collapse": MIN_NO_COLLAPSE,
+        "launch": {
+            "parent_commit": FORK_PARENT_COMMIT,
+            "machine": machine(),
+            "daemon_cpu": launch_cpu,
+            "launches": LAUNCHES,
+            "workers": launch_rows,
+            "max_ratio": {str(w): bar for w, bar in MAX_LAUNCH_RATIO.items()},
+        },
     }
     JSON_PATH.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     print(f"\nwrote {TXT_PATH.name} and {JSON_PATH.name}")
@@ -321,9 +483,22 @@ def _gate(record) -> int:
               f"workers=1 (bar >= {MIN_NO_COLLAPSE}x on "
               f"{record['cores']} core(s))")
         return 1
+    ratios = {}
+    for workers, bar in MAX_LAUNCH_RATIO.items():
+        row = record["launch"]["workers"].get(str(workers))
+        if row is None:
+            print(f"FAIL: no launch row at workers={workers}")
+            return 1
+        ratios[workers] = row["change"]["fastest_s"] / row["parent"]["fastest_s"]
+        if ratios[workers] > bar:
+            print(f"FAIL: the fastest launch to READY at workers={workers} "
+                  f"takes {ratios[workers]:.2f}x the parent's (bar <= {bar})")
+            return 1
     print(f"OK: {record['gate']} gate holds — speedup "
           f"{record['speedup']}x on {record['cores']} core(s), "
-          f"residency ratio {record['residency_ratio']}")
+          f"residency ratio {record['residency_ratio']}, fastest launch "
+          + ", ".join(f"{ratio:.2f}x the parent's at workers={w}"
+                      for w, ratio in ratios.items()))
     return 0
 
 

@@ -6,7 +6,9 @@ side runs the script's ``measure()`` in a child process whose
 commit's ``src``, the change side does the same against this checkout's
 ``src``.  The helpers here are that plumbing: the child launch, the
 export, the machine description, and the temporary function wrapping
-with the per-phase timers built on it.
+with the per-phase timers built on it.  A script whose baseline side
+runs something other than ``measure()``, such as a daemon launch, takes
+the export itself from :func:`exported_src`.
 """
 
 from __future__ import annotations
@@ -89,15 +91,23 @@ def measure_side(module: str, src: Path) -> Dict[str, Any]:
     return out["cases"]
 
 
-def measure_baseline(module: str, commit: str) -> Dict[str, Any]:
-    """:func:`measure_side` on a ``git archive`` export of ``commit``."""
+@contextlib.contextmanager
+def exported_src(commit: str) -> Iterator[Path]:
+    """The ``src`` of a ``git archive`` export of ``commit``, in a
+    temporary directory removed on exit."""
     with tempfile.TemporaryDirectory(prefix="bench-baseline-") as tmp:
         tar = subprocess.run(
             ["git", "-C", str(ROOT), "archive", commit, "src"],
             capture_output=True, check=True,
         ).stdout
         subprocess.run(["tar", "-x", "-C", tmp], input=tar, check=True)
-        return measure_side(module, Path(tmp) / "src")
+        yield Path(tmp) / "src"
+
+
+def measure_baseline(module: str, commit: str) -> Dict[str, Any]:
+    """:func:`measure_side` on a ``git archive`` export of ``commit``."""
+    with exported_src(commit) as src:
+        return measure_side(module, src)
 
 
 def machine() -> Dict[str, Any]:
