@@ -52,13 +52,16 @@ import struct
 import time
 from multiprocessing import get_context
 from multiprocessing.connection import Connection
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set, Tuple, Union
 
 from repro.obs.metrics import MetricsRegistry
 from repro.oracle.oracle import DistanceOracle
 from repro.serve import protocol
 from repro.serve.protocol import Address
 from repro.serve.shm import OracleShare, attach_oracle, publish_oracle
+
+if TYPE_CHECKING:
+    from multiprocessing.context import ForkContext, SpawnContext
 
 DEFAULT_WORKERS = 2
 DEFAULT_HOST = "127.0.0.1"
@@ -219,8 +222,8 @@ def worker_main(
 # ----------------------------------------------------------------------
 # Parent side
 # ----------------------------------------------------------------------
-def _start_method() -> str:
-    """``fork`` while this process runs one thread, else ``spawn``.
+def _single_threaded() -> bool:
+    """True while this process runs one thread, so a worker may be forked.
 
     A forked worker starts from the parent's imported modules in a few
     milliseconds, where a spawned one starts a fresh interpreter and
@@ -230,10 +233,9 @@ def _start_method() -> str:
     ``/proc`` to count them, workers are spawned.
     """
     try:
-        threads = len(os.listdir("/proc/self/task"))
+        return len(os.listdir("/proc/self/task")) == 1
     except OSError:
-        return "spawn"
-    return "fork" if threads == 1 else "spawn"
+        return False
 
 
 class _Worker:
@@ -323,7 +325,7 @@ class Server:
         self._requests: Dict[int, _Request] = {}
         self._next_req = 0
         self._listener: Optional[socket.socket] = None
-        self._sel: Optional[selectors.BaseSelector] = None
+        self._sel: Optional[selectors.DefaultSelector] = None
         self._wake_r: Optional[socket.socket] = None
         self._wake_w: Optional[socket.socket] = None
         # a plain flag: a signal handler that waited on a lock the
@@ -350,10 +352,12 @@ class Server:
 
     def _spawn_worker(self, worker_id: int) -> _Worker:
         assert self._share is not None
-        method = _start_method()
-        ctx = get_context(method)
+        fork = _single_threaded()
+        ctx: Union[ForkContext, SpawnContext] = (
+            get_context("fork") if fork else get_context("spawn")
+        )
         parent_conn, child_conn = ctx.Pipe(duplex=True)
-        parent_fds = self._parent_fds(parent_conn) if method == "fork" else ()
+        parent_fds = self._parent_fds(parent_conn) if fork else ()
         proc = ctx.Process(
             target=worker_main,
             args=(worker_id, self._share.name, child_conn, self.warm, parent_fds),

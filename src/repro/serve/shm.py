@@ -61,9 +61,9 @@ def _attach_segment(name: str) -> shared_memory.SharedMemory:
     tracker; because the daemon's workers share the parent's tracker
     process (forked ones inherit it, spawned ones are handed it) and its
     registry is set-based, that re-registration is idempotent and
-    harmless — whereas the common ``unregister``
-    workaround would strip the *publisher's* registration out of the
-    shared tracker and leak the segment if the daemon dies uncleanly.
+    harmless — whereas the common ``unregister`` workaround would strip
+    the *publisher's* registration out of the shared tracker and leak
+    the segment if the daemon dies uncleanly.
     So on pre-3.13 the attach deliberately leaves tracking alone; the
     publisher's :meth:`OracleShare.unlink` remains the one unlink.
     """
