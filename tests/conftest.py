@@ -66,6 +66,28 @@ def caterpillar():
     return caterpillar_graph(10, legs_per_vertex=2)
 
 
+@pytest.fixture
+def ring_with_chords():
+    """A 1000-vertex ring with edge weights 1 + U[0, 10⁻³) and 40 chords
+    weighted by their ring distance (seed 1).
+
+    Its chords are heavy next to the MST's weight, so ``light_spanner``
+    puts some of them in case-1 buckets: bucket 6 at k=2, buckets 6 and
+    7 at k=3 (ε=0.25).
+    """
+    n, chords = 1000, 40
+    rng = random.Random(1)
+    g = WeightedGraph(range(n))
+    for v in range(n):
+        g.add_edge(v, (v + 1) % n, 1.0 + 1e-3 * rng.random())
+    while g.m < n + chords:
+        u = rng.randrange(n)
+        d = rng.randint(2, n // 2)
+        if not g.has_edge(u, (u + d) % n):
+            g.add_edge(u, (u + d) % n, float(d))
+    return g
+
+
 @pytest.fixture(
     params=["er", "geometric", "grid", "ring", "star"],
     ids=["erdos-renyi", "geometric", "grid", "ring-of-cliques", "star-rim"],

@@ -8,6 +8,12 @@ output, so any change to the edges, the round ledgers or the light
 spanner's per-bucket statistics on these inputs fails here.  The
 insertion-order digests hash ``list(graph.edges())`` unsorted, so they
 also pin the order in which the MST and the spanner edges were added.
+
+``RING_GOLDEN`` and the one-graph test were recorded before the BFS tree
+τ was cached on the frozen graph, the Euler tour was walked once, the
+rounded column took one logarithm per slot and the bucket sweep one
+bisection per edge.  ``RING_GOLDEN``'s input puts §5 case-1 buckets
+inside ``light_spanner``, which no other golden input does.
 """
 
 import hashlib
@@ -54,6 +60,26 @@ LIGHT_GOLDEN = {
     ),
 }
 
+#: light_spanner(k, ε=0.25, Random(1)) on the ``ring_with_chords``
+#: fixture, k -> (edges, ledger, BucketStats with every field, edge
+#: count, case-1 bucket indices, insertion-order edges)
+RING_GOLDEN = {
+    2: (
+        "b79f21a0ad35872c419a1ecd228de6aab0c3a3fccc7b6013dadcaca181943721",
+        "c169b3cad5aad31984132a0a6f8900bb0c7389d3dcc48b87fe8e5bb865b09718",
+        "c7a1f5d4a857147d59d143daaec148b18d891cc5d1cd45baa874bebdad42d8be",
+        1038, [6],
+        "f23cfdf2a5cc504505e58439403c8635688ac0ff37d8c1644003b1e083dad3b4",
+    ),
+    3: (
+        "f6923d0a2f48fe924101850b0bc0466a57357aa07e36f7217883fd787950d4ec",
+        "09f35bb85c61297034a00a40e9e4882008d414a35aa6b7e1c1221e73e5e29ec9",
+        "a8a6f9d28187ca6ad25181c917ed4218b6abcee3fb44e40fd817761e371e57fa",
+        1037, [6, 7],
+        "b198496b78b9c5642d7281dfedd2bd3906fab32e10523872de263495b97854cc",
+    ),
+}
+
 #: shallow_light_tree(α=5) on ER(400, 0.08, seed=1): (edges, ledger,
 #: insertion-order edges)
 SLT_GOLDEN = (
@@ -95,11 +121,8 @@ def _light_input(name):
     return erdos_renyi_graph(400, 0.08, seed=seed), seed
 
 
-@pytest.mark.parametrize("name", sorted(LIGHT_GOLDEN))
-def test_light_spanner_matches_golden(name):
+def _assert_light_golden(res, name):
     edges, ledger, buckets, m, num_buckets, ordered = LIGHT_GOLDEN[name]
-    graph, seed = _light_input(name)
-    res = light_spanner(graph, 3, 0.25, random.Random(seed))
     assert (res.spanner.m, len(res.buckets)) == (m, num_buckets)
     assert _edges_digest(res.spanner) == edges
     assert _ordered_edges_digest(res.spanner) == ordered
@@ -110,13 +133,55 @@ def test_light_spanner_matches_golden(name):
     )) == buckets
 
 
+def _slt_digests(res):
+    return (
+        _edges_digest(res.tree), _ledger_digest(res.ledger),
+        _ordered_edges_digest(res.tree),
+    )
+
+
+@pytest.mark.parametrize("name", sorted(LIGHT_GOLDEN))
+def test_light_spanner_matches_golden(name):
+    graph, seed = _light_input(name)
+    _assert_light_golden(light_spanner(graph, 3, 0.25, random.Random(seed)), name)
+
+
+@pytest.mark.parametrize("k", sorted(RING_GOLDEN))
+def test_light_spanner_with_case1_buckets_matches_golden(ring_with_chords, k):
+    edges, ledger, buckets, m, case1, ordered = RING_GOLDEN[k]
+    res = light_spanner(ring_with_chords, k, 0.25, random.Random(1))
+    assert res.spanner.m == m
+    assert [b.index for b in res.buckets if b.case == 1] == case1
+    assert _edges_digest(res.spanner) == edges
+    assert _ordered_edges_digest(res.spanner) == ordered
+    assert _ledger_digest(res.ledger) == ledger
+    assert _sha256(json.dumps(
+        [[b.index, b.weight_cap.hex(), b.num_edges, b.case, b.num_clusters,
+          b.spanner_edges, b.rounds] for b in res.buckets]
+    )) == buckets
+
+
 def test_shallow_light_tree_matches_golden():
     graph = erdos_renyi_graph(400, 0.08, seed=1)
     res = shallow_light_tree(graph, min(graph.vertices(), key=repr), 5.0)
-    assert (
-        _edges_digest(res.tree), _ledger_digest(res.ledger),
-        _ordered_edges_digest(res.tree),
-    ) == SLT_GOLDEN
+    assert _slt_digests(res) == SLT_GOLDEN
+
+
+@pytest.mark.parametrize("slt_first", [True, False], ids=["slt-first", "spanner-first"])
+def test_both_constructions_on_one_graph_match_fresh_goldens(slt_first):
+    """One graph object through both constructions, as perfbench's
+    light-er runs them: what the first leaves on the frozen view must not
+    change the second's output."""
+    graph = erdos_renyi_graph(400, 0.08, seed=1)
+    root = min(graph.vertices(), key=repr)
+    if slt_first:
+        slt = shallow_light_tree(graph, root, 5.0)
+        spanner = light_spanner(graph, 3, 0.25, random.Random(1))
+    else:
+        spanner = light_spanner(graph, 3, 0.25, random.Random(1))
+        slt = shallow_light_tree(graph, root, 5.0)
+    assert _slt_digests(slt) == SLT_GOLDEN
+    _assert_light_golden(spanner, "er400-1")
 
 
 def test_boruvka_ledger_matches_golden():

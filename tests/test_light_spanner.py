@@ -97,14 +97,14 @@ class TestBuckets:
         assert res.buckets[0].index == -1
         assert res.buckets[0].case == 0
 
-    def test_case_assignment_monotone(self):
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_case_assignment_monotone(self, ring_with_chords, k):
         """Low buckets (big w_i, few clusters) are case 1; high buckets
-        case 2 — the switch happens once."""
-        g = erdos_renyi_graph(80, 0.2, min_weight=1.0, max_weight=5000.0, seed=4)
-        res = light_spanner(g, 2, 0.25, random.Random(4))
+        case 2 — both occur, and the switch happens once."""
+        res = light_spanner(ring_with_chords, k, 0.25, random.Random(1))
         cases = [b.case for b in res.buckets if b.index >= 0]
-        if 1 in cases and 2 in cases:
-            assert cases.index(2) >= len([c for c in cases if c == 1])
+        assert 1 in cases and 2 in cases
+        assert cases == sorted(cases)
 
     def test_cluster_count_grows_with_bucket_index(self):
         g = erdos_renyi_graph(80, 0.2, min_weight=1.0, max_weight=5000.0, seed=5)
