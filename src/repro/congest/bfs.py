@@ -10,6 +10,13 @@ module builds it two ways:
   ``depth + O(1)`` measured rounds;
 * :func:`build_bfs_tree` — the convenience entry point used by the rest of
   the library: runs the node program and packages the result.
+
+Taking the paper at its word, τ is built once per network: without a
+``network=``, :func:`build_bfs_tree` keeps the tree on the graph's
+frozen CSR view, keyed by root (:meth:`~repro.graphs.csr.CSRGraph.bfs_tree`),
+so the constructions that share one unchanged graph share one
+simulation.  Each call still returns its own maps and the measured
+rounds, which every ledger charges as ``bfs-tree``.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ from typing import Dict, Hashable, List, Optional
 
 from repro.congest.algorithm import CongestAlgorithm, Inbox, NodeView, Outbox
 from repro.congest.simulator import SyncNetwork
+from repro.graphs.csr import BFSParts
 from repro.graphs.weighted_graph import WeightedGraph
 
 Vertex = Hashable
@@ -104,20 +112,8 @@ class DistributedBFS(CongestAlgorithm):
         return True
 
 
-def build_bfs_tree(
-    graph: WeightedGraph, root: Vertex, network: Optional[SyncNetwork] = None
-) -> BFSTree:
-    """Run :class:`DistributedBFS` on ``graph`` and package the tree.
-
-    Raises
-    ------
-    ValueError
-        If ``root`` is not a vertex of ``graph``, or the graph is
-        disconnected (some node never hears the flood).
-    """
-    if not graph.has_vertex(root):
-        raise ValueError(f"BFS root {root!r} is not a vertex of the graph")
-    net = network if network is not None else SyncNetwork(graph)
+def _simulate(graph: WeightedGraph, root: Vertex, net: SyncNetwork) -> BFSParts:
+    """Run :class:`DistributedBFS` on ``net``: parents, depths, rounds."""
     net.reset()
     rounds = net.run(DistributedBFS(root))
     parent: Dict[Vertex, Optional[Vertex]] = {}
@@ -128,4 +124,32 @@ def build_bfs_tree(
             raise ValueError(f"graph is disconnected: {v!r} unreached from {root!r}")
         parent[v] = state["bfs_parent"]
         depth[v] = state["bfs_depth"]
-    return BFSTree(root=root, parent=parent, depth=depth, rounds=rounds)
+    return parent, depth, rounds
+
+
+def build_bfs_tree(
+    graph: WeightedGraph, root: Vertex, network: Optional[SyncNetwork] = None
+) -> BFSTree:
+    """Run :class:`DistributedBFS` on ``graph`` and package the tree.
+
+    Without ``network``, the tree is simulated once per frozen view of
+    ``graph`` and root; a later call on the unchanged graph copies it.
+    With ``network``, the simulation always runs on that network, so its
+    message counters advance.  Either way the caller owns the returned
+    maps.
+
+    Raises
+    ------
+    ValueError
+        If ``root`` is not a vertex of ``graph``, or the graph is
+        disconnected (some node never hears the flood).
+    """
+    if not graph.has_vertex(root):
+        raise ValueError(f"BFS root {root!r} is not a vertex of the graph")
+    if network is not None:
+        parent, depth, rounds = _simulate(graph, root, network)
+        return BFSTree(root=root, parent=parent, depth=depth, rounds=rounds)
+    parent, depth, rounds = graph.freeze().bfs_tree(
+        root, lambda: _simulate(graph, root, SyncNetwork(graph))
+    )
+    return BFSTree(root=root, parent=dict(parent), depth=dict(depth), rounds=rounds)

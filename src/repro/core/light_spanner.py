@@ -37,6 +37,7 @@ from __future__ import annotations
 import math
 import random
 
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
@@ -50,6 +51,7 @@ from repro.congest.primitives import (
     pipelined_aggregate_rounds,
 )
 from repro.determinism import ensure_rng
+from repro.graphs.csr import CSRGraph
 from repro.graphs.weighted_graph import Vertex, WeightedGraph
 from repro.mst.fragments import decompose_fragments
 from repro.mst.kruskal import edge_sort_key, kruskal_mst
@@ -152,15 +154,36 @@ def _case2_clusters(
     return cluster_of, max_interval
 
 
-def _bucket_index(weight: float, big_l: float, eps: float) -> int:
-    """The i with ``L/(1+ε)^{i+1} < w <= L/(1+ε)^i`` (float-safe)."""
+def _bucket_sweep(
+    csr: CSRGraph, big_l: float, n: int, eps: float
+) -> Tuple[
+    List[Tuple[Vertex, Vertex]], Dict[int, List[Tuple[Vertex, Vertex, float]]], List[float]
+]:
+    """One sweep of the edges into E′ and the weight buckets.
+
+    Returns E′ (the edges at or below L/n), the bucket
+    ``E_i = {e : w_{i+1} < w(e) <= w_i}`` of every ``i <= i_max =
+    ⌈log_{1+ε} n⌉`` that has an edge, and the caps ``w_i = L/(1+ε)^i``
+    for ``i = 0..i_max+1``.  Edges heavier than L are in no bucket: the
+    MST covers them.  The caps descend, so an edge's i is the number of
+    caps ``w_1..w_{i_max+1}`` at or above its weight: one
+    ``bisect_right`` over their negations.
+    """
+    low_cap = big_l / n
     base = 1.0 + eps
-    i = int(math.floor(math.log(big_l / weight, base)))
-    while i > 0 and weight > big_l / base ** i:
-        i -= 1
-    while weight <= big_l / base ** (i + 1):
-        i += 1
-    return i
+    i_max = math.ceil(math.log(n, base)) if n > 1 else 0
+    caps = [big_l / base ** i for i in range(i_max + 2)]
+    descending = [-cap for cap in caps[1:]]
+    low_edges: List[Tuple[Vertex, Vertex]] = []
+    bucket_edges: Dict[int, List[Tuple[Vertex, Vertex, float]]] = {}
+    for u, v, w in csr.edges():
+        if w <= low_cap:
+            low_edges.append((u, v))
+        elif w <= big_l:
+            i = bisect_right(descending, -w)
+            if i <= i_max:
+                bucket_edges.setdefault(i, []).append((u, v, w))
+    return low_edges, bucket_edges, caps
 
 
 def light_spanner(
@@ -222,16 +245,7 @@ def light_spanner(
     # L/n, the buckets E_i up to L, and the heavier edges, which the MST
     # covers
     low_cap = big_l / n
-    i_max = math.ceil(math.log(n, 1.0 + eps)) if n > 1 else 0
-    low_edges: List[Tuple[Vertex, Vertex]] = []
-    bucket_edges: Dict[int, List[Tuple[Vertex, Vertex, float]]] = {}
-    for u, v, w in graph.freeze().edges():
-        if w <= low_cap:
-            low_edges.append((u, v))
-        elif w <= big_l:
-            i = _bucket_index(w, big_l, eps)
-            if 0 <= i <= i_max:
-                bucket_edges.setdefault(i, []).append((u, v, w))
+    low_edges, bucket_edges, caps = _bucket_sweep(graph.freeze(), big_l, n, eps)
 
     # ---------------- low-weight bucket E' ----------------
     low_graph = graph.edge_subgraph(low_edges)
@@ -260,7 +274,7 @@ def light_spanner(
 
     for i in sorted(bucket_edges):
         edges_i = bucket_edges[i]
-        wi = big_l / (1.0 + eps) ** i
+        wi = caps[i]
         eps_wi = eps * wi
         bucket_ledger = RoundLedger()
         case = 1 if i < case_threshold else 2

@@ -27,8 +27,8 @@ The label-level inspection API (``vertices``/``edges``/``neighbors``/
 ``neighbor_items``/``degree``/``has_edge``/``weight``...) mirrors
 ``WeightedGraph`` so read-only consumers accept either backend; the
 index-level API (``row``, ``indices``, ``weights``, ``mirror``,
-``rounded_weights``, ``mst_edges``) is what the rewritten hot paths use
-directly.
+``rounded_weights``, ``mst_edges``, ``bfs_tree``) is what the rewritten
+hot paths use directly.
 """
 
 from __future__ import annotations
@@ -45,6 +45,33 @@ if TYPE_CHECKING:
 
 Vertex = Hashable
 Edge = Tuple[Vertex, Vertex]
+#: a BFS tree's parent map, depth map and measured rounds
+BFSParts = Tuple[Dict[Vertex, Optional[Vertex]], Dict[Vertex, int], int]
+
+
+def weight_rounder(eps: float) -> Callable[[float], float]:
+    """:func:`round_up_weight` at a fixed ``eps``, for rounding many weights.
+
+    ``log(1 + eps)`` is taken once, and each power ``(1 + eps) ** e``
+    once per exponent.  CPython evaluates ``math.log(w, b)`` as
+    ``log(w) / log(b)``, so dividing by the stored logarithm gives the
+    same exponent, and so the same rounded weight, bit for bit.
+    """
+    if eps <= 0:
+        return lambda w: w
+    base = 1.0 + eps
+    log_base = math.log(base)
+    powers: Dict[int, float] = {}
+    log, ceil = math.log, math.ceil
+
+    def rounded(w: float) -> float:
+        exponent = ceil(log(w) / log_base - 1e-12)
+        power = powers.get(exponent)
+        if power is None:
+            power = powers[exponent] = base ** exponent
+        return power
+
+    return rounded
 
 
 def round_up_weight(w: float, eps: float) -> float:
@@ -55,9 +82,7 @@ def round_up_weight(w: float, eps: float) -> float:
     """
     if eps <= 0:
         return w
-    base = 1.0 + eps
-    exponent = math.ceil(math.log(w, base) - 1e-12)
-    return base ** exponent
+    return weight_rounder(eps)(w)
 
 
 class CSRGraph:
@@ -71,7 +96,7 @@ class CSRGraph:
 
     __slots__ = (
         "indptr", "indices", "weights", "verts", "_index", "_mirror",
-        "_rounded", "_sorted", "_mst",
+        "_rounded", "_sorted", "_mst", "_bfs",
     )
 
     def __init__(
@@ -91,6 +116,7 @@ class CSRGraph:
         self._mirror: Optional[List[int]] = None
         self._rounded: Dict[float, "array[float]"] = {}
         self._mst: Optional[List[Tuple[int, int, float]]] = None
+        self._bfs: Dict[Vertex, BFSParts] = {}
         # when the label order is already canonical (the common case:
         # generators insert int vertices 0..n-1 in order), edges() can
         # yield (verts[i], verts[j]) directly without re-canonicalising
@@ -187,16 +213,16 @@ class CSRGraph:
         """``weights`` with each entry rounded by :func:`round_up_weight`.
 
         The column the (1+ε)-approximate explorations relax over.  Built
-        lazily (one rounding per slot) and cached per ``eps``, so the §7
-        explorations, which all share one ε, round each weight once
-        rather than once per relaxation.  ``eps <= 0`` returns
-        ``weights`` itself.
+        lazily (one logarithm per slot, through :func:`weight_rounder`)
+        and cached per ``eps``, so the §7 explorations, which all share
+        one ε, round each weight once rather than once per relaxation.
+        ``eps <= 0`` returns ``weights`` itself.
         """
         if eps <= 0:
             return self.weights
         column = self._rounded.get(eps)
         if column is None:
-            column = array("d", [round_up_weight(w, eps) for w in self.weights])
+            column = array("d", map(weight_rounder(eps), self.weights))
             self._rounded[eps] = column
         return column
 
@@ -215,6 +241,20 @@ class CSRGraph:
         if self._mst is None:
             self._mst = compute(self)
         return self._mst
+
+    def bfs_tree(self, root: Vertex, compute: Callable[[], BFSParts]) -> BFSParts:
+        """The BFS tree τ from ``root``, cached on the view per root.
+
+        ``compute`` (:mod:`repro.congest.bfs`'s simulation) runs on the
+        first call for a root only; later calls return the same parts,
+        which the caller copies before handing them out.  Like
+        :meth:`mst_edges`, the cache goes away with the view, and a
+        ``compute`` that raises (a disconnected graph) caches nothing.
+        """
+        parts = self._bfs.get(root)
+        if parts is None:
+            parts = self._bfs[root] = compute()
+        return parts
 
     def edges_idx(self) -> Iterator[Tuple[int, int, float]]:
         """Each undirected edge once, as ``(i, j, w)`` with ``i < j``."""

@@ -30,7 +30,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.congest.ledger import RoundLedger
 from repro.determinism import ensure_rng
-from repro.graphs.csr import round_up_weight
+from repro.graphs.csr import weight_rounder
 from repro.graphs.weighted_graph import Vertex, WeightedGraph
 
 INF = float("inf")
@@ -80,7 +80,8 @@ def _rounded_graph(graph: WeightedGraph, delta: float) -> WeightedGraph:
     """The concrete H of Theorem 4: weights rounded up to powers of 1+δ."""
     if delta <= 0:
         return graph
-    return graph.reweighted(lambda _u, _v, w: round_up_weight(w, delta))
+    rounded = weight_rounder(delta)
+    return graph.reweighted(lambda _u, _v, w: rounded(w))
 
 
 def compute_le_lists(

@@ -10,6 +10,13 @@ references below:
   (``WeightedGraph.reweighted``) and runs ``dijkstra`` on the copy;
 * ``_ref_elkin_neiman_spanner`` runs the k rounds over every node.
 
+The rounded column and ``light_spanner``'s bucket sweep must agree bit
+for bit with ``_ref_round_up_weight`` (one ``math.log(w, 1+ε)`` and one
+power per weight) and ``_ref_bucket_sweep`` (``_ref_bucket_index`` per
+edge) on exact powers and caps, their ±1 ulp neighbours and weights over
+more than 12 orders of magnitude.  ``build_bfs_tree`` keeps τ on the
+frozen view; ``TestBFSTreeCache`` states that cache's contract.
+
 The MST and SPT inputs are seeded ER graphs with integer, all-equal and
 rescaled (×1e-6, ×1e6) weights, string, mixed int/str and shuffled
 vertex labels; the SPTs run at ε ∈ {0, 0.1, 0.5, 1}.  The Elkin–Neiman
@@ -25,17 +32,24 @@ import copy
 import importlib
 import math
 import random
+from array import array
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Hashable, List, Mapping, Optional, Set, Tuple
 
 import pytest
 
+import repro.congest.bfs as bfs_module
+from repro.congest import SyncNetwork, build_bfs_tree
 from repro.congest.ledger import RoundLedger
-from repro.core import light_spanner
+from repro.core import doubling_spanner, light_spanner
+from repro.core.light_spanner import _bucket_sweep
 from repro.determinism import ensure_rng
-from repro.graphs import WeightedGraph, dijkstra, erdos_renyi_graph
-from repro.graphs.csr import round_up_weight
+from repro.graphs import (
+    WeightedGraph, dijkstra, erdos_renyi_graph, random_geometric_graph,
+)
+from repro.graphs.csr import CSRGraph, round_up_weight
 from repro.graphs.weighted_graph import canonical_edge
+from repro.lelists.le_lists import _rounded_graph
 from repro.mst import kruskal_mst
 from repro.spanners import elkin_neiman_spanner, sample_shifts
 from repro.spt import approx_spt
@@ -104,6 +118,42 @@ def _ref_kruskal_mst(graph):
     return tree
 
 
+def _ref_round_up_weight(w: float, eps: float) -> float:
+    """Round ``w`` up to the next integer power of ``1 + eps``."""
+    if eps <= 0:
+        return w
+    base = 1.0 + eps
+    exponent = math.ceil(math.log(w, base) - 1e-12)
+    return base ** exponent
+
+
+def _ref_bucket_index(weight: float, big_l: float, eps: float) -> int:
+    """The i with ``L/(1+ε)^{i+1} < w <= L/(1+ε)^i`` (float-safe)."""
+    base = 1.0 + eps
+    i = int(math.floor(math.log(big_l / weight, base)))
+    while i > 0 and weight > big_l / base ** i:
+        i -= 1
+    while weight <= big_l / base ** (i + 1):
+        i += 1
+    return i
+
+
+def _ref_bucket_sweep(csr, big_l, n, eps):
+    """``light_spanner``'s edge sweep with one ``_ref_bucket_index`` per edge."""
+    low_cap = big_l / n
+    i_max = math.ceil(math.log(n, 1.0 + eps)) if n > 1 else 0
+    low_edges = []
+    bucket_edges = {}
+    for u, v, w in csr.edges():
+        if w <= low_cap:
+            low_edges.append((u, v))
+        elif w <= big_l:
+            i = _ref_bucket_index(w, big_l, eps)
+            if 0 <= i <= i_max:
+                bucket_edges.setdefault(i, []).append((u, v, w))
+    return low_edges, bucket_edges
+
+
 def _ref_approx_spt(graph, root, eps, bfs_height=None, ledger=None,
                     phase="approx-spt"):
     n = graph.n
@@ -112,7 +162,7 @@ def _ref_approx_spt(graph, root, eps, bfs_height=None, ledger=None,
     rounds = led.charge(phase, bkkl_round_cost(n, height, max(eps, 1e-9)))
 
     if eps > 0:
-        rounded = graph.reweighted(lambda u, v, w: round_up_weight(w, eps))
+        rounded = graph.reweighted(lambda u, v, w: _ref_round_up_weight(w, eps))
     else:
         rounded = graph
     _, parent = dijkstra(rounded, root)
@@ -402,3 +452,183 @@ class TestElkinNeimanParity:
             got = _run_snapshot(
                 elkin_neiman_spanner(adjacency, k, got_rng, **kwargs), got_rng)
             assert got == want
+
+
+def _star(weights: List[float]) -> WeightedGraph:
+    """Vertex 0 joined to leaf j by an edge of weight ``weights[j - 1]``."""
+    g = WeightedGraph(range(len(weights) + 1))
+    for leaf, w in enumerate(weights, start=1):
+        g.add_edge(0, leaf, w)
+    return g
+
+
+def _with_ulps(values: List[float]) -> List[float]:
+    """Each value with its neighbours one ulp below and above."""
+    return [x for v in values
+            for x in (math.nextafter(v, 0.0), v, math.nextafter(v, math.inf))]
+
+
+def _rounding_weights(eps: float) -> List[float]:
+    """Exact powers of 1+ε across 10^±12 with their ±1 ulp neighbours,
+    and log-uniform weights over the same range."""
+    base = 1.0 + eps
+    top = math.ceil(12 * math.log(10) / math.log(base))
+    step = max(1, top // 500)
+    powers = [base ** e for e in range(-top, top + 1, step)]
+    rng = random.Random(round(1 / eps))
+    return _with_ulps(powers) + [10.0 ** rng.uniform(-12, 12) for _ in range(3000)]
+
+
+class TestRoundingParity:
+    @pytest.mark.parametrize("eps", [1.0, 0.25, 0.08, 1e-3])
+    def test_rounded_column_equals_reference_bit_for_bit(self, eps):
+        weights = _rounding_weights(eps)
+        csr = _star(weights).freeze()
+        want = array("d", [_ref_round_up_weight(w, eps) for w in csr.weights])
+        assert csr.rounded_weights(eps).tobytes() == want.tobytes()
+        got = array("d", [round_up_weight(w, eps) for w in csr.weights])
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("eps", [1.0, 0.25, 0.08, 1e-3])
+    def test_le_lists_rounded_graph_equals_reference(self, eps):
+        graph = _star(_rounding_weights(eps)[::7])
+        got = _rounded_graph(graph, eps)
+        want = array("d", [_ref_round_up_weight(w, eps) for _u, _v, w in graph.edges()])
+        assert array("d", [w for _u, _v, w in got.edges()]).tobytes() == want.tobytes()
+
+    def test_zero_eps_leaves_weights_alone(self):
+        csr = _star([0.5, 3.0, 7.25]).freeze()
+        assert csr.rounded_weights(0.0) is csr.weights
+        assert [round_up_weight(w, 0.0) for w in csr.weights] == list(csr.weights)
+
+
+#: (L, n, ε) of the sweep parity cases: L across 12 orders of magnitude
+SWEEP_CASES = [
+    (2.5e-6, 400, 0.25), (3.0, 10, 0.5), (1000.0, 400, 0.25),
+    (7.7e5, 5000, 0.08), (1.0, 1000, 1e-3), (1e6, 2, 0.25),
+    (123.456, 1200, 0.1),
+]
+
+
+def _sweep_weights(big_l: float, n: int, eps: float) -> List[float]:
+    """The caps L/(1+ε)^i for i = −1..i_max+2, L/n, each with its ±1
+    ulp neighbours, and log-uniform weights from L/(2n) to 2L."""
+    base = 1.0 + eps
+    i_max = math.ceil(math.log(n, base))
+    caps = [big_l / base ** i for i in range(-1, i_max + 3)]
+    rng = random.Random(n)
+    low, high = math.log(big_l / (2 * n)), math.log(2 * big_l)
+    return (_with_ulps(caps + [big_l / n])
+            + [math.exp(rng.uniform(low, high)) for _ in range(3000)])
+
+
+class TestBucketSweepParity:
+    @pytest.mark.parametrize("big_l, n, eps", SWEEP_CASES)
+    def test_sweep_equals_reference(self, big_l, n, eps):
+        weights = _sweep_weights(big_l, n, eps)
+        rng = random.Random(len(weights))
+        rng.shuffle(weights)
+        csr = _star(weights).freeze()
+        low_want, buckets_want = _ref_bucket_sweep(csr, big_l, n, eps)
+        low_got, buckets_got, caps = _bucket_sweep(csr, big_l, n, eps)
+        assert low_got == low_want
+        assert list(buckets_got.items()) == list(buckets_want.items())
+        assert len(buckets_got) > 1 and low_got
+        assert caps == [big_l / (1.0 + eps) ** i for i in range(len(caps))]
+
+    def test_cases_cover_twelve_orders_of_magnitude(self):
+        weights = [w for case in SWEEP_CASES for w in _sweep_weights(*case)]
+        assert math.log10(max(weights) / min(weights)) > 12
+        assert len(weights) > 30000
+
+
+class TestBFSTreeCache:
+    @staticmethod
+    def _count_simulations(monkeypatch) -> List[object]:
+        calls: List[object] = []
+        simulate = bfs_module._simulate
+
+        def counted(graph, root, net):
+            calls.append(root)
+            return simulate(graph, root, net)
+
+        monkeypatch.setattr(bfs_module, "_simulate", counted)
+        return calls
+
+    @staticmethod
+    def _snapshot(tree):
+        return (list(tree.parent.items()), list(tree.depth.items()), tree.rounds)
+
+    def test_second_call_reads_the_cache(self, monkeypatch):
+        g = erdos_renyi_graph(80, 0.08, seed=3)
+        calls = self._count_simulations(monkeypatch)
+        first = build_bfs_tree(g, 0)
+        second = build_bfs_tree(g, 0)
+        assert calls == [0]
+        assert self._snapshot(second) == self._snapshot(first)
+        build_bfs_tree(g, 5)  # keyed by root
+        assert calls == [0, 5]
+
+    def test_cached_tree_equals_a_simulation(self):
+        g = erdos_renyi_graph(80, 0.08, seed=4)
+        for root in (0, 17):
+            want = build_bfs_tree(g, root, network=SyncNetwork(g))
+            for _ in range(2):
+                assert self._snapshot(build_bfs_tree(g, root)) == self._snapshot(want)
+
+    def test_mutation_drops_the_tree(self, monkeypatch):
+        g = erdos_renyi_graph(80, 0.08, seed=5)
+        before = build_bfs_tree(g, 0)
+        far = max(before.depth, key=before.depth.__getitem__)
+        calls = self._count_simulations(monkeypatch)
+        g.add_edge(0, far, 1.0)
+        after = build_bfs_tree(g, 0)
+        assert calls == [0]
+        assert before.depth[far] > 1 and after.depth[far] == 1
+
+    def test_network_call_still_simulates(self, monkeypatch):
+        g = erdos_renyi_graph(80, 0.08, seed=6)
+        build_bfs_tree(g, 0)
+        calls = self._count_simulations(monkeypatch)
+        net = SyncNetwork(g)
+        build_bfs_tree(g, 0, network=net)
+        sent = net.total_messages_sent
+        assert sent > 0
+        build_bfs_tree(g, 0, network=net)
+        assert net.total_messages_sent == 2 * sent
+        assert calls == [0, 0]
+
+    def test_each_caller_owns_its_maps(self):
+        g = erdos_renyi_graph(80, 0.08, seed=7)
+        first = build_bfs_tree(g, 0)
+        want = self._snapshot(first)
+        first.parent.clear()
+        first.depth[0] = 99
+        assert self._snapshot(build_bfs_tree(g, 0)) == want
+
+    def test_disconnected_graph_raises_every_time_and_caches_nothing(self):
+        g = WeightedGraph(range(4))
+        g.add_edge(0, 1, 1.0)
+        g.add_edge(2, 3, 1.0)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="disconnected"):
+                build_bfs_tree(g, 0)
+        assert g.freeze()._bfs == {}
+
+    def test_distributed_nets_doubling_spanner_unchanged(self, monkeypatch):
+        """With Theorem-3 nets, every scale asks for τ; the output and
+        the ledger equal a run that simulates it on every call."""
+        graph = random_geometric_graph(20, seed=2)
+
+        def run():
+            res = doubling_spanner(graph.copy(), 0.1, random.Random(2),
+                                   net_method="distributed")
+            return list(res.spanner.edges()), res.ledger.by_phase()
+
+        calls = self._count_simulations(monkeypatch)
+        cached = run()
+        assert len(calls) == 1
+        monkeypatch.setattr(CSRGraph, "bfs_tree", lambda self, root, compute: compute())
+        simulated = run()
+        assert len(calls) > 10
+        assert cached == simulated

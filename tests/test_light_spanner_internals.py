@@ -6,11 +6,11 @@ import random
 import pytest
 
 from repro.core.light_spanner import (
-    _bucket_index,
+    _bucket_sweep,
     _case1_clusters,
     _case2_clusters,
 )
-from repro.graphs import dijkstra, erdos_renyi_graph, random_tree
+from repro.graphs import WeightedGraph, dijkstra, erdos_renyi_graph, random_tree
 from repro.mst import kruskal_mst
 from repro.traversal import compute_euler_tour
 
@@ -22,27 +22,40 @@ def tour():
     return mst, compute_euler_tour(mst, 0)
 
 
-class TestBucketIndex:
+def _bucket_of(weights, big_l, n, eps):
+    """Run the bucket sweep over a star whose spokes carry ``weights``:
+    each weight's bucket index, ``"E'"`` or ``None``, and the caps."""
+    g = WeightedGraph(range(len(weights) + 1))
+    for leaf, w in enumerate(weights, start=1):
+        g.add_edge(0, leaf, w)
+    low_edges, bucket_edges, caps = _bucket_sweep(g.freeze(), big_l, n, eps)
+    where = {v: "E'" for _u, v in low_edges}
+    for i, edges in bucket_edges.items():
+        where.update((v, i) for _u, v, _w in edges)
+    return [where.get(leaf) for leaf in range(1, len(weights) + 1)], caps
+
+
+class TestBucketSweep:
     def test_boundaries(self):
-        big_l, eps = 1000.0, 0.25
-        # w = L lands in bucket 0; w just above L/(1+eps) too
-        assert _bucket_index(1000.0, big_l, eps) == 0
-        assert _bucket_index(801.0, big_l, eps) == 0
-        # w = L/(1+eps) lands in bucket 1
-        assert _bucket_index(800.0, big_l, eps) == 1
+        # w = L lands in bucket 0; w just above L/(1+eps) too; w =
+        # L/(1+eps) lands in bucket 1; L/n is E'; above L is no bucket
+        where, _ = _bucket_of([1000.0, 801.0, 800.0, 10.0, 1000.5], 1000.0, 100, 0.25)
+        assert where == [0, 0, 1, "E'", None]
 
     @pytest.mark.parametrize("w", [999.9, 512.3, 100.0, 3.7, 1.0])
     def test_invariant_holds(self, w):
         big_l, eps = 1000.0, 0.25
-        i = _bucket_index(w, big_l, eps)
+        (i,), caps = _bucket_of([w], big_l, 10000, eps)
         assert big_l / (1 + eps) ** (i + 1) < w <= big_l / (1 + eps) ** i
+        assert caps[i + 1] < w <= caps[i]
 
     def test_many_random_weights(self):
         rng = random.Random(0)
-        big_l, eps = 5000.0, 0.1
-        for _ in range(200):
-            w = rng.uniform(1.0, big_l)
-            i = _bucket_index(w, big_l, eps)
+        big_l, eps, n = 5000.0, 0.1, 5000
+        weights = [rng.uniform(1.0 + 1e-9, big_l) for _ in range(200)]
+        where, caps = _bucket_of(weights, big_l, n, eps)
+        assert caps == [big_l / (1 + eps) ** i for i in range(len(caps))]
+        for w, i in zip(weights, where):
             assert big_l / (1 + eps) ** (i + 1) < w <= big_l / (1 + eps) ** i
 
 
