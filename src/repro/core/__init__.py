@@ -4,7 +4,7 @@ doubling spanner (§7), and the §8 lower-bound reduction."""
 from repro.core.slt import SLTResult, slt_base, shallow_light_tree
 from repro.core.bfn_reduction import bfn_reweighted_graph, bfn_bounds
 from repro.core.light_spanner import LightSpannerResult, BucketStats, light_spanner
-from repro.core.nets import NetResult, build_net, greedy_net
+from repro.core.nets import NetInvariantError, NetResult, build_net, greedy_net
 from repro.core.doubling_spanner import DoublingSpannerResult, doubling_spanner
 from repro.core.net_hierarchy import NetHierarchy, NetLevel, build_net_hierarchy
 from repro.core.cluster_simulation import (
@@ -26,6 +26,7 @@ __all__ = [
     "LightSpannerResult",
     "BucketStats",
     "light_spanner",
+    "NetInvariantError",
     "NetResult",
     "build_net",
     "greedy_net",

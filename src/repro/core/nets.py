@@ -31,6 +31,17 @@ from repro.lelists.le_lists import compute_le_lists, first_in_ball
 from repro.spt.approx_spt import bkkl_round_cost, bounded_approx_spt
 
 
+class NetInvariantError(RuntimeError):
+    """An iteration of :func:`build_net` admitted no net point.
+
+    Every active vertex is in its own LE list at distance 0, so the
+    first-in-ball query never returns ``None`` for an active vertex, and
+    the active vertex first in π is first in its own ball.  An iteration
+    with no joiner would never shrink the active set.  A typed error
+    rather than an ``assert``, so ``python -O`` keeps it.
+    """
+
+
 @dataclass
 class NetResult:
     """Output of :func:`build_net`.
@@ -96,6 +107,8 @@ def build_net(
     RuntimeError
         If the w.h.p. O(log n) iteration bound is breached (indicates a
         bug, not bad luck, given the 40× slack).
+    NetInvariantError
+        If an iteration admits no net point (a broken LE-list query).
     """
     if delta_param <= 0:
         raise ValueError(f"delta_param (Δ) must be positive, got {delta_param}")
@@ -140,9 +153,11 @@ def build_net(
         joiners = {
             v for v in active if first_in_ball(le, v, delta_param) == v
         }
-        # every active vertex is in its own LE list at distance 0, so the
-        # first-in-ball query never returns None for v ∈ active
-        assert joiners, "some active vertex must be a local minimum"
+        if not joiners:
+            raise NetInvariantError(
+                f"iteration {iterations}: some active vertex must be first "
+                f"in its own ball, but none of the {len(active)} is"
+            )
         net |= joiners
 
         # (1+δ)-approximate SPT rooted at the new net points; deactivate

@@ -15,7 +15,9 @@ O(√n) *base fragments* of hop-diameter O(√n) produced by its first phase
 
 from repro.mst.kruskal import kruskal_mst, UnionFind
 from repro.mst.boruvka import boruvka_mst, BoruvkaResult
-from repro.mst.fragments import Fragment, FragmentDecomposition, decompose_fragments
+from repro.mst.fragments import (
+    Fragment, FragmentDecomposition, FragmentInvariantError, decompose_fragments,
+)
 
 __all__ = [
     "kruskal_mst",
@@ -24,5 +26,6 @@ __all__ = [
     "BoruvkaResult",
     "Fragment",
     "FragmentDecomposition",
+    "FragmentInvariantError",
     "decompose_fragments",
 ]

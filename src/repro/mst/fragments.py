@@ -29,6 +29,15 @@ from repro.graphs.weighted_graph import WeightedGraph
 Vertex = Hashable
 
 
+class FragmentInvariantError(RuntimeError):
+    """The post-order sweep left a vertex in no fragment.
+
+    Every open subtree is merged into its parent's and the root always
+    closes a fragment, so this means the sweep itself is broken.  A
+    typed error rather than an ``assert``, so ``python -O`` keeps it.
+    """
+
+
 def _farthest_member(
     tree: WeightedGraph, members: Container[Vertex], source: Vertex
 ) -> Tuple[Vertex, int]:
@@ -152,6 +161,8 @@ def decompose_fragments(
     ------
     ValueError
         If ``tree`` is not a tree or ``root`` is not one of its vertices.
+    FragmentInvariantError
+        If the sweep leaves a vertex in no fragment (a broken sweep).
     """
     if not tree.is_tree():
         raise ValueError("fragment decomposition requires a tree")
@@ -193,7 +204,11 @@ def decompose_fragments(
             close_fragment(v, mine)
         else:
             open_below[v] = mine
-    assert not open_below, "all vertices must be assigned to fragments"
+    if open_below:
+        raise FragmentInvariantError(
+            f"every vertex must close into a fragment, but the open subtrees "
+            f"below {sorted(map(repr, open_below))[:3]} were never merged"
+        )
 
     # Re-index so the fragment containing the global root is number 0.
     root_idx = fragment_of[root]

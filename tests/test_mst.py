@@ -1,6 +1,10 @@
 """Tests for Kruskal, Borůvka and the fragment decomposition."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -17,13 +21,62 @@ from repro.graphs import (
     star_graph,
 )
 from repro.mst import (
+    FragmentInvariantError,
     UnionFind,
     boruvka_mst,
     decompose_fragments,
     kruskal_mst,
 )
 from repro.mst import boruvka as boruvka_module
+from repro.mst import fragments as fragments_module
 from repro.mst.fragments import subtree_hop_diameter
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+class _ChildrenHiddenFromAssignment(list):
+    """A child list that the post-order walk reads (``reversed``) and the
+    fragment assignment does not (``iter``), so no open subtree is ever
+    merged into its parent's."""
+
+    def __iter__(self):
+        return iter(())
+
+
+def _hiding_rooted_children(rooted):
+    def hiding(tree, root):
+        parent, children = rooted(tree, root)
+        return parent, {v: _ChildrenHiddenFromAssignment(c) for v, c in children.items()}
+    return hiding
+
+
+#: the same forcing in a fresh interpreter; run under ``python -O``
+_UNMERGED_SUBTREES_SCRIPT = """\
+import sys
+import repro.mst.fragments as fragments
+from repro.graphs import random_tree
+
+if not sys.flags.optimize:
+    sys.exit("expected python -O")
+
+class Hidden(list):
+    def __iter__(self):
+        return iter(())
+
+rooted = fragments._rooted_children
+
+def hiding(tree, root):
+    parent, children = rooted(tree, root)
+    return parent, {v: Hidden(c) for v, c in children.items()}
+
+fragments._rooted_children = hiding
+try:
+    fragments.decompose_fragments(random_tree(20, seed=1), 0)
+except fragments.FragmentInvariantError as exc:
+    print("raised:", exc)
+else:
+    sys.exit("no FragmentInvariantError")
+"""
 
 
 class TestUnionFind:
@@ -315,3 +368,23 @@ class TestSubtreeHopDiameter:
         # the forest was checked partway through: multi-vertex components
         # that are not yet the whole tree
         assert any(1 < size < g.n for size, _got, _ref in calls)
+
+
+class TestFragmentInvariant:
+    """A sweep that leaves a vertex in no fragment raises a typed error,
+    also under ``python -O`` (it used to be an ``assert``)."""
+
+    def test_unmerged_subtrees_raise(self, monkeypatch):
+        monkeypatch.setattr(fragments_module, "_rooted_children",
+                            _hiding_rooted_children(fragments_module._rooted_children))
+        with pytest.raises(FragmentInvariantError, match="every vertex must close"):
+            decompose_fragments(random_tree(20, seed=1), 0)
+
+    def test_raises_under_python_dash_o(self):
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", _UNMERGED_SUBTREES_SCRIPT],
+            env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "every vertex must close into a fragment" in proc.stdout

@@ -1,18 +1,44 @@
 """Tests for the §6 net construction (Theorem 3)."""
 
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro.core.nets as nets_module
 from repro.analysis import verify_net
-from repro.core import build_net, greedy_net
+from repro.core import NetInvariantError, build_net, greedy_net
 from repro.graphs import (
     WeightedGraph,
     dijkstra,
     erdos_renyi_graph,
     grid_graph,
     path_graph)
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+#: an LE-list query that finds no vertex first in its own ball, in a
+#: fresh interpreter; run under ``python -O``
+_NO_JOINERS_SCRIPT = """\
+import random
+import sys
+import repro.core.nets as nets
+from repro.graphs import erdos_renyi_graph
+
+if not sys.flags.optimize:
+    sys.exit("expected python -O")
+nets.first_in_ball = lambda le, v, radius: None
+try:
+    nets.build_net(erdos_renyi_graph(30, 0.2, seed=1), 5.0, 0.5, random.Random(0))
+except nets.NetInvariantError as exc:
+    print("raised:", exc)
+else:
+    sys.exit("no NetInvariantError")
+"""
 
 
 class TestBuildNet:
@@ -167,3 +193,22 @@ class TestGreedyNetParity:
         got, want = greedy_net(g, radius), _reference_greedy_net(g, radius)
         assert got == want
         assert list(got) == list(want)
+
+
+class TestNetInvariant:
+    """An iteration that admits no net point raises a typed error, also
+    under ``python -O`` (it used to be an ``assert``)."""
+
+    def test_no_joiners_raise(self, monkeypatch):
+        monkeypatch.setattr(nets_module, "first_in_ball", lambda le, v, radius: None)
+        with pytest.raises(NetInvariantError, match="first in its own ball"):
+            build_net(erdos_renyi_graph(30, 0.2, seed=1), 5.0, 0.5, random.Random(0))
+
+    def test_raises_under_python_dash_o(self):
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", _NO_JOINERS_SCRIPT],
+            env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "first in its own ball" in proc.stdout
