@@ -720,6 +720,13 @@ def run_profile(
     (``--no-mem``) to skip the second pass on expensive tiers; the
     record's ``peak_memory_bytes`` is then ``null``.
 
+    The second pass runs on the same graph object, so it finds what the
+    timed pass left on the frozen view: the MST (``kruskal_mst``) and
+    the BFS tree τ of every root that ``build_bfs_tree`` was asked for
+    without a network.  Its peak excludes building them, and a change
+    that caches more can lower ``peak_memory_bytes``, which
+    ``compare_reports`` counts as an improvement, not a regression.
+
     ``engine`` selects the CONGEST round engine (``"sparse"`` — the
     default — or ``"dense"``) for profiles whose algorithm runs on a
     :class:`~repro.congest.simulator.SyncNetwork`; other profiles ignore

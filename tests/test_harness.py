@@ -227,6 +227,15 @@ class TestResults:
         assert [d.quantity for d in comparison.improvements] == ["construction_seconds"]
         assert comparison.ok
 
+    def test_lower_peak_memory_is_an_improvement(self, records):
+        """The memory pass reuses what the timed pass cached on the graph
+        (the MST, τ), so a change that caches more lowers the peak."""
+        base = self._report_with(records[0], peak_memory_bytes=40_000_000)
+        curr = self._report_with(records[0], peak_memory_bytes=10_000_000)
+        comparison = compare_reports(base, curr, tolerance=0.5)
+        assert [d.quantity for d in comparison.improvements] == ["peak_memory_bytes"]
+        assert comparison.ok
+
     def test_within_tolerance_is_ok(self, records):
         base = self._report_with(records[0], construction_seconds=1.0)
         curr = self._report_with(records[0], construction_seconds=1.3)
