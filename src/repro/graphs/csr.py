@@ -80,8 +80,6 @@ def round_up_weight(w: float, eps: float) -> float:
     The library's concrete (1+ε)-approximation (DESIGN.md substitution
     3); ``eps <= 0`` leaves ``w`` unchanged.
     """
-    if eps <= 0:
-        return w
     return weight_rounder(eps)(w)
 
 
