@@ -37,7 +37,8 @@ import math
 from array import array
 from bisect import bisect_left
 from typing import (
-    TYPE_CHECKING, Callable, Dict, Hashable, Iterator, List, Optional, Set, Tuple,
+    TYPE_CHECKING, Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Set,
+    Tuple,
 )
 
 if TYPE_CHECKING:
@@ -49,38 +50,30 @@ Edge = Tuple[Vertex, Vertex]
 BFSParts = Tuple[Dict[Vertex, Optional[Vertex]], Dict[Vertex, int], int]
 
 
-def weight_rounder(eps: float) -> Callable[[float], float]:
-    """:func:`round_up_weight` at a fixed ``eps``, for rounding many weights.
+def round_up_weights(weights: Iterable[float], eps: float) -> List[float]:
+    """Round each weight up to the next integer power of ``1 + eps``.
 
-    ``log(1 + eps)`` is taken once, and each power ``(1 + eps) ** e``
-    once per exponent.  CPython evaluates ``math.log(w, b)`` as
-    ``log(w) / log(b)``, so dividing by the stored logarithm gives the
-    same exponent, and so the same rounded weight, bit for bit.
+    The library's concrete (1+ε)-approximation (DESIGN.md substitution
+    3); ``eps <= 0`` leaves the weights unchanged.  ``log(1 + eps)`` is
+    taken once, and each power ``(1 + eps) ** e`` once per exponent.
+    CPython evaluates ``math.log(w, b)`` as ``log(w) / log(b)``, so
+    dividing by the stored logarithm gives the exponent that
+    ``ceil(log(w, 1 + eps) - 1e-12)`` gives, and so the same rounded
+    weight, bit for bit.
     """
     if eps <= 0:
-        return lambda w: w
+        return list(weights)
     base = 1.0 + eps
     log_base = math.log(base)
-    powers: Dict[int, float] = {}
     log, ceil = math.log, math.ceil
-
-    def rounded(w: float) -> float:
-        exponent = ceil(log(w) / log_base - 1e-12)
-        power = powers.get(exponent)
-        if power is None:
-            power = powers[exponent] = base ** exponent
-        return power
-
-    return rounded
+    exponents = [ceil(log(w) / log_base - 1e-12) for w in weights]
+    powers = {e: base ** e for e in dict.fromkeys(exponents)}
+    return [powers[e] for e in exponents]
 
 
 def round_up_weight(w: float, eps: float) -> float:
-    """Round ``w`` up to the next integer power of ``1 + eps``.
-
-    The library's concrete (1+ε)-approximation (DESIGN.md substitution
-    3); ``eps <= 0`` leaves ``w`` unchanged.
-    """
-    return weight_rounder(eps)(w)
+    """:func:`round_up_weights` for one weight."""
+    return round_up_weights((w,), eps)[0]
 
 
 class CSRGraph:
@@ -208,11 +201,10 @@ class CSRGraph:
         return self._mirror
 
     def rounded_weights(self, eps: float) -> "array[float]":
-        """``weights`` with each entry rounded by :func:`round_up_weight`.
+        """``weights`` with each entry rounded by :func:`round_up_weights`.
 
         The column the (1+ε)-approximate explorations relax over.  Built
-        lazily (one logarithm per slot, through :func:`weight_rounder`)
-        and cached per ``eps``, so the §7 explorations, which all share
+        lazily (one logarithm per slot) and cached per ``eps``, so the §7 explorations, which all share
         one ε, round each weight once rather than once per relaxation.
         ``eps <= 0`` returns ``weights`` itself.
         """
@@ -220,7 +212,7 @@ class CSRGraph:
             return self.weights
         column = self._rounded.get(eps)
         if column is None:
-            column = array("d", map(weight_rounder(eps), self.weights))
+            column = array("d", round_up_weights(self.weights, eps))
             self._rounded[eps] = column
         return column
 

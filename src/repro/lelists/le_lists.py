@@ -30,7 +30,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.congest.ledger import RoundLedger
 from repro.determinism import ensure_rng
-from repro.graphs.csr import weight_rounder
+from repro.graphs.csr import round_up_weights
 from repro.graphs.weighted_graph import Vertex, WeightedGraph
 
 INF = float("inf")
@@ -80,8 +80,11 @@ def _rounded_graph(graph: WeightedGraph, delta: float) -> WeightedGraph:
     """The concrete H of Theorem 4: weights rounded up to powers of 1+δ."""
     if delta <= 0:
         return graph
-    rounded = weight_rounder(delta)
-    return graph.reweighted(lambda _u, _v, w: rounded(w))
+    edges = list(graph.edges())
+    h = WeightedGraph(graph.vertices())
+    for (u, v, _w), w in zip(edges, round_up_weights([w for *_uv, w in edges], delta)):
+        h.add_edge(u, v, w)
+    return h
 
 
 def compute_le_lists(
