@@ -80,11 +80,9 @@ def _rounded_graph(graph: WeightedGraph, delta: float) -> WeightedGraph:
     """The concrete H of Theorem 4: weights rounded up to powers of 1+δ."""
     if delta <= 0:
         return graph
-    edges = list(graph.edges())
-    h = WeightedGraph(graph.vertices())
-    for (u, v, _w), w in zip(edges, round_up_weights([w for *_uv, w in edges], delta)):
-        h.add_edge(u, v, w)
-    return h
+    weights = [w for _u, _v, w in graph.edges()]
+    rounded = dict(zip(weights, round_up_weights(weights, delta)))
+    return graph.reweighted(lambda _u, _v, w: rounded[w])
 
 
 def compute_le_lists(
