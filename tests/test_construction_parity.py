@@ -502,11 +502,13 @@ class TestRoundingParity:
         assert [round_up_weight(w, 0.0) for w in csr.weights] == list(csr.weights)
 
 
-#: (L, n, ε) of the sweep parity cases: L across 12 orders of magnitude
+#: (L, n, ε) of the sweep parity cases: L across 12 orders of magnitude.
+#: In the last case (1+ε)^4 rounds to just below n = 5, so the cap of
+#: bucket i_max = 4 lies above L/n and that bucket can hold an edge.
 SWEEP_CASES = [
     (2.5e-6, 400, 0.25), (3.0, 10, 0.5), (1000.0, 400, 0.25),
     (7.7e5, 5000, 0.08), (1.0, 1000, 1e-3), (1e6, 2, 0.25),
-    (123.456, 1200, 0.1),
+    (123.456, 1200, 0.1), (1000.0, 5, 5 ** 0.25 - 1.0),
 ]
 
 
@@ -535,6 +537,12 @@ class TestBucketSweepParity:
         assert list(buckets_got.items()) == list(buckets_want.items())
         assert len(buckets_got) > 1 and low_got
         assert caps == [big_l / (1.0 + eps) ** i for i in range(len(caps))]
+
+    def test_last_bucket_holds_an_edge(self):
+        big_l, n, eps = SWEEP_CASES[-1]
+        _, buckets, caps = _bucket_sweep(
+            _star(_sweep_weights(big_l, n, eps)).freeze(), big_l, n, eps)
+        assert max(buckets) == len(caps) - 2 == math.ceil(math.log(n, 1.0 + eps))
 
     def test_cases_cover_twelve_orders_of_magnitude(self):
         weights = [w for case in SWEEP_CASES for w in _sweep_weights(*case)]
