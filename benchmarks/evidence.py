@@ -62,15 +62,21 @@ def timed_phases(
     targets: List[Tuple[str, str, str]], spent: Dict[str, float]
 ) -> Iterator[None]:
     """:func:`wrapped` with timers: each call of a target adds its wall
-    seconds to ``spent[key]``."""
+    seconds to ``spent[key]``, less the seconds of the target calls it
+    makes itself, which count under their own keys."""
+    nested: List[float] = []  # per open call: seconds of its timed callees
 
     def timer(fn: Callable[..., Any], key: str) -> Callable[..., Any]:
         def timed(*args: Any, **kwargs: Any) -> Any:
+            nested.append(0.0)
             t0 = time.perf_counter()
             try:
                 return fn(*args, **kwargs)
             finally:
-                spent[key] += time.perf_counter() - t0
+                elapsed = time.perf_counter() - t0
+                spent[key] += elapsed - nested.pop()
+                if nested:
+                    nested[-1] += elapsed
         return timed
 
     with wrapped(targets, timer):
