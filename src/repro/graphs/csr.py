@@ -204,9 +204,10 @@ class CSRGraph:
         """``weights`` with each entry rounded by :func:`round_up_weights`.
 
         The column the (1+ε)-approximate explorations relax over.  Built
-        lazily (one logarithm per slot) and cached per ``eps``, so the §7 explorations, which all share
-        one ε, round each weight once rather than once per relaxation.
-        ``eps <= 0`` returns ``weights`` itself.
+        lazily (one logarithm per slot) and cached per ``eps``, so the
+        §7 explorations, which all share one ε, round each weight once
+        rather than once per relaxation.  ``eps <= 0`` returns
+        ``weights`` itself.
         """
         if eps <= 0:
             return self.weights
