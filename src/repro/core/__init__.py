@@ -6,7 +6,6 @@ from repro.core.bfn_reduction import bfn_reweighted_graph, bfn_bounds
 from repro.core.light_spanner import LightSpannerResult, BucketStats, light_spanner
 from repro.core.nets import NetInvariantError, NetResult, build_net, greedy_net
 from repro.core.doubling_spanner import DoublingSpannerResult, doubling_spanner
-from repro.core.net_hierarchy import NetHierarchy, NetLevel, build_net_hierarchy
 from repro.core.cluster_simulation import (
     ClusterSimulationResult,
     simulate_case1_bucket,
@@ -32,9 +31,6 @@ __all__ = [
     "greedy_net",
     "DoublingSpannerResult",
     "doubling_spanner",
-    "NetHierarchy",
-    "NetLevel",
-    "build_net_hierarchy",
     "ClusterSimulationResult",
     "simulate_case1_bucket",
     "MSTWeightEstimate",

@@ -8,15 +8,18 @@ weight:
    δ = 1/2, i.e. a ``(εΔ/2, 2εΔ/9)``-net — our net parametrization with
    ``Δ_net = εΔ/3``), and
 2. from every net point run a ``2Δ``-bounded (1+ε)-approximate
-   shortest-path exploration, adding to the spanner the *actual path*
-   (path-reporting, per the [EN16] hopsets) to every other net point
-   discovered within the bound.
+   shortest-path exploration of G, adding to the spanner the *actual
+   path* to every other net point discovered within the bound.  The
+   paper runs these explorations over [EN16] path-reporting hopsets;
+   none is built here, each scale charges [EN16]'s formula instead
+   (DESIGN.md, "Substitutions").
 
 Guarantees: stretch ``1 + 30ε`` for ε < 1/8 (the paper's induction with
 its constant c = 30), lightness ``ε^{−O(ddim)}·log n`` by the packing
 property (Lemma 6) plus Claim 7, sparsity ``n·ε^{−O(ddim)}·log n``, and
 ``(√n + D)·ε^{−Õ(√log n + ddim)}`` rounds — each scale charges the net
-construction, the [EN16] hopset, and the overlapped bounded explorations.
+construction, the [EN16] hopset the explorations would run over, and the
+overlapped bounded explorations.
 """
 
 from __future__ import annotations
@@ -32,9 +35,30 @@ from repro.congest.ledger import RoundLedger
 from repro.core.nets import build_net, greedy_net
 from repro.determinism import ensure_rng
 from repro.graphs.weighted_graph import Vertex, WeightedGraph
-from repro.hopsets.hopset import bounded_exploration_cost, en16_round_cost
 from repro.mst.kruskal import kruskal_mst
 from repro.spt.approx_spt import bounded_approx_spt
+
+
+def en16_round_cost(n: int, height: int, beta: int) -> int:
+    """Charged rounds for building an [EN16] hopset: O((√n + D)·β²)."""
+    sqrt_n = math.isqrt(max(n - 1, 0)) + 1
+    return (sqrt_n + height) * beta * beta
+
+
+def bounded_exploration_cost(
+    n: int, height: int, beta: int, overlap: int, skeleton_size: int
+) -> int:
+    """Charged rounds for parallel Δ-bounded multi-source explorations (§7.2).
+
+    One Bellman–Ford iteration = 2√n rounds of edge relaxation plus a
+    Lemma-1 broadcast of the √(n ln n) skeleton estimates; β iterations,
+    multiplied by the measured source-overlap factor (the max number of
+    explorations any vertex participates in — bounded by the packing
+    property, Lemma 6).
+    """
+    sqrt_n = math.isqrt(max(n - 1, 0)) + 1
+    per_iteration = 2 * sqrt_n + skeleton_size + height
+    return beta * per_iteration * max(1, overlap)
 
 
 @dataclass
@@ -56,7 +80,8 @@ class DoublingSpannerResult:
     Attributes
     ----------
     spanner:
-        The (1+O(ε))-spanner (a subgraph: hopset paths are expanded).
+        The (1+O(ε))-spanner (a subgraph: every edge lies on an
+        explored G-path).
     stretch_bound:
         The guarantee 1 + 30ε (paper's constant, valid for ε < 1/8).
     scales:
@@ -158,7 +183,7 @@ def doubling_spanner(
                 f"scale{i}:net", iters * fl16_round_cost(n, height, delta)
             )
 
-        # --- [EN16] hopset for this scale's bounded explorations ---
+        # --- [EN16] hopset for this scale's explorations (charged, not built) ---
         scale_ledger.charge(f"scale{i}:hopset", en16_round_cost(n, height, beta))
 
         # --- 2Δ-bounded explorations from every net point ---

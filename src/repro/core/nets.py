@@ -3,7 +3,7 @@
 The algorithm: all vertices start *active* (A₁ = V).  Each iteration
 samples a uniform permutation π on the active set, computes LE lists
 w.r.t. a graph H with ``d_G <= d_H <= (1+δ)·d_G`` (Theorem 4 — [FL16],
-realized per DESIGN.md substitution 4), and a vertex joins the net iff it
+realized per DESIGN.md, "Substitutions"), and a vertex joins the net iff it
 is first in π within its Δ-ball of H.  A (1+δ)-approximate SPT rooted at
 the new net points then deactivates every vertex within ``(1+δ)·Δ``.
 After O(log n) iterations no active vertices remain w.h.p.; the result is

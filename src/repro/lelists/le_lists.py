@@ -10,8 +10,8 @@ distance d(v, u) of v.  [KKM+12]: with a uniformly random π, every list
 has O(log |A|) entries w.h.p.
 
 [FL16] compute LE lists in CONGEST, not for G itself but for a graph H
-with ``d_G <= d_H <= (1+δ)·d_G`` (Theorem 4 of the paper).  Per DESIGN.md
-substitution 4 we realize H concretely — G with every weight rounded up to
+with ``d_G <= d_H <= (1+δ)·d_G`` (Theorem 4 of the paper).  Per DESIGN.md,
+"Substitutions", we realize H concretely — G with every weight rounded up to
 the next power of (1+δ) — and compute *exact* LE lists on it with Cohen's
 pruned-Dijkstra sweep: process u in increasing π order; Dijkstra from u,
 pruned at vertices whose current best (earlier-π) distance is <= the

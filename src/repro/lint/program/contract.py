@@ -43,7 +43,7 @@ LAYERS: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
     ("data", ("repro.graphs", "repro.kernels", "repro.io")),
     ("model", ("repro.congest",)),
     ("structures", ("repro.mst", "repro.spt", "repro.spanners",
-                    "repro.hopsets", "repro.lelists", "repro.traversal")),
+                    "repro.lelists", "repro.traversal")),
     ("algorithms", ("repro.core", "repro.baselines")),
     ("serving", ("repro.oracle", "repro.serve")),
     ("analysis", ("repro.analysis",)),

@@ -1,7 +1,7 @@
 """Borůvka-phase MST with distributed-style round accounting.
 
-This is the stand-in for the [KP98]/[Elk17b] Õ(√n + D)-round MST (DESIGN.md
-substitution 2).  It runs the classical synchronous Borůvka schedule —
+This is the stand-in for the [KP98]/[Elk17b] Õ(√n + D)-round MST (DESIGN.md,
+"Substitutions").  It runs the classical synchronous Borůvka schedule —
 every component picks its minimum outgoing edge (MOE) under the global
 deterministic edge order, all MOEs are added, components merge — for
 O(log n) phases.

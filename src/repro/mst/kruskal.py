@@ -1,6 +1,6 @@
 """Sequential MST (Kruskal) — the ground truth the distributed MST is
 validated against, and the direct source of the tree T for the composed
-constructions (per DESIGN.md substitution 2).
+constructions (DESIGN.md, "Substitutions").
 
 Edge comparison uses the total order ``(weight, canonical endpoints)`` so
 the MST is *unique* even with repeated weights; the Borůvka construction

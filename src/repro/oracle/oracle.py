@@ -1,6 +1,6 @@
 """Preprocess-once / query-many approximate-distance serving layer.
 
-The paper's objects — spanners, SLTs, hopset-augmented graphs — exist so
+The paper's objects — spanners and shallow-light trees — exist so
 that distance queries can be answered *cheaply*: the expensive guarantee
 (stretch ``t`` vs the host graph G) is baked into the structure H at
 construction time, after which ``d_H`` is a ``t``-approximation of

@@ -18,10 +18,6 @@ from repro.spanners.elkin_neiman import (
     elkin_neiman_spanner,
     sample_shifts,
 )
-from repro.spanners.elkin_neiman_distributed import (
-    DistributedElkinNeiman,
-    elkin_neiman_distributed,
-)
 
 __all__ = [
     "greedy_spanner",
@@ -29,6 +25,4 @@ __all__ = [
     "elkin_neiman_spanner",
     "ElkinNeimanRun",
     "sample_shifts",
-    "DistributedElkinNeiman",
-    "elkin_neiman_distributed",
 ]

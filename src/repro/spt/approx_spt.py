@@ -1,6 +1,6 @@
 """(1+ε)-approximate shortest-path tree — the [BKKL17] stand-in.
 
-Per DESIGN.md substitution 3, the approximation is made *real* rather than
+Per DESIGN.md, "Substitutions", the approximation is made *real* rather than
 cosmetic: edge weights are rounded **up** to integer powers of ``(1+ε)``
 before the tree is selected, and the returned ``dist`` values are the true
 (unrounded) weights of the chosen tree paths.  Consequences:
@@ -131,7 +131,7 @@ def bounded_approx_spt(
 
     The §7 doubling spanner runs, from every net point in parallel, a
     2Δ-bounded (1+ε)-approximate exploration; this is its sequential core
-    (the hopset module owns the round accounting).
+    (:func:`repro.core.doubling_spanner.doubling_spanner` charges its rounds).
 
     Returns
     -------

@@ -12,7 +12,11 @@ from repro.analysis import (
 )
 from repro.congest import RoundLedger, build_bfs_tree
 from repro.core import doubling_spanner
-from repro.core.doubling_spanner import ScaleStats
+from repro.core.doubling_spanner import (
+    ScaleStats,
+    bounded_exploration_cost,
+    en16_round_cost,
+)
 from repro.core.nets import build_net, greedy_net
 from repro.graphs import (
     WeightedGraph,
@@ -21,7 +25,6 @@ from repro.graphs import (
     random_geometric_graph,
     unit_ball_graph,
 )
-from repro.hopsets.hopset import bounded_exploration_cost, en16_round_cost
 from repro.lelists.le_lists import fl16_round_cost
 from repro.mst import kruskal_mst
 from repro.spt import bounded_approx_spt
@@ -45,7 +48,7 @@ class TestGuarantees:
         assert max_pairwise_stretch(g, res.spanner) <= res.stretch_bound + 1e-9
 
     def test_is_subgraph(self):
-        """Paths must be real G-paths (path-reporting hopsets, §7.1)."""
+        """Paths must be real G-paths (path-reporting explorations, §7.1)."""
         g = random_geometric_graph(30, seed=4)
         res = doubling_spanner(g, 0.1, random.Random(4), net_method="greedy")
         verify_subgraph(g, res.spanner)
@@ -114,6 +117,14 @@ class TestScales:
         g = random_geometric_graph(20, seed=12)
         res = doubling_spanner(g, 0.1, random.Random(12), net_method="greedy")
         assert res.rounds == sum(s.rounds for s in res.scales) + res.ledger.by_phase()["bfs-tree"]
+
+    def test_round_cost_formulas(self):
+        assert en16_round_cost(100, 5, 4) == (10 + 5) * 16  # isqrt(99)+1 = 10
+        assert bounded_exploration_cost(100, 5, 2, overlap=3, skeleton_size=20) > 0
+        # overlap multiplies the cost
+        a = bounded_exploration_cost(100, 5, 2, 1, 20)
+        b = bounded_exploration_cost(100, 5, 2, 4, 20)
+        assert b == 4 * a
 
     def test_overlap_bounded_by_packing(self):
         """Lemma 6: any vertex participates in ε^{-O(ddim)} explorations."""

@@ -14,7 +14,6 @@ from repro.analysis import (
     verify_spanner,
 )
 from repro.baselines import kry_slt
-from repro.congest import build_bfs_tree
 from repro.core import (
     build_net,
     doubling_spanner,
@@ -29,7 +28,6 @@ from repro.graphs import (
 )
 from repro.mst import boruvka_mst, kruskal_mst
 from repro.spanners import greedy_spanner
-from repro.spt import exact_spt_distributed
 
 
 class TestFullPipelineGeneralGraph:
@@ -95,15 +93,6 @@ class TestFullPipelineDoublingGraph:
         rng = random.Random(2)
         doub = doubling_spanner(graph, 0.1, rng, net_method="greedy")
         assert max_pairwise_stretch(graph, doub.spanner) <= 1.0 + 30 * 0.1
-
-    def test_bfs_and_spt_agree_on_root_reachability(self, graph):
-        bfs = build_bfs_tree(graph, 0)
-        spt = exact_spt_distributed(graph, 0)
-        assert set(bfs.depth) == set(spt.dist)
-
-    def test_spt_rounds_at_most_hops_times_slack(self, graph):
-        spt = exact_spt_distributed(graph, 0)
-        assert spt.rounds <= graph.n + 2
 
 
 class TestRoundScalingAcrossConstructions:

@@ -2,13 +2,13 @@
 
 Random trees + random payload assignments: the pipelined primitives must
 deliver exactly the right multiset of messages within the Lemma-1 round
-budget, and the native algorithms must agree with their sequential
-references, on every sample.
+budget, and the keyed convergecast must keep every key's maximum, on
+every sample.  The Bellman–Ford program's properties live with it in
+``tests/test_bellman_ford.py``.
 """
 
 import random
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -18,9 +18,7 @@ from repro.congest import (
     convergecast_messages,
 )
 from repro.congest.keyed_aggregate import keyed_max_convergecast
-from repro.graphs import WeightedGraph, dijkstra
-from repro.spt.bounded_bellman_ford import bounded_bellman_ford
-from repro.hopsets import hop_bounded_distances
+from repro.graphs import WeightedGraph
 
 _SETTINGS = dict(
     max_examples=15,
@@ -41,22 +39,6 @@ def trees_with_payloads(draw, min_n=2, max_n=14, max_msgs=3):
         if count:
             payloads[v] = [f"p{v}.{i}" for i in range(count)]
     return g, payloads
-
-
-@st.composite
-def connected_weighted(draw, min_n=3, max_n=14):
-    n = draw(st.integers(min_n, max_n))
-    g = WeightedGraph(range(n))
-    weights = st.floats(1.0, 50.0, allow_nan=False, allow_infinity=False)
-    for v in range(1, n):
-        g.add_edge(draw(st.integers(0, v - 1)), v, draw(weights))
-    extra = draw(st.integers(0, 8))
-    for _ in range(extra):
-        u = draw(st.integers(0, n - 1))
-        v = draw(st.integers(0, n - 1))
-        if u != v and not g.has_edge(u, v):
-            g.add_edge(u, v, draw(weights))
-    return g
 
 
 class TestPipelineProperties:
@@ -108,22 +90,3 @@ class TestKeyedAggregateProperties:
             else:
                 assert k not in merged
         assert rounds <= num_keys + 2 * tree.height + 8
-
-
-class TestBoundedBFProperties:
-    @given(connected_weighted(), st.integers(1, 6))
-    @settings(**_SETTINGS)
-    def test_matches_sequential(self, g, hops):
-        native, _, _ = bounded_bellman_ford(g, [0], hops)
-        reference, _ = hop_bounded_distances(g, 0, hops)
-        assert set(native) == set(reference)
-        for v, d in reference.items():
-            assert native[v] == pytest.approx(d)
-
-    @given(connected_weighted())
-    @settings(**_SETTINGS)
-    def test_enough_hops_is_exact(self, g):
-        native, _, _ = bounded_bellman_ford(g, [0], g.n)
-        exact, _ = dijkstra(g, 0)
-        for v, d in exact.items():
-            assert native[v] == pytest.approx(d)

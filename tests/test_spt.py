@@ -18,43 +18,9 @@ from repro.spt import (
     approx_spt,
     bkkl_round_cost,
     bounded_approx_spt,
-    exact_spt_distributed,
 )
 from repro.analysis import verify_spanning_tree
 from repro.congest import RoundLedger
-
-
-class TestDistributedBellmanFord:
-    def test_matches_dijkstra(self, small_er):
-        spt = exact_spt_distributed(small_er, 0)
-        exact, _ = dijkstra(small_er, 0)
-        for v, d in exact.items():
-            assert spt.dist[v] == pytest.approx(d)
-
-    def test_rounds_bounded_by_hop_radius(self):
-        g = path_graph(20)
-        spt = exact_spt_distributed(g, 0)
-        assert spt.rounds <= 20 + 3
-
-    def test_tree_is_valid_spanning_tree(self, small_er):
-        spt = exact_spt_distributed(small_er, 0)
-        verify_spanning_tree(small_er, spt.as_graph(small_er))
-
-    def test_path_to_root_follows_parents(self, small_er):
-        spt = exact_spt_distributed(small_er, 0)
-        for v in small_er.vertices():
-            path = spt.path_to_root(v)
-            assert path[0] == v and path[-1] == 0
-            total = sum(
-                small_er.weight(a, b) for a, b in zip(path, path[1:])
-            )
-            assert total == pytest.approx(spt.dist[v])
-
-    def test_disconnected_raises(self):
-        g = WeightedGraph(range(3))
-        g.add_edge(0, 1, 1.0)
-        with pytest.raises(ValueError):
-            exact_spt_distributed(g, 0)
 
 
 class TestApproxSPT:
