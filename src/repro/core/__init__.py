@@ -2,12 +2,14 @@
 doubling spanner (§7), and the §8 lower-bound reduction."""
 
 from repro.core.slt import SLTResult, slt_base, shallow_light_tree
+from repro.core.breakpoint_scan import ScanInvariantError
 from repro.core.bfn_reduction import bfn_reweighted_graph, bfn_bounds
 from repro.core.light_spanner import LightSpannerResult, BucketStats, light_spanner
 from repro.core.nets import NetInvariantError, NetResult, build_net, greedy_net
 from repro.core.doubling_spanner import DoublingSpannerResult, doubling_spanner
 from repro.core.cluster_simulation import (
     ClusterSimulationResult,
+    ConvergecastInvariantError,
     simulate_case1_bucket,
 )
 from repro.core.lower_bounds import (
@@ -20,6 +22,7 @@ __all__ = [
     "SLTResult",
     "slt_base",
     "shallow_light_tree",
+    "ScanInvariantError",
     "bfn_reweighted_graph",
     "bfn_bounds",
     "LightSpannerResult",
@@ -32,6 +35,7 @@ __all__ = [
     "DoublingSpannerResult",
     "doubling_spanner",
     "ClusterSimulationResult",
+    "ConvergecastInvariantError",
     "simulate_case1_bucket",
     "MSTWeightEstimate",
     "estimate_mst_weight_via_nets",

@@ -29,6 +29,16 @@ from repro.graphs.weighted_graph import Vertex, WeightedGraph
 from repro.traversal.euler_tour import EulerTour
 
 
+class ScanInvariantError(RuntimeError):
+    """The scan token reached a node that does not hold its tour position.
+
+    Position j is handed to ``tour.order[j]``, the vertex at that
+    position, so the node that receives the token for j is the one
+    that holds j.  A typed error rather than an ``assert``, so
+    ``python -O`` keeps it.
+    """
+
+
 @dataclass
 class IntervalScanResult:
     """Output of :func:`run_interval_scan`.
@@ -79,7 +89,11 @@ class IntervalScan(CongestAlgorithm):
         """Run the scan step at position j (held by ``node``), pass on."""
         tour = self.tour
         v = tour.order[j]
-        assert v == node.id
+        if v != node.id:
+            raise ScanInvariantError(
+                f"the scan token for tour position {j} must reach the vertex "
+                f"there, {v!r}, but reached {node.id!r}"
+            )
         if j % self.alpha != 0:  # anchors never join BP1
             if tour.times[j] - y_time > self.eps * self.spt_dist[v]:
                 node.state["scan_joined"].add(j)
@@ -146,6 +160,12 @@ def run_interval_scan(
         The Equation-(2) threshold parameter.
     alpha:
         Interval length (default ⌈√n⌉, as §4.1 sets it).
+
+    Raises
+    ------
+    ScanInvariantError
+        If the token for a tour position reaches a vertex other than
+        the one at that position.
     """
     n = graph.n
     a = alpha if alpha is not None else (math.isqrt(max(n - 1, 0)) + 1)

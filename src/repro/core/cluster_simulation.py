@@ -43,6 +43,16 @@ from repro.spanners.elkin_neiman import sample_shifts
 Cluster = Hashable
 
 
+class ConvergecastInvariantError(RuntimeError):
+    """The keyed convergecast lost a cluster's maximum.
+
+    Every vertex of a cluster submits its best neighbouring message and
+    the convergecast keeps each key's maximum, so the root must hold the
+    same maximum the abstract [EN17b] round computes.  A typed error
+    rather than an ``assert``, so ``python -O`` keeps it.
+    """
+
+
 @total_ordering
 class _EdgeCandidate:
     """Convergecast value for edge collection: max value, then *min* via.
@@ -132,6 +142,9 @@ def simulate_case1_bucket(
     ------
     ValueError
         If ``k < 1`` or some vertex lacks a cluster.
+    ConvergecastInvariantError
+        If a round's convergecast delivers a cluster maximum that differs
+        from the abstract one.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -204,9 +217,13 @@ def simulate_case1_bucket(
         for a in clusters:
             if cluster_graph[a]:
                 expected = max(outgoing[b][1] for b in cluster_graph[a])
-                assert merged[a][0] == expected, (
-                    f"convergecast lost the maximum for cluster {a!r}"
-                )
+                got = merged.get(a)
+                if got is None or got[0] != expected:
+                    raise ConvergecastInvariantError(
+                        f"convergecast must deliver every cluster's maximum, but "
+                        f"cluster {a!r} got {got!r} where the abstract round has "
+                        f"{expected!r}"
+                    )
 
         for a, (val, src_r) in merged.items():
             if val > m[a]:

@@ -1,10 +1,16 @@
 """Tests for the native §4.1 interval scan."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro.core.breakpoint_scan as breakpoint_scan_module
 from repro.congest import SyncNetwork
+from repro.core import ScanInvariantError
 from repro.core.breakpoint_scan import run_interval_scan
 from repro.core.slt import _select_break_points
 from repro.congest.ledger import RoundLedger
@@ -12,6 +18,33 @@ from repro.graphs import erdos_renyi_graph, random_geometric_graph, random_tree
 from repro.mst import kruskal_mst
 from repro.spt import approx_spt
 from repro.traversal import compute_euler_tour
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+#: every vertex claims the tour positions one step past its own, so an
+#: interval's token starts at a vertex that does not hold it, in a fresh
+#: interpreter; run under ``python -O``
+_SHIFTED_POSITIONS_SCRIPT = """\
+import sys
+import repro.core.breakpoint_scan as scan
+from repro.graphs import erdos_renyi_graph
+from repro.mst import kruskal_mst
+from repro.spt import approx_spt
+from repro.traversal import compute_euler_tour
+
+if not sys.flags.optimize:
+    sys.exit("expected python -O")
+scan.IntervalScan._positions_of = lambda self, v: [
+    j + 1 for j in self.tour.appearances[v] if j + 1 < self.tour.size]
+g = erdos_renyi_graph(30, 0.2, seed=0)
+tour = compute_euler_tour(kruskal_mst(g), 0)
+try:
+    scan.run_interval_scan(g, tour, approx_spt(g, 0, 0.5).dist, 0.5)
+except scan.ScanInvariantError as exc:
+    print("raised:", exc)
+else:
+    sys.exit("no ScanInvariantError")
+"""
 
 
 def _setup(n, seed, eps=0.5):
@@ -106,3 +139,28 @@ class TestScanOnTrees:
         ]
         # positions at the root (dist 0) join only if progress > 0
         assert set(native.bp1) >= set(expected) - {0}
+
+
+class TestScanInvariant:
+    """A token that reaches a vertex not holding its tour position raises
+    a typed error, also under ``python -O`` (it used to be an
+    ``assert``)."""
+
+    def test_shifted_positions_raise(self, monkeypatch):
+        monkeypatch.setattr(
+            breakpoint_scan_module.IntervalScan, "_positions_of",
+            lambda self, v: [j + 1 for j in self.tour.appearances[v]
+                             if j + 1 < self.tour.size],
+        )
+        g, tour, spt = _setup(30, 0)
+        with pytest.raises(ScanInvariantError, match="must reach the vertex there"):
+            run_interval_scan(g, tour, spt.dist, 0.5)
+
+    def test_raises_under_python_dash_o(self):
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", _SHIFTED_POSITIONS_SCRIPT],
+            env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "must reach the vertex there" in proc.stdout

@@ -1,16 +1,52 @@
 """Tests for the keyed-max convergecast and the §5 case-1 simulation."""
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro.core.cluster_simulation as cluster_simulation_module
 from repro.congest import build_bfs_tree
 from repro.congest.keyed_aggregate import keyed_max_convergecast
+from repro.core import ConvergecastInvariantError
 from repro.core.cluster_simulation import simulate_case1_bucket
 from repro.core.light_spanner import _case1_clusters
 from repro.graphs import erdos_renyi_graph, grid_graph, path_graph, star_graph
 from repro.mst import kruskal_mst
 from repro.spanners import elkin_neiman_spanner, sample_shifts
 from repro.traversal import compute_euler_tour
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+#: a convergecast that lowers every cluster maximum, in a fresh
+#: interpreter; run under ``python -O``
+_LOSSY_CONVERGECAST_SCRIPT = """\
+import random
+import sys
+import repro.core.cluster_simulation as cs
+from repro.congest import build_bfs_tree
+from repro.graphs import path_graph
+
+if not sys.flags.optimize:
+    sys.exit("expected python -O")
+real = cs.keyed_max_convergecast
+
+def lossy(graph, tree, inputs, network=None):
+    merged, rounds = real(graph, tree, inputs, network=network)
+    return {key: (val - 1.0, src) for key, (val, src) in merged.items()}, rounds
+
+cs.keyed_max_convergecast = lossy
+g = path_graph(8)
+try:
+    cs.simulate_case1_bucket(g, build_bfs_tree(g, 0), {v: v // 4 for v in g.vertices()},
+                             2, random.Random(0))
+except cs.ConvergecastInvariantError as exc:
+    print("raised:", exc)
+else:
+    sys.exit("no ConvergecastInvariantError")
+"""
 
 
 class TestKeyedMaxConvergecast:
@@ -138,3 +174,31 @@ class TestCase1Simulation:
         tree = build_bfs_tree(g, 0)
         with pytest.raises(ValueError):
             simulate_case1_bucket(g, tree, {0: 0}, 2)
+
+
+class TestConvergecastInvariant:
+    """A convergecast that loses a cluster's maximum raises a typed error,
+    also under ``python -O`` (it used to be an ``assert``)."""
+
+    def test_lowered_maxima_raise(self, monkeypatch):
+        real = keyed_max_convergecast
+
+        def lossy(graph, tree, inputs, network=None):
+            merged, rounds = real(graph, tree, inputs, network=network)
+            return {key: (val - 1.0, src) for key, (val, src) in merged.items()}, rounds
+
+        monkeypatch.setattr(cluster_simulation_module, "keyed_max_convergecast", lossy)
+        g = path_graph(8)
+        tree = build_bfs_tree(g, 0)
+        with pytest.raises(ConvergecastInvariantError, match="every cluster's maximum"):
+            simulate_case1_bucket(g, tree, {v: v // 4 for v in g.vertices()}, 2,
+                                  random.Random(0))
+
+    def test_raises_under_python_dash_o(self):
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", _LOSSY_CONVERGECAST_SCRIPT],
+            env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "convergecast must deliver every cluster's maximum" in proc.stdout
