@@ -4,6 +4,7 @@ A repository whose README or examples drift out of sync with the API is
 broken for its first user — these tests pin them to the code.
 """
 
+import importlib
 import importlib.util
 import re
 from pathlib import Path
@@ -55,6 +56,40 @@ def test_design_md_mentions_every_core_module():
         if module.stem == "__init__":
             continue
         assert module.stem in design, f"DESIGN.md must index core/{module.name}"
+
+
+def _section(markdown: str, heading: str) -> str:
+    """The text under ``heading`` up to the next heading of any level."""
+    start = markdown.index(heading) + len(heading)
+    end = markdown.find("\n#", start)
+    return markdown[start:] if end < 0 else markdown[start:end]
+
+
+def test_design_md_core_index_names_only_existing_modules():
+    index = _section((REPO_ROOT / "DESIGN.md").read_text(), "## Core module index")
+    named = re.findall(r"^\| `(\w+)\.py` \|", index, re.MULTILINE)
+    assert named, "DESIGN.md's core index should list modules"
+    core = REPO_ROOT / "src" / "repro" / "core"
+    for stem in named:
+        assert (core / f"{stem}.py").is_file(), f"DESIGN.md indexes missing core/{stem}.py"
+
+
+def test_readme_layout_names_only_importable_packages():
+    layout = _section((REPO_ROOT / "README.md").read_text(), "## Layout")
+    rows = re.findall(r"^\| (.*?) \|", layout, re.MULTILINE)
+    packages = [p for row in rows for p in re.findall(r"`(repro(?:\.\w+)*)`", row)]
+    assert packages, "README's layout table should name packages"
+    for name in packages:
+        importlib.import_module(name)
+
+
+def test_docs_name_only_existing_benchmarks():
+    named = set()
+    for doc in ("README.md", "DESIGN.md", "EXPERIMENTS.md"):
+        named.update(re.findall(r"benchmarks/\w+\.py", (REPO_ROOT / doc).read_text()))
+    assert named, "the docs should point at the benchmark scripts"
+    missing = sorted(p for p in named if not (REPO_ROOT / p).is_file())
+    assert not missing, f"docs name benchmark scripts that do not exist: {missing}"
 
 
 def test_experiments_md_covers_every_table1_row():
