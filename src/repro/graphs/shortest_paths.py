@@ -149,14 +149,6 @@ def all_pairs_shortest_paths(graph: GraphLike) -> Dict[Vertex, Dict[Vertex, floa
     return {v: dijkstra(csr, v)[0] for v in csr.vertices()}
 
 
-def path_weight(graph: WeightedGraph, path: List[Vertex]) -> float:
-    """Total weight of a vertex path; validates that each hop is an edge."""
-    total = 0.0
-    for u, v in zip(path, path[1:]):
-        total += graph.weight(u, v)
-    return total
-
-
 def eccentricity(graph: GraphLike, v: Vertex) -> float:
     """Weighted eccentricity of ``v`` (max distance to any vertex)."""
     dist, _ = dijkstra(graph, v)

@@ -164,6 +164,13 @@ def exact_spt_distributed(graph: WeightedGraph, root: Vertex) -> SPTree:
     return SPTree(root=root, parent=parent, dist=dist, rounds=rounds)
 
 
+_SETTINGS = dict(
+    max_examples=15,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
 @st.composite
 def connected_weighted(draw, min_n=3, max_n=14):
     n = draw(st.integers(min_n, max_n))
@@ -328,13 +335,6 @@ class TestOnDoublingGraph:
     def test_spt_rounds_at_most_hops_times_slack(self, graph):
         spt = exact_spt_distributed(graph, 0)
         assert spt.rounds <= graph.n + 2
-
-
-_SETTINGS = dict(
-    max_examples=15,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
 
 
 class TestBoundedBFProperties:
