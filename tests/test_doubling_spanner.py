@@ -134,6 +134,47 @@ class TestScales:
         assert worst <= g.n  # trivial cap; realistic values far below
         assert worst >= 1
 
+    @pytest.mark.parametrize("net_method", ["distributed", "greedy"])
+    def test_net_sizes_obey_claim_7_at_every_scale(self, net_method):
+        """Claim 7: an r-separated set has at most ⌈2L/r⌉ points, L the
+        MST weight.  A scale's greedy net is εΔ/3-separated; the
+        Theorem-3 net is (εΔ/3)/(1+δ)-separated, with δ = 1/2."""
+        g = random_geometric_graph(80, seed=15)
+        eps = 0.12
+        res = doubling_spanner(g, eps, random.Random(15), net_method=net_method)
+        mst_w = kruskal_mst(g).total_weight()
+        shrink = 1.5 if net_method == "distributed" else 1.0
+        caps = [math.ceil(2 * mst_w / (eps * s.scale / 3.0 / shrink))
+                for s in res.scales]
+        assert any(cap < g.n for cap in caps)  # the bound binds somewhere
+        for s, cap in zip(res.scales, caps):
+            assert s.net_size <= cap
+
+
+class TestRoundCostFormulas:
+    """The [EN16] hopset and §7.2 exploration charges, which the ledger
+    goldens pin only through their hash."""
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 5, 99, 100, 101])
+    def test_sqrt_factor_is_ceil_sqrt_n(self, n):
+        ceil_sqrt = next(s for s in range(1, n + 1) if s * s >= n)
+        assert en16_round_cost(n, 0, 1) == ceil_sqrt
+        assert bounded_exploration_cost(n, 0, 1, 1, 0) == 2 * ceil_sqrt
+
+    def test_en16_quadratic_in_hopbound(self):
+        assert en16_round_cost(100, 5, 6) == 4 * en16_round_cost(100, 5, 3)
+
+    def test_exploration_linear_in_hopbound_and_additive_per_iteration(self):
+        assert bounded_exploration_cost(100, 5, 6, 2, 20) == (
+            3 * bounded_exploration_cost(100, 5, 2, 2, 20))
+        # one iteration: 2⌈√n⌉ relaxation rounds, the skeleton broadcast
+        # and the tree height
+        assert bounded_exploration_cost(100, 5, 1, 1, 20) == 2 * 10 + 20 + 5
+
+    def test_overlap_below_one_counts_once(self):
+        assert bounded_exploration_cost(100, 5, 2, 0, 20) == (
+            bounded_exploration_cost(100, 5, 2, 1, 20))
+
 
 class TestValidation:
     def test_eps_range_enforced(self):

@@ -173,6 +173,25 @@ PARITY_GRAPHS = {
 }
 
 
+class TestGreedyNetExtremes:
+    """The two ends of §7's ladder of scales: below the lightest edge
+    every vertex is its own net point, and above every component's
+    diameter each component keeps only its first vertex in ``repr``
+    order."""
+
+    @pytest.mark.parametrize("family", sorted(PARITY_GRAPHS))
+    def test_below_lightest_edge_keeps_every_vertex(self, family):
+        g = PARITY_GRAPHS[family]()
+        assert greedy_net(g, g.min_weight() / 2) == set(g.vertices())
+
+    @pytest.mark.parametrize("family", sorted(PARITY_GRAPHS))
+    def test_above_diameter_keeps_first_vertex_of_each_component(self, family):
+        g = PARITY_GRAPHS[family]()
+        firsts = {min(c, key=repr) for c in g.connected_components()}
+        assert (len(firsts) > 1) == (family == "disconnected")
+        assert greedy_net(g, g.total_weight() + 1.0) == firsts
+
+
 class TestGreedyNetParity:
     """``greedy_net`` searches radius-balls only, and not at all below the
     lightest edge; a full-Dijkstra greedy must give the same net, down to

@@ -87,6 +87,20 @@ class TestBoundedApproxSPT:
             assert d <= 60.0 + 1e-9
             assert d >= exact[v] - 1e-9
 
+    @pytest.mark.parametrize("eps", [0.1, 0.25, 0.5, 1.0])
+    def test_reaches_every_vertex_within_radius_over_one_plus_eps(self, medium_er, eps):
+        """A vertex at distance d with (1+ε)·d within the radius is reached,
+        on a path of weight at most (1+ε)·d: the rounded-shortest path to
+        it never fails the true-weight pruning.  §7's explorations rely
+        on this to find every net point within 2Δ/(1+ε)."""
+        sources, radius = [0, 1, 2], 60.0
+        dist, _, _, _ = bounded_approx_spt(medium_er, sources, radius, eps)
+        exact, _ = dijkstra(medium_er, sources)
+        near = [v for v, d in exact.items() if (1 + eps) * d <= radius * (1 - 1e-9)]
+        assert len(near) > len(sources)
+        for v in near:
+            assert dist[v] <= (1 + eps) * exact[v] * (1 + 1e-9)
+
     def test_origin_points_to_a_source(self, medium_er):
         sources = [0, 5]
         dist, parent, origin, _ = bounded_approx_spt(medium_er, sources, 100.0, 0.2)
