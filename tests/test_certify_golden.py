@@ -1,11 +1,15 @@
 """Golden certificates of the bounded-radius certification engine.
 
 The records below were taken from the engine before a search could close
-a target at its first witness path.  A search may stop earlier, but the
-certificate must not change: ``max_stretch`` is compared bit for bit through ``float.hex``,
-``bound_exceeded`` and every ``Certification.to_dict()`` entry recorded
-here must be equal, and ``fallbacks`` (searches that crossed the §5.1
-radius and kept going) may only go down.
+a target at its first witness path, except ``edges_resolved``, which was
+added from the engine that closed a target when a relaxation reached the
+target itself, before a search could look one hop ahead.  A search may
+stop earlier, but the certificate must not change: ``max_stretch`` is
+compared bit for bit through ``float.hex``, ``bound_exceeded`` and every
+``Certification.to_dict()`` entry recorded here must be equal (so the
+set of targets closed before being settled keeps its size), and
+``fallbacks`` (searches that crossed the §5.1 radius and kept going) may
+only go down.
 """
 
 import functools
@@ -97,87 +101,104 @@ GOLDEN = {
     'light-1-exact': ('0x1.0b9e0c9d75379p+0', False, {
         'mode': 'exact', 'bound': None, 'workers': 1, 'sample': None,
         'kernel': 'python', 'edges_total': 6742, 'edges_in_spanner': 6208,
-        'edges_checked': 534, 'sources_explored': 242, 'sources_short_circuited': 158,
+        'edges_checked': 534, 'edges_resolved': 533,
+        'sources_explored': 242, 'sources_short_circuited': 158,
         'fallbacks': 0, 'sampled_edges': None}),
     'light-1-bounded': ('0x1.0b9e0c9d75379p+0', False, {
         'mode': 'bounded', 'bound': 10.0, 'workers': 1, 'sample': None,
         'kernel': 'python', 'edges_total': 6742, 'edges_in_spanner': 6208,
-        'edges_checked': 534, 'sources_explored': 242, 'sources_short_circuited': 158,
+        'edges_checked': 534, 'edges_resolved': 533,
+        'sources_explored': 242, 'sources_short_circuited': 158,
         'fallbacks': 0, 'sampled_edges': None}),
     'light-1-failfast': ('0x1.0b9e0c9d75379p+0', False, {
         'mode': 'bounded', 'bound': 10.0, 'workers': 1, 'sample': None,
         'kernel': 'python', 'edges_total': 6742, 'edges_in_spanner': 6208,
-        'edges_checked': 534, 'sources_explored': 242, 'sources_short_circuited': 158,
+        'edges_checked': 534, 'edges_resolved': 533,
+        'sources_explored': 242, 'sources_short_circuited': 158,
         'fallbacks': 0, 'sampled_edges': None}),
     'light-2-exact': ('0x1.40b817ded8392p+0', False, {
         'mode': 'exact', 'bound': None, 'workers': 1, 'sample': None,
         'kernel': 'python', 'edges_total': 6687, 'edges_in_spanner': 6402,
-        'edges_checked': 285, 'sources_explored': 173, 'sources_short_circuited': 227,
+        'edges_checked': 285, 'edges_resolved': 284,
+        'sources_explored': 173, 'sources_short_circuited': 227,
         'fallbacks': 0, 'sampled_edges': None}),
     'light-2-bounded': ('0x1.40b817ded8392p+0', False, {
         'mode': 'bounded', 'bound': 10.0, 'workers': 1, 'sample': None,
         'kernel': 'python', 'edges_total': 6687, 'edges_in_spanner': 6402,
-        'edges_checked': 285, 'sources_explored': 173, 'sources_short_circuited': 227,
+        'edges_checked': 285, 'edges_resolved': 284,
+        'sources_explored': 173, 'sources_short_circuited': 227,
         'fallbacks': 0, 'sampled_edges': None}),
     'light-2-failfast': ('0x1.40b817ded8392p+0', False, {
         'mode': 'bounded', 'bound': 10.0, 'workers': 1, 'sample': None,
         'kernel': 'python', 'edges_total': 6687, 'edges_in_spanner': 6402,
-        'edges_checked': 285, 'sources_explored': 173, 'sources_short_circuited': 227,
+        'edges_checked': 285, 'edges_resolved': 284,
+        'sources_explored': 173, 'sources_short_circuited': 227,
         'fallbacks': 0, 'sampled_edges': None}),
     'light-3-exact': ('0x1.0000000000000p+0', False, {
         'mode': 'exact', 'bound': None, 'workers': 1, 'sample': None,
         'kernel': 'python', 'edges_total': 6791, 'edges_in_spanner': 6508,
-        'edges_checked': 283, 'sources_explored': 182, 'sources_short_circuited': 218,
+        'edges_checked': 283, 'edges_resolved': 283,
+        'sources_explored': 182, 'sources_short_circuited': 218,
         'fallbacks': 0, 'sampled_edges': None}),
     'light-3-bounded': ('0x1.0000000000000p+0', False, {
         'mode': 'bounded', 'bound': 10.0, 'workers': 1, 'sample': None,
         'kernel': 'python', 'edges_total': 6791, 'edges_in_spanner': 6508,
-        'edges_checked': 283, 'sources_explored': 182, 'sources_short_circuited': 218,
+        'edges_checked': 283, 'edges_resolved': 283,
+        'sources_explored': 182, 'sources_short_circuited': 218,
         'fallbacks': 0, 'sampled_edges': None}),
     'light-3-failfast': ('0x1.0000000000000p+0', False, {
         'mode': 'bounded', 'bound': 10.0, 'workers': 1, 'sample': None,
         'kernel': 'python', 'edges_total': 6791, 'edges_in_spanner': 6508,
-        'edges_checked': 283, 'sources_explored': 182, 'sources_short_circuited': 218,
+        'edges_checked': 283, 'edges_resolved': 283,
+        'sources_explored': 182, 'sources_short_circuited': 218,
         'fallbacks': 0, 'sampled_edges': None}),
     'doubling-exact': ('0x1.0e64f1a7d75e1p+0', False, {
         'mode': 'exact', 'bound': None, 'workers': 1, 'sample': None,
         'kernel': 'python', 'edges_total': 327, 'edges_in_spanner': 240,
-        'edges_checked': 87, 'sources_explored': 26, 'sources_short_circuited': 4,
+        'edges_checked': 87, 'edges_resolved': 0,
+        'sources_explored': 26, 'sources_short_circuited': 4,
         'fallbacks': 0, 'sampled_edges': None}),
     'doubling-bounded': ('0x1.0e64f1a7d75e1p+0', False, {
         'mode': 'bounded', 'bound': 3.4, 'workers': 1, 'sample': None,
         'kernel': 'python', 'edges_total': 327, 'edges_in_spanner': 240,
-        'edges_checked': 87, 'sources_explored': 26, 'sources_short_circuited': 4,
+        'edges_checked': 87, 'edges_resolved': 0,
+        'sources_explored': 26, 'sources_short_circuited': 4,
         'fallbacks': 0, 'sampled_edges': None}),
     'mst-bounded': ('0x1.6ec0ebbba7c3cp+3', False, {
         'mode': 'bounded', 'bound': 2.0, 'workers': 1, 'sample': None,
         'kernel': 'python', 'edges_total': 818, 'edges_in_spanner': 119,
-        'edges_checked': 699, 'sources_explored': 108, 'sources_short_circuited': 12,
+        'edges_checked': 699, 'edges_resolved': 195,
+        'sources_explored': 108, 'sources_short_circuited': 12,
         'fallbacks': 30, 'sampled_edges': None}),
     'mst-failfast': ('inf', True, {
         'mode': 'bounded', 'bound': 1.5, 'workers': 1, 'sample': None,
         'kernel': 'python', 'edges_total': 818, 'edges_in_spanner': 119,
-        'edges_checked': 699, 'sources_explored': 108, 'sources_short_circuited': 12,
+        'edges_checked': 699, 'edges_resolved': 10,
+        'sources_explored': 108, 'sources_short_circuited': 12,
         'fallbacks': 0, 'sampled_edges': None}),
     'mst-workers2': ('0x1.6ec0ebbba7c3cp+3', False, {
         'mode': 'bounded', 'bound': 2.0, 'workers': 2, 'sample': None,
         'kernel': 'python', 'edges_total': 818, 'edges_in_spanner': 119,
-        'edges_checked': 699, 'sources_explored': 108, 'sources_short_circuited': 12,
+        'edges_checked': 699, 'edges_resolved': 195,
+        'sources_explored': 108, 'sources_short_circuited': 12,
         'fallbacks': 30, 'sampled_edges': None}),
     'subgraph60-exact': ('inf', False, {
         'mode': 'exact', 'bound': None, 'workers': 1, 'sample': None,
         'kernel': 'python', 'edges_total': 225, 'edges_in_spanner': 132,
-        'edges_checked': 93, 'sources_explored': 52, 'sources_short_circuited': 28,
+        'edges_checked': 93, 'edges_resolved': 5,
+        'sources_explored': 52, 'sources_short_circuited': 28,
         'fallbacks': 0, 'sampled_edges': None}),
     'strings-exact': ('0x1.09ccd19d9b6a2p+0', False, {
         'mode': 'exact', 'bound': None, 'workers': 1, 'sample': None,
         'kernel': 'python', 'edges_total': 1265, 'edges_in_spanner': 1207,
-        'edges_checked': 58, 'sources_explored': 43, 'sources_short_circuited': 107,
+        'edges_checked': 58, 'edges_resolved': 57,
+        'sources_explored': 43, 'sources_short_circuited': 107,
         'fallbacks': 0, 'sampled_edges': None}),
     'strings-bounded': ('0x1.09ccd19d9b6a2p+0', False, {
         'mode': 'bounded', 'bound': 3.0, 'workers': 1, 'sample': None,
         'kernel': 'python', 'edges_total': 1265, 'edges_in_spanner': 1207,
-        'edges_checked': 58, 'sources_explored': 43, 'sources_short_circuited': 107,
+        'edges_checked': 58, 'edges_resolved': 57,
+        'sources_explored': 43, 'sources_short_circuited': 107,
         'fallbacks': 0, 'sampled_edges': None}),
 }
 
