@@ -41,7 +41,21 @@ the §7 doubling spanner uses for its 2Δ-bounded searches):
   rule: ``max_stretch`` is unchanged bit for bit and the radius
   verdicts (``bound_exceeded``, ``fallbacks``) are the same.  A closing
   depends on its own search only, so ``edges_resolved`` is the same for
-  every ``workers``.
+  every ``workers``;
+* **one hop early** — the same test, moved one hop ahead: when a
+  relaxation gives an H-neighbour ``y`` of an open target ``t`` the
+  label ``nd``, ``t`` closes if ``nt = nd + w(y, t)`` passes it
+  (``nt <= w(e)`` and ``nt <= cap``).  Dijkstra sums a path in exactly
+  this forward order and IEEE addition is monotone, so ``t``'s label in
+  the full search is at most ``fl(L_y + w(y, t)) <= nt``: the ratio and
+  radius arguments above carry over unchanged, and a target still closes
+  if and only if its full-search label is at most ``min(w(e), cap)`` (or
+  its search had already crossed the radius), so ``edges_resolved`` is
+  unchanged too.  The rule only decides how early a closing happens.  A
+  chunk arms it once one of its own searches has closed a target: on
+  inputs whose missing edges all have longer H paths (a §7 spanner's,
+  for one) nothing ever closes, and marking each target's neighbours
+  would be pure overhead.
 
 Exactness contract: every non-sampled mode returns the same value as the
 classic full-SSSP certifier up to float round-off (far below the 1e-9
@@ -193,7 +207,8 @@ def _certify_chunk(
 ) -> Tuple[float, int, int, bool, Snapshot]:
     """Certify ``work[lo:hi]``; returns ``(worst, fallbacks, resolved,
     exceeded, metrics snapshot)``, ``resolved`` counting the targets
-    closed at their first witness path (see the module docstring).
+    closed at their first witness path, at the target or one hop before
+    it (see the module docstring).
 
     The scratch arrays are version-stamped so consecutive sources reuse
     them without O(n) clears: an entry is live only when its stamp
@@ -218,6 +233,10 @@ def _certify_chunk(
     # closed); == -version: v was closed at its first witness path
     is_target = [0] * n
     target_w = [0.0] * n  # w(e) of the source's edge to target v
+    # near_of[y], live iff near[y] == version: the (t, w(y, t)) pairs of
+    # the open targets t that y is an H-neighbour of (the look-ahead)
+    near = [0] * n
+    near_of: List[Optional[List[Tuple[int, float]]]] = [None] * n
     version = 0
     worst = 1.0
     fallbacks = 0
@@ -238,6 +257,17 @@ def _certify_chunk(
                 is_target[vh] = version
                 target_w[vh] = w
                 remaining += 1
+                if resolved:
+                    # armed: a search of this chunk has closed a target,
+                    # so this input's missing edges can have witnesses
+                    for s in range(indptr[vh], indptr[vh + 1]):
+                        y = indices[s]
+                        marks = near_of[y]
+                        if near[y] == version and marks is not None:
+                            marks.append((vh, weights[s]))
+                        else:
+                            near[y] = version
+                            near_of[y] = [(vh, weights[s])]
         stamp[src] = version
         dist[src] = 0.0
         heap: List[Tuple[float, int]] = [(0.0, src)]
@@ -273,6 +303,19 @@ def _certify_chunk(
                         is_target[v] = -version
                         resolved += 1
                         remaining -= 1
+                        if not remaining:
+                            break
+                    if near[v] == version:
+                        # one hop early: t's final label is at most
+                        # nt = nd + w(v, t) <= w(e), so its ratio is at
+                        # most 1.0
+                        for t, wt in near_of[v] or ():
+                            nt = nd + wt
+                            if (is_target[t] == version and nt <= target_w[t]
+                                    and nt <= cap):
+                                is_target[t] = -version
+                                resolved += 1
+                                remaining -= 1
                         if not remaining:
                             break
         for vh, w in targets:

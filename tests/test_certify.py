@@ -429,6 +429,74 @@ class TestResolvedTargets:
         assert serial == serial_counter == pooled == pooled_counter
 
 
+class TestLookAhead:
+    """A target closes when a relaxation labels one of its H-neighbours,
+    once a search of the same chunk has closed a target."""
+
+    @staticmethod
+    def _input(arming_first):
+        """G and H on ten vertices.  The only H witness for the checked
+        edge {u, t} (weight 3) is u–a–b–t with unit edges, and two decoy
+        branches hang off u.  The arming source s has the checked edge
+        {s, q} (weight 3) and the H path s–p–q; ``arming_first`` puts it
+        before u in the work list (sources are the smaller endpoints)."""
+        names = (["s", "p", "q", "u", "a", "b", "t", "d1", "d2", "d3"]
+                 if arming_first else
+                 ["u", "a", "b", "t", "d1", "d2", "d3", "s", "p", "q"])
+        ids = {name: i for i, name in enumerate(names)}
+        h = WeightedGraph(range(len(names)))
+        for x, y, w in [("s", "p", 1.0), ("p", "q", 1.0),
+                        ("u", "a", 1.0), ("a", "b", 1.0), ("b", "t", 1.0),
+                        ("u", "d1", 0.5), ("d1", "d2", 0.25),
+                        ("u", "d3", 0.25)]:
+            h.add_edge(ids[x], ids[y], w)
+        g = h.copy()
+        g.add_edge(ids["s"], ids["q"], 3.0)
+        g.add_edge(ids["u"], ids["t"], 3.0)
+        return g, h, ids
+
+    @staticmethod
+    def _searches(g, h):
+        """The certificate and the vertices each search popped, in order."""
+        popped = []
+
+        def heappop(heap):
+            item = heapq.heappop(heap)
+            popped.append(item)
+            return item
+
+        shim = mock.Mock(heappush=heapq.heappush, heappop=heappop)
+        with mock.patch.object(certify_engine, "heapq", shim):
+            cert = certify_edge_stretch(g, h, workers=1)
+        verts = h.freeze().verts
+        searches = []
+        for d, i in popped:
+            if d == 0.0:  # only a source has label 0: a new search
+                searches.append([])
+            searches[-1].append(verts[i])
+        return cert, searches
+
+    def test_armed_search_closes_the_target_one_hop_early(self):
+        g, h, ids = self._input(arming_first=True)
+        cert, searches = self._searches(g, h)
+        assert cert.max_stretch == 1.0
+        assert cert.edges_checked == cert.edges_resolved == 2
+        assert [search[0] for search in searches] == [ids["s"], ids["u"]]
+        # u's search closes t when a's pop labels b: b is never popped,
+        # where closing at t itself has to pop b to relax (b, t)
+        u_search = searches[1]
+        assert ids["a"] in u_search and ids["b"] not in u_search
+
+    def test_chunk_arms_after_its_first_closing(self):
+        g, h, ids = self._input(arming_first=False)
+        cert, searches = self._searches(g, h)
+        assert cert.max_stretch == 1.0
+        assert cert.edges_checked == cert.edges_resolved == 2
+        assert [search[0] for search in searches] == [ids["u"], ids["s"]]
+        # nothing has closed before u's search, so it closes t at t
+        assert ids["b"] in searches[0]
+
+
 class TestDisconnectedContract:
     """All isolated-component behaviours pinned in one place."""
 
