@@ -7,8 +7,9 @@ mode (plain, bounded, process-parallel) must agree with it to 1e-9 on
 every smoke-tier spanner profile; sampling must lower-bound it.  A second
 anchor, ``_parent_certify_chunk``, is the engine's search loop without
 first-witness closing: the parity fuzz requires whole certificates equal
-to it, bit for bit.  CI's ``certify-smoke`` job runs this file and
-``tests/test_certify_golden.py``.
+to it, bit for bit.  A property test draws weights over twelve orders
+of magnitude, with exact and near ties.  CI's ``certify-smoke`` job runs
+this file and ``tests/test_certify_golden.py``, also under ``python -O``.
 """
 
 import contextlib
@@ -19,6 +20,8 @@ import random
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.analysis.certify as certify_engine
 from repro.analysis import (
@@ -399,6 +402,61 @@ class TestParentLoopParity:
             for workers in (1, 2):
                 ref = certify_edge_stretch(g, h, workers=workers)
                 assert ref.edges_checked > 0 and ref.edges_resolved == 0
+
+
+#: mantissas of the wide-weight graphs: repeats make exact ties, and m
+#: next to m·(1 + 2^-52) makes near ties
+MANTISSAS = (1.0, 1.0 * (1 + 2 ** -52), 1.5, 1.5 * (1 + 2 ** -52), 3.0)
+
+
+@st.composite
+def wide_weight_graphs(draw):
+    """A connected graph with weights m·2^e, and a seed for the
+    structures built on it.  Each graph draws its exponents from a window
+    of [−20, 20] (twelve orders of magnitude): a wide window makes most
+    detours far lighter than the edge they replace, a narrow one makes
+    stretch above 1."""
+    n = draw(st.integers(2, 14))
+    lo = draw(st.integers(-20, 20))
+    weights = st.builds(lambda m, e: m * 2.0 ** e, st.sampled_from(MANTISSAS),
+                        st.integers(lo, draw(st.integers(lo, 20))))
+    g = WeightedGraph(range(n))
+    for v in range(1, n):
+        g.add_edge(draw(st.integers(0, v - 1)), v, draw(weights))
+    for _ in range(draw(st.integers(0, 2 * n))):
+        u, v = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if u != v and not g.has_edge(u, v):
+            g.add_edge(u, v, draw(weights))
+    return g, draw(st.integers(0, 2 ** 16))
+
+
+class TestWideWeights:
+    """Every mode against the legacy certifier on weights from 2^-20 to
+    3·2^20: seeded Baswana–Sen (k = 2, 3) and a seeded spanning
+    subgraph (the MST plus a random half of the other edges)."""
+
+    @given(wide_weight_graphs())
+    @settings(max_examples=100, deadline=None)
+    def test_modes_agree_with_legacy(self, drawn):
+        graph, seed = drawn
+        rng = random.Random(seed)
+        tree = kruskal_mst(graph)
+        kept = [(u, v) for u, v, _w in sorted(graph.edges())
+                if tree.has_edge(u, v) or rng.random() < 0.5]
+        structures = [(baswana_sen_spanner(graph, k, random.Random(seed)),
+                       2.0 * k - 1.0) for k in (2, 3)]
+        structures.append((graph.edge_subgraph(kept), float(graph.n - 1)))
+        for spanner, promise in structures:
+            reference = _legacy_max_edge_stretch(graph, spanner)
+            # bounded at the promise and at a violated bound, which
+            # lifts the radius and keeps searching
+            for kwargs in ({}, {"bound": promise}, {"bound": reference / 1.5}):
+                cert = certify_edge_stretch(graph, spanner, **kwargs)
+                assert cert.max_stretch == pytest.approx(reference, rel=1e-9)
+            for bound in (reference * 1.5, reference / 1.5):
+                cert = certify_edge_stretch(graph, spanner, bound=bound,
+                                            fail_fast=True)
+                assert cert.ok is (reference <= bound + 1e-9)
 
 
 class TestResolvedTargets:
