@@ -42,7 +42,7 @@ the §7 doubling spanner uses for its 2Δ-bounded searches):
   verdicts (``bound_exceeded``, ``fallbacks``) are the same.  A closing
   depends on its own search only, so ``edges_resolved`` is the same for
   every ``workers``;
-* **one hop early** — the same test, moved one hop ahead: when a
+* **one hop early** — the same test, also run one hop ahead: when a
   relaxation gives an H-neighbour ``y`` of an open target ``t`` the
   label ``nd``, ``t`` closes if ``nt = nd + w(y, t)`` passes it
   (``nt <= w(e)`` and ``nt <= cap``).  Dijkstra sums a path in exactly

@@ -29,8 +29,8 @@ class ValidationError(AssertionError):
 def verify_subgraph(graph: WeightedGraph, subgraph: WeightedGraph) -> None:
     """Every edge of ``subgraph`` must be an edge of ``graph``, same weight.
 
-    The paper's spanners and SLTs are subgraphs of G — virtual shortcuts
-    are not allowed (hopset edges must be expanded to witness paths first).
+    The paper's spanners and SLTs are subgraphs of G: each keeps edges of
+    G at their own weights and adds no shortcut edge G lacks.
     Weights are compared with a relative tolerance of 1e-9, so the check
     reads the same at every weight scale.
     """
