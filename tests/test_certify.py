@@ -17,6 +17,7 @@ import dataclasses
 import heapq
 import json
 import random
+import types
 from unittest import mock
 
 import pytest
@@ -523,7 +524,7 @@ class TestLookAhead:
             popped.append(item)
             return item
 
-        shim = mock.Mock(heappush=heapq.heappush, heappop=heappop)
+        shim = types.SimpleNamespace(heappush=heapq.heappush, heappop=heappop)
         with mock.patch.object(certify_engine, "heapq", shim):
             cert = certify_edge_stretch(g, h, workers=1)
         verts = h.freeze().verts
