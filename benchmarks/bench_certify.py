@@ -9,25 +9,28 @@ targeted, radius-truncated searches.  This script measures two things:
   ``bench_csr.py`` used (same generator seed, same Baswana–Sen k=3
   spanner): the engine's >= 3x acceptance bar over one full SSSP per
   vertex;
-* **baseline engine vs this engine**: the same :func:`measure` in a
-  child process on a ``git archive`` export of :data:`BASELINE_COMMIT`
-  (the engine before a target closed at its first witness path) and on
-  this checkout, on that ER(2000) input (exact and bounded) and on one
-  light-er input (``light_spanner(k=3, ε=0.25)`` on ER(400, 0.08),
-  bounded at its stretch guarantee).  Wall seconds are split into
-  building the work list (``_build_work``), running the searches
-  (``_certify_chunk``) and the rest; the fastest of :data:`RUNS` runs is
-  reported.
+* **baseline engine, parent engine and this engine**: the same
+  :func:`measure` in a child process on a ``git archive`` export of
+  :data:`BASELINE_COMMIT` (the engine before a target closed at its
+  first witness path), on an export of :data:`PARENT_COMMIT` (the engine
+  before a search looked one hop ahead of its targets; reported, not
+  gated) and on this checkout, on that ER(2000) input (exact and
+  bounded) and on one light-er input (``light_spanner(k=3, ε=0.25)`` on
+  ER(400, 0.08), bounded at its stretch guarantee).  Wall seconds are
+  split into building the work list (``_build_work``), running the
+  searches (``_certify_chunk``) and the rest; the fastest of
+  :data:`RUNS` runs is reported.  One more, untimed run per side and
+  case counts the searches' heap pushes and pops.
 
 The files written:
 
 * ``benchmarks/BENCH_certify_speedup.txt`` — the human-readable tables;
 * ``benchmarks/BENCH_certify_speedup.json`` — the record CI's
   ``certify-smoke`` job gates on: the legacy bar, every case's
-  certificate equal to the baseline engine's (``max_stretch`` hex-equal,
-  ``bound_exceeded`` and the counters equal, ``fallbacks`` no higher) and
-  :data:`REQUIRED_BASELINE_SPEEDUP` over the baseline on the ER(2000)
-  exact run.
+  certificate equal to the baseline and parent engines'
+  (``max_stretch`` hex-equal, ``bound_exceeded`` and the counters equal,
+  ``fallbacks`` no higher) and :data:`REQUIRED_BASELINE_SPEEDUP` over the
+  baseline on the ER(2000) exact run.
 
 Run modes::
 
@@ -47,9 +50,9 @@ import random
 import sys
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
-from evidence import machine, measure_baseline, measure_side, timed_phases
+from evidence import machine, measure_baseline, measure_side, timed_phases, wrapped
 
 #: the acceptance bar: engine must beat the legacy certifier by this factor
 REQUIRED_SPEEDUP = 3.0
@@ -57,6 +60,8 @@ REQUIRED_SPEEDUP = 3.0
 PR1_BASELINE_SECONDS = 15.3
 #: the engine before targets closed at their first witness path
 BASELINE_COMMIT = "36b6fa5"
+#: the engine before a search looked one hop ahead (reported, not gated)
+PARENT_COMMIT = "de79034"
 #: this engine must beat the baseline engine by this factor on
 #: :data:`GATED_CASE`
 REQUIRED_BASELINE_SPEEDUP = 3.0
@@ -80,14 +85,23 @@ TIMED: List[Tuple[str, str, str]] = [
     ("repro.analysis.certify", "_build_work", "build_work"),
     ("repro.analysis.certify", "_certify_chunk", "search"),
 ]
+#: (module, attribute, counter): the heap operations counted.  Every
+#: side's search loop binds ``heapq.heappush``/``heappop`` at call time.
+COUNTED: List[Tuple[str, str, str]] = [
+    ("repro.analysis.certify", "heapq.heappush", "pushes"),
+    ("repro.analysis.certify", "heapq.heappop", "pops"),
+]
 
 REQUIRED_JSON_KEYS = {
     "workload", "legacy_seconds", "engine_seconds", "speedup",
     "bounded_seconds", "parallel_seconds", "sampled_seconds",
     "max_stretch", "certification", "required_speedup",
-    "pr1_baseline_seconds", "baseline_commit", "machine", "runs",
-    "required_baseline_speedup", "cases",
+    "pr1_baseline_seconds", "baseline_commit", "parent_commit", "machine",
+    "runs", "required_baseline_speedup", "cases",
 }
+#: the sides of every case, in table order; the change is compared with
+#: each of the others
+SIDES = ("baseline", "parent", "change")
 
 
 def _legacy_max_edge_stretch(graph, spanner):
@@ -156,6 +170,24 @@ def _timed_certify(graph: Any, spanner: Any,
     return cert, spent
 
 
+def _counted_certify(graph: Any, spanner: Any,
+                     kwargs: Dict[str, Any]) -> Dict[str, int]:
+    """One untimed certification; heap operations per counter."""
+    from repro.analysis.certify import certify_edge_stretch
+
+    counts = {key: 0 for _m, _a, key in COUNTED}
+
+    def counter(fn: Callable[..., Any], key: str) -> Callable[..., Any]:
+        def counted(*args: Any) -> Any:
+            counts[key] += 1
+            return fn(*args)
+        return counted
+
+    with wrapped(COUNTED, counter):
+        certify_edge_stretch(graph, spanner, **kwargs)
+    return counts
+
+
 def measure() -> int:
     """Child side: every case with the ``repro`` on the path."""
     import repro
@@ -168,6 +200,7 @@ def measure() -> int:
         cases[name] = {
             "seconds": {p: round(fastest[p], 4) for p in PHASES},
             "total_runs": [round(s["total"], 4) for _c, s in runs],
+            "heap": _counted_certify(graph, spanner, kwargs),
             "max_stretch": cert.max_stretch.hex(),
             "bound_exceeded": cert.bound_exceeded,
             "certification": cert.to_dict(),
@@ -242,52 +275,61 @@ def _legacy_vs_engine() -> Tuple[Dict[str, Any], List[str]]:
     return fields, lines
 
 
-def _baseline_speedup(case: Dict[str, Any]) -> float:
-    return (case["baseline"]["seconds"]["total"]
-            / case["change"]["seconds"]["total"])
+def _speedup(case: Dict[str, Any], side: str = "baseline") -> float:
+    return case[side]["seconds"]["total"] / case["change"]["seconds"]["total"]
 
 
 def _baseline_table(record: Dict[str, Any]) -> List[str]:
     machine_info = record["machine"]
     lines = [
-        f"=== Baseline engine (commit {record['baseline_commit']}) vs this "
-        f"engine ===",
+        f"=== Baseline engine (commit {record['baseline_commit']}), parent "
+        f"engine (commit {record['parent_commit']}) and this engine ===",
         f"{machine_info['cpu']}, {machine_info['cores']} cores, CPython "
         f"{machine_info['python']}; wall seconds per phase of the fastest of "
-        f"{record['runs']} runs",
+        f"{record['runs']} runs; heap operations of one more, untimed run",
     ]
     for name, case in record["cases"].items():
-        base, new = case["baseline"], case["change"]
+        new = case["change"]
         cert = new["certification"]
-        same = ("equal" if base["max_stretch"] == new["max_stretch"]
-                else "DIFFER")
+        same = ("equal" if all(case[side]["max_stretch"] == new["max_stretch"]
+                               for side in SIDES) else "DIFFER")
         closed = cert["edges_resolved"] / max(1, cert["edges_checked"])
         lines += [
             "",
-            f"{name}: speedup {_baseline_speedup(case):.2f}x; max_stretch "
-            f"{new['max_stretch']} ({same}); {cert['edges_checked']} edges "
-            f"checked, {cert['edges_resolved']} ({closed:.1%}) closed at their "
-            f"first witness path",
-            f"  {'phase':<12} {'baseline s':>11} {'change s':>10} {'ratio':>8}",
+            f"{name}: speedup {_speedup(case):.2f}x over the baseline, "
+            f"{_speedup(case, 'parent'):.2f}x over the parent; max_stretch "
+            f"{new['max_stretch']} ({same} on all sides); "
+            f"{cert['edges_checked']} edges checked, {cert['edges_resolved']} "
+            f"({closed:.1%}) closed at their first witness path",
+            f"  {'phase':<12} {'baseline':>11} {'parent':>10} {'change':>10}"
+            f" {'vs baseline':>12} {'vs parent':>10}",
         ]
         for phase in PHASES:
-            b, c = base["seconds"][phase], new["seconds"][phase]
-            ratio = f"{b / c:.1f}x" if c > 0 else "-"
-            lines.append(f"  {phase:<12} {b:>11.4f} {c:>10.4f} {ratio:>8}")
+            b, p, c = (case[side]["seconds"][phase] for side in SIDES)
+            ratios = [f"{x / c:.1f}x" if c > 0 else "-" for x in (b, p)]
+            lines.append(f"  {phase + ' s':<12} {b:>11.4f} {p:>10.4f} {c:>10.4f}"
+                         f" {ratios[0]:>12} {ratios[1]:>10}")
+        for op in ("pushes", "pops"):
+            b, p, c = (case[side]["heap"][op] for side in SIDES)
+            lines.append(f"  {'heap ' + op:<12} {b:>11} {p:>10} {c:>10}"
+                         f" {b / c:>11.1f}x {p / c:>9.1f}x")
     return lines
 
 
 def run() -> int:
     base = measure_baseline("bench_certify", BASELINE_COMMIT)
+    parent = measure_baseline("bench_certify", PARENT_COMMIT)
     new = measure_side("bench_certify", ROOT / "src")
     fields, lines = _legacy_vs_engine()
     record = dict(
         fields,
         baseline_commit=BASELINE_COMMIT,
+        parent_commit=PARENT_COMMIT,
         machine=machine(),
         runs=RUNS,
         required_baseline_speedup=REQUIRED_BASELINE_SPEEDUP,
-        cases={name: {"baseline": base[name], "change": new[name]}
+        cases={name: {"baseline": base[name], "parent": parent[name],
+                      "change": new[name]}
                for name in CASES},
     )
     lines += [""] + _baseline_table(record)
@@ -298,24 +340,25 @@ def run() -> int:
     return check()
 
 
-def _certificate_failures(name: str, case: Dict[str, Any]) -> List[str]:
-    """How a case's certificate differs from the baseline engine's."""
-    base, new = case["baseline"], case["change"]
+def _certificate_failures(name: str, case: Dict[str, Any], side: str) -> List[str]:
+    """How a case's certificate differs from the ``side`` engine's."""
+    base, new = case[side], case["change"]
     failures = []
     if (base["max_stretch"], base["bound_exceeded"]) != (
             new["max_stretch"], new["bound_exceeded"]):
         failures.append(
             f"{name}: max_stretch/bound_exceeded {new['max_stretch']}/"
-            f"{new['bound_exceeded']} != baseline {base['max_stretch']}/"
+            f"{new['bound_exceeded']} != {side} {base['max_stretch']}/"
             f"{base['bound_exceeded']}")
     want, got = base["certification"], new["certification"]
     if got["fallbacks"] > want["fallbacks"]:
-        failures.append(f"{name}: fallbacks {got['fallbacks']} > baseline "
+        failures.append(f"{name}: fallbacks {got['fallbacks']} > {side} "
                         f"{want['fallbacks']}")
     differing = sorted(key for key in want
                        if key != "fallbacks" and got.get(key) != want[key])
     if differing:
-        failures.append(f"{name}: certification entries differ: {differing}")
+        failures.append(f"{name}: certification entries differ from the "
+                        f"{side}'s: {differing}")
     return failures
 
 
@@ -340,16 +383,20 @@ def check() -> int:
     cert = record["certification"]
     if cert["mode"] != "exact" or cert["edges_total"] <= 0:
         failures.append("committed certification block is not an exact-mode run")
-    if record["baseline_commit"] != BASELINE_COMMIT:
-        failures.append(f"committed baseline {record['baseline_commit']} "
-                        f"!= {BASELINE_COMMIT}")
+    for key, commit in (("baseline_commit", BASELINE_COMMIT),
+                        ("parent_commit", PARENT_COMMIT)):
+        if record[key] != commit:
+            failures.append(f"committed {key} {record[key]} != {commit}")
     cases = record["cases"]
     if sorted(cases) != sorted(CASES):
         failures.append(f"cases {sorted(cases)} != {sorted(CASES)}")
+    elif any(sorted(cases[name]) != sorted(SIDES) for name in CASES):
+        failures.append(f"every case needs the sides {list(SIDES)}")
     else:
         for name in CASES:
-            failures += _certificate_failures(name, cases[name])
-        gated = _baseline_speedup(cases[GATED_CASE])
+            for side in SIDES[:-1]:
+                failures += _certificate_failures(name, cases[name], side)
+        gated = _speedup(cases[GATED_CASE])
         if gated < REQUIRED_BASELINE_SPEEDUP:
             failures.append(f"{GATED_CASE}: {gated:.2f}x over the baseline "
                             f"engine is below the {REQUIRED_BASELINE_SPEEDUP}x bar")
@@ -360,7 +407,9 @@ def check() -> int:
     print(f"OK: {record['speedup']}x over the legacy certifier (bar "
           f"{REQUIRED_SPEEDUP}x); {gated:.1f}x over the engine of commit "
           f"{BASELINE_COMMIT} on {GATED_CASE} (bar {REQUIRED_BASELINE_SPEEDUP}x); "
-          f"certificates equal on all {len(CASES)} cases")
+          f"{_speedup(cases[GATED_CASE], 'parent'):.1f}x over the engine of "
+          f"commit {PARENT_COMMIT} (reported); certificates equal on all "
+          f"{len(CASES)} cases")
     return 0
 
 
