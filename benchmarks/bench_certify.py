@@ -50,9 +50,10 @@ import random
 import sys
 import time
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Any, Dict, List, Tuple
 
-from evidence import machine, measure_baseline, measure_side, timed_phases, wrapped
+from evidence import (counted_calls, machine, measure_baseline, measure_side,
+                      timed_phases)
 
 #: the acceptance bar: engine must beat the legacy certifier by this factor
 REQUIRED_SPEEDUP = 3.0
@@ -176,14 +177,7 @@ def _counted_certify(graph: Any, spanner: Any,
     from repro.analysis.certify import certify_edge_stretch
 
     counts = {key: 0 for _m, _a, key in COUNTED}
-
-    def counter(fn: Callable[..., Any], key: str) -> Callable[..., Any]:
-        def counted(*args: Any) -> Any:
-            counts[key] += 1
-            return fn(*args)
-        return counted
-
-    with wrapped(COUNTED, counter):
+    with counted_calls(COUNTED, counts):
         certify_edge_stretch(graph, spanner, **kwargs)
     return counts
 

@@ -55,7 +55,7 @@ import tracemalloc
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Tuple
 
-from evidence import machine, measure_baseline, measure_side, timed_phases, wrapped
+from evidence import counted_calls, machine, measure_baseline, measure_side, timed_phases
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
@@ -137,15 +137,8 @@ def _counted_run(make_graph: Callable[[], Any],
                  construct: Callable[[Any], Any]) -> Dict[str, int]:
     """One untimed construction on a fresh input; calls per counter."""
     counts = {key: 0 for _m, _a, key in COUNTED}
-
-    def counter(fn: Callable[..., Any], key: str) -> Callable[..., Any]:
-        def counted(*args: Any, **kwargs: Any) -> Any:
-            counts[key] += 1
-            return fn(*args, **kwargs)
-        return counted
-
     graph = make_graph()
-    with wrapped(COUNTED, counter):
+    with counted_calls(COUNTED, counts):
         construct(graph)
     return counts
 

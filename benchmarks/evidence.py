@@ -6,7 +6,7 @@ side runs the script's ``measure()`` in a child process whose
 commit's ``src``, the change side does the same against this checkout's
 ``src``.  The helpers here are that plumbing: the child launch, the
 export, the machine description, and the temporary function wrapping
-with the per-phase timers built on it.  A script whose baseline side
+with the per-phase timers and call counters built on it.  A script whose baseline side
 runs something other than ``measure()``, such as a daemon launch, takes
 the export itself from :func:`exported_src`.
 """
@@ -80,6 +80,23 @@ def timed_phases(
         return timed
 
     with wrapped(targets, timer):
+        yield
+
+
+@contextlib.contextmanager
+def counted_calls(
+    targets: List[Tuple[str, str, str]], counts: Dict[str, int]
+) -> Iterator[None]:
+    """:func:`wrapped` with counters: each call of a target adds one to
+    ``counts[key]``."""
+
+    def counter(fn: Callable[..., Any], key: str) -> Callable[..., Any]:
+        def counted(*args: Any, **kwargs: Any) -> Any:
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    with wrapped(targets, counter):
         yield
 
 
