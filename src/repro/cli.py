@@ -383,10 +383,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     else:
         selected = default_selection
 
-    print(
-        f"running {len(selected)} profile(s) at tier {tier!r} "
-        f"({args.engine} engine)"
-    )
+    print(f"running {len(selected)} profile(s) at tier {tier!r}")
     tracer = None
     if args.trace:
         from repro import obs
@@ -396,7 +393,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         records = harness.run_suite(
             selected, tier=tier, measure_memory=not args.no_memory,
             progress=print,
-            engine=args.engine,
             certify_workers=args.certify_workers,
             certify_sample=args.certify_sample,
             queries=queries,
@@ -751,12 +747,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve the tier's seeded query mix over each constructed "
              "structure through a distance oracle and record the "
              "latency/throughput/cache block (implied by --suite queries)",
-    )
-    p.add_argument(
-        "--engine", choices=["sparse", "dense"], default="sparse",
-        help="CONGEST round engine for congest-* profiles: the "
-             "sparse-activation engine (default) or the dense "
-             "scan-everything compatibility loop",
     )
     p.add_argument(
         "--certify-workers", type=int, default=1, metavar="N",

@@ -9,11 +9,10 @@ This package provides:
 
 * :class:`~repro.congest.simulator.SyncNetwork` — a faithful synchronous
   executor with per-edge bandwidth enforcement and round counting; its
-  default sparse-activation engine steps only nodes with mail or a
-  requested wake-up (``dense=True`` retains the scan-everything loop);
+  round engine steps only nodes with mail or a requested wake-up;
 * :class:`~repro.congest.algorithm.CongestAlgorithm` — the node-program
   interface (purely local knowledge), including the activity contract
-  the sparse engine relies on;
+  the engine relies on;
 * :mod:`~repro.congest.bfs` — a natively-simulated BFS-tree construction
   (the tree τ all the paper's constructions assume, §2);
 * :mod:`~repro.congest.primitives` — Lemma-1 broadcast / convergecast cost

@@ -9,32 +9,29 @@ with (n, k, ε, ... are legitimately global in the CONGEST model).
 The activity contract
 ---------------------
 
-The sparse-activation engine (the default in
-:class:`~repro.congest.simulator.SyncNetwork`) only *steps* a node in
-rounds where it has something to do.  Node programs therefore promise:
+The round engine of :class:`~repro.congest.simulator.SyncNetwork` only
+*steps* a node in rounds where it has something to do.  Node programs
+therefore promise:
 
 * **Idle unless messaged** — a node's behaviour between two deliveries is
   a no-op: ``step(node, {})`` returns no messages and changes no state
   the engine can observe (``is_done`` in particular must not flip while
   the node sleeps).
 * **Wake requests** — a node with *local* pending work (a queue it drains
-  one message per round, a key stream it advances) calls
-  :meth:`NodeView.request_wake` before returning from ``setup``/``step``;
-  the engine then steps it in the next round even without mail.  Wake
-  requests are one-shot — re-request every round the work persists.
+  one message per round, a key stream it advances, a poll it repeats)
+  calls :meth:`NodeView.request_wake` before returning from
+  ``setup``/``step``; the engine then steps it in the next round even
+  without mail.  Wake requests are one-shot — re-request every round the
+  work persists.
 * **Global rounds** — programs that meter themselves by the *round
   number* (hop budgets, fixed-length phases) read :attr:`NodeView.round`
   instead of counting their own step invocations: a sleeping node is not
   stepped, so a local counter undercounts.
-* **Polling escape hatch** — an algorithm that genuinely needs every
-  node stepped every round sets the class attribute
-  :attr:`CongestAlgorithm.always_active`; the engine then schedules all
-  nodes each round (the dense behaviour) while keeping the incremental
-  termination accounting.
 
 Programs honouring the contract behave identically — round-for-round
-and message-for-message — under the sparse and dense engines; the
-parity suite in ``tests/test_congest_parity.py`` asserts exactly that.
+and message-for-message — to a scan-everything loop that steps every
+node every round; the parity suite in ``tests/test_congest_parity.py``
+asserts exactly that against such a reference loop.
 """
 
 from __future__ import annotations
@@ -88,9 +85,9 @@ class NodeView:
         """The network's current round number (1 in the first step round).
 
         Synchronous rounds are globally known in the CONGEST model, so a
-        node may legitimately meter itself by this counter — and under
-        the sparse engine it *must* use this rather than counting its own
-        ``step`` invocations (sleeping rounds are not delivered).
+        node may legitimately meter itself by this counter — and it
+        *must* use this rather than counting its own ``step``
+        invocations (sleeping rounds are not delivered).
         """
         return self._network.rounds_executed if self._network is not None else 0
 
@@ -98,8 +95,7 @@ class NodeView:
         """Ask to be stepped next round even if no mail arrives.
 
         One-shot: the request covers only the next round; a program with
-        ongoing local work re-requests on every step.  No-op under the
-        dense engine (every node is stepped anyway).
+        ongoing local work re-requests on every step.
         """
         self._wake = True
 
@@ -121,23 +117,18 @@ class CongestAlgorithm:
 
     1. ``setup(node)`` — once, before round 0; returns the round-0 outbox.
     2. ``step(node, inbox)`` — in every round where the node is *active*
-       (it has mail, requested a wake, or the algorithm is
-       :attr:`always_active`); receives the messages sent to this node in
-       the previous round and returns the outbox.
+       (it has mail or requested a wake); receives the messages sent to
+       this node in the previous round and returns the outbox.
     3. ``is_done(node)`` — evaluated after ``setup`` and after each
        ``step`` of that node (not every round — see the activity contract
        in the module docstring); the simulation stops when every node is
-       done *and* no messages are in flight, or when ``max_rounds``
-       elapse.
+       done *and* no messages are in flight (reaching ``max_rounds``
+       first raises).
     4. ``finish(node)`` — once, after the final round (collect outputs).
 
     Subclasses override what they need; the defaults send nothing and
     finish immediately.
     """
-
-    #: When True the engine steps every node every round (polling
-    #: programs); the default is idle-unless-messaged.
-    always_active: bool = False
 
     def setup(self, node: NodeView) -> Outbox:
         """Initialize local state; return messages for round 0."""

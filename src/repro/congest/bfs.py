@@ -82,7 +82,7 @@ class DistributedBFS(CongestAlgorithm):
     parent, ties broken by id order — deterministic, per the model.
 
     Purely mail-driven (activity contract): only the flood frontier is
-    ever stepped by the sparse engine, so a BFS over n nodes costs
+    ever stepped by the engine, so a BFS over n nodes costs
     O(n + m) node-steps total instead of O(n · depth).
     """
 
@@ -107,8 +107,8 @@ class DistributedBFS(CongestAlgorithm):
         return {nbr: node.state["bfs_depth"] for nbr in node.neighbors if nbr != parent}
 
     def is_done(self, node: NodeView) -> bool:
-        # termination is by quiescence: once the flood drains, unreached
-        # nodes (disconnected graph) are reported by build_bfs_tree
+        # the run ends when no mail is in flight: once the flood drains,
+        # unreached nodes (disconnected graph) are reported by build_bfs_tree
         return True
 
 

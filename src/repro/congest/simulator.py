@@ -13,22 +13,16 @@ constraints:
 * **Synchrony** — messages sent in round ``r`` are delivered at the start
   of round ``r + 1``; the round counter is the complexity measure.
 
-Two round engines share those semantics:
-
-* The **sparse-activation engine** (default) steps a node only when it
-  has mail or requested a wake-up (see the activity contract in
-  :mod:`repro.congest.algorithm`), maintains termination with an
-  incrementally updated done-counter instead of scanning every view each
-  round, and delivers messages through persistent integer-indexed inbox
-  buffers — so a pipelined broadcast that keeps only a tree frontier
-  busy pays O(active) Python-call overhead per round, not O(n).
-* The **dense engine** (``dense=True``) is the scan-everything
-  compatibility loop: every node is stepped and polled every round.  It
-  backs the sparse/dense parity suite and runs non-conforming programs.
-
-Both engines step scheduled nodes in ascending dense-index order, so a
-program honouring the activity contract produces byte-identical message
-traces on either.
+The round engine steps a node only when it has mail or requested a
+wake-up (the activity contract of :mod:`repro.congest.algorithm`),
+maintains termination with an incrementally updated done-counter instead
+of scanning every view each round, and delivers messages through
+persistent integer-indexed inbox buffers — so a pipelined broadcast that
+keeps only a tree frontier busy pays O(active) Python-call overhead per
+round, not O(n).  Scheduled nodes are stepped in ascending dense-index
+order.  ``tests/test_congest_parity.py`` keeps the scan-everything loop
+(every node stepped every round) as the reference this engine must match
+message for message.
 """
 
 from __future__ import annotations
@@ -116,20 +110,13 @@ class SyncNetwork:
         bits ≈ O(1) words; the default of 4 accommodates the paper's
         messages, which are constant-length tuples of ids and weights
         (e.g. ``(s(x), m(x) - 1)`` in §5 or ``(x_iα, R_{x_iα})`` in §4.1).
-    strict_bandwidth:
-        When True (default), oversized messages raise
-        :class:`BandwidthViolation`.
-    dense:
-        When True, run the scan-everything compatibility engine (every
-        node stepped and polled every round).  The default sparse engine
-        requires node programs to honour the activity contract of
-        :mod:`repro.congest.algorithm`.
+        An oversized message raises :class:`BandwidthViolation`.
 
     Counters
     --------
     ``rounds_executed``, ``messages_sent``, ``words_sent`` and
     ``active_node_rounds`` (the number of ``step`` invocations — the
-    sparse engine's utilization measure) cover the current run and are
+    engine's utilization measure) cover the current run and are
     zeroed by :meth:`reset`; the ``total_*`` counterparts accumulate over
     the network's lifetime so multi-phase constructions that reuse one
     network can report aggregate traffic.
@@ -139,13 +126,9 @@ class SyncNetwork:
         self,
         graph: Union[WeightedGraph, CSRGraph],
         words_per_message: int = 4,
-        strict_bandwidth: bool = True,
-        dense: bool = False,
     ) -> None:
         self.graph = graph
         self.words_per_message = words_per_message
-        self.strict_bandwidth = strict_bandwidth
-        self.dense = dense
         self.rounds_executed = 0
         self.messages_sent = 0
         self.words_sent = 0
@@ -170,10 +153,6 @@ class SyncNetwork:
     def view(self, v: Vertex) -> NodeView:
         """The node view for vertex ``v`` (inspect state after a run)."""
         return self._views[v]
-
-    def views(self) -> Dict[Vertex, NodeView]:
-        """All node views, keyed by vertex id."""
-        return dict(self._views)
 
     def reset(self) -> None:
         """Clear node state and per-run counters (reuse the network for a
@@ -201,7 +180,7 @@ class SyncNetwork:
                     f"node {sender!r} tried to message non-neighbor {dst!r}"
                 )
             words = payload_words(payload)
-            if self.strict_bandwidth and words > self.words_per_message:
+            if words > self.words_per_message:
                 raise BandwidthViolation(
                     f"node {sender!r} -> {dst!r}: payload {payload!r} is "
                     f"{words} words, budget is {self.words_per_message}"
@@ -212,29 +191,21 @@ class SyncNetwork:
         self.total_messages_sent += len(outbox)
         self.total_words_sent += words_total
 
-    def run(
-        self,
-        algorithm: CongestAlgorithm,
-        max_rounds: int = 10_000,
-        quiesce: bool = True,
-    ) -> int:
+    def run(self, algorithm: CongestAlgorithm, max_rounds: int = 10_000) -> int:
         """Execute ``algorithm`` until termination; return rounds executed.
 
         Termination: all nodes report ``is_done`` and no messages are in
-        flight (when ``quiesce`` is True, the default), or ``max_rounds``
-        elapses — whichever comes first.
+        flight.
 
         Raises
         ------
         RuntimeError
             If ``max_rounds`` elapses before termination (runaway
             algorithms are bugs; the paper's algorithms all have explicit
-            round bounds), or — sparse engine only — if the run stalls:
-            some node is not done yet no node has mail, a wake request or
-            ``always_active`` scheduling, so no future round can change
-            anything.  A stall means the program violates the activity
-            contract; ``dense=True`` reproduces the legacy behaviour
-            (spinning to ``max_rounds``).
+            round bounds), or if the run stalls: some node is not done
+            yet no node has mail or a wake request, so no future round
+            can change anything.  A stall means the program violates the
+            activity contract.
         """
         # Lifetime total_* counters before/after bracket exactly this
         # run's traffic (per-run counters may carry state when reset()
@@ -244,14 +215,8 @@ class SyncNetwork:
         messages0 = self.total_messages_sent
         words0 = self.total_words_sent
         active0 = self.total_active_node_rounds
-        engine = "dense" if self.dense else "sparse"
-        with obs_trace.span(
-            "congest.run", algorithm=type(algorithm).__name__, engine=engine
-        ):
-            if self.dense:
-                rounds = self._run_dense(algorithm, max_rounds, quiesce)
-            else:
-                rounds = self._run_sparse(algorithm, max_rounds, quiesce)
+        with obs_trace.span("congest.run", algorithm=type(algorithm).__name__):
+            rounds = self._run_rounds(algorithm, max_rounds)
         reg = obs_metrics.registry()
         reg.counter("congest.rounds.executed").inc(self.total_rounds - rounds0)
         reg.counter("congest.messages.sent").inc(
@@ -266,14 +231,11 @@ class SyncNetwork:
         return rounds
 
     # ------------------------------------------------------------------
-    def _run_sparse(
-        self, algorithm: CongestAlgorithm, max_rounds: int, quiesce: bool
-    ) -> int:
+    def _run_rounds(self, algorithm: CongestAlgorithm, max_rounds: int) -> int:
         n = len(self._verts)
         verts, vidx, view_list = self._verts, self._vidx, self._view_list
         is_done = algorithm.is_done
         step = algorithm.step
-        always = bool(algorithm.always_active)
         # per-round utilization gauge (last round's level + observed peak)
         active_gauge = obs_metrics.gauge("congest.network.active_nodes")
 
@@ -316,27 +278,22 @@ class SyncNetwork:
         self.total_rounds += 1
 
         while True:
-            all_done = done_count == n
-            if quiesce and all_done and not nxt_mail:
+            if done_count == n and not nxt_mail:
                 break
             if self.rounds_executed >= max_rounds:
-                if all_done and not nxt_mail:
-                    break
                 raise RuntimeError(
                     f"algorithm did not terminate within {max_rounds} rounds"
                 )
-            if quiesce and not nxt_mail and not wake and not always:
+            if not nxt_mail and not wake:
                 # Some node is not done, but nothing is scheduled: no
                 # future round can change anything.  Fail fast instead of
-                # spinning to max_rounds like the dense engine would.
+                # spinning to max_rounds.
                 stalled = n - done_count
                 raise RuntimeError(
-                    f"sparse engine stalled after {self.rounds_executed} "
-                    f"round(s): {stalled} node(s) not done but no mail, "
-                    f"wake requests or always_active scheduling — the node "
-                    f"program violates the activity contract (see "
-                    f"repro.congest.algorithm; dense=True reproduces the "
-                    f"legacy scan-everything behaviour)"
+                    f"engine stalled after {self.rounds_executed} "
+                    f"round(s): {stalled} node(s) not done but no mail or "
+                    f"wake requests — the node program violates the "
+                    f"activity contract (see repro.congest.algorithm)"
                 )
 
             # Swap buffers: last round's outgoing mail becomes delivery.
@@ -350,9 +307,7 @@ class SyncNetwork:
             for i in cur_wake:
                 wake_flag[i] = 0
 
-            if always:
-                schedule: Any = range(n)
-            elif cur_wake:
+            if cur_wake:
                 merged = set(cur_mail)
                 merged.update(cur_wake)
                 schedule = sorted(merged)
@@ -391,68 +346,8 @@ class SyncNetwork:
             self.total_rounds += 1
         return self.rounds_executed
 
-    # ------------------------------------------------------------------
-    def _run_dense(
-        self, algorithm: CongestAlgorithm, max_rounds: int, quiesce: bool
-    ) -> int:
-        # The legacy scan-everything loop: every node is stepped and
-        # polled every round.  Kept as the parity reference and for
-        # programs that predate the activity contract.
-        n = len(self._verts)
-        verts, vidx, view_list = self._verts, self._vidx, self._view_list
-        active_gauge = obs_metrics.gauge("congest.network.active_nodes")
-        inflight: List[Dict[Vertex, Any]] = [{} for _ in range(n)]
-
-        # Round 0: setup.
-        any_message = False
-        for i in range(n):
-            view = view_list[i]
-            view._wake = False
-            outbox = algorithm.setup(view) or {}
-            sender = verts[i]
-            self._check_outbox(sender, view, outbox)
-            for dst, payload in outbox.items():
-                inflight[vidx[dst]][sender] = payload
-                any_message = True
-        self.rounds_executed = 1
-        self.total_rounds += 1
-
-        is_done = algorithm.is_done
-        step = algorithm.step
-        while True:
-            all_done = all(is_done(view) for view in view_list)
-            if quiesce and all_done and not any_message:
-                break
-            if self.rounds_executed >= max_rounds:
-                if all_done and not any_message:
-                    break
-                raise RuntimeError(
-                    f"algorithm did not terminate within {max_rounds} rounds"
-                )
-            delivery = inflight
-            inflight = [{} for _ in range(n)]
-            any_message = False
-            for i in range(n):
-                view = view_list[i]
-                view._wake = False  # wake requests are moot when dense
-                outbox = step(view, delivery[i]) or {}
-                if outbox:
-                    sender = verts[i]
-                    self._check_outbox(sender, view, outbox)
-                    for dst, payload in outbox.items():
-                        inflight[vidx[dst]][sender] = payload
-                        any_message = True
-            self.active_node_rounds += n
-            self.total_active_node_rounds += n
-            active_gauge.set(n)  # the dense engine steps everyone
-            self.rounds_executed += 1
-            self.total_rounds += 1
-        return self.rounds_executed
-
     def __repr__(self) -> str:
-        engine = "dense" if self.dense else "sparse"
         return (
             f"SyncNetwork(n={self.graph.n}, m={self.graph.m}, "
-            f"engine={engine}, rounds={self.rounds_executed}, "
-            f"msgs={self.messages_sent})"
+            f"rounds={self.rounds_executed}, msgs={self.messages_sent})"
         )

@@ -68,7 +68,7 @@ class IntervalScan(CongestAlgorithm):
     an MST edge, so the hand-off ``j → j+1`` is a message on that edge,
     tagged by the receiving position index (1 more word).
 
-    Purely mail-driven (activity contract): each round the sparse engine
+    Purely mail-driven (activity contract): each round the engine
     steps only the ⌈size/α⌉ token holders, not all n vertices.
     """
 
@@ -133,7 +133,7 @@ class IntervalScan(CongestAlgorithm):
         return out
 
     def is_done(self, node: NodeView) -> bool:
-        return True  # termination by quiescence (tokens die at interval ends)
+        return True  # the run ends when no token is in flight (they die at interval ends)
 
 
 def run_interval_scan(

@@ -135,8 +135,8 @@ def simulate_case1_bucket(
         of G.
     network:
         Reuse an existing :class:`SyncNetwork` over ``graph`` for every
-        phase (e.g. to pick the dense engine or accumulate lifetime
-        traffic counters); a fresh sparse-engine network by default.
+        phase (e.g. to accumulate lifetime traffic counters or trace
+        messages); a fresh network by default.
 
     Raises
     ------

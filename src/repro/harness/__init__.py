@@ -52,7 +52,6 @@ from repro.harness.queries import (
 from repro.harness.runner import (
     ALGORITHMS,
     CONGEST_ALGORITHMS,
-    ENGINES,
     KERNEL_ALGORITHMS,
     QUERYABLE_ALGORITHMS,
     SPANNER_CERTIFIED_ALGORITHMS,
@@ -106,7 +105,6 @@ __all__ = [
     "run_query_workload",
     "ALGORITHMS",
     "CONGEST_ALGORITHMS",
-    "ENGINES",
     "KERNEL_ALGORITHMS",
     "QUERYABLE_ALGORITHMS",
     "SPANNER_CERTIFIED_ALGORITHMS",

@@ -464,7 +464,7 @@ register(Profile(
 register(Profile(
     name="congest-broadcast",
     description="Lemma-1 pipelined broadcast over a BFS tree on a deep grid "
-                "(few messages, many rounds — the sparse engine's showcase)",
+                "(few messages, many rounds — most nodes idle in most rounds)",
     section="§2 Lemma 1",
     family="grid",
     algorithm="congest-broadcast",

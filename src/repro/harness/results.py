@@ -16,9 +16,9 @@ Gating rules (deliberately asymmetric per quantity):
 * charged rounds — deterministic given the profile seed, so any change
   beyond 1% is flagged;
 * network traffic (messages / words / active-node-rounds, CONGEST
-  profiles) — deterministic like rounds, same 1% gate; comparing a
-  sparse run against a dense baseline shows the utilization win as an
-  ``active_node_rounds`` improvement;
+  profiles) — deterministic like rounds, same 1% gate; a scheduling
+  change that steps fewer nodes shows as an ``active_node_rounds``
+  improvement;
 * query serving (``queries`` block, schema 4) — p50/p99 latency gate
   like wall-clock (relative tolerance over a jitter floor), throughput
   gates on its reciprocal (fewer queries per second is the regression),
@@ -316,11 +316,9 @@ def compare_reports(
                 name, "rounds", float(b.rounds), float(c.rounds),
                 _classify(float(b.rounds), float(c.rounds), ROUNDS_TOLERANCE, 0.0),
             ))
-        # network traffic (CONGEST profiles): messages and words are
-        # seeded-deterministic and engine-independent, so they gate like
-        # rounds; active_node_rounds is the engine's utilization — also
-        # deterministic for a fixed engine, and exactly what a
-        # sparse-vs-dense comparison is meant to surface.
+        # network traffic (CONGEST profiles): messages, words and
+        # active_node_rounds (the engine's utilization) are
+        # seeded-deterministic, so they gate like rounds.
         for quantity, bval, cval in (
             ("messages", b.messages, c.messages),
             ("words", b.words, c.words),

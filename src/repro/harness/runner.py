@@ -52,9 +52,6 @@ from repro.spanners import baswana_sen_spanner, elkin_neiman_spanner, greedy_spa
 from repro.spt import approx_spt
 from repro.traversal import compute_euler_tour
 
-#: engine names ``run_profile(engine=...)`` accepts for CONGEST profiles.
-ENGINES = ("sparse", "dense")
-
 #: the per-tier algorithm parameters run_profile threads through build/certify.
 Params = Dict[str, Any]
 
@@ -276,8 +273,8 @@ class NetStats:
     build (BFS tree + broadcast on one network) reports aggregate
     traffic even though :meth:`SyncNetwork.reset` zeroed the per-run
     counters between phases.  ``active_node_rounds`` counts ``step``
-    invocations — the sparse engine's utilization measure (the dense
-    engine's value is always ``n × step-rounds``).
+    invocations — the engine's utilization measure, at most
+    ``n × step-rounds``.
     """
 
     rounds: int
@@ -297,12 +294,10 @@ class NetStats:
 
 
 def _congest_network(
-    graph: WeightedGraph, params: Params, network: Optional[SyncNetwork]
+    graph: WeightedGraph, network: Optional[SyncNetwork]
 ) -> SyncNetwork:
-    """The network a CONGEST build runs on; honours ``params['engine']``."""
-    if network is not None:
-        return network
-    return SyncNetwork(graph, dense=params.get("engine") == "dense")
+    """The network a CONGEST build runs on: the injected one, or a new one."""
+    return network if network is not None else SyncNetwork(graph)
 
 
 def _seeded_payloads(
@@ -320,7 +315,7 @@ def _build_congest_bfs(
     rng: random.Random,
     network: Optional[SyncNetwork] = None,
 ) -> Tuple[Any, int, NetStats]:
-    net = _congest_network(graph, params, network)
+    net = _congest_network(graph, network)
     tree = build_bfs_tree(graph, _root(graph), network=net)
     return tree, tree.rounds, NetStats.of(net)
 
@@ -342,7 +337,7 @@ def _build_congest_broadcast(
     rng: random.Random,
     network: Optional[SyncNetwork] = None,
 ) -> Tuple[Any, int, NetStats]:
-    net = _congest_network(graph, params, network)
+    net = _congest_network(graph, network)
     tree = build_bfs_tree(graph, _root(graph), network=net)
     payloads = _seeded_payloads(graph, params, rng)
     received, rounds = broadcast_messages(graph, tree, payloads, network=net)
@@ -368,7 +363,7 @@ def _build_congest_convergecast(
     rng: random.Random,
     network: Optional[SyncNetwork] = None,
 ) -> Tuple[Any, int, NetStats]:
-    net = _congest_network(graph, params, network)
+    net = _congest_network(graph, network)
     tree = build_bfs_tree(graph, _root(graph), network=net)
     payloads = _seeded_payloads(graph, params, rng)
     gathered, rounds = convergecast_messages(graph, tree, payloads, network=net)
@@ -398,7 +393,7 @@ def _build_congest_interval_scan(
     rng: random.Random,
     network: Optional[SyncNetwork] = None,
 ) -> Tuple[Any, int, NetStats]:
-    net = _congest_network(graph, params, network)
+    net = _congest_network(graph, network)
     root = _root(graph)
     mst = kruskal_mst(graph)
     tour = compute_euler_tour(mst, root)
@@ -430,7 +425,7 @@ def _build_congest_cluster_round(
     rng: random.Random,
     network: Optional[SyncNetwork] = None,
 ) -> Tuple[Any, int, NetStats]:
-    net = _congest_network(graph, params, network)
+    net = _congest_network(graph, network)
     root = _root(graph)
     tree = build_bfs_tree(graph, root, network=net)
     mst = kruskal_mst(graph)
@@ -467,7 +462,7 @@ def _certify_congest_cluster_round(graph: WeightedGraph, artifact: Any, params: 
 # rounds, NetStats): the third element feeds the record's network block
 # (a congest-prefixed algorithm returning a 2-tuple would silently record
 # no traffic), and the network kwarg lets the parity suite inject a
-# tracing/dense SyncNetwork.
+# tracing SyncNetwork or its reference loop.
 BuildFn = Callable[..., Tuple[Any, ...]]
 CertifyFn = Callable[..., QualityReport]
 
@@ -499,7 +494,7 @@ ALGORITHMS: Dict[str, Tuple[BuildFn, CertifyFn]] = {
     ),
 }
 
-#: algorithms that execute on a SyncNetwork and honour ``params["engine"]``.
+#: algorithms that execute on a SyncNetwork and record its traffic.
 CONGEST_ALGORITHMS = frozenset(
     name for name in ALGORITHMS if name.startswith("congest-")
 )
@@ -704,7 +699,6 @@ def run_profile(
     tier: str,
     certify: bool = True,
     measure_memory: bool = True,
-    engine: str = "sparse",
     certify_workers: int = 1,
     certify_sample: Optional[float] = None,
     queries: bool = False,
@@ -726,13 +720,6 @@ def run_profile(
     without a network.  Its peak excludes building them, and a change
     that caches more can lower ``peak_memory_bytes``, which
     ``compare_reports`` counts as an improvement, not a regression.
-
-    ``engine`` selects the CONGEST round engine (``"sparse"`` — the
-    default — or ``"dense"``) for profiles whose algorithm runs on a
-    :class:`~repro.congest.simulator.SyncNetwork`; other profiles ignore
-    it.  The choice is stamped into the record's params, and both engines
-    produce identical rounds/messages/words (the parity suite's claim) —
-    only wall-clock and ``active_node_rounds`` differ.
 
     ``certify_workers`` / ``certify_sample`` tune the bounded-radius
     stretch-certification engine for spanner-certified profiles (process
@@ -763,19 +750,15 @@ def run_profile(
     KeyError
         On an unknown tier or algorithm.
     ValueError
-        On an unknown engine name, non-positive ``certify_workers`` or
-        out-of-range ``certify_sample``.
+        On non-positive ``certify_workers`` or out-of-range
+        ``certify_sample``.
     """
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; choose from {ENGINES}")
     if certify_workers < 1:
         raise ValueError(f"certify_workers must be >= 1, got {certify_workers}")
     if certify_sample is not None and not (0.0 < certify_sample <= 1.0):
         raise ValueError(f"certify_sample must be in (0, 1], got {certify_sample}")
     build, certify_fn = ALGORITHMS[profile.algorithm]
     params = profile.algo_params(tier)
-    if profile.algorithm in CONGEST_ALGORITHMS:
-        params["engine"] = engine
     if profile.algorithm in SPANNER_CERTIFIED_ALGORITHMS:
         params["certify_workers"] = certify_workers
         if certify_sample is not None:
@@ -879,7 +862,6 @@ def run_suite(
     certify: bool = True,
     measure_memory: bool = True,
     progress: Optional[Callable[[str], None]] = None,
-    engine: str = "sparse",
     certify_workers: int = 1,
     certify_sample: Optional[float] = None,
     queries: bool = False,
@@ -891,7 +873,7 @@ def run_suite(
     with obs_trace.span("harness.suite", tier=tier, profiles=len(selected)):
         for i, profile in enumerate(selected, start=1):
             record = run_profile(profile, tier, certify=certify,
-                                 measure_memory=measure_memory, engine=engine,
+                                 measure_memory=measure_memory,
                                  certify_workers=certify_workers,
                                  certify_sample=certify_sample,
                                  queries=queries, kernel=kernel)

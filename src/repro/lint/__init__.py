@@ -1,9 +1,9 @@
 """``repro.lint`` — the repo-specific determinism & contract analyzer.
 
 Every correctness claim this repository ships — seeded profiles,
-bit-identical sparse/dense CONGEST parity, tolerance-gated benchmark
-compares, 1e-9 certifier agreement — rests on invariants no generic
-tool checks.  This package is the AST-based static analyzer that
+bit-identical CONGEST parity with the reference loop, tolerance-gated
+benchmark compares, 1e-9 certifier agreement — rests on invariants no
+generic tool checks.  This package is the AST-based static analyzer that
 machine-enforces them:
 
 * **RNG discipline** (``REP101``–``REP103``) — no module-level global
@@ -15,9 +15,9 @@ machine-enforces them:
 * **CSR freeze discipline** (``REP301``–``REP302``) — arrays of a
   frozen :class:`~repro.graphs.csr.CSRGraph` are never written;
   scratch state goes through the version-stamp pattern.
-* **CONGEST contract** (``REP401``–``REP403``) — node programs touch
+* **CONGEST contract** (``REP401``, ``REP403``) — node programs touch
   the network only through the :class:`~repro.congest.algorithm.NodeView`
-  API and keep ``request_wake``/``always_active`` usage consistent.
+  API and never build a view themselves.
 * **Pool-boundary safety** (``REP501``–``REP503``) — nothing
   unpicklable (lambdas, nested functions) crosses a
   :mod:`multiprocessing` pool boundary; initializers are module-level.

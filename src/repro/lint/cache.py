@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Optional, Tuple
 
 #: bump when FileAnalysis / FileFacts / rule semantics change shape.
-CACHE_VERSION = "2"
+CACHE_VERSION = "3"
 
 DEFAULT_CACHE_DIR = Path(".repro-lint-cache")
 

@@ -1,21 +1,17 @@
-"""CONGEST activity-contract conformance (``REP401``–``REP403``).
+"""CONGEST activity-contract conformance (``REP401``, ``REP403``).
 
 Node programs (subclasses of
 :class:`~repro.congest.algorithm.CongestAlgorithm`) see the world
 through the :class:`~repro.congest.algorithm.NodeView` public API.
-The sparse-activation engine's correctness — and the sparse/dense
-parity suite — depends on programs not reaching around it:
+The round engine's correctness — and the parity suite against the
+scan-everything reference loop — depends on programs not reaching
+around it:
 
 * ``REP401`` — touching a private attribute of the node view
   (``node._network``, ``node._wake``, ``node._incident``) or naming
   ``SyncNetwork`` inside a node program: that is the engine's side of
   the boundary, and going around ``NodeView`` breaks the activity
-  accounting (and any future engine swap).
-* ``REP402`` — calling ``request_wake()`` in a program that declares
-  ``always_active = True``: the poller is stepped every round anyway,
-  so the wake request signals a misunderstanding of which contract
-  the program is under (and would change behaviour if the
-  ``always_active`` flag were ever dropped).
+  accounting.
 * ``REP403`` — constructing ``NodeView(...)`` directly: views are
   created by the engine only (the module docstring's explicit rule);
   a hand-built view has no network wiring and silently reads round 0.
@@ -24,7 +20,7 @@ parity suite — depends on programs not reaching around it:
 from __future__ import annotations
 
 import ast
-from typing import ClassVar, Dict, List, Optional, Set, Union
+from typing import ClassVar, Dict, List, Set, Union
 
 from repro.lint.context import FileContext
 from repro.lint.registry import Rule, register
@@ -54,7 +50,6 @@ class CongestContract(Rule):
     name = "congest-contract"
     codes: ClassVar[Dict[str, str]] = {
         "REP401": "node program reaches around the NodeView API",
-        "REP402": "request_wake() inside an always_active node program",
         "REP403": "NodeView constructed outside the engine",
     }
 
@@ -65,7 +60,6 @@ class CongestContract(Rule):
     def __init__(self, ctx: FileContext) -> None:
         super().__init__(ctx)
         self._in_program = 0
-        self._always_active = False
         self._node_params: List[Set[str]] = []
 
     # -- program detection ---------------------------------------------
@@ -73,27 +67,9 @@ class CongestContract(Rule):
         if "CongestAlgorithm" not in _base_names(node):
             self.generic_visit(node)
             return
-        always_active = False
-        for stmt in node.body:
-            targets: List[ast.expr] = []
-            value: Optional[ast.expr] = None
-            if isinstance(stmt, ast.Assign):
-                targets, value = stmt.targets, stmt.value
-            elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-                targets, value = [stmt.target], stmt.value
-            for target in targets:
-                if (
-                    isinstance(target, ast.Name)
-                    and target.id == "always_active"
-                    and isinstance(value, ast.Constant)
-                    and value.value is True
-                ):
-                    always_active = True
-        outer_program, outer_flag = self._in_program, self._always_active
         self._in_program += 1
-        self._always_active = always_active
         self.generic_visit(node)
-        self._in_program, self._always_active = outer_program, outer_flag
+        self._in_program -= 1
 
     def _visit_method(
         self, node: Union[ast.FunctionDef, ast.AsyncFunctionDef]
@@ -119,7 +95,7 @@ class CongestContract(Rule):
             node.id in params for params in self._node_params
         )
 
-    # -- REP401 / REP402 / REP403 --------------------------------------
+    # -- REP401 / REP403 -----------------------------------------------
     def visit_Attribute(self, node: ast.Attribute) -> None:
         if (
             self._in_program
@@ -147,19 +123,6 @@ class CongestContract(Rule):
 
     def visit_Call(self, node: ast.Call) -> None:
         func = node.func
-        if (
-            self._in_program
-            and self._always_active
-            and isinstance(func, ast.Attribute)
-            and func.attr == "request_wake"
-            and self._is_node_name(func.value)
-        ):
-            self.report(
-                node,
-                "REP402",
-                "request_wake() is dead under always_active=True; pick one "
-                "activity contract (drop the flag or the wake request)",
-            )
         if isinstance(func, ast.Name) and func.id == "NodeView":
             self.report(
                 node,

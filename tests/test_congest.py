@@ -90,11 +90,6 @@ class TestSyncNetwork:
         with pytest.raises(BandwidthViolation):
             net.run(_Oversender())
 
-    def test_bandwidth_relaxed_mode(self):
-        net = SyncNetwork(path_graph(3), strict_bandwidth=False)
-        net.run(_Oversender(), max_rounds=5)
-        assert net.words_sent >= 100
-
     def test_non_neighbor_send_rejected(self):
         g = path_graph(4)
         net = SyncNetwork(g)
@@ -134,8 +129,8 @@ class TestSyncNetwork:
 class TestSparseEngine:
     def test_stall_raises_contract_error(self):
         """A node that is never done but requests no wake and gets no mail
-        can never make progress: the sparse engine fails fast instead of
-        spinning to max_rounds like the dense loop."""
+        can never make progress: the engine fails fast instead of
+        spinning to max_rounds."""
 
         class Sleeper(CongestAlgorithm):
             def is_done(self, node):
@@ -143,19 +138,20 @@ class TestSparseEngine:
 
         with pytest.raises(RuntimeError, match="activity contract"):
             SyncNetwork(path_graph(3)).run(Sleeper())
-        # the dense engine reproduces the legacy spin-to-max_rounds
-        with pytest.raises(RuntimeError, match="did not terminate"):
-            SyncNetwork(path_graph(3), dense=True).run(Sleeper(), max_rounds=7)
 
-    def test_always_active_escape_hatch(self):
+    def test_poller_rewakes_every_round(self):
         """A polling program (steps itself by the global round counter,
-        no mail) runs under always_active."""
+        no mail) requests a wake in setup and in every step."""
 
         class Poller(CongestAlgorithm):
-            always_active = True
+            def setup(self, node):
+                node.request_wake()
+                return {}
 
             def step(self, node, inbox):
                 node.state["last_round"] = node.round
+                if not self.is_done(node):
+                    node.request_wake()
                 return {}
 
             def is_done(self, node):
@@ -192,10 +188,14 @@ class TestSparseEngine:
 
     def test_global_round_counter_visible_to_nodes(self):
         class Recorder(CongestAlgorithm):
-            always_active = True
+            def setup(self, node):
+                node.request_wake()
+                return {}
 
             def step(self, node, inbox):
                 node.state.setdefault("rounds", []).append(node.round)
+                if not self.is_done(node):
+                    node.request_wake()
                 return {}
 
             def is_done(self, node):
@@ -206,15 +206,13 @@ class TestSparseEngine:
         assert net.view(0).state["rounds"] == [1, 2, 3, 4]
 
     def test_active_node_rounds_utilization(self):
-        """The flood keeps only changed nodes busy: the sparse engine's
-        step count is strictly below the dense n x rounds product."""
+        """The flood keeps only changed nodes busy: the engine's step
+        count is strictly below the n x step-rounds a scan-everything
+        loop would pay."""
         g = cycle_graph(12)
-        sparse = SyncNetwork(g)
-        sparse.run(_Flood())
-        dense = SyncNetwork(g, dense=True)
-        dense.run(_Flood())
-        assert dense.active_node_rounds == g.n * (dense.rounds_executed - 1)
-        assert 0 < sparse.active_node_rounds < dense.active_node_rounds
+        net = SyncNetwork(g)
+        net.run(_Flood())
+        assert 0 < net.active_node_rounds < g.n * (net.rounds_executed - 1)
 
     def test_lifetime_counters_survive_reset(self):
         g = cycle_graph(6)

@@ -1,11 +1,12 @@
-"""Sparse/dense engine differential suite.
+"""Round-engine differential suite.
 
-The sparse-activation engine's whole claim is that it changes *what the
-executor scans*, never *what the algorithm does*: a node program that
-honours the activity contract must behave identically under both
-engines.  This suite runs every seeded CONGEST harness profile twice at
-smoke tier — once per engine — through a tracing network that records
-every sent message, and asserts the executions agree
+The round engine's whole claim is that it changes *what the executor
+scans*, never *what the algorithm does*: a node program that honours the
+activity contract must behave exactly as under a loop that steps and
+polls every node every round.  :class:`DenseNetwork` is that loop, kept
+here as the reference.  This suite runs every seeded CONGEST harness
+profile at smoke tier, and hand-built programs, once on each network,
+recording every sent message, and asserts the executions agree
 
 * round-for-round (every message is sent in the same round),
 * message-for-message (same sender, receiver and payload),
@@ -13,7 +14,7 @@ every sent message, and asserts the executions agree
 * on the final per-node state.
 
 ``active_node_rounds`` is the one quantity allowed (indeed expected) to
-differ: the sparse engine must never step more nodes than the dense one.
+differ: the engine must never step more nodes than the reference.
 """
 
 import random
@@ -31,7 +32,7 @@ class TracingNetwork(SyncNetwork):
 
     ``total_rounds`` is used as the timestamp because multi-phase
     builders reset the per-run counter between phases while the lifetime
-    counter keeps ticking at identical points in both engines.
+    counter keeps ticking at identical points on both networks.
     """
 
     def __init__(self, *args, **kwargs):
@@ -48,10 +49,62 @@ class TracingNetwork(SyncNetwork):
             ))
 
 
-def _run_profile_traced(profile, dense):
+class DenseNetwork(TracingNetwork):
+    """The scan-everything reference loop: every node is stepped and
+    polled every round, so it needs no activity contract at all."""
+
+    def _run_rounds(self, algorithm, max_rounds):
+        n = len(self._verts)
+        verts, vidx, view_list = self._verts, self._vidx, self._view_list
+        inflight = [{} for _ in range(n)]
+
+        # Round 0: setup.
+        any_message = False
+        for i in range(n):
+            view = view_list[i]
+            view._wake = False
+            outbox = algorithm.setup(view) or {}
+            sender = verts[i]
+            self._check_outbox(sender, view, outbox)
+            for dst, payload in outbox.items():
+                inflight[vidx[dst]][sender] = payload
+                any_message = True
+        self.rounds_executed = 1
+        self.total_rounds += 1
+
+        is_done = algorithm.is_done
+        step = algorithm.step
+        while True:
+            if all(is_done(view) for view in view_list) and not any_message:
+                break
+            if self.rounds_executed >= max_rounds:
+                raise RuntimeError(
+                    f"algorithm did not terminate within {max_rounds} rounds"
+                )
+            delivery = inflight
+            inflight = [{} for _ in range(n)]
+            any_message = False
+            for i in range(n):
+                view = view_list[i]
+                view._wake = False  # wake requests are moot: everyone steps
+                outbox = step(view, delivery[i]) or {}
+                if outbox:
+                    sender = verts[i]
+                    self._check_outbox(sender, view, outbox)
+                    for dst, payload in outbox.items():
+                        inflight[vidx[dst]][sender] = payload
+                        any_message = True
+            self.active_node_rounds += n
+            self.total_active_node_rounds += n
+            self.rounds_executed += 1
+            self.total_rounds += 1
+        return self.rounds_executed
+
+
+def _run_profile_traced(profile, network_cls):
     graph = profile.build_graph("smoke")
     params = profile.algo_params("smoke")
-    net = TracingNetwork(graph, dense=dense)
+    net = network_cls(graph)
     build, _certify = ALGORITHMS[profile.algorithm]
     artifact, rounds, stats = build(
         graph, params, random.Random(profile.seed), network=net
@@ -68,10 +121,10 @@ class TestProfileParity:
     def test_sparse_matches_dense(self, name):
         profile = next(p for p in congest_profiles() if p.name == name)
         sparse_net, sparse_rounds, sparse_stats, sparse_states = (
-            _run_profile_traced(profile, dense=False)
+            _run_profile_traced(profile, TracingNetwork)
         )
         dense_net, dense_rounds, dense_stats, dense_states = (
-            _run_profile_traced(profile, dense=True)
+            _run_profile_traced(profile, DenseNetwork)
         )
 
         assert sparse_rounds == dense_rounds
@@ -82,25 +135,25 @@ class TestProfileParity:
         assert sparse_net.trace == dense_net.trace
         # identical final local knowledge at every node
         assert sparse_states == dense_states
-        # the sparse engine must never step more nodes than the dense one
+        # the engine must never step more nodes than the reference
         assert sparse_stats.active_node_rounds <= dense_stats.active_node_rounds
 
     @pytest.mark.parametrize("name", CONGEST_PROFILES)
     def test_sparse_engine_actually_sparser(self, name):
         """Utilization: every congest workload leaves some node idle in
-        some round, so sparse < dense strictly (the engine's point)."""
+        some round, so the engine steps strictly fewer nodes."""
         profile = next(p for p in congest_profiles() if p.name == name)
-        _, _, sparse_stats, _ = _run_profile_traced(profile, dense=False)
-        _, _, dense_stats, _ = _run_profile_traced(profile, dense=True)
+        _, _, sparse_stats, _ = _run_profile_traced(profile, TracingNetwork)
+        _, _, dense_stats, _ = _run_profile_traced(profile, DenseNetwork)
         assert sparse_stats.active_node_rounds < dense_stats.active_node_rounds
 
 
 class TestPrimitiveParity:
-    """Direct engine-vs-engine checks on hand-built workloads (no harness)."""
+    """Direct engine-vs-reference checks on hand-built workloads."""
 
     def test_bfs_trace_identical(self):
         g = grid_graph(7, 5)
-        sparse, dense = TracingNetwork(g), TracingNetwork(g, dense=True)
+        sparse, dense = TracingNetwork(g), DenseNetwork(g)
         t1 = build_bfs_tree(g, 0, network=sparse)
         t2 = build_bfs_tree(g, 0, network=dense)
         assert t1.parent == t2.parent and t1.depth == t2.depth
@@ -109,7 +162,7 @@ class TestPrimitiveParity:
 
     def test_wake_driven_queue_drain(self):
         """A node draining a local queue (no incoming mail) relies on wake
-        requests; rounds and messages must match the dense run."""
+        requests; rounds and messages must match the reference run."""
 
         class Drain(CongestAlgorithm):
             def setup(self, node):
@@ -134,10 +187,11 @@ class TestPrimitiveParity:
 
         g = path_graph(4)
         results = {}
-        for dense in (False, True):
-            net = TracingNetwork(g, dense=dense)
+        for network_cls in (TracingNetwork, DenseNetwork):
+            net = network_cls(g)
             rounds = net.run(Drain())
-            results[dense] = (rounds, net.messages_sent, net.words_sent,
-                              net.trace, net.view(1).state.get("got"))
-        assert results[False] == results[True]
-        assert results[False][4] == [1, 2, 3]
+            results[network_cls] = (rounds, net.messages_sent, net.words_sent,
+                                    net.trace, net.view(1).state.get("got"))
+        assert results[TracingNetwork] == results[DenseNetwork]
+        assert results[TracingNetwork][4] == [1, 2, 3]
+

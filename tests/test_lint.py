@@ -237,19 +237,6 @@ class TestCongestContract:
         """)
         assert _codes(diags) == [(6, "REP401")]
 
-    def test_wake_under_always_active_is_rep402(self, tmp_path):
-        diags = lint_source(tmp_path, "script.py", """\
-            from repro.congest.algorithm import CongestAlgorithm
-
-
-            class Poller(CongestAlgorithm):
-                always_active = True
-
-                def step(self, node, rnd):
-                    node.request_wake()
-        """)
-        assert _codes(diags) == [(8, "REP402")]
-
     def test_handbuilt_view_is_rep403(self, tmp_path):
         diags = lint_source(tmp_path, "script.py", """\
             from repro.congest.algorithm import NodeView
