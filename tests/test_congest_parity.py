@@ -22,9 +22,17 @@ import random
 import pytest
 
 from repro.congest import CongestAlgorithm, SyncNetwork, build_bfs_tree
-from repro.graphs import grid_graph, path_graph
+from repro.graphs import (
+    erdos_renyi_graph,
+    grid_graph,
+    path_graph,
+    random_geometric_graph,
+)
 from repro.harness import congest_profiles
 from repro.harness.runner import ALGORITHMS
+from repro.spanners import sample_shifts
+from test_bellman_ford import BoundedBellmanFord
+from test_elkin_neiman_distributed import DistributedElkinNeiman
 
 
 class TracingNetwork(SyncNetwork):
@@ -195,3 +203,47 @@ class TestPrimitiveParity:
         assert results[TracingNetwork] == results[DenseNetwork]
         assert results[TracingNetwork][4] == [1, 2, 3]
 
+
+GRAPHS = {
+    "er60": lambda: erdos_renyi_graph(60, 0.1, seed=3),
+    "grid6x5": lambda: grid_graph(6, 5),
+    "geo40": lambda: random_geometric_graph(40, seed=2),
+}
+
+
+def _bellman_ford(graph, hops):
+    return BoundedBellmanFord([0], graph.n if hops == "n" else hops)
+
+
+def _elkin_neiman(graph, k):
+    shifts = sample_shifts(list(graph.vertices()), k, random.Random(k))
+    return DistributedElkinNeiman(shifts, k)
+
+
+class TestGlobalRoundParity:
+    """Programs that meter themselves by ``node.round``: a wrong round
+    counter on the engine's side would shift their hop budgets or
+    phase ends, and the traces would diverge."""
+
+    @pytest.mark.parametrize("graph_name", sorted(GRAPHS))
+    @pytest.mark.parametrize("make, arg", [
+        *((_bellman_ford, hops) for hops in (1, 3, 8, "n")),
+        *((_elkin_neiman, k) for k in (1, 2, 3)),
+    ], ids=["bf-1", "bf-3", "bf-8", "bf-n", "en-1", "en-2", "en-3"])
+    def test_engine_matches_reference(self, graph_name, make, arg):
+        graph = GRAPHS[graph_name]()
+        runs = []
+        for network_cls in (TracingNetwork, DenseNetwork):
+            net = network_cls(graph)
+            rounds = net.run(make(graph, arg))
+            states = {v: dict(net.view(v).state) for v in graph.vertices()}
+            runs.append((net, rounds, states))
+        (sparse, sparse_rounds, sparse_states), (dense, dense_rounds,
+                                                 dense_states) = runs
+
+        assert sparse_rounds == dense_rounds
+        assert sparse.messages_sent == dense.messages_sent
+        assert sparse.words_sent == dense.words_sent
+        assert sparse.trace == dense.trace
+        assert sparse_states == dense_states
+        assert sparse.active_node_rounds <= dense.active_node_rounds
