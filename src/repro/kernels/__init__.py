@@ -7,8 +7,8 @@ shares (PR 1) feed either a pure-Python heap Dijkstra
 frontier-relaxation kernel (:mod:`~repro.kernels.npkern`, installed via
 the ``fast`` extra) that settles a whole ``(sources × nodes)`` distance
 matrix in one pass.  Selection is by name — ``"python"``, ``"numpy"``,
-or ``"auto"`` — resolved in :mod:`~repro.kernels.dispatch`; numpy is
-imported nowhere else in the tree (lint rule REP801).
+or ``"auto"`` — resolved in :mod:`~repro.kernels.dispatch`; no library
+package outside this one imports numpy (``repro lint --program``, REP903).
 
 Parity contract: both backends produce distances equal to 1e-9 on every
 workload; ``tests/test_kernels.py`` fuzzes it, and CI runs the full

@@ -8,9 +8,10 @@ it never fails.  Asking for ``"numpy"`` explicitly on a machine
 without numpy raises, so CI's no-numpy leg exercises the fallback
 rather than silently downgrading an explicit request.
 
-numpy is imported *here and only here* (lint rule REP801 keeps any
-other ``import numpy`` out of the tree), lazily and guarded, so merely
-importing :mod:`repro.kernels` costs nothing on a stdlib-only machine.
+numpy is imported *here and only here* (``repro lint --program``'s
+REP903 keeps any ``import numpy`` outside :mod:`repro.kernels` out of
+the library), lazily and guarded, so merely importing
+:mod:`repro.kernels` costs nothing on a stdlib-only machine.
 """
 
 from __future__ import annotations

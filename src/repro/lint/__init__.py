@@ -26,16 +26,14 @@ machine-enforces them:
 * **Output discipline** (``REP701``) — no bare ``print(...)`` in
   library code; stdout belongs to the CLI front-ends, library layers
   report through :mod:`repro.obs` or return values.
-* **numpy isolation** (``REP801``) — ``import numpy`` only in the
-  packages the external contract names (the per-file enforcement of
-  one :data:`~repro.lint.program.contract.EXTERNAL_CONTRACT` row).
 
 ``repro lint --program`` adds the whole-program passes over the
 combined tree (see :mod:`repro.lint.program`):
 
 * **Import-graph contract** (``REP901``–``REP904``) — the declared
   layering (no upward imports), top-level cycle detection, external
-  containment, and no undeclared packages.
+  containment (numpy only in :mod:`repro.kernels`), and no undeclared
+  packages.
 * **Seed-taint** (``REP1001``–``REP1002``) — no call chain may seal
   the rng/seed determinism chain at silent defaults.
 * **Pool-safety** (``REP1011``–``REP1013``) — nothing reachable from a

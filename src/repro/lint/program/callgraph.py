@@ -219,7 +219,7 @@ class ProgramIndex:
         Returns ``module -> [(imported module, line, col, lazy)]`` with
         import targets snapped to the longest project-module prefix
         (``from repro.graphs.csr import CSRGraph`` -> ``repro.graphs.csr``).
-        External imports are excluded — they are REP903/REP801 business.
+        External imports are excluded — they are REP903 business.
         """
         graph: Dict[str, List[Tuple[str, int, int, bool]]] = {}
         for module, ff in self.modules.items():

@@ -2,8 +2,7 @@
 
 This module is the **single source of truth** for which package may
 import which.  The whole-program import pass (``REP901``–``REP904``)
-enforces it, the per-file numpy rule (``REP801``) reads its external
-section, DESIGN.md embeds :func:`render_contract`'s output verbatim
+enforces it, DESIGN.md embeds :func:`render_contract`'s output verbatim
 (asserted in sync by a test), and new packages must be added here
 before the analyzer will accept them at all.
 
@@ -25,9 +24,9 @@ same direction discipline; laziness only changes *when* an import
 runs, not which way the architecture points.
 
 :data:`EXTERNAL_CONTRACT` maps optional third-party imports to the
-repro packages allowed to import them.  numpy's row is enforced
-per-file as ``REP801`` (so it gates even without ``--program``); every
-other row is the program-level ``REP903``.
+repro packages allowed to import them; the program-level ``REP903``
+enforces every row, numpy's included.  Plain ``repro lint`` without
+``--program`` therefore does not check numpy containment.
 """
 
 from __future__ import annotations
@@ -54,9 +53,8 @@ LAYERS: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
 
 #: Optional third-party imports and the packages allowed to use them.
 #: An empty tuple would mean "no library package may import this at
-#: all".  numpy's row is what the per-file REP801 rule enforces; the
-#: rest are REP903.  networkx is confined to the lazy interop helpers
-#: on :class:`repro.graphs.weighted_graph.WeightedGraph`.
+#: all".  REP903 enforces every row.  networkx is confined to the lazy
+#: interop helpers on :class:`repro.graphs.weighted_graph.WeightedGraph`.
 EXTERNAL_CONTRACT: Dict[str, Tuple[str, ...]] = {
     "numpy": ("repro.kernels",),
     "networkx": ("repro.graphs",),

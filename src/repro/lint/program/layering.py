@@ -8,8 +8,7 @@
   from REP901: laziness changes when an import runs, not which way the
   architecture points.
 * ``REP903`` — a contracted external dependency imported from a package
-  outside its allowlist (numpy's row is enforced per-file as REP801, so
-  it is skipped here).
+  outside its allowlist, numpy included (eagerly or inside a function).
 * ``REP904`` — a project module whose package appears in no declared
   layer: the contract must be extended before the analyzer accepts it.
 """
@@ -82,8 +81,6 @@ def _external_violations(index: ProgramIndex) -> List[Diagnostic]:
         pkg = contract.package_of(module)
         for imp in ff.imports:
             top = imp.target.split(".")[0]
-            if top == "numpy":
-                continue  # REP801 owns numpy, per-file
             allowed = contract.EXTERNAL_CONTRACT.get(top)
             if allowed is None or pkg in allowed:
                 continue

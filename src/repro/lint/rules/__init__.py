@@ -4,7 +4,6 @@ from repro.lint.rules import (
     congest,
     csr,
     iteration,
-    numpy_isolation,
     pool,
     prints,
     rng,
@@ -15,7 +14,6 @@ __all__ = [
     "congest",
     "csr",
     "iteration",
-    "numpy_isolation",
     "pool",
     "prints",
     "rng",

@@ -396,53 +396,6 @@ class TestPrintDiscipline:
 
 
 # ---------------------------------------------------------------------------
-# REP8xx — numpy isolation
-# ---------------------------------------------------------------------------
-class TestNumpyIsolation:
-    def test_numpy_import_outside_kernels_is_rep801(self, tmp_path):
-        diags = lint_source(tmp_path, "src/repro/analysis/fixture.py", """\
-            import numpy
-            import numpy as np
-            import numpy.linalg
-            from numpy import array
-        """)
-        assert _codes(diags) == [
-            (1, "REP801"), (2, "REP801"), (3, "REP801"), (4, "REP801"),
-        ]
-
-    def test_lazy_function_level_import_still_flagged(self, tmp_path):
-        diags = lint_source(tmp_path, "src/repro/oracle/fixture.py", """\
-            def fast_path(x: int) -> int:
-                import numpy as np
-
-                return int(np.int64(x))
-        """)
-        assert _codes(diags) == [(2, "REP801")]
-
-    def test_kernels_package_may_import_numpy(self, tmp_path):
-        for rel in ("src/repro/kernels/fixture.py",
-                    "src/repro/kernels/sub/fixture.py"):
-            diags = lint_source(tmp_path, rel, """\
-                import numpy as np
-                from numpy import float64
-            """)
-            assert diags == [], rel
-
-    def test_not_applied_outside_package(self, tmp_path):
-        diags = lint_source(tmp_path, "benchmarks/fixture.py", """\
-            import numpy
-        """)
-        assert diags == []
-
-    def test_similar_names_not_flagged(self, tmp_path):
-        diags = lint_source(tmp_path, "src/repro/graphs/fixture.py", """\
-            import numpy_financial
-            from numpystubs import thing
-        """)
-        assert diags == []
-
-
-# ---------------------------------------------------------------------------
 # Engine: suppressions, parse errors, self-check
 # ---------------------------------------------------------------------------
 class TestSuppressions:

@@ -163,6 +163,55 @@ class TestLayering:
         assert _codes(tmp_path, program=False) == []
 
 
+class TestNumpyContainment:
+    """numpy is the optional ``[fast]`` accelerator: REP903 keeps every
+    import of it, eager or lazy, inside ``EXTERNAL_CONTRACT["numpy"]``."""
+
+    def test_numpy_import_outside_kernels_is_rep903(self, tmp_path):
+        _write(tmp_path, "src/repro/analysis/fixture.py", """\
+            import numpy
+            import numpy as np
+            import numpy.linalg
+            from numpy import array
+        """)
+        rel = "src/repro/analysis/fixture.py"
+        assert _codes(tmp_path) == [
+            (rel, 1, "REP903"), (rel, 2, "REP903"),
+            (rel, 3, "REP903"), (rel, 4, "REP903"),
+        ]
+
+    def test_lazy_function_level_import_is_rep903(self, tmp_path):
+        _write(tmp_path, "src/repro/oracle/fixture.py", """\
+            def fast_path(x: int) -> int:
+                import numpy as np
+
+                return int(np.int64(x))
+        """)
+        assert _codes(tmp_path) == [("src/repro/oracle/fixture.py", 2, "REP903")]
+
+    def test_kernels_package_may_import_numpy(self, tmp_path):
+        for rel in ("src/repro/kernels/fixture.py",
+                    "src/repro/kernels/sub/fixture.py"):
+            _write(tmp_path, rel, """\
+                import numpy as np
+                from numpy import float64
+            """)
+        assert _codes(tmp_path) == []
+
+    def test_not_applied_outside_package(self, tmp_path):
+        _write(tmp_path, "benchmarks/fixture.py", """\
+            import numpy
+        """)
+        assert _codes(tmp_path) == []
+
+    def test_similar_names_not_flagged(self, tmp_path):
+        _write(tmp_path, "src/repro/graphs/fixture.py", """\
+            import numpy_financial
+            from numpystubs import thing
+        """)
+        assert _codes(tmp_path) == []
+
+
 # ---------------------------------------------------------------------------
 # REP1001/REP1002 — interprocedural seed-taint
 # ---------------------------------------------------------------------------
