@@ -4,6 +4,7 @@ A repository whose README or examples drift out of sync with the API is
 broken for its first user — these tests pin them to the code.
 """
 
+import argparse
 import importlib
 import importlib.util
 import re
@@ -90,6 +91,41 @@ def test_docs_name_only_existing_benchmarks():
     assert named, "the docs should point at the benchmark scripts"
     missing = sorted(p for p in named if not (REPO_ROOT / p).is_file())
     assert not missing, f"docs name benchmark scripts that do not exist: {missing}"
+
+
+#: flags of other tools the docs invoke: mypy's ``--strict`` and
+#: pytest-cov's ``--cov`` / ``--cov-fail-under``.
+EXTERNAL_FLAGS = {"--strict", "--cov", "--cov-fail-under"}
+
+
+def _parser_flags(parser):
+    flags = set()
+    for action in parser._actions:
+        flags.update(action.option_strings)
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                flags |= _parser_flags(sub)
+    return flags
+
+
+def test_docs_name_only_existing_flags():
+    from repro.cli import build_parser
+
+    declared = _parser_flags(build_parser()) | EXTERNAL_FLAGS
+    scripts = [REPO_ROOT / "perfbench" / "run.py",
+               *sorted((REPO_ROOT / "benchmarks").glob("bench_*.py"))]
+    for script in scripts:
+        declared.update(
+            re.findall(r'add_argument\(\s*"(--[\w-]+)"', script.read_text())
+        )
+    stale = []
+    for doc in ("README.md", "DESIGN.md", "EXPERIMENTS.md", "CONTRIBUTING.md"):
+        lines = (REPO_ROOT / doc).read_text().splitlines()
+        for lineno, line in enumerate(lines, start=1):
+            for flag in re.findall(r"(?<![\w-])--[a-z][\w-]*", line):
+                if flag not in declared:
+                    stale.append(f"{doc}:{lineno}: {flag}")
+    assert not stale, f"docs name flags that no parser declares: {stale}"
 
 
 def test_experiments_md_covers_every_table1_row():
