@@ -105,7 +105,6 @@ class Certification:
     bound: Optional[float]
     workers: int
     sample: Optional[float]
-    kernel: str  # "python" (heap engine) | "numpy" (batched matrix kernel)
     edges_total: int  # eligible G edges (before any pruning)
     edges_in_spanner: int  # pruned: already in H at no larger weight
     edges_checked: int  # targets actually certified by a search
@@ -133,7 +132,6 @@ class Certification:
             "bound": self.bound,
             "workers": self.workers,
             "sample": self.sample,
-            "kernel": self.kernel,
             "edges_total": self.edges_total,
             "edges_in_spanner": self.edges_in_spanner,
             "edges_checked": self.edges_checked,
@@ -330,64 +328,6 @@ def _certify_chunk(
     return worst, fallbacks, resolved, False, chunk_metrics.snapshot()
 
 
-def _certify_chunk_numpy(
-    hcsr: CSRGraph,
-    work: Sequence[SourceWork],
-    bound: Optional[float],
-    fail_fast: bool,
-    batch: int = 64,
-) -> Tuple[float, int, bool, Snapshot]:
-    """The numpy sibling of :func:`_certify_chunk`: batched matrix SSSP.
-
-    Sources are settled ``batch`` rows at a time by the vectorized
-    frontier-relaxation kernel, each row capped at the same §5.1 radius
-    ``(bound + 1e-9) · max_incident_w`` the heap engine truncates at.
-    The kernels' cap contract makes the violation test one comparison:
-    a target observed above its row's cap has true distance above the
-    cap (entries at or below the cap are exact), so ``fail_fast`` stops
-    right there, and exact-value callers re-run that one source uncapped
-    (counted in ``fallbacks``, mirroring the heap engine's lifted-cap
-    drains).
-    """
-    from repro.kernels import npkern
-
-    chunk_metrics = MetricsRegistry()
-    targets_hist = chunk_metrics.histogram(
-        "certify.source.targets", DEFAULT_COUNT_BOUNDS
-    )
-    prep = npkern.prepare(hcsr.indptr, hcsr.indices, hcsr.weights)
-    worst = 1.0
-    fallbacks = 0
-    for lo in range(0, len(work), batch):
-        sub = work[lo:lo + batch]
-        sources = [src for src, _ in sub]
-        caps: Optional[List[Optional[float]]] = None
-        if bound is not None:
-            caps = [
-                (bound + 1e-9) * max(w for _, w in targets)
-                for _, targets in sub
-            ]
-        dm = npkern.sssp_matrix_prepared(prep, sources, caps)
-        for r, (src, targets) in enumerate(sub):
-            targets_hist.observe(len(targets))
-            row = dm[r]
-            cap = caps[r] if caps is not None else None
-            if cap is not None and any(float(row[vh]) > cap for vh, _ in targets):
-                # beyond-cap observation == certified violation of bound
-                if fail_fast:
-                    return INF, fallbacks, True, chunk_metrics.snapshot()
-                fallbacks += 1
-                row = npkern.sssp_matrix_prepared(prep, [src], None)[0]
-            for vh, w in targets:
-                d = float(row[vh])
-                if d == INF:
-                    return INF, fallbacks, False, chunk_metrics.snapshot()
-                ratio = d / w
-                if ratio > worst:
-                    worst = ratio
-    return worst, fallbacks, False, chunk_metrics.snapshot()
-
-
 # -- multiprocessing plumbing -------------------------------------------------
 # Workers inherit (or unpickle, under spawn) the frozen CSR and the full
 # work list exactly once via the pool initializer; tasks then name chunks
@@ -417,7 +357,6 @@ def certify_edge_stretch(
     sample: Optional[float] = None,
     seed: int = 0,
     fail_fast: bool = False,
-    kernel: str = "python",
 ) -> Certification:
     """Certify ``max_{e={u,v} ∈ E(G)} d_H(u, v) / w(e)`` with the
     bounded-radius batched engine.
@@ -446,25 +385,13 @@ def certify_edge_stretch(
         With ``bound``: stop at the first certified violation (radius
         crossing) and report ``max_stretch = inf`` with
         ``bound_exceeded=True`` instead of computing the exact value.
-    kernel:
-        SSSP backend for the per-source searches: ``"python"`` (the
-        default heap engine), ``"numpy"`` (batched matrix relaxation via
-        :mod:`repro.kernels` — same values to 1e-9, one vectorized pass
-        per source batch), or ``"auto"``.  The numpy path is in-process;
-        ``workers`` is ignored there (array batching replaces process
-        fan-out).
 
     Raises
     ------
     ValueError
         On a non-positive ``workers``, a ``sample`` outside ``(0, 1]``,
-        ``fail_fast`` without ``bound``, or an unknown kernel.
-    RuntimeError
-        On ``kernel="numpy"`` without numpy installed.
+        or ``fail_fast`` without ``bound``.
     """
-    from repro.kernels import resolve_kernel
-
-    backend = resolve_kernel(kernel)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if sample is not None and not (0.0 < sample <= 1.0):
@@ -502,7 +429,6 @@ def certify_edge_stretch(
             bound=bound,
             workers=workers,
             sample=sample,
-            kernel=backend,
             edges_total=edges_total,
             edges_in_spanner=edges_in_spanner,
             edges_checked=edges_checked,
@@ -520,14 +446,6 @@ def certify_edge_stretch(
         return _result(INF, 0, 0, False)
     if not work:
         return _result(1.0, 0, 0, False)
-
-    if backend == "numpy":
-        with obs_trace.span("certify.chunk", sources=len(work), kernel="numpy"):
-            worst, fallbacks, exceeded, chunk_snap = _certify_chunk_numpy(
-                hcsr, work, bound, fail_fast
-            )
-        obs_metrics.merge(chunk_snap)
-        return _result(worst, fallbacks, 0, exceeded)
 
     if workers == 1 or len(work) < 2 * workers:
         with obs_trace.span("certify.chunk", sources=len(work)):

@@ -95,21 +95,27 @@ def spanner_report(
     either way).  ``certify_workers > 1`` fans sources across processes;
     ``certify_sample=p`` certifies a seeded ``p``-fraction of the edges
     (then the stretch row is a lower bound and the report's
-    ``certification`` block records ``mode="sampled"``);
-    ``certify_kernel`` selects the SSSP backend the engine searches with
-    (see :mod:`repro.kernels`).
+    ``certification`` block records ``mode="sampled"``).
+    ``certify_kernel`` only accepts ``"python"``: certification has one
+    engine, and the keyword stays for callers that still name it.
 
     Raises
     ------
     ValidationError
         If ``spanner`` is not a subgraph of ``graph``.
+    ValueError
+        If ``certify_kernel`` is not ``"python"``.
     """
+    if certify_kernel != "python":
+        raise ValueError(
+            f"certify_kernel must be 'python', got {certify_kernel!r}: "
+            "certification has one engine"
+        )
     verify_subgraph(graph, spanner)
     mst = kruskal_mst(graph)
     cert = certify_edge_stretch(
         graph, spanner, bound=stretch_bound,
         workers=certify_workers, sample=certify_sample, seed=certify_seed,
-        kernel=certify_kernel,
     )
     rows = [
         MetricRow("stretch", cert.max_stretch, stretch_bound),

@@ -44,7 +44,6 @@ def max_edge_stretch(
     spanner: WeightedGraph,
     bound: Optional[float] = None,
     workers: int = 1,
-    kernel: str = "python",
 ) -> float:
     """``max_{e={u,v} ∈ E(G)} d_H(u, v) / w(e)``.
 
@@ -59,11 +58,10 @@ def max_edge_stretch(
     (each one a certified violation — the ``fail_fast`` early-reject
     that :func:`~repro.analysis.validation.verify_spanner` uses) without
     giving up the exact answer.  ``workers > 1`` fans the sources out
-    across processes; ``kernel="numpy"`` runs the per-source searches on
-    the batched matrix kernel instead (see :mod:`repro.kernels`).
+    across processes.
     """
     return certify_edge_stretch(  # repro: allow[REP1001] -- seed only drives sample=, which this exact (unsampled) query never passes
-        graph, spanner, bound=bound, workers=workers, kernel=kernel
+        graph, spanner, bound=bound, workers=workers
     ).max_stretch
 
 

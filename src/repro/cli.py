@@ -739,7 +739,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--kernel", choices=["python", "numpy", "auto"], default=None,
-        help="SSSP backend for kernel profiles and spanner certification "
+        help="SSSP backend for the kernel-sssp profiles and the huge tier "
              "(repro.kernels; default: python, or auto for --suite huge)",
     )
     p.add_argument(

@@ -91,7 +91,6 @@ def _spanner_cert_kwargs(params: Params) -> Dict[str, Any]:
     return {
         "certify_workers": params.get("certify_workers", 1),
         "certify_sample": params.get("certify_sample"),
-        "certify_kernel": params.get("certify_kernel", "python"),
     }
 
 
@@ -507,7 +506,7 @@ SPANNER_CERTIFIED_ALGORITHMS = frozenset(
 )
 
 #: algorithms that execute on the repro.kernels SSSP backends and honour
-#: ``run_profile(kernel=...)`` directly (not just for certification).
+#: ``run_profile(kernel=...)``.
 KERNEL_ALGORITHMS = frozenset({"kernel-sssp"})
 
 # artifact -> the weighted structure a distance oracle can serve.  Keyed
@@ -737,13 +736,12 @@ def run_profile(
     percentiles, throughput and the cache hit/miss split; profiles whose
     algorithm produces no servable structure ignore the flag.
 
-    ``kernel`` selects the SSSP backend (:mod:`repro.kernels`) for the
-    profiles that honour one: ``kernel-sssp`` profiles run their batched
-    SSSP on it, and spanner-certified profiles hand it to the
-    certification engine as ``certify_kernel``.  The default
-    ``"python"`` keeps every committed baseline byte-stable; passing
-    ``"numpy"``/``"auto"`` is the explicit opt-in (stamped into the
-    record's params so reports are attributable).
+    ``kernel`` selects the SSSP backend (:mod:`repro.kernels`) that
+    ``kernel-sssp`` profiles run their batched SSSP and residual on;
+    every other profile ignores it, and stretch certification has one
+    engine.  The default ``"python"`` keeps every committed baseline
+    byte-stable; passing ``"numpy"``/``"auto"`` is the explicit opt-in
+    (stamped into the record's params so reports are attributable).
 
     Raises
     ------
@@ -763,8 +761,6 @@ def run_profile(
         params["certify_workers"] = certify_workers
         if certify_sample is not None:
             params["certify_sample"] = certify_sample
-        if kernel != "python":
-            params["certify_kernel"] = kernel
     if profile.algorithm in KERNEL_ALGORITHMS and kernel != "python":
         params["kernel"] = kernel
     if tier == "stress" and not profile.certifiable:

@@ -9,6 +9,11 @@ the ``fast`` extra) that settles a whole ``(sources × nodes)`` distance
 matrix in one pass.  Selection is by name — ``"python"``, ``"numpy"``,
 or ``"auto"`` — resolved in :mod:`~repro.kernels.dispatch`; no library
 package outside this one imports numpy (``repro lint --program``, REP903).
+The oracle's landmark potentials, the harness's ``kernel-sssp`` profiles
+and its huge tier name a backend.  Stretch certification
+(:mod:`repro.analysis.certify`) runs a heap loop of its own, and the
+label-keyed Dijkstras of :mod:`repro.graphs.shortest_paths` call
+:func:`~repro.kernels.pykern.sssp` directly.
 
 Parity contract: both backends produce distances equal to 1e-9 on every
 workload; ``tests/test_kernels.py`` fuzzes it, and CI runs the full

@@ -28,9 +28,7 @@ Parity contract (gated by ``tests/test_kernels.py``): distances agree
 with :mod:`repro.kernels.pykern` to 1e-9 on every workload, including
 zero-weight edges, disconnected components, isolated vertices and
 duplicate sources.  Parent choices may differ on ties, but every
-parent chain is a witness shortest path.  The cap contract is shared
-with pykern: entries with true distance ``<= cap`` are exact, entries
-beyond the cap are upper bounds or ``inf``.
+parent chain is a witness shortest path.
 """
 
 from __future__ import annotations
@@ -54,10 +52,10 @@ class PreparedCSR:
 
     Building this costs one pass over the columns (Python lists are the
     slow case; ``array('d')``/memoryview inputs convert zero-copy);
-    certify chunks, landmark batches and the harness reuse it across
-    many :func:`sssp_matrix`/:func:`residual_matrix` calls.  When every
-    vertex has the same degree ``d`` the index/weight columns are also
-    kept as ``(n, d)`` views for the reshape fast path.
+    the harness's huge tier reuses it across its
+    :func:`sssp_matrix_prepared`/:func:`residual_matrix_prepared`
+    calls.  When every vertex has the same degree ``d`` the index/weight
+    columns are also kept as ``(n, d)`` views for the reshape fast path.
     """
 
     __slots__ = ("ip", "idx", "w", "n", "uniform_degree", "idx2", "w2")
@@ -133,7 +131,6 @@ def _relax_block(
     prep: PreparedCSR,
     flat: NDArray,
     pending: NDArray,
-    caps_flat: Optional[NDArray],
     delta: float,
 ) -> None:
     """Bucketed relaxation of one row block, in place on ``flat``."""
@@ -157,10 +154,7 @@ def _relax_block(
         else:
             cand, tkeys = _expand_general(prep, pending, dv, rowbase, verts)
         if tkeys.shape[0]:
-            better = cand < flat[tkeys]
-            if caps_flat is not None:
-                better &= cand <= caps_flat[tkeys]
-            nz = np.flatnonzero(better)
+            nz = np.flatnonzero(cand < flat[tkeys])
         else:
             nz = tkeys
         if nz.shape[0] == 0:
@@ -187,7 +181,6 @@ def _relax_block(
 def sssp_matrix_prepared(
     prep: PreparedCSR,
     sources: Sequence[int],
-    caps: Optional[Sequence[Optional[float]]] = None,
     block: int = DEFAULT_BLOCK,
     delta: Optional[float] = None,
 ) -> NDArray:
@@ -197,11 +190,6 @@ def sssp_matrix_prepared(
     src = np.asarray(sources, dtype=np.int64)
     rows = src.shape[0]
     width = _auto_delta(prep.w) if delta is None else delta
-    capv: Optional[NDArray] = None
-    if caps is not None:
-        capv = np.asarray(
-            [np.inf if c is None else float(c) for c in caps], dtype=np.float64
-        )
     dist = np.full((rows, n), np.inf)
     for lo in range(0, rows, max(1, block)):
         hi = min(lo + max(1, block), rows)
@@ -210,10 +198,7 @@ def sssp_matrix_prepared(
         row_ids = np.arange(bs, dtype=np.int64)
         sub[row_ids, src[lo:hi]] = 0.0
         flat = sub.reshape(-1)
-        caps_flat: Optional[NDArray] = None
-        if capv is not None:
-            caps_flat = np.repeat(capv[lo:hi], n)
-        _relax_block(prep, flat, row_ids * n + src[lo:hi], caps_flat, width)
+        _relax_block(prep, flat, row_ids * n + src[lo:hi], width)
     return dist
 
 
@@ -222,10 +207,9 @@ def sssp_matrix(
     indices: Sequence[int],
     weights: Sequence[float],
     sources: Sequence[int],
-    caps: Optional[Sequence[Optional[float]]] = None,
 ) -> NDArray:
     """Batched SSSP on raw CSR columns (converts, then delegates)."""
-    return sssp_matrix_prepared(prepare(indptr, indices, weights), sources, caps)
+    return sssp_matrix_prepared(prepare(indptr, indices, weights), sources)
 
 
 def sssp(
@@ -233,10 +217,10 @@ def sssp(
     indices: Sequence[int],
     weights: Sequence[float],
     sources: Sequence[int],
-    cap: Optional[float] = None,
 ) -> Tuple[List[float], List[int]]:
-    """Drop-in for :func:`repro.kernels.pykern.sssp` (flat lists out),
-    with parent pointers tracked through a per-round lexsort."""
+    """Drop-in for uncapped :func:`repro.kernels.pykern.sssp` (flat
+    lists out), with parent pointers tracked through a per-round
+    lexsort."""
     prep = prepare(indptr, indices, weights)
     n = prep.n
     dist = np.full(n, np.inf)
@@ -245,7 +229,6 @@ def sssp(
     dist[src] = 0.0
     parent[src] = PARENT_SOURCE
     keys = src
-    zero = np.zeros(src.shape[0], dtype=np.int64)
     uniform = prep.uniform_degree > 0
     while keys.size:
         dv = dist[keys]
@@ -261,8 +244,6 @@ def sssp(
         if tkeys.shape[0] == 0:
             break
         better = cand < dist[tkeys]
-        if cap is not None:
-            better &= cand <= cap
         cand, tkeys, par = cand[better], tkeys[better], par[better]
         if tkeys.shape[0] == 0:
             break
@@ -275,7 +256,6 @@ def sssp(
         dist[ukeys] = cand[starts]  # lexsort: first of each group is the min
         parent[ukeys] = par[starts]
         keys = ukeys
-    del zero
     return dist.tolist(), parent.tolist()
 
 

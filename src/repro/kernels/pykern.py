@@ -9,12 +9,10 @@ lists, ``array('d')`` columns from :class:`~repro.graphs.csr.CSRGraph`,
 and the ``memoryview`` columns an mmap-ed
 :class:`~repro.kernels.binfmt.PackedGraph` exposes, all interchangeably.
 
-Cap contract (shared with :mod:`repro.kernels.npkern`): with a finite
-``cap``, every vertex whose true distance is ``<= cap`` is settled
-exactly; entries beyond the cap are either valid upper bounds or
-``inf`` — callers must not read them as exact.  This kernel never sets
-a label above the cap, so here every entry beyond it is ``inf`` with
-parent ``-2``: the ball ``B(sources, cap)`` exactly, which is what
+Cap contract: with a finite ``cap``, :func:`sssp` settles every vertex
+whose true distance is ``<= cap`` exactly and never sets a label above
+the cap, so every entry beyond it is ``inf`` with parent ``-2``: the
+ball ``B(sources, cap)`` exactly, which is what
 :func:`repro.graphs.shortest_paths.bounded_dijkstra` returns.
 """
 
@@ -76,19 +74,13 @@ def sssp_matrix(
     indices: Sequence[int],
     weights: Sequence[float],
     sources: Sequence[int],
-    caps: Optional[Sequence[Optional[float]]] = None,
 ) -> List[List[float]]:
     """Batched SSSP: one distance row per source.
 
     The fallback simply loops single-source runs; the numpy kernel
-    settles all rows in one array-level pass.  ``caps[k]`` bounds row
-    ``k`` under the shared cap contract (``None`` = unbounded).
+    settles all rows in one array-level pass.
     """
-    rows: List[List[float]] = []
-    for k, s in enumerate(sources):
-        cap = caps[k] if caps is not None else None
-        rows.append(sssp(indptr, indices, weights, (s,), cap)[0])
-    return rows
+    return [sssp(indptr, indices, weights, (s,))[0] for s in sources]
 
 
 def residual(

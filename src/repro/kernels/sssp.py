@@ -1,13 +1,12 @@
 """Kernel-dispatching SSSP entry points.
 
-The oracle (landmark potentials and batched ``query_many``) and the
-harness's kernel profiles call these three functions with raw CSR
-columns and a ``kernel`` name; resolution happens here (see
-:mod:`repro.kernels.dispatch`), and the numpy backend is only imported
-after it resolved, so the module itself is stdlib-safe.  The label-keyed
-``dijkstra`` and ``bounded_dijkstra`` of
-:mod:`repro.graphs.shortest_paths` have no backend to choose and call
-:func:`repro.kernels.pykern.sssp` directly.
+The oracle's landmark potentials and the harness's kernel profiles call
+these three functions with raw CSR columns and a ``kernel`` name;
+resolution happens here (see :mod:`repro.kernels.dispatch`), and the
+numpy backend is only imported after it resolved, so the module itself
+is stdlib-safe.  The label-keyed ``dijkstra`` and ``bounded_dijkstra``
+of :mod:`repro.graphs.shortest_paths` have no backend to choose and
+call :func:`repro.kernels.pykern.sssp` directly, with its ``cap``.
 
 Outputs are normalized to plain Python containers (lists of floats /
 ints), because every caller immediately builds label-keyed dicts or
@@ -20,7 +19,7 @@ stay array-native end to end.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.kernels.dispatch import resolve_kernel
 from repro.kernels import pykern
@@ -32,15 +31,14 @@ def sssp(
     weights: Sequence[float],
     sources: Sequence[int],
     kernel: str = "python",
-    cap: Optional[float] = None,
 ) -> Tuple[List[float], List[int]]:
     """One SSSP run on raw CSR columns (see :func:`pykern.sssp`)."""
     backend = resolve_kernel(kernel)
     if backend == "numpy":
         from repro.kernels import npkern
 
-        return npkern.sssp(indptr, indices, weights, sources, cap)
-    return pykern.sssp(indptr, indices, weights, sources, cap)
+        return npkern.sssp(indptr, indices, weights, sources)
+    return pykern.sssp(indptr, indices, weights, sources)
 
 
 def sssp_matrix(
@@ -49,7 +47,6 @@ def sssp_matrix(
     weights: Sequence[float],
     sources: Sequence[int],
     kernel: str = "python",
-    caps: Optional[Sequence[Optional[float]]] = None,
 ) -> List[List[float]]:
     """Batched SSSP: one distance row per source, as Python lists.
 
@@ -60,9 +57,9 @@ def sssp_matrix(
     if backend == "numpy":
         from repro.kernels import npkern
 
-        matrix = npkern.sssp_matrix(indptr, indices, weights, sources, caps)
+        matrix = npkern.sssp_matrix(indptr, indices, weights, sources)
         return [row.tolist() for row in matrix]
-    return pykern.sssp_matrix(indptr, indices, weights, sources, caps)
+    return pykern.sssp_matrix(indptr, indices, weights, sources)
 
 
 def residual(

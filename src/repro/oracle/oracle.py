@@ -359,36 +359,13 @@ class DistanceOracle:
         self._latency.observe((time.perf_counter() - t0) * 1e3)
         return answer
 
-    def query_many(
-        self,
-        pairs: Iterable[Tuple[Vertex, Vertex]],
-        kernel: Optional[str] = None,
-    ) -> List[float]:
+    def query_many(self, pairs: Iterable[Tuple[Vertex, Vertex]]) -> List[float]:
         """Batch :meth:`query`: one answer per ``(u, v)`` pair, in order.
 
-        The default path (``kernel=None``) loops :meth:`query`, sharing
-        the version-stamped scratch arrays and the LRU cache across the
-        batch.  Passing a kernel name (``"numpy"``/``"auto"``/
-        ``"python"``) opts into *batched* serving instead: the pairs are
-        grouped by source, one batched SSSP
-        (:func:`repro.kernels.sssp_matrix`) settles every distinct
-        source's full distance row, and each pair reads its answer out
-        of its row — same exact-on-structure answers, best when many
-        pairs share few sources (it bypasses the per-query ALT search,
-        the LRU cache and its hit/miss counters).
+        Loops :meth:`query`, sharing the version-stamped scratch arrays
+        and the LRU cache across the batch.
         """
-        if kernel is None:
-            return [self.query(u, v) for u, v in pairs]
-        from repro.kernels import sssp_matrix
-
-        indexed = [(self._index(u), self._index(v)) for u, v in pairs]
-        order = sorted({s for s, _ in indexed})
-        csr = self.csr
-        rows = sssp_matrix(
-            csr.indptr, csr.indices, csr.weights, order, kernel=kernel
-        )
-        row_of = {s: rows[i] for i, s in enumerate(order)}
-        return [row_of[s][t] for s, t in indexed]
+        return [self.query(u, v) for u, v in pairs]
 
     def k_nearest(self, v: Vertex, k: int) -> List[Tuple[Vertex, float]]:
         """The ``k`` nearest other vertices of ``v`` on the structure.

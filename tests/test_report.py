@@ -62,6 +62,12 @@ class TestSpannerReport:
         with pytest.raises(ValidationError):
             spanner_report(small_er, fake)
 
+    def test_only_the_python_certify_kernel(self, small_er):
+        # certification has one engine; the keyword accepts only its name
+        for kernel in ("numpy", "auto"):
+            with pytest.raises(ValueError, match="certify_kernel"):
+                spanner_report(small_er, small_er, certify_kernel=kernel)
+
     def test_violation_reported_not_raised(self, small_er):
         mst = kruskal_mst(small_er)
         rep = spanner_report(small_er, mst, stretch_bound=1.0)
