@@ -103,13 +103,6 @@ class Profile:
         Optional per-tier overrides merged over ``params``.
     seed:
         Seed for both graph generation and the algorithm's RNG.
-    certifiable:
-        Whether certification is tractable even at the stress tier.
-        True for every built-in since the bounded-radius batched
-        certification engine (:mod:`repro.analysis.certify`) replaced
-        the full-SSSP-per-vertex stretch check; a future profile whose
-        certification cannot ride that engine sets this False and the
-        runner then skips certification at stress sizes only.
     """
 
     name: str
@@ -121,7 +114,6 @@ class Profile:
     tiers: Mapping[str, Mapping[str, object]]
     seed: int = 0
     tier_params: Mapping[str, Mapping[str, object]] = field(default_factory=dict)
-    certifiable: bool = True
 
     def graph_params(self, tier: str) -> Dict[str, object]:
         """Generator kwargs for ``tier`` (raises KeyError on unknown tier)."""

@@ -725,9 +725,7 @@ def run_profile(
     fan-out and seeded edge sampling respectively; see
     :func:`repro.analysis.certify.certify_edge_stretch`); other profiles
     ignore them.  The record's ``certification`` block reports what the
-    engine actually did.  Certification of a profile whose
-    ``certifiable`` flag is False is skipped at the stress tier (the
-    opt-out for workloads the bounded engine cannot make tractable).
+    engine actually did.
 
     ``queries=True`` additionally serves the tier's seeded query mix
     (:data:`repro.harness.queries.QUERY_MIXES`) through a
@@ -763,8 +761,6 @@ def run_profile(
             params["certify_sample"] = certify_sample
     if profile.algorithm in KERNEL_ALGORITHMS and kernel != "python":
         params["kernel"] = kernel
-    if tier == "stress" and not profile.certifiable:
-        certify = False
 
     counters_before = obs_metrics.scalars()
     spans_before = obs_trace.span_count()

@@ -44,8 +44,7 @@ from repro.graphs import (
     path_graph,
     random_geometric_graph,
 )
-from repro.harness import TIERS, get_profile, run_profile
-from repro.harness.profiles import Profile
+from repro.harness import get_profile, run_profile
 from repro.harness.runner import ALGORITHMS, SPANNER_CERTIFIED_ALGORITHMS
 from repro.mst import kruskal_mst
 from repro.obs import metrics as obs_metrics
@@ -704,15 +703,3 @@ class TestHarnessCertification:
             run_profile(profile, "smoke", certify_workers=0)
         with pytest.raises(ValueError, match="certify_sample"):
             run_profile(profile, "smoke", certify_sample=2.0)
-
-    def test_uncertifiable_profile_skips_stress_certification_only(self):
-        tiny = {t: {"n": 10, "p": 0.4} for t in TIERS}
-        profile = Profile(
-            name="test-uncertifiable", description="", section="test",
-            family="er", algorithm="greedy-spanner", params={"k": 2},
-            tiers=tiny, certifiable=False,
-        )
-        stress = run_profile(profile, "stress", measure_memory=False)
-        assert stress.metrics == {} and stress.certification is None
-        smoke = run_profile(profile, "smoke", measure_memory=False)
-        assert smoke.metrics != {} and smoke.certification is not None
