@@ -14,8 +14,7 @@ from typing import Dict, Iterable, List, Optional
 from repro.analysis.certify import certify_edge_stretch
 from repro.analysis.lightness import lightness, sparsity
 from repro.analysis.stretch import root_stretch
-from repro.analysis.validation import ValidationError, verify_net, verify_subgraph
-from repro.graphs.shortest_paths import dijkstra
+from repro.analysis.validation import ValidationError, _net_measures, verify_subgraph
 from repro.graphs.weighted_graph import Vertex, WeightedGraph
 from repro.mst.kruskal import kruskal_mst
 
@@ -170,22 +169,16 @@ def net_report(
 ) -> QualityReport:
     """Report for a net: worst covering distance and closest pair.
 
+    The ``beta/closest`` row is left out when no two points are
+    connected, as with a single point or one point per component.
+
     Raises
     ------
     ValidationError
         If the covering/separation guarantees are violated.
     """
     points = set(points)
-    verify_net(graph, points, alpha, beta)
-    dist, _ = dijkstra(graph, points)
-    worst_cover = max(dist.values()) if dist else 0.0
-    closest = float("inf")
-    pts = sorted(points, key=repr)
-    for p in pts:
-        dp, _ = dijkstra(graph, p)
-        for q in pts:
-            if q != p:
-                closest = min(closest, dp[q])
+    worst_cover, closest = _net_measures(graph, points, alpha, beta)
     rows = [
         MetricRow("covering", worst_cover, alpha),
         MetricRow("size", float(len(points))),

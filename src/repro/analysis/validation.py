@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional, Tuple
 
 if TYPE_CHECKING:
     from repro.oracle import DistanceOracle
@@ -162,6 +162,57 @@ def verify_oracle(
             )
 
 
+def _net_measures(
+    graph: WeightedGraph,
+    points: Iterable[Vertex],
+    alpha: float,
+    beta: float,
+) -> Tuple[float, float]:
+    """Check that ``points`` is an (α, β)-net and measure it (§6).
+
+    Returns ``(worst covering distance, closest pair distance)``, the
+    closest pair being ``inf`` when no two points are connected.  One
+    multi-source Dijkstra gives the covering and one Dijkstra per point
+    the separation.  Both radii get a relative slack of 1e-9, so the
+    check reads the same at every weight scale.
+
+    Raises
+    ------
+    ValidationError
+        On an empty net, a point that is not a vertex, or a violated
+        covering or separation.
+    """
+    points = set(points)
+    if not points:
+        raise ValidationError("net is empty")
+    pts = sorted(points, key=repr)
+    for p in pts:
+        if not graph.has_vertex(p):
+            raise ValidationError(f"net point {p!r} is not a vertex")
+    dist, _ = dijkstra(graph, points)
+    worst_cover = 0.0
+    for v in graph.vertices():
+        d = dist.get(v, math.inf)
+        if d > alpha * (1.0 + 1e-9):
+            raise ValidationError(
+                f"covering violated at {v!r}: nearest net point at {d:.6f} > α={alpha:.6f}"
+            )
+        worst_cover = max(worst_cover, d)
+    closest = math.inf
+    for p in pts:
+        dp, _ = dijkstra(graph, p)
+        for q in pts:
+            if q == p:
+                continue
+            d = dp.get(q, math.inf)
+            if d <= beta * (1.0 - 1e-9):
+                raise ValidationError(
+                    f"separation violated: d({p!r}, {q!r}) = {d:.6f} <= β={beta:.6f}"
+                )
+            closest = min(closest, d)
+    return worst_cover, closest
+
+
 def verify_net(
     graph: WeightedGraph,
     points: Iterable[Vertex],
@@ -173,26 +224,4 @@ def verify_net(
     Both radii get a relative slack of 1e-9, so the check reads the same
     at every weight scale.
     """
-    points = set(points)
-    if not points:
-        raise ValidationError("net is empty")
-    for p in sorted(points, key=repr):
-        if not graph.has_vertex(p):
-            raise ValidationError(f"net point {p!r} is not a vertex")
-    dist, _ = dijkstra(graph, points)
-    for v in graph.vertices():
-        d = dist.get(v, float("inf"))
-        if d > alpha * (1.0 + 1e-9):
-            raise ValidationError(
-                f"covering violated at {v!r}: nearest net point at {d:.6f} > α={alpha:.6f}"
-            )
-    pts = sorted(points, key=repr)
-    for p in pts:
-        dp, _ = dijkstra(graph, p)
-        for q in pts:
-            if q == p:
-                continue
-            if dp.get(q, float("inf")) <= beta * (1.0 - 1e-9):
-                raise ValidationError(
-                    f"separation violated: d({p!r}, {q!r}) = {dp[q]:.6f} <= β={beta:.6f}"
-                )
+    _net_measures(graph, points, alpha, beta)

@@ -1,6 +1,7 @@
 """Tests for the uniform quality reports."""
 
 import random
+from unittest import mock
 
 import pytest
 
@@ -14,6 +15,7 @@ from repro.analysis.report import (
 from repro.analysis.validation import ValidationError
 from repro.core import build_net, light_spanner, shallow_light_tree
 from repro.graphs import WeightedGraph, cycle_graph
+from repro.kernels import pykern
 from repro.mst.kruskal import kruskal_mst
 
 
@@ -101,6 +103,21 @@ class TestNetReport:
         g = cycle_graph(6)
         with pytest.raises(ValidationError):
             net_report(g, {0}, alpha=1.0, beta=0.5)
+
+    def test_disconnected_net_has_no_separation_row(self):
+        g = WeightedGraph()
+        g.add_edge("a", "b", 1.0)
+        g.add_edge("c", "d", 1.0)
+        rep = net_report(g, {"a", "c"}, alpha=2.0, beta=0.5)
+        assert rep.metric("covering").measured == 1.0
+        with pytest.raises(KeyError):
+            rep.metric("beta/closest")
+
+    def test_one_dijkstra_per_point_plus_the_covering_one(self, small_er):
+        res = build_net(small_er, 20.0, 0.5, random.Random(1))
+        with mock.patch.object(pykern, "sssp", wraps=pykern.sssp) as sssp:
+            net_report(small_er, res.points, res.alpha, res.beta)
+        assert sssp.call_count == 1 + len(res.points)
 
     def test_singleton_net_has_no_separation_row(self, small_er):
         res = build_net(small_er, 1e9, 0.5, random.Random(2))
