@@ -499,11 +499,6 @@ class TestEngine:
         )
         assert set(catalog) == set(all_codes())
 
-    def test_repo_src_and_tests_lint_clean(self):
-        """The tree gates on itself: repro lint src/ tests/ must be clean."""
-        diags = lint_paths([REPO_ROOT / "src", REPO_ROOT / "tests"])
-        assert diags == [], "\n".join(d.render() for d in diags)
-
 
 class TestCli:
     def test_exit_zero_on_clean_tree(self, tmp_path, capsys):

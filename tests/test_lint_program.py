@@ -1,12 +1,14 @@
 """Whole-program analyzer tests (``repro lint --program``).
 
 Fixture trees are written under ``tmp_path/src/repro/...`` so module
-names resolve exactly as in the real repo; every fixture is annotated
-and per-file-clean on purpose, so the asserted findings isolate the
-program passes (layering REP9xx, seed-taint REP1001/REP1002,
+names resolve exactly as in the real repo; every fixture but one is
+annotated and per-file-clean on purpose, so the asserted findings
+isolate the program passes (layering REP9xx, seed-taint REP1001/REP1002,
 pool-safety REP1011–REP1013), the suppression lifecycle across runs
 with and without ``--program``, the content-hash cache, and the
-contract/DESIGN.md sync.
+contract/DESIGN.md sync.  The exception carries per-file findings and
+waivers, to show that a plain run finds a subset of what a
+``--program`` run finds.
 """
 
 from __future__ import annotations
@@ -564,6 +566,31 @@ class TestProgramSuppressions:
             x = 1  # repro: allow[REP901] -- transitional; moves down in the next PR
         """)
         assert _codes(tmp_path, program=False) == []
+
+    def test_plain_findings_are_a_strict_subset_of_program_findings(
+        self, tmp_path
+    ):
+        """Both modes share finalize's hygiene, per-file findings and
+        waivers; a plain run only skips the staleness check of waivers
+        that name a program code.  So on one tree a plain run finds
+        nothing a --program run misses, and the repo's --program
+        self-check (TestProgramCliAndGate) covers the plain one too."""
+        _write(tmp_path, "src/repro/obs/mixed.py", """\
+            import random
+
+            a = random.random()
+            b = random.random()  # repro: allow[REP101] -- fixture: a waived per-file finding
+            c = 1  # repro: allow[REP101] -- fixture: a stale per-file waiver
+            d = 2  # repro: allow[REP901] -- fixture: a stale program waiver
+        """)
+        plain = set(_codes(tmp_path, program=False))
+        program = set(_codes(tmp_path))
+        assert plain == {
+            ("src/repro/obs/mixed.py", 3, "REP101"),
+            ("src/repro/obs/mixed.py", 5, "REP003"),
+        }
+        assert program - plain == {("src/repro/obs/mixed.py", 6, "REP003")}
+        assert plain < program
 
     def test_seed_taint_waiver_suppresses_and_goes_stale(self, tmp_path):
         _write(tmp_path, "src/repro/spanners/build.py", _SEEDED_BUILDER)
