@@ -168,19 +168,12 @@ def _net_measures(
     alpha: float,
     beta: float,
 ) -> Tuple[float, float]:
-    """Check that ``points`` is an (α, β)-net and measure it (§6).
+    """:func:`verify_net`'s checks, returning what they measured.
 
     Returns ``(worst covering distance, closest pair distance)``, the
     closest pair being ``inf`` when no two points are connected.  One
     multi-source Dijkstra gives the covering and one Dijkstra per point
-    the separation.  Both radii get a relative slack of 1e-9, so the
-    check reads the same at every weight scale.
-
-    Raises
-    ------
-    ValidationError
-        On an empty net, a point that is not a vertex, or a violated
-        covering or separation.
+    the separation.
     """
     points = set(points)
     if not points:
