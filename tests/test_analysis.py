@@ -136,6 +136,15 @@ class TestVerifiers:
     def test_accepts_valid_net(self, square):
         verify_net(square, {0, 2}, alpha=1.0, beta=1.5)
 
+    def test_net_with_one_point_per_component(self):
+        g = WeightedGraph()
+        g.add_edge("a", "b", 1.0)
+        g.add_edge("c", "d", 1.0)
+        # no two points are connected, so any β separates them
+        verify_net(g, {"a", "c"}, alpha=1.0, beta=1e9)
+        with pytest.raises(ValidationError, match="covering"):
+            verify_net(g, {"a"}, alpha=1e9, beta=1.0)  # c, d unreachable
+
     @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
     def test_subgraph_weight_check_is_scale_free(self, scale):
         g = path_graph(5, [scale, 2.0 * scale, 3.0 * scale, 4.0 * scale])

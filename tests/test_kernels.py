@@ -254,6 +254,18 @@ def test_harness_kernel_profile_numpy():
     assert record.params["kernel"] == "numpy"
 
 
+def test_harness_python_default_leaves_params_unstamped():
+    """kernel='python' must not perturb committed baseline reports: a
+    default run records the profile's own params, plus the certify
+    settings of a spanner-certified profile, and stamps no kernel."""
+    spanner = get_profile("spanner-er")
+    record = run_profile(spanner, "smoke", measure_memory=False)
+    assert record.params == {**spanner.algo_params("smoke"), "certify_workers": 1}
+    ring = get_profile("kernel-sssp-ring")
+    record = run_profile(ring, "smoke", measure_memory=False)
+    assert record.params == ring.algo_params("smoke")
+
+
 def test_harness_certification_ignores_kernel():
     """Spanner certification has one engine: every available kernel
     gives the same certification block, and none is stamped into the
