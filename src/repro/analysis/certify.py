@@ -72,8 +72,10 @@ violation and the exact value is not needed.
 from __future__ import annotations
 
 import heapq
+import math
 import multiprocessing
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -114,6 +116,10 @@ class Certification:
     fallbacks: int  # searches that crossed the radius and kept going
     bound_exceeded: bool  # fail_fast mode: a radius crossing proved violation
     sampled_edges: Optional[int] = None  # == edges_checked when sampling
+    # G edges found in H at G's weight (verify_subgraph's test); each
+    # matches at most one H edge, so this equals H.m exactly when H ⊆ G.
+    # 0 when the scan stopped at a G vertex H lacks.  Not in to_dict().
+    edges_shared: int = 0
 
     @property
     def ok(self) -> bool:
@@ -148,51 +154,64 @@ def _build_work(
     hcsr: CSRGraph,
     sample: Optional[float],
     seed: int,
-) -> Tuple[List[SourceWork], int, int, int, bool]:
+) -> Tuple[List[SourceWork], int, int, int, int, bool]:
     """One pass over G's edges producing the per-source target lists.
 
-    Returns ``(work, edges_total, edges_in_spanner, sources_pruned,
-    missing_vertex)``; ``missing_vertex`` flags a G vertex with incident
-    edges that H does not even contain (stretch is ``inf`` outright; the
-    scan stops there, so the other counters are zeroed rather than
-    reported half-scanned).
+    Returns ``(work, edges_total, edges_in_spanner, edges_shared,
+    sources_pruned, missing_vertex)``.  ``edges_shared`` counts the G
+    edges that H holds at G's weight, equal or within
+    :func:`~repro.analysis.validation.verify_subgraph`'s relative 1e-9;
+    it equals ``H.m`` exactly when H ⊆ G.  ``missing_vertex`` flags a G
+    vertex with incident edges that H does not even contain (stretch is
+    ``inf`` outright; the scan stops there, so the other counters are
+    zeroed rather than reported half-scanned).
     """
     h_index = {v: i for i, v in enumerate(hcsr.verts)}
     g2h = [h_index.get(v, -1) for v in gcsr.verts]
     rng = random.Random(seed) if sample is not None else None
     work: List[SourceWork] = []
-    edges_total = 0
     edges_in_spanner = 0
+    edges_shared = 0
     sources_pruned = 0
+    isclose = math.isclose
     indptr, indices, weights = gcsr.indptr, gcsr.indices, gcsr.weights
+    h_indptr, h_indices, h_weights = hcsr.indptr, hcsr.indices, hcsr.weights
     for ui in range(gcsr.n):
         a, b = indptr[ui], indptr[ui + 1]
         if a == b:
             continue
+        uh = g2h[ui]
+        if uh < 0:
+            return [], gcsr.m, 0, 0, 0, True
+        # H's row of u as one lookup table, instead of a binary search
+        # per edge
+        ha, hb = h_indptr[uh], h_indptr[uh + 1]
+        h_weight = dict(zip(h_indices[ha:hb], h_weights[ha:hb])).get
         targets: List[Tuple[int, float]] = []
-        for s in range(a, b):
-            vi = indices[s]
-            if vi < ui:
-                continue  # certified once, from the smaller endpoint
-            edges_total += 1
-            w = weights[s]
-            uh, vh = g2h[ui], g2h[vi]
-            if uh < 0 or vh < 0:
-                return [], gcsr.m, 0, 0, True
-            slot = hcsr.edge_slot(uh, vh)
-            # exact comparison on purpose: any slack would mis-prune
-            # near-zero-weight edges whose true ratio is large
-            if slot >= 0 and hcsr.weights[slot] <= w:
-                edges_in_spanner += 1  # d_H <= w(e): stretch at most 1
-                continue
+        # each edge is certified once, from its smaller endpoint: the
+        # sorted row's neighbours above u
+        s = bisect_right(indices, ui, a, b)
+        for vi, w in zip(indices[s:b], weights[s:b]):
+            vh = g2h[vi]
+            if vh < 0:
+                return [], gcsr.m, 0, 0, 0, True
+            hw = h_weight(vh)
+            if hw is not None:
+                if hw == w or isclose(hw, w, rel_tol=1e-9):
+                    edges_shared += 1
+                # exact comparison on purpose: any slack would mis-prune
+                # near-zero-weight edges whose true ratio is large
+                if hw <= w:
+                    edges_in_spanner += 1  # d_H <= w(e): stretch at most 1
+                    continue
             if rng is not None and rng.random() >= sample:
                 continue
             targets.append((vh, w))
         if targets:
-            work.append((g2h[ui], tuple(targets)))
+            work.append((uh, tuple(targets)))
         else:
             sources_pruned += 1
-    return work, edges_total, edges_in_spanner, sources_pruned, False
+    return work, gcsr.m, edges_in_spanner, edges_shared, sources_pruned, False
 
 
 def _certify_chunk(
@@ -361,6 +380,14 @@ def certify_edge_stretch(
     """Certify ``max_{e={u,v} ∈ E(G)} d_H(u, v) / w(e)`` with the
     bounded-radius batched engine.
 
+    The pass over G's edges that builds the searches' work also counts,
+    in ``Certification.edges_shared``, the G edges that H holds at G's
+    weight (:func:`~repro.analysis.validation.verify_subgraph`'s test).
+    The count equals ``H.m`` exactly when H ⊆ G, so
+    :func:`~repro.analysis.validation.verify_spanner` and
+    :func:`~repro.analysis.report.spanner_report` run the label-level
+    check only when it falls short.
+
     Parameters
     ----------
     graph, spanner:
@@ -405,9 +432,8 @@ def certify_edge_stretch(
     )
 
     with obs_trace.span("certify.build_work", mode=mode):
-        work, edges_total, edges_in_spanner, pruned, missing = _build_work(
-            gcsr, hcsr, sample, seed
-        )
+        (work, edges_total, edges_in_spanner, edges_shared, pruned,
+         missing) = _build_work(gcsr, hcsr, sample, seed)
     edges_checked = sum(len(targets) for _, targets in work)
 
     def _result(
@@ -438,6 +464,7 @@ def certify_edge_stretch(
             fallbacks=fallbacks,
             bound_exceeded=exceeded,
             sampled_edges=edges_checked if sample is not None else None,
+            edges_shared=edges_shared,
         )
 
     if missing:

@@ -7,23 +7,34 @@ benchmark normalizes against the same tree.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.graphs.weighted_graph import WeightedGraph
-from repro.mst.kruskal import kruskal_mst
+from repro.mst.kruskal import mst_weight
 
 
-def lightness(
-    graph: WeightedGraph,
-    subgraph: WeightedGraph,
-    mst: Optional[WeightedGraph] = None,
-) -> float:
-    """``w(subgraph) / w(MST(graph))`` (pass ``mst`` to reuse a computed one)."""
-    tree = mst if mst is not None else kruskal_mst(graph)
-    denom = tree.total_weight()
+def lightness(graph: WeightedGraph, subgraph: WeightedGraph) -> float:
+    """``w(subgraph) / w(MST(graph))``, both read from frozen views.
+
+    ``w(subgraph)`` is the sum of the subgraph's frozen weight column
+    (every edge twice, halved) and ``w(MST(graph))`` the sum of the MST
+    triples that :func:`~repro.mst.kruskal.kruskal_mst` caches on the
+    graph's view, so no tree is copied, and a graph whose MST a
+    construction already found runs no Kruskal.  Both sums add the same
+    weights as a walk over the label-level edge lists, in another order,
+    so the value can differ from that walk's in its last bit.  A
+    zero-weight MST (no edges) gives 1.0 for a weightless subgraph and
+    ``inf`` otherwise.
+
+    Raises
+    ------
+    ValueError
+        If ``graph`` is disconnected (it has no MST).
+    """
+    denom = mst_weight(graph)
+    view = subgraph.freeze() if isinstance(subgraph, WeightedGraph) else subgraph
+    num = view.total_weight()
     if denom == 0:
-        return 1.0 if subgraph.total_weight() == 0 else float("inf")
-    return subgraph.total_weight() / denom
+        return 1.0 if num == 0 else float("inf")
+    return num / denom
 
 
 def sparsity(subgraph: WeightedGraph) -> int:

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import math
 import random
-from typing import TYPE_CHECKING, Iterable, Optional, Tuple
+from typing import TYPE_CHECKING, Iterable, Tuple
 
 if TYPE_CHECKING:
     from repro.oracle import DistanceOracle
 
-from repro.analysis.certify import certify_edge_stretch
+from repro.analysis.certify import Certification, certify_edge_stretch
 from repro.analysis.lightness import lightness
 from repro.analysis.stretch import root_stretch
 from repro.graphs.shortest_paths import dijkstra
@@ -44,6 +44,22 @@ def verify_subgraph(graph: WeightedGraph, subgraph: WeightedGraph) -> None:
             )
 
 
+def _verify_certified_subgraph(
+    graph: WeightedGraph, subgraph: WeightedGraph, cert: Certification
+) -> None:
+    """:func:`verify_subgraph`, after ``cert`` certified ``subgraph`` in ``graph``.
+
+    The certification's scan of G counted the G edges that H holds at
+    G's weight (``cert.edges_shared``), by :func:`verify_subgraph`'s own
+    test.  Each G edge matches at most one H edge, so the count equals
+    H's edge count exactly when H ⊆ G.  Only when it does not (H is not
+    a subgraph, or the scan stopped at a G vertex H lacks) does the
+    label-level walk run, so its error messages are what a caller sees.
+    """
+    if cert.edges_shared != subgraph.m:
+        verify_subgraph(graph, subgraph)
+
+
 def verify_spanning_tree(graph: WeightedGraph, tree: WeightedGraph) -> None:
     """``tree`` must be a spanning tree of ``graph`` and a subgraph of it."""
     verify_subgraph(graph, tree)
@@ -64,14 +80,17 @@ def verify_spanner(
     Runs the bounded-radius engine with the guarantee as the truncation
     radius: on a valid spanner no search ever leaves the certified ball,
     and an invalid one is rejected at the first radius crossing
-    (``fail_fast``) without paying for the exact worst value.
+    (``fail_fast``) without paying for the exact worst value.  The
+    engine's scan of G also decides H ⊆ G, so :func:`verify_subgraph`
+    runs only when that scan did not prove it.  The checks still fail in
+    the order subgraph, span, stretch.
     """
-    verify_subgraph(graph, spanner)
-    if set(spanner.vertices()) != set(graph.vertices()):
-        raise ValidationError("spanner does not span all vertices")
     cert = certify_edge_stretch(  # repro: allow[REP1001] -- seed only drives sample=; validation always certifies every edge
         graph, spanner, bound=stretch, workers=workers, fail_fast=True
     )
+    _verify_certified_subgraph(graph, spanner, cert)
+    if set(spanner.vertices()) != set(graph.vertices()):
+        raise ValidationError("spanner does not span all vertices")
     if cert.bound_exceeded:
         raise ValidationError(
             f"stretch violated: some edge has d_H(u, v) > "
@@ -90,14 +109,13 @@ def verify_slt(
     root: Vertex,
     alpha: float,
     beta: float,
-    mst: Optional[WeightedGraph] = None,
 ) -> None:
     """``tree`` must be an (α, β)-SLT: root-stretch <= α, lightness <= β.
 
-    Pass a precomputed ``mst`` to skip the Kruskal run the lightness
-    check needs (callers that already hold one — reports, the harness —
-    would otherwise recompute it on every verify).  Lightness is
-    measured through :func:`repro.analysis.lightness.lightness`, whose
+    Lightness is measured through
+    :func:`repro.analysis.lightness.lightness`, which reads the MST's
+    weight from the triples cached on ``graph``'s frozen view, so a
+    graph whose MST was already found runs no Kruskal here; its
     zero-weight-MST handling turns the old ``ZeroDivisionError`` into a
     proper :class:`ValidationError` when the tree carries weight anyway.
     """
@@ -107,7 +125,7 @@ def verify_slt(
         raise ValidationError(
             f"SLT root-stretch violated: {measured_stretch:.6f} > {alpha:.6f}"
         )
-    measured_lightness = lightness(graph, tree, mst)
+    measured_lightness = lightness(graph, tree)
     if measured_lightness > beta + 1e-9:
         raise ValidationError(
             f"SLT lightness violated: {measured_lightness:.6f} > {beta:.6f}"

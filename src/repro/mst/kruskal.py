@@ -132,3 +132,17 @@ def kruskal_mst(graph: "WeightedGraph | CSRGraph") -> WeightedGraph:
     for i, j, w in csr.mst_edges(_kruskal_edges):
         tree.add_edge(verts[i], verts[j], w)
     return tree
+
+
+def mst_weight(graph: "WeightedGraph | CSRGraph") -> float:
+    """``w(MST(graph))``, summed over the index triples that
+    :func:`kruskal_mst` caches on the frozen view, in the order Kruskal
+    accepts them; no tree is built.
+
+    Raises
+    ------
+    ValueError
+        If ``graph`` is disconnected (no spanning tree exists).
+    """
+    csr = graph.freeze() if isinstance(graph, WeightedGraph) else graph
+    return sum(w for _, _, w in csr.mst_edges(_kruskal_edges))

@@ -1,16 +1,20 @@
 """Tests for the measurement/validation package itself."""
 
 import math
+from unittest import mock
 
 import pytest
 
+import repro.mst.kruskal as kruskal_module
 from repro.analysis import (
     average_stretch,
+    certify_edge_stretch,
     lightness,
     max_edge_stretch,
     max_pairwise_stretch,
     root_stretch,
     sparsity,
+    spanner_report,
     verify_net,
     verify_slt,
     verify_spanner,
@@ -70,9 +74,11 @@ class TestWeightMeasures:
     def test_whole_graph_lightness_at_least_one(self, small_er):
         assert lightness(small_er, small_er) >= 1.0
 
-    def test_explicit_mst_reused(self, small_er):
-        mst = kruskal_mst(small_er)
-        assert lightness(small_er, mst, mst=mst) == pytest.approx(1.0)
+    def test_lightness_reads_the_cached_mst(self, small_er, monkeypatch):
+        mst = kruskal_mst(small_er)  # caches the tree on the frozen view
+        monkeypatch.setattr(kruskal_module, "_kruskal_edges", mock.Mock(
+            side_effect=AssertionError("Kruskal ran although the MST was cached")))
+        assert lightness(small_er, mst) == pytest.approx(1.0)
 
     def test_sparsity(self, small_er):
         assert sparsity(small_er) == small_er.m
@@ -147,11 +153,51 @@ class TestVerifiers:
 
     @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
     def test_subgraph_weight_check_is_scale_free(self, scale):
+        # verify_subgraph itself, and the reports and verifier whose
+        # certification pass counts H ⊆ G and falls back to it
+        checks = (
+            verify_subgraph,
+            lambda g, h: spanner_report(g, h, stretch_bound=1.0),
+            lambda g, h: verify_spanner(g, h, 1.0),
+        )
         g = path_graph(5, [scale, 2.0 * scale, 3.0 * scale, 4.0 * scale])
-        with pytest.raises(ValidationError, match="differs from host"):
-            verify_subgraph(g, g.reweighted(lambda u, v, w: 2.0 * w))
+        doubled = g.reweighted(lambda u, v, w: 2.0 * w)
+        # lighter than the host: pruned by the certification, not shared
+        halved = g.reweighted(lambda u, v, w: 0.5 * w)
+        foreign = g.copy()
+        foreign.add_edge(0, 2, 3.0 * scale)
         # round-off, not a different weight
-        verify_subgraph(g, g.reweighted(lambda u, v, w: math.nextafter(w, math.inf)))
+        rounded = g.reweighted(lambda u, v, w: math.nextafter(w, math.inf))
+        assert certify_edge_stretch(g, doubled).edges_shared == 0
+        assert certify_edge_stretch(g, halved).edges_shared == 0
+        assert certify_edge_stretch(g, foreign).edges_shared == foreign.m - 1
+        assert certify_edge_stretch(g, rounded).edges_shared == rounded.m
+        for check in checks:
+            for h in (doubled, halved):
+                with pytest.raises(ValidationError, match="differs from host"):
+                    check(g, h)
+            with pytest.raises(ValidationError, match="not in the host graph"):
+                check(g, foreign)
+            check(g, rounded)
+
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+    def test_subgraph_check_after_the_scan_stops_early(self, scale):
+        # H lacks vertex 0, which has an edge: the certification scan
+        # stops at G's first row, before it has counted anything
+        g = path_graph(5, [scale, 2.0 * scale, 3.0 * scale, 4.0 * scale])
+        h = g.subgraph([1, 2, 3, 4])
+        assert certify_edge_stretch(g, h).edges_shared == 0
+        report = spanner_report(g, h, stretch_bound=1.0)
+        assert report.metric("stretch").measured == math.inf
+        with pytest.raises(ValidationError, match="does not span"):
+            verify_spanner(g, h, 1.0)
+        h.add_edge(1, 3, 5.0 * scale)
+        for check in (
+            lambda g, h: spanner_report(g, h, stretch_bound=1.0),
+            lambda g, h: verify_spanner(g, h, 1.0),
+        ):
+            with pytest.raises(ValidationError, match="not in the host graph"):
+                check(g, h)
 
     @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
     def test_net_checks_are_scale_free(self, scale):

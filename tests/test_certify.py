@@ -25,12 +25,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.analysis.certify as certify_engine
+import repro.mst.kruskal as kruskal_module
 from repro.analysis import (
     average_stretch,
     certify_edge_stretch,
     max_edge_stretch,
     max_pairwise_stretch,
     root_stretch,
+    slt_report,
     verify_slt,
     verify_spanner,
 )
@@ -622,16 +624,19 @@ class TestVerifierFixes:
         t = WeightedGraph([0])
         verify_slt(g, t, 0, alpha=2.0, beta=5.0)  # lightness 0/0 -> 1.0
 
-    def test_verify_slt_accepts_precomputed_mst(self):
+    def test_verify_slt_reads_the_cached_mst(self, monkeypatch):
         g = WeightedGraph()
         g.add_edge(0, 1, 1.0)
         g.add_edge(1, 2, 1.0)
         g.add_edge(0, 2, 5.0)
         mst = kruskal_mst(g)  # the two unit edges, weight 2
-        verify_slt(g, mst, 0, alpha=1e9, beta=1.0, mst=mst)
+        # the tree is now cached on g's frozen view: no Kruskal runs again
+        monkeypatch.setattr(kruskal_module, "_kruskal_edges", mock.Mock(
+            side_effect=AssertionError("Kruskal ran although the MST was cached")))
+        verify_slt(g, mst, 0, alpha=1e9, beta=1.0)
         heavy = g.edge_subgraph([(0, 1), (0, 2)])  # weight 6, lightness 3
         with pytest.raises(ValidationError, match="lightness"):
-            verify_slt(g, heavy, 0, alpha=1e9, beta=1.0, mst=mst)
+            verify_slt(g, heavy, 0, alpha=1e9, beta=1.0)
 
 
 class TestDijkstraRegressions:
