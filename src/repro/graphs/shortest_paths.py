@@ -26,18 +26,21 @@ def _normalize_sources(
 ) -> List[Vertex]:
     """Resolve the ``sources`` argument into a non-empty vertex list.
 
-    A single vertex becomes a one-element list.  Two historically silent
-    misuses are rejected loudly instead:
+    A single vertex becomes a one-element list.  Misuses that used to
+    fail silently or with an unrelated error are rejected with a
+    ``ValueError`` instead:
 
     * an *empty* iterable (the traversal would return empty dicts that
       look like "nothing is reachable");
     * a string that is not itself a vertex (iterating it would treat
-      each character as a source).
+      each character as a source);
+    * any other source that is not a vertex, alone (``99`` is not
+      iterable) or in an iterable (``[0, 99]``); the message names it.
 
     Raises
     ------
     ValueError
-        On an empty source set or a non-vertex string/bytes source.
+        On an empty source set or a source that is not a vertex.
     """
     try:
         if graph.has_vertex(sources):  # single-vertex call
@@ -49,10 +52,21 @@ def _normalize_sources(
             f"source {sources!r} is not a vertex (a non-vertex string would "
             f"be iterated character by character)"
         )
-    out = list(sources)
+    try:
+        out = list(sources)
+    except TypeError:
+        raise ValueError(f"source {sources!r} is not a vertex") from None
     if not out:
         raise ValueError("at least one source vertex is required")
+    for s in out:
+        _check_source(graph, s)
     return out
+
+
+def _check_source(graph: GraphLike, source: Vertex) -> None:
+    """Raise ``ValueError`` naming ``source`` when it is not a vertex."""
+    if not graph.has_vertex(source):
+        raise ValueError(f"source {source!r} is not a vertex")
 
 
 def _labelled_sssp(
@@ -108,7 +122,7 @@ def dijkstra(
     Raises
     ------
     ValueError
-        On an empty source set or a non-vertex string source.
+        On an empty source set or a source that is not a vertex.
     """
     return _labelled_sssp(graph, sources, None)
 
@@ -134,7 +148,7 @@ def bounded_dijkstra(
     Raises
     ------
     ValueError
-        On an empty source set or a non-vertex string source.
+        On an empty source set or a source that is not a vertex.
     """
     return _labelled_sssp(graph, sources, radius)
 
@@ -158,8 +172,15 @@ def eccentricity(graph: GraphLike, v: Vertex) -> float:
 
 
 def hop_distances(graph: GraphLike, source: Vertex) -> Dict[Vertex, int]:
-    """Unweighted (hop) distances from ``source`` via BFS over the CSR view."""
+    """Unweighted (hop) distances from ``source`` via BFS over the CSR view.
+
+    Raises
+    ------
+    ValueError
+        If ``source`` is not a vertex.
+    """
     csr = graph.freeze() if isinstance(graph, WeightedGraph) else graph
+    _check_source(csr, source)
     verts = csr.verts
     return {verts[i]: d for i, d in _csr_hop_distances(csr, csr.index_of(source))}
 

@@ -41,8 +41,10 @@ from repro.graphs import (
     WeightedGraph,
     bounded_dijkstra,
     dijkstra,
+    eccentricity,
     erdos_renyi_graph,
     grid_graph,
+    hop_distances,
     path_graph,
     random_geometric_graph,
 )
@@ -655,6 +657,20 @@ class TestDijkstraRegressions:
             dijkstra(g, "abc")
         with pytest.raises(ValueError, match="not a vertex"):
             bounded_dijkstra(g, "abc", 2.0)
+        # any other non-vertex source, alone or among vertices, is named
+        # (it used to raise TypeError or a bare KeyError)
+        t = kruskal_mst(g)
+        for call in (
+            lambda: dijkstra(g, 99),
+            lambda: dijkstra(g, [0, 99]),
+            lambda: bounded_dijkstra(g, 99, 2.0),
+            lambda: eccentricity(g, 99),
+            lambda: hop_distances(g, 99),
+            lambda: root_stretch(g, t, 99),
+            lambda: slt_report(g, t, 99),
+        ):
+            with pytest.raises(ValueError, match="source 99 is not a vertex"):
+                call()
 
     def test_string_vertices_still_work(self):
         g = WeightedGraph()
