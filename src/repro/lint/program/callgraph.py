@@ -23,7 +23,6 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.lint.program.facts import (
-    MODULE_SCOPE,
     CallFact,
     ClassFacts,
     FileFacts,

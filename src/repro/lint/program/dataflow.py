@@ -48,7 +48,7 @@ from collections import deque
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.lint.diagnostics import Diagnostic
-from repro.lint.program.callgraph import ProgramIndex, fqn
+from repro.lint.program.callgraph import ProgramIndex
 from repro.lint.program.facts import (
     MODULE_SCOPE,
     CallFact,

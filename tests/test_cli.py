@@ -118,7 +118,6 @@ class TestOracle:
         import pickle
 
         from repro import io as gio
-        from repro.oracle import build_oracle
 
         pkl = tmp_path / "oracle.pkl"
         main(["oracle", "build", er_file, str(pkl)])

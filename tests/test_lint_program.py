@@ -13,11 +13,8 @@ waivers, to show that a plain run finds a subset of what a
 
 from __future__ import annotations
 
-import json
 import textwrap
 from pathlib import Path
-
-import pytest
 
 from repro.cli import main
 from repro.lint import lint_paths

@@ -1,11 +1,10 @@
 """Tests for the spanner substrate: greedy, Baswana–Sen, Elkin–Neiman."""
 
-import math
 import random
 
 import pytest
 
-from repro.analysis import max_edge_stretch, verify_spanner
+from repro.analysis import verify_spanner
 from repro.congest import RoundLedger
 from repro.graphs import WeightedGraph, complete_graph, erdos_renyi_graph
 from repro.spanners import (
