@@ -183,8 +183,7 @@ def _build_work(
         uh = g2h[ui]
         if uh < 0:
             return [], gcsr.m, 0, 0, 0, True
-        # H's row of u as one lookup table, instead of a binary search
-        # per edge
+        # H's row of u, read once into a lookup table
         ha, hb = h_indptr[uh], h_indptr[uh + 1]
         h_weight = dict(zip(h_indices[ha:hb], h_weights[ha:hb])).get
         targets: List[Tuple[int, float]] = []

@@ -20,9 +20,9 @@ def lightness(graph: WeightedGraph, subgraph: WeightedGraph) -> float:
     graph's view, so no tree is copied, and a graph whose MST a
     construction already found runs no Kruskal.  Both sums add the same
     weights as a walk over the label-level edge lists, in another order,
-    so the value can differ from that walk's in its last bit.  A
-    zero-weight MST (no edges) gives 1.0 for a weightless subgraph and
-    ``inf`` otherwise.
+    so the value can differ from that walk's by round-off in its last
+    bits.  A zero-weight MST (no edges) gives 1.0 for a weightless
+    subgraph and ``inf`` otherwise.
 
     Raises
     ------

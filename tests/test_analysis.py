@@ -80,6 +80,18 @@ class TestWeightMeasures:
             side_effect=AssertionError("Kruskal ran although the MST was cached")))
         assert lightness(small_er, mst) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("spread", [0, 20])
+    def test_lightness_matches_the_label_level_sums(self, medium_er, spread):
+        # the view sums add the same weights in another order: the value
+        # may move by round-off only, also over 2^±spread weights
+        g = medium_er.reweighted(
+            lambda u, v, w: w * 2.0 ** ((7 * u + v) % (2 * spread + 1) - spread))
+        h = kruskal_mst(g).copy()
+        for u, v, w in list(g.edges())[::3]:
+            h.add_edge(u, v, w)
+        want = h.total_weight() / kruskal_mst(g).total_weight()
+        assert lightness(g, h) == pytest.approx(want, rel=1e-12)
+
     def test_sparsity(self, small_er):
         assert sparsity(small_er) == small_er.m
 

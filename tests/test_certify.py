@@ -658,7 +658,6 @@ class TestDijkstraRegressions:
         with pytest.raises(ValueError, match="not a vertex"):
             bounded_dijkstra(g, "abc", 2.0)
         # any other non-vertex source, alone or among vertices, is named
-        # (it used to raise TypeError or a bare KeyError)
         t = kruskal_mst(g)
         for call in (
             lambda: dijkstra(g, 99),
