@@ -154,12 +154,12 @@ def _build_work(
     hcsr: CSRGraph,
     sample: Optional[float],
     seed: int,
-) -> Tuple[List[SourceWork], int, int, int, int, bool]:
+) -> Tuple[List[SourceWork], int, int, int, bool]:
     """One pass over G's edges producing the per-source target lists.
 
-    Returns ``(work, edges_total, edges_in_spanner, edges_shared,
-    sources_pruned, missing_vertex)``.  ``edges_shared`` counts the G
-    edges that H holds at G's weight, equal or within
+    Returns ``(work, edges_in_spanner, edges_shared, sources_pruned,
+    missing_vertex)``.  ``edges_shared`` counts the G edges that H holds
+    at G's weight, equal or within
     :func:`~repro.analysis.validation.verify_subgraph`'s relative 1e-9;
     it equals ``H.m`` exactly when H ⊆ G.  ``missing_vertex`` flags a G
     vertex with incident edges that H does not even contain (stretch is
@@ -182,7 +182,7 @@ def _build_work(
             continue
         uh = g2h[ui]
         if uh < 0:
-            return [], gcsr.m, 0, 0, 0, True
+            return [], 0, 0, 0, True
         # H's row of u, read once into a lookup table
         ha, hb = h_indptr[uh], h_indptr[uh + 1]
         h_weight = dict(zip(h_indices[ha:hb], h_weights[ha:hb])).get
@@ -193,7 +193,7 @@ def _build_work(
         for vi, w in zip(indices[s:b], weights[s:b]):
             vh = g2h[vi]
             if vh < 0:
-                return [], gcsr.m, 0, 0, 0, True
+                return [], 0, 0, 0, True
             hw = h_weight(vh)
             if hw is not None:
                 if hw == w or isclose(hw, w, rel_tol=1e-9):
@@ -210,7 +210,7 @@ def _build_work(
             work.append((uh, tuple(targets)))
         else:
             sources_pruned += 1
-    return work, gcsr.m, edges_in_spanner, edges_shared, sources_pruned, False
+    return work, edges_in_spanner, edges_shared, sources_pruned, False
 
 
 def _certify_chunk(
@@ -431,8 +431,10 @@ def certify_edge_stretch(
     )
 
     with obs_trace.span("certify.build_work", mode=mode):
-        (work, edges_total, edges_in_spanner, edges_shared, pruned,
-         missing) = _build_work(gcsr, hcsr, sample, seed)
+        work, edges_in_spanner, edges_shared, pruned, missing = _build_work(
+            gcsr, hcsr, sample, seed
+        )
+    edges_total = gcsr.m  # every G edge is eligible, before any pruning
     edges_checked = sum(len(targets) for _, targets in work)
 
     def _result(
