@@ -191,25 +191,18 @@ class TestVerifiers:
             with pytest.raises(ValidationError, match="not in the host graph"):
                 check(g, foreign)
             check(g, rounded)
-
-    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
-    def test_subgraph_check_after_the_scan_stops_early(self, scale):
         # H lacks vertex 0, which has an edge: the certification scan
         # stops at G's first row, before it has counted anything
-        g = path_graph(5, [scale, 2.0 * scale, 3.0 * scale, 4.0 * scale])
-        h = g.subgraph([1, 2, 3, 4])
-        assert certify_edge_stretch(g, h).edges_shared == 0
-        report = spanner_report(g, h, stretch_bound=1.0)
+        partial = g.subgraph([1, 2, 3, 4])
+        assert certify_edge_stretch(g, partial).edges_shared == 0
+        report = spanner_report(g, partial, stretch_bound=1.0)
         assert report.metric("stretch").measured == math.inf
         with pytest.raises(ValidationError, match="does not span"):
-            verify_spanner(g, h, 1.0)
-        h.add_edge(1, 3, 5.0 * scale)
-        for check in (
-            lambda g, h: spanner_report(g, h, stretch_bound=1.0),
-            lambda g, h: verify_spanner(g, h, 1.0),
-        ):
+            verify_spanner(g, partial, 1.0)
+        partial.add_edge(1, 3, 5.0 * scale)
+        for check in checks[1:]:
             with pytest.raises(ValidationError, match="not in the host graph"):
-                check(g, h)
+                check(g, partial)
 
     @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
     def test_net_checks_are_scale_free(self, scale):
