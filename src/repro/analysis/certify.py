@@ -77,13 +77,16 @@ import multiprocessing
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.graphs.csr import CSRGraph
 from repro.graphs.weighted_graph import WeightedGraph
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import DEFAULT_COUNT_BOUNDS, MetricsRegistry, Snapshot
+
+if TYPE_CHECKING:
+    from multiprocessing.synchronize import Event
 
 INF = float("inf")
 
@@ -358,12 +361,17 @@ def _pool_init(
     work: Sequence[SourceWork],
     bound: Optional[float],
     fail_fast: bool,
+    stop: "Event",
 ) -> None:
     _POOL_STATE["args"] = (hcsr, work, bound, fail_fast)
+    _POOL_STATE["stop"] = stop
 
 
 def _pool_chunk(span: Tuple[int, int]) -> Tuple[float, int, int, bool, Snapshot]:
     hcsr, work, bound, fail_fast = _POOL_STATE["args"]
+    if _POOL_STATE["stop"].is_set():
+        # a fail_fast violation is already certified: skip the chunk
+        return 1.0, 0, 0, False, MetricsRegistry().snapshot()
     return _certify_chunk(hcsr, work, span[0], span[1], bound, fail_fast)
 
 
@@ -488,11 +496,12 @@ def certify_edge_stretch(
     step = max(1, len(work) // (workers * 4))
     spans = [(lo, min(lo + step, len(work))) for lo in range(0, len(work), step)]
     worst, fallbacks, resolved, exceeded = 1.0, 0, 0, False
+    stop = multiprocessing.Event()
     with obs_trace.span("certify.pool", workers=workers, chunks=len(spans)):
         with multiprocessing.Pool(
             processes=workers,
             initializer=_pool_init,
-            initargs=(hcsr, work, bound, fail_fast),
+            initargs=(hcsr, work, bound, fail_fast, stop),
         ) as pool:
             # imap_unordered so a fail_fast violation stops the run at the
             # first exceeded chunk instead of draining every span
@@ -505,6 +514,13 @@ def certify_edge_stretch(
                 resolved += r
                 exceeded = exceeded or e
                 if exceeded and fail_fast:
-                    pool.terminate()
+                    # drain rather than terminate: terminate() kills live
+                    # workers, and one killed while sending a result keeps
+                    # the result queue's lock, on which the pool's teardown
+                    # then waits forever.  The rest of the chunks are
+                    # skipped, so only the chunks in flight finish.
+                    stop.set()
+                    pool.close()
+                    pool.join()
                     break
     return _result(worst, fallbacks, resolved, exceeded)

@@ -16,6 +16,7 @@ import contextlib
 import dataclasses
 import heapq
 import json
+import multiprocessing
 import random
 import types
 from unittest import mock
@@ -153,6 +154,25 @@ class TestEngineEdgeCases:
         par = certify_edge_stretch(g, mst, bound=2.0, workers=2)
         assert par.max_stretch == pytest.approx(reference, abs=1e-9)
         assert par.fallbacks > 0  # the radius truncation fired and was lifted
+
+    def test_fail_fast_pool_kills_no_worker(self):
+        # a worker killed while it sends a result keeps the result
+        # queue's lock and the pool's teardown waits on it forever, so a
+        # fail_fast stop lets the workers exit instead of terminating them
+        g = erdos_renyi_graph(120, 0.1, seed=4)
+        mst = kruskal_mst(g)
+        killed = []
+        terminate = multiprocessing.process.BaseProcess.terminate
+
+        def recording_terminate(proc):
+            killed.append(proc.pid)
+            terminate(proc)
+
+        with mock.patch.object(multiprocessing.process.BaseProcess, "terminate",
+                               recording_terminate):
+            cert = certify_edge_stretch(g, mst, bound=1.0, workers=2, fail_fast=True)
+        assert cert.bound_exceeded and cert.max_stretch == INF
+        assert killed == []
 
     def test_fail_fast_detects_violation_without_exact_value(self):
         g = erdos_renyi_graph(60, 0.2, seed=1)
@@ -292,7 +312,10 @@ class _InlinePool:
     def imap_unordered(self, fn, items):
         return map(fn, items)
 
-    def terminate(self):
+    def close(self):
+        pass
+
+    def join(self):
         pass
 
 
