@@ -504,7 +504,7 @@ def certify_edge_stretch(
             initargs=(hcsr, work, bound, fail_fast, stop),
         ) as pool:
             # imap_unordered so a fail_fast violation stops the run at the
-            # first exceeded chunk instead of draining every span
+            # first exceeded chunk to finish, whatever the chunk order
             for w, f, r, e, chunk_snap in pool.imap_unordered(_pool_chunk, spans):
                 # fold the worker's local metrics in at the chunk boundary
                 # (workers never touch the parent's registry directly)
