@@ -38,9 +38,9 @@ import math
 import random
 
 from bisect import bisect_right
-from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from itertools import chain
+from typing import Dict, List, Optional, Tuple
 
 from repro.congest.bfs import build_bfs_tree
 from repro.congest.ledger import RoundLedger
@@ -56,7 +56,7 @@ from repro.graphs.weighted_graph import Vertex, WeightedGraph
 from repro.mst.fragments import decompose_fragments
 from repro.mst.kruskal import edge_sort_key, kruskal_mst
 from repro.spanners.baswana_sen import baswana_sen_spanner
-from repro.spanners.elkin_neiman import elkin_neiman_spanner
+from repro.spanners.elkin_neiman import IndexRows, elkin_neiman_spanner
 from repro.traversal.euler_tour import EulerTour, compute_euler_tour
 
 
@@ -123,35 +123,29 @@ def _case2_clusters(
     ``index_stride`` (condition 2); x_0 is always a center.  Every vertex
     joins the cluster of the closest center at or before (one of) its
     appearances.  Returns (cluster_of, max interval hop length).
+
+    One sweep of the tour tracks the latest center: a vertex joins it at
+    its first appearance, so ``cluster_of`` lists the vertices in the
+    order of ``tour.appearances``.
     """
-    size = tour.size
-    centers: List[int] = []
-    for j in range(size):
-        if j == 0:
-            centers.append(j)
-            continue
-        if index_stride > 0 and j % index_stride == 0:
-            centers.append(j)
-            continue
+    cluster_of: Dict[Vertex, int] = {}
+    center = max_interval = 0
+    prev = 0.0
+    for j, (v, t) in enumerate(zip(tour.order, tour.times)):
         # condition 1: some integer s has R_{x_{j-1}} < s·εw_i <= R_{x_j};
         # the smallest candidate is floor(R_{x_{j-1}}/εw_i) + 1.  The slack
         # is relative so that scaling every weight cannot change the test.
-        s_min = math.floor(tour.times[j - 1] / eps_wi) + 1
-        if s_min * eps_wi <= tour.times[j] * (1.0 + 1e-12):
-            centers.append(j)
-
-    cluster_of: Dict[Vertex, int] = {}
-    import bisect
-
-    for v, positions in tour.appearances.items():
-        j = positions[0]
-        idx = bisect.bisect_right(centers, j) - 1
-        cluster_of[v] = centers[idx]
-
-    max_interval = 0
-    for a, b in zip(centers, centers[1:] + [size]):
-        max_interval = max(max_interval, b - a)
-    return cluster_of, max_interval
+        if j and (
+            (index_stride > 0 and j % index_stride == 0)
+            or (math.floor(prev / eps_wi) + 1) * eps_wi <= t * (1.0 + 1e-12)
+        ):
+            if j - center > max_interval:
+                max_interval = j - center
+            center = j
+        prev = t
+        if v not in cluster_of:
+            cluster_of[v] = center
+    return cluster_of, max(max_interval, tour.size - center)
 
 
 def _bucket_sweep(
@@ -198,7 +192,7 @@ def light_spanner(
     Parameters
     ----------
     k:
-        Stretch parameter (k >= 1).
+        Stretch parameter (an integer >= 1).
     eps:
         Bucket granularity, in (0, 1/2].
     rng:
@@ -209,11 +203,12 @@ def light_spanner(
     Raises
     ------
     ValueError
-        On invalid parameters, an empty or disconnected graph, or a
-        ``root`` that is not a vertex.
+        On invalid parameters (``k`` not an integer >= 1, ``eps`` outside
+        (0, 1/2]), an empty or disconnected graph, or a ``root`` that is
+        not a vertex.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    if not isinstance(k, int) or k < 1:
+        raise ValueError(f"k must be an integer >= 1, got {k!r}")
     if not 0 < eps <= 0.5:
         raise ValueError(f"eps must be in (0, 1/2], got {eps}")
     n = graph.n
@@ -288,36 +283,51 @@ def light_spanner(
             # centers declare themselves along their interval (§5 case 2)
             bucket_ledger.charge(f"bucket{i}:center-declaration", max_interval)
 
-        # cluster graph over E_i, with a lightest representative per pair
-        adjacency: Dict[int, Set[int]] = {}
+        # cluster graph over E_i in one pass: each cluster pair keeps its
+        # lightest representative (edge_sort_key breaks weight ties)
         representative: Dict[Tuple[int, int], Tuple[Vertex, Vertex, float]] = {}
-        for u, v, w in edges_i:
+        for edge in edges_i:
+            u, v, w = edge
             cu, cv = cluster_of[u], cluster_of[v]
             if cu == cv:
                 continue  # intra-cluster: the MST path inside covers it
-            a, b = (cu, cv) if cu <= cv else (cv, cu)
-            adjacency.setdefault(a, set()).add(b)
-            adjacency.setdefault(b, set()).add(a)
-            key = (a, b)
-            if key not in representative or edge_sort_key(u, v, w) < edge_sort_key(
-                *representative[key]
+            key = (cu, cv) if cu < cv else (cv, cu)
+            rep = representative.get(key)
+            if rep is None or w < rep[2] or (
+                w == rep[2] and edge_sort_key(u, v, w) < edge_sort_key(*rep)
             ):
-                representative[key] = (u, v, w)
-        # sorted: adjacency's insertion order feeds elkin_neiman_spanner's
-        # RNG consumption, so hash order must not leak into it
-        for c in sorted(set(cluster_of.values())):
-            adjacency.setdefault(c, set())
+                representative[key] = edge
+        # clusters are numbered in the order the edges first reach them,
+        # the smaller id of a pair first, then the ones no edge reaches in
+        # sorted order, so hash order cannot leak into the shifts
+        # elkin_neiman_spanner draws in that order
+        labels = list(dict.fromkeys(chain(
+            chain.from_iterable(representative), sorted(set(cluster_of.values()))
+        )))
+        number = {c: x for x, c in enumerate(labels)}
+        rows: List[List[int]] = [[] for _ in labels]
+        for a, b in representative:
+            x, y = number[a], number[b]
+            rows[x].append(y)
+            rows[y].append(x)
 
-        num_clusters = len(adjacency)
-        run = elkin_neiman_spanner(adjacency, k, rng)
+        num_clusters = len(labels)
+        run = elkin_neiman_spanner(IndexRows(labels, rows), k, rng)
 
-        added = 0
+        # add each selected pair's representative, counting the spanner
+        # edges at every cluster for case 2's edge collection
+        at_cluster: Dict[int, int] = {}
         for edge in run.edges:
             a, b = edge
-            u, v, w = representative[(a, b) if a < b else (b, a)]
+            if a > b:
+                a, b = b, a
+            u, v, w = representative[a, b]
             if not spanner.has_edge(u, v):
                 spanner.add_edge(u, v, w)
-            added += 1
+            at_cluster[a] = at_cluster.get(a, 0) + 1
+            at_cluster[b] = at_cluster.get(b, 0) + 1
+        added = len(run.edges)
+        per_cluster = max(at_cluster.values(), default=0)
 
         # --- round accounting for the k-round simulation ---
         if case == 1:
@@ -346,9 +356,6 @@ def light_spanner(
                     local_phase_rounds(max_interval),
                 )
             # w.h.p. O(n^{1/k} log n) spanner edges per cluster (§5 case 2)
-            per_cluster = max(
-                Counter(c for edge in run.edges for c in edge).values(), default=0
-            )
             bucket_ledger.charge(
                 f"bucket{i}:edge-collection",
                 local_phase_rounds(max_interval) + per_cluster,

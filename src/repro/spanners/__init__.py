@@ -8,13 +8,15 @@
   the §5 construction (O(k) rounds).
 * :func:`~repro.spanners.elkin_neiman.elkin_neiman_spanner` — the [EN17b]
   unweighted spanner (exponential shifts, k max-propagation rounds) that
-  §5 simulates over its cluster graphs.
+  §5 simulates over its cluster graphs, given as a ``Mapping`` or as
+  :class:`~repro.spanners.elkin_neiman.IndexRows`.
 """
 
 from repro.spanners.greedy import greedy_spanner
 from repro.spanners.baswana_sen import baswana_sen_spanner
 from repro.spanners.elkin_neiman import (
     ElkinNeimanRun,
+    IndexRows,
     elkin_neiman_spanner,
     sample_shifts,
 )
@@ -24,5 +26,6 @@ __all__ = [
     "baswana_sen_spanner",
     "elkin_neiman_spanner",
     "ElkinNeimanRun",
+    "IndexRows",
     "sample_shifts",
 ]

@@ -25,7 +25,8 @@ import random
 
 from dataclasses import dataclass, field
 from typing import (
-    Dict, FrozenSet, Hashable, Iterable, List, Mapping, Optional, Set, Tuple,
+    Dict, FrozenSet, Hashable, Iterable, List, Mapping, NamedTuple, Optional,
+    Set, Tuple, Union,
 )
 
 from repro.determinism import ensure_rng
@@ -77,8 +78,35 @@ class ElkinNeimanRun:
     messages_per_round: List[int] = field(default_factory=list)
 
 
+class IndexRows(NamedTuple):
+    """An undirected graph as index rows: node ``i`` is ``labels[i]`` and
+    ``rows[i]`` lists the indices of its neighbours, each once, in any
+    order, so ``j`` is in ``rows[i]`` exactly when ``i`` is in
+    ``rows[j]``."""
+
+    labels: List[Node]
+    rows: List[List[int]]
+
+
+def _index_rows(adjacency: Mapping[Node, Iterable[Node]]) -> IndexRows:
+    """``adjacency`` as index rows, nodes numbered in key order.
+
+    Row ``j`` lists the nodes whose sets hold node ``j``: its neighbours
+    when the adjacency is symmetric, and otherwise the nodes that hear
+    from it, so node ``x`` still hears from exactly the nodes in its own
+    set.
+    """
+    labels = list(adjacency)
+    index = {x: i for i, x in enumerate(labels)}
+    rows: List[List[int]] = [[] for _ in labels]
+    for i, x in enumerate(labels):
+        for y in adjacency[x]:
+            rows[index[y]].append(i)
+    return IndexRows(labels, rows)
+
+
 def elkin_neiman_spanner(
-    adjacency: Mapping[Node, Set[Node]],
+    adjacency: Union[Mapping[Node, Set[Node]], IndexRows],
     k: int,
     rng: Optional[random.Random] = None,
     beta: Optional[float] = None,
@@ -89,9 +117,12 @@ def elkin_neiman_spanner(
     Parameters
     ----------
     adjacency:
-        Node → set of neighbours (symmetric).
+        Node → set of neighbours (symmetric), or the graph as
+        :class:`IndexRows`; a ``Mapping``'s nodes are numbered in key
+        order.
     k:
-        Stretch parameter; the result is a (2k−1)-spanner.
+        Stretch parameter (an integer >= 1); the result is a
+        (2k−1)-spanner.
     rng:
         Random source (fresh one if omitted); ignored when ``shifts`` given.
     shifts:
@@ -102,44 +133,42 @@ def elkin_neiman_spanner(
     -------
     ElkinNeimanRun
         Spanner edges and instrumentation.
-    """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    rng = ensure_rng(rng)
-    nodes = list(adjacency)
-    if shifts is None:
-        shifts = sample_shifts(nodes, k, rng, beta)
 
-    # --- indexed CSR fast path: relabel nodes to 0..n-1 once and run the
-    # k propagation rounds over flat arrays.  Every node sends its current
-    # (source, value) to every neighbour each round, so a node's inbox is
-    # exactly its neighbours' previous outputs — no inbox materialisation.
-    # The old dict implementation sorted each inbox by ``repr(sender)``
-    # to break value ties; sorting each neighbour row once by that same
-    # key preserves the tie-break (first strict maximum wins) while
-    # moving the per-round scans to integer-indexed lists.
-    n_nodes = len(nodes)
-    node_index = {x: i for i, x in enumerate(nodes)}
-    reprs = [repr(x) for x in nodes]
-    repr_rank: List[int] = [0] * n_nodes
-    for r, i in enumerate(sorted(range(n_nodes), key=reprs.__getitem__)):
-        repr_rank[i] = r
-    indptr: List[int] = [0] * (n_nodes + 1)
-    indices: List[int] = []
-    for i, x in enumerate(nodes):
-        row = [node_index[nbr] for nbr in adjacency[x]]
-        if len(row) > 1:
-            row.sort(key=repr_rank.__getitem__)
-        indices += row
-        indptr[i + 1] = len(indices)
-    total = len(indices)
-    # a node with an empty row receives nothing: its m, source and best
-    # never change and its output stays the round-0 message, so the
-    # rounds and the edge selection visit only the linked nodes
-    linked = [x for x in range(n_nodes) if indptr[x] < indptr[x + 1]]
+    Raises
+    ------
+    ValueError
+        If ``k`` is not an integer >= 1.
+    """
+    if not isinstance(k, int) or k < 1:
+        raise ValueError(f"k must be an integer >= 1, got {k!r}")
+    rng = ensure_rng(rng)
+    labels, rows = (
+        adjacency if isinstance(adjacency, IndexRows) else _index_rows(adjacency)
+    )
+    if shifts is None:
+        shifts = sample_shifts(labels, k, rng, beta)
+
+    # The k propagation rounds run over integer-indexed lists.  Every node
+    # sends its current (source, value) to every neighbour each round, so
+    # a node's inbox is exactly its neighbours' previous outputs — no
+    # inbox materialisation.  Value ties go to the first sender in the
+    # order of the senders' label reprs (the first strict maximum wins):
+    # one pass over the rows in that order lists each node's senders
+    # sorted, with no sort per row.
+    n_nodes = len(labels)
+    reprs = list(map(repr, labels))
+    heard: List[List[int]] = [[] for _ in labels]
+    for y in sorted(range(n_nodes), key=reprs.__getitem__):
+        for x in rows[y]:
+            heard[x].append(y)
+    total = sum(map(len, heard))
+    # a node that hears nothing keeps its m, source and best, and its
+    # output stays the round-0 message, so the rounds and the edge
+    # selection visit only the linked nodes
+    linked = [(x, senders) for x, senders in enumerate(heard) if senders]
 
     # m[x]: best shifted value seen; best[x][y] = (value, delivering neighbour)
-    m: List[float] = [shifts[x] for x in nodes]
+    m: List[float] = [shifts[x] for x in labels]
     source: List[int] = list(range(n_nodes))
     best: List[Dict[int, Tuple[float, int]]] = [{} for _ in range(n_nodes)]
     # round-0 messages: (s(x), m(x) - 1) to every neighbour
@@ -151,11 +180,11 @@ def elkin_neiman_spanner(
         messages_per_round.append(total)
         new_src = list(out_src)
         new_val = list(out_val)
-        for x in linked:
+        for x, senders in linked:
             bx = best[x]
             mx = m[x]
             sx = source[x]
-            for sender in indices[indptr[x]:indptr[x + 1]]:
+            for sender in senders:
                 src = out_src[sender]
                 val = out_val[sender]
                 cur = bx.get(src)
@@ -172,13 +201,12 @@ def elkin_neiman_spanner(
         out_val = new_val
 
     edges: Set[FrozenSet[Node]] = set()
-    for x in linked:
+    for x, _senders in linked:
         mx_cut = m[x] - 1
+        label = labels[x]
         for src, (val, sender) in best[x].items():
-            if src == x:
-                continue
-            if val >= mx_cut:
-                edges.add(frozenset((nodes[x], nodes[sender])))
+            if src != x and val >= mx_cut:
+                edges.add(frozenset((label, labels[sender])))
     return ElkinNeimanRun(
         edges=edges, shifts=shifts, rounds=k, messages_per_round=messages_per_round
     )

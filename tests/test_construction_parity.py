@@ -20,8 +20,9 @@ frozen view; ``TestBFSTreeCache`` states that cache's contract.
 The MST and SPT inputs are seeded ER graphs with integer, all-equal and
 rescaled (×1e-6, ×1e6) weights, string, mixed int/str and shuffled
 vertex labels; the SPTs run at ε ∈ {0, 0.1, 0.5, 1}.  The Elkin–Neiman
-inputs are the cluster graphs ``light_spanner`` builds, random
-adjacencies with isolated nodes and an asymmetric adjacency.  String
+inputs are the cluster graphs ``light_spanner`` builds (as the index rows
+it hands over and as a Mapping), random adjacencies with isolated nodes
+(also as index rows in shuffled order) and an asymmetric adjacency.  String
 labels make edge sets iterate in hash order, so every comparison is
 made within one process.
 """
@@ -51,7 +52,7 @@ from repro.graphs.csr import CSRGraph, round_up_weight
 from repro.graphs.weighted_graph import canonical_edge
 from repro.lelists.le_lists import _rounded_graph
 from repro.mst import kruskal_mst
-from repro.spanners import elkin_neiman_spanner, sample_shifts
+from repro.spanners import IndexRows, elkin_neiman_spanner, sample_shifts
 from repro.spt import approx_spt
 from repro.spt.approx_spt import bkkl_round_cost
 from repro.spt.tree import SPTree
@@ -354,10 +355,28 @@ def _random_adjacency(seed: int) -> Dict[Node, Set[Node]]:
     return adjacency
 
 
-def _cluster_graphs() -> List[Tuple[Dict[Node, Set[Node]], int, object]]:
-    """Every (adjacency, k, rng state) ``light_spanner`` hands to
+def _as_mapping(graph: IndexRows) -> Dict[Node, Set[Node]]:
+    """The index rows as a Mapping: labels in index order, each row a set
+    of labels."""
+    labels, rows = graph
+    return {labels[x]: {labels[y] for y in row} for x, row in enumerate(rows)}
+
+
+def _shuffled_rows(adjacency: Mapping[Node, Set[Node]], seed: int) -> IndexRows:
+    """``adjacency`` as index rows, nodes in key order, each row shuffled."""
+    labels = list(adjacency)
+    index = {x: i for i, x in enumerate(labels)}
+    rows = [[index[y] for y in adjacency[x]] for x in labels]
+    rng = random.Random(seed)
+    for row in rows:
+        rng.shuffle(row)
+    return IndexRows(labels, rows)
+
+
+def _cluster_graphs() -> List[Tuple[IndexRows, int, object]]:
+    """Every (cluster graph, k, rng state) ``light_spanner`` hands to
     ``elkin_neiman_spanner`` on three inputs at k = 2 and 3."""
-    calls: List[Tuple[Dict[Node, Set[Node]], int, object]] = []
+    calls: List[Tuple[IndexRows, int, object]] = []
     # the package re-exports the function under the module's name
     light_module = importlib.import_module("repro.core.light_spanner")
     original = light_module.elkin_neiman_spanner
@@ -417,26 +436,32 @@ class TestElkinNeimanParity:
     def test_light_spanner_cluster_graphs_equal_reference(self):
         calls = _cluster_graphs()
         assert len(calls) > 20
-        isolated = sum(1 for adj, _k, _s in calls for row in adj.values() if not row)
+        assert all(isinstance(graph, IndexRows) for graph, _k, _s in calls)
+        isolated = sum(1 for graph, _k, _s in calls for row in graph.rows if not row)
         assert isolated > 0
-        for adjacency, k, state in calls:
-            rng_ref, rng_new = random.Random(0), random.Random(0)
+        for graph, k, state in calls:
+            adjacency = _as_mapping(graph)
+            rng_ref = random.Random(0)
             rng_ref.setstate(state)
-            rng_new.setstate(state)
             want = _run_snapshot(
                 _ref_elkin_neiman_spanner(adjacency, k, rng_ref), rng_ref)
-            got = _run_snapshot(elkin_neiman_spanner(adjacency, k, rng_new), rng_new)
-            assert got == want
+            for arg in (graph, adjacency):
+                rng_new = random.Random(0)
+                rng_new.setstate(state)
+                got = _run_snapshot(elkin_neiman_spanner(arg, k, rng_new), rng_new)
+                assert got == want
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     @pytest.mark.parametrize("seed", range(15))
     def test_random_adjacency_equals_reference(self, seed, k):
         adjacency = _random_adjacency(seed)
-        want_rng, got_rng = random.Random(seed), random.Random(seed)
+        want_rng = random.Random(seed)
         want = _run_snapshot(
             _ref_elkin_neiman_spanner(adjacency, k, want_rng), want_rng)
-        got = _run_snapshot(elkin_neiman_spanner(adjacency, k, got_rng), got_rng)
-        assert got == want
+        for arg in (adjacency, _shuffled_rows(adjacency, seed)):
+            got_rng = random.Random(seed)
+            got = _run_snapshot(elkin_neiman_spanner(arg, k, got_rng), got_rng)
+            assert got == want
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_asymmetric_adjacency_equals_reference(self, k):
