@@ -55,15 +55,21 @@ def baswana_sen_spanner(
         The input graph — a :class:`WeightedGraph` (frozen internally) or
         an already-frozen :class:`CSRGraph`.
     k:
-        Stretch parameter (k >= 1); k = 1 returns the graph itself.
+        Stretch parameter (an integer >= 1); k = 1 returns the graph
+        itself.
     rng:
         Random source (fresh unseeded one if omitted).
     ledger:
         Optional round ledger; charged ``3k`` rounds (the O(k) CONGEST
         cost with the library's fixed constant).
+
+    Raises
+    ------
+    ValueError
+        If ``k`` is not an integer >= 1.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    if not isinstance(k, int) or k < 1:
+        raise ValueError(f"k must be an integer >= 1, got {k!r}")
     if ledger is not None:
         ledger.charge("baswana-sen", _ROUNDS_PER_PHASE * k)
     csr = graph.freeze() if isinstance(graph, WeightedGraph) else graph

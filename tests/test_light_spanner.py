@@ -136,9 +136,10 @@ class TestRounds:
 
 
 class TestValidation:
-    def test_invalid_k(self, small_er):
-        with pytest.raises(ValueError):
-            light_spanner(small_er, 0, 0.25)
+    @pytest.mark.parametrize("k", [0, 2.5, 2.0])
+    def test_invalid_k(self, small_er, k):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            light_spanner(small_er, k, 0.25)
 
     @pytest.mark.parametrize("eps", [0.0, 0.75, 1.5])
     def test_invalid_eps(self, small_er, eps):

@@ -85,9 +85,10 @@ class TestBaswanaSen:
         baswana_sen_spanner(small_er, 3, random.Random(1), ledger=led)
         assert led.by_phase()["baswana-sen"] == 9  # 3k
 
-    def test_invalid_k(self, small_er):
-        with pytest.raises(ValueError):
-            baswana_sen_spanner(small_er, 0)
+    @pytest.mark.parametrize("k", [0, 2.5, 2.0])
+    def test_invalid_k(self, small_er, k):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            baswana_sen_spanner(small_er, k)
 
     def test_spans_all_vertices(self, heavy_ring):
         h = baswana_sen_spanner(heavy_ring, 2, random.Random(2))
@@ -173,9 +174,10 @@ class TestElkinNeiman:
             a, b = tuple(e)
             assert b in adj[a]
 
-    def test_invalid_k(self, small_er):
-        with pytest.raises(ValueError):
-            elkin_neiman_spanner(_unweighted_adjacency(small_er), 0)
+    @pytest.mark.parametrize("k", [0, 2.5, 2.0])
+    def test_invalid_k(self, small_er, k):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            elkin_neiman_spanner(_unweighted_adjacency(small_er), k)
 
     def test_single_node_graph(self):
         run = elkin_neiman_spanner({0: set()}, 2, random.Random(0))
