@@ -31,6 +31,8 @@ if TYPE_CHECKING:
 Vertex = Hashable
 Edge = Tuple[Vertex, Vertex]
 
+_INF = float("inf")
+
 
 #: Types whose ``<=`` is a genuine total order.  The fast path is
 #: restricted to exactly these: containers can embed partially-ordered
@@ -64,7 +66,7 @@ def canonical_edge(u: Vertex, v: Vertex) -> Edge:
 
 
 class WeightedGraph:
-    """An undirected graph with positive edge weights.
+    """An undirected graph with positive, finite edge weights.
 
     Parameters
     ----------
@@ -75,9 +77,10 @@ class WeightedGraph:
     Notes
     -----
     Vertices may be any hashable object; the generators in this package use
-    integers ``0..n-1``.  Weights must be positive; the paper assumes
-    weights in ``[1, poly(n)]`` but the data structure does not enforce an
-    upper bound.
+    integers ``0..n-1``.  Weights must be positive and finite (NaN and
+    infinity are rejected where an edge is added); the paper assumes
+    weights in ``[1, poly(n)]`` but the data structure does not enforce a
+    finite upper bound.
     """
 
     __slots__ = ("_adj", "_csr_cache")
@@ -104,14 +107,23 @@ class WeightedGraph:
         Raises
         ------
         ValueError
-            If ``u == v`` (self-loop) or ``weight <= 0``.
+            If ``u == v`` (self-loop) or ``weight`` is not a positive
+            finite number (``weight <= 0``, NaN or infinite).
         """
         if u == v:
             raise ValueError(f"self-loops are not allowed: {u!r}")
-        if weight <= 0:
-            raise ValueError(f"edge weights must be positive, got {weight!r}")
-        self._adj.setdefault(u, {})[v] = float(weight)
-        self._adj.setdefault(v, {})[u] = float(weight)
+        if not 0 < weight < _INF:  # also false for NaN
+            raise ValueError(f"edge weights must be positive and finite, got {weight!r}")
+        weight = float(weight)
+        adj = self._adj
+        try:
+            adj[u][v] = weight
+        except KeyError:
+            adj[u] = {v: weight}
+        try:
+            adj[v][u] = weight
+        except KeyError:
+            adj[v] = {u: weight}
         self._csr_cache = None
 
     def remove_edge(self, u: Vertex, v: Vertex) -> None:

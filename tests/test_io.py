@@ -81,6 +81,13 @@ class TestEdgeList:
         with pytest.raises(ValueError):
             graph_io.read_edge_list(path)
 
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-inf", "0"])
+    def test_nonfinite_or_nonpositive_weight_raises(self, tmp_path, weight):
+        path = tmp_path / "g.txt"
+        path.write_text(f"0 1 2.0\n1 2 {weight}\n")
+        with pytest.raises(ValueError, match="positive and finite"):
+            graph_io.read_edge_list(path)
+
 
 class TestJson:
     def test_roundtrip(self, tmp_path, small_er):

@@ -44,6 +44,10 @@ class TestConstruction:
             g.add_edge(0, 1, 0.0)
         with pytest.raises(ValueError):
             g.add_edge(0, 1, -2.0)
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match=repr(bad)):
+                g.add_edge(0, 1, bad)
+        assert g.m == 0 and g.n == 0
 
     def test_initial_vertices(self):
         g = WeightedGraph(range(5))
