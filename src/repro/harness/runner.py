@@ -48,6 +48,7 @@ from repro.harness.queries import QUERY_MIXES, run_query_workload
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.mst import boruvka_mst, kruskal_mst
+from repro.mst.kruskal import mst_weight
 from repro.spanners import baswana_sen_spanner, elkin_neiman_spanner, greedy_spanner
 from repro.spt import approx_spt
 from repro.traversal import compute_euler_tour
@@ -94,10 +95,23 @@ def _spanner_cert_kwargs(params: Params) -> Dict[str, Any]:
     }
 
 
+def _light_spanner_lightness_bound(graph: WeightedGraph, res: Any) -> float:
+    """The lightness H cannot exceed by construction.
+
+    H is T plus the edges the buckets select, and each edge bucket b
+    selects weighs at most its cap, so w(H) <= w(T) + Σ_b spanner_edges_b
+    · weight_cap_b over every bucket, E′ included.
+    """
+    tree = mst_weight(graph)
+    selected = sum(b.spanner_edges * b.weight_cap for b in res.buckets)
+    return 1.0 + selected / tree if tree > 0 else 1.0
+
+
 def _certify_light_spanner(graph: WeightedGraph, res: Any, params: Params) -> QualityReport:
     return spanner_report(
-        graph, res.spanner, stretch_bound=res.stretch_bound, rounds=res.rounds,
-        **_spanner_cert_kwargs(params),
+        graph, res.spanner, stretch_bound=res.stretch_bound,
+        lightness_bound=_light_spanner_lightness_bound(graph, res),
+        rounds=res.rounds, **_spanner_cert_kwargs(params),
     )
 
 

@@ -92,6 +92,16 @@ class TestRunner:
         assert record.peak_memory_bytes > 0
         assert record.metrics, "certification produced no metrics"
 
+    @pytest.mark.parametrize("name", [
+        p.name for p in all_profiles() if p.algorithm == "light-spanner"])
+    def test_light_spanner_record_certifies_lightness(self, name):
+        """w(H) <= w(T) + Σ_b spanner_edges_b · weight_cap_b bounds every
+        light-spanner record's lightness row."""
+        row = run_profile(get_profile(name), "smoke").metrics["lightness"]
+        assert row["bound"] is not None, f"{name}: lightness row has no bound"
+        assert 1.0 <= row["measured"] <= row["bound"]
+        assert row["ok"]
+
     def test_rounds_deterministic_across_runs(self):
         p = get_profile("spanner-er")
         a = run_profile(p, "smoke")
