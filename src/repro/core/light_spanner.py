@@ -148,6 +148,42 @@ def _case2_clusters(
     return cluster_of, max(max_interval, tour.size - center)
 
 
+def _cluster_graph(
+    edges: List[Tuple[Vertex, Vertex, float]], cluster_of: Dict[Vertex, int]
+) -> Tuple[IndexRows, Dict[Tuple[int, int], Tuple[Vertex, Vertex, float]]]:
+    """The cluster graph over a bucket's edges, built in one pass, and
+    the lightest representative of each cluster pair ``(a, b)``, a < b.
+
+    Weights are compared first; ``edge_sort_key`` breaks a tie.  Clusters
+    are numbered in the order the pairs first reach them, the smaller id
+    of a pair first; the clusters no pair reaches follow in sorted order.
+    :func:`elkin_neiman_spanner` draws the shifts in that order, so hash
+    order cannot leak into them.
+    """
+    representative: Dict[Tuple[int, int], Tuple[Vertex, Vertex, float]] = {}
+    for edge in edges:
+        u, v, w = edge
+        cu, cv = cluster_of[u], cluster_of[v]
+        if cu == cv:
+            continue  # intra-cluster: the MST path inside covers it
+        key = (cu, cv) if cu < cv else (cv, cu)
+        rep = representative.get(key)
+        if rep is None or w < rep[2] or (
+            w == rep[2] and edge_sort_key(u, v, w) < edge_sort_key(*rep)
+        ):
+            representative[key] = edge
+    labels = list(dict.fromkeys(chain(
+        chain.from_iterable(representative), sorted(set(cluster_of.values()))
+    )))
+    number = {c: x for x, c in enumerate(labels)}
+    rows: List[List[int]] = [[] for _ in labels]
+    for a, b in representative:
+        x, y = number[a], number[b]
+        rows[x].append(y)
+        rows[y].append(x)
+    return IndexRows(labels, rows), representative
+
+
 def _bucket_sweep(
     csr: CSRGraph, big_l: float, n: int, eps: float
 ) -> Tuple[
@@ -283,36 +319,10 @@ def light_spanner(
             # centers declare themselves along their interval (§5 case 2)
             bucket_ledger.charge(f"bucket{i}:center-declaration", max_interval)
 
-        # cluster graph over E_i in one pass: each cluster pair keeps its
-        # lightest representative (edge_sort_key breaks weight ties)
-        representative: Dict[Tuple[int, int], Tuple[Vertex, Vertex, float]] = {}
-        for edge in edges_i:
-            u, v, w = edge
-            cu, cv = cluster_of[u], cluster_of[v]
-            if cu == cv:
-                continue  # intra-cluster: the MST path inside covers it
-            key = (cu, cv) if cu < cv else (cv, cu)
-            rep = representative.get(key)
-            if rep is None or w < rep[2] or (
-                w == rep[2] and edge_sort_key(u, v, w) < edge_sort_key(*rep)
-            ):
-                representative[key] = edge
-        # clusters are numbered in the order the edges first reach them,
-        # the smaller id of a pair first, then the ones no edge reaches in
-        # sorted order, so hash order cannot leak into the shifts
-        # elkin_neiman_spanner draws in that order
-        labels = list(dict.fromkeys(chain(
-            chain.from_iterable(representative), sorted(set(cluster_of.values()))
-        )))
-        number = {c: x for x, c in enumerate(labels)}
-        rows: List[List[int]] = [[] for _ in labels]
-        for a, b in representative:
-            x, y = number[a], number[b]
-            rows[x].append(y)
-            rows[y].append(x)
-
-        num_clusters = len(labels)
-        run = elkin_neiman_spanner(IndexRows(labels, rows), k, rng)
+        # the cluster graph G_i, with one E_i edge per cluster pair
+        graph_i, representative = _cluster_graph(edges_i, cluster_of)
+        num_clusters = len(graph_i.labels)
+        run = elkin_neiman_spanner(graph_i, k, rng)
 
         # add each selected pair's representative, counting the spanner
         # edges at every cluster for case 2's edge collection

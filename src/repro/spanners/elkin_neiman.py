@@ -149,23 +149,18 @@ def elkin_neiman_spanner(
         shifts = sample_shifts(labels, k, rng, beta)
 
     # The k propagation rounds run over integer-indexed lists.  Every node
-    # sends its current (source, value) to every neighbour each round, so
-    # a node's inbox is exactly its neighbours' previous outputs — no
-    # inbox materialisation.  Value ties go to the first sender in the
-    # order of the senders' label reprs (the first strict maximum wins):
-    # one pass over the rows in that order lists each node's senders
-    # sorted, with no sort per row.
+    # sends its current (source, value) to every neighbour each round;
+    # row y lists the nodes that hear y.  Value ties go to the first
+    # sender in the order of the senders' label reprs (the first strict
+    # maximum wins), so the senders deliver in that order.  A message
+    # that did not change since the last round changes nothing: every
+    # node that hears it already holds its value, in best and in m, and
+    # both only grow.  So after round 0 only the senders whose m rose
+    # deliver, and a node no one hears never does.
     n_nodes = len(labels)
     reprs = list(map(repr, labels))
-    heard: List[List[int]] = [[] for _ in labels]
-    for y in sorted(range(n_nodes), key=reprs.__getitem__):
-        for x in rows[y]:
-            heard[x].append(y)
-    total = sum(map(len, heard))
-    # a node that hears nothing keeps its m, source and best, and its
-    # output stays the round-0 message, so the rounds and the edge
-    # selection visit only the linked nodes
-    linked = [(x, senders) for x, senders in enumerate(heard) if senders]
+    senders = [y for y in sorted(range(n_nodes), key=reprs.__getitem__) if rows[y]]
+    total = sum(map(len, rows))
 
     # m[x]: best shifted value seen; best[x][y] = (value, delivering neighbour)
     m: List[float] = [shifts[x] for x in labels]
@@ -173,40 +168,37 @@ def elkin_neiman_spanner(
     best: List[Dict[int, Tuple[float, int]]] = [{} for _ in range(n_nodes)]
     # round-0 messages: (s(x), m(x) - 1) to every neighbour
     out_src: List[int] = list(range(n_nodes))
-    out_val: List[float] = [m[i] - 1 for i in range(n_nodes)]
+    out_val: List[float] = [mx - 1 for mx in m]
     messages_per_round: List[int] = []
 
+    changed = senders
     for _round in range(k):
         messages_per_round.append(total)
-        new_src = list(out_src)
-        new_val = list(out_val)
-        for x, senders in linked:
-            bx = best[x]
-            mx = m[x]
-            sx = source[x]
-            for sender in senders:
-                src = out_src[sender]
-                val = out_val[sender]
+        before = m[:]
+        for y in changed:
+            src = out_src[y]
+            val = out_val[y]
+            for x in rows[y]:
+                bx = best[x]
                 cur = bx.get(src)
                 if cur is None or val > cur[0]:
-                    bx[src] = (val, sender)
-                if val > mx:
-                    mx = val
-                    sx = src
-            m[x] = mx
-            source[x] = sx
-            new_src[x] = sx
-            new_val[x] = mx - 1
-        out_src = new_src
-        out_val = new_val
+                    bx[src] = (val, y)
+                if val > m[x]:
+                    m[x] = val
+                    source[x] = src
+        changed = [y for y in senders if m[y] != before[y]]
+        for y in changed:
+            out_src[y] = source[y]
+            out_val[y] = m[y] - 1
 
     edges: Set[FrozenSet[Node]] = set()
-    for x, _senders in linked:
-        mx_cut = m[x] - 1
-        label = labels[x]
-        for src, (val, sender) in best[x].items():
-            if src != x and val >= mx_cut:
-                edges.add(frozenset((label, labels[sender])))
+    for x, bx in enumerate(best):
+        if bx:
+            cut = m[x] - 1
+            label = labels[x]
+            for src, (val, sender) in bx.items():
+                if src != x and val >= cut:
+                    edges.add(frozenset((label, labels[sender])))
     return ElkinNeimanRun(
         edges=edges, shifts=shifts, rounds=k, messages_per_round=messages_per_round
     )

@@ -10,6 +10,11 @@ references below:
   (``WeightedGraph.reweighted``) and runs ``dijkstra`` on the copy;
 * ``_ref_elkin_neiman_spanner`` runs the k rounds over every node.
 
+``light_spanner``'s case-2 clustering and cluster graphs must equal
+``_ref_case2_clusters`` (a list of centers and a bisection per vertex)
+and ``_ref_cluster_graph`` (a dict of sets, ``edge_sort_key`` on every
+repeated pair), key order and representatives included.
+
 The rounded column and ``light_spanner``'s bucket sweep must agree bit
 for bit with ``_ref_round_up_weight`` (one ``math.log(w, 1+ε)`` and one
 power per weight) and ``_ref_bucket_sweep`` (``_ref_bucket_index`` per
@@ -43,7 +48,7 @@ import repro.congest.bfs as bfs_module
 from repro.congest import SyncNetwork, build_bfs_tree
 from repro.congest.ledger import RoundLedger
 from repro.core import doubling_spanner, light_spanner
-from repro.core.light_spanner import _bucket_sweep
+from repro.core.light_spanner import _bucket_sweep, _case2_clusters, _cluster_graph
 from repro.determinism import ensure_rng
 from repro.graphs import (
     WeightedGraph, dijkstra, erdos_renyi_graph, random_geometric_graph,
@@ -51,11 +56,13 @@ from repro.graphs import (
 from repro.graphs.csr import CSRGraph, round_up_weight
 from repro.graphs.weighted_graph import canonical_edge
 from repro.lelists.le_lists import _rounded_graph
-from repro.mst import kruskal_mst
+from repro.mst import decompose_fragments, kruskal_mst
+from repro.mst.kruskal import edge_sort_key
 from repro.spanners import IndexRows, elkin_neiman_spanner, sample_shifts
 from repro.spt import approx_spt
 from repro.spt.approx_spt import bkkl_round_cost
 from repro.spt.tree import SPTree
+from repro.traversal import EulerTour, compute_euler_tour
 
 Vertex = Hashable
 Node = Hashable
@@ -269,6 +276,56 @@ def _ref_elkin_neiman_spanner(
     )
 
 
+def _ref_case2_clusters(
+    tour: EulerTour, eps_wi: float, index_stride: int
+) -> Tuple[Dict[Vertex, int], int]:
+    size = tour.size
+    centers: List[int] = []
+    for j in range(size):
+        if j == 0:
+            centers.append(j)
+            continue
+        if index_stride > 0 and j % index_stride == 0:
+            centers.append(j)
+            continue
+        s_min = math.floor(tour.times[j - 1] / eps_wi) + 1
+        if s_min * eps_wi <= tour.times[j] * (1.0 + 1e-12):
+            centers.append(j)
+
+    cluster_of: Dict[Vertex, int] = {}
+    import bisect
+
+    for v, positions in tour.appearances.items():
+        j = positions[0]
+        idx = bisect.bisect_right(centers, j) - 1
+        cluster_of[v] = centers[idx]
+
+    max_interval = 0
+    for a, b in zip(centers, centers[1:] + [size]):
+        max_interval = max(max_interval, b - a)
+    return cluster_of, max_interval
+
+
+def _ref_cluster_graph(edges_i, cluster_of):
+    adjacency: Dict[int, Set[int]] = {}
+    representative: Dict[Tuple[int, int], Tuple[Vertex, Vertex, float]] = {}
+    for u, v, w in edges_i:
+        cu, cv = cluster_of[u], cluster_of[v]
+        if cu == cv:
+            continue
+        a, b = (cu, cv) if cu <= cv else (cv, cu)
+        adjacency.setdefault(a, set()).add(b)
+        adjacency.setdefault(b, set()).add(a)
+        key = (a, b)
+        if key not in representative or edge_sort_key(u, v, w) < edge_sort_key(
+            *representative[key]
+        ):
+            representative[key] = (u, v, w)
+    for c in sorted(set(cluster_of.values())):
+        adjacency.setdefault(c, set())
+    return adjacency, representative
+
+
 # ----------------------------------------------------------------- inputs
 
 def _relabelled(g: WeightedGraph, label) -> WeightedGraph:
@@ -430,6 +487,39 @@ class TestApproxSPTParity:
                 want = _ref_approx_spt(graph, root, eps, height, phase="p")
                 got = approx_spt(graph, root, eps, height, phase="p")
                 assert _spt_snapshot(got) == _spt_snapshot(want)
+
+
+def _tour(name: str) -> EulerTour:
+    graph = _graph(name)
+    root = min(graph.vertices(), key=repr)
+    mst = kruskal_mst(graph)
+    return compute_euler_tour(mst, root, decompose_fragments(mst, root))
+
+
+class TestBucketLoopParity:
+    @pytest.mark.parametrize("name", ["er-1", "strings-2", "mixed-3", "huge-4"])
+    def test_case2_clusters_equal_reference(self, name):
+        tour = _tour(name)
+        for parts in (0.5, 3, 7, 20, 60, 200):
+            for stride in (1, 4, 9, 10 ** 9):
+                eps_wi = tour.length / parts
+                want = _ref_case2_clusters(tour, eps_wi, stride)
+                got = _case2_clusters(tour, eps_wi, stride)
+                assert list(got[0].items()) == list(want[0].items())
+                assert got[1] == want[1]
+
+    @pytest.mark.parametrize("clusters", [2, 5, 12, 40])
+    @pytest.mark.parametrize("name", ["er-1", "int-2", "equal-3", "strings-4", "mixed-5"])
+    def test_cluster_graph_equals_reference(self, name, clusters):
+        graph = _graph(name)
+        rng = random.Random(clusters)
+        cluster_of = {v: rng.randrange(3 * clusters) for v in graph.vertices()}
+        edges = list(graph.freeze().edges())
+        want_adj, want_rep = _ref_cluster_graph(edges, cluster_of)
+        got, got_rep = _cluster_graph(edges, cluster_of)
+        assert isinstance(got, IndexRows)
+        assert list(_as_mapping(got).items()) == list(want_adj.items())
+        assert list(got_rep.items()) == list(want_rep.items())
 
 
 class TestElkinNeimanParity:
