@@ -77,7 +77,9 @@ def read_edge_list(path: PathLike) -> WeightedGraph:
     Raises
     ------
     ValueError
-        On malformed lines (wrong token count, non-numeric weight).
+        On malformed lines (wrong token count, non-numeric weight) and on
+        edges :meth:`WeightedGraph.add_edge` refuses (a self-loop, or a
+        weight that is not positive and finite), naming the line.
     """
     g = WeightedGraph()
     with open(path) as fh:
@@ -96,7 +98,10 @@ def read_edge_list(path: PathLike) -> WeightedGraph:
                     raise ValueError(
                         f"{path}:{lineno}: bad weight {w!r}"
                     ) from exc
-                g.add_edge(_parse_token(u), _parse_token(v), weight)
+                try:
+                    g.add_edge(_parse_token(u), _parse_token(v), weight)
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from exc
             else:
                 raise ValueError(
                     f"{path}:{lineno}: expected 'u v w' or 'v', got {line!r}"

@@ -85,7 +85,7 @@ class TestEdgeList:
     def test_nonfinite_or_nonpositive_weight_raises(self, tmp_path, weight):
         path = tmp_path / "g.txt"
         path.write_text(f"0 1 2.0\n1 2 {weight}\n")
-        with pytest.raises(ValueError, match="positive and finite"):
+        with pytest.raises(ValueError, match=r"g\.txt:2: .*positive and finite"):
             graph_io.read_edge_list(path)
 
 
