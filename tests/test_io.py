@@ -1,5 +1,7 @@
 """Tests for graph serialization."""
 
+import re
+
 import pytest
 
 from repro import io as graph_io
@@ -75,17 +77,11 @@ class TestEdgeList:
         with pytest.raises(ValueError):
             graph_io.read_edge_list(path)
 
-    def test_bad_weight_raises(self, tmp_path):
-        path = tmp_path / "g.txt"
-        path.write_text("0 1 heavy\n")
-        with pytest.raises(ValueError):
-            graph_io.read_edge_list(path)
-
-    @pytest.mark.parametrize("weight", ["nan", "inf", "-inf", "0"])
-    def test_nonfinite_or_nonpositive_weight_raises(self, tmp_path, weight):
+    @pytest.mark.parametrize("weight", ["heavy", "nan", "inf", "-inf", "0"])
+    def test_bad_weight_raises(self, tmp_path, weight):
         path = tmp_path / "g.txt"
         path.write_text(f"0 1 2.0\n1 2 {weight}\n")
-        with pytest.raises(ValueError, match=r"g\.txt:2: .*positive and finite"):
+        with pytest.raises(ValueError, match=rf"g\.txt:2: .*{re.escape(weight)}"):
             graph_io.read_edge_list(path)
 
 
