@@ -30,8 +30,8 @@ a fresh copy of the input: the BFS tree τ (a first call, and a second
 call on the same graph, both after the graph is frozen), the Euler tour
 of the MST, the ε=1 rounded column the SLT's first SPT relaxes, and the
 light spanner's bucket sweep at ε=0.25.  A side without
-``_bucket_sweep`` runs the one-pass sweep as :data:`PREVIOUS_COMMIT`
-wrote it inline, with that side's own ``_bucket_index``.
+``_bucket_sweep`` runs the one-pass sweep as commit 7a92ec3 wrote it
+inline, with that side's own ``_bucket_index``.
 
 Four sides run this same script in child processes, each child one run
 of every case, and the sides take turns for :data:`RUNS` rounds: the
@@ -40,10 +40,9 @@ commit before the round charges went linear), the parent on an export of
 :data:`PARENT_COMMIT` (the commit before Kruskal ran over index arrays
 once per frozen graph, the SPTs relaxed the cached rounded column and
 Elkin–Neiman skipped clusters without a neighbour), the previous side on
-an export of :data:`PREVIOUS_COMMIT` (the commit before τ was kept on
-the frozen view, the tour walked once, the column took one logarithm
-per slot and the sweep one bisection per edge), and the change on the
-checkout this script sits in.  Every case's edge and ledger digests
+an export of :data:`PREVIOUS_COMMIT` (the commit before each bucket's
+cluster graph went to Elkin–Neiman as index rows), and the change on
+the checkout this script sits in.  Every case's edge and ledger digests
 must be equal on all four sides, the light spanner must clear
 :data:`REQUIRED_SPEEDUP` over the baseline at the largest size and its
 change-side slope must stay at or below :data:`MAX_SLOPE`, and the SLT
@@ -90,9 +89,9 @@ JSON_PATH = HERE / "BENCH_light_speedup.json"
 BASELINE_COMMIT = "03979ab"
 #: the commit before the §4/§5 building blocks did each piece of work once
 PARENT_COMMIT = "dd2fd5a"
-#: the commit before τ, the tour walk, the rounded column and the bucket
-#: sweep did their work once (reported, not gated)
-PREVIOUS_COMMIT = "7a92ec3"
+#: the commit before each bucket's cluster graph went to Elkin–Neiman as
+#: index rows (reported, not gated)
+PREVIOUS_COMMIT = "ede63f4"
 #: input sizes n of ER(n, 10/n); timed runs per size.  The sides take
 #: turns, one child process per side and run, so a slow spell lands on
 #: every side alike, and the fastest run is reported: a shared machine's
@@ -201,7 +200,7 @@ def _digests(outputs: List[Tuple[Any, Any]]) -> Dict[str, str]:
 
 def _sweep(csr: Any, big_l: float, n: int, eps: float) -> Any:
     """This side's light-spanner bucket sweep; a side that ran it inline
-    runs the one-pass loop of :data:`PREVIOUS_COMMIT` with its own
+    runs the one-pass loop of commit 7a92ec3 with its own
     ``_bucket_index``."""
     # repro.core exports the function light_spanner under the module's name
     light = importlib.import_module("repro.core.light_spanner")
