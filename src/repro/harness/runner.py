@@ -102,9 +102,9 @@ def _light_spanner_lightness_bound(graph: WeightedGraph, res: Any) -> float:
     selects weighs at most its cap, so w(H) <= w(T) + Σ_b spanner_edges_b
     · weight_cap_b over every bucket, E′ included.
     """
-    tree = mst_weight(graph)
+    tree_weight = mst_weight(graph)
     selected = sum(b.spanner_edges * b.weight_cap for b in res.buckets)
-    return 1.0 + selected / tree if tree > 0 else 1.0
+    return 1.0 + selected / tree_weight if tree_weight > 0 else 1.0
 
 
 def _certify_light_spanner(graph: WeightedGraph, res: Any, params: Params) -> QualityReport:
