@@ -103,7 +103,7 @@ def _light_spanner_lightness_bound(graph: WeightedGraph, res: Any) -> float:
     · weight_cap_b over every bucket, E′ included.
     """
     tree_weight = mst_weight(graph)
-    selected = sum(b.spanner_edges * b.weight_cap for b in res.buckets)
+    selected: float = sum(b.spanner_edges * b.weight_cap for b in res.buckets)
     return 1.0 + selected / tree_weight if tree_weight > 0 else 1.0
 
 

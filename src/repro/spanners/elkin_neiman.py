@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass, field
 from typing import (
     Dict, FrozenSet, Hashable, Iterable, List, Mapping, NamedTuple, Optional,
-    Set, Tuple, Union,
+    Sequence, Set, Tuple, Union,
 )
 
 from repro.determinism import ensure_rng
@@ -84,8 +84,8 @@ class IndexRows(NamedTuple):
     order, so ``j`` is in ``rows[i]`` exactly when ``i`` is in
     ``rows[j]``."""
 
-    labels: List[Node]
-    rows: List[List[int]]
+    labels: Sequence[Node]
+    rows: Sequence[Sequence[int]]
 
 
 def _index_rows(adjacency: Mapping[Node, Iterable[Node]]) -> IndexRows:
