@@ -36,7 +36,7 @@ asserts exactly that against such a reference loop.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Hashable, Iterator, Mapping, Tuple
+from typing import Any, Callable, Dict, Hashable, Mapping, Optional, Tuple
 
 Vertex = Hashable
 
@@ -56,7 +56,9 @@ class NodeView:
         self._neighbors: Tuple[Vertex, ...] = tuple(incident)
         self.state: Dict[str, Any] = {}
         self._wake = False
-        self._network = None  # set by SyncNetwork; exposes the round counter
+        # a weak reference to the SyncNetwork, set by it; exposes the
+        # round counter
+        self._network: Optional[Callable[[], Any]] = None
 
     @property
     def neighbors(self) -> Tuple[Vertex, ...]:
@@ -70,10 +72,6 @@ class NodeView:
     def edge_weight(self, neighbor: Vertex) -> float:
         """Weight of the incident edge to ``neighbor``."""
         return self._incident[neighbor]
-
-    def incident_edges(self) -> Iterator[Tuple[Vertex, float]]:
-        """Iterate over ``(neighbor, weight)`` pairs."""
-        return iter(self._incident.items())
 
     @property
     def degree(self) -> int:
@@ -89,7 +87,8 @@ class NodeView:
         *must* use this rather than counting its own ``step``
         invocations (sleeping rounds are not delivered).
         """
-        return self._network.rounds_executed if self._network is not None else 0
+        network = self._network() if self._network is not None else None
+        return network.rounds_executed if network is not None else 0
 
     def request_wake(self) -> None:
         """Ask to be stepped next round even if no mail arrives.

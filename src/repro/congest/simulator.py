@@ -27,6 +27,7 @@ message for message.
 
 from __future__ import annotations
 
+import weakref
 from typing import Any, Dict, Hashable, List, Union
 
 from repro.congest.algorithm import CongestAlgorithm, NodeView
@@ -143,8 +144,11 @@ class SyncNetwork:
         self._view_list: List[NodeView] = [
             NodeView(v, dict(graph.neighbor_items(v))) for v in self._verts
         ]
+        # weak: a view that held its network would make every network a
+        # reference cycle, alive until the cycle collector runs
+        network = weakref.ref(self)
         for view in self._view_list:
-            view._network = self
+            view._network = network
         self._views: Dict[Vertex, NodeView] = {
             v: view for v, view in zip(self._verts, self._view_list)
         }

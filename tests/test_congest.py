@@ -1,5 +1,8 @@
 """Tests for the CONGEST simulator, BFS, primitives and ledger."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.congest import (
@@ -307,6 +310,25 @@ class TestBFS:
         g.add_edge(0, 1, 1.0)
         with pytest.raises(ValueError):
             build_bfs_tree(g, 0)
+
+
+    def test_network_freed_without_the_cycle_collector(self):
+        # the views hold their network weakly, so no reference cycle
+        # keeps a finished network alive until a collection
+        g = grid_graph(4, 4)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            net = SyncNetwork(g)
+            build_bfs_tree(g, 0, network=net)
+            view = net.view(5)
+            alive = weakref.ref(net)
+            del net
+            assert alive() is None
+            assert view.round == 0
+        finally:
+            if was_enabled:
+                gc.enable()
 
 
 class TestPrimitives:
