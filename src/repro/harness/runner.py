@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import random
-import time
 import tracemalloc
 from collections import Counter
 from dataclasses import dataclass
@@ -722,17 +721,11 @@ def run_profile(
     The construction is wall-clock-timed with :mod:`tracemalloc` *off*
     (tracing slows allocation-heavy Python severalfold and would
     misrepresent real speed); when ``measure_memory`` is set the
-    construction is then re-run — same seed, so the same work — under
-    tracing to sample peak memory.  Pass ``measure_memory=False``
-    (``--no-mem``) to skip the second pass on expensive tiers; the
-    record's ``peak_memory_bytes`` is then ``null``.
-
-    The second pass runs on the same graph object, so it finds what the
-    timed pass left on the frozen view: the MST (``kruskal_mst``) and
-    the BFS tree τ of every root that ``build_bfs_tree`` was asked for
-    without a network.  Its peak excludes building them, and a change
-    that caches more can lower ``peak_memory_bytes``, which
-    ``compare_reports`` counts as an improvement, not a regression.
+    construction is then re-run — same seed, on a copy of the graph made
+    before tracing starts, so the same work — under tracing to sample
+    peak memory.  Pass ``measure_memory=False`` (``--no-mem``) to skip
+    the second pass on expensive tiers; the record's
+    ``peak_memory_bytes`` is then ``null``.
 
     ``certify_workers`` / ``certify_sample`` tune the bounded-radius
     stretch-certification engine for spanner-certified profiles (process
@@ -804,11 +797,14 @@ def run_profile(
         peak_memory: Optional[int] = None
         if measure_memory:
             with obs_trace.span("harness.memory"):
+                # a fresh copy: nothing the timed pass cached on the
+                # frozen view (MST, BFS trees) is reused
+                fresh = graph.copy()
                 tracemalloc_was_tracing = tracemalloc.is_tracing()
                 if not tracemalloc_was_tracing:
                     tracemalloc.start()
                 tracemalloc.reset_peak()
-                build(graph, params, random.Random(profile.seed))
+                build(fresh, params, random.Random(profile.seed))
                 _, peak_memory = tracemalloc.get_traced_memory()
                 if not tracemalloc_was_tracing:
                     tracemalloc.stop()
@@ -865,7 +861,6 @@ def run_profile(
 def run_suite(
     profiles: Optional[List[Profile]] = None,
     tier: str = "smoke",
-    certify: bool = True,
     measure_memory: bool = True,
     progress: Optional[Callable[[str], None]] = None,
     certify_workers: int = 1,
@@ -878,7 +873,7 @@ def run_suite(
     records: List[ProfileRecord] = []
     with obs_trace.span("harness.suite", tier=tier, profiles=len(selected)):
         for i, profile in enumerate(selected, start=1):
-            record = run_profile(profile, tier, certify=certify,
+            record = run_profile(profile, tier,
                                  measure_memory=measure_memory,
                                  certify_workers=certify_workers,
                                  certify_sample=certify_sample,
@@ -900,7 +895,6 @@ def run_suite(
 def run_huge_profile(
     profile: Profile,
     kernel: str = "auto",
-    verify: bool = True,
     cache_dir: Optional[str] = None,
 ) -> ProfileRecord:
     """Run ``profile``'s huge tier straight from the packed mmap format.
@@ -915,8 +909,8 @@ def run_huge_profile(
     (residual 0 and no unsettled arcs certify every distance row exact).
 
     ``kernel`` defaults to ``"auto"`` — numpy when available, else the
-    pure-Python kernel (slow at this scale, but correct).  ``verify``
-    controls the CRC pass on load.
+    pure-Python kernel (slow at this scale, but correct).  The packed
+    file's CRC is checked on load.
 
     Raises
     ------
@@ -953,7 +947,7 @@ def run_huge_profile(
     try:
         with obs_trace.timed_span("harness.generate") as t_gen:
             path = ensure_packed(n, chords, profile.seed, cache_dir=cache_dir)
-            pg = load_packed(path, verify=verify)
+            pg = load_packed(path)
         generation_seconds = t_gen.wall_s
         try:
             sources = _kernel_sources(pg.n, int(params.get("sources", 4)))

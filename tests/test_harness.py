@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import repro.mst.kruskal as kruskal_module
 from repro.cli import main
 from repro.harness import (
     FAMILIES,
@@ -107,6 +108,23 @@ class TestRunner:
         a = run_profile(p, "smoke")
         b = run_profile(p, "smoke")
         assert a.rounds == b.rounds
+
+    @pytest.mark.parametrize("measure_memory, runs", [(True, 2), (False, 1)])
+    def test_memory_pass_builds_on_a_fresh_copy(self, monkeypatch, measure_memory, runs):
+        """The traced pass must pay for the MST again, not find the one
+        the timed pass cached on the graph's frozen view."""
+        calls = []
+        kruskal_edges = kruskal_module._kruskal_edges
+
+        def counted(csr):
+            calls.append(csr)
+            return kruskal_edges(csr)
+
+        monkeypatch.setattr(kruskal_module, "_kruskal_edges", counted)
+        record = run_profile(get_profile("spanner-er"), "smoke",
+                             measure_memory=measure_memory)
+        assert record.ok
+        assert len(calls) == runs
 
     def test_certify_false_skips_certification(self):
         record = run_profile(get_profile("congest-bfs-grid"), "smoke", certify=False)
