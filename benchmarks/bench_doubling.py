@@ -98,6 +98,12 @@ COUNTED: List[Tuple[str, str, str]] = [
     ("repro.graphs.csr", "round_up_weight", "weight_roundings"),
     ("repro.graphs.weighted_graph", "WeightedGraph.has_edge", "path_steps"),
 ]
+#: (module, attribute, counter): the functions that round a whole weight
+#: column in one call, each call counted as the number of weights it
+#: rounds, so ``weight_roundings`` counts weights on every side
+COUNTED_PER_WEIGHT: List[Tuple[str, str, str]] = [
+    ("repro.graphs.csr", "round_up_weights", "weight_roundings"),
+]
 REQUIRED_JSON_KEYS = {
     "baseline_commit", "parent_commit", "machine", "cases", "runs",
     "required_speedup", "required_parent_speedup",
@@ -138,7 +144,9 @@ def _counted_run(make_graph: Callable[[], Any],
     """One untimed construction on a fresh input; calls per counter."""
     counts = {key: 0 for _m, _a, key in COUNTED}
     graph = make_graph()
-    with counted_calls(COUNTED, counts):
+    with counted_calls(COUNTED, counts), counted_calls(
+        COUNTED_PER_WEIGHT, counts, amount=lambda weights, eps: len(weights)
+    ):
         construct(graph)
     return counts
 

@@ -85,14 +85,15 @@ def timed_phases(
 
 @contextlib.contextmanager
 def counted_calls(
-    targets: List[Tuple[str, str, str]], counts: Dict[str, int]
+    targets: List[Tuple[str, str, str]], counts: Dict[str, int],
+    amount: Callable[..., int] = lambda *args, **kwargs: 1,
 ) -> Iterator[None]:
-    """:func:`wrapped` with counters: each call of a target adds one to
-    ``counts[key]``."""
+    """:func:`wrapped` with counters: each call of a target adds
+    ``amount`` of its arguments (one by default) to ``counts[key]``."""
 
     def counter(fn: Callable[..., Any], key: str) -> Callable[..., Any]:
         def counted(*args: Any, **kwargs: Any) -> Any:
-            counts[key] += 1
+            counts[key] += amount(*args, **kwargs)
             return fn(*args, **kwargs)
         return counted
 
