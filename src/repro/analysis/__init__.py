@@ -5,7 +5,6 @@ from repro.analysis.stretch import (
     max_edge_stretch,
     max_pairwise_stretch,
     root_stretch,
-    average_stretch,
     sample_pairwise_stretch,
 )
 from repro.analysis.lightness import lightness, sparsity
@@ -31,7 +30,6 @@ __all__ = [
     "max_edge_stretch",
     "max_pairwise_stretch",
     "root_stretch",
-    "average_stretch",
     "sample_pairwise_stretch",
     "lightness",
     "sparsity",

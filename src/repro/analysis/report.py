@@ -14,9 +14,7 @@ from typing import Dict, Iterable, List, Optional
 from repro.analysis.certify import certify_edge_stretch
 from repro.analysis.lightness import lightness, sparsity
 from repro.analysis.stretch import root_stretch
-from repro.analysis.validation import (
-    ValidationError, _net_measures, _verify_certified_subgraph,
-)
+from repro.analysis.validation import _net_measures, _verify_certified_subgraph
 from repro.graphs.weighted_graph import Vertex, WeightedGraph
 
 
@@ -80,12 +78,9 @@ def spanner_report(
     spanner: WeightedGraph,
     stretch_bound: Optional[float] = None,
     lightness_bound: Optional[float] = None,
-    size_bound: Optional[float] = None,
     rounds: Optional[int] = None,
-    title: str = "spanner",
     certify_workers: int = 1,
     certify_sample: Optional[float] = None,
-    certify_seed: int = 0,
     certify_kernel: str = "python",
 ) -> QualityReport:
     """Report for a spanner: stretch, lightness, size (+ optional rounds).
@@ -93,7 +88,7 @@ def spanner_report(
     Stretch is certified by the bounded-radius engine, truncating each
     per-source search at ``stretch_bound · max_incident_w`` (exact value
     either way).  ``certify_workers > 1`` fans sources across processes;
-    ``certify_sample=p`` certifies a seeded ``p``-fraction of the edges
+    ``certify_sample=p`` certifies a ``p``-fraction of the edges, seeded 0
     (then the stretch row is a lower bound and the report's
     ``certification`` block records ``mode="sampled"``).
     ``certify_kernel`` only accepts ``"python"``: certification has one
@@ -120,17 +115,17 @@ def spanner_report(
         )
     cert = certify_edge_stretch(
         graph, spanner, bound=stretch_bound,
-        workers=certify_workers, sample=certify_sample, seed=certify_seed,
+        workers=certify_workers, sample=certify_sample, seed=0,
     )
     _verify_certified_subgraph(graph, spanner, cert)
     rows = [
         MetricRow("stretch", cert.max_stretch, stretch_bound),
         MetricRow("lightness", lightness(graph, spanner), lightness_bound),
-        MetricRow("edges", float(sparsity(spanner)), size_bound),
+        MetricRow("edges", float(sparsity(spanner))),
     ]
     if rounds is not None:
         rows.append(MetricRow("rounds", float(rounds)))
-    return QualityReport(title=title, rows=rows, certification=cert.to_dict())
+    return QualityReport(title="spanner", rows=rows, certification=cert.to_dict())
 
 
 def slt_report(
@@ -140,7 +135,6 @@ def slt_report(
     stretch_bound: Optional[float] = None,
     lightness_bound: Optional[float] = None,
     rounds: Optional[int] = None,
-    title: str = "shallow-light tree",
 ) -> QualityReport:
     """Report for an SLT: root-stretch and lightness.
 
@@ -153,16 +147,12 @@ def slt_report(
 
     verify_spanning_tree(graph, tree)
     rows = [
-        MetricRow(
-            "root-stretch",
-            root_stretch(graph, tree, root, bound=stretch_bound),
-            stretch_bound,
-        ),
+        MetricRow("root-stretch", root_stretch(graph, tree, root), stretch_bound),
         MetricRow("lightness", lightness(graph, tree), lightness_bound),
     ]
     if rounds is not None:
         rows.append(MetricRow("rounds", float(rounds)))
-    return QualityReport(title=title, rows=rows)
+    return QualityReport(title="shallow-light tree", rows=rows)
 
 
 def net_report(
@@ -171,7 +161,6 @@ def net_report(
     alpha: float,
     beta: float,
     rounds: Optional[int] = None,
-    title: str = "net",
 ) -> QualityReport:
     """Report for a net: worst covering distance and closest pair.
 
@@ -194,4 +183,4 @@ def net_report(
         rows.append(MetricRow("beta/closest", beta / closest, 1.0))
     if rounds is not None:
         rows.append(MetricRow("rounds", float(rounds)))
-    return QualityReport(title=title, rows=rows)
+    return QualityReport(title="net", rows=rows)

@@ -17,8 +17,6 @@ measures return ``inf`` as soon as any required distance is missing in
 the spanner/tree — an edge endpoint unreachable for
 :func:`max_edge_stretch`, any G-reachable pair for
 :func:`max_pairwise_stretch` and :func:`root_stretch`.
-:func:`average_stretch` likewise returns ``inf`` (the missing pair
-contributes an infinite term to the mean) rather than skipping the pair.
 Pairs that are disconnected in *G itself* are no constraint at all: every
 measure iterates G-reachable pairs only, so a spanner of a disconnected
 graph certifies finite as long as it preserves each component.
@@ -33,35 +31,23 @@ if TYPE_CHECKING:
     from repro.oracle import DistanceOracle
 
 from repro.analysis.certify import certify_edge_stretch
-from repro.graphs.shortest_paths import bounded_dijkstra, dijkstra
+from repro.graphs.shortest_paths import dijkstra
 from repro.graphs.weighted_graph import Vertex, WeightedGraph
 
 INF = float("inf")
 
 
-def max_edge_stretch(
-    graph: WeightedGraph,
-    spanner: WeightedGraph,
-    bound: Optional[float] = None,
-    workers: int = 1,
-) -> float:
+def max_edge_stretch(graph: WeightedGraph, spanner: WeightedGraph) -> float:
     """``max_{e={u,v} ∈ E(G)} d_H(u, v) / w(e)``.
 
     By the triangle inequality this upper-bounds the all-pairs stretch.
-    Runs on the bounded-radius batched certification engine
+    Runs on the batched certification engine
     (:func:`repro.analysis.certify.certify_edge_stretch`): edges already
     in H are skipped outright, and each remaining edge is settled by a
-    targeted search from one endpoint — that target-stop, not the bound,
-    is what keeps the exploration small.  The value is exact regardless
-    of ``bound``: passing the construction's stretch guarantee makes the
-    engine count crossings of the §5.1 radius ``bound · max_incident_w``
-    (each one a certified violation — the ``fail_fast`` early-reject
-    that :func:`~repro.analysis.validation.verify_spanner` uses) without
-    giving up the exact answer.  ``workers > 1`` fans the sources out
-    across processes.
+    targeted search from one endpoint.
     """
     return certify_edge_stretch(  # repro: allow[REP1001] -- seed only drives sample=, which this exact (unsampled) query never passes
-        graph, spanner, bound=bound, workers=workers
+        graph, spanner
     ).max_stretch
 
 
@@ -79,26 +65,6 @@ def max_pairwise_stretch(graph: WeightedGraph, spanner: WeightedGraph) -> float:
                 return INF
             worst = max(worst, s / d)
     return worst
-
-
-def average_stretch(graph: WeightedGraph, spanner: WeightedGraph) -> float:
-    """Mean pairwise stretch (reported alongside the max in benchmarks).
-
-    Returns ``inf`` when the spanner disconnects any G-reachable pair
-    (the missing pair's infinite stretch dominates the mean), mirroring
-    the max measures' contract.
-    """
-    total = 0.0
-    count = 0
-    for u in graph.vertices():
-        dg, _ = dijkstra(graph, u)
-        dh, _ = dijkstra(spanner, u)
-        for v, d in dg.items():
-            if v == u or d == 0:
-                continue
-            total += dh.get(v, INF) / d
-            count += 1
-    return total / count if count else 1.0
 
 
 def sample_pairwise_stretch(
@@ -159,25 +125,10 @@ def root_stretch(
     graph: WeightedGraph,
     tree: WeightedGraph,
     root: Vertex,
-    bound: Optional[float] = None,
 ) -> float:
-    """``max_v d_T(rt, v) / d_G(rt, v)`` — the SLT's distortion (§4).
-
-    With ``bound`` given, the tree exploration is truncated at radius
-    ``bound · ecc_G(root)`` — any vertex outside that ball already
-    violates the bound, and the exploration falls back to the full
-    search only in that (failing) case, so the returned value is exact
-    either way.
-    """
+    """``max_v d_T(rt, v) / d_G(rt, v)`` — the SLT's distortion (§4)."""
     dg, _ = dijkstra(graph, root)
-    if bound is not None:
-        finite = [d for d in dg.values() if d < INF]
-        radius = bound * max(finite, default=0.0)
-        dt, _ = bounded_dijkstra(tree, root, radius)
-        if any(v not in dt for v in dg):
-            dt, _ = dijkstra(tree, root)  # violation: recover the exact value
-    else:
-        dt, _ = dijkstra(tree, root)
+    dt, _ = dijkstra(tree, root)
     worst = 1.0
     for v, d in dg.items():
         if v == root or d == 0:

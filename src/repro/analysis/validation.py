@@ -120,7 +120,7 @@ def verify_slt(
     proper :class:`ValidationError` when the tree carries weight anyway.
     """
     verify_spanning_tree(graph, tree)
-    measured_stretch = root_stretch(graph, tree, root, bound=alpha)
+    measured_stretch = root_stretch(graph, tree, root)
     if measured_stretch > alpha + 1e-9:
         raise ValidationError(
             f"SLT root-stretch violated: {measured_stretch:.6f} > {alpha:.6f}"
@@ -137,7 +137,6 @@ def verify_oracle(
     oracle: "DistanceOracle",
     pairs: int = 32,
     seed: int = 0,
-    tolerance: float = 1e-9,
 ) -> None:
     """``oracle`` must answer exactly on ``structure``.
 
@@ -147,11 +146,10 @@ def verify_oracle(
     ``pairs`` seeded random pairs against a fresh Dijkstra per source —
     the harness and ``repro oracle build --spot-check`` run it after
     preprocessing, and CI's oracle-smoke job runs it over every smoke
-    profile's structure.  ``tolerance`` is relative: an answer passes
-    when it equals Dijkstra's or lies within ``tolerance`` times the
-    larger of the two, so the check reads the same at every weight
-    scale; the default 1e-9 absorbs round-off from summing a path's
-    weights in another order.
+    profile's structure.  An answer passes when it equals Dijkstra's or
+    lies within 1e-9 times the larger of the two, so the check reads the
+    same at every weight scale and absorbs round-off from summing a
+    path's weights in another order.
     """
     verts = sorted(structure.vertices(), key=repr)
     oracle_verts = set(oracle.csr.verts)
@@ -173,7 +171,7 @@ def verify_oracle(
         got = oracle.query(u, v)
         if got == want:  # covers the inf == inf case exactly
             continue
-        if not math.isclose(got, want, rel_tol=tolerance):
+        if not math.isclose(got, want, rel_tol=1e-9):
             raise ValidationError(
                 f"oracle answer for ({u!r}, {v!r}) is {got!r}, "
                 f"Dijkstra on the structure says {want!r}"

@@ -117,7 +117,6 @@ def simulate_case1_bucket(
     k: int,
     rng: Optional[random.Random] = None,
     shifts: Optional[Dict[Cluster, float]] = None,
-    bucket_edges: Optional[List[Tuple[Vertex, Vertex]]] = None,
     network: Optional[SyncNetwork] = None,
 ) -> ClusterSimulationResult:
     """Run the case-1 simulation of one bucket at message level.
@@ -129,10 +128,8 @@ def simulate_case1_bucket(
     tree:
         The BFS tree τ used for convergecasts/broadcasts.
     cluster_of:
-        The bucket's clustering (§5 case 1).
-    bucket_edges:
-        The E_i edges defining cluster adjacency; defaults to all edges
-        of G.
+        The bucket's clustering (§5 case 1); the edges of G between
+        clusters define cluster adjacency.
     network:
         Reuse an existing :class:`SyncNetwork` over ``graph`` for every
         phase (e.g. to accumulate lifetime traffic counters or trace
@@ -153,14 +150,12 @@ def simulate_case1_bucket(
             raise ValueError(f"vertex {v!r} has no cluster")
     rng = ensure_rng(rng)
 
-    if bucket_edges is None:
-        bucket_edges = [(u, v) for u, v, _ in graph.edges()]
-    # vertex-level adjacency to foreign clusters, via E_i edges only
+    # vertex-level adjacency to foreign clusters
     adjacent_clusters: Dict[Vertex, Set[Cluster]] = {v: set() for v in graph.vertices()}
     cluster_graph: Dict[Cluster, Set[Cluster]] = {
         c: set() for c in sorted(set(cluster_of.values()), key=repr)
     }
-    for u, v in bucket_edges:
+    for u, v, _ in graph.edges():
         cu, cv = cluster_of[u], cluster_of[v]
         if cu == cv:
             continue

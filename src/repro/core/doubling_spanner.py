@@ -107,7 +107,6 @@ def doubling_spanner(
     graph: WeightedGraph,
     eps: float,
     rng: Optional[random.Random] = None,
-    root: Optional[Vertex] = None,
     net_method: str = "distributed",
 ) -> DoublingSpannerResult:
     """Build the §7 light (1 + 30ε)-spanner.
@@ -137,8 +136,7 @@ def doubling_spanner(
     if n == 0:
         raise ValueError("doubling_spanner needs a graph with at least one vertex")
     rng = ensure_rng(rng)
-    if root is None:
-        root = min(graph.vertices(), key=repr)
+    root = min(graph.vertices(), key=repr)
 
     ledger = RoundLedger()
     bfs = build_bfs_tree(graph, root)

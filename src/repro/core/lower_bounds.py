@@ -37,6 +37,12 @@ from repro.determinism import ensure_rng
 from repro.graphs.weighted_graph import Vertex, WeightedGraph
 from repro.mst.kruskal import kruskal_mst
 
+#: slack δ of the §6 net oracle: it provides (α·2^i, 2^i)-nets with
+#: ``α = (1+δ)²``
+NET_DELTA = 0.5
+#: scales after which the nets must have shrunk to a single point
+MAX_SCALES = 64
+
 
 def congest_round_floor(n: int, hop_diameter: int) -> float:
     """The Ω̃(√n + D) floor of Theorems 6/7, with polylog taken as log₂n."""
@@ -78,18 +84,13 @@ class MSTWeightEstimate:
 
 def estimate_mst_weight_via_nets(
     graph: WeightedGraph,
-    delta: float = 0.5,
     rng: Optional[random.Random] = None,
     net_method: str = "distributed",
-    max_scales: int = 64,
 ) -> MSTWeightEstimate:
     """Run the Theorem-7 reduction on ``graph``.
 
     Parameters
     ----------
-    delta:
-        Slack of the net construction; the oracle then provides
-        (α·2^i, 2^i)-nets with ``α = (1+δ)²``.
     net_method:
         ``"distributed"`` (Theorem 3) or ``"greedy"`` (baseline oracle).
 
@@ -97,11 +98,12 @@ def estimate_mst_weight_via_nets(
     ------
     RuntimeError
         If the nets fail to shrink to a single point within
-        ``max_scales`` scales (cannot happen on poly(n)-weighted graphs).
+        :data:`MAX_SCALES` scales (cannot happen on poly(n)-weighted
+        graphs).
     """
     rng = ensure_rng(rng)
     ledger = RoundLedger()
-    alpha = (1.0 + delta) ** 2
+    alpha = (1.0 + NET_DELTA) ** 2
     mst_weight = kruskal_mst(graph).total_weight()
 
     if graph.n <= 1:
@@ -119,11 +121,11 @@ def estimate_mst_weight_via_nets(
     net_sizes: Dict[int, int] = {}
     i = start
     while True:
-        if i - start > max_scales:
-            raise RuntimeError(f"net cardinality did not reach 1 in {max_scales} scales")
+        if i - start > MAX_SCALES:
+            raise RuntimeError(f"net cardinality did not reach 1 in {MAX_SCALES} scales")
         scale = 2.0 ** i
         if net_method == "distributed":
-            res = build_net(graph, scale * (1.0 + delta), delta, rng)
+            res = build_net(graph, scale * (1.0 + NET_DELTA), NET_DELTA, rng)
             points: Set[Vertex] = res.points
             ledger.merge(res.ledger, prefix=f"scale{i}:")
         else:

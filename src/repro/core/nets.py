@@ -83,7 +83,6 @@ def build_net(
     delta: float = 0.5,
     rng: Optional[random.Random] = None,
     root: Optional[Vertex] = None,
-    max_iterations: Optional[int] = None,
 ) -> NetResult:
     """Build a ``((1+δ)·Δ, Δ/(1+δ))``-net of ``graph`` (Theorem 3).
 
@@ -97,16 +96,15 @@ def build_net(
         taking α > (1+ε)β").
     rng:
         Random source for the per-iteration permutations.
-    max_iterations:
-        Safety cap; default ``40·⌈log2(n+2)⌉``.
 
     Raises
     ------
     ValueError
         On invalid parameters.
     RuntimeError
-        If the w.h.p. O(log n) iteration bound is breached (indicates a
-        bug, not bad luck, given the 40× slack).
+        If the w.h.p. O(log n) iteration bound is breached: more than
+        ``40·⌈log2(n+2)⌉`` iterations (indicates a bug, not bad luck,
+        given the 40× slack).
     NetInvariantError
         If an iteration admits no net point (a broken LE-list query).
     """
@@ -118,9 +116,7 @@ def build_net(
     n = graph.n
     if root is None:
         root = min(graph.vertices(), key=repr)
-    cap = max_iterations if max_iterations is not None else 40 * (
-        math.ceil(math.log2(n + 2))
-    )
+    cap = 40 * math.ceil(math.log2(n + 2))
 
     ledger = RoundLedger()
     bfs = build_bfs_tree(graph, root)

@@ -2,8 +2,8 @@
 
 Everything in the repository operates on :class:`~repro.graphs.weighted_graph.WeightedGraph`,
 a small adjacency-map graph tuned for the algorithms in the paper
-(MST, Euler tours, spanners, nets).  Converters to/from ``networkx``
-are provided for cross-validation in the test-suite.
+(MST, Euler tours, spanners, nets).  A converter to ``networkx`` is
+provided for cross-validation in the test-suite.
 """
 
 from repro.graphs.weighted_graph import WeightedGraph, canonical_edge
@@ -12,7 +12,6 @@ from repro.graphs.shortest_paths import (
     dijkstra,
     bounded_dijkstra,
     all_pairs_shortest_paths,
-    eccentricity,
     hop_distances,
     hop_diameter,
 )
@@ -50,7 +49,6 @@ __all__ = [
     "dijkstra",
     "bounded_dijkstra",
     "all_pairs_shortest_paths",
-    "eccentricity",
     "hop_distances",
     "hop_diameter",
     "complete_graph",

@@ -71,11 +71,6 @@ def round_up_weights(weights: Iterable[float], eps: float) -> List[float]:
     return [powers[e] for e in exponents]
 
 
-def round_up_weight(w: float, eps: float) -> float:
-    """:func:`round_up_weights` for one weight."""
-    return round_up_weights((w,), eps)[0]
-
-
 class CSRGraph:
     """Immutable compressed-sparse-row view of a weighted undirected graph.
 
@@ -161,10 +156,6 @@ class CSRGraph:
     def index_of(self, v: Vertex) -> int:
         """Dense index of vertex ``v`` (KeyError if absent)."""
         return self._index[v]
-
-    def vertex_at(self, i: int) -> Vertex:
-        """Label of the vertex with dense index ``i``."""
-        return self.verts[i]
 
     def row(self, i: int) -> range:
         """Slot range of vertex ``i``'s neighbours in ``indices``/``weights``."""

@@ -54,20 +54,25 @@ def packing_number(graph: WeightedGraph, center: Vertex, radius: float, separati
     return len(greedy_net_of_set(dist_from, members, separation))
 
 
-def doubling_dimension_estimate(graph: WeightedGraph, samples: int = 8) -> float:
+#: centers :func:`doubling_dimension_estimate` samples
+ESTIMATE_CENTERS = 8
+
+
+def doubling_dimension_estimate(graph: WeightedGraph) -> float:
     """Empirical doubling-dimension estimate.
 
-    For a sample of centers and radii, count the greedy number of
-    radius-``r`` balls needed to cover ``B(v, 2r)`` (upper-bounded by a
-    greedy ``r``-net of the ball) and return ``log2`` of the worst count.
+    For :data:`ESTIMATE_CENTERS` evenly spaced centers and doubling
+    radii, count the greedy number of radius-``r`` balls needed to cover
+    ``B(v, 2r)`` (upper-bounded by a greedy ``r``-net of the ball) and
+    return ``log2`` of the worst count.
     Exact on small graphs; an estimate (not a certificate) in general.
     """
     if graph.n <= 1:
         return 0.0
     apsp = all_pairs_shortest_paths(graph)
     vertices = sorted(graph.vertices(), key=repr)
-    step = max(1, len(vertices) // samples)
-    centers = vertices[::step][:samples]
+    step = max(1, len(vertices) // ESTIMATE_CENTERS)
+    centers = vertices[::step][:ESTIMATE_CENTERS]
     diameter = max(max(d.values()) for d in apsp.values())
     worst = 1
     r = max(1.0, diameter / 64)

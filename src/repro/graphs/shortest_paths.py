@@ -163,14 +163,6 @@ def all_pairs_shortest_paths(graph: GraphLike) -> Dict[Vertex, Dict[Vertex, floa
     return {v: dijkstra(csr, v)[0] for v in csr.vertices()}
 
 
-def eccentricity(graph: GraphLike, v: Vertex) -> float:
-    """Weighted eccentricity of ``v`` (max distance to any vertex)."""
-    dist, _ = dijkstra(graph, v)
-    if len(dist) != graph.n:
-        return INF
-    return max(dist.values())
-
-
 def hop_distances(graph: GraphLike, source: Vertex) -> Dict[Vertex, int]:
     """Unweighted (hop) distances from ``source`` via BFS over the CSR view.
 

@@ -138,13 +138,6 @@ class WeightedGraph:
         del self._adj[v][u]
         self._csr_cache = None
 
-    def remove_vertex(self, v: Vertex) -> None:
-        """Remove ``v`` and all incident edges."""
-        for u in list(self._adj[v]):
-            del self._adj[u][v]
-        del self._adj[v]
-        self._csr_cache = None
-
     # ------------------------------------------------------------------
     # Inspection
     # ------------------------------------------------------------------
@@ -358,14 +351,6 @@ class WeightedGraph:
         g = nx.Graph()
         g.add_nodes_from(self._adj)
         g.add_weighted_edges_from(self.edges())
-        return g
-
-    @classmethod
-    def from_networkx(cls, nxg: Any, weight_key: str = "weight") -> "WeightedGraph":
-        """Build from a ``networkx`` graph; missing weights default to 1."""
-        g = cls(nxg.nodes())
-        for u, v, data in nxg.edges(data=True):
-            g.add_edge(u, v, data.get(weight_key, 1.0))
         return g
 
     # ------------------------------------------------------------------

@@ -67,6 +67,11 @@ MODES = ("closed", "open")
 BURSTY_ON_FRACTION = 0.25
 BURSTY_CYCLE_SECONDS = 1.0
 
+#: seconds :func:`launch_daemon` waits for READY, and :func:`stop_daemon`
+#: for each of SIGTERM and SIGKILL to take effect
+DAEMON_READY_TIMEOUT = 120.0
+DAEMON_STOP_TIMEOUT = 10.0
+
 LabelPair = Tuple[str, str]
 ScheduleEntry = Tuple[float, str, str]
 
@@ -402,7 +407,6 @@ def drive_load(
     repeats: int = 1,
     clients: int = 8,
     seed: int = 0,
-    timeout: float = 30.0,
     workers: Optional[int] = None,
 ) -> Dict[str, object]:
     """Run every level of one load workload; returns the ``load`` block.
@@ -424,15 +428,13 @@ def drive_load(
     for index, level in enumerate(levels):
         if mode == "closed":
             result, _ = run_closed_level(
-                address, pairs, int(level), repeats=repeats, timeout=timeout
+                address, pairs, int(level), repeats=repeats
             )
         else:
             schedule = request_schedule(
                 pairs, arrivals, float(level), duration, seed + index
             )
-            result = run_open_level(
-                address, schedule, clients=clients, timeout=timeout
-            )
+            result = run_open_level(address, schedule, clients=clients)
             # label by the requested rate — the sampled offered rate
             # wobbles with the seed and would destabilize level keys
             result.level = float(level)
@@ -492,9 +494,7 @@ def build_profile_structure(
     return graph, structure, generation_seconds, construction_seconds
 
 
-def launch_daemon(
-    args: Sequence[str], ready_timeout: float = 120.0
-) -> Tuple[subprocess.Popen, Address]:
+def launch_daemon(args: Sequence[str]) -> Tuple[subprocess.Popen, Address]:
     """Start ``repro serve`` as a subprocess and wait for its READY line.
 
     ``args`` are the ``repro serve`` arguments (after the subcommand).
@@ -504,7 +504,8 @@ def launch_daemon(
     Raises
     ------
     RuntimeError
-        When the daemon exits or fails to print READY in time.
+        When the daemon exits or fails to print READY within
+        :data:`DAEMON_READY_TIMEOUT` seconds.
     """
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", *args],
@@ -513,7 +514,7 @@ def launch_daemon(
         text=True,
         env={**os.environ, "PYTHONUNBUFFERED": "1"},
     )
-    deadline = time.monotonic() + ready_timeout
+    deadline = time.monotonic() + DAEMON_READY_TIMEOUT
     lines: List[str] = []
     assert proc.stdout is not None
     while True:
@@ -538,19 +539,20 @@ def launch_daemon(
             return proc, address_of(fields["address"])
 
 
-def stop_daemon(proc: subprocess.Popen, timeout: float = 10.0) -> int:
+def stop_daemon(proc: subprocess.Popen) -> int:
     """Stop a daemon started by :func:`launch_daemon`; returns its exit code.
 
-    Tries SIGTERM (the daemon's graceful path) first, then SIGKILL —
-    the kill-on-failure teardown CI relies on.
+    Tries SIGTERM (the daemon's graceful path) first, then SIGKILL after
+    :data:`DAEMON_STOP_TIMEOUT` seconds — the kill-on-failure teardown
+    CI relies on.
     """
     if proc.poll() is None:
         proc.terminate()
         try:
-            proc.wait(timeout=timeout)
+            proc.wait(timeout=DAEMON_STOP_TIMEOUT)
         except subprocess.TimeoutExpired:
             proc.kill()
-            proc.wait(timeout=timeout)
+            proc.wait(timeout=DAEMON_STOP_TIMEOUT)
     if proc.stdout is not None:
         proc.stdout.close()
     return int(proc.returncode if proc.returncode is not None else -1)

@@ -49,7 +49,6 @@ class QueryMix:
     k_nearest: int
     k: int
     landmarks: int
-    strategy: str = "far"
 
 
 #: tier -> the mix ``run_profile(queries=True)`` executes at that tier.
@@ -103,9 +102,7 @@ def run_query_workload(
     latency sampled around each call.
     """
     with obs_trace.timed_span("queries.oracle_build") as t_build:
-        oracle = DistanceOracle.build(
-            structure, landmarks=mix.landmarks, strategy=mix.strategy, seed=seed
-        )
+        oracle = DistanceOracle.build(structure, landmarks=mix.landmarks, seed=seed)
     build_seconds = t_build.wall_s
 
     pairs, sources = build_query_mix(structure, mix, seed)
@@ -143,7 +140,7 @@ def run_query_workload(
         "k_nearest_queries": len(sources),
         "k": mix.k,
         "landmarks": len(oracle.landmark_indices),
-        "strategy": mix.strategy,
+        "strategy": oracle.strategy,
         "build_seconds": build_seconds,
         "served_seconds": served_seconds,
         "p50_ms": _pct(0.50),

@@ -38,7 +38,6 @@ from repro.kernels.binfmt import (
     PackWriter,
     load_packed,
     pack_arrays,
-    pack_csr,
 )
 from repro.kernels.genpack import default_cache_dir, ensure_packed, pack_ring_chords
 
@@ -58,7 +57,6 @@ __all__ = [
     "PackWriter",
     "load_packed",
     "pack_arrays",
-    "pack_csr",
     "default_cache_dir",
     "ensure_packed",
     "pack_ring_chords",

@@ -47,13 +47,14 @@ from array import array
 from types import TracebackType
 from typing import Any, BinaryIO, Optional, Sequence, Type, Union, cast
 
-from repro.graphs.csr import CSRGraph
 
 MAGIC = b"RPROGRPH"
 FORMAT_VERSION = 1
 HEADER_SIZE = 64
 _HEADER = struct.Struct("<8sIIQQQII16s")
 _MAX_N = 2**31 - 2  # indices are int32
+#: column entries :func:`pack_arrays` encodes per write
+CHUNK_ROWS = 1 << 18
 
 PathLike = Union[str, "os.PathLike[str]"]
 
@@ -148,26 +149,20 @@ def pack_arrays(
     indptr: Sequence[int],
     indices: Sequence[int],
     weights: Sequence[float],
-    chunk_rows: int = 1 << 18,
 ) -> None:
-    """Pack raw CSR columns into ``path`` (chunked, bounded memory)."""
+    """Pack raw CSR columns into ``path`` (in chunks of
+    :data:`CHUNK_ROWS` entries, bounded memory)."""
     n = len(indptr) - 1
     m_arcs = len(indices)
     if n < 0 or indptr[0] != 0 or indptr[-1] != m_arcs or len(weights) != m_arcs:
         raise PackedFormatError("inconsistent CSR columns")
     with PackWriter(path, n, m_arcs) as w:
-        for lo in range(0, n + 1, chunk_rows):
-            w.write(_le(indptr[lo:lo + chunk_rows], "q"))
-        for lo in range(0, m_arcs, chunk_rows):
-            w.write(_le(indices[lo:lo + chunk_rows], "i"))
-        for lo in range(0, m_arcs, chunk_rows):
-            w.write(_le(weights[lo:lo + chunk_rows], "d"))
-
-
-def pack_csr(csr: CSRGraph, path: PathLike) -> None:
-    """Pack a frozen :class:`CSRGraph` (labels are dropped: vertex ``i``
-    of the file is position ``i`` of ``csr.verts``)."""
-    pack_arrays(path, csr.indptr, csr.indices, csr.weights)
+        for lo in range(0, n + 1, CHUNK_ROWS):
+            w.write(_le(indptr[lo:lo + CHUNK_ROWS], "q"))
+        for lo in range(0, m_arcs, CHUNK_ROWS):
+            w.write(_le(indices[lo:lo + CHUNK_ROWS], "i"))
+        for lo in range(0, m_arcs, CHUNK_ROWS):
+            w.write(_le(weights[lo:lo + CHUNK_ROWS], "d"))
 
 
 def _swapped(view: memoryview, typecode: str) -> "array[Any]":

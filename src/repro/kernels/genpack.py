@@ -60,18 +60,15 @@ def packed_name(n: int, chords: int, seed: int) -> str:
     return f"ring-chords-n{n}-c{chords}-s{seed}.rpg"
 
 
-def pack_ring_chords(
-    path: PathLike, n: int, chords: int, seed: int,
-    chunk_vertices: int = CHUNK_VERTICES,
-) -> None:
+def pack_ring_chords(path: PathLike, n: int, chords: int, seed: int) -> None:
     """Stream the ring-chords CSR for ``(n, chords, seed)`` into ``path``."""
     offsets = ring_chord_offsets(n, chords)
     np = numpy_or_none()
     with PackWriter(path, n, n * len(offsets)) as w:
         if np is not None:
-            _pack_numpy(w, np, n, offsets, seed, chunk_vertices)
+            _pack_numpy(w, np, n, offsets, seed, CHUNK_VERTICES)
         else:
-            _pack_python(w, n, offsets, seed, chunk_vertices)
+            _pack_python(w, n, offsets, seed, CHUNK_VERTICES)
 
 
 def _le_py(values: Union[Sequence[int], Sequence[float]], typecode: str) -> bytes:
@@ -143,14 +140,13 @@ def ensure_packed(
     chords: int,
     seed: int,
     cache_dir: Optional[PathLike] = None,
-    force: bool = False,
 ) -> Path:
     """The cached packed file for ``(n, chords, seed)``, generating it
     on first use (atomic rename, safe under concurrent callers)."""
     directory = Path(cache_dir) if cache_dir is not None else default_cache_dir()
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / packed_name(n, chords, seed)
-    if path.exists() and not force:
+    if path.exists():
         try:
             load_packed(path, verify=False).close()
         except PackedFormatError:

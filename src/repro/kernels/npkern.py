@@ -41,8 +41,8 @@ from repro.kernels.pykern import PARENT_SOURCE, PARENT_UNREACHED
 
 NDArray = Any  # numpy is untyped in the CI mypy environment
 
-#: default row-block size for the batched matrix kernel
-DEFAULT_BLOCK = 8
+#: row-block size of the batched matrix kernel
+BLOCK = 8
 #: sentinel standing in for inf in the fused residual (dists must stay below)
 _RESIDUAL_SENTINEL = 1e30
 
@@ -181,18 +181,16 @@ def _relax_block(
 def sssp_matrix_prepared(
     prep: PreparedCSR,
     sources: Sequence[int],
-    block: int = DEFAULT_BLOCK,
-    delta: Optional[float] = None,
 ) -> NDArray:
     """Batched SSSP on prepared columns: the ``(sources × nodes)``
-    float64 distance matrix, settled block-by-block."""
+    float64 distance matrix, settled :data:`BLOCK` rows at a time."""
     n = prep.n
     src = np.asarray(sources, dtype=np.int64)
     rows = src.shape[0]
-    width = _auto_delta(prep.w) if delta is None else delta
+    width = _auto_delta(prep.w)
     dist = np.full((rows, n), np.inf)
-    for lo in range(0, rows, max(1, block)):
-        hi = min(lo + max(1, block), rows)
+    for lo in range(0, rows, BLOCK):
+        hi = min(lo + BLOCK, rows)
         bs = hi - lo
         sub = dist[lo:hi]
         row_ids = np.arange(bs, dtype=np.int64)

@@ -13,7 +13,7 @@ Entry points: :func:`build_oracle` / :meth:`DistanceOracle.build`, the
 query-workload suite (``python -m repro bench --suite queries``).
 """
 
-from repro.oracle.landmarks import STRATEGIES, select_landmarks
+from repro.oracle.landmarks import STRATEGIES
 from repro.oracle.oracle import (
     DEFAULT_CACHE_SIZE,
     DEFAULT_LANDMARKS,
@@ -23,7 +23,6 @@ from repro.oracle.oracle import (
 
 __all__ = [
     "STRATEGIES",
-    "select_landmarks",
     "DEFAULT_CACHE_SIZE",
     "DEFAULT_LANDMARKS",
     "DistanceOracle",

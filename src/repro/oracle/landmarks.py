@@ -34,7 +34,7 @@ from repro.graphs.csr import CSRGraph
 
 INF = float("inf")
 
-#: The selection strategies :func:`select_landmarks` accepts.
+#: The selection strategies :func:`landmarks_with_potentials` accepts.
 STRATEGIES = ("far", "degree")
 
 
@@ -82,26 +82,6 @@ def _by_degree(csr: CSRGraph, count: int, rng: random.Random) -> List[int]:
     return order[:count]
 
 
-def select_landmarks(
-    csr: CSRGraph,
-    count: int,
-    strategy: str = "far",
-    seed: int = 0,
-) -> List[int]:
-    """Pick ``count`` landmark vertices (dense indices) of ``csr``.
-
-    The selection is deterministic for a fixed ``(strategy, seed)`` pair.
-    ``count`` is clamped to ``n``; far-sampling may return fewer when the
-    structure runs out of distinct points (every vertex already chosen).
-
-    Raises
-    ------
-    ValueError
-        On an unknown strategy or a non-positive count.
-    """
-    return landmarks_with_potentials(csr, count, strategy, seed)[0]
-
-
 def landmarks_with_potentials(
     csr: CSRGraph,
     count: int,
@@ -109,7 +89,12 @@ def landmarks_with_potentials(
     seed: int = 0,
     kernel: str = "python",
 ) -> Tuple[List[int], List[List[float]]]:
-    """:func:`select_landmarks` plus each landmark's distance array.
+    """Pick ``count`` landmark vertices (dense indices) of ``csr``, with
+    each landmark's distance array.
+
+    The selection is deterministic for a fixed ``(strategy, seed)`` pair.
+    ``count`` is clamped to ``n``; far-sampling may return fewer when the
+    structure runs out of distinct points (every vertex already chosen).
 
     The potentials are exactly one full Dijkstra per landmark; for the
     ``"far"`` strategy those Dijkstras already ran during selection and

@@ -66,7 +66,7 @@ if TYPE_CHECKING:
 DEFAULT_WORKERS = 2
 DEFAULT_HOST = "127.0.0.1"
 #: how long start() waits for every worker's ready message
-DEFAULT_READY_TIMEOUT = 60.0
+READY_TIMEOUT = 60.0
 
 _LEN = struct.Struct("!I")
 
@@ -304,8 +304,6 @@ class Server:
         unix_path: Optional[str] = None,
         warm: int = 0,
         max_frame: int = protocol.DEFAULT_MAX_FRAME,
-        respawn: bool = True,
-        ready_timeout: float = DEFAULT_READY_TIMEOUT,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -316,8 +314,6 @@ class Server:
         self.unix_path = unix_path
         self.warm = warm
         self.max_frame = max_frame
-        self.respawn = respawn
-        self.ready_timeout = ready_timeout
         self.metrics = MetricsRegistry()
         self._share: Optional[OracleShare] = None
         self._workers: Dict[int, _Worker] = {}
@@ -413,7 +409,8 @@ class Server:
         Raises
         ------
         RuntimeError
-            When a worker fails to report ready within ``ready_timeout``.
+            When a worker fails to report ready within
+            :data:`READY_TIMEOUT` seconds.
         """
         step = time.perf_counter()
         self._share = publish_oracle(self.oracle)
@@ -422,13 +419,13 @@ class Server:
         try:
             for worker_id in range(self.workers):
                 self._spawn_worker(worker_id)
-            deadline = time.monotonic() + self.ready_timeout
+            deadline = time.monotonic() + READY_TIMEOUT
             for worker in self._workers.values():
                 remaining = deadline - time.monotonic()
                 if remaining <= 0 or not worker.conn.poll(remaining):
                     raise RuntimeError(
                         f"worker {worker.worker_id} not ready within "
-                        f"{self.ready_timeout:.0f}s"
+                        f"{READY_TIMEOUT:.0f}s"
                     )
                 try:
                     tag, info = worker.conn.recv()
@@ -914,7 +911,7 @@ class Server:
             )
         worker.outstanding.clear()
         self._workers.pop(worker_id, None)
-        if self.respawn and not self._stopping:
+        if not self._stopping:
             self._spawn_worker(worker_id)
             self.metrics.counter("serve.workers.respawned").inc()
 

@@ -109,7 +109,6 @@ def elkin_neiman_spanner(
     adjacency: Union[Mapping[Node, Set[Node]], IndexRows],
     k: int,
     rng: Optional[random.Random] = None,
-    beta: Optional[float] = None,
     shifts: Optional[Dict[Node, float]] = None,
 ) -> ElkinNeimanRun:
     """Run the [EN17b] spanner on an unweighted graph.
@@ -146,7 +145,7 @@ def elkin_neiman_spanner(
         adjacency if isinstance(adjacency, IndexRows) else _index_rows(adjacency)
     )
     if shifts is None:
-        shifts = sample_shifts(labels, k, rng, beta)
+        shifts = sample_shifts(labels, k, rng)
 
     # The k propagation rounds run over integer-indexed lists.  Every node
     # sends its current (source, value) to every neighbour each round;

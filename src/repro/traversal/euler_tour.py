@@ -75,14 +75,6 @@ class EulerTour:
         """Total charged CONGEST rounds."""
         return self.ledger.total
 
-    def tour_distance(self, i: int, j: int) -> float:
-        """``d_L(x_i, x_j)`` — distance along the tour between positions."""
-        return abs(self.times[i] - self.times[j])
-
-    def first_appearance(self, v: Vertex) -> int:
-        """Position of v's first (preorder) appearance."""
-        return self.appearances[v][0]
-
 
 def _direct_tour(
     tree: WeightedGraph, root: Vertex

@@ -7,7 +7,6 @@ import pytest
 
 import repro.mst.kruskal as kruskal_module
 from repro.analysis import (
-    average_stretch,
     certify_edge_stretch,
     lightness,
     max_edge_stretch,
@@ -47,18 +46,13 @@ class TestStretchMeasures:
         h = kruskal_mst(small_er)
         assert max_pairwise_stretch(small_er, h) <= max_edge_stretch(small_er, h) + 1e-9
 
-    def test_average_at_most_max(self, small_er):
-        h = kruskal_mst(small_er)
-        assert average_stretch(small_er, h) <= max_pairwise_stretch(small_er, h) + 1e-9
-
     def test_disconnected_spanner_infinite(self, square):
-        # the pinned contract (see repro.analysis.stretch): all three
+        # the pinned contract (see repro.analysis.stretch): the maximum
         # measures return inf when the spanner disconnects a G-reachable
-        # pair — average_stretch included, not silently skipping the pair
+        # pair, not silently skipping the pair
         h = WeightedGraph(square.vertices())
         assert max_edge_stretch(square, h) == float("inf")
         assert max_pairwise_stretch(square, h) == float("inf")
-        assert average_stretch(square, h) == float("inf")
 
     def test_root_stretch(self):
         g = path_graph(3, [1.0, 1.0])

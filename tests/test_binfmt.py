@@ -25,7 +25,6 @@ from repro.kernels import (
     has_numpy,
     load_packed,
     pack_arrays,
-    pack_csr,
     pack_ring_chords,
     ensure_packed,
     pykern,
@@ -40,7 +39,7 @@ def packed(tmp_path):
     """A small valid .rpg file plus the CSR columns it was packed from."""
     csr = erdos_renyi_graph(60, 0.1, seed=0).freeze()
     path = tmp_path / "g.rpg"
-    pack_csr(csr, path)
+    pack_arrays(path, csr.indptr, csr.indices, csr.weights)
     return path, csr
 
 

@@ -53,7 +53,7 @@ from repro.determinism import ensure_rng
 from repro.graphs import (
     WeightedGraph, dijkstra, erdos_renyi_graph, random_geometric_graph,
 )
-from repro.graphs.csr import CSRGraph, round_up_weight
+from repro.graphs.csr import CSRGraph, round_up_weights
 from repro.graphs.weighted_graph import canonical_edge
 from repro.lelists.le_lists import _rounded_graph
 from repro.mst import decompose_fragments, kruskal_mst
@@ -601,7 +601,7 @@ class TestRoundingParity:
         csr = _star(weights).freeze()
         want = array("d", [_ref_round_up_weight(w, eps) for w in csr.weights])
         assert csr.rounded_weights(eps).tobytes() == want.tobytes()
-        got = array("d", [round_up_weight(w, eps) for w in csr.weights])
+        got = array("d", [round_up_weights([w], eps)[0] for w in csr.weights])
         assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("eps", [1.0, 0.25, 0.08, 1e-3])
@@ -614,7 +614,7 @@ class TestRoundingParity:
     def test_zero_eps_leaves_weights_alone(self):
         csr = _star([0.5, 3.0, 7.25]).freeze()
         assert csr.rounded_weights(0.0) is csr.weights
-        assert [round_up_weight(w, 0.0) for w in csr.weights] == list(csr.weights)
+        assert round_up_weights(csr.weights, 0.0) == list(csr.weights)
 
 
 #: (L, n, ε) of the sweep parity cases: L across 12 orders of magnitude.

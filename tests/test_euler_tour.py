@@ -180,11 +180,6 @@ class TestTourStructure:
         assert tour.times[:6] == pytest.approx([0, 2, 3, 4, 7, 10])
         assert tour.length == pytest.approx(2 * paper_tree.total_weight())
 
-    def test_tour_distance(self):
-        t = path_graph(4, [1.0, 2.0, 3.0])
-        tour = compute_euler_tour(t, 0)
-        assert tour.tour_distance(0, tour.size - 1) == pytest.approx(2 * 6.0)
-
 
 class TestStagedIntervals:
     """The §3.3 reference's intervals, checked on their own."""

@@ -23,11 +23,8 @@ from repro.analysis.validation import ValidationError
 from repro.graphs import WeightedGraph, erdos_renyi_graph, path_graph
 from repro.graphs.shortest_paths import dijkstra
 from repro.harness.runner import ALGORITHMS, STRUCTURE_EXTRACTORS, queryable_profiles
-from repro.oracle import (
-    STRATEGIES,
-    build_oracle,
-    select_landmarks,
-)
+from repro.oracle import STRATEGIES, build_oracle
+from repro.oracle.landmarks import landmarks_with_potentials
 
 INF = float("inf")
 
@@ -104,7 +101,7 @@ def test_strategies_are_exact_and_deterministic(medium_er, strategy):
 
 def test_degree_strategy_prefers_hubs(star_with_rim):
     csr = star_with_rim.freeze()
-    chosen = select_landmarks(csr, 1, strategy="degree", seed=0)
+    chosen = landmarks_with_potentials(csr, 1, strategy="degree", seed=0)[0]
     hub = max(range(csr.n), key=csr.degree_idx)
     assert chosen == [hub]
 
@@ -115,7 +112,7 @@ def test_far_sampling_covers_components():
         for i in range(3):
             g.add_edge(base + i, base + i + 1, 1.0)
     csr = g.freeze()
-    chosen = select_landmarks(csr, 2, strategy="far", seed=1)
+    chosen = landmarks_with_potentials(csr, 2, strategy="far", seed=1)[0]
     comps = {c // 100 for c in (csr.verts[i] for i in chosen)}
     assert comps == {0, 1}, "second landmark must land in the other component"
 

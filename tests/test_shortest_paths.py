@@ -8,7 +8,6 @@ from repro.graphs import (
     dijkstra,
     bounded_dijkstra,
     all_pairs_shortest_paths,
-    eccentricity,
     grid_graph,
     hop_distances,
     hop_diameter,
@@ -101,11 +100,6 @@ class TestHopMetrics:
 
 
 class TestDiameters:
-    def test_eccentricity(self):
-        g = path_graph(4, [1.0, 1.0, 1.0])
-        assert eccentricity(g, 0) == 3.0
-        assert eccentricity(g, 1) == 2.0
-
     def test_all_pairs_symmetric(self, small_er):
         apsp = all_pairs_shortest_paths(small_er)
         for u in small_er.vertices():

@@ -68,15 +68,6 @@ class TestRemoval:
         with pytest.raises(KeyError):
             g.remove_edge(0, 1)
 
-    def test_remove_vertex_cleans_incident_edges(self):
-        g = WeightedGraph()
-        g.add_edge(0, 1, 1.0)
-        g.add_edge(1, 2, 1.0)
-        g.remove_vertex(1)
-        assert g.n == 2
-        assert g.m == 0
-        assert not g.has_edge(0, 1)
-
 
 class TestInspection:
     def test_edges_iterates_each_once(self, triangle):
@@ -207,11 +198,6 @@ class TestConnectivity:
 
 
 class TestInterop:
-    def test_networkx_roundtrip(self, small_er):
-        nxg = small_er.to_networkx()
-        back = WeightedGraph.from_networkx(nxg)
-        assert back == small_er
-
     def test_networkx_distances_agree(self, small_er):
         import networkx as nx
 
