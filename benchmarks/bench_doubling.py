@@ -55,7 +55,9 @@ import tracemalloc
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Tuple
 
-from evidence import counted_calls, machine, measure_baseline, measure_side, timed_phases
+from evidence import (
+    counted_calls, machine, measure_baseline, measure_side, timed_phases, wrapped,
+)
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
@@ -143,10 +145,15 @@ def _counted_run(make_graph: Callable[[], Any],
                  construct: Callable[[Any], Any]) -> Dict[str, int]:
     """One untimed construction on a fresh input; calls per counter."""
     counts = {key: 0 for _m, _a, key in COUNTED}
+
+    def per_weight(fn: Callable[..., Any], key: str) -> Callable[..., Any]:
+        def counted(weights: Any, eps: float) -> Any:
+            counts[key] += len(weights)
+            return fn(weights, eps)
+        return counted
+
     graph = make_graph()
-    with counted_calls(COUNTED, counts), counted_calls(
-        COUNTED_PER_WEIGHT, counts, amount=lambda weights, eps: len(weights)
-    ):
+    with counted_calls(COUNTED, counts), wrapped(COUNTED_PER_WEIGHT, per_weight):
         construct(graph)
     return counts
 

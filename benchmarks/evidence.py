@@ -85,15 +85,14 @@ def timed_phases(
 
 @contextlib.contextmanager
 def counted_calls(
-    targets: List[Tuple[str, str, str]], counts: Dict[str, int],
-    amount: Callable[..., int] = lambda *args, **kwargs: 1,
+    targets: List[Tuple[str, str, str]], counts: Dict[str, int]
 ) -> Iterator[None]:
-    """:func:`wrapped` with counters: each call of a target adds
-    ``amount`` of its arguments (one by default) to ``counts[key]``."""
+    """:func:`wrapped` with counters: each call of a target adds one to
+    ``counts[key]``."""
 
     def counter(fn: Callable[..., Any], key: str) -> Callable[..., Any]:
         def counted(*args: Any, **kwargs: Any) -> Any:
-            counts[key] += amount(*args, **kwargs)
+            counts[key] += 1
             return fn(*args, **kwargs)
         return counted
 

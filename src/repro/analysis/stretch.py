@@ -7,10 +7,9 @@ canonical certificate; :func:`max_pairwise_stretch` is the exhaustive
 (all-pairs) check for test-sized graphs, and :func:`root_stretch` is the
 SLT's single-source variant.
 
-Since the bounded-radius batched engine landed, :func:`max_edge_stretch`
-delegates to :mod:`repro.analysis.certify` — the same values up to float
-round-off, a fraction of the work (targeted, radius-truncated searches
-instead of one full SSSP per vertex), and optional process parallelism.
+:func:`max_edge_stretch` delegates to :mod:`repro.analysis.certify` —
+the same values up to float round-off, a fraction of the work (targeted
+searches instead of one full SSSP per vertex).
 
 Disconnection contract (pinned by the test-suite): all three maximum
 measures return ``inf`` as soon as any required distance is missing in
