@@ -311,7 +311,6 @@ class TestBFS:
         with pytest.raises(ValueError):
             build_bfs_tree(g, 0)
 
-
     def test_network_freed_without_the_cycle_collector(self):
         # the views hold their network weakly, so no reference cycle
         # keeps a finished network alive until a collection
