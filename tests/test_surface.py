@@ -84,11 +84,9 @@ def _public_definitions() -> List[Tuple[str, str, str]]:
 
 def _wrap_target(node: ast.Tuple) -> Iterable[str]:
     """The attribute path of a ``("repro...", "a.b", ...)`` tuple, split."""
-    head = node.elts[:2]
-    if len(head) == 2 and all(
-        isinstance(e, ast.Constant) and isinstance(e.value, str) for e in head
-    ):
-        module, path = (e.value for e in head)  # type: ignore[attr-defined]
+    head = [e.value for e in node.elts[:2] if isinstance(e, ast.Constant)]
+    if len(head) == 2 and all(isinstance(v, str) for v in head):
+        module, path = head
         if module.startswith("repro"):
             return path.split(".")
     return ()
