@@ -44,6 +44,7 @@ from repro.graphs import WeightedGraph
 from repro.graphs.weighted_graph import Vertex
 from repro.harness.profiles import HUGE_TIER, Profile, all_profiles
 from repro.harness.queries import QUERY_MIXES, run_query_workload
+from repro.kernels import PackedGraph, ensure_packed, load_packed, pykern, resolve_kernel
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.mst import boruvka_mst, kruskal_mst
@@ -220,35 +221,46 @@ def _kernel_sources(n: int, count: int) -> List[int]:
     return [(k * n) // count for k in range(count)]
 
 
-def _build_kernel_sssp(
-    graph: WeightedGraph, params: Params, rng: random.Random
-) -> Tuple[Any, Optional[int]]:
-    from repro.kernels import sssp_matrix
+def _kernel_backend(params: Params) -> str:
+    return resolve_kernel(str(params.get("kernel", "python")))
 
-    csr = graph.freeze()
+
+def _build_kernel_sssp(
+    graph: "WeightedGraph | PackedGraph", params: Params, rng: random.Random
+) -> Tuple[Any, Optional[int]]:
+    """Batched SSSP from :func:`_kernel_sources` over ``graph``'s CSR
+    columns: a WeightedGraph's frozen view, or the huge tier's mmapped
+    columns as they are.  On numpy the columns are converted once and
+    the rows stay one array, which the certification reuses."""
+    csr = graph.freeze() if isinstance(graph, WeightedGraph) else graph
     sources = _kernel_sources(csr.n, int(params.get("sources", 4)))
-    matrix = sssp_matrix(
-        csr.indptr, csr.indices, csr.weights, sources,
-        kernel=str(params.get("kernel", "python")),
-    )
+    if _kernel_backend(params) == "numpy":
+        from repro.kernels import npkern
+
+        prep = npkern.prepare(csr.indptr, csr.indices, csr.weights)
+        return (prep, sources, npkern.sssp_matrix_prepared(prep, sources)), None
+    matrix = pykern.sssp_matrix(csr.indptr, csr.indices, csr.weights, sources)
     return (csr, sources, matrix), None
 
 
 def _certify_kernel_sssp(
-    graph: WeightedGraph, artifact: Any, params: Params
+    graph: "WeightedGraph | PackedGraph", artifact: Any, params: Params
 ) -> QualityReport:
     # fixed-point certificate: residual 0 + no finite-tail/inf-head arcs
     # means every relaxation-built row is exact (see repro.kernels.pykern)
-    from repro.kernels import residual
+    columns, sources, matrix = artifact
+    if _kernel_backend(params) == "numpy":
+        from repro.kernels import npkern
 
-    csr, sources, matrix = artifact
-    kern = str(params.get("kernel", "python"))
-    worst = 0.0
-    unsettled = 0
-    for row in matrix:
-        w, u = residual(csr.indptr, csr.indices, csr.weights, row, kernel=kern)
-        worst = max(worst, w)
-        unsettled += u
+        worst, unsettled = npkern.residual_matrix_prepared(columns, matrix)
+    else:
+        worst, unsettled = 0.0, 0
+        for row in matrix:
+            w, u = pykern.residual(
+                columns.indptr, columns.indices, columns.weights, row
+            )
+            worst = max(worst, w)
+            unsettled += u
     rows = [
         MetricRow("residual", worst, 1e-6),
         MetricRow("unsettled-arcs", float(unsettled), 0.0),
@@ -903,10 +915,12 @@ def run_huge_profile(
     :class:`WeightedGraph` — the workload is generated once into the
     versioned ``.rpg`` binary format (cached under ``cache_dir``, see
     :func:`repro.kernels.ensure_packed`), mmapped back as zero-copy CSR
-    columns, and fed to the batched SSSP kernels directly.  The record's
-    generation time therefore covers pack-or-cache-hit, construction the
-    batched SSSP, and certification the fixed-point residual check
-    (residual 0 and no unsettled arcs certify every distance row exact).
+    columns, and run through the same ``kernel-sssp`` build and
+    certification as every other tier, on the columns as they are.  The
+    record's generation time therefore covers pack-or-cache-hit,
+    construction the batched SSSP, and certification the fixed-point
+    residual check (residual 0 and no unsettled arcs certify every
+    distance row exact).
 
     ``kernel`` defaults to ``"auto"`` — numpy when available, else the
     pure-Python kernel (slow at this scale, but correct).  The packed
@@ -921,8 +935,6 @@ def run_huge_profile(
     RuntimeError
         When ``kernel="numpy"`` and numpy is not installed.
     """
-    from repro.kernels import ensure_packed, load_packed, resolve_kernel
-
     if HUGE_TIER not in profile.tiers:
         raise KeyError(
             f"profile {profile.name!r} does not define a {HUGE_TIER!r} tier"
@@ -950,43 +962,18 @@ def run_huge_profile(
             pg = load_packed(path)
         generation_seconds = t_gen.wall_s
         try:
-            sources = _kernel_sources(pg.n, int(params.get("sources", 4)))
-            if backend == "numpy":
-                from repro.kernels import npkern
-
-                with obs_trace.timed_span("harness.build") as t_build:
-                    prep = npkern.prepare(pg.indptr, pg.indices, pg.weights)
-                    matrix = npkern.sssp_matrix_prepared(prep, sources)
-                with obs_trace.timed_span("harness.certify") as t_cert:
-                    worst, unsettled = npkern.residual_matrix_prepared(
-                        prep, matrix
-                    )
-            else:
-                from repro.kernels import pykern
-
-                with obs_trace.timed_span("harness.build") as t_build:
-                    py_matrix = pykern.sssp_matrix(
-                        pg.indptr, pg.indices, pg.weights, sources
-                    )
-                with obs_trace.timed_span("harness.certify") as t_cert:
-                    worst, unsettled = 0.0, 0
-                    for row in py_matrix:
-                        w, u = pykern.residual(
-                            pg.indptr, pg.indices, pg.weights, row
-                        )
-                        worst = max(worst, w)
-                        unsettled += u
+            with obs_trace.timed_span("harness.build") as t_build:
+                artifact = _build_kernel_sssp(
+                    pg, params, random.Random(profile.seed)
+                )[0]
+            with obs_trace.timed_span("harness.certify") as t_cert:
+                report = _certify_kernel_sssp(pg, artifact, params)
             n_packed, m_arcs = pg.n, pg.m_arcs
         finally:
             pg.close()
     finally:
         profile_span.__exit__(None, None, None)
 
-    report = QualityReport(title="kernel sssp (huge)", rows=[
-        MetricRow("residual", worst, 1e-6),
-        MetricRow("unsettled-arcs", float(unsettled), 0.0),
-        MetricRow("sources", float(len(sources))),
-    ])
     return ProfileRecord(
         profile=profile.name,
         tier=HUGE_TIER,
@@ -1007,8 +994,8 @@ def run_huge_profile(
         certification={
             "mode": "fixed-point",
             "kernel": backend,
-            "sources": len(sources),
-            "unsettled_arcs": unsettled,
+            "sources": int(report.metric("sources").measured),
+            "unsettled_arcs": int(report.metric("unsettled-arcs").measured),
             "packed_file": str(path),
         },
         observability=_observability_block(counters_before, spans_before),

@@ -4,8 +4,11 @@ Importing this module requires numpy — callers go through
 :func:`repro.kernels.dispatch.resolve_kernel` and only reach here when
 ``kernel="numpy"`` resolved successfully.
 
-The batched kernel (:func:`sssp_matrix`) is bucketed sparse frontier
-relaxation over the 2-D ``(sources × nodes)`` distance matrix:
+The module has one relaxation loop, :func:`_relax_block`: bucketed
+sparse frontier relaxation over a block of rows of a distance matrix.
+:func:`sssp_matrix_prepared` runs it over the ``(sources × nodes)``
+matrix with one source per row, and :func:`sssp_row_prepared` over one
+row whose sources all start at 0:
 
 * the frontier is a flat vector of ``row * n + vertex`` keys; each
   round expands every out-arc of the frontier in one shot — a reshaped
@@ -27,17 +30,15 @@ Python bytecode.
 Parity contract (gated by ``tests/test_kernels.py``): distances agree
 with :mod:`repro.kernels.pykern` to 1e-9 on every workload, including
 zero-weight edges, disconnected components, isolated vertices and
-duplicate sources.  Parent choices may differ on ties, but every
-parent chain is a witness shortest path.
+duplicate sources.  The kernel returns distances only; parent pointers
+come from :func:`repro.kernels.pykern.sssp`.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Optional, Sequence, Tuple
 
 import numpy as np
-
-from repro.kernels.pykern import PARENT_SOURCE, PARENT_UNREACHED
 
 NDArray = Any  # numpy is untyped in the CI mypy environment
 
@@ -52,7 +53,7 @@ class PreparedCSR:
 
     Building this costs one pass over the columns (Python lists are the
     slow case; ``array('d')``/memoryview inputs convert zero-copy);
-    the harness's huge tier reuses it across its
+    the harness's ``kernel-sssp`` runs reuse it across their
     :func:`sssp_matrix_prepared`/:func:`residual_matrix_prepared`
     calls.  When every vertex has the same degree ``d`` the index/weight
     columns are also kept as ``(n, d)`` views for the reshape fast path.
@@ -87,8 +88,7 @@ def prepare(
     indices: Sequence[int],
     weights: Sequence[float],
 ) -> PreparedCSR:
-    """Convert CSR columns once; pass the result to the ``*_prepared``
-    entry points (or to the plain ones — ndarrays re-convert for free)."""
+    """Convert CSR columns once for the ``*_prepared`` entry points."""
     return PreparedCSR(indptr, indices, weights)
 
 
@@ -100,7 +100,7 @@ def _auto_delta(w: NDArray) -> float:
 
 
 def _expand_uniform(
-    prep: PreparedCSR, keys: NDArray, dv: NDArray, rowbase: NDArray, verts: NDArray
+    prep: PreparedCSR, dv: NDArray, rowbase: NDArray, verts: NDArray
 ) -> Tuple[NDArray, NDArray]:
     """(candidate dists, flat target keys) over the frontier's arcs —
     uniform-degree reshape path, one 2-D gather per column."""
@@ -111,7 +111,7 @@ def _expand_uniform(
 
 
 def _expand_general(
-    prep: PreparedCSR, keys: NDArray, dv: NDArray, rowbase: NDArray, verts: NDArray
+    prep: PreparedCSR, dv: NDArray, rowbase: NDArray, verts: NDArray
 ) -> Tuple[NDArray, NDArray]:
     """General CSR expansion via ``np.repeat`` + the cumsum trick."""
     degs = np.diff(prep.ip)[verts]
@@ -150,9 +150,9 @@ def _relax_block(
         verts = pending % n
         rowbase = pending - verts
         if uniform:
-            cand, tkeys = _expand_uniform(prep, pending, dv, rowbase, verts)
+            cand, tkeys = _expand_uniform(prep, dv, rowbase, verts)
         else:
-            cand, tkeys = _expand_general(prep, pending, dv, rowbase, verts)
+            cand, tkeys = _expand_general(prep, dv, rowbase, verts)
         if tkeys.shape[0]:
             nz = np.flatnonzero(cand < flat[tkeys])
         else:
@@ -200,61 +200,15 @@ def sssp_matrix_prepared(
     return dist
 
 
-def sssp_matrix(
-    indptr: Sequence[int],
-    indices: Sequence[int],
-    weights: Sequence[float],
-    sources: Sequence[int],
-) -> NDArray:
-    """Batched SSSP on raw CSR columns (converts, then delegates)."""
-    return sssp_matrix_prepared(prepare(indptr, indices, weights), sources)
-
-
-def sssp(
-    indptr: Sequence[int],
-    indices: Sequence[int],
-    weights: Sequence[float],
-    sources: Sequence[int],
-) -> Tuple[List[float], List[int]]:
-    """Drop-in for uncapped :func:`repro.kernels.pykern.sssp` (flat
-    lists out), with parent pointers tracked through a per-round
-    lexsort."""
-    prep = prepare(indptr, indices, weights)
-    n = prep.n
-    dist = np.full(n, np.inf)
-    parent = np.full(n, PARENT_UNREACHED, dtype=np.int64)
-    src = np.unique(np.asarray(sources, dtype=np.int64))
-    dist[src] = 0.0
-    parent[src] = PARENT_SOURCE
-    keys = src
-    uniform = prep.uniform_degree > 0
-    while keys.size:
-        dv = dist[keys]
-        verts = keys
-        rowbase = np.zeros(keys.shape[0], dtype=np.int64)
-        if uniform:
-            cand, tkeys = _expand_uniform(prep, keys, dv, rowbase, verts)
-            par = np.repeat(verts, prep.uniform_degree)
-        else:
-            degs = np.diff(prep.ip)[verts]
-            cand, tkeys = _expand_general(prep, keys, dv, rowbase, verts)
-            par = np.repeat(verts, degs)
-        if tkeys.shape[0] == 0:
-            break
-        better = cand < dist[tkeys]
-        cand, tkeys, par = cand[better], tkeys[better], par[better]
-        if tkeys.shape[0] == 0:
-            break
-        order = np.lexsort((par, cand, tkeys))
-        tkeys, cand, par = tkeys[order], cand[order], par[order]
-        first = np.ones(tkeys.shape[0], dtype=bool)
-        first[1:] = tkeys[1:] != tkeys[:-1]
-        starts = np.flatnonzero(first)
-        ukeys = tkeys[starts]
-        dist[ukeys] = cand[starts]  # lexsort: first of each group is the min
-        parent[ukeys] = par[starts]
-        keys = ukeys
-    return dist.tolist(), parent.tolist()
+def sssp_row_prepared(prep: PreparedCSR, sources: Sequence[int]) -> NDArray:
+    """One float64 distance row with every vertex of ``sources`` at 0:
+    a one-row block of the batched relaxation (duplicate sources
+    collapse)."""
+    dist = np.full(prep.n, np.inf)
+    seeds = np.unique(np.asarray(sources, dtype=np.int64))
+    dist[seeds] = 0.0
+    _relax_block(prep, dist, seeds, _auto_delta(prep.w))
+    return dist
 
 
 def residual_matrix_prepared(
@@ -295,12 +249,3 @@ def residual_matrix_prepared(
             worst = mx
     return worst, unsettled
 
-
-def residual_matrix(
-    indptr: Sequence[int],
-    indices: Sequence[int],
-    weights: Sequence[float],
-    dist_matrix: NDArray,
-) -> Tuple[float, int]:
-    """Raw-column wrapper around :func:`residual_matrix_prepared`."""
-    return residual_matrix_prepared(prepare(indptr, indices, weights), dist_matrix)

@@ -23,7 +23,7 @@ from typing import List, Optional, Sequence, Tuple
 
 INF = float("inf")
 
-#: parent-array sentinels, shared with :mod:`repro.kernels.npkern`
+#: parent-array sentinels
 PARENT_SOURCE = -1
 PARENT_UNREACHED = -2
 

@@ -1,25 +1,24 @@
 """Kernel-dispatching SSSP entry points.
 
-The oracle's landmark potentials and the harness's kernel profiles call
-these three functions with raw CSR columns and a ``kernel`` name;
-resolution happens here (see :mod:`repro.kernels.dispatch`), and the
-numpy backend is only imported after it resolved, so the module itself
-is stdlib-safe.  The label-keyed ``dijkstra`` and ``bounded_dijkstra``
-of :mod:`repro.graphs.shortest_paths` have no backend to choose and
-call :func:`repro.kernels.pykern.sssp` directly, with its ``cap``.
+The oracle's landmark potentials call these two functions with raw CSR
+columns and a ``kernel`` name; resolution happens here (see
+:mod:`repro.kernels.dispatch`), and the numpy backend is only imported
+after it resolved, so the module itself is stdlib-safe.  Both return
+distances only, as plain Python lists of floats, because every caller
+immediately builds label-keyed dicts or aggregates from them.  Parent
+pointers come from :func:`repro.kernels.pykern.sssp` alone: the
+label-keyed ``dijkstra`` and ``bounded_dijkstra`` of
+:mod:`repro.graphs.shortest_paths` call it directly, with its ``cap``.
 
-Outputs are normalized to plain Python containers (lists of floats /
-ints), because every caller immediately builds label-keyed dicts or
-aggregates from them; :func:`sssp_matrix` returns its rows lazily
-normalized the same way.  The batched numpy path's raw ndarray stays an
-implementation detail behind :func:`repro.kernels.npkern.sssp_matrix`
-for the code paths (huge tier, residual certification) that want to
-stay array-native end to end.
+The harness's ``kernel-sssp`` runs stay array-native end to end on
+numpy: they call :func:`repro.kernels.npkern.sssp_matrix_prepared` and
+:func:`~repro.kernels.npkern.residual_matrix_prepared` on columns
+converted once.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 from repro.kernels.dispatch import resolve_kernel
 from repro.kernels import pykern
@@ -31,14 +30,19 @@ def sssp(
     weights: Sequence[float],
     sources: Sequence[int],
     kernel: str = "python",
-) -> Tuple[List[float], List[int]]:
-    """One SSSP run on raw CSR columns (see :func:`pykern.sssp`)."""
+) -> List[float]:
+    """One distance row with every vertex of ``sources`` at distance 0.
+
+    The python backend is :func:`pykern.sssp` without its parents; the
+    numpy backend settles the row as one row of the batched relaxation.
+    """
     backend = resolve_kernel(kernel)
     if backend == "numpy":
         from repro.kernels import npkern
 
-        return npkern.sssp(indptr, indices, weights, sources)
-    return pykern.sssp(indptr, indices, weights, sources)
+        prep = npkern.prepare(indptr, indices, weights)
+        return npkern.sssp_row_prepared(prep, sources).tolist()
+    return pykern.sssp(indptr, indices, weights, sources)[0]
 
 
 def sssp_matrix(
@@ -57,22 +61,6 @@ def sssp_matrix(
     if backend == "numpy":
         from repro.kernels import npkern
 
-        matrix = npkern.sssp_matrix(indptr, indices, weights, sources)
-        return [row.tolist() for row in matrix]
+        prep = npkern.prepare(indptr, indices, weights)
+        return [row.tolist() for row in npkern.sssp_matrix_prepared(prep, sources)]
     return pykern.sssp_matrix(indptr, indices, weights, sources)
-
-
-def residual(
-    indptr: Sequence[int],
-    indices: Sequence[int],
-    weights: Sequence[float],
-    dist: Sequence[float],
-    kernel: str = "python",
-) -> Tuple[float, int]:
-    """Fixed-point residual of one distance row (see :func:`pykern.residual`)."""
-    backend = resolve_kernel(kernel)
-    if backend == "numpy":
-        from repro.kernels import npkern
-
-        return npkern.residual_matrix(indptr, indices, weights, [list(dist)])
-    return pykern.residual(indptr, indices, weights, dist)

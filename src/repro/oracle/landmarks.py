@@ -58,7 +58,7 @@ def _far_sampling(
     while True:
         dist = sssp(
             csr.indptr, csr.indices, csr.weights, [chosen[-1]], kernel=kernel
-        )[0]
+        )
         potentials.append(dist)
         for v in range(n):
             if dist[v] < best[v]:
@@ -102,14 +102,16 @@ def landmarks_with_potentials(
     each landmark's SSSP once.
 
     ``kernel`` selects the SSSP backend (:mod:`repro.kernels`).  The
-    selection itself is backend-independent — distances agree to 1e-9,
-    and both the ``"far"`` argmax and the ``"degree"`` ordering depend
-    only on distances/degrees — so a fixed ``(strategy, seed)`` picks
-    the same landmarks on every kernel.  The ``"degree"`` strategy
-    computes all its potentials in one :func:`repro.kernels.sssp_matrix`
-    call (one matrix pass under ``"numpy"``); ``"far"`` makes one
-    :func:`repro.kernels.sssp` call per round, since each round's source
-    depends on the previous round's distances.
+    selection itself is backend-independent — both backends return
+    distances only, equal to 1e-9 (bit for bit on
+    ``tests/test_sssp_parity.py``'s grid), and both the ``"far"`` argmax
+    and the ``"degree"`` ordering depend only on distances/degrees — so
+    a fixed ``(strategy, seed)`` picks the same landmarks on every
+    kernel.  The ``"degree"`` strategy computes all its potentials in
+    one :func:`repro.kernels.sssp_matrix` call (one matrix pass under
+    ``"numpy"``); ``"far"`` makes one :func:`repro.kernels.sssp` call
+    per round, one distance row each, since each round's source depends
+    on the previous round's distances.
 
     Raises
     ------

@@ -9,7 +9,8 @@ must be equal with ``==`` and in the same dict insertion order, on
 seeded ER, geometric and all-ties grid graphs, at three weight scales,
 from one, a duplicated and four sources, over ``WeightedGraph``,
 ``CSRGraph`` and string-labelled inputs, at radii from 0 to past the
-eccentricity.
+eccentricity.  The numpy landmark potentials must equal the same
+python reference with ``==``.
 """
 
 from __future__ import annotations
@@ -130,13 +131,13 @@ def _ref_landmark_sssp(csr, src):
     return dist
 
 
-def _ref_far_sampling(csr, count, rng, run_sssp):
+def _ref_far_sampling(csr, count, rng):
     n = csr.n
     chosen = [rng.randrange(n)]
     potentials: List[List[float]] = []
     best = [INF] * n
     while True:
-        dist = run_sssp(csr, chosen[-1])
+        dist = _ref_landmark_sssp(csr, chosen[-1])
         potentials.append(dist)
         for v in range(n):
             if dist[v] < best[v]:
@@ -156,26 +157,15 @@ def _ref_by_degree(csr, count, rng):
     return order[:count]
 
 
-def _ref_landmarks(csr, count, strategy, seed, kernel="python"):
+def _ref_landmarks(csr, count, strategy, seed):
     """The landmark selection as the oracle ran it before the kernel
     layer served every backend."""
     count = min(count, csr.n)
     rng = random.Random(seed)
-    if kernel == "numpy":
-        from repro.kernels import sssp, sssp_matrix
-
-        def run(c, s):
-            return sssp(c.indptr, c.indices, c.weights, [s], kernel="numpy")[0]
-    else:
-        run = _ref_landmark_sssp
     if strategy == "degree":
         chosen = _ref_by_degree(csr, count, rng)
-        if kernel == "numpy":
-            return chosen, sssp_matrix(
-                csr.indptr, csr.indices, csr.weights, chosen, kernel="numpy"
-            )
         return chosen, [_ref_landmark_sssp(csr, i) for i in chosen]
-    return _ref_far_sampling(csr, count, rng, run)
+    return _ref_far_sampling(csr, count, rng)
 
 
 # ----------------------------------------------------------------- inputs
@@ -270,22 +260,20 @@ class TestDijkstraParity:
 
 
 class TestLandmarkParity:
+    @pytest.mark.parametrize("kernel", [
+        "python",
+        pytest.param("numpy", marks=pytest.mark.skipif(
+            not has_numpy(), reason="numpy not installed"
+        )),
+    ])
     @pytest.mark.parametrize("strategy", ["far", "degree"])
     @pytest.mark.parametrize("factor", FACTORS)
     @pytest.mark.parametrize("family", FAMILIES)
-    def test_potentials_equal_reference(self, family, factor, strategy):
+    def test_potentials_equal_reference(self, family, factor, strategy, kernel):
         csr = _graph(family, factor).freeze()
         for count in (1, 4, csr.n):
-            for seed in (0, 1):
-                got = landmarks_with_potentials(csr, count, strategy, seed)
+            for seed in (0, 1, 2):
+                got = landmarks_with_potentials(
+                    csr, count, strategy, seed, kernel=kernel
+                )
                 assert got == _ref_landmarks(csr, count, strategy, seed)
-
-    @pytest.mark.skipif(not has_numpy(), reason="numpy not installed")
-    @pytest.mark.parametrize("strategy", ["far", "degree"])
-    @pytest.mark.parametrize("family", FAMILIES)
-    def test_numpy_potentials_equal_reference(self, family, strategy):
-        csr = _graph(family, 1.0).freeze()
-        for count in (1, 4):
-            got = landmarks_with_potentials(csr, count, strategy, 2, kernel="numpy")
-            assert got == _ref_landmarks(csr, count, strategy, 2, kernel="numpy")
-
