@@ -3,14 +3,48 @@
 One :class:`FileContext` is built per linted file: the parsed AST, a
 parent map (rules frequently need "who consumes this node"), the
 dotted module name when the file lives under a ``src`` root, and the
-raw source lines for precise reporting.
+raw source lines for precise reporting.  The AST name helpers and the
+pool vocabulary that both the per-file rules and the whole-program
+fact extractor read are defined here too.
 """
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, FrozenSet, List, Optional
+
+#: callables that construct a :mod:`multiprocessing` pool / executor.
+POOL_CONSTRUCTORS: FrozenSet[str] = frozenset(
+    {"Pool", "ThreadPool", "ProcessPoolExecutor"}
+)
+
+#: pool / executor methods that ship a callable to workers.
+DISPATCH_METHODS: FrozenSet[str] = frozenset({
+    "apply", "apply_async", "imap", "imap_unordered", "map", "map_async",
+    "starmap", "starmap_async", "submit",
+})
+
+
+def dotted_name(node: ast.AST) -> str:
+    """``a.b.c`` for Name/Attribute chains, '' for anything else."""
+    parts: List[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+        return ".".join(reversed(parts))
+    return ""
+
+
+def leaf_name(node: ast.expr) -> str:
+    """The last name of a Name/Attribute chain (``b`` of ``a.b``), else ''."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return ""
 
 
 def module_name_for(path: Path) -> Optional[str]:

@@ -28,6 +28,8 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
+from repro.lint.context import DISPATCH_METHODS, POOL_CONSTRUCTORS, dotted_name, leaf_name
+
 #: qualname used for statements executed at module import time.
 MODULE_SCOPE = "<module>"
 
@@ -35,18 +37,9 @@ MODULE_SCOPE = "<module>"
 _SEEDISH_EXACT = {"rng", "seed"}
 _SEEDISH_SUFFIXES = ("_rng", "_seed")
 
-#: callables that construct a :mod:`multiprocessing` pool / executor.
-_POOL_CONSTRUCTORS = {"Pool", "ThreadPool", "ProcessPoolExecutor"}
-
 #: callables that spawn one worker process around a ``target=`` entry
 #: point (``multiprocessing.Process`` / a spawn context's ``Process``).
 _PROCESS_CONSTRUCTORS = {"Process"}
-
-#: pool / executor methods that ship a callable to workers.
-_DISPATCH_METHODS = {
-    "apply", "apply_async", "imap", "imap_unordered", "map", "map_async",
-    "starmap", "starmap_async", "submit",
-}
 
 #: methods that mutate their receiver in place (list/dict/set/array).
 _MUTATOR_METHODS = {
@@ -159,22 +152,10 @@ class FileFacts:
         return dict(self.aliases)
 
 
-def _dotted(node: ast.AST) -> str:
-    """``a.b.c`` for Name/Attribute chains, '' for anything else."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return ""
-
-
 def _unwrap_partial(node: ast.expr) -> ast.expr:
     """``functools.partial(f, ...)`` -> ``f`` (one level)."""
     if isinstance(node, ast.Call):
-        name = _dotted(node.func)
+        name = dotted_name(node.func)
         if name in ("partial", "functools.partial") and node.args:
             return node.args[0]
     return node
@@ -459,7 +440,7 @@ class _Extractor:
             stmt.name for stmt in node.body
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
         )
-        bases = tuple(b for b in (_dotted(base) for base in node.bases) if b)
+        bases = tuple(b for b in (dotted_name(base) for base in node.bases) if b)
         self.classes.append(ClassFacts(node.name, bases, methods))
         self._class_stack.append(node.name)
         self._walk_body(node.body, lazy)
@@ -489,17 +470,9 @@ class _Extractor:
             else:
                 self._pool_names[-1].discard(target.id)
 
-    @staticmethod
-    def _leaf_name(node: ast.expr) -> str:
-        if isinstance(node, ast.Name):
-            return node.id
-        if isinstance(node, ast.Attribute):
-            return node.attr
-        return ""
-
     def _is_pool_constructor(self, node: ast.expr) -> bool:
         return isinstance(node, ast.Call) and (
-            self._leaf_name(node.func) in _POOL_CONSTRUCTORS
+            leaf_name(node.func) in POOL_CONSTRUCTORS
         )
 
     # -- stores (global writes / CSR mutations) ------------------------
@@ -526,7 +499,7 @@ class _Extractor:
                 )
                 acc.csr_writes.append(WriteFact(
                     target.lineno, target.col_offset,
-                    f"{_dotted(chain) or chain.attr}", kind,
+                    f"{dotted_name(chain) or chain.attr}", kind,
                 ))
         if in_module_scope:
             return  # module-level assignments *define* globals
@@ -572,7 +545,7 @@ class _Extractor:
 
     def _handle_call(self, node: ast.Call) -> None:
         acc = self._acc()
-        callee = _dotted(node.func)
+        callee = dotted_name(node.func)
         # mutator method on a module global: STATE.update(...)
         if isinstance(node.func, ast.Attribute) and (
             node.func.attr in _MUTATOR_METHODS
@@ -582,7 +555,7 @@ class _Extractor:
                 if isinstance(base, ast.Attribute) and base.attr in _CSR_ARRAYS:
                     acc.csr_writes.append(WriteFact(
                         node.lineno, node.col_offset,
-                        _dotted(base) or base.attr,
+                        dotted_name(base) or base.attr,
                         f"mutator:{node.func.attr}",
                     ))
                 base = base.value
@@ -603,25 +576,25 @@ class _Extractor:
         if self._is_pool_constructor(node):
             for kw in node.keywords:
                 if kw.arg == "initializer":
-                    target = _dotted(_unwrap_partial(kw.value))
+                    target = dotted_name(_unwrap_partial(kw.value))
                     if target:
                         self.pool_entries.append(PoolEntryFact(
                             node.lineno, target, "initializer",
                         ))
-        elif self._leaf_name(node.func) in _PROCESS_CONSTRUCTORS:
+        elif leaf_name(node.func) in _PROCESS_CONSTRUCTORS:
             # Process(target=...) — a daemon-style worker entry point;
             # everything reachable from it runs in a child process, so
             # the worker-reachability races apply exactly as they do to
             # pool dispatch targets.
             for kw in node.keywords:
                 if kw.arg == "target":
-                    target = _dotted(_unwrap_partial(kw.value))
+                    target = dotted_name(_unwrap_partial(kw.value))
                     if target:
                         self.pool_entries.append(PoolEntryFact(
                             node.lineno, target, "process",
                         ))
         elif isinstance(node.func, ast.Attribute) and (
-            node.func.attr in _DISPATCH_METHODS
+            node.func.attr in DISPATCH_METHODS
             and isinstance(node.func.value, ast.Name)
             and any(node.func.value.id in s for s in self._pool_names)
         ):
@@ -630,7 +603,7 @@ class _Extractor:
                 if kw.arg in ("func", "fn"):
                     shipped = kw.value
             if shipped is not None:
-                target = _dotted(_unwrap_partial(shipped))
+                target = dotted_name(_unwrap_partial(shipped))
                 if target:
                     self.pool_entries.append(PoolEntryFact(
                         node.lineno, target, "dispatch",

@@ -24,24 +24,8 @@ from __future__ import annotations
 import ast
 from typing import ClassVar, Dict, List, Optional, Set, Union
 
-from repro.lint.context import FileContext
+from repro.lint.context import DISPATCH_METHODS, POOL_CONSTRUCTORS, FileContext, leaf_name
 from repro.lint.registry import Rule, register
-
-_POOL_CONSTRUCTORS: Set[str] = {
-    "Pool", "ProcessPoolExecutor", "ThreadPool",
-}
-_DISPATCH_METHODS: Set[str] = {
-    "apply", "apply_async", "imap", "imap_unordered", "map", "map_async",
-    "starmap", "starmap_async", "submit",
-}
-
-
-def _callable_name(func: ast.expr) -> str:
-    if isinstance(func, ast.Name):
-        return func.id
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    return ""
 
 
 @register
@@ -85,7 +69,7 @@ class PoolBoundary(Rule):
 
     def _is_pool_constructor(self, node: ast.expr) -> bool:
         return isinstance(node, ast.Call) and (
-            _callable_name(node.func) in _POOL_CONSTRUCTORS
+            leaf_name(node.func) in POOL_CONSTRUCTORS
         )
 
     def _track_binding(self, target: ast.expr, value: ast.expr) -> None:
@@ -119,7 +103,7 @@ class PoolBoundary(Rule):
         if self._is_pool_constructor(node):
             self._check_dispatch(node, constructor=True)
         elif isinstance(node.func, ast.Attribute) and (
-            node.func.attr in _DISPATCH_METHODS
+            node.func.attr in DISPATCH_METHODS
             and self._is_pool_name(node.func.value)
         ):
             self._check_dispatch(node, constructor=False)

@@ -27,7 +27,7 @@ from __future__ import annotations
 import ast
 from typing import ClassVar, Dict, List, Set
 
-from repro.lint.context import FileContext
+from repro.lint.context import FileContext, dotted_name
 from repro.lint.registry import Rule, register
 
 #: random-module callables that draw from (or reseed) the global generator.
@@ -38,18 +38,6 @@ _GLOBAL_DRAWS: Set[str] = {
     "setstate", "shuffle", "triangular", "uniform", "vonmisesvariate",
     "weibullvariate",
 }
-
-
-def _dotted(node: ast.AST) -> str:
-    """``a.b.c`` for nested Name/Attribute chains, else ''."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return ""
 
 
 @register
@@ -110,7 +98,7 @@ class RngDiscipline(Rule):
 
     # -- calls ---------------------------------------------------------
     def visit_Call(self, node: ast.Call) -> None:
-        dotted = _dotted(node.func)
+        dotted = dotted_name(node.func)
         if dotted in {f"random.{draw}" for draw in _GLOBAL_DRAWS}:
             self.report(
                 node,
