@@ -134,6 +134,27 @@ def _euclidean(p: Tuple[float, ...], q: Tuple[float, ...]) -> float:
     return math.sqrt(sum((a - b) ** 2 for a, b in zip(p, q)))
 
 
+def _stitch_components(
+    g: WeightedGraph, pts: List[Tuple[float, ...]], weight_scale: float
+) -> None:
+    """Connect stragglers so the graph is usable: while ``g`` has several
+    components, join the first one to the rest at their closest point
+    pair, weighted like every other edge."""
+    comps = g.connected_components()
+    while len(comps) > 1:
+        best = None
+        main = comps[0]
+        for other in comps[1:]:
+            for u in main:
+                for v in other:
+                    d = _euclidean(pts[u], pts[v])
+                    if best is None or d < best[0]:
+                        best = (d, u, v)
+        assert best is not None
+        g.add_edge(best[1], best[2], max(1.0, best[0] * weight_scale))
+        comps = g.connected_components()
+
+
 def random_geometric_graph(
     n: int,
     radius: Optional[float] = None,
@@ -156,20 +177,7 @@ def random_geometric_graph(
             d = _euclidean(pts[u], pts[v])
             if d <= radius:
                 g.add_edge(u, v, max(1.0, d * weight_scale))
-    # connect stragglers to their nearest neighbour so the graph is usable
-    comps = g.connected_components()
-    while len(comps) > 1:
-        best = None
-        main = comps[0]
-        for other in comps[1:]:
-            for u in main:
-                for v in other:
-                    d = _euclidean(pts[u], pts[v])
-                    if best is None or d < best[0]:
-                        best = (d, u, v)
-        assert best is not None
-        g.add_edge(best[1], best[2], max(1.0, best[0] * weight_scale))
-        comps = g.connected_components()
+    _stitch_components(g, pts, weight_scale)
     return g
 
 
@@ -190,19 +198,7 @@ def unit_ball_graph(
             d = _euclidean(pts[u], pts[v])
             if d <= 1.0:
                 g.add_edge(u, v, max(1.0, d * weight_scale))
-    comps = g.connected_components()
-    while len(comps) > 1:
-        best = None
-        main = comps[0]
-        for other in comps[1:]:
-            for u in main:
-                for v in other:
-                    d = _euclidean(pts[u], pts[v])
-                    if best is None or d < best[0]:
-                        best = (d, u, v)
-        assert best is not None
-        g.add_edge(best[1], best[2], max(1.0, best[0] * weight_scale))
-        comps = g.connected_components()
+    _stitch_components(g, pts, weight_scale)
     return g
 
 
