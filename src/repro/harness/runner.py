@@ -757,8 +757,10 @@ def run_profile(
     ``kernel-sssp`` profiles run their batched SSSP and residual on;
     every other profile ignores it, and stretch certification has one
     engine.  The default ``"python"`` keeps every committed baseline
-    byte-stable; passing ``"numpy"``/``"auto"`` is the explicit opt-in
-    (stamped into the record's params so reports are attributable).
+    byte-stable; passing ``"numpy"``/``"auto"`` is the explicit opt-in.
+    A ``kernel-sssp`` record's params carry the backend the name
+    resolved to, as :func:`run_huge_profile`'s do, so a report says
+    which kernel ran.
 
     Raises
     ------
@@ -766,7 +768,11 @@ def run_profile(
         On an unknown tier or algorithm.
     ValueError
         On non-positive ``certify_workers`` or out-of-range
-        ``certify_sample``.
+        ``certify_sample``, or an unknown kernel for a ``kernel-sssp``
+        profile.
+    RuntimeError
+        When a ``kernel-sssp`` profile runs with ``kernel="numpy"`` and
+        numpy is not installed.
     """
     if certify_workers < 1:
         raise ValueError(f"certify_workers must be >= 1, got {certify_workers}")
@@ -778,8 +784,8 @@ def run_profile(
         params["certify_workers"] = certify_workers
         if certify_sample is not None:
             params["certify_sample"] = certify_sample
-    if profile.algorithm in KERNEL_ALGORITHMS and kernel != "python":
-        params["kernel"] = kernel
+    if profile.algorithm in KERNEL_ALGORITHMS:
+        params["kernel"] = resolve_kernel(kernel)
 
     counters_before = obs_metrics.scalars()
     spans_before = obs_trace.span_count()

@@ -12,7 +12,8 @@ pass.  Selection is by name — ``"python"``, ``"numpy"``, or ``"auto"``
 outside this one imports numpy (``repro lint --program``, REP903).  The
 oracle's landmark potentials call the two dispatchers,
 :func:`~repro.kernels.sssp.sssp` (one row) and
-:func:`~repro.kernels.sssp.sssp_matrix` (a row per source); the
+:func:`~repro.kernels.sssp.sssp_matrix` (a row per source), on columns
+:func:`~repro.kernels.sssp.backend_columns` converted once per build; the
 harness's ``kernel-sssp`` profiles and its huge tier name a backend and
 call the kernels directly.  Stretch certification
 (:mod:`repro.analysis.certify`) runs a heap loop of its own, and the
@@ -34,7 +35,7 @@ the substrate of the harness's ``huge`` tier.
 """
 
 from repro.kernels.dispatch import KERNELS, has_numpy, numpy_or_none, resolve_kernel
-from repro.kernels.sssp import sssp, sssp_matrix
+from repro.kernels.sssp import backend_columns, sssp, sssp_matrix
 from repro.kernels.binfmt import (
     FORMAT_VERSION,
     HEADER_SIZE,
@@ -52,6 +53,7 @@ __all__ = [
     "has_numpy",
     "numpy_or_none",
     "resolve_kernel",
+    "backend_columns",
     "sssp",
     "sssp_matrix",
     "MAGIC",

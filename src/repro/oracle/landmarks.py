@@ -28,7 +28,7 @@ matters; two seeded strategies are provided:
 from __future__ import annotations
 
 import random
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.graphs.csr import CSRGraph
 
@@ -39,39 +39,44 @@ STRATEGIES = ("far", "degree")
 
 
 def _far_sampling(
-    csr: CSRGraph, count: int, rng: random.Random, kernel: str
+    columns: Tuple[Sequence[int], Sequence[int], Sequence[float]],
+    n: int,
+    count: int,
+    rng: random.Random,
+    kernel: str,
 ) -> Tuple[List[int], List[List[float]]]:
     """Farthest-point sampling over the structure's own metric.
 
     Returns the chosen landmarks *and* each one's full distance array —
     selection needs exactly the Dijkstras the oracle's ALT potentials
     are made of, so the caller reuses them instead of recomputing.
+    ``columns`` are the structure's CSR columns as
+    :func:`repro.kernels.backend_columns` returned them for ``kernel``;
+    every round passes them to its one :func:`repro.kernels.sssp` call,
+    so they are converted once per build, not once per landmark.
     """
     from repro.kernels import sssp
 
-    n = csr.n
     chosen = [rng.randrange(n)]
     potentials: List[List[float]] = []
     # dist-to-chosen-set, maintained incrementally: adding a landmark is
     # one Dijkstra from it, min-merged into the running array
     best = [INF] * n
     while True:
-        dist = sssp(
-            csr.indptr, csr.indices, csr.weights, [chosen[-1]], kernel=kernel
-        )
+        dist = sssp(*columns, [chosen[-1]], kernel=kernel)
         potentials.append(dist)
         for v in range(n):
             if dist[v] < best[v]:
                 best[v] = dist[v]
         if len(chosen) == count:
             return chosen, potentials
-        # the next landmark is the vertex farthest from the chosen set;
-        # max() prefers the lowest index among ties, keeping the pick
-        # deterministic for a fixed seed
-        far = max(range(n), key=lambda v: (best[v], -v))
-        if best[far] == 0.0:
+        # the next landmark is the vertex farthest from the chosen set
+        # (an unreached one is inf); index() takes the lowest index among
+        # ties, keeping the pick deterministic for a fixed seed
+        farthest = max(best)
+        if farthest == 0.0:
             return chosen, potentials  # every vertex is already a landmark
-        chosen.append(far)
+        chosen.append(best.index(farthest))
 
 
 def _by_degree(csr: CSRGraph, count: int, rng: random.Random) -> List[int]:
@@ -107,35 +112,37 @@ def landmarks_with_potentials(
     ``tests/test_sssp_parity.py``'s grid), and both the ``"far"`` argmax
     and the ``"degree"`` ordering depend only on distances/degrees — so
     a fixed ``(strategy, seed)`` picks the same landmarks on every
-    kernel.  The ``"degree"`` strategy computes all its potentials in
-    one :func:`repro.kernels.sssp_matrix` call (one matrix pass under
-    ``"numpy"``); ``"far"`` makes one :func:`repro.kernels.sssp` call
-    per round, one distance row each, since each round's source depends
-    on the previous round's distances.
+    kernel.  The CSR columns are converted to the backend's form once
+    per call (:func:`repro.kernels.backend_columns`) and every SSSP of
+    the build reads that one copy.  The ``"degree"`` strategy computes
+    all its potentials in one :func:`repro.kernels.sssp_matrix` call
+    (one matrix pass under ``"numpy"``); ``"far"`` makes one
+    :func:`repro.kernels.sssp` call per round, one distance row each,
+    since each round's source depends on the previous round's
+    distances.
 
     Raises
     ------
     ValueError
-        On an unknown strategy or a non-positive count.
+        On an unknown strategy, or a count that is not an integer >= 1.
     """
     if strategy not in STRATEGIES:
         raise ValueError(
             f"unknown landmark strategy {strategy!r}; choose from {STRATEGIES}"
         )
-    if count < 1:
-        raise ValueError(f"landmark count must be >= 1, got {count}")
+    if not isinstance(count, int) or count < 1:
+        raise ValueError(f"landmark count must be an integer >= 1, got {count!r}")
     if csr.n == 0:
         return [], []
     count = min(count, csr.n)
     rng = random.Random(seed)
     # resolve once: an explicit "numpy" on a numpy-less host must raise
     # here, not silently run the python loop
-    from repro.kernels import resolve_kernel, sssp_matrix
+    from repro.kernels import backend_columns, resolve_kernel, sssp_matrix
 
     backend = resolve_kernel(kernel)
+    columns = backend_columns(csr.indptr, csr.indices, csr.weights, backend)
     if strategy == "degree":
         chosen = _by_degree(csr, count, rng)
-        return chosen, sssp_matrix(
-            csr.indptr, csr.indices, csr.weights, chosen, kernel=backend
-        )
-    return _far_sampling(csr, count, rng, backend)
+        return chosen, sssp_matrix(*columns, chosen, kernel=backend)
+    return _far_sampling(columns, csr.n, count, rng, backend)

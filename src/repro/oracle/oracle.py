@@ -176,8 +176,9 @@ class DistanceOracle:
         Raises
         ------
         ValueError
-            On an empty structure, an unknown strategy, a non-positive
-            landmark count, or a non-positive cache size.
+            On an empty structure, an unknown strategy, a landmark
+            count that is not an integer >= 1, or a non-positive cache
+            size.
         """
         if cache_size < 1:
             raise ValueError(f"cache_size must be >= 1, got {cache_size}")

@@ -267,6 +267,17 @@ def test_harness_kernel_profile_numpy(monkeypatch):
     assert calls == ["prepare", "prepare", "residual_matrix_prepared"]
 
 
+def test_harness_kernel_profile_stamps_the_resolved_backend():
+    """A kernel-sssp record names the backend that ran, not the name it
+    was given: "auto" reads "numpy" or "python"."""
+    record = run_profile(
+        get_profile("kernel-sssp-ring"), "smoke", measure_memory=False,
+        kernel="auto",
+    )
+    assert record.ok
+    assert record.params["kernel"] == resolve_kernel("auto")
+
+
 def test_harness_python_default_leaves_params_unstamped():
     """kernel='python' must not perturb committed baseline reports: a
     default run records the profile's own params, plus the certify

@@ -7,13 +7,16 @@ here is what keeps it valid.  The suite pins that property on every
 queryable smoke profile (the same structures the harness serves), plus
 the serving mechanics: batch == singles, cache-warm == cache-cold,
 pickle round-trips, LRU accounting, k-nearest, and both landmark
-strategies.
+strategies.  The exactness, component and disconnection tests build on
+every installed kernel, and a numpy build converts the structure's
+columns once.
 """
 
 from __future__ import annotations
 
 import pickle
 import random
+import re
 
 import pytest
 
@@ -23,12 +26,18 @@ from repro.analysis.validation import ValidationError
 from repro.graphs import WeightedGraph, erdos_renyi_graph, path_graph
 from repro.graphs.shortest_paths import dijkstra
 from repro.harness.runner import ALGORITHMS, STRUCTURE_EXTRACTORS, queryable_profiles
-from repro.oracle import STRATEGIES, build_oracle
+from repro.kernels import has_numpy
+from repro.oracle import STRATEGIES, DistanceOracle, build_oracle
 from repro.oracle.landmarks import landmarks_with_potentials
 
 INF = float("inf")
 
 QUERYABLE = queryable_profiles()
+
+needs_numpy = pytest.mark.skipif(not has_numpy(), reason="numpy not installed")
+
+#: the backends an oracle's landmark potentials can be built on
+KERNEL_PARAMS = ["python", pytest.param("numpy", marks=needs_numpy)]
 
 
 def _smoke_structure(profile):
@@ -62,12 +71,13 @@ def _exact(structure, pairs):
     return out
 
 
+@pytest.mark.parametrize("kernel", KERNEL_PARAMS)
 @pytest.mark.parametrize("profile", QUERYABLE, ids=[p.name for p in QUERYABLE])
-def test_oracle_exact_on_every_smoke_profile(profile):
+def test_oracle_exact_on_every_smoke_profile(profile, kernel):
     """Oracle == Dijkstra-on-structure (1e-9) for a seeded query mix,
     batch == singles, cache-warm == cache-cold, pickle preserves answers."""
     structure = _smoke_structure(profile)
-    oracle = build_oracle(structure, landmarks=4, seed=profile.seed)
+    oracle = build_oracle(structure, landmarks=4, seed=profile.seed, kernel=kernel)
     pairs = _seeded_mix(structure, 120, seed=profile.seed + 1)
 
     cold = oracle.query_many(pairs)
@@ -106,26 +116,59 @@ def test_degree_strategy_prefers_hubs(star_with_rim):
     assert chosen == [hub]
 
 
-def test_far_sampling_covers_components():
+@pytest.mark.parametrize("kernel", KERNEL_PARAMS)
+def test_far_sampling_covers_components(kernel):
     g = WeightedGraph()
     for base in (0, 100):  # two disjoint 4-paths
         for i in range(3):
             g.add_edge(base + i, base + i + 1, 1.0)
     csr = g.freeze()
-    chosen = landmarks_with_potentials(csr, 2, strategy="far", seed=1)[0]
+    chosen = landmarks_with_potentials(
+        csr, 2, strategy="far", seed=1, kernel=kernel
+    )[0]
     comps = {c // 100 for c in (csr.verts[i] for i in chosen)}
     assert comps == {0, 1}, "second landmark must land in the other component"
 
 
-def test_disconnected_pairs_are_inf_and_same_vertex_is_zero():
+@pytest.mark.parametrize("kernel", KERNEL_PARAMS)
+def test_disconnected_pairs_are_inf_and_same_vertex_is_zero(kernel):
     g = WeightedGraph()
     g.add_edge("a", "b", 2.0)
     g.add_edge("c", "d", 3.0)
-    oracle = build_oracle(g, landmarks=2)
+    oracle = build_oracle(g, landmarks=2, kernel=kernel)
     assert oracle.query("a", "c") == INF
     assert oracle.query("a", "a") == 0.0
     assert oracle.query("a", "b") == 2.0
     assert oracle.query_many([("a", "c"), ("b", "a")]) == [INF, 2.0]
+
+
+@needs_numpy
+def test_numpy_build_converts_the_columns_once(monkeypatch):
+    """A far-sampling build over 8 landmarks converts the frozen view's
+    columns once and still makes one ``repro.kernels.sssp`` call per
+    landmark, each reading the converted columns."""
+    from repro import kernels
+    from repro.kernels import npkern
+
+    csr = erdos_renyi_graph(60, 0.15, seed=11).freeze()
+    conversions, rows = [], []
+    real_prepare, real_sssp = npkern.prepare, kernels.sssp
+
+    def prepare(indptr, indices, weights):
+        if indices is csr.indices:  # the view's own list, not an array
+            conversions.append(indices)
+        return real_prepare(indptr, indices, weights)
+
+    def sssp(*args, **kwargs):
+        rows.append(args[-1])
+        return real_sssp(*args, **kwargs)
+
+    monkeypatch.setattr(npkern, "prepare", prepare)
+    monkeypatch.setattr(kernels, "sssp", sssp)
+    oracle = DistanceOracle.build(csr, landmarks=8, kernel="numpy")
+    assert len(oracle.landmark_indices) == 8
+    assert rows == [[i] for i in oracle.landmark_indices]
+    assert len(conversions) == 1
 
 
 def test_k_nearest_matches_sorted_dijkstra(grid):
@@ -200,6 +243,23 @@ def test_error_cases(small_er):
         build_oracle(small_er, cache_size=0)
     with pytest.raises(ValueError, match="empty"):
         build_oracle(WeightedGraph())
+
+
+@pytest.mark.parametrize("count", [2.5, 2.0])
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_non_integer_landmark_count_is_rejected(strategy, count):
+    """A float count raises ValueError naming it, whole or not, on both
+    strategies and through every entry point: far sampling would
+    otherwise never reach a round count of 2.5 and make every vertex a
+    landmark."""
+    g = erdos_renyi_graph(30, 0.2, seed=1)
+    message = f"landmark count must be an integer >= 1, got {count!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        landmarks_with_potentials(g.freeze(), count, strategy=strategy)
+    with pytest.raises(ValueError, match="landmark count"):
+        DistanceOracle.build(g, landmarks=count, strategy=strategy)
+    with pytest.raises(ValueError, match="landmark count"):
+        build_oracle(g, landmarks=count, strategy=strategy)
 
 
 def test_oracle_over_frozen_csr_matches_weighted(small_er):

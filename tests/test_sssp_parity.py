@@ -6,7 +6,8 @@ hand-written loops each of them used to carry: ``_csr_dijkstra`` and
 ``_csr_bounded_dijkstra`` from ``repro.graphs.shortest_paths``, and the
 landmark module's ``_sssp`` with the selection code around it.  Outputs
 must be equal with ``==`` and in the same dict insertion order, on
-seeded ER, geometric and all-ties grid graphs, at three weight scales,
+seeded ER, geometric and all-ties grid graphs and on two components
+beside an isolated vertex, at three weight scales,
 from one, a duplicated and four sources, over ``WeightedGraph``,
 ``CSRGraph`` and string-labelled inputs, at radii from 0 to past the
 eccentricity.  The numpy landmark potentials must equal the same
@@ -170,7 +171,7 @@ def _ref_landmarks(csr, count, strategy, seed):
 
 # ----------------------------------------------------------------- inputs
 
-FAMILIES = ("er", "geometric", "ties")
+FAMILIES = ("er", "geometric", "ties", "split")
 FACTORS = (1.0, 1e-6, 1e6)
 KINDS = ("weighted", "csr", "strings")
 
@@ -181,6 +182,13 @@ def _graph(family: str, factor: float) -> WeightedGraph:
         g.add_edge(40, 41, 1.0)  # a component no source reaches
     elif family == "geometric":
         g = random_geometric_graph(40, seed=5)
+    elif family == "split":
+        # two components and an isolated vertex: far sampling's rule that
+        # an unreached vertex is farthest, with index ties among inf
+        g = random_geometric_graph(18, seed=5)
+        g.add_vertex(18)
+        for u, v, w in random_geometric_graph(18, seed=8).edges():
+            g.add_edge(u + 19, v + 19, w)
     else:
         g = grid_graph(5, 6)  # every weight 1: ties everywhere
     return g.reweighted(lambda u, v, w: w * factor)
