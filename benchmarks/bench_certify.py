@@ -95,7 +95,7 @@ COUNTED: List[Tuple[str, str, str]] = [
 
 REQUIRED_JSON_KEYS = {
     "workload", "legacy_seconds", "engine_seconds", "speedup",
-    "bounded_seconds", "parallel_seconds", "sampled_seconds",
+    "bounded_seconds", "sampled_seconds",
     "max_stretch", "certification", "required_speedup",
     "pr1_baseline_seconds", "baseline_commit", "parent_commit", "machine",
     "runs", "required_baseline_speedup", "cases",
@@ -212,14 +212,11 @@ def _legacy_vs_engine() -> Tuple[Dict[str, Any], List[str]]:
     legacy_value, legacy_s = _timed(_legacy_max_edge_stretch, graph, spanner)
     exact, exact_s = _timed(certify_edge_stretch, graph, spanner)
     bounded, bounded_s = _timed(certify_edge_stretch, graph, spanner, bound=bound)
-    parallel, parallel_s = _timed(
-        certify_edge_stretch, graph, spanner, bound=bound, workers=2
-    )
     sampled, sampled_s = _timed(
         certify_edge_stretch, graph, spanner, sample=0.25, seed=11
     )
 
-    for name, cert in (("exact", exact), ("bounded", bounded), ("parallel", parallel)):
+    for name, cert in (("exact", exact), ("bounded", bounded)):
         if abs(cert.max_stretch - legacy_value) > 1e-9:
             raise SystemExit(f"FATAL: {name} engine disagrees with the legacy "
                              f"certifier: {cert.max_stretch!r} vs {legacy_value!r}")
@@ -239,8 +236,6 @@ def _legacy_vs_engine() -> Tuple[Dict[str, Any], List[str]]:
         f"  {exact.max_stretch:.6f}",
         f"{'engine, bounded (radius (2k-1)w)':<38} {bounded_s:>9.3f}"
         f" {legacy_s / bounded_s:>8.1f}x  {bounded.max_stretch:.6f}",
-        f"{'engine, bounded + 2 workers':<38} {parallel_s:>9.3f}"
-        f" {legacy_s / parallel_s:>8.1f}x  {parallel.max_stretch:.6f}",
         f"{'engine, sampled 25% of edges':<38} {sampled_s:>9.3f}"
         f" {legacy_s / sampled_s:>8.1f}x  {sampled.max_stretch:.6f}"
         f" (lower bound, {sampled.sampled_edges} edges)",
@@ -258,7 +253,6 @@ def _legacy_vs_engine() -> Tuple[Dict[str, Any], List[str]]:
         "legacy_seconds": round(legacy_s, 4),
         "engine_seconds": round(exact_s, 4),
         "bounded_seconds": round(bounded_s, 4),
-        "parallel_seconds": round(parallel_s, 4),
         "sampled_seconds": round(sampled_s, 4),
         "speedup": round(speedup, 2),
         "max_stretch": legacy_value,
@@ -348,10 +342,11 @@ def _certificate_failures(name: str, case: Dict[str, Any], side: str) -> List[st
     if got["fallbacks"] > want["fallbacks"]:
         failures.append(f"{name}: fallbacks {got['fallbacks']} > {side} "
                         f"{want['fallbacks']}")
-    # "kernel" named the search engine while there were two; the older
-    # sides still report it, the one-engine certificate no longer does
+    # "kernel" named the search engine while there were two, and
+    # "workers" the processes a run fanned out to while a pool could;
+    # the older sides still report both, this certificate neither
     differing = sorted(key for key in want
-                       if key not in ("fallbacks", "kernel")
+                       if key not in ("fallbacks", "kernel", "workers")
                        and got.get(key) != want[key])
     if differing:
         failures.append(f"{name}: certification entries differ from the "

@@ -20,10 +20,9 @@ the §7 doubling spanner uses for its 2Δ-bounded searches):
   labels are monotone, so the first pop beyond the radius proves every
   unsettled target violates the bound — ``fail_fast`` callers stop
   right there, exact-value callers count the crossing and carry on;
-* **batching** — sources are processed in chunks over shared
+* **batching** — every source's search reuses one set of
   version-stamped scratch arrays (no per-source O(n) reinitialisation)
-  and one shared frozen CSR, which is also the unit that
-  ``workers=N`` fans out across :mod:`multiprocessing` workers;
+  over one shared frozen CSR;
 * **sampling** — ``sample=p`` certifies a seeded random ``p``-fraction
   of the eligible edges, for graphs too big for exact certification
   (the result is then a lower bound on the true maximum);
@@ -39,9 +38,7 @@ the §7 doubling spanner uses for its 2Δ-bounded searches):
   before it ends.  The heap sees the same pushes in the same order and
   each search stops after a prefix of the pops it made without the
   rule: ``max_stretch`` is unchanged bit for bit and the radius
-  verdicts (``bound_exceeded``, ``fallbacks``) are the same.  A closing
-  depends on its own search only, so ``edges_resolved`` is the same for
-  every ``workers``;
+  verdicts (``bound_exceeded``, ``fallbacks``) are the same;
 * **one hop early** — the same test, also run one hop ahead: when a
   relaxation gives an H-neighbour ``y`` of an open target ``t`` the
   label ``nd``, ``t`` closes if ``nt = nd + w(y, t)`` passes it
@@ -52,7 +49,7 @@ the §7 doubling spanner uses for its 2Δ-bounded searches):
   if and only if its full-search label is at most ``min(w(e), cap)`` (or
   its search had already crossed the radius), so ``edges_resolved`` is
   unchanged too.  The rule only decides how early a closing happens.  A
-  chunk arms it once one of its own searches has closed a target: on
+  run arms it once one of its searches has closed a target: on
   inputs whose missing edges all have longer H paths (a §7 spanner's,
   for one) nothing ever closes, and marking each target's neighbours
   would be pure overhead.
@@ -73,20 +70,16 @@ from __future__ import annotations
 
 import heapq
 import math
-import multiprocessing
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.graphs.csr import CSRGraph
 from repro.graphs.weighted_graph import WeightedGraph
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
-from repro.obs.metrics import DEFAULT_COUNT_BOUNDS, MetricsRegistry, Snapshot
-
-if TYPE_CHECKING:
-    from multiprocessing.synchronize import Event
+from repro.obs.metrics import DEFAULT_COUNT_BOUNDS
 
 INF = float("inf")
 
@@ -108,7 +101,6 @@ class Certification:
     max_stretch: float
     mode: str  # "exact" | "bounded" | "sampled"
     bound: Optional[float]
-    workers: int
     sample: Optional[float]
     edges_total: int  # eligible G edges (before any pruning)
     edges_in_spanner: int  # pruned: already in H at no larger weight
@@ -139,7 +131,6 @@ class Certification:
         return {
             "mode": self.mode,
             "bound": self.bound,
-            "workers": self.workers,
             "sample": self.sample,
             "edges_total": self.edges_total,
             "edges_in_spanner": self.edges_in_spanner,
@@ -219,28 +210,20 @@ def _build_work(
 def _certify_chunk(
     hcsr: CSRGraph,
     work: Sequence[SourceWork],
-    lo: int,
-    hi: int,
     bound: Optional[float],
     fail_fast: bool,
-) -> Tuple[float, int, int, bool, Snapshot]:
-    """Certify ``work[lo:hi]``; returns ``(worst, fallbacks, resolved,
-    exceeded, metrics snapshot)``, ``resolved`` counting the targets
-    closed at their first witness path, at the target or one hop before
-    it (see the module docstring).
+) -> Tuple[float, int, int, bool]:
+    """Certify every source of ``work``; returns ``(worst, fallbacks,
+    resolved, exceeded)``, ``resolved`` counting the targets closed at
+    their first witness path, at the target or one hop before it (see
+    the module docstring).  Each source's target count goes to the
+    process registry's ``certify.source.targets`` histogram.
 
     The scratch arrays are version-stamped so consecutive sources reuse
     them without O(n) clears: an entry is live only when its stamp
     matches the current source's version.
-
-    The snapshot is the chunk's *local* metrics (per-source target-count
-    histogram) — a pool worker aggregates into its own registry and
-    ships the picklable snapshot back with the result; the parent folds
-    it into the process-wide registry at the chunk boundary, so the
-    workers=N totals equal the workers=1 totals exactly.
     """
-    chunk_metrics = MetricsRegistry()
-    targets_hist = chunk_metrics.histogram(
+    targets_hist = obs_metrics.histogram(
         "certify.source.targets", DEFAULT_COUNT_BOUNDS
     )
     n = hcsr.n
@@ -261,7 +244,7 @@ def _certify_chunk(
     fallbacks = 0
     resolved = 0
     push, pop = heapq.heappush, heapq.heappop
-    for src, targets in work[lo:hi]:
+    for src, targets in work:
         targets_hist.observe(len(targets))
         version += 1
         # the + 1e-9 mirrors the verifiers' ratio tolerance: a crossing
@@ -277,7 +260,7 @@ def _certify_chunk(
                 target_w[vh] = w
                 remaining += 1
                 if resolved:
-                    # armed: a search of this chunk has closed a target,
+                    # armed: an earlier search has closed a target,
                     # so this input's missing edges can have witnesses
                     for s in range(indptr[vh], indptr[vh + 1]):
                         y = indices[s]
@@ -298,7 +281,7 @@ def _certify_chunk(
                 # every unsettled target is beyond bound · max_incident_w:
                 # the certificate is already violated for its edge
                 if fail_fast:
-                    return INF, fallbacks, resolved, True, chunk_metrics.snapshot()
+                    return INF, fallbacks, resolved, True
                 fallbacks += 1
                 cap = INF  # lift the radius and keep draining the same heap
             done[u] = version
@@ -342,44 +325,17 @@ def _certify_chunk(
                 continue  # closed: its ratio is at most 1.0
             if done[vh] != version:
                 # unreachable in H
-                return INF, fallbacks, resolved, False, chunk_metrics.snapshot()
+                return INF, fallbacks, resolved, False
             ratio = dist[vh] / w
             if ratio > worst:
                 worst = ratio
-    return worst, fallbacks, resolved, False, chunk_metrics.snapshot()
-
-
-# -- multiprocessing plumbing -------------------------------------------------
-# Workers inherit (or unpickle, under spawn) the frozen CSR and the full
-# work list exactly once via the pool initializer; tasks then name chunks
-# by index range so no per-task graph pickling happens.
-_POOL_STATE: Dict[str, object] = {}
-
-
-def _pool_init(
-    hcsr: CSRGraph,
-    work: Sequence[SourceWork],
-    bound: Optional[float],
-    fail_fast: bool,
-    stop: "Event",
-) -> None:
-    _POOL_STATE["args"] = (hcsr, work, bound, fail_fast)
-    _POOL_STATE["stop"] = stop
-
-
-def _pool_chunk(span: Tuple[int, int]) -> Tuple[float, int, int, bool, Snapshot]:
-    hcsr, work, bound, fail_fast = _POOL_STATE["args"]
-    if _POOL_STATE["stop"].is_set():
-        # a fail_fast violation is already certified: skip the chunk
-        return 1.0, 0, 0, False, MetricsRegistry().snapshot()
-    return _certify_chunk(hcsr, work, span[0], span[1], bound, fail_fast)
+    return worst, fallbacks, resolved, False
 
 
 def certify_edge_stretch(
     graph: WeightedGraph,
     spanner: WeightedGraph,
     bound: Optional[float] = None,
-    workers: int = 1,
     sample: Optional[float] = None,
     seed: int = 0,
     fail_fast: bool = False,
@@ -405,9 +361,6 @@ def certify_edge_stretch(
         truncation radius ``bound · max_incident_w(u)``; the returned
         value stays exact (see the module docstring) unless
         ``fail_fast`` is also given.
-    workers:
-        ``> 1`` chunks the per-source work across that many
-        :mod:`multiprocessing` processes sharing one frozen CSR.
     sample:
         When in ``(0, 1]``, certify only a seeded random fraction of
         the eligible edges; the result is a lower bound on the true
@@ -423,11 +376,9 @@ def certify_edge_stretch(
     Raises
     ------
     ValueError
-        On a non-positive ``workers``, a ``sample`` outside ``(0, 1]``,
-        or ``fail_fast`` without ``bound``.
+        On a ``sample`` outside ``(0, 1]``, or ``fail_fast`` without
+        ``bound``.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     if sample is not None and not (0.0 < sample <= 1.0):
         raise ValueError(f"sample must be in (0, 1], got {sample}")
     if fail_fast and bound is None:
@@ -462,7 +413,6 @@ def certify_edge_stretch(
             max_stretch=worst,
             mode=mode,
             bound=bound,
-            workers=workers,
             sample=sample,
             edges_total=edges_total,
             edges_in_spanner=edges_in_spanner,
@@ -483,44 +433,8 @@ def certify_edge_stretch(
     if not work:
         return _result(1.0, 0, 0, False)
 
-    if workers == 1 or len(work) < 2 * workers:
-        with obs_trace.span("certify.chunk", sources=len(work)):
-            worst, fallbacks, resolved, exceeded, chunk_snap = _certify_chunk(
-                hcsr, work, 0, len(work), bound, fail_fast
-            )
-        obs_metrics.merge(chunk_snap)
-        return _result(worst, fallbacks, resolved, exceeded)
-
-    # a few chunks per worker smooths imbalance between cheap
-    # (short-circuiting) and expensive (deep-exploration) sources
-    step = max(1, len(work) // (workers * 4))
-    spans = [(lo, min(lo + step, len(work))) for lo in range(0, len(work), step)]
-    worst, fallbacks, resolved, exceeded = 1.0, 0, 0, False
-    stop = multiprocessing.Event()
-    with obs_trace.span("certify.pool", workers=workers, chunks=len(spans)):
-        with multiprocessing.Pool(
-            processes=workers,
-            initializer=_pool_init,
-            initargs=(hcsr, work, bound, fail_fast, stop),
-        ) as pool:
-            # imap_unordered so a fail_fast violation stops the run at the
-            # first exceeded chunk to finish, whatever the chunk order
-            for w, f, r, e, chunk_snap in pool.imap_unordered(_pool_chunk, spans):
-                # fold the worker's local metrics in at the chunk boundary
-                # (workers never touch the parent's registry directly)
-                obs_metrics.merge(chunk_snap)
-                worst = max(worst, w)
-                fallbacks += f
-                resolved += r
-                exceeded = exceeded or e
-                if exceeded and fail_fast:
-                    # drain rather than terminate: terminate() kills live
-                    # workers, and one killed while sending a result keeps
-                    # the result queue's lock, on which the pool's teardown
-                    # then waits forever.  The rest of the chunks are
-                    # skipped, so only the chunks in flight finish.
-                    stop.set()
-                    pool.close()
-                    pool.join()
-                    break
+    with obs_trace.span("certify.chunk", sources=len(work)):
+        worst, fallbacks, resolved, exceeded = _certify_chunk(
+            hcsr, work, bound, fail_fast
+        )
     return _result(worst, fallbacks, resolved, exceeded)

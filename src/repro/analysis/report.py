@@ -45,7 +45,7 @@ class QualityReport:
     """A titled collection of metric rows.
 
     ``certification`` carries the stretch-certification accounting
-    (mode, sampled edges, worker count — see
+    (mode, sampled edges, pruning counters — see
     :meth:`repro.analysis.certify.Certification.to_dict`) when the
     report was produced by the bounded engine; ``None`` otherwise.
     """
@@ -79,7 +79,6 @@ def spanner_report(
     stretch_bound: Optional[float] = None,
     lightness_bound: Optional[float] = None,
     rounds: Optional[int] = None,
-    certify_workers: int = 1,
     certify_sample: Optional[float] = None,
     certify_kernel: str = "python",
 ) -> QualityReport:
@@ -87,10 +86,9 @@ def spanner_report(
 
     Stretch is certified by the bounded-radius engine, truncating each
     per-source search at ``stretch_bound · max_incident_w`` (exact value
-    either way).  ``certify_workers > 1`` fans sources across processes;
-    ``certify_sample=p`` certifies a ``p``-fraction of the edges, seeded 0
-    (then the stretch row is a lower bound and the report's
-    ``certification`` block records ``mode="sampled"``).
+    either way).  ``certify_sample=p`` certifies a ``p``-fraction of the
+    edges, seeded 0 (then the stretch row is a lower bound and the
+    report's ``certification`` block records ``mode="sampled"``).
     ``certify_kernel`` only accepts ``"python"``: certification has one
     engine, and the keyword stays for callers that still name it.
 
@@ -114,8 +112,7 @@ def spanner_report(
             "certification has one engine"
         )
     cert = certify_edge_stretch(
-        graph, spanner, bound=stretch_bound,
-        workers=certify_workers, sample=certify_sample, seed=0,
+        graph, spanner, bound=stretch_bound, sample=certify_sample, seed=0,
     )
     _verify_certified_subgraph(graph, spanner, cert)
     rows = [

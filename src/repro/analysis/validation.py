@@ -73,7 +73,6 @@ def verify_spanner(
     graph: WeightedGraph,
     spanner: WeightedGraph,
     stretch: float,
-    workers: int = 1,
 ) -> None:
     """``spanner`` must be a subgraph with per-edge stretch <= ``stretch``.
 
@@ -86,7 +85,7 @@ def verify_spanner(
     the order subgraph, span, stretch.
     """
     cert = certify_edge_stretch(  # repro: allow[REP1001] -- seed only drives sample=; validation always certifies every edge
-        graph, spanner, bound=stretch, workers=workers, fail_fast=True
+        graph, spanner, bound=stretch, fail_fast=True
     )
     _verify_certified_subgraph(graph, spanner, cert)
     if set(spanner.vertices()) != set(graph.vertices()):

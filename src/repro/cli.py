@@ -393,7 +393,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         records = harness.run_suite(
             selected, tier=tier, measure_memory=not args.no_memory,
             progress=print,
-            certify_workers=args.certify_workers,
             certify_sample=args.certify_sample,
             queries=queries,
             kernel=args.kernel or "python",
@@ -747,11 +746,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve the tier's seeded query mix over each constructed "
              "structure through a distance oracle and record the "
              "latency/throughput/cache block (implied by --suite queries)",
-    )
-    p.add_argument(
-        "--certify-workers", type=int, default=1, metavar="N",
-        help="fan stretch certification out across N processes "
-             "(bounded-radius engine; default: 1, in-process)",
     )
     p.add_argument(
         "--certify-sample", type=float, default=None, metavar="P",

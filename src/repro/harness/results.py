@@ -55,8 +55,9 @@ PathLike = Union[str, "Path"]  # noqa: F821 - keep the io.py convention
 SCHEMA_NAME = "repro.harness.bench"
 #: version 2 added the per-record ``network`` block (messages / words /
 #: active_node_rounds); version 3 the ``certification`` block (mode /
-#: sampled_edges / workers / pruning counters of the bounded-radius
-#: stretch engine); version 4 the ``queries`` block (oracle serving
+#: sampled_edges / pruning counters of the bounded-radius stretch
+#: engine; older records also carry a ``workers`` entry, which nothing
+#: reads); version 4 the ``queries`` block (oracle serving
 #: latency percentiles, throughput, cache hit/miss split); version 5
 #: the ``observability`` block (per-record repro.obs counter/gauge
 #: deltas + span count), the network block's lifetime ``rounds`` total,

@@ -88,11 +88,8 @@ def _build_light_spanner(
 
 
 def _spanner_cert_kwargs(params: Params) -> Dict[str, Any]:
-    """Certification-engine knobs run_profile injects into ``params``."""
-    return {
-        "certify_workers": params.get("certify_workers", 1),
-        "certify_sample": params.get("certify_sample"),
-    }
+    """The certification-engine setting run_profile injects into ``params``."""
+    return {"certify_sample": params.get("certify_sample")}
 
 
 def _light_spanner_lightness_bound(graph: WeightedGraph, res: Any) -> float:
@@ -524,7 +521,7 @@ CONGEST_ALGORITHMS = frozenset(
 )
 
 #: algorithms whose certification runs the bounded-radius stretch engine
-#: and therefore honours ``certify_workers`` / ``certify_sample``.
+#: and therefore honours ``certify_sample``.
 SPANNER_CERTIFIED_ALGORITHMS = frozenset(
     {"light-spanner", "doubling-spanner", "baswana-sen",
      "elkin-neiman", "greedy-spanner"}
@@ -585,7 +582,7 @@ class ProfileRecord:
     words: Optional[int] = None
     active_node_rounds: Optional[int] = None
     net_rounds: Optional[int] = None
-    # stretch-certification accounting (mode / sampled_edges / workers...;
+    # stretch-certification accounting (mode / sampled_edges / pruning...;
     # spanner-certified profiles only, None elsewhere and in schema <= 2)
     certification: Optional[Dict[str, object]] = None
     # query-workload serving metrics (latency percentiles, throughput,
@@ -723,7 +720,6 @@ def run_profile(
     tier: str,
     certify: bool = True,
     measure_memory: bool = True,
-    certify_workers: int = 1,
     certify_sample: Optional[float] = None,
     queries: bool = False,
     kernel: str = "python",
@@ -739,12 +735,11 @@ def run_profile(
     the second pass on expensive tiers; the record's
     ``peak_memory_bytes`` is then ``null``.
 
-    ``certify_workers`` / ``certify_sample`` tune the bounded-radius
-    stretch-certification engine for spanner-certified profiles (process
-    fan-out and seeded edge sampling respectively; see
-    :func:`repro.analysis.certify.certify_edge_stretch`); other profiles
-    ignore them.  The record's ``certification`` block reports what the
-    engine actually did.
+    ``certify_sample`` makes the bounded-radius stretch-certification
+    engine of spanner-certified profiles certify a seeded fraction of
+    the edges (see :func:`repro.analysis.certify.certify_edge_stretch`);
+    other profiles ignore it.  The record's ``certification`` block
+    reports what the engine actually did.
 
     ``queries=True`` additionally serves the tier's seeded query mix
     (:data:`repro.harness.queries.QUERY_MIXES`) through a
@@ -767,23 +762,19 @@ def run_profile(
     KeyError
         On an unknown tier or algorithm.
     ValueError
-        On non-positive ``certify_workers`` or out-of-range
-        ``certify_sample``, or an unknown kernel for a ``kernel-sssp``
-        profile.
+        On an out-of-range ``certify_sample``, or an unknown kernel for
+        a ``kernel-sssp`` profile.
     RuntimeError
         When a ``kernel-sssp`` profile runs with ``kernel="numpy"`` and
         numpy is not installed.
     """
-    if certify_workers < 1:
-        raise ValueError(f"certify_workers must be >= 1, got {certify_workers}")
     if certify_sample is not None and not (0.0 < certify_sample <= 1.0):
         raise ValueError(f"certify_sample must be in (0, 1], got {certify_sample}")
     build, certify_fn = ALGORITHMS[profile.algorithm]
     params = profile.algo_params(tier)
-    if profile.algorithm in SPANNER_CERTIFIED_ALGORITHMS:
-        params["certify_workers"] = certify_workers
-        if certify_sample is not None:
-            params["certify_sample"] = certify_sample
+    if (profile.algorithm in SPANNER_CERTIFIED_ALGORITHMS
+            and certify_sample is not None):
+        params["certify_sample"] = certify_sample
     if profile.algorithm in KERNEL_ALGORITHMS:
         params["kernel"] = resolve_kernel(kernel)
 
@@ -881,7 +872,6 @@ def run_suite(
     tier: str = "smoke",
     measure_memory: bool = True,
     progress: Optional[Callable[[str], None]] = None,
-    certify_workers: int = 1,
     certify_sample: Optional[float] = None,
     queries: bool = False,
     kernel: str = "python",
@@ -893,7 +883,6 @@ def run_suite(
         for i, profile in enumerate(selected, start=1):
             record = run_profile(profile, tier,
                                  measure_memory=measure_memory,
-                                 certify_workers=certify_workers,
                                  certify_sample=certify_sample,
                                  queries=queries, kernel=kernel)
             records.append(record)

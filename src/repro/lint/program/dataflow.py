@@ -31,7 +31,8 @@ shared views:
 
 * ``REP1011`` — writing module-level mutable state.  The *initializer
   itself* is exempt: populating per-process state from the initializer
-  is the documented protocol (see ``repro.analysis.certify``).
+  is the documented protocol (a module-level dict the initializer fills
+  once and the worker functions read).
 * ``REP1012`` — mutating frozen CSR arrays (``indptr``/``indices``/
   ``weights``/``verts``) that may be mmap-backed and shared.
 * ``REP1013`` — touching :mod:`repro.obs`'s process-global metrics

@@ -5,9 +5,8 @@ Everything crossing a :mod:`multiprocessing` pool boundary is pickled
 Lambdas and functions defined inside another function do not pickle;
 code shipping them works on fork-start Linux and dies everywhere
 else, which is exactly the class of latent bug CI on one platform
-never catches.  The repo's pattern (``repro.analysis.certify``) is:
-module-level worker functions, state shipped once through a
-module-level ``initializer``.
+never catches.  The safe pattern is: module-level worker functions,
+state shipped once through a module-level ``initializer``.
 
 * ``REP501`` — a ``lambda`` passed to a pool constructor or a
   dispatch method (``map``/``imap``/``imap_unordered``/``starmap``/
@@ -139,5 +138,5 @@ class PoolBoundary(Rule):
                 initializer,
                 "REP503",
                 "pool initializer must be a module-level callable reference "
-                "(see _pool_init in repro.analysis.certify)",
+                "(the spawn start method re-imports it by name)",
             )

@@ -8,14 +8,15 @@ counters and timers:
   zero-overhead no-op fast path while disabled (the default).
 - :mod:`repro.obs.metrics` — a process-wide registry of named
   counters, gauges, and fixed-bucket latency histograms, with a
-  picklable ``snapshot()``/``merge()`` contract for the certify
-  multiprocessing pool.
+  picklable ``snapshot()``/``merge()`` contract that folds one registry
+  into another (the serving daemon's per-worker ``stats``, an oracle's
+  per-instance counters).
 - :mod:`repro.obs.summary` — span-tree aggregation behind
   ``repro trace summarize``.
 
 Metric names follow ``layer.component.metric``
 (``oracle.cache.hits``, ``congest.rounds.executed``); span names
-follow ``layer.phase`` (``harness.build``, ``certify.pool``).
+follow ``layer.phase`` (``harness.build``, ``certify.chunk``).
 """
 
 from repro.obs.metrics import (

@@ -20,13 +20,13 @@ path, at least two segments) and are validated at registration.
 The process-wide default registry (:func:`registry`) is what the
 instrumented layers use; :meth:`MetricsRegistry.snapshot` /
 :meth:`MetricsRegistry.reset` give the harness a read-and-clear
-contract.  Multiprocessing is handled by *local aggregation*: a
-:mod:`multiprocessing` pool worker observes into its own private
-:class:`MetricsRegistry` and ships the picklable ``snapshot()`` back
-with its result; the parent folds it in with
-:meth:`MetricsRegistry.merge` at the chunk boundary (see
-:mod:`repro.analysis.certify`).  Counters and histogram buckets add
-under merge, so the workers=N totals equal the workers=1 totals exactly.
+contract.  Other processes are handled by *local aggregation*: a
+serving worker observes into its own private :class:`MetricsRegistry`
+and ships the picklable ``snapshot()`` back with its ``stats`` reply;
+the daemon folds the replies in with :meth:`MetricsRegistry.merge`
+(see :mod:`repro.serve.daemon`).  Counters and histogram buckets add
+under merge, so the merged counters equal a single-worker run's
+exactly.
 """
 
 from __future__ import annotations
@@ -249,7 +249,7 @@ class MetricsRegistry:
     def snapshot(self) -> Snapshot:
         """Picklable plain-dict state of every metric, sorted by name.
 
-        This is the unit a pool worker ships back to the parent (see
+        This is the unit a serving worker ships back to the daemon (see
         :meth:`merge`) and the raw material of the benchmark report's
         ``observability`` block.
         """
@@ -374,5 +374,5 @@ def reset() -> None:
 
 
 def merge(snap: Snapshot) -> None:
-    """Fold a worker snapshot into the default registry."""
+    """Fold a snapshot of another registry into the default registry."""
     REGISTRY.merge(snap)

@@ -1,7 +1,7 @@
 """Hierarchical spans with a zero-overhead no-op fast path.
 
 A *span* is one timed region of a run — ``harness.build``,
-``certify.pool``, ``congest.run`` — carrying wall time
+``certify.chunk``, ``congest.run`` — carrying wall time
 (:func:`time.perf_counter`), CPU time (:func:`time.process_time`), an
 optional :mod:`tracemalloc` allocation delta, and its parent span, so a
 trace reconstructs *where the time went* as a tree rather than a flat
@@ -24,7 +24,7 @@ Design constraints, in order:
    a trace streams, greps, and loads without a document parser.
 
 The tracer is process-global and explicitly not thread-safe: the
-harness is single-threaded and pool workers run in other processes
+harness is single-threaded and serving workers run in other processes
 (their spans are theirs; metrics cross the boundary instead — see
 :mod:`repro.obs.metrics`).
 """

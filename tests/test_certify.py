@@ -3,8 +3,8 @@ engine (repro.analysis.certify) and the certifier bugfix sweep.
 
 The anchor is ``_legacy_max_edge_stretch`` — a verbatim copy of the
 pre-engine certifier (one full SSSP in H per vertex).  Every exact engine
-mode (plain, bounded, process-parallel) must agree with it to 1e-9 on
-every smoke-tier spanner profile; sampling must lower-bound it.  A second
+mode (plain and bounded) must agree with it to 1e-9 on every smoke-tier
+spanner profile; sampling must lower-bound it.  A second
 anchor, ``_parent_certify_chunk``, is the engine's search loop without
 first-witness closing: the parity fuzz requires whole certificates equal
 to it, bit for bit.  A property test draws weights over twelve orders
@@ -16,8 +16,10 @@ import contextlib
 import dataclasses
 import heapq
 import json
-import multiprocessing
+import os
 import random
+import subprocess
+import sys
 import types
 from unittest import mock
 
@@ -37,6 +39,7 @@ from repro.analysis import (
     verify_spanner,
 )
 from repro.analysis.validation import ValidationError
+from repro.cli import main
 from repro.graphs import (
     WeightedGraph,
     bounded_dijkstra,
@@ -100,7 +103,7 @@ def _smoke_spanner(profile_name):
 
 
 class TestDifferentialSmokeSuite:
-    """Exact vs bounded vs parallel vs legacy, per smoke-tier profile."""
+    """Exact vs bounded vs legacy, per smoke-tier profile."""
 
     def test_extractors_cover_every_spanner_algorithm(self):
         covered = {get_profile(n).algorithm for n in SPANNER_PROFILES}
@@ -112,13 +115,10 @@ class TestDifferentialSmokeSuite:
         reference = _legacy_max_edge_stretch(graph, spanner)
         exact = certify_edge_stretch(graph, spanner)
         bounded = certify_edge_stretch(graph, spanner, bound=bound)
-        parallel = certify_edge_stretch(graph, spanner, bound=bound, workers=2)
         assert exact.max_stretch == pytest.approx(reference, abs=1e-9)
         assert bounded.max_stretch == pytest.approx(reference, abs=1e-9)
-        assert parallel.max_stretch == pytest.approx(reference, abs=1e-9)
         assert exact.mode == "exact"
         assert bounded.mode == "bounded"
-        assert parallel.workers == 2
 
     @pytest.mark.parametrize("name", sorted(SPANNER_PROFILES))
     def test_sampled_mode_lower_bounds_exact(self, name):
@@ -143,34 +143,15 @@ class TestDifferentialSmokeSuite:
 
 
 class TestEngineEdgeCases:
-    def test_pool_path_agrees_on_adversarial_spanner(self):
-        # the MST maximises the per-source work list, forcing the real
-        # multiprocessing pool (small work lists fall back to in-process)
+    def test_lifted_radius_agrees_on_adversarial_spanner(self):
+        # the MST maximises the per-source work list, and at bound 2.0
+        # many of its searches cross the radius
         g = erdos_renyi_graph(120, 0.1, seed=4)
         mst = kruskal_mst(g)
         reference = _legacy_max_edge_stretch(g, mst)
-        par = certify_edge_stretch(g, mst, bound=2.0, workers=2)
-        assert par.max_stretch == pytest.approx(reference, abs=1e-9)
-        assert par.fallbacks > 0  # the radius truncation fired and was lifted
-
-    def test_fail_fast_pool_kills_no_worker(self):
-        # a worker killed while it sends a result keeps the result
-        # queue's lock and the pool's teardown waits on it forever, so a
-        # fail_fast stop lets the workers exit instead of terminating them
-        g = erdos_renyi_graph(120, 0.1, seed=4)
-        mst = kruskal_mst(g)
-        killed = []
-        terminate = multiprocessing.process.BaseProcess.terminate
-
-        def recording_terminate(proc):
-            killed.append(proc.pid)
-            terminate(proc)
-
-        with mock.patch.object(multiprocessing.process.BaseProcess, "terminate",
-                               recording_terminate):
-            cert = certify_edge_stretch(g, mst, bound=1.0, workers=2, fail_fast=True)
-        assert cert.bound_exceeded and cert.max_stretch == INF
-        assert killed == []
+        cert = certify_edge_stretch(g, mst, bound=2.0)
+        assert cert.max_stretch == pytest.approx(reference, abs=1e-9)
+        assert cert.fallbacks > 0  # the radius truncation fired and was lifted
 
     def test_fail_fast_detects_violation_without_exact_value(self):
         g = erdos_renyi_graph(60, 0.2, seed=1)
@@ -204,8 +185,6 @@ class TestEngineEdgeCases:
 
     def test_parameter_validation(self):
         g = path_graph(3)
-        with pytest.raises(ValueError, match="workers"):
-            certify_edge_stretch(g, g, workers=0)
         with pytest.raises(ValueError, match="sample"):
             certify_edge_stretch(g, g, sample=0.0)
         with pytest.raises(ValueError, match="sample"):
@@ -294,44 +273,18 @@ def _parent_certify_chunk(hcsr, work, lo, hi, bound, fail_fast):
     return worst, fallbacks, False, chunk_metrics.snapshot()
 
 
-class _InlinePool:
-    """``multiprocessing.Pool`` stand-in that runs every chunk in this
-    process, in order, so the reference loop serves the pool path too."""
-
-    def __init__(self, processes, initializer, initargs):
-        initializer(*initargs)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        return False
-
-    def imap_unordered(self, fn, items):
-        return map(fn, items)
-
-    def close(self):
-        pass
-
-    def join(self):
-        pass
-
-
 @contextlib.contextmanager
 def _parent_engine():
     """Run :func:`certify_edge_stretch` on the reference search loop."""
 
-    def chunk(*args):
-        worst, fallbacks, exceeded, snap = _parent_certify_chunk(*args)
-        return worst, fallbacks, 0, exceeded, snap
+    def chunk(hcsr, work, bound, fail_fast):
+        worst, fallbacks, exceeded, snap = _parent_certify_chunk(
+            hcsr, work, 0, len(work), bound, fail_fast)
+        obs_metrics.merge(snap)
+        return worst, fallbacks, 0, exceeded
 
-    try:
-        with mock.patch.object(certify_engine, "_certify_chunk", chunk), \
-                mock.patch.object(certify_engine.multiprocessing, "Pool",
-                                  _InlinePool):
-            yield
-    finally:
-        certify_engine._POOL_STATE.clear()
+    with mock.patch.object(certify_engine, "_certify_chunk", chunk):
+        yield
 
 
 def _parity_failure(graph, spanner, **kwargs):
@@ -409,24 +362,17 @@ class TestParentLoopParity:
                     failure = _parity_failure(g, h, **kwargs)
                     if failure:
                         failures.append(f"{name} {mode} ×{scale}: {failure}")
-            for kwargs in ({"bound": violated, "workers": 2},
-                           {"bound": violated, "workers": 2, "fail_fast": True}):
-                cases += 1
-                failure = _parity_failure(graph, spanner, **kwargs)
-                if failure:
-                    failures.append(f"{name} {kwargs}: {failure}")
-        assert cases == 6 * 17
+        assert cases == 6 * 15
         assert not failures, "\n".join(failures)
 
     def test_reference_engine_closes_nothing(self):
-        # the fuzz compares two different loops, on the pool path too
+        # the fuzz compares two different loops
         g = erdos_renyi_graph(60, 0.15, seed=1)
         h = baswana_sen_spanner(g, 3, random.Random(1))
         assert certify_edge_stretch(g, h).edges_resolved > 0
         with _parent_engine():
-            for workers in (1, 2):
-                ref = certify_edge_stretch(g, h, workers=workers)
-                assert ref.edges_checked > 0 and ref.edges_resolved == 0
+            ref = certify_edge_stretch(g, h)
+        assert ref.edges_checked > 0 and ref.edges_resolved == 0
 
 
 #: mantissas of the wide-weight graphs: repeats make exact ties, and m
@@ -499,17 +445,12 @@ class TestResolvedTargets:
         assert cert.edges_checked / 2 < cert.edges_resolved <= cert.edges_checked
         assert cert.to_dict()["edges_resolved"] == cert.edges_resolved
 
-    def test_counter_matches_and_sums_over_pool_chunks(self):
+    def test_counter_matches_the_certificate(self):
         g, h = self._input()
-        counts = []
-        for workers in (1, 2):
-            obs_metrics.reset()
-            cert = certify_edge_stretch(g, h, bound=5.0, workers=workers)
-            counter = obs_metrics.registry().counter("certify.edges.resolved")
-            counts.append((cert.edges_resolved, counter.value))
-        # a closing depends on its own search only, not on the chunking
-        (serial, serial_counter), (pooled, pooled_counter) = counts
-        assert serial == serial_counter == pooled == pooled_counter
+        obs_metrics.reset()
+        cert = certify_edge_stretch(g, h, bound=5.0)
+        counter = obs_metrics.registry().counter("certify.edges.resolved")
+        assert counter.value == cert.edges_resolved > 0
 
 
 class TestLookAhead:
@@ -550,7 +491,7 @@ class TestLookAhead:
 
         shim = types.SimpleNamespace(heappush=heapq.heappush, heappop=heappop)
         with mock.patch.object(certify_engine, "heapq", shim):
-            cert = certify_edge_stretch(g, h, workers=1)
+            cert = certify_edge_stretch(g, h)
         verts = h.freeze().verts
         searches = []
         for d, i in popped:
@@ -606,8 +547,7 @@ class TestDisconnectedContract:
         h.remove_edge(3, 5)  # vertex 3 cut off from its own component
         assert max_edge_stretch(g, h) == INF
         assert max_pairwise_stretch(g, h) == INF
-        for kwargs in ({}, {"bound": 9.0}, {"bound": 9.0, "workers": 2},
-                       {"sample": 1.0}):
+        for kwargs in ({}, {"bound": 9.0}, {"sample": 1.0}):
             assert certify_edge_stretch(g, h, **kwargs).max_stretch == INF
 
     def test_root_stretch_infinite_when_tree_misses_component(self):
@@ -644,7 +584,6 @@ class TestVerifierFixes:
         with pytest.raises(ValidationError, match="stretch violated"):
             verify_spanner(g, mst, exact / 2.0)
         verify_spanner(g, mst, exact)  # exactly the measured value passes
-        verify_spanner(g, mst, exact, workers=2)
 
     def test_verify_slt_zero_weight_mst_no_zero_division(self):
         # a single-vertex graph has a zero-weight MST; the old code divided
@@ -719,7 +658,10 @@ class TestHarnessCertification:
                              measure_memory=False)
         assert record.certification is not None
         assert record.certification["mode"] == "bounded"
-        assert record.certification["workers"] == 1
+        assert sorted(record.certification) == [
+            "bound", "edges_checked", "edges_in_spanner", "edges_resolved",
+            "edges_total", "fallbacks", "mode", "sample", "sampled_edges",
+            "sources_explored", "sources_short_circuited"]
         round_trip = type(record).from_dict(record.to_dict())
         assert round_trip.certification == record.certification
 
@@ -731,10 +673,11 @@ class TestHarnessCertification:
         assert record.params["certify_sample"] == 0.5
 
     def test_congest_profiles_have_no_certification_block(self):
-        record = run_profile(get_profile("congest-bfs-grid"), "smoke",
-                             measure_memory=False)
+        profile = get_profile("congest-bfs-grid")
+        record = run_profile(profile, "smoke", measure_memory=False,
+                             certify_sample=0.5)
         assert record.certification is None
-        assert "certify_workers" not in record.params
+        assert record.params == profile.algo_params("smoke")
 
     def test_schema_v2_record_loads_without_certification(self):
         record = run_profile(get_profile("spanner-er"), "smoke",
@@ -745,7 +688,26 @@ class TestHarnessCertification:
 
     def test_run_profile_validates_certify_params(self):
         profile = get_profile("spanner-er")
-        with pytest.raises(ValueError, match="certify_workers"):
-            run_profile(profile, "smoke", certify_workers=0)
         with pytest.raises(ValueError, match="certify_sample"):
             run_profile(profile, "smoke", certify_sample=2.0)
+
+
+class TestOneProcess:
+    """Certification runs in the calling process: the library starts no
+    process pool for it, and only the serving daemon imports
+    :mod:`multiprocessing`."""
+
+    def test_import_repro_loads_no_multiprocessing(self):
+        src = os.path.dirname(os.path.dirname(os.path.dirname(
+            os.path.abspath(certify_engine.__file__))))
+        probe = "import sys, repro; print('multiprocessing' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src}, check=True,
+        )
+        assert out.stdout.strip() == "False"
+
+    def test_bench_rejects_certify_workers(self):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench", "--list", "--certify-workers", "2"])
+        assert excinfo.value.code == 2

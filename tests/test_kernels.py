@@ -280,11 +280,10 @@ def test_harness_kernel_profile_stamps_the_resolved_backend():
 
 def test_harness_python_default_leaves_params_unstamped():
     """kernel='python' must not perturb committed baseline reports: a
-    default run records the profile's own params, plus the certify
-    settings of a spanner-certified profile, and stamps no kernel."""
+    default run records the profile's own params and stamps no kernel."""
     spanner = get_profile("spanner-er")
     record = run_profile(spanner, "smoke", measure_memory=False)
-    assert record.params == {**spanner.algo_params("smoke"), "certify_workers": 1}
+    assert record.params == spanner.algo_params("smoke")
     ring = get_profile("kernel-sssp-ring")
     record = run_profile(ring, "smoke", measure_memory=False)
     assert record.params == ring.algo_params("smoke")
