@@ -21,6 +21,7 @@ import random
 import subprocess
 import sys
 import types
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -278,9 +279,8 @@ def _parent_engine():
     """Run :func:`certify_edge_stretch` on the reference search loop."""
 
     def chunk(hcsr, work, bound, fail_fast):
-        worst, fallbacks, exceeded, snap = _parent_certify_chunk(
+        worst, fallbacks, exceeded, _snap = _parent_certify_chunk(
             hcsr, work, 0, len(work), bound, fail_fast)
-        obs_metrics.merge(snap)
         return worst, fallbacks, 0, exceeded
 
     with mock.patch.object(certify_engine, "_certify_chunk", chunk):
@@ -698,12 +698,11 @@ class TestOneProcess:
     :mod:`multiprocessing`."""
 
     def test_import_repro_loads_no_multiprocessing(self):
-        src = os.path.dirname(os.path.dirname(os.path.dirname(
-            os.path.abspath(certify_engine.__file__))))
+        src = Path(certify_engine.__file__).resolve().parents[2]
         probe = "import sys, repro; print('multiprocessing' in sys.modules)"
         out = subprocess.run(
             [sys.executable, "-c", probe], capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": src}, check=True,
+            env={**os.environ, "PYTHONPATH": str(src)}, check=True,
         )
         assert out.stdout.strip() == "False"
 
