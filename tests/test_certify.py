@@ -15,6 +15,7 @@ this file and ``tests/test_certify_golden.py``, also under ``python -O``.
 import contextlib
 import dataclasses
 import heapq
+import inspect
 import json
 import os
 import random
@@ -36,6 +37,7 @@ from repro.analysis import (
     max_pairwise_stretch,
     root_stretch,
     slt_report,
+    spanner_report,
     verify_slt,
     verify_spanner,
 )
@@ -51,7 +53,7 @@ from repro.graphs import (
     path_graph,
     random_geometric_graph,
 )
-from repro.harness import get_profile, run_profile
+from repro.harness import get_profile, run_profile, run_suite
 from repro.harness.runner import ALGORITHMS, SPANNER_CERTIFIED_ALGORITHMS
 from repro.mst import kruskal_mst
 from repro.obs import metrics as obs_metrics
@@ -710,3 +712,15 @@ class TestOneProcess:
         with pytest.raises(SystemExit) as excinfo:
             main(["bench", "--list", "--certify-workers", "2"])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("fn, keyword", [
+        (certify_edge_stretch, "workers"),
+        (verify_spanner, "workers"),
+        (spanner_report, "certify_workers"),
+        (run_profile, "certify_workers"),
+        (run_suite, "certify_workers"),
+    ], ids=lambda value: getattr(value, "__name__", value))
+    def test_api_takes_no_worker_count(self, fn, keyword):
+        # every layer that passed the pool's size down has lost it
+        with pytest.raises(TypeError, match=keyword):
+            inspect.signature(fn).bind_partial(**{keyword: 2})
