@@ -3,8 +3,8 @@
 The tentpole workload is the huge-tier shape at stress scale: a packed
 ring-chords instance (n=500k, 6 chord offsets -> ~6M arcs), 16 sources
 of batched SSSP plus the fixed-point residual certification of every
-row — construction + certification, the exact pipeline
-``run_huge_profile`` executes.  The pure-Python kernels run it
+row — construction + certification, the exact pipeline ``run_profile``
+executes at the huge tier.  The pure-Python kernels run it
 per-source on the same mmapped columns; the numpy kernels settle the
 whole (sources × nodes) matrix in one frontier-relaxation pass and fold
 the residual over rows with one fused sweep.

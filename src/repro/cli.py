@@ -24,7 +24,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from repro import io as graph_io
 from repro.analysis import (
@@ -46,6 +46,9 @@ from repro.graphs import (
     grid_graph,
     random_geometric_graph,
 )
+
+if TYPE_CHECKING:
+    from repro.harness import ProfileRecord
 
 
 def _load(path: str) -> WeightedGraph:
@@ -180,7 +183,7 @@ def cmd_graph_load(args: argparse.Namespace) -> int:
         with load_packed(args.path, verify=not args.no_verify) as pg:
             print(f"file        {pg.path}")
             print(f"vertices    {pg.n}")
-            print(f"arcs        {pg.m_arcs}  ({pg.m_arcs // 2} undirected edges)")
+            print(f"arcs        {pg.m_arcs}  ({pg.m} undirected edges)")
             print(f"payload     {pg.payload_size} bytes")
             print(f"checksum    {'skipped' if args.no_verify else 'ok'}")
     except PackedFormatError as exc:
@@ -307,46 +310,6 @@ def cmd_trace_summarize(args: argparse.Namespace) -> int:
     return 0
 
 
-def _bench_huge(args: argparse.Namespace) -> int:
-    """``repro bench --suite huge``: the mmap-backed huge tier."""
-    from repro import harness
-
-    if args.profiles:
-        try:
-            selected = [harness.get_profile(name) for name in args.profiles]
-        except KeyError as exc:
-            raise SystemExit(f"error: {exc.args[0]}") from None
-    else:
-        selected = harness.huge_profiles()
-    kernel = args.kernel or "auto"
-    print(f"running {len(selected)} huge profile(s) (kernel {kernel!r})")
-    records = []
-    for i, profile in enumerate(selected, start=1):
-        try:
-            record = harness.run_huge_profile(profile, kernel=kernel)
-        except (KeyError, ValueError, RuntimeError) as exc:
-            raise SystemExit(f"error: {exc}") from exc
-        records.append(record)
-        status = "ok" if record.ok else "VIOLATED"
-        print(
-            f"[{i}/{len(selected)}] {profile.name:<24} "
-            f"n={record.n:<8} "
-            f"pack {record.generation_seconds:7.3f}s  "
-            f"sssp {record.construction_seconds:7.3f}s  "
-            f"cert {record.certification_seconds:7.3f}s  {status}"
-        )
-    violated = [r.profile for r in records if not r.ok]
-    rc = 0
-    if violated:
-        print(f"QUALITY VIOLATED: {', '.join(violated)}")
-        rc = 1
-    report = harness.make_report(records, suite="huge", tag=args.tag)
-    if args.out:
-        harness.write_report(report, args.out)
-        print(f"wrote {len(records)} record(s) to {args.out}")
-    return rc
-
-
 def cmd_bench(args: argparse.Namespace) -> int:
     # imported lazily so the file-based commands stay snappy
     from repro import harness
@@ -358,20 +321,22 @@ def cmd_bench(args: argparse.Namespace) -> int:
             print(f"{'':<26} {p.description}")
         return 0
 
-    if args.suite == "huge":
-        return _bench_huge(args)
-
     # --suite is a size tier, or a named group: "congest" (the CONGEST
     # profiles at smoke sizes — CI's congest-smoke job), "queries"
     # (every oracle-servable profile at smoke sizes with the query
-    # workload enabled — CI's oracle-smoke job) or "huge" (the
-    # mmap-backed kernel profiles, handled above)
+    # workload enabled — CI's oracle-smoke job) or "huge" (the kernel
+    # profiles' 10^6-vertex tier, mmapped from the packed format, on
+    # the kernel "auto" unless --kernel says otherwise)
     queries = args.queries
+    kernel = args.kernel or "python"
     if args.suite == "congest":
         tier, default_selection = "smoke", harness.congest_profiles()
     elif args.suite == "queries":
         tier, default_selection = "smoke", harness.queryable_profiles()
         queries = True
+    elif args.suite == "huge":
+        tier, default_selection = harness.HUGE_TIER, harness.huge_profiles()
+        kernel = args.kernel or "auto"
     else:
         tier, default_selection = args.suite, harness.all_profiles()
 
@@ -395,7 +360,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             progress=print,
             certify_sample=args.certify_sample,
             queries=queries,
-            kernel=args.kernel or "python",
+            kernel=kernel,
         )
     finally:
         if tracer is not None:
@@ -415,13 +380,24 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 f"p50 {q['p50_ms']:.3f}ms  p99 {q['p99_ms']:.3f}ms  "
                 f"{q['qps']:.0f} q/s  hit-rate {q['cache_hit_rate']:.0%}"
             )
+    return _report_tail(args, records, suite=args.suite)
+
+
+def _report_tail(
+    args: argparse.Namespace, records: "List[ProfileRecord]", suite: str
+) -> int:
+    """Flag violated records, write the report to ``--out`` and gate it
+    against ``--compare``: how every ``repro bench`` suite and
+    ``repro loadgen`` end.  Returns the exit code."""
+    from repro import harness
+
     violated = [r.profile for r in records if not r.ok]
     rc = 0
     if violated:
         print(f"QUALITY VIOLATED: {', '.join(violated)}")
         rc = 1
 
-    report = harness.make_report(records, suite=args.suite, tag=args.tag)
+    report = harness.make_report(records, suite=suite, tag=args.tag)
     if args.out:
         harness.write_report(report, args.out)
         print(f"wrote {len(records)} record(s) to {args.out}")
@@ -611,27 +587,7 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
         ok=True,
         load=block,
     )
-    report = harness.make_report([record], suite="load", tag=args.tag)
-    rc = 0
-    if args.out:
-        harness.write_report(report, args.out)
-        print(f"wrote load report to {args.out}")
-    if args.compare:
-        try:
-            baseline = harness.load_report(args.compare)
-        except (OSError, ValueError) as exc:
-            raise SystemExit(f"error: cannot load baseline: {exc}") from exc
-        try:
-            comparison = harness.compare_reports(
-                baseline, report, tolerance=args.tolerance
-            )
-        except ValueError as exc:
-            raise SystemExit(f"error: {exc}") from exc
-        print(f"\ndeltas vs {args.compare} (tolerance {args.tolerance:.0%}):")
-        print(comparison.render())
-        if not comparison.ok:
-            rc = 1
-    return rc
+    return _report_tail(args, [record], suite="load")
 
 
 def build_parser() -> argparse.ArgumentParser:

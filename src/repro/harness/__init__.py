@@ -59,7 +59,6 @@ from repro.harness.runner import (
     NetStats,
     ProfileRecord,
     queryable_profiles,
-    run_huge_profile,
     run_profile,
     run_suite,
 )
@@ -112,7 +111,6 @@ __all__ = [
     "NetStats",
     "ProfileRecord",
     "queryable_profiles",
-    "run_huge_profile",
     "run_profile",
     "run_suite",
     "SCHEMA_NAME",

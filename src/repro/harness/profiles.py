@@ -43,12 +43,13 @@ from repro.graphs import (
 )
 
 #: The mandatory size tiers, smallest first.  A profile may define extra
-#: tiers beyond these; ``"huge"`` (10^6–10^7 nodes, served by the packed
-#: mmap format via :func:`repro.harness.runner.run_huge_profile`) is the
-#: convention for sizes only the array kernels can touch.
+#: tiers beyond these; ``"huge"`` (10^6–10^7 nodes, which
+#: :func:`repro.harness.runner.run_profile` reads from the packed mmap
+#: format instead of building) is the convention for sizes only the
+#: array kernels can touch.
 TIERS: Tuple[str, ...] = ("smoke", "table1", "stress")
 
-#: the optional out-of-band tier name the huge-scale runner looks for.
+#: the optional out-of-band tier name whose graph run_profile mmaps.
 HUGE_TIER = "huge"
 
 

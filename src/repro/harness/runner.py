@@ -263,7 +263,13 @@ def _certify_kernel_sssp(
         MetricRow("unsettled-arcs", float(unsettled), 0.0),
         MetricRow("sources", float(len(sources))),
     ]
-    return QualityReport(title="kernel sssp", rows=rows)
+    certification: Dict[str, object] = {
+        "mode": "fixed-point",
+        "kernel": _kernel_backend(params),
+        "sources": len(sources),
+        "unsettled_arcs": unsettled,
+    }
+    return QualityReport(title="kernel sssp", rows=rows, certification=certification)
 
 
 def _build_mst(
@@ -582,8 +588,10 @@ class ProfileRecord:
     words: Optional[int] = None
     active_node_rounds: Optional[int] = None
     net_rounds: Optional[int] = None
-    # stretch-certification accounting (mode / sampled_edges / pruning...;
-    # spanner-certified profiles only, None elsewhere and in schema <= 2)
+    # certification accounting: the stretch engine's (mode /
+    # sampled_edges / pruning...) on spanner-certified profiles, the
+    # fixed-point residual's on kernel-sssp; None elsewhere and in
+    # schema <= 2
     certification: Optional[Dict[str, object]] = None
     # query-workload serving metrics (latency percentiles, throughput,
     # cache hit/miss split — see repro.harness.queries); present only when
@@ -715,6 +723,24 @@ def _observability_block(
     }
 
 
+def _packed_graph(profile: Profile) -> PackedGraph:
+    """``profile``'s huge-tier graph, mmapped from the packed cache.
+
+    A 10^6+-vertex tier never materializes a :class:`WeightedGraph`: the
+    instance is streamed once into the ``.rpg`` format under
+    ``$REPRO_HUGE_CACHE`` (:func:`repro.kernels.ensure_packed`) and read
+    back as zero-copy CSR columns, its CRC checked on load.
+    """
+    gp = profile.graph_params(HUGE_TIER)
+    if profile.family != "ring-chords":
+        raise ValueError(
+            f"no streaming packer for family {profile.family!r}; the huge "
+            f"tier currently runs the ring-chords family only"
+        )
+    n, chords = int(gp["n"]), int(gp["chords"])  # type: ignore[arg-type]
+    return load_packed(ensure_packed(n, chords, profile.seed))
+
+
 def run_profile(
     profile: Profile,
     tier: str,
@@ -754,16 +780,23 @@ def run_profile(
     engine.  The default ``"python"`` keeps every committed baseline
     byte-stable; passing ``"numpy"``/``"auto"`` is the explicit opt-in.
     A ``kernel-sssp`` record's params carry the backend the name
-    resolved to, as :func:`run_huge_profile`'s do, so a report says
-    which kernel ran.
+    resolved to, so a report says which kernel ran, and its
+    ``certification`` block the fixed-point certificate.
+
+    At :data:`~repro.harness.profiles.HUGE_TIER` the graph comes from
+    the packed mmap format instead of :meth:`Profile.build_graph` (see
+    :func:`_packed_graph`): generation times pack-or-cache-hit and
+    load, the mapping is closed before the record is returned, and no
+    memory pass runs.
 
     Raises
     ------
     KeyError
         On an unknown tier or algorithm.
     ValueError
-        On an out-of-range ``certify_sample``, or an unknown kernel for
-        a ``kernel-sssp`` profile.
+        On an out-of-range ``certify_sample``, an unknown kernel for a
+        ``kernel-sssp`` profile, or a huge tier whose family has no
+        streaming packer.
     RuntimeError
         When a ``kernel-sssp`` profile runs with ``kernel="numpy"`` and
         numpy is not installed.
@@ -784,9 +817,14 @@ def run_profile(
         "harness.profile", profile=profile.name, tier=tier
     )
     profile_span.__enter__()
+    graph: "WeightedGraph | PackedGraph"
+    packed: Optional[PackedGraph] = None
     try:
         with obs_trace.timed_span("harness.generate") as t_gen:
-            graph = profile.build_graph(tier)
+            if tier == HUGE_TIER:
+                graph = packed = _packed_graph(profile)
+            else:
+                graph = profile.build_graph(tier)
         generation_seconds = t_gen.wall_s
 
         with obs_trace.timed_span("harness.build") as t_build:
@@ -804,7 +842,8 @@ def run_profile(
         construction_seconds = t_build.wall_s
 
         peak_memory: Optional[int] = None
-        if measure_memory:
+        # a packed graph has nothing to copy, and its memory is the mapping
+        if measure_memory and isinstance(graph, WeightedGraph):
             with obs_trace.span("harness.memory"):
                 # a fresh copy: nothing the timed pass cached on the
                 # frozen view (MST, BFS trees) is reused
@@ -838,6 +877,8 @@ def run_profile(
                     structure, QUERY_MIXES[tier], seed=profile.seed
                 )
     finally:
+        if packed is not None:
+            packed.close()
         profile_span.__exit__(None, None, None)
 
     return ProfileRecord(
@@ -898,100 +939,3 @@ def run_suite(
                 )
     return records
 
-
-def run_huge_profile(
-    profile: Profile,
-    kernel: str = "auto",
-    cache_dir: Optional[str] = None,
-) -> ProfileRecord:
-    """Run ``profile``'s huge tier straight from the packed mmap format.
-
-    The huge tier (10^6+ vertices) never materializes a
-    :class:`WeightedGraph` — the workload is generated once into the
-    versioned ``.rpg`` binary format (cached under ``cache_dir``, see
-    :func:`repro.kernels.ensure_packed`), mmapped back as zero-copy CSR
-    columns, and run through the same ``kernel-sssp`` build and
-    certification as every other tier, on the columns as they are.  The
-    record's generation time therefore covers pack-or-cache-hit,
-    construction the batched SSSP, and certification the fixed-point
-    residual check (residual 0 and no unsettled arcs certify every
-    distance row exact).
-
-    ``kernel`` defaults to ``"auto"`` — numpy when available, else the
-    pure-Python kernel (slow at this scale, but correct).  The packed
-    file's CRC is checked on load.
-
-    Raises
-    ------
-    KeyError
-        When ``profile`` does not define a huge tier.
-    ValueError
-        When the profile's family has no streaming packer.
-    RuntimeError
-        When ``kernel="numpy"`` and numpy is not installed.
-    """
-    if HUGE_TIER not in profile.tiers:
-        raise KeyError(
-            f"profile {profile.name!r} does not define a {HUGE_TIER!r} tier"
-        )
-    if profile.family != "ring-chords":
-        raise ValueError(
-            f"no streaming packer for family {profile.family!r}; the huge "
-            f"tier currently runs the ring-chords family only"
-        )
-    gp = profile.graph_params(HUGE_TIER)
-    n, chords = int(gp["n"]), int(gp["chords"])  # type: ignore[arg-type]
-    params = profile.algo_params(HUGE_TIER)
-    backend = resolve_kernel(kernel)
-    params["kernel"] = backend
-
-    counters_before = obs_metrics.scalars()
-    spans_before = obs_trace.span_count()
-    profile_span = obs_trace.span(
-        "harness.profile", profile=profile.name, tier=HUGE_TIER, kernel=backend
-    )
-    profile_span.__enter__()
-    try:
-        with obs_trace.timed_span("harness.generate") as t_gen:
-            path = ensure_packed(n, chords, profile.seed, cache_dir=cache_dir)
-            pg = load_packed(path)
-        generation_seconds = t_gen.wall_s
-        try:
-            with obs_trace.timed_span("harness.build") as t_build:
-                artifact = _build_kernel_sssp(
-                    pg, params, random.Random(profile.seed)
-                )[0]
-            with obs_trace.timed_span("harness.certify") as t_cert:
-                report = _certify_kernel_sssp(pg, artifact, params)
-            n_packed, m_arcs = pg.n, pg.m_arcs
-        finally:
-            pg.close()
-    finally:
-        profile_span.__exit__(None, None, None)
-
-    return ProfileRecord(
-        profile=profile.name,
-        tier=HUGE_TIER,
-        family=profile.family,
-        algorithm=profile.algorithm,
-        section=profile.section,
-        seed=profile.seed,
-        params=params,
-        n=n_packed,
-        m=m_arcs // 2,
-        generation_seconds=generation_seconds,
-        construction_seconds=t_build.wall_s,
-        certification_seconds=t_cert.wall_s,
-        peak_memory_bytes=None,
-        rounds=None,
-        metrics=_report_metrics(report),
-        ok=report.ok,
-        certification={
-            "mode": "fixed-point",
-            "kernel": backend,
-            "sources": int(report.metric("sources").measured),
-            "unsettled_arcs": int(report.metric("unsettled-arcs").measured),
-            "packed_file": str(path),
-        },
-        observability=_observability_block(counters_before, spans_before),
-    )

@@ -260,6 +260,11 @@ class PackedGraph:
             self.close()
             raise
 
+    @property
+    def m(self) -> int:
+        """Undirected edges: each one is stored as two arcs."""
+        return self.m_arcs // 2
+
     def close(self) -> None:
         """Release the column views, the mapping and the file handle.
 

@@ -244,6 +244,20 @@ def test_harness_kernel_profile_python():
     assert record.metrics["unsettled-arcs"]["measured"] == 0.0
 
 
+def test_harness_kernel_profile_records_the_fixed_point_block():
+    """Every kernel-sssp record carries the fixed-point certificate, at
+    smoke as at the huge tier."""
+    record = run_profile(
+        get_profile("kernel-sssp-ring"), "smoke", measure_memory=False
+    )
+    assert record.certification == {
+        "mode": "fixed-point", "kernel": "python", "sources": 4,
+        "unsettled_arcs": 0,
+    }
+    round_trip = type(record).from_dict(record.to_dict())
+    assert round_trip.certification == record.certification
+
+
 @needs_numpy
 def test_harness_kernel_profile_numpy(monkeypatch):
     """Each numpy build pass (the timed one, then the memory one)
@@ -305,12 +319,12 @@ def test_harness_certification_ignores_kernel():
         assert "certify_kernel" not in record.params
 
 
-def test_run_huge_profile_small_instance(tmp_path):
-    from repro.harness import HUGE_TIER, Profile, run_huge_profile
+def _huge_mini(family="ring-chords"):
+    from repro.harness import HUGE_TIER, Profile
 
-    profile = Profile(
+    return Profile(
         name="huge-mini", description="test", section="substrate",
-        family="ring-chords", algorithm="kernel-sssp",
+        family=family, algorithm="kernel-sssp",
         params={"kernel": "python", "sources": 4}, seed=0,
         tiers={
             "smoke": {"n": 50, "chords": 2},
@@ -319,19 +333,89 @@ def test_run_huge_profile_small_instance(tmp_path):
             HUGE_TIER: {"n": 3000, "chords": 3},
         },
     )
+
+
+def test_run_huge_profile_small_instance(tmp_path, monkeypatch):
+    from repro.harness import HUGE_TIER
+
+    monkeypatch.setenv("REPRO_HUGE_CACHE", str(tmp_path))
+    profile = _huge_mini()
     for kernel in ("python",) + (("auto",) if has_numpy() else ()):
-        record = run_huge_profile(profile, kernel=kernel, cache_dir=tmp_path)
+        record = run_profile(profile, HUGE_TIER, kernel=kernel)
         assert record.ok and record.tier == HUGE_TIER
         assert record.n == 3000 and record.m > 0
         assert record.certification["mode"] == "fixed-point"
         assert record.certification["unsettled_arcs"] == 0
+        assert record.peak_memory_bytes is None
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ring-chords-n3000-c3-s0.rpg"]
 
 
 def test_run_huge_profile_requires_huge_tier():
-    from repro.harness import run_huge_profile
+    from repro.harness import HUGE_TIER
 
     with pytest.raises(KeyError, match="huge"):
-        run_huge_profile(get_profile("spanner-er"))
+        run_profile(get_profile("spanner-er"), HUGE_TIER)
+
+
+def test_huge_tier_requires_a_packable_family(tmp_path, monkeypatch):
+    from repro.harness import HUGE_TIER
+
+    monkeypatch.setenv("REPRO_HUGE_CACHE", str(tmp_path))
+    with pytest.raises(ValueError, match="no streaming packer for family 'er'"):
+        run_profile(_huge_mini(family="er"), HUGE_TIER)
+    assert sorted(tmp_path.iterdir()) == []
+
+
+def test_huge_tier_closes_the_mapping_when_the_build_fails(tmp_path, monkeypatch):
+    """The packed graph is closed on every exit path, failures included."""
+    from repro.harness import HUGE_TIER, runner
+
+    monkeypatch.setenv("REPRO_HUGE_CACHE", str(tmp_path))
+    opened = []
+    real_load = runner.load_packed
+
+    def load(path):
+        opened.append(real_load(path))
+        return opened[-1]
+
+    monkeypatch.setattr(runner, "load_packed", load)
+
+    def broken_build(graph, params, rng):
+        raise RuntimeError("build failed")
+
+    monkeypatch.setitem(
+        runner.ALGORITHMS, "kernel-sssp",
+        (broken_build, runner.ALGORITHMS["kernel-sssp"][1]),
+    )
+    with pytest.raises(RuntimeError, match="build failed"):
+        run_profile(_huge_mini(), HUGE_TIER)
+    assert len(opened) == 1
+    with pytest.raises(ValueError):
+        opened[0].indptr[0]  # a released view raises
+
+
+def test_bench_huge_suite_writes_and_compares(tmp_path, monkeypatch, capsys):
+    """``repro bench --suite huge`` runs through the shared suite path:
+    it writes a report, and ``--compare`` gates a second run on it."""
+    import repro.harness
+    from repro.cli import main
+    from repro.harness import load_report
+
+    monkeypatch.setenv("REPRO_HUGE_CACHE", str(tmp_path / "cache"))
+    monkeypatch.setattr(repro.harness, "huge_profiles", lambda: [_huge_mini()])
+    out = tmp_path / "BENCH_huge.json"
+    assert main(["bench", "--suite", "huge", "--out", str(out)]) == 0
+    report = load_report(out)
+    assert report["suite"] == "huge"
+    [record] = report["records"]
+    assert record["profile"] == "huge-mini" and record["tier"] == "huge"
+    assert record["params"]["kernel"] == resolve_kernel("auto")
+    assert record["certification"]["mode"] == "fixed-point"
+    assert main(["bench", "--suite", "huge", "--compare", str(out),
+                 "--tolerance", "10.0"]) == 0
+    output = capsys.readouterr().out
+    assert "running 1 profile(s) at tier 'huge'" in output
+    assert "deltas vs" in output and "PASS" in output
 
 
 def test_huge_profiles_listed():
