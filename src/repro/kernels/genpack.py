@@ -23,11 +23,9 @@ loops, only slower.
 from __future__ import annotations
 
 import os
-import sys
 import tempfile
-from array import array
 from pathlib import Path
-from typing import Any, Optional, Sequence, Tuple, Union
+from typing import Any, Optional, Tuple, Union
 
 from repro.graphs.generators import (
     _MASK64,
@@ -38,7 +36,7 @@ from repro.graphs.generators import (
     ring_chord_offsets,
     ring_chord_weight,
 )
-from repro.kernels.binfmt import PackedFormatError, PackWriter, load_packed
+from repro.kernels.binfmt import PackedFormatError, PackWriter, _le, load_packed
 from repro.kernels.dispatch import numpy_or_none
 
 #: vertices per streamed chunk (~ tens of MB of payload per pass)
@@ -71,28 +69,21 @@ def pack_ring_chords(path: PathLike, n: int, chords: int, seed: int) -> None:
             _pack_python(w, n, offsets, seed, CHUNK_VERTICES)
 
 
-def _le_py(values: Union[Sequence[int], Sequence[float]], typecode: str) -> bytes:
-    arr = array(typecode, values)
-    if sys.byteorder == "big":
-        arr.byteswap()
-    return arr.tobytes()
-
-
 def _pack_python(
     w: PackWriter, n: int, offsets: Tuple[int, ...], seed: int, chunk: int
 ) -> None:
     deg = len(offsets)
     for lo in range(0, n + 1, chunk):
         hi = min(lo + chunk, n + 1)
-        w.write(_le_py([i * deg for i in range(lo, hi)], "q"))
+        w.write(_le([i * deg for i in range(lo, hi)], "q"))
     for lo in range(0, n, chunk):
         hi = min(lo + chunk, n)
-        w.write(_le_py(
+        w.write(_le(
             [(u + o) % n for u in range(lo, hi) for o in offsets], "i"
         ))
     for lo in range(0, n, chunk):
         hi = min(lo + chunk, n)
-        w.write(_le_py(
+        w.write(_le(
             [
                 ring_chord_weight(seed, u, (u + o) % n)
                 for u in range(lo, hi)
