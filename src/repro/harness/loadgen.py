@@ -47,6 +47,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.graphs.weighted_graph import WeightedGraph
 from repro.harness.profiles import Profile
+from repro.harness.queries import percentiles_ms
 from repro.serve import (
     Address,
     ConnectionClosed,
@@ -227,17 +228,16 @@ class LevelResult:
         return out
 
 
-def _percentiles(latencies_s: List[float]) -> Tuple[float, float, float]:
-    """Exact sample percentiles (ms) — (p50, p99, p999)."""
-    if not latencies_s:
-        return 0.0, 0.0, 0.0
-    ordered = sorted(latencies_s)
-    count = len(ordered)
+def _connect(address: Address, timeout: float) -> Optional[ServeClient]:
+    """A client connection, or None when ``address`` refuses one.
 
-    def pct(p: float) -> float:
-        return ordered[min(count - 1, int(p * count))] * 1000.0
-
-    return pct(0.50), pct(0.99), pct(0.999)
+    A driver thread without a connection ends its loop; the level counts
+    every request it did not answer as a failure (requests less answers).
+    """
+    try:
+        return ServeClient.open(address, timeout=timeout)
+    except OSError:
+        return None
 
 
 def run_closed_level(
@@ -260,26 +260,24 @@ def run_closed_level(
         raise ValueError(f"concurrency must be >= 1, got {concurrency}")
     latencies: List[List[float]] = [[] for _ in range(concurrency)]
     answers: List[List[Tuple[str, str, float]]] = [[] for _ in range(concurrency)]
-    failures = [0] * concurrency
     clock = time.perf_counter
 
     def drive(slot: int) -> None:
         my_pairs = list(pairs[slot::concurrency])
-        client: Optional[ServeClient] = None
+        client = _connect(address, timeout)
         try:
-            client = ServeClient.open(address, timeout=timeout)
             for _ in range(repeats):
                 for u, v in my_pairs:
+                    if client is None:
+                        return
                     t0 = clock()
                     try:
                         d = client.query(u, v)
                     except ProtocolError:
-                        failures[slot] += 1
                         continue
                     except (ConnectionClosed, OSError):
-                        failures[slot] += 1
                         client.close()
-                        client = ServeClient.open(address, timeout=timeout)
+                        client = _connect(address, timeout)
                         continue
                     latencies[slot].append(clock() - t0)
                     if collect_answers:
@@ -299,12 +297,13 @@ def run_closed_level(
         t.join()
     wall = clock() - t_start
     flat = [lat for per in latencies for lat in per]
-    p50, p99, p999 = _percentiles(flat)
+    p50, p99, p999 = percentiles_ms(flat, 0.50, 0.99, 0.999)
+    requests = len(pairs) * repeats
     result = LevelResult(
         mode="closed",
         level=float(concurrency),
-        requests=len(pairs) * repeats,
-        failures=sum(failures),
+        requests=requests,
+        failures=requests - len(flat),
         duration_s=wall,
         p50_ms=p50,
         p99_ms=p99,
@@ -334,15 +333,13 @@ def run_open_level(
         raise ValueError("empty schedule")
     work: "queue.Queue[Optional[ScheduleEntry]]" = queue.Queue()
     latencies: List[List[float]] = [[] for _ in range(clients)]
-    failures = [0] * clients
     clock = time.perf_counter
     t0 = clock()
 
     def serve(slot: int) -> None:
-        client: Optional[ServeClient] = None
+        client = _connect(address, timeout)
         try:
-            client = ServeClient.open(address, timeout=timeout)
-            while True:
+            while client is not None:
                 item = work.get()
                 if item is None:
                     return
@@ -350,12 +347,10 @@ def run_open_level(
                 try:
                     client.query(u, v)
                 except ProtocolError:
-                    failures[slot] += 1
                     continue
                 except (ConnectionClosed, OSError):
-                    failures[slot] += 1
                     client.close()
-                    client = ServeClient.open(address, timeout=timeout)
+                    client = _connect(address, timeout)
                     continue
                 latencies[slot].append(clock() - (t0 + sched_t))
         finally:
@@ -379,14 +374,14 @@ def run_open_level(
         t.join()
     wall = clock() - t0
     flat = [lat for per in latencies for lat in per]
-    p50, p99, p999 = _percentiles(flat)
+    p50, p99, p999 = percentiles_ms(flat, 0.50, 0.99, 0.999)
     horizon = schedule[-1][0]
     offered = len(schedule) / horizon if horizon > 0 else 0.0
     return LevelResult(
         mode="open",
         level=round(offered),
         requests=len(schedule),
-        failures=sum(failures),
+        failures=len(schedule) - len(flat),
         duration_s=wall,
         p50_ms=p50,
         p99_ms=p99,

@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.graphs.weighted_graph import Vertex, WeightedGraph
 from repro.obs import metrics as obs_metrics
@@ -88,6 +88,21 @@ def build_query_mix(
     return pairs, sources
 
 
+def percentiles_ms(latencies_s: Sequence[float], *ps: float) -> Tuple[float, ...]:
+    """Exact sample percentiles in ms, one per ``p`` in ``ps``.
+
+    Percentile ``p`` of ``n`` samples is the sorted sample at index
+    ``min(n - 1, int(p * n))``, and 0.0 when there are none; the
+    ``queries`` block and the load generator's levels both read their
+    latencies this way.
+    """
+    ordered = sorted(latencies_s)
+    count = len(ordered)
+    if not count:
+        return tuple(0.0 for _ in ps)
+    return tuple(ordered[min(count - 1, int(p * count))] * 1000.0 for p in ps)
+
+
 def run_query_workload(
     structure: WeightedGraph,
     mix: QueryMix,
@@ -127,13 +142,7 @@ def run_query_workload(
     # histogram) into the process-wide registry now that serving is done
     obs_metrics.merge(oracle.metrics.snapshot())
     count = len(latencies)
-    latencies.sort()
-
-    def _pct(p: float) -> float:
-        if not latencies:
-            return 0.0
-        return latencies[min(count - 1, int(p * count))] * 1000.0
-
+    p50_ms, p99_ms = percentiles_ms(latencies, 0.50, 0.99)
     return {
         "count": count,
         "pair_queries": len(pairs),
@@ -143,8 +152,8 @@ def run_query_workload(
         "strategy": oracle.strategy,
         "build_seconds": build_seconds,
         "served_seconds": served_seconds,
-        "p50_ms": _pct(0.50),
-        "p99_ms": _pct(0.99),
+        "p50_ms": p50_ms,
+        "p99_ms": p99_ms,
         "qps": count / served_seconds if served_seconds > 0 else 0.0,
         "cache_hits": info["hits"],
         "cache_misses": info["misses"],

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import socket
 import subprocess
 import sys
 import threading
@@ -28,6 +29,7 @@ from repro.harness import (
     make_report,
     write_report,
 )
+from repro.harness import loadgen
 from repro.harness.loadgen import (
     BURSTY_ON_FRACTION,
     bursty_schedule,
@@ -43,7 +45,7 @@ from repro.harness.loadgen import (
 )
 from repro.harness.runner import ProfileRecord
 from repro.oracle import build_oracle
-from repro.serve import Server
+from repro.serve import ConnectionClosed, Server
 
 REPO_SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -243,6 +245,80 @@ class TestDrivers:
             drive_load(served.address, PAIRS, "pipelined", [1])
         with pytest.raises(ValueError):
             drive_load(served.address, PAIRS, "closed", [])
+
+
+# ---------------------------------------------------------------------------
+# failures: every request a level did not answer
+# ---------------------------------------------------------------------------
+def _closed_port_address():
+    """A loopback address nothing listens on (the port was just freed)."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()
+
+
+class _DroppingClient:
+    """Answers one request, then drops the connection; every later
+    connect is refused, as by a daemon that died mid-level."""
+
+    opens = 0
+
+    def __init__(self):
+        self.answered = 0
+
+    @classmethod
+    def open(cls, address, timeout=None):
+        cls.opens += 1
+        if cls.opens > 1:
+            raise ConnectionRefusedError("daemon gone")
+        return cls()
+
+    def query(self, u, v):
+        if self.answered:
+            raise ConnectionClosed("peer closed the connection")
+        self.answered += 1
+        return 1.0
+
+    def close(self):
+        pass
+
+
+class TestFailures:
+    """A level's failures are its requests less the answers it recorded,
+    so a client that cannot connect or reconnect fails its share."""
+
+    def test_closed_level_without_a_daemon_fails_every_request(self):
+        result, answers = run_closed_level(
+            _closed_port_address(), PAIRS[:4], concurrency=2,
+            collect_answers=True,
+        )
+        assert (result.requests, result.failures) == (4, 4)
+        assert result.failure_rate == 1.0
+        assert answers == []
+
+    def test_open_level_without_a_daemon_fails_every_request(self):
+        sched = poisson_schedule(PAIRS, rate=50.0, duration=0.2, seed=6)
+        assert sched
+        result = run_open_level(_closed_port_address(), sched, clients=2)
+        assert result.requests == result.failures == len(sched)
+        assert result.failure_rate == 1.0
+
+    def test_closed_level_counts_requests_after_a_failed_reconnect(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(_DroppingClient, "opens", 0)
+        monkeypatch.setattr(loadgen, "ServeClient", _DroppingClient)
+        result, _ = run_closed_level(("127.0.0.1", 1), PAIRS[:4], concurrency=1)
+        assert (result.requests, result.failures) == (4, 3)
+
+    def test_open_level_counts_requests_after_a_failed_reconnect(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(_DroppingClient, "opens", 0)
+        monkeypatch.setattr(loadgen, "ServeClient", _DroppingClient)
+        sched = [(0.0, u, v) for u, v in PAIRS[:4]]
+        result = run_open_level(("127.0.0.1", 1), sched, clients=1)
+        assert (result.requests, result.failures) == (4, 3)
 
 
 # ---------------------------------------------------------------------------
