@@ -231,7 +231,7 @@ class LevelResult:
 def _connect(address: Address, timeout: float) -> Optional[ServeClient]:
     """A client connection, or None when ``address`` refuses one.
 
-    A driver thread without a connection ends its loop; the level counts
+    A client thread without a connection ends its loop; the level counts
     every request it did not answer as a failure (requests less answers).
     """
     try:
