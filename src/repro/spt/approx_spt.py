@@ -155,20 +155,30 @@ def bounded_approx_spt(
     relaxation it accepts at ``radius`` it accepts at any larger radius,
     and one it rejects at ``radius`` stays rejected below ``clip``; a
     relaxation that would not lower a label is rejected at every radius.
-    So a call with any radius in ``[radius, clip)`` makes every decision
-    the same way, in the same order, and returns an equal result —
-    ``clip`` included.  The §7 construction uses this to skip repeated
-    explorations across scales.  A :class:`WeightedGraph` input is frozen
-    to its cached CSR view first, so :func:`repro.core.nets.build_net`
-    and the doubling spanner run the same loop.  The search relaxes over
+    So a call with any radius in ``[radius, clip)`` pops the same heap
+    entries in the same sequence, sets the same labels from every row,
+    and returns an equal result — ``clip`` included.  The §7
+    construction uses this to skip repeated explorations across scales.
+    A :class:`WeightedGraph` input is frozen to its cached CSR view
+    first, so :func:`repro.core.nets.build_net` and the doubling spanner
+    run the same loop.  The search relaxes over
     :meth:`CSRGraph.rounded_weights`, the rounded column cached on the
     frozen graph, so every weight is rounded once per ε rather than once
     per relaxation.
+
+    A row scanned twice before at this ε is read in ascending true
+    weight (:meth:`CSRGraph.weight_sorted_rows`, sorted on its third scan
+    and cached on the view) and stops at the radius: past it, only the
+    first arc that would lower a label can set ``clip``.  Within a row
+    each relaxation touches another neighbour and reads only labels set
+    before the row, and heap entries order by ``(rounded distance,
+    index)``, so the row order changes no output, bit for bit.
     """
     csr = graph.freeze() if isinstance(graph, WeightedGraph) else graph
     n = csr.n
     indptr, indices, weights, verts = csr.indptr, csr.indices, csr.weights, csr.verts
     rounded = csr.rounded_weights(eps)
+    scanned, by_weight = csr.weight_sorted_rows(eps)
     dist: List[float] = [INF] * n
     true_dist: List[float] = [INF] * n
     parent: List[int] = [-2] * n
@@ -190,19 +200,44 @@ def bounded_approx_spt(
             continue  # stale entry
         tu = true_dist[u]
         ou = origin[u]
-        a, b = indptr[u], indptr[u + 1]
-        for v, w, r in zip(indices[a:b], weights[a:b], rounded[a:b]):
-            nd = d + r
-            if nd < dist[v]:
-                nt = tu + w
-                if nt <= radius:
+        row = by_weight[u]
+        if row is None:
+            a, b = indptr[u], indptr[u + 1]
+            if scanned[u] < 2:
+                # the first two scans of this row at this ε: slot order, to the end
+                scanned[u] += 1
+                for v, w, r in zip(indices[a:b], weights[a:b], rounded[a:b]):
+                    nd = d + r
+                    if nd < dist[v]:
+                        nt = tu + w
+                        if nt <= radius:
+                            dist[v] = nd
+                            true_dist[v] = nt
+                            parent[v] = u
+                            origin[v] = ou
+                            push(heap, (nd, v))
+                        elif nt < clip:
+                            clip = nt
+                continue
+            row = by_weight[u] = sorted(zip(weights[a:b], indices[a:b], rounded[a:b]))
+        # ascending w gives ascending tu + w, so once the radius turns an
+        # arc away it turns away every later one, and only the first of
+        # them that would lower a label can set clip
+        for w, v, r in row:
+            nt = tu + w
+            if nt <= radius:
+                nd = d + r
+                if nd < dist[v]:
                     dist[v] = nd
                     true_dist[v] = nt
                     parent[v] = u
                     origin[v] = ou
                     push(heap, (nd, v))
-                elif nt < clip:
-                    clip = nt
+            elif nt >= clip:
+                break
+            elif d + r < dist[v]:
+                clip = nt
+                break
     out_dist: Dict[Vertex, float] = {}
     out_parent: Dict[Vertex, Optional[Vertex]] = {}
     out_origin: Dict[Vertex, Vertex] = {}

@@ -1,11 +1,13 @@
 """Tests for the exact and approximate shortest-path trees."""
 
+import heapq
 import math
 import sys
 
 import pytest
 
 from repro.graphs import (
+    CSRGraph,
     WeightedGraph,
     dijkstra,
     erdos_renyi_graph,
@@ -135,18 +137,139 @@ def _clip_graph(family, seed, factor):
         g = erdos_renyi_graph(30, 0.15, seed=seed)
     elif family == "geometric":
         g = random_geometric_graph(30, seed=seed)
+    elif family == "ulp-ties":
+        # weights 1 and the next float up: ties one ulp apart, and exact
+        # ties among the arcs of every row
+        up = math.nextafter(1.0, 2.0)
+        g = grid_graph(5, 6).reweighted(lambda u, v, w: up if (u + v) % 3 else 1.0)
+    elif family == "two-components":
+        # vertices 0..14 and 15..29, so the sources 0 and 17 lie in
+        # different components
+        g = erdos_renyi_graph(15, 0.3, seed=seed)
+        for u, v, w in erdos_renyi_graph(15, 0.3, seed=seed + 100).edges():
+            g.add_edge(u + 15, v + 15, w)
     else:
         g = grid_graph(5, 6)  # every weight 1: ties everywhere
     return g.reweighted(lambda u, v, w: w * factor)
 
 
+def _reference_bounded_approx_spt(graph, sources, radius, eps):
+    """The exploration loop before rows were read in weight order:
+    every settled vertex's arcs in slot order, to the end of the row."""
+    csr = graph.freeze() if isinstance(graph, WeightedGraph) else graph
+    n = csr.n
+    indptr, indices, weights, verts = csr.indptr, csr.indices, csr.weights, csr.verts
+    rounded = csr.rounded_weights(eps)
+    INF = math.inf
+    dist = [INF] * n
+    true_dist = [INF] * n
+    parent = [-2] * n
+    origin = [-1] * n
+    heap = []
+    clip = INF
+    for s in sources:
+        i = csr.index_of(s)
+        dist[i] = 0.0
+        true_dist[i] = 0.0
+        parent[i] = -1
+        origin[i] = i
+        heap.append((0.0, i))
+    heapq.heapify(heap)
+    push, pop = heapq.heappush, heapq.heappop
+    while heap:
+        d, u = pop(heap)
+        if d > dist[u]:
+            continue  # stale entry
+        tu = true_dist[u]
+        ou = origin[u]
+        a, b = indptr[u], indptr[u + 1]
+        for v, w, r in zip(indices[a:b], weights[a:b], rounded[a:b]):
+            nd = d + r
+            if nd < dist[v]:
+                nt = tu + w
+                if nt <= radius:
+                    dist[v] = nd
+                    true_dist[v] = nt
+                    parent[v] = u
+                    origin[v] = ou
+                    push(heap, (nd, v))
+                elif nt < clip:
+                    clip = nt
+    out_dist = {}
+    out_parent = {}
+    out_origin = {}
+    for i in range(n):
+        p = parent[i]
+        if p == -2:
+            continue
+        out_dist[verts[i]] = true_dist[i]
+        out_parent[verts[i]] = None if p == -1 else verts[p]
+        out_origin[verts[i]] = verts[origin[i]]
+    return BoundedSPT(out_dist, out_parent, out_origin, clip)
+
+
+#: the row-cache states every case runs on
+_VIEW_STATES = ("fresh", "once", "several", "other-eps")
+
+
+def _view(g, as_csr, eps, state):
+    """A new input over a copy of ``g`` whose rows at ``eps`` are in
+    ``state``: untouched, scanned once by one exploration, partly
+    sorted by several (some rows sorted, some scanned once or twice,
+    some untouched), or sorted at another ε only."""
+    if as_csr:
+        base = g.freeze()
+        graph = CSRGraph(base.indptr, base.indices, base.weights, base.verts)
+    else:
+        graph = g.copy()
+    verts = list(g.vertices())
+    if state == "once":
+        bounded_approx_spt(graph, verts[:1], math.inf, eps)
+    elif state == "several":
+        weights = sorted(w for _u, _v, w in g.edges())
+        median = weights[len(weights) // 2]
+        for s, reach in [(s, 1.5) for s in verts[::8]] + [(s, 1.0) for s in verts[::6]]:
+            bounded_approx_spt(graph, [s], reach * median, eps)
+    elif state == "other-eps":
+        for s in verts[:3]:
+            bounded_approx_spt(graph, [s], math.inf, 0.25)
+    return graph
+
+
+def _row_states(graph, eps):
+    """How many rows at ``eps`` are untouched, scanned once, scanned
+    twice, and sorted."""
+    csr = graph.freeze() if isinstance(graph, WeightedGraph) else graph
+    scanned, rows = csr.weight_sorted_rows(eps)
+    unsorted = [count for count, row in zip(scanned, rows) if row is None]
+    return (unsorted.count(0), unsorted.count(1), unsorted.count(2),
+            len(rows) - len(unsorted))
+
+
+def _assert_matches_reference(g, as_csr, sources, radii, eps):
+    """Every radius on every row-cache state equals the reference loop."""
+    reference_view = g.to_csr()
+    for radius in radii:
+        want = _reference_bounded_approx_spt(reference_view, sources, radius, eps)
+        for state in _VIEW_STATES:
+            graph = _view(g, as_csr, eps, state)
+            got = bounded_approx_spt(graph, sources, radius, eps)
+            assert got == want, (radius, state)
+            assert list(got.parent) == list(want.parent), (radius, state)
+
+
 class TestBoundedApproxSPTClip:
     """``clip`` is the smallest true weight the radius test turned away;
-    every radius in [radius, clip) repeats the search exactly."""
+    every radius in [radius, clip) repeats the search exactly.  Reading
+    each row in ascending weight and stopping at the radius returns what
+    the slot-order loop returns, whatever the rows cached on the view at
+    that ε: none, scanned once, partly sorted, or sorted at another ε."""
 
     @pytest.mark.parametrize("frozen", [False, True], ids=["dict", "csr"])
     @pytest.mark.parametrize("factor", [1.0, 1e-6, 1e6])
-    @pytest.mark.parametrize("family", ["er", "geometric", "ties"])
+    @pytest.mark.parametrize(
+        "family", ["er", "geometric", "ties", "ulp-ties", "two-components"]
+    )
     @pytest.mark.parametrize("seed", [1, 2])
     def test_same_result_below_clip(self, seed, family, factor, frozen):
         g = _clip_graph(family, seed, factor)
@@ -166,10 +289,30 @@ class TestBoundedApproxSPTClip:
                         finite += 1
                     for again in (math.nextafter(radius, math.inf),
                                   radius + (top - radius) / 2, top):
+                        if again >= first.clip:
+                            continue  # a clip one ulp above the radius
                         result = bounded_approx_spt(graph, sources, again, eps)
                         assert result == first
                         assert list(result.parent) == list(first.parent)
         assert finite > 0
+
+    @pytest.mark.parametrize("frozen", [False, True], ids=["dict", "csr"])
+    @pytest.mark.parametrize("factor", [1.0, 1e-6, 1e6])
+    @pytest.mark.parametrize(
+        "family", ["er", "geometric", "ties", "ulp-ties", "two-components"]
+    )
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_equals_the_reference_loop(self, seed, family, factor, frozen):
+        g = _clip_graph(family, seed, factor)
+        for eps in (0.0, 0.05, 0.5):
+            # a radius equal to the true weight of a path a wide search
+            # chooses, and one ulp either side of it
+            reach = _reference_bounded_approx_spt(g.to_csr(), [0], math.inf, eps)
+            w = sorted(reach.dist.values())[len(reach.dist) // 2]
+            radii = [0.0, 3.0 * factor, math.inf,
+                     math.nextafter(w, 0.0), w, math.nextafter(w, math.inf)]
+            for sources in ([0], [0, 0], [0, 17]):
+                _assert_matches_reference(g, frozen, sources, radii, eps)
 
     @pytest.mark.parametrize("frozen", [False, True], ids=["dict", "csr"])
     def test_clip_is_a_turned_away_path_weight(self, frozen):
@@ -195,3 +338,63 @@ class TestBoundedApproxSPTClip:
         result = bounded_approx_spt(graph, [0], 1.0, 0.1)
         assert set(result.dist) == {0, 1, 2}
         assert result.clip == math.inf
+
+
+class TestWeightOrderedRows:
+    """The row cache's states, and the inputs outside the clip grid:
+    string labels and a radius at a tied path weight."""
+
+    def test_views_reach_every_row_state(self):
+        """The warmed views the cases run on hold what they claim: rows
+        in every state, or nothing at that ε."""
+        g = _clip_graph("geometric", 2, 1.0)
+        for frozen in (False, True):
+            assert _row_states(_view(g, frozen, 0.05, "fresh"), 0.05) == (30, 0, 0, 0)
+            assert _row_states(_view(g, frozen, 0.05, "once"), 0.05) == (0, 30, 0, 0)
+            states = _row_states(_view(g, frozen, 0.05, "several"), 0.05)
+            assert all(count > 0 for count in states), states
+            other = _view(g, frozen, 0.05, "other-eps")
+            assert _row_states(other, 0.05) == (30, 0, 0, 0)
+            assert _row_states(other, 0.25) == (0, 0, 0, 30)
+
+    def test_string_labels(self):
+        base = _clip_graph("geometric", 1, 1.0)
+        # insertion order differs from the labels' sorted order
+        g = WeightedGraph("v%02d" % (29 - v) for v in base.vertices())
+        for u, v, w in base.edges():
+            g.add_edge("v%02d" % (29 - u), "v%02d" % (29 - v), w)
+        radii = [0.0, 1.0, 2.5, 6.0, math.inf]
+        for frozen in (False, True):
+            for sources in (["v29"], ["v29", "v29"], ["v29", "v12"]):
+                _assert_matches_reference(g, frozen, sources, radii, 0.05)
+
+    def test_radius_at_a_tied_path_weight(self):
+        """Two paths to 3 of true weight exactly 2 and one a ulp above:
+        a radius at 2, and one ulp either side of it."""
+        up = math.nextafter(1.0, 2.0)
+        g = WeightedGraph()
+        for u, v, w in [(0, 1, 1.0), (1, 3, 1.0), (0, 2, 1.0), (2, 3, 1.0),
+                        (0, 4, up), (4, 3, 1.0), (3, 5, 0.5), (0, 5, 2.5)]:
+            g.add_edge(u, v, w)
+        radii = [math.nextafter(2.0, 0.0), 2.0, math.nextafter(2.0, 3.0), 2.5]
+        for frozen in (False, True):
+            for eps in (0.0, 0.05, 0.5):
+                _assert_matches_reference(g, frozen, [0], radii, eps)
+
+    def test_row_cache_lives_on_the_view(self):
+        """A third exploration at one ε sorts the rows it settles again;
+        the cache goes away when the graph mutates."""
+        g = path_graph(4, weights=[3.0, 1.0, 2.0])
+        csr = g.freeze()
+        bounded_approx_spt(g, [0], 3.5, 0.1)  # scans rows 0 and 1
+        assert _row_states(csr, 0.1) == (2, 2, 0, 0)
+        bounded_approx_spt(g, [1], 1.5, 0.1)  # scans rows 1 and 2
+        assert _row_states(csr, 0.1) == (1, 2, 1, 0)
+        bounded_approx_spt(g, [1], 1.5, 0.1)  # sorts row 1, scans row 2
+        assert _row_states(csr, 0.1) == (1, 1, 1, 1)
+        scanned, rows = csr.weight_sorted_rows(0.1)
+        assert rows[1] == [(1.0, 2, csr.rounded_weights(0.1)[csr.edge_slot(1, 2)]),
+                           (3.0, 0, csr.rounded_weights(0.1)[csr.edge_slot(1, 0)])]
+        g.add_edge(0, 3, 1.0)
+        assert _row_states(g.freeze(), 0.1) == (4, 0, 0, 0)
+        assert isinstance(g.freeze(), CSRGraph) and g.freeze() is not csr
