@@ -109,12 +109,16 @@ def compute_le_lists(
         Approximation parameter of H (0 = exact distances).
     rng / pi:
         Either a random source (a uniform permutation is sampled, as
-        Theorem 4 does) or an explicit permutation (vertex → rank).
+        Theorem 4 does, by shuffling A in the graph's vertex order, so
+        one seed gives one π whatever order ``active`` iterates in) or
+        an explicit permutation (vertex → rank).
     """
-    active = list(active)
     if pi is None:
         rng = ensure_rng(rng)
-        order = list(active)
+        # A in the graph's vertex order: a set's iteration order follows
+        # PYTHONHASHSEED when the vertices are strings, and π would too
+        members = set(active)
+        order = [v for v in graph.vertices() if v in members]
         rng.shuffle(order)
         pi = {v: i for i, v in enumerate(order)}
     else:

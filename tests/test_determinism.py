@@ -8,8 +8,8 @@ invocation; int hashing is not, which is why the in-process tests never
 caught it).  These tests relabel the workload graphs with *string*
 vertices and byte-compare canonical serializations produced by fresh
 subprocesses under different ``PYTHONHASHSEED`` values — the strongest
-claim the fixed ``light_spanner`` / ``simulate_case1_bucket`` sites can
-make.
+claim the fixed ``light_spanner`` / ``simulate_case1_bucket`` /
+``compute_le_lists`` sites can make.
 """
 import os
 import random
@@ -38,6 +38,26 @@ for u, v, w in base.edges():
     g.add_edge("v%02d" % u, "v%02d" % v, w)
 """
 
+_GEOMETRIC_PRELUDE = """\
+import random
+import sys
+
+from repro.graphs import random_geometric_graph
+from repro.graphs.weighted_graph import WeightedGraph
+
+base = random_geometric_graph(24, seed=21)
+g = WeightedGraph("v%02d" % v for v in base.vertices())
+for u, v, w in base.edges():
+    g.add_edge("v%02d" % u, "v%02d" % v, w)
+"""
+
+_SPANNER_OUTPUT = """\
+edges = sorted(
+    (min(u, v), max(u, v), round(w, 9)) for u, v, w in res.spanner.edges()
+)
+sys.stdout.write(repr((edges, res.rounds)))
+"""
+
 #: Each scenario builds a structure from the string-relabelled graph and
 #: writes a canonical serialization to stdout.
 _SCENARIOS = {
@@ -45,11 +65,7 @@ _SCENARIOS = {
 from repro.core.light_spanner import light_spanner
 
 res = light_spanner(g, 2, 0.25, random.Random(7))
-edges = sorted(
-    (min(u, v), max(u, v), round(w, 9)) for u, v, w in res.spanner.edges()
-)
-sys.stdout.write(repr((edges, res.rounds)))
-""",
+""" + _SPANNER_OUTPUT,
     "cluster-simulation": _PRELUDE + """\
 from repro.congest import build_bfs_tree
 from repro.core.cluster_simulation import simulate_case1_bucket
@@ -71,6 +87,22 @@ edges = sorted(tuple(sorted(e)) for e in sim.edges)
 shifts = sorted((c, round(s, 12)) for c, s in sim.shifts.items())
 sys.stdout.write(repr((edges, shifts, sim.rounds)))
 """,
+    "net": _GEOMETRIC_PRELUDE + """\
+from repro.core import build_net
+
+nets = [build_net(g, scale, 0.5, random.Random(7)) for scale in (10.0, 40.0)]
+sys.stdout.write(repr([(sorted(r.points), r.active_history, r.rounds) for r in nets]))
+""",
+    "doubling-distributed": _GEOMETRIC_PRELUDE + """\
+from repro.core import doubling_spanner
+
+res = doubling_spanner(g, 0.08, random.Random(7), net_method="distributed")
+""" + _SPANNER_OUTPUT,
+    "doubling": _GEOMETRIC_PRELUDE + """\
+from repro.core import doubling_spanner
+
+res = doubling_spanner(g, 0.08, random.Random(7), net_method="greedy")
+""" + _SPANNER_OUTPUT,
 }
 
 #: The seeded-deterministic projection of one profile record: everything
