@@ -25,7 +25,7 @@ from __future__ import annotations
 import os
 import tempfile
 from pathlib import Path
-from typing import Any, Optional, Tuple, Union
+from typing import Any, Tuple, Union
 
 from repro.graphs.generators import (
     _MASK64,
@@ -126,15 +126,11 @@ def _pack_numpy(
         w.write(wts.astype("<f8").tobytes())
 
 
-def ensure_packed(
-    n: int,
-    chords: int,
-    seed: int,
-    cache_dir: Optional[PathLike] = None,
-) -> Path:
-    """The cached packed file for ``(n, chords, seed)``, generating it
-    on first use (atomic rename, safe under concurrent callers)."""
-    directory = Path(cache_dir) if cache_dir is not None else default_cache_dir()
+def ensure_packed(n: int, chords: int, seed: int) -> Path:
+    """The cached packed file for ``(n, chords, seed)`` in
+    :func:`default_cache_dir`, generating it on first use (atomic
+    rename, safe under concurrent callers)."""
+    directory = default_cache_dir()
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / packed_name(n, chords, seed)
     if path.exists():

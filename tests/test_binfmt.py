@@ -151,20 +151,22 @@ def test_python_and_numpy_packers_byte_identical(tmp_path, monkeypatch):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_ensure_packed_cache_hit(tmp_path):
-    p1 = ensure_packed(300, 3, 0, cache_dir=tmp_path)
+def test_ensure_packed_cache_hit(tmp_path, monkeypatch):
+    monkeypatch.setenv("REPRO_HUGE_CACHE", str(tmp_path))
+    p1 = ensure_packed(300, 3, 0)
     stamp = p1.stat().st_mtime_ns
-    p2 = ensure_packed(300, 3, 0, cache_dir=tmp_path)
+    p2 = ensure_packed(300, 3, 0)
     assert p1 == p2
     assert p2.stat().st_mtime_ns == stamp  # served from cache, not rebuilt
-    assert p1.name == packed_name(300, 3, 0)
+    assert p1 == tmp_path / packed_name(300, 3, 0)
 
 
-def test_ensure_packed_regenerates_corrupt_entry(tmp_path):
-    p1 = ensure_packed(300, 3, 0, cache_dir=tmp_path)
+def test_ensure_packed_regenerates_corrupt_entry(tmp_path, monkeypatch):
+    monkeypatch.setenv("REPRO_HUGE_CACHE", str(tmp_path))
+    p1 = ensure_packed(300, 3, 0)
     blob = p1.read_bytes()
     p1.write_bytes(blob[: len(blob) - 8])  # truncate the cache entry
-    p2 = ensure_packed(300, 3, 0, cache_dir=tmp_path)
+    p2 = ensure_packed(300, 3, 0)
     assert p2 == p1
     load_packed(p2).close()  # valid again
 
