@@ -227,14 +227,12 @@ class CSRGraph:
         that one or two explorations read, as in a standalone
         :func:`repro.core.nets.build_net`, is never sorted.  A sorted arc
         holds about 120 bytes; the cache goes away with the view, which
-        ``WeightedGraph`` drops on mutation.  ``eps <= 0`` shares one
-        cache, as it shares the unrounded column.
+        ``WeightedGraph`` drops on mutation.
         """
-        key = eps if eps > 0 else 0.0
-        cache = self._by_weight.get(key)
+        cache = self._by_weight.get(eps)
         if cache is None:
             rows: List[Optional[WeightRow]] = [None] * len(self.verts)
-            cache = self._by_weight[key] = (bytearray(len(rows)), rows)
+            cache = self._by_weight[eps] = (bytearray(len(rows)), rows)
         return cache
 
     def mst_edges(
