@@ -223,7 +223,7 @@ class CSRGraph:
         ``rows[i]`` stays ``None`` until a third scan sorts the row into
         ``(weights[s], indices[s], rounded_weights(eps)[s])`` triples,
         ascending by true weight, ties by neighbour index; every later
-        scan reads that list.  A sort costs 3.4–4 plain scans, so a row
+        scan reads that list.  A sort costs a few plain scans, so a row
         that one or two explorations read, as in a standalone
         :func:`repro.core.nets.build_net`, is never sorted.  A sorted arc
         holds about 120 bytes; the cache goes away with the view, which
