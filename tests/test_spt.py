@@ -267,9 +267,7 @@ class TestBoundedApproxSPTClip:
 
     @pytest.mark.parametrize("frozen", [False, True], ids=["dict", "csr"])
     @pytest.mark.parametrize("factor", [1.0, 1e-6, 1e6])
-    @pytest.mark.parametrize(
-        "family", ["er", "geometric", "ties", "ulp-ties", "two-components"]
-    )
+    @pytest.mark.parametrize("family", ["er", "geometric", "ties", "two-components"])
     @pytest.mark.parametrize("seed", [1, 2])
     def test_same_result_below_clip(self, seed, family, factor, frozen):
         g = _clip_graph(family, seed, factor)
@@ -289,8 +287,6 @@ class TestBoundedApproxSPTClip:
                         finite += 1
                     for again in (math.nextafter(radius, math.inf),
                                   radius + (top - radius) / 2, top):
-                        if again >= first.clip:
-                            continue  # a clip one ulp above the radius
                         result = bounded_approx_spt(graph, sources, again, eps)
                         assert result == first
                         assert list(result.parent) == list(first.parent)
@@ -371,10 +367,10 @@ class TestWeightOrderedRows:
     def test_radius_at_a_tied_path_weight(self):
         """Two paths to 3 of true weight exactly 2 and one a ulp above:
         a radius at 2, and one ulp either side of it."""
-        up = math.nextafter(1.0, 2.0)
+        up = 1.0 + 2.0 ** -51  # 1.0 + up is the float right above 2.0
         g = WeightedGraph()
         for u, v, w in [(0, 1, 1.0), (1, 3, 1.0), (0, 2, 1.0), (2, 3, 1.0),
-                        (0, 4, up), (4, 3, 1.0), (3, 5, 0.5), (0, 5, 2.5)]:
+                        (0, 4, 1.0), (4, 3, up), (3, 5, 0.5), (0, 5, 2.5)]:
             g.add_edge(u, v, w)
         radii = [math.nextafter(2.0, 0.0), 2.0, math.nextafter(2.0, 3.0), 2.5]
         for frozen in (False, True):
