@@ -30,7 +30,6 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.congest.ledger import RoundLedger
 from repro.determinism import ensure_rng
-from repro.graphs.csr import round_up_weights
 from repro.graphs.weighted_graph import Vertex, WeightedGraph
 
 INF = float("inf")
@@ -74,15 +73,6 @@ def fl16_round_cost(n: int, height: int, delta: float) -> int:
     sqrt_n = math.isqrt(n - 1) + 1
     exponent = math.ceil(math.sqrt(math.log2(n + 1) * math.log2(1.0 / max(delta, 1e-9) + 2)))
     return (sqrt_n + height) * (2 ** exponent)
-
-
-def _rounded_graph(graph: WeightedGraph, delta: float) -> WeightedGraph:
-    """The concrete H of Theorem 4: weights rounded up to powers of 1+δ."""
-    if delta <= 0:
-        return graph
-    weights = [w for _u, _v, w in graph.edges()]
-    rounded = dict(zip(weights, round_up_weights(weights, delta)))
-    return graph.reweighted(lambda _u, _v, w: rounded[w])
 
 
 def compute_le_lists(
@@ -129,32 +119,33 @@ def compute_le_lists(
     led = ledger if ledger is not None else RoundLedger()
     rounds = led.charge(phase, fl16_round_cost(n, height, max(delta, 1e-6)))
 
-    h = _rounded_graph(graph, delta)
+    # H's weights are the frozen view's rounded column (G's own at δ = 0)
+    csr = graph.freeze()
+    indptr, indices, verts = csr.indptr, csr.indices, csr.verts
+    weights = csr.rounded_weights(delta)
 
-    # Cohen's sweep: best[v] = smallest d_H(u, v) over earlier-π u.
-    best: Dict[Vertex, float] = {v: INF for v in graph.vertices()}
-    lists: Dict[Vertex, List[Tuple[Vertex, float]]] = {v: [] for v in graph.vertices()}
+    # Cohen's sweep: best[x] = smallest d_H(u, x) over earlier-π u.
+    best = [INF] * len(verts)
+    lists: Dict[Vertex, List[Tuple[Vertex, float]]] = {v: [] for v in verts}
     for u in order:
         # pruned Dijkstra from u: stop at vertices already dominated
-        dist: Dict[Vertex, float] = {u: 0.0}
-        heap: List[Tuple[float, int, Vertex]] = [(0.0, 0, u)]
-        counter = 1
-        settled = set()
+        source = csr.index_of(u)
+        dist = {source: 0.0}
+        heap = [(0.0, source)]
         while heap:
-            d, _, x = heapq.heappop(heap)
-            if x in settled:
-                continue
-            settled.add(x)
+            d, x = heapq.heappop(heap)
+            if d > dist[x]:
+                continue  # a shorter entry for x already popped
             if d >= best[x]:
                 continue  # an earlier-π vertex is at least as close: prune
-            lists[x].append((u, d))
+            lists[verts[x]].append((u, d))
             best[x] = d
-            for y, w in h.neighbor_items(x):
-                nd = d + w
-                if nd < dist.get(y, INF) and nd < best[y]:
+            for s in range(indptr[x], indptr[x + 1]):
+                nd = d + weights[s]
+                y = indices[s]
+                if nd < best[y] and nd < dist.get(y, INF):
                     dist[y] = nd
-                    heapq.heappush(heap, (nd, counter, y))
-                    counter += 1
+                    heapq.heappush(heap, (nd, y))
     return LEListResult(lists=lists, pi=pi, delta=delta, rounds=rounds)
 
 

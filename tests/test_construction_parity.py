@@ -15,8 +15,8 @@ references below:
 and ``_ref_cluster_graph`` (a dict of sets, ``edge_sort_key`` on every
 repeated pair), key order and representatives included.
 
-The rounded column and ``light_spanner``'s bucket sweep must agree bit
-for bit with ``_ref_round_up_weight`` (one ``math.log(w, 1+ε)`` and one
+The rounded column (also as the LE lists' distances read it) and
+``light_spanner``'s bucket sweep must agree bit for bit with ``_ref_round_up_weight`` (one ``math.log(w, 1+ε)`` and one
 power per weight) and ``_ref_bucket_sweep`` (``_ref_bucket_index`` per
 edge) on exact powers and caps, their ±1 ulp neighbours and weights over
 more than 12 orders of magnitude.  ``build_bfs_tree`` keeps τ on the
@@ -55,7 +55,7 @@ from repro.graphs import (
 )
 from repro.graphs.csr import CSRGraph, round_up_weights
 from repro.graphs.weighted_graph import canonical_edge
-from repro.lelists.le_lists import _rounded_graph
+from repro.lelists import compute_le_lists
 from repro.mst import decompose_fragments, kruskal_mst
 from repro.mst.kruskal import edge_sort_key
 from repro.spanners import IndexRows, elkin_neiman_spanner, sample_shifts
@@ -606,10 +606,12 @@ class TestRoundingParity:
 
     @pytest.mark.parametrize("eps", [1.0, 0.25, 0.08, 1e-3])
     def test_le_lists_rounded_graph_equals_reference(self, eps):
-        graph = _star(_rounding_weights(eps)[::7])
-        got = _rounded_graph(graph, eps)
-        want = array("d", [_ref_round_up_weight(w, eps) for _u, _v, w in graph.edges()])
-        assert array("d", [w for _u, _v, w in got.edges()]).tobytes() == want.tobytes()
+        # from the centre, each leaf's LE entry is its rounded edge weight
+        weights = _rounding_weights(eps)[::7]
+        result = compute_le_lists(_star(weights), [0], delta=eps, pi={0: 0})
+        got = array("d", [result.lists[leaf][0][1] for leaf in range(1, len(weights) + 1)])
+        want = array("d", [_ref_round_up_weight(w, eps) for w in weights])
+        assert got.tobytes() == want.tobytes()
 
     def test_zero_eps_leaves_weights_alone(self):
         csr = _star([0.5, 3.0, 7.25]).freeze()

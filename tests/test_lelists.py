@@ -7,14 +7,13 @@ import pytest
 
 from repro.congest import RoundLedger
 from repro.graphs import all_pairs_shortest_paths, erdos_renyi_graph, path_graph
+from repro.graphs.csr import round_up_weights
 from repro.lelists import compute_le_lists, first_in_ball, fl16_round_cost
 
 
 def _brute_force_le_lists(graph, active, pi, delta):
     """Definition 1 evaluated literally, on the same rounded graph H."""
-    from repro.lelists.le_lists import _rounded_graph
-
-    h = _rounded_graph(graph, delta)
+    h = graph.reweighted(lambda _u, _v, w: round_up_weights([w], delta)[0])
     dist = all_pairs_shortest_paths(h)
     lists = {}
     for v in graph.vertices():
