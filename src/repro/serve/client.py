@@ -3,11 +3,12 @@
 One :class:`ServeClient` wraps one socket; requests are strictly
 sequential per client (one frame out, one frame in), which is exactly
 the unit the load generator multiplies — concurrency comes from many
-clients, not from pipelining one.  Errors surface as
+clients, not from pipelining one.  A served error surfaces as
 :class:`~repro.serve.protocol.ProtocolError` carrying the daemon's
-typed code, so callers can distinguish a crashed worker
-(``worker_crashed``, retryable) from a bad query (``bad_request``,
-not).
+typed code (``bad_request``, ``unknown_vertex``, ...); a connection the
+daemon closed, because the worker holding it died or the daemon stopped,
+surfaces as :class:`~repro.serve.protocol.ConnectionClosed`, and a new
+connection is the retry.
 """
 
 from __future__ import annotations
@@ -103,7 +104,8 @@ class ServeClient:
         return bool(self.call("ping")["pong"])
 
     def info(self) -> Dict[str, Any]:
-        """Daemon/structure metadata (n, m, workers, payload bytes...)."""
+        """Daemon/structure metadata (n, m, workers, the serving worker,
+        payload bytes...)."""
         return self._call_object("info")
 
     def vertices(self, limit: int = 100, offset: int = 0) -> List[str]:
@@ -135,9 +137,9 @@ class ServeClient:
         """Ask the daemon to stop (it answers before stopping)."""
         self.call("shutdown")
 
-    def crash_worker(self, worker: Optional[int] = None) -> int:
-        """Kill one worker (crash-isolation test endpoint); returns its id."""
-        args: Dict[str, Any] = {}
-        if worker is not None:
-            args["worker"] = worker
-        return int(self.call("crash_worker", **args)["killed"])
+    def crash_worker(self) -> int:
+        """Kill the worker serving this connection (crash-isolation test
+        endpoint), which answers first; returns its id.  The next call on
+        this client raises :class:`~repro.serve.protocol.ConnectionClosed`.
+        """
+        return int(self.call("crash_worker")["killed"])

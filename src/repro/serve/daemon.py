@@ -1,22 +1,32 @@
 """Multi-worker oracle serving daemon over one shared-memory segment.
 
-Architecture — one parent event loop, N compute workers::
+Architecture — a supervising parent, N workers that own their
+connections::
 
-    clients ── TCP / unix socket ──▶ parent (selectors loop)
-                                        │  per-worker duplex Pipe
+    clients ── TCP / unix socket ──▶ parent: accept(), then hand the fd
+                                        │  to the next live worker in turn
+                                        │  over its duplex Pipe
                                         ▼
-                       worker 0 … worker N-1  (forked or spawned)
-                                        ▲
-                one shared segment ─────┘  (repro.serve.shm)
+                       worker 0 … worker N-1  (forked or spawned; each
+                                        ▲       one selectors loop over its
+                one shared segment ─────┘       pipe and its connections)
 
-The parent owns every client connection and never computes a distance;
-workers never touch a socket.  That split is what makes crash isolation
-*answerable*: when a worker dies (its ``Process.sentinel`` becomes
-readable in the same selector that watches the sockets), the parent
-still holds the client connections of the requests that died with it,
-answers each with a typed ``worker_crashed`` error, and respawns the
-worker — the daemon as a whole never hangs and never drops a
-connection because of a worker failure.
+The parent accepts each connection, passes its fd to the next live
+worker in turn (:func:`multiprocessing.reduction.send_handle`) and
+closes its own copy.  From then on the worker alone reads that
+connection's frames and answers every op on it; no request passes
+through the parent.  The parent only supervises: it respawns a worker
+whose ``Process.sentinel`` becomes readable, folds the per-worker parts
+of a ``stats`` answer, and stops on ``shutdown``.  Handing off, rather
+than letting every worker ``accept()`` on one inherited listener, spreads
+connections evenly: idle workers selecting on one listener take them in
+whatever order the kernel wakes them, often all on one.
+
+A worker that dies takes its connections with it: their clients read a
+closed connection (:class:`~repro.serve.protocol.ConnectionClosed`) and
+reconnect, and the replacement serves the new connections.  A
+connection accepted between a worker's death and the parent noticing it
+may read closed once too.
 
 Workers are forked while the daemon runs one thread, as ``repro serve``
 does, and spawned otherwise (a ``Server`` whose loop runs in a thread):
@@ -26,23 +36,24 @@ the child.  A forked worker first closes the fds it inherited from the
 parent (:meth:`Server._parent_fds` lists them and why) and resets
 SIGTERM to its default.
 
-Requests are dispatched to the live worker with the fewest outstanding
-requests; ``stats`` fans out to every worker and folds the per-worker
-:class:`~repro.obs.metrics.MetricsRegistry` snapshots into the parent's
-registry via the existing ``snapshot()/merge()`` contract, so the
-merged counters equal a single-worker run's exactly.
+``stats`` merges every live worker's
+:class:`~repro.obs.metrics.MetricsRegistry` snapshot into the parent's
+through the ``snapshot()/merge()`` contract, so the merged counters
+equal a single-worker run's exactly: the worker that holds the asking
+connection asks the parent, which collects a part from every live
+worker (the asking one included) and sends the merged answer back.
 
 Robustness contract (regression-tested): malformed frames are answered
 ``malformed_frame`` on a connection that stays usable; an oversized
 length prefix is answered ``oversized_frame`` and the connection is
 closed (the stream position is unrecoverable); a client that
-disconnects mid-request is dropped with a metrics counter and the
-worker's eventual answer is discarded — no traceback ever reaches
-stderr, no worker is ever left stuck.
+disconnects mid-request is dropped with a metrics counter — no
+traceback ever reaches stderr, no worker is ever left stuck.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import random
 import selectors
@@ -52,13 +63,14 @@ import struct
 import time
 from multiprocessing import get_context
 from multiprocessing.connection import Connection
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set, Tuple, Union
+from multiprocessing.reduction import recv_handle, send_handle
+from typing import TYPE_CHECKING, Any, Dict, List, NamedTuple, Optional, Set, Tuple, Union
 
 from repro.obs.metrics import MetricsRegistry
 from repro.oracle.oracle import DistanceOracle
 from repro.serve import protocol
 from repro.serve.protocol import Address
-from repro.serve.shm import OracleShare, attach_oracle, publish_oracle
+from repro.serve.shm import AttachedOracle, OracleShare, attach_oracle, publish_oracle
 
 if TYPE_CHECKING:
     from multiprocessing.context import ForkContext, SpawnContext
@@ -69,62 +81,354 @@ DEFAULT_HOST = "127.0.0.1"
 READY_TIMEOUT = 60.0
 
 _LEN = struct.Struct("!I")
+#: the ops a worker answers from the attached oracle
+_COMPUTE_OPS = ("query", "query_many", "k_nearest")
+
+
+class _Daemon(NamedTuple):
+    """What a worker knows of its daemon (for ``info`` and framing)."""
+
+    pid: int
+    workers: int
+    max_frame: int
+    started_at: float
 
 
 # ----------------------------------------------------------------------
 # Worker side
 # ----------------------------------------------------------------------
-def _execute(
-    op: str,
-    args: Dict[str, Any],
-    oracle: DistanceOracle,
-    by_name: Dict[str, Any],
-    registry: MetricsRegistry,
-    worker_id: int,
-) -> Dict[str, Any]:
-    """Run one dispatched op; always returns a response envelope."""
+class _Client:
+    """Worker-side record of one client connection."""
 
-    def resolve(label: Any, field: str) -> Any:
-        if not isinstance(label, str):
-            raise protocol.ProtocolError(
-                "bad_request", f"{op} needs a string {field!r} field"
-            )
+    __slots__ = ("sock", "fd", "rbuf", "wbuf", "closing", "waiting")
+
+    def __init__(self, sock: socket.socket) -> None:
+        self.sock = sock
+        self.fd = sock.fileno()
+        self.rbuf = bytearray()
+        self.wbuf = bytearray()
+        self.closing = False  # close once wbuf drains (oversized frame)
+        self.waiting = False  # a stats answer is due; read no frame
+
+
+class _WorkerLoop:
+    """One worker's selectors loop over its pipe and its connections.
+
+    All state is local to the process: a private metrics registry, the
+    label-resolution dict, the attached oracle and the connections the
+    parent handed over — nothing global is written.
+    """
+
+    def __init__(
+        self,
+        worker_id: int,
+        handle: AttachedOracle,
+        conn: Connection,
+        daemon: _Daemon,
+    ) -> None:
+        oracle = handle.oracle
+        assert oracle is not None
+        self.worker_id = worker_id
+        self.oracle = oracle
+        self.payload_bytes = handle.payload_bytes
+        self.conn = conn
+        self.daemon = daemon
+        self.registry = MetricsRegistry()
+        self.by_name = {str(v): v for v in oracle.csr.verts}
+        self.clients: Dict[int, _Client] = {}
+        # stats token -> the connection that asked
+        self.waiting: Dict[int, _Client] = {}
+        self.tokens = itertools.count()
+        self.sel = selectors.DefaultSelector()
+        self.sel.register(conn, selectors.EVENT_READ, None)
+
+    def run(self) -> None:
+        """Serve until the parent says exit or its pipe closes."""
         try:
-            return by_name[label]
-        except KeyError:
-            raise protocol.ProtocolError(
-                "unknown_vertex",
-                f"{label!r} is not a vertex of the served structure",
-            ) from None
+            while True:
+                for key, mask in self.sel.select():
+                    if key.data is None:
+                        if not self._pipe_readable():
+                            return
+                        continue
+                    if mask & selectors.EVENT_WRITE:
+                        self._client_writable(key.data)
+                    if mask & selectors.EVENT_READ:
+                        self._client_readable(key.data)
+        finally:
+            for client in self.clients.values():
+                client.sock.close()
+            self.sel.close()
 
-    try:
-        registry.counter("serve.worker.requests").inc()
-        if op == "query":
-            u = resolve(args.get("u"), "u")
-            v = resolve(args.get("v"), "v")
-            return protocol.ok_response({"distance": oracle.query(u, v)})
-        if op == "query_many":
-            pairs = args.get("pairs")
-            if not isinstance(pairs, list):
-                raise protocol.ProtocolError(
-                    "bad_request", "query_many needs a 'pairs' list of [u, v]"
+    # -- the parent ----------------------------------------------------
+    def _pipe_readable(self) -> bool:
+        """Handle the parent's messages; False once the worker must exit."""
+        try:
+            while self.conn.poll():
+                kind, arg = self.conn.recv()
+                if kind == "conn":
+                    self._adopt(socket.socket(fileno=recv_handle(self.conn)))
+                elif kind == "part":
+                    self.conn.send(("part", (arg, self._stats_part())))
+                elif kind == "stats":
+                    self._stats_answered(*arg)
+                elif kind == "exit":
+                    return False
+        except (EOFError, OSError):  # the parent is gone
+            return False
+        return True
+
+    def _adopt(self, sock: socket.socket) -> None:
+        sock.setblocking(False)
+        client = _Client(sock)
+        self.clients[client.fd] = client
+        self.sel.register(sock, selectors.EVENT_READ, client.fd)
+
+    def _stats_part(self) -> Dict[str, Any]:
+        """This worker's share of a ``stats`` answer."""
+        merged = MetricsRegistry()
+        merged.merge(self.registry.snapshot())
+        merged.merge(self.oracle.metrics.snapshot())
+        return {
+            "worker": self.worker_id,
+            "snapshot": merged.snapshot(),
+            "cache": self.oracle.cache_info(),
+        }
+
+    def _stats_answered(self, token: int, result: Dict[str, Any]) -> None:
+        client = self.waiting.pop(token)
+        if self.clients.get(client.fd) is not client:
+            return  # it disconnected while it waited
+        client.waiting = False
+        self._send_to_client(client, protocol.ok_response(result))
+        self._parse_frames(client)  # the frames that came in meanwhile
+
+    # -- clients -------------------------------------------------------
+    def _drop_client(self, client: _Client) -> None:
+        if self.clients.get(client.fd) is not client:
+            return
+        if client.waiting:
+            self.registry.counter("serve.clients.disconnect_midrequest").inc()
+        client.closing = True
+        del self.clients[client.fd]
+        try:
+            self.sel.unregister(client.sock)
+        except (KeyError, ValueError):
+            pass
+        try:
+            client.sock.close()
+        except OSError:
+            pass
+        self.registry.counter("serve.clients.closed").inc()
+
+    def _send_to_client(self, client: _Client, payload: Dict[str, Any]) -> None:
+        try:
+            frame = protocol.encode_frame(payload, max_frame=self.daemon.max_frame)
+        except protocol.ProtocolError:
+            # the *response* outgrew the frame limit (huge query_many):
+            # degrade to a typed error that always fits
+            self._count_error("oversized_frame")
+            frame = protocol.encode_frame(
+                protocol.error_response(
+                    "oversized_frame",
+                    f"response exceeds the {self.daemon.max_frame}-byte "
+                    f"frame limit",
                 )
-            resolved = []
-            for pair in pairs:
-                if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
-                    raise protocol.ProtocolError(
-                        "bad_request", f"pair {pair!r} is not a [u, v] pair"
-                    )
-                resolved.append(
-                    (resolve(pair[0], "pairs[0]"), resolve(pair[1], "pairs[1]"))
-                )
-            return protocol.ok_response(
-                {"distances": oracle.query_many(resolved)}
             )
-        if op == "k_nearest":
+        client.wbuf += frame
+        self._flush_client(client)
+
+    def _flush_client(self, client: _Client) -> None:
+        if client.wbuf:
+            try:
+                sent = client.sock.send(client.wbuf)
+                del client.wbuf[:sent]
+            except (BlockingIOError, InterruptedError):
+                pass
+            except OSError:
+                self._drop_client(client)
+                return
+        events = selectors.EVENT_READ
+        if client.wbuf:
+            events |= selectors.EVENT_WRITE
+        try:
+            self.sel.modify(client.sock, events, client.fd)
+        except (KeyError, ValueError):
+            return
+        if client.closing and not client.wbuf:
+            self._drop_client(client)
+
+    def _client_writable(self, fd: int) -> None:
+        client = self.clients.get(fd)
+        if client is not None:
+            self._flush_client(client)
+
+    def _client_readable(self, fd: int) -> None:
+        client = self.clients.get(fd)
+        if client is None:
+            return
+        try:
+            data = client.sock.recv(65536)
+        except (BlockingIOError, InterruptedError):
+            return
+        except OSError:
+            data = b""
+        if not data:
+            self._drop_client(client)
+            return
+        client.rbuf += data
+        self._parse_frames(client)
+
+    def _count_error(self, code: str) -> None:
+        self.registry.counter(f"serve.errors.{code}").inc()
+
+    def _parse_frames(self, client: _Client) -> None:
+        max_frame = self.daemon.max_frame
+        while not client.closing and not client.waiting:
+            if len(client.rbuf) < _LEN.size:
+                return
+            (length,) = _LEN.unpack_from(client.rbuf)
+            if length > max_frame:
+                self._count_error("oversized_frame")
+                client.rbuf.clear()  # stream position is unrecoverable
+                client.closing = True
+                self._send_to_client(
+                    client,
+                    protocol.error_response(
+                        "oversized_frame",
+                        f"frame of {length} bytes exceeds the "
+                        f"{max_frame}-byte limit",
+                    ),
+                )
+                return
+            if len(client.rbuf) < _LEN.size + length:
+                return
+            body = bytes(client.rbuf[_LEN.size : _LEN.size + length])
+            del client.rbuf[: _LEN.size + length]
+            try:
+                op, args = protocol.parse_request(protocol.decode_body(body))
+            except protocol.ProtocolError as exc:
+                self._count_error(exc.code)
+                self._send_to_client(
+                    client, protocol.error_response(exc.code, exc.message)
+                )
+                continue
+            self.registry.counter("serve.requests.total").inc()
+            self._handle_request(client, op, args)
+
+    # -- request handling ----------------------------------------------
+    def _handle_request(
+        self, client: _Client, op: str, args: Dict[str, Any]
+    ) -> None:
+        if op == "stats":
+            token = next(self.tokens)
+            self.waiting[token] = client
+            client.waiting = True
+            self.conn.send(("stats", token))
+            return
+        envelope = self._execute(op, args)
+        if envelope["ok"] is not True:
+            self._count_error(envelope["error"]["code"])
+        self._send_to_client(client, envelope)
+        if op == "shutdown":
+            self.conn.send(("shutdown", None))
+        elif op == "crash_worker":
+            try:  # the answer leaves before the kill
+                client.sock.setblocking(True)
+                client.sock.sendall(client.wbuf)
+            except OSError:
+                pass
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    def _execute(self, op: str, args: Dict[str, Any]) -> Dict[str, Any]:
+        """Answer one op but ``stats``; always returns a response envelope."""
+        oracle = self.oracle
+
+        def resolve(label: Any, field: str) -> Any:
+            if not isinstance(label, str):
+                raise protocol.ProtocolError(
+                    "bad_request", f"{op} needs a string {field!r} field"
+                )
+            try:
+                return self.by_name[label]
+            except KeyError:
+                raise protocol.ProtocolError(
+                    "unknown_vertex",
+                    f"{label!r} is not a vertex of the served structure",
+                ) from None
+
+        try:
+            if op in _COMPUTE_OPS:
+                self.registry.counter("serve.worker.requests").inc()
+            if op == "ping":
+                return protocol.ok_response({"pong": True})
+            if op == "info":
+                daemon = self.daemon
+                return protocol.ok_response(
+                    {
+                        "n": oracle.csr.n,
+                        "m": oracle.csr.m,
+                        "landmarks": len(oracle.landmark_indices),
+                        "strategy": oracle.strategy,
+                        "seed": oracle.seed,
+                        "workers": daemon.workers,
+                        "worker": self.worker_id,
+                        "payload_bytes": self.payload_bytes,
+                        "max_frame": daemon.max_frame,
+                        "pid": daemon.pid,
+                        "uptime_s": time.monotonic() - daemon.started_at,
+                    }
+                )
+            if op == "vertices":
+                limit = args.get("limit", 100)
+                offset = args.get("offset", 0)
+                # type() rather than isinstance(): a JSON true is no count
+                if not all(type(x) is int and x >= 0 for x in (limit, offset)):
+                    raise protocol.ProtocolError(
+                        "bad_request",
+                        "vertices needs non-negative int 'limit'/'offset'",
+                    )
+                verts = oracle.csr.verts
+                return protocol.ok_response(
+                    {
+                        "n": len(verts),
+                        "vertices": [
+                            str(v) for v in verts[offset : offset + limit]
+                        ],
+                    }
+                )
+            if op == "shutdown":
+                return protocol.ok_response({"stopping": True})
+            if op == "crash_worker":
+                return protocol.ok_response(
+                    {"killed": self.worker_id, "pid": os.getpid()}
+                )
+            if op == "query":
+                u = resolve(args.get("u"), "u")
+                v = resolve(args.get("v"), "v")
+                return protocol.ok_response({"distance": oracle.query(u, v)})
+            if op == "query_many":
+                pairs = args.get("pairs")
+                if not isinstance(pairs, list):
+                    raise protocol.ProtocolError(
+                        "bad_request", "query_many needs a 'pairs' list of [u, v]"
+                    )
+                resolved = []
+                for pair in pairs:
+                    if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
+                        raise protocol.ProtocolError(
+                            "bad_request", f"pair {pair!r} is not a [u, v] pair"
+                        )
+                    resolved.append(
+                        (resolve(pair[0], "pairs[0]"), resolve(pair[1], "pairs[1]"))
+                    )
+                return protocol.ok_response(
+                    {"distances": oracle.query_many(resolved)}
+                )
+            # k_nearest, the last op parse_request lets through
             v = resolve(args.get("v"), "v")
             k = args.get("k")
-            if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+            if type(k) is not int or k < 1:
                 raise protocol.ProtocolError(
                     "bad_request", f"k_nearest needs an int k >= 1, got {k!r}"
                 )
@@ -132,31 +436,14 @@ def _execute(
             return protocol.ok_response(
                 {"nearest": [[str(u), d] for u, d in near]}
             )
-        if op == "stats":
-            merged = MetricsRegistry()
-            merged.merge(registry.snapshot())
-            merged.merge(oracle.metrics.snapshot())
-            return protocol.ok_response(
-                {
-                    "worker": worker_id,
-                    "snapshot": merged.snapshot(),
-                    "cache": oracle.cache_info(),
-                }
+        except protocol.ProtocolError as exc:
+            return protocol.error_response(exc.code, exc.message)
+        except ValueError as exc:
+            return protocol.error_response("bad_request", str(exc))
+        except Exception as exc:  # noqa: BLE001 - the wire gets a typed error
+            return protocol.error_response(
+                "internal", f"{type(exc).__name__}: {exc}"
             )
-        raise protocol.ProtocolError(
-            "bad_request", f"op {op!r} is not dispatchable to a worker"
-        )
-    except protocol.ProtocolError as exc:
-        registry.counter("serve.worker.errors").inc()
-        return protocol.error_response(exc.code, exc.message)
-    except ValueError as exc:
-        registry.counter("serve.worker.errors").inc()
-        return protocol.error_response("bad_request", str(exc))
-    except Exception as exc:  # noqa: BLE001 - the wire gets a typed error
-        registry.counter("serve.worker.errors").inc()
-        return protocol.error_response(
-            "internal", f"{type(exc).__name__}: {exc}"
-        )
 
 
 def worker_main(
@@ -164,6 +451,7 @@ def worker_main(
     shm_name: str,
     conn: Connection,
     warm: int,
+    daemon: _Daemon,
     parent_fds: Tuple[int, ...],
 ) -> None:
     """Entry point of one serving worker (a forked or spawned process).
@@ -172,11 +460,9 @@ def worker_main(
     inherited (a spawned one gets ``()``), and both kinds reset the
     parent's signal handlers.  Then it attaches the shared oracle
     segment (zero-copy), optionally warms the scratch arrays and cache
-    with ``warm`` seeded self-queries, reports ready, then answers
-    ``(req_id, op, args)`` messages from the parent until told to exit
-    or the pipe closes.  All state is local to the process: a private
-    metrics registry, the label-resolution dict, and the attached
-    oracle — nothing global is written.
+    with ``warm`` seeded self-queries, reports ready, and serves the
+    connections the parent hands it until told to exit or the pipe
+    closes.
     """
     for fd in parent_fds:
         os.close(fd)
@@ -188,34 +474,21 @@ def worker_main(
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     handle = attach_oracle(shm_name)
-    oracle = handle.oracle
-    assert oracle is not None
-    registry = MetricsRegistry()
-    by_name = {str(v): v for v in oracle.csr.verts}
-    if warm > 0:
-        rng = random.Random(oracle.seed * 1_000_003 + worker_id)
-        verts = oracle.csr.verts
-        for _ in range(warm):
-            u = verts[rng.randrange(len(verts))]
-            v = verts[rng.randrange(len(verts))]
-            oracle.query(u, v)
-    conn.send((-1, {"ready": worker_id, "pid": os.getpid()}))
     try:
-        while True:
-            try:
-                message = conn.recv()
-            except (EOFError, OSError):
-                break
-            req_id, op, args = message
-            if op == "exit":
-                break
-            conn.send(
-                (req_id, _execute(op, args, oracle, by_name, registry, worker_id))
-            )
+        loop = _WorkerLoop(worker_id, handle, conn, daemon)
+        if warm > 0:
+            oracle = loop.oracle
+            rng = random.Random(oracle.seed * 1_000_003 + worker_id)
+            verts = oracle.csr.verts
+            for _ in range(warm):
+                u = verts[rng.randrange(len(verts))]
+                v = verts[rng.randrange(len(verts))]
+                oracle.query(u, v)
+        conn.send(("ready", worker_id))
+        loop.run()
     except (BrokenPipeError, OSError):  # pragma: no cover - parent vanished
         pass
     finally:
-        del oracle, by_name
         handle.close()
 
 
@@ -241,45 +514,29 @@ def _single_threaded() -> bool:
 class _Worker:
     """Parent-side record of one worker process."""
 
-    __slots__ = ("worker_id", "proc", "conn", "outstanding", "alive")
+    __slots__ = ("worker_id", "proc", "conn", "alive")
 
     def __init__(self, worker_id: int, proc: Any, conn: Connection) -> None:
         self.worker_id = worker_id
         self.proc = proc
         self.conn = conn
-        self.outstanding: Set[int] = set()
         self.alive = True
 
 
-class _Client:
-    """Parent-side record of one client connection."""
+class _Stats:
+    """One ``stats`` collection: who asked, and the parts still due."""
 
-    __slots__ = ("sock", "fd", "rbuf", "wbuf", "closing", "inflight")
+    __slots__ = ("worker", "token", "pending", "parts")
 
-    def __init__(self, sock: socket.socket) -> None:
-        self.sock = sock
-        self.fd = sock.fileno()
-        self.rbuf = bytearray()
-        self.wbuf = bytearray()
-        self.closing = False  # close once wbuf drains (oversized frame)
-        self.inflight: Set[int] = set()
-
-
-class _Request:
-    """One in-flight request: who asked, who is computing it."""
-
-    __slots__ = ("req_id", "client_fd", "op", "worker_ids", "parts")
-
-    def __init__(self, req_id: int, client_fd: int, op: str) -> None:
-        self.req_id = req_id
-        self.client_fd = client_fd
-        self.op = op
-        self.worker_ids: Set[int] = set()
+    def __init__(self, worker: _Worker, token: int, pending: Set[int]) -> None:
+        self.worker = worker
+        self.token = token
+        self.pending = pending
         self.parts: List[Dict[str, Any]] = []
 
 
 class Server:
-    """The serving daemon: shared-memory publish + N workers + event loop.
+    """The serving daemon: shared-memory publish + N workers + supervisor.
 
     Build the oracle first (:meth:`DistanceOracle.build`), then::
 
@@ -290,9 +547,9 @@ class Server:
     ``port=0`` binds an ephemeral TCP port (read it back from
     ``server.address``); ``unix_path`` serves a unix-domain socket
     instead.  :meth:`serve_forever` tears everything down on exit —
-    in-flight requests are answered ``shutting_down``, workers are told
-    to exit and joined (killed if they won't), and the shared segment
-    is unlinked; the teardown runs on the failure path too.
+    workers are told to exit, closing the connections they hold, and
+    joined (killed if they won't), and the shared segment is unlinked;
+    the teardown runs on the failure path too.
     """
 
     def __init__(
@@ -317,9 +574,9 @@ class Server:
         self.metrics = MetricsRegistry()
         self._share: Optional[OracleShare] = None
         self._workers: Dict[int, _Worker] = {}
-        self._clients: Dict[int, _Client] = {}
-        self._requests: Dict[int, _Request] = {}
-        self._next_req = 0
+        self._collections: Dict[int, _Stats] = {}
+        self._collection_ids = itertools.count()
+        self._handoffs = 0
         self._listener: Optional[socket.socket] = None
         self._sel: Optional[selectors.DefaultSelector] = None
         self._wake_r: Optional[socket.socket] = None
@@ -354,9 +611,11 @@ class Server:
         )
         parent_conn, child_conn = ctx.Pipe(duplex=True)
         parent_fds = self._parent_fds(parent_conn) if fork else ()
+        daemon = _Daemon(os.getpid(), self.workers, self.max_frame, self._started_at)
         proc = ctx.Process(
             target=worker_main,
-            args=(worker_id, self._share.name, child_conn, self.warm, parent_fds),
+            args=(worker_id, self._share.name, child_conn, self.warm, daemon,
+                  parent_fds),
             name=f"repro-serve-worker-{worker_id}",
             daemon=True,
         )
@@ -372,16 +631,15 @@ class Server:
     def _parent_fds(self, own_end: Connection) -> Tuple[int, ...]:
         """The fds a forked worker must close before anything else.
 
-        A worker holding a client socket keeps the connection open after
-        the parent closes it, so the client never reads EOF; holding the
-        listener keeps the port bound after the parent exits; the wake
-        sockets and the selector belong to the parent's loop.  A worker
-        holding another worker's pipe end, or ``own_end`` (the parent end
-        of its own new pipe), keeps that worker from reading EOF when
-        the parent dies.
+        Holding the listener keeps the port bound after the parent
+        exits; the wake sockets and the selector belong to the parent's
+        loop.  A worker holding another worker's pipe end, or
+        ``own_end`` (the parent end of its own new pipe), keeps that
+        worker from reading EOF when the parent dies.  No client socket
+        is listed: the parent closes each one as it hands it off, before
+        anything can fork.
         """
         fds = [own_end.fileno()]
-        fds += [client.fd for client in self._clients.values()]
         fds += [worker.conn.fileno() for worker in self._workers.values()]
         for sock in (self._listener, self._wake_r, self._wake_w):
             if sock is not None:
@@ -428,14 +686,14 @@ class Server:
                         f"{READY_TIMEOUT:.0f}s"
                     )
                 try:
-                    tag, info = worker.conn.recv()
+                    kind, _ = worker.conn.recv()
                 except (EOFError, OSError):
                     raise RuntimeError(
                         f"worker {worker.worker_id} died during startup"
                     ) from None
-                if tag != -1 or not isinstance(info, dict) or "ready" not in info:
+                if kind != "ready":
                     raise RuntimeError(
-                        f"worker {worker.worker_id} sent {info!r} instead of ready"
+                        f"worker {worker.worker_id} sent {kind!r} instead of ready"
                     )
             step = self._startup_step("workers_s", step)
             if self.unix_path is not None:
@@ -489,8 +747,8 @@ class Server:
             raise RuntimeError("serve_forever() before start()")
         try:
             while not self._stopping:
-                for key, mask in self._sel.select(timeout=0.5):
-                    kind, tag = key.data
+                for key, _mask in self._sel.select(timeout=0.5):
+                    kind, worker = key.data
                     if kind == "listener":
                         self._accept()
                     elif kind == "wake":
@@ -499,335 +757,38 @@ class Server:
                             self._wake_r.recv(4096)
                         except (BlockingIOError, OSError):
                             pass
-                    elif kind == "client":
-                        if mask & selectors.EVENT_WRITE:
-                            self._client_writable(tag)
-                        if mask & selectors.EVENT_READ:
-                            self._client_readable(tag)
                     elif kind == "worker":
-                        self._worker_readable(tag)
+                        self._worker_readable(worker)
                     elif kind == "sentinel":
-                        self._worker_died(tag)
+                        self._worker_died(worker)
         finally:
             self.close()
 
-    # -- clients -------------------------------------------------------
     def _accept(self) -> None:
-        assert self._listener is not None and self._sel is not None
+        """Hand one connection to the next worker in turn, keep no copy."""
+        assert self._listener is not None
+        if self._stopping:  # a dead worker is no longer replaced
+            return
+        # respawn the dead first: a worker forked while this process
+        # holds an accepted socket would keep that connection open
+        for worker in list(self._workers.values()):
+            if not worker.proc.is_alive():
+                self._worker_died(worker)
         try:
             sock, _addr = self._listener.accept()
         except OSError:
             return
-        sock.setblocking(False)
-        client = _Client(sock)
-        self._clients[client.fd] = client
-        self._sel.register(sock, selectors.EVENT_READ, ("client", client.fd))
         self.metrics.counter("serve.clients.accepted").inc()
-
-    def _drop_client(self, client: _Client, midrequest: bool) -> None:
-        assert self._sel is not None
-        for req_id in list(client.inflight):
-            request = self._requests.pop(req_id, None)
-            if request is None:
-                continue
-            for worker_id in request.worker_ids:
-                worker = self._workers.get(worker_id)
-                if worker is not None:
-                    worker.outstanding.discard(req_id)
-        if midrequest and client.inflight:
-            self.metrics.counter("serve.clients.disconnect_midrequest").inc()
-        client.inflight.clear()
+        worker = self._workers[self._handoffs % self.workers]
+        self._handoffs += 1
         try:
-            self._sel.unregister(client.sock)
-        except (KeyError, ValueError):
-            pass
-        self._clients.pop(client.fd, None)
-        try:
-            client.sock.close()
+            worker.conn.send(("conn", None))
+            send_handle(worker.conn, sock.fileno(), worker.proc.pid)
         except OSError:
-            pass
-        self.metrics.counter("serve.clients.closed").inc()
-
-    def _send_to_client(self, client: _Client, payload: Dict[str, Any]) -> None:
-        try:
-            frame = protocol.encode_frame(payload, max_frame=self.max_frame)
-        except protocol.ProtocolError:
-            # the *response* outgrew the frame limit (huge query_many):
-            # degrade to a typed error that always fits
-            self._count_error("oversized_frame")
-            frame = protocol.encode_frame(
-                protocol.error_response(
-                    "oversized_frame",
-                    f"response exceeds the {self.max_frame}-byte frame limit",
-                )
-            )
-        client.wbuf += frame
-        self._flush_client(client)
-
-    def _flush_client(self, client: _Client) -> None:
-        assert self._sel is not None
-        if client.wbuf:
-            try:
-                sent = client.sock.send(client.wbuf)
-                del client.wbuf[:sent]
-            except (BlockingIOError, InterruptedError):
-                pass
-            except OSError:
-                self._drop_client(client, midrequest=True)
-                return
-        events = selectors.EVENT_READ
-        if client.wbuf:
-            events |= selectors.EVENT_WRITE
-        try:
-            self._sel.modify(client.sock, events, ("client", client.fd))
-        except (KeyError, ValueError):
-            return
-        if client.closing and not client.wbuf:
-            self._drop_client(client, midrequest=False)
-
-    def _client_writable(self, fd: int) -> None:
-        client = self._clients.get(fd)
-        if client is not None:
-            self._flush_client(client)
-
-    def _client_readable(self, fd: int) -> None:
-        client = self._clients.get(fd)
-        if client is None:
-            return
-        try:
-            data = client.sock.recv(65536)
-        except (BlockingIOError, InterruptedError):
-            return
-        except OSError:
-            self._drop_client(client, midrequest=True)
-            return
-        if not data:
-            self._drop_client(client, midrequest=bool(client.inflight))
-            return
-        client.rbuf += data
-        self._parse_frames(client)
-
-    def _count_error(self, code: str) -> None:
-        self.metrics.counter(f"serve.errors.{code}").inc()
-
-    def _parse_frames(self, client: _Client) -> None:
-        while not client.closing:
-            if len(client.rbuf) < _LEN.size:
-                return
-            (length,) = _LEN.unpack_from(client.rbuf)
-            if length > self.max_frame:
-                self._count_error("oversized_frame")
-                client.rbuf.clear()  # stream position is unrecoverable
-                client.closing = True
-                self._send_to_client(
-                    client,
-                    protocol.error_response(
-                        "oversized_frame",
-                        f"frame of {length} bytes exceeds the "
-                        f"{self.max_frame}-byte limit",
-                    ),
-                )
-                return
-            if len(client.rbuf) < _LEN.size + length:
-                return
-            body = bytes(client.rbuf[_LEN.size : _LEN.size + length])
-            del client.rbuf[: _LEN.size + length]
-            try:
-                op, args = protocol.parse_request(protocol.decode_body(body))
-            except protocol.ProtocolError as exc:
-                self._count_error(exc.code)
-                self._send_to_client(
-                    client, protocol.error_response(exc.code, exc.message)
-                )
-                continue
-            self.metrics.counter("serve.requests.total").inc()
-            self._handle_request(client, op, args)
-
-    # -- request handling ----------------------------------------------
-    def _alive_workers(self) -> List[_Worker]:
-        return [w for w in self._workers.values() if w.alive]
-
-    def _handle_request(
-        self, client: _Client, op: str, args: Dict[str, Any]
-    ) -> None:
-        if self._stopping:
-            self._count_error("shutting_down")
-            self._send_to_client(
-                client,
-                protocol.error_response(
-                    "shutting_down", "the daemon is shutting down"
-                ),
-            )
-            return
-        if op == "ping":
-            self._send_to_client(
-                client, protocol.ok_response({"pong": True})
-            )
-            return
-        if op == "info":
-            share = self._share
-            self._send_to_client(
-                client,
-                protocol.ok_response(
-                    {
-                        "n": self.oracle.csr.n,
-                        "m": self.oracle.csr.m,
-                        "landmarks": len(self.oracle.landmark_indices),
-                        "strategy": self.oracle.strategy,
-                        "seed": self.oracle.seed,
-                        "workers": len(self._alive_workers()),
-                        "payload_bytes": share.payload_bytes if share else 0,
-                        "max_frame": self.max_frame,
-                        "pid": os.getpid(),
-                        "uptime_s": time.monotonic() - self._started_at,
-                    }
-                ),
-            )
-            return
-        if op == "vertices":
-            limit = args.get("limit", 100)
-            offset = args.get("offset", 0)
-            if (
-                not isinstance(limit, int)
-                or isinstance(limit, bool)
-                or not isinstance(offset, int)
-                or isinstance(offset, bool)
-                or limit < 0
-                or offset < 0
-            ):
-                self._count_error("bad_request")
-                self._send_to_client(
-                    client,
-                    protocol.error_response(
-                        "bad_request",
-                        "vertices needs non-negative int 'limit'/'offset'",
-                    ),
-                )
-                return
-            verts = self.oracle.csr.verts
-            self._send_to_client(
-                client,
-                protocol.ok_response(
-                    {
-                        "n": len(verts),
-                        "vertices": [
-                            str(v) for v in verts[offset : offset + limit]
-                        ],
-                    }
-                ),
-            )
-            return
-        if op == "shutdown":
-            self._send_to_client(client, protocol.ok_response({"stopping": True}))
-            self.request_shutdown()
-            return
-        if op == "crash_worker":
-            self._crash_worker(client, args)
-            return
-        if op == "stats":
-            self._fanout_stats(client)
-            return
-        # compute ops go to the least-loaded live worker
-        alive = self._alive_workers()
-        if not alive:
-            self._count_error("worker_crashed")
-            self._send_to_client(
-                client,
-                protocol.error_response(
-                    "worker_crashed", "no live worker to serve the request"
-                ),
-            )
-            return
-        worker = min(alive, key=lambda w: (len(w.outstanding), w.worker_id))
-        request = self._new_request(client, op)
-        request.worker_ids.add(worker.worker_id)
-        worker.outstanding.add(request.req_id)
-        self.metrics.counter("serve.requests.dispatched").inc()
-        self._send_to_worker(worker, request.req_id, op, args)
-
-    def _new_request(self, client: _Client, op: str) -> _Request:
-        self._next_req += 1
-        request = _Request(self._next_req, client.fd, op)
-        self._requests[request.req_id] = request
-        client.inflight.add(request.req_id)
-        return request
-
-    def _send_to_worker(
-        self, worker: _Worker, req_id: int, op: str, args: Dict[str, Any]
-    ) -> None:
-        try:
-            worker.conn.send((req_id, op, args))
-        except (BrokenPipeError, OSError):
+            sock.close()  # before the respawn below forks
             self._worker_died(worker)
-
-    def _crash_worker(self, client: _Client, args: Dict[str, Any]) -> None:
-        """Kill one worker (test/ops endpoint exercising crash isolation)."""
-        alive = self._alive_workers()
-        if not alive:
-            self._count_error("bad_request")
-            self._send_to_client(
-                client,
-                protocol.error_response("bad_request", "no live worker to crash"),
-            )
-            return
-        wanted = args.get("worker")
-        if wanted is None:
-            target = max(alive, key=lambda w: len(w.outstanding))
         else:
-            matches = [w for w in alive if w.worker_id == wanted]
-            if not matches:
-                self._count_error("bad_request")
-                self._send_to_client(
-                    client,
-                    protocol.error_response(
-                        "bad_request", f"no live worker {wanted!r}"
-                    ),
-                )
-                return
-            target = matches[0]
-        pid = target.proc.pid
-        assert pid is not None
-        os.kill(pid, signal.SIGKILL)
-        self._send_to_client(
-            client,
-            protocol.ok_response({"killed": target.worker_id, "pid": pid}),
-        )
-
-    def _fanout_stats(self, client: _Client) -> None:
-        alive = self._alive_workers()
-        request = self._new_request(client, "stats")
-        if not alive:
-            self._finish_stats(request)
-            return
-        for worker in alive:
-            request.worker_ids.add(worker.worker_id)
-            worker.outstanding.add(request.req_id)
-            self._send_to_worker(worker, request.req_id, "stats", {})
-
-    def _finish_stats(self, request: _Request) -> None:
-        self._requests.pop(request.req_id, None)
-        client = self._clients.get(request.client_fd)
-        if client is None:
-            return
-        client.inflight.discard(request.req_id)
-        merged = MetricsRegistry()
-        merged.merge(self.metrics.snapshot())
-        caches = []
-        for part in request.parts:
-            merged.merge(part.get("snapshot", {}))
-            caches.append(
-                {"worker": part.get("worker"), "cache": part.get("cache")}
-            )
-        self._send_to_client(
-            client,
-            protocol.ok_response(
-                {
-                    "workers": len(request.parts),
-                    "snapshot": merged.snapshot(),
-                    "caches": caches,
-                }
-            ),
-        )
+            sock.close()
 
     # -- worker events -------------------------------------------------
     def _worker_readable(self, worker: _Worker) -> None:
@@ -835,46 +796,61 @@ class Server:
             return
         try:
             while worker.conn.poll():
-                req_id, envelope = worker.conn.recv()
-                self._worker_reply(worker, req_id, envelope)
+                kind, arg = worker.conn.recv()
+                if kind == "stats":
+                    self._collect_stats(worker, arg)
+                elif kind == "part":
+                    self._stats_part(worker, *arg)
+                elif kind == "shutdown":
+                    self.request_shutdown()
+                # a respawned worker's "ready" needs no answer
         except (EOFError, OSError):
             self._worker_died(worker)
 
-    def _worker_reply(
-        self, worker: _Worker, req_id: int, envelope: Dict[str, Any]
-    ) -> None:
-        if req_id == -1:  # a respawned worker reporting ready
-            return
-        worker.outstanding.discard(req_id)
-        request = self._requests.get(req_id)
-        if request is None:
-            return  # client disconnected mid-request; answer discarded
-        if request.op == "stats":
-            request.worker_ids.discard(worker.worker_id)
-            if envelope.get("ok") is True and isinstance(
-                envelope.get("result"), dict
-            ):
-                request.parts.append(envelope["result"])
-            if not request.worker_ids:
-                self._finish_stats(request)
-            return
-        self._requests.pop(req_id, None)
-        client = self._clients.get(request.client_fd)
-        if client is None:
-            return
-        client.inflight.discard(req_id)
-        if envelope.get("ok") is not True:
-            error = envelope.get("error")
-            if isinstance(error, dict) and error.get("code") in protocol.ERROR_CODES:
-                self._count_error(str(error["code"]))
-        self._send_to_client(client, envelope)
+    def _collect_stats(self, asker: _Worker, token: int) -> None:
+        """Ask every live worker for its part of ``asker``'s answer."""
+        alive = [w for w in self._workers.values() if w.alive]
+        cid = next(self._collection_ids)
+        self._collections[cid] = _Stats(asker, token, {w.worker_id for w in alive})
+        for worker in alive:
+            try:
+                worker.conn.send(("part", cid))
+            except OSError:
+                pass  # its sentinel reports the death, which drops the part
+
+    def _stats_part(self, worker: _Worker, cid: int, part: Dict[str, Any]) -> None:
+        collection = self._collections.get(cid)
+        if collection is None:
+            return  # its asker died; a late part opens nothing
+        collection.parts.append(part)
+        collection.pending.discard(worker.worker_id)
+        if not collection.pending:
+            self._finish_stats(cid)
+
+    def _finish_stats(self, cid: int) -> None:
+        collection = self._collections.pop(cid)
+        merged = MetricsRegistry()
+        merged.merge(self.metrics.snapshot())
+        for part in collection.parts:
+            merged.merge(part["snapshot"])
+        result = {
+            "workers": len(collection.parts),
+            "snapshot": merged.snapshot(),
+            "caches": [
+                {"worker": part["worker"], "cache": part["cache"]}
+                for part in collection.parts
+            ],
+        }
+        try:
+            collection.worker.conn.send(("stats", (collection.token, result)))
+        except OSError:
+            pass  # the asker died; its sentinel reports it
 
     def _worker_died(self, worker: _Worker) -> None:
         assert self._sel is not None
         if not worker.alive:
             return
         worker.alive = False
-        worker_id = worker.worker_id
         for fileobj in (worker.conn, worker.proc.sentinel):
             try:
                 self._sel.unregister(fileobj)
@@ -886,33 +862,16 @@ class Server:
             pass
         worker.proc.join(timeout=1.0)
         self.metrics.counter("serve.workers.crashed").inc()
-        # every request that died with the worker gets a typed error now
-        for req_id in sorted(worker.outstanding):
-            request = self._requests.get(req_id)
-            if request is None:
-                continue
-            if request.op == "stats":
-                request.worker_ids.discard(worker_id)
-                if not request.worker_ids:
-                    self._finish_stats(request)
-                continue
-            self._requests.pop(req_id, None)
-            client = self._clients.get(request.client_fd)
-            if client is None:
-                continue
-            client.inflight.discard(req_id)
-            self._count_error("worker_crashed")
-            self._send_to_client(
-                client,
-                protocol.error_response(
-                    "worker_crashed",
-                    f"worker {worker_id} died while serving the request",
-                ),
-            )
-        worker.outstanding.clear()
-        self._workers.pop(worker_id, None)
+        for cid, collection in list(self._collections.items()):
+            if collection.worker is worker:
+                del self._collections[cid]
+            elif worker.worker_id in collection.pending:
+                collection.pending.discard(worker.worker_id)
+                if not collection.pending:
+                    self._finish_stats(cid)
+        self._workers.pop(worker.worker_id, None)
         if not self._stopping:
-            self._spawn_worker(worker_id)
+            self._spawn_worker(worker.worker_id)
             self.metrics.counter("serve.workers.respawned").inc()
 
     # -- teardown ------------------------------------------------------
@@ -922,32 +881,7 @@ class Server:
             return
         self._closed = True
         self._stopping = True
-        # in-flight requests are answered with a typed shutting_down error
-        for request in list(self._requests.values()):
-            client = self._clients.get(request.client_fd)
-            if client is None:
-                continue
-            client.inflight.discard(request.req_id)
-            self._count_error("shutting_down")
-            try:
-                client.sock.setblocking(True)
-                client.sock.settimeout(1.0)
-                client.sock.sendall(
-                    protocol.encode_frame(
-                        protocol.error_response(
-                            "shutting_down", "the daemon is shutting down"
-                        )
-                    )
-                )
-            except OSError:
-                pass
-        self._requests.clear()
-        for client in list(self._clients.values()):
-            try:
-                client.sock.close()
-            except OSError:
-                pass
-        self._clients.clear()
+        self._collections.clear()
         if self._listener is not None:
             try:
                 self._listener.close()
@@ -963,7 +897,7 @@ class Server:
             if not worker.alive:
                 continue
             try:
-                worker.conn.send((None, "exit", {}))
+                worker.conn.send(("exit", None))
             except (BrokenPipeError, OSError):
                 pass
         for worker in self._workers.values():

@@ -19,10 +19,11 @@ Failure semantics are *typed*, never a traceback on the wire:
   position can no longer be trusted;
 * an unknown ``op`` is ``unknown_op``; missing/ill-typed arguments are
   ``bad_request``; a label that is not a vertex of the served structure
-  is ``unknown_vertex``;
-* a request in flight on a worker that dies is answered with
-  ``worker_crashed``; requests caught by a shutdown are answered with
-  ``shutting_down``.
+  is ``unknown_vertex``.
+
+A connection whose worker dies, or that a shutdown catches, is closed
+with no answer: its client reads :class:`ConnectionClosed` (a reset
+connection reads the same) and may reconnect.
 
 Every error code doubles as a daemon metrics counter
 (``serve.errors.<code>``), so the failure taxonomy is observable with
@@ -53,8 +54,6 @@ ERROR_CODES = (
     "unknown_op",
     "bad_request",
     "unknown_vertex",
-    "worker_crashed",
-    "shutting_down",
     "internal",
 )
 
@@ -77,7 +76,7 @@ class ProtocolError(Exception):
 
 
 class ConnectionClosed(Exception):
-    """The peer closed the connection (mid-frame iff ``dirty``)."""
+    """The peer closed or reset the connection (mid-frame iff ``dirty``)."""
 
     def __init__(self, dirty: bool) -> None:
         super().__init__(
@@ -131,12 +130,16 @@ def recv_exactly(sock: socket.socket, count: int, started: bool) -> bytes:
 
     ``started`` states whether part of a frame was already consumed —
     it decides the ``dirty`` flag of :class:`ConnectionClosed` when the
-    peer goes away.
+    peer goes away, by closing the connection or by resetting it (a peer
+    process that dies with unread input resets it).
     """
     chunks = []
     got = 0
     while got < count:
-        chunk = sock.recv(count - got)
+        try:
+            chunk = sock.recv(count - got)
+        except ConnectionResetError:
+            chunk = b""
         if not chunk:
             raise ConnectionClosed(dirty=started or got > 0)
         chunks.append(chunk)
@@ -152,7 +155,7 @@ def read_frame(
     Raises
     ------
     ConnectionClosed
-        On EOF (``dirty`` when it lands mid-frame).
+        On EOF or a reset (``dirty`` when it lands mid-frame).
     ProtocolError
         ``oversized_frame`` on a length prefix beyond ``max_frame``
         (the caller must then close the connection — the stream position
@@ -173,8 +176,18 @@ def write_frame(
     payload: Dict[str, Any],
     max_frame: int = DEFAULT_MAX_FRAME,
 ) -> None:
-    """Encode and send one frame over a blocking socket."""
-    sock.sendall(encode_frame(payload, max_frame=max_frame))
+    """Encode and send one frame over a blocking socket.
+
+    Raises
+    ------
+    ConnectionClosed
+        When the peer has closed or reset the connection.
+    """
+    frame = encode_frame(payload, max_frame=max_frame)
+    try:
+        sock.sendall(frame)
+    except (BrokenPipeError, ConnectionResetError):
+        raise ConnectionClosed(dirty=False) from None
 
 
 def ok_response(result: Any) -> Dict[str, Any]:

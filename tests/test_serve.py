@@ -7,8 +7,9 @@ Three layers of contract:
   stays far below one full oracle copy (the whole point of sharing);
 * **protocol/daemon** — every failure in the typed taxonomy is a typed
   envelope, never a traceback or a hang: malformed frames keep the
-  connection, oversized frames close it, disconnecting clients and
-  SIGKILLed workers leave the daemon serving;
+  connection, oversized frames close it, disconnecting clients leave
+  the daemon serving, and a SIGKILLed worker closes only the
+  connections it held, whose clients reconnect;
 * **correctness under concurrency** — workers=N answers equal
   workers=1 answers equal Dijkstra-on-H (1e-9), and per-worker metric
   registries merge into exact totals.
@@ -29,6 +30,7 @@ import sys
 import textwrap
 import threading
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -57,6 +59,7 @@ from repro.serve.protocol import (
     parse_request,
     read_frame,
     result_of,
+    write_frame,
 )
 
 REPO_SRC = Path(__file__).resolve().parent.parent / "src"
@@ -142,6 +145,23 @@ class TestProtocol:
         finally:
             ours.close()
             daemon.close()
+
+    def test_a_reset_connection_reads_closed(self):
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            ours = socket.create_connection(listener.getsockname(), timeout=10)
+            peer, _addr = listener.accept()
+        try:
+            # linger 0: the close sends a reset, not an end of stream
+            peer.setsockopt(
+                socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+            )
+            peer.close()
+            with pytest.raises(ConnectionClosed):
+                read_frame(ours)
+            with pytest.raises(ConnectionClosed):
+                write_frame(ours, {"op": "ping"})
+        finally:
+            ours.close()
 
     def test_address_of(self):
         assert address_of("127.0.0.1:80") == ("127.0.0.1", 80)
@@ -308,6 +328,8 @@ class TestDaemonOps:
         info = client.info()
         assert info["n"] == ORACLE.csr.n
         assert info["workers"] == 2
+        assert info["worker"] in (0, 1)
+        assert info["pid"] == os.getpid()
         assert info["payload_bytes"] == served.payload_bytes > 0
         page = client.call("vertices", limit=5)
         assert page["n"] == ORACLE.csr.n
@@ -344,9 +366,14 @@ class TestDaemonOps:
         with pytest.raises(ProtocolError) as err:
             client.call("query", u="0")  # v missing
         assert err.value.code == "bad_request"
-        with pytest.raises(ProtocolError) as err:
-            client.call("k_nearest", v="0", k="three")
-        assert err.value.code == "bad_request"
+        for args in ({"k": "three"}, {"k": True}, {"k": 0}):
+            with pytest.raises(ProtocolError) as err:
+                client.call("k_nearest", v="0", **args)
+            assert err.value.code == "bad_request"
+        for args in ({"limit": True}, {"limit": 2.0}, {"offset": -1}):
+            with pytest.raises(ProtocolError) as err:
+                client.call("vertices", **args)
+            assert err.value.code == "bad_request"
 
     def test_stats_carries_the_startup_split(self, client):
         snapshot = client.stats()["snapshot"]
@@ -430,6 +457,48 @@ class TestRobustness:
 # ---------------------------------------------------------------------------
 # crash isolation and lifecycle
 # ---------------------------------------------------------------------------
+def _wait_for(predicate, timeout):
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if predicate():
+            return True
+        time.sleep(0.05)
+    return predicate()
+
+
+def _respawned(address):
+    """True once the daemon counts a respawn.  Each attempt connects
+    afresh: a connection accepted just before the daemon notices a dead
+    worker may go down with it."""
+    try:
+        with ServeClient.open(address, timeout=10) as c:
+            snap = c.stats()["snapshot"]
+    except ConnectionClosed:
+        return False
+    return snap.get("serve.workers.respawned", {"value": 0})["value"] >= 1
+
+
+def _crash_own_worker(address):
+    """Crash the worker a new connection lands on; return its id.  The
+    connection goes down with the worker."""
+    with ServeClient.open(address, timeout=10) as c:
+        killed = c.crash_worker()
+        with pytest.raises(ConnectionClosed):
+            c.ping()
+    return killed
+
+
+def _workers_serving(address, count):
+    """The worker ids that ``count`` new connections land on, in order;
+    every connection stays open until all of them have answered."""
+    clients = [ServeClient.open(address, timeout=10) for _ in range(count)]
+    try:
+        return [c.info()["worker"] for c in clients]
+    finally:
+        for c in clients:
+            c.close()
+
+
 class _PipeFirstSelector(selectors.DefaultSelector):
     """Reports a worker's pipe events ahead of its sentinel's in each
     batch: which of a dead worker's fds the kernel reports first depends
@@ -446,36 +515,68 @@ class TestLifecycle:
         thread = _serve_in_thread(server)
         before = set(multiprocessing.active_children())
         try:
+            assert _crash_own_worker(server.address) in (0, 1)
+            assert _wait_for(lambda: _respawned(server.address), 30)
             with ServeClient.open(server.address) as c:
-                killed = c.crash_worker(worker=0)
-                assert killed == 0
-                deadline = time.monotonic() + 30
-                while time.monotonic() < deadline:
-                    snap = c.stats()["snapshot"]
-                    crashed = snap.get(
-                        "serve.workers.crashed", {"value": 0}
-                    )["value"]
-                    respawned = snap.get(
-                        "serve.workers.respawned", {"value": 0}
-                    )["value"]
-                    if crashed >= 1 and respawned >= 1:
-                        break
-                    time.sleep(0.1)
-                assert crashed >= 1 and respawned >= 1
+                snap = c.stats()["snapshot"]
+                assert snap["serve.workers.crashed"]["value"] == 1
+                assert snap["serve.workers.respawned"]["value"] == 1
                 for u, v in PAIRS:
                     assert c.query(str(u), str(v)) == pytest.approx(
                         ORACLE.query(u, v), abs=1e-9
                     )
-                # the loop runs in a thread, so the replacement was
-                # spawned: forking a multi-threaded process can deadlock
-                (replacement,) = set(multiprocessing.active_children()) - before
-                assert b"multiprocessing" in Path(
-                    f"/proc/{replacement.pid}/cmdline"
-                ).read_bytes()
+            # the loop runs in a thread, so the replacement was
+            # spawned: forking a multi-threaded process can deadlock
+            (replacement,) = set(multiprocessing.active_children()) - before
+            assert b"multiprocessing" in Path(
+                f"/proc/{replacement.pid}/cmdline"
+            ).read_bytes()
         finally:
             server.request_shutdown()
             thread.join(timeout=30)
             assert not thread.is_alive()
+
+    def test_connections_take_turns_over_the_workers(self):
+        server = Server(ORACLE, workers=3, port=0)
+        thread = _serve_in_thread(server)
+        try:
+            landed = _workers_serving(server.address, 6)
+            assert Counter(landed) == {0: 2, 1: 2, 2: 2}
+            _crash_own_worker(server.address)
+            assert _wait_for(lambda: _respawned(server.address), 30)
+            landed = _workers_serving(server.address, 6)
+            assert Counter(landed) == {0: 2, 1: 2, 2: 2}
+        finally:
+            server.request_shutdown()
+            thread.join(timeout=30)
+        assert not thread.is_alive()
+
+    def test_concurrent_stats_on_two_workers(self):
+        """A worker waiting for its merged stats still sends its part
+        for the other worker's collection."""
+        server = Server(ORACLE, workers=2, port=0)
+        thread = _serve_in_thread(server)
+        clients = [ServeClient.open(server.address, timeout=10) for _ in range(2)]
+        try:
+            assert sorted(c.info()["worker"] for c in clients) == [0, 1]
+            answered = [[], []]
+
+            def ask(slot):
+                for _ in range(20):
+                    answered[slot].append(clients[slot].stats()["workers"])
+
+            askers = [threading.Thread(target=ask, args=(i,)) for i in (0, 1)]
+            for asker in askers:
+                asker.start()
+            for asker in askers:
+                asker.join(timeout=30)
+            assert answered == [[2] * 20, [2] * 20]
+        finally:
+            for c in clients:
+                c.close()
+            server.request_shutdown()
+            thread.join(timeout=30)
+        assert not thread.is_alive()
 
     def test_one_crash_respawns_one_worker(self, monkeypatch):
         """A dead worker's pipe EOF and its sentinel arrive in one select
@@ -600,20 +701,6 @@ def _workers_of(daemon_pid):
     return sorted(pids)
 
 
-def _wait_for(predicate, timeout):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(0.05)
-    return predicate()
-
-
-def _respawned(client):
-    snap = client.stats()["snapshot"]
-    return snap.get("serve.workers.respawned", {"value": 0})["value"] >= 1
-
-
 class _CliDaemons:
     """``repro serve`` daemons on a small structure file.  Teardown stops
     each one and SIGKILLs every worker the test listed that still runs,
@@ -661,9 +748,9 @@ class TestCliDaemonWorkers:
 
     def test_workers_are_forked(self, cli_daemons):
         proc, address = cli_daemons.launch(2)
+        _crash_own_worker(address)
+        assert _wait_for(lambda: _respawned(address), 30)
         with ServeClient.open(address) as c:
-            c.crash_worker(worker=0)
-            assert _wait_for(lambda: _respawned(c), 30)
             assert c.ping() is True
         cmdline = Path(f"/proc/{proc.pid}/cmdline").read_bytes()
         workers = cli_daemons.workers(proc)
@@ -671,35 +758,71 @@ class TestCliDaemonWorkers:
         for pid in workers:
             assert Path(f"/proc/{pid}/cmdline").read_bytes() == cmdline
 
-    def test_respawn_leaves_client_connections_to_the_parent(
-        self, cli_daemons
-    ):
-        _proc, address = cli_daemons.launch(1)
+    def test_a_crash_leaves_the_other_workers_connections(self, cli_daemons):
+        """A connection on worker A answers after worker B's crash and
+        respawn, and its oversized frame still closes it: neither the
+        parent nor B's replacement holds a copy."""
+        _proc, address = cli_daemons.launch(2)
         sock = socket.create_connection(address, timeout=10)
         sock.settimeout(10)
         try:
-            # the parent has accepted the connection once it answers
-            sock.sendall(encode_frame({"op": "ping"}))
-            assert result_of(read_frame(sock))["pong"] is True
-            with ServeClient.open(address) as c:
-                c.crash_worker(worker=0)
-                assert _wait_for(lambda: _respawned(c), 30)
-                assert c.query("0", "9") == pytest.approx(
-                    ORACLE.query(0, 9), abs=1e-9
-                )
+            sock.sendall(encode_frame({"op": "info"}))
+            mine = result_of(read_frame(sock))["worker"]
+            # connections take turns, so the next one lands on the other
+            assert _crash_own_worker(address) != mine
+            assert _wait_for(lambda: _respawned(address), 30)
+            sock.sendall(encode_frame({"op": "query", "u": "0", "v": "9"}))
+            assert result_of(read_frame(sock))["distance"] == pytest.approx(
+                ORACLE.query(0, 9), abs=1e-9
+            )
             sock.sendall(struct.pack("!I", DEFAULT_MAX_FRAME + 1))
             assert read_frame(sock)["error"]["code"] == "oversized_frame"
-            # the parent closed the connection and no worker holds it
             with pytest.raises(ConnectionClosed):
                 read_frame(sock)
         finally:
             sock.close()
 
+    def test_connections_during_a_respawn_never_hang(self, cli_daemons):
+        """Connections queued while a worker dies, before the parent can
+        notice: each one answers or reads closed.  None stays open in a
+        process that does not serve it, as a socket the parent held
+        while it forked the replacement would."""
+        proc, address = cli_daemons.launch(2)
+        doomed = ServeClient.open(address, timeout=10)
+        other = ServeClient.open(address, timeout=10)
+        queued = []
+        try:
+            # connections take turns, so the next one lands on doomed's
+            assert doomed.info()["worker"] != other.info()["worker"]
+            os.kill(proc.pid, signal.SIGSTOP)
+            try:
+                queued = [
+                    socket.create_connection(address, timeout=5)
+                    for _ in range(10)
+                ]
+                doomed.crash_worker()
+                with pytest.raises(ConnectionClosed):
+                    doomed.ping()
+            finally:
+                os.kill(proc.pid, signal.SIGCONT)
+            answered = []
+            for sock in queued:
+                try:
+                    answered.append(ServeClient(sock).ping())
+                except ConnectionClosed:
+                    answered.append(False)
+            assert any(answered)
+        finally:
+            for sock in queued:
+                sock.close()
+            doomed.close()
+            other.close()
+
     def test_workers_exit_when_the_parent_is_killed(self, cli_daemons):
         proc, address = cli_daemons.launch(2)
+        _crash_own_worker(address)
+        assert _wait_for(lambda: _respawned(address), 30)
         with ServeClient.open(address) as c:
-            c.crash_worker(worker=0)
-            assert _wait_for(lambda: _respawned(c), 30)
             for u, v in PAIRS[:4]:
                 c.query(str(u), str(v))
         workers = cli_daemons.workers(proc)
@@ -738,9 +861,9 @@ class TestCliDaemonWorkers:
     def test_sigterm_ends_a_respawned_worker(self, cli_daemons):
         proc, address = cli_daemons.launch(1)
         (first,) = cli_daemons.workers(proc)
+        _crash_own_worker(address)
+        assert _wait_for(lambda: _respawned(address), 30)
         with ServeClient.open(address) as c:
-            c.crash_worker(worker=0)
-            assert _wait_for(lambda: _respawned(c), 30)
             # answered, so the replacement is past its start-up
             assert c.query("0", "9") == pytest.approx(
                 ORACLE.query(0, 9), abs=1e-9
