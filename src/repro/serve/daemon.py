@@ -81,8 +81,6 @@ DEFAULT_HOST = "127.0.0.1"
 READY_TIMEOUT = 60.0
 
 _LEN = struct.Struct("!I")
-#: the ops a worker answers from the attached oracle
-_COMPUTE_OPS = ("query", "query_many", "k_nearest")
 
 
 class _Daemon(NamedTuple):
@@ -358,8 +356,6 @@ class _WorkerLoop:
                 ) from None
 
         try:
-            if op in _COMPUTE_OPS:
-                self.registry.counter("serve.worker.requests").inc()
             if op == "ping":
                 return protocol.ok_response({"pong": True})
             if op == "info":
@@ -403,6 +399,8 @@ class _WorkerLoop:
                 return protocol.ok_response(
                     {"killed": self.worker_id, "pid": os.getpid()}
                 )
+            # the compute ops, which read the oracle
+            self.registry.counter("serve.worker.requests").inc()
             if op == "query":
                 u = resolve(args.get("u"), "u")
                 v = resolve(args.get("v"), "v")
@@ -486,7 +484,7 @@ def worker_main(
                 oracle.query(u, v)
         conn.send(("ready", worker_id))
         loop.run()
-    except (BrokenPipeError, OSError):  # pragma: no cover - parent vanished
+    except OSError:  # pragma: no cover - the parent vanished
         pass
     finally:
         handle.close()
