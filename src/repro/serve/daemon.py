@@ -807,10 +807,9 @@ class Server:
 
     def _collect_stats(self, asker: _Worker, token: int) -> None:
         """Ask every live worker for its part of ``asker``'s answer."""
-        alive = [w for w in self._workers.values() if w.alive]
         cid = next(self._collection_ids)
-        self._collections[cid] = _Stats(asker, token, {w.worker_id for w in alive})
-        for worker in alive:
+        self._collections[cid] = _Stats(asker, token, set(self._workers))
+        for worker in self._workers.values():
             try:
                 worker.conn.send(("part", cid))
             except OSError:
