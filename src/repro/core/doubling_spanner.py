@@ -27,14 +27,17 @@ from __future__ import annotations
 import math
 import random
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from itertools import chain
+from typing import List, Optional, Set, Tuple
 
 from repro.congest.bfs import build_bfs_tree
 from repro.congest.ledger import RoundLedger
 from repro.core.nets import build_net, greedy_net
 from repro.determinism import ensure_rng
 from repro.graphs.weighted_graph import Vertex, WeightedGraph
+from repro.kernels.pykern import PARENT_UNREACHED
 from repro.mst.kruskal import kruskal_mst
 from repro.spt.approx_spt import bounded_approx_spt
 
@@ -147,6 +150,12 @@ def doubling_spanner(
     spanner = WeightedGraph(graph.vertices())
     scales: List[ScaleStats] = []
     csr = graph.freeze()  # shared by every per-net-point exploration
+    verts, index_of, unreached = csr.verts, csr.index_of, PARENT_UNREACHED
+    # net points are visited, and walked to, by ascending repr; rank[i]
+    # orders vertex i's repr, and equal reprs share a rank
+    reprs = [repr(v) for v in verts]
+    order = {r: k for k, r in enumerate(sorted(set(reprs)))}
+    rank = [order[r] for r in reprs]
 
     base = 1.0 + eps
     num_scales = max(1, math.ceil(math.log(max(mst_weight, base), base))) + 1
@@ -156,11 +165,12 @@ def doubling_spanner(
     delta = 0.5  # the paper's "e.g., we can take δ = 1/2"
     skeleton_size = max(1, math.ceil(math.sqrt(n * max(math.log(n + 1), 1.0))))
     beta = max(1, math.ceil(math.log2(n + 1)))  # charged [EN16] hopbound
-    # net point -> (clip, parent map, walked set) of its last exploration.
-    # The search repeats itself decision for decision at every radius
-    # below its clip, and the radius 2·(1+ε)^i grows strictly with i, so
-    # an exploration re-runs only once the radius reaches its clip.
-    explored: Dict[Vertex, Tuple[float, Dict[Vertex, Optional[Vertex]], Set[Vertex]]] = {}
+    # net-point index -> (clip, parent list, reached indices, walked set)
+    # of its last exploration, all over csr's dense indices.  The search
+    # repeats itself decision for decision at every radius below its
+    # clip, and the radius 2·(1+ε)^i grows strictly with i, so an
+    # exploration re-runs only once the radius reaches its clip.
+    explored: List[Optional[Tuple[float, List[int], List[int], Set[int]]]] = [None] * n
 
     for i in range(first_scale, num_scales):
         scale = base ** i
@@ -186,33 +196,36 @@ def doubling_spanner(
 
         # --- 2Δ-bounded explorations from every net point ---
         radius = 2.0 * scale
-        participation: Dict[Vertex, int] = {}
+        # in the set's own order, so paths enter the spanner in that order
+        net = [index_of(v) for v in net_points]
+        reached_lists: List[List[int]] = []
         paths_added = 0
-        rank = {v: repr(v) for v in net_points}
-        for u in sorted(net_points, key=rank.__getitem__):
-            memo = explored.get(u)
+        for u in sorted(net, key=rank.__getitem__):
+            memo = explored[u]
             if memo is None or radius >= memo[0]:
-                run = bounded_approx_spt(csr, [u], radius, eps)
-                memo = explored[u] = (run.clip, run.parent, set())
-            _clip, parent, walked = memo
-            for v in parent:
-                participation[v] = participation.get(v, 0) + 1
+                run = bounded_approx_spt(csr, [verts[u]], radius, eps)
+                memo = explored[u] = (run.clip, run.parent, run.reached, set())
+            _clip, parent, reached, walked = memo
+            reached_lists.append(reached)
             # every vertex on an already-walked path leads to u over edges
             # a walk of this same tree added, at this scale or an earlier
             # one, so a later walk stops there
             rank_u = rank[u]
-            for v in net_points:
-                if rank[v] <= rank_u or v not in parent:
+            for v in net:
+                if rank[v] <= rank_u or parent[v] == unreached:
                     continue
-                # add the reported path to the spanner
+                # add the reported path to the spanner; a label is
+                # looked up only to ask for, and add, an edge
                 node = v
-                while node not in walked and parent[node] is not None:
+                while node not in walked and parent[node] >= 0:
                     walked.add(node)
                     prev = parent[node]
-                    if not spanner.has_edge(prev, node):
-                        spanner.add_edge(prev, node, graph.weight(prev, node))
+                    a, b = verts[prev], verts[node]
+                    if not spanner.has_edge(a, b):
+                        spanner.add_edge(a, b, graph.weight(a, b))
                     node = prev
                 paths_added += 1
+        participation = Counter(chain.from_iterable(reached_lists))
         max_overlap = max(participation.values(), default=0)
         scale_ledger.charge(
             f"scale{i}:explorations",

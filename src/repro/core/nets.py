@@ -27,6 +27,7 @@ from repro.congest.ledger import RoundLedger
 from repro.determinism import ensure_rng
 from repro.graphs.shortest_paths import bounded_dijkstra
 from repro.graphs.weighted_graph import Vertex, WeightedGraph
+from repro.kernels.pykern import PARENT_UNREACHED
 from repro.lelists.le_lists import compute_le_lists, first_in_ball
 from repro.spt.approx_spt import bkkl_round_cost, bounded_approx_spt
 
@@ -124,6 +125,7 @@ def build_net(
     height = bfs.height
 
     active: Set[Vertex] = set(graph.vertices())
+    index_of = graph.freeze().index_of  # the explorations' dense indices
     net: Set[Vertex] = set()
     history: List[int] = []
     iterations = 0
@@ -161,10 +163,10 @@ def build_net(
         ledger.charge(
             f"iter{iterations}:approx-spt", bkkl_round_cost(n, height, delta)
         )
-        tree_dist = bounded_approx_spt(
+        tree_parent = bounded_approx_spt(
             graph, joiners, radius=(1.0 + delta) * delta_param, eps=delta
-        ).dist
-        active = {v for v in active if v not in tree_dist}
+        ).parent
+        active = {v for v in active if tree_parent[index_of(v)] == PARENT_UNREACHED}
 
     return NetResult(
         points=net,
@@ -189,7 +191,14 @@ def greedy_net(graph: WeightedGraph, radius: float) -> Set[Vertex]:
     so each kept vertex explores its ``radius``-ball alone; below the
     minimum edge weight every ball is a single vertex and the net is
     all of ``V`` without any search.
+
+    Raises
+    ------
+    ValueError
+        If ``radius`` is NaN or negative (0 and ∞ are valid).
     """
+    if not radius >= 0:
+        raise ValueError(f"radius must be a number >= 0, got {radius!r}")
     csr = graph.freeze() if isinstance(graph, WeightedGraph) else graph
     order = sorted(csr.vertices(), key=repr)
     if radius < csr.min_weight():

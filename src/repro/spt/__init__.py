@@ -10,7 +10,9 @@ which runs in Õ((√n + D)/poly ε) CONGEST rounds.  Per DESIGN.md,
   the approximation is real, not cosmetic), charged at the [BKKL17] cost;
 * :func:`~repro.spt.approx_spt.bounded_approx_spt` — the Δ-bounded
   multi-source variant §7 needs; its :class:`~repro.spt.approx_spt.BoundedSPT`
-  result reports the radius up to which the same search repeats.
+  result holds the search's own arrays over the frozen view's dense
+  indices (no labels), and reports the radius up to which the same
+  search repeats.
 
 The message-level Bellman–Ford program that validates the simulator
 against Dijkstra lives with its tests, in ``tests/test_bellman_ford.py``.

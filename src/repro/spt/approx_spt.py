@@ -113,11 +113,13 @@ def approx_spt(
 
 
 class BoundedSPT(NamedTuple):
-    """Result of :func:`bounded_approx_spt`; the fields are documented there."""
+    """Result of :func:`bounded_approx_spt`, over the frozen view's dense
+    indices; the fields are documented there."""
 
-    dist: Dict[Vertex, float]
-    parent: Dict[Vertex, Optional[Vertex]]
-    origin: Dict[Vertex, Vertex]
+    dist: List[float]
+    parent: List[int]
+    origin: List[int]
+    reached: List[int]
     clip: float
 
 
@@ -135,14 +137,29 @@ def bounded_approx_spt(
 
     Returns
     -------
-    BoundedSPT(dist, parent, origin, clip):
-        ``dist[v]`` — weight (true weights) of the chosen path from the
-        nearest source, present only when ``<= radius``;
-        ``parent[v]`` — predecessor on that path (None at sources);
-        ``origin[v]`` — which source the path starts at;
+    BoundedSPT(dist, parent, origin, reached, clip):
+        Lists indexed by the frozen view's dense vertex index
+        (``csr.verts[i]`` is vertex ``i``), with
+        :func:`repro.kernels.pykern.sssp`'s sentinels:
+        ``dist[i]`` — weight (true weights) of the chosen path from the
+        nearest source, at most ``radius``, or ∞ where unreached;
+        ``parent[i]`` — predecessor index on that path, ``-1`` at a
+        source and ``-2`` where unreached;
+        ``origin[i]`` — index of the source the path starts at, ``-2``
+        where unreached;
+        ``reached`` — the indices the search settled, each once, in the
+        order it settled them;
         ``clip`` — the smallest true path weight the radius test turned
         away on a relaxation that would have lowered a label, or ∞ when
         it turned none away; above ``radius`` unless both are ∞.
+
+    Raises
+    ------
+    ValueError
+        If ``radius`` is NaN or negative (0 and ∞ are valid), or ``eps``
+        is NaN.
+    KeyError
+        If a source is not a vertex.
 
     Notes
     -----
@@ -157,14 +174,16 @@ def bounded_approx_spt(
     relaxation that would not lower a label is rejected at every radius.
     So a call with any radius in ``[radius, clip)`` pops the same heap
     entries in the same sequence, sets the same labels from every row,
-    and returns an equal result — ``clip`` included.  The §7
-    construction uses this to skip repeated explorations across scales.
-    A :class:`WeightedGraph` input is frozen to its cached CSR view
-    first, so :func:`repro.core.nets.build_net` and the doubling spanner
-    run the same loop.  The search relaxes over
+    and returns an equal result — ``reached`` and ``clip`` included.
+    The §7 construction uses this to skip repeated explorations across
+    scales.  A :class:`WeightedGraph` input is frozen to its cached CSR
+    view first, so :func:`repro.core.nets.build_net` and the doubling
+    spanner run the same loop.  The search relaxes over
     :meth:`CSRGraph.rounded_weights`, the rounded column cached on the
     frozen graph, so every weight is rounded once per ε rather than once
-    per relaxation.
+    per relaxation.  The result is the arrays the search fills, with no
+    label translation: a caller turns an index into a label through
+    ``csr.verts`` where it needs one.
 
     A row scanned twice before at this ε is read in ascending true
     weight (:meth:`CSRGraph.weight_sorted_rows`, sorted on its third scan
@@ -174,30 +193,37 @@ def bounded_approx_spt(
     before the row, and heap entries order by ``(rounded distance,
     index)``, so the row order changes no output, bit for bit.
     """
+    if not radius >= 0:
+        raise ValueError(f"radius must be a number >= 0, got {radius!r}")
+    if math.isnan(eps):
+        raise ValueError(f"eps must not be NaN, got {eps!r}")
     csr = graph.freeze() if isinstance(graph, WeightedGraph) else graph
     n = csr.n
-    indptr, indices, weights, verts = csr.indptr, csr.indices, csr.weights, csr.verts
+    indptr, indices, weights = csr.indptr, csr.indices, csr.weights
     rounded = csr.rounded_weights(eps)
     scanned, by_weight = csr.weight_sorted_rows(eps)
     dist: List[float] = [INF] * n
     true_dist: List[float] = [INF] * n
-    parent: List[int] = [-2] * n
-    origin: List[int] = [-1] * n
+    parent: List[int] = [pykern.PARENT_UNREACHED] * n
+    origin: List[int] = [pykern.PARENT_UNREACHED] * n
+    reached: List[int] = []
     heap: List[Tuple[float, int]] = []
     clip = INF
     for s in sources:
         i = csr.index_of(s)
-        dist[i] = 0.0
-        true_dist[i] = 0.0
-        parent[i] = -1
-        origin[i] = i
-        heap.append((0.0, i))
+        if parent[i] != pykern.PARENT_SOURCE:  # a repeated source starts once
+            dist[i] = 0.0
+            true_dist[i] = 0.0
+            parent[i] = pykern.PARENT_SOURCE
+            origin[i] = i
+            heap.append((0.0, i))
     heapq.heapify(heap)
-    push, pop = heapq.heappush, heapq.heappop
+    push, pop, settle = heapq.heappush, heapq.heappop, reached.append
     while heap:
         d, u = pop(heap)
         if d > dist[u]:
             continue  # stale entry
+        settle(u)
         tu = true_dist[u]
         ou = origin[u]
         row = by_weight[u]
@@ -238,14 +264,4 @@ def bounded_approx_spt(
             elif d + r < dist[v]:
                 clip = nt
                 break
-    out_dist: Dict[Vertex, float] = {}
-    out_parent: Dict[Vertex, Optional[Vertex]] = {}
-    out_origin: Dict[Vertex, Vertex] = {}
-    for i in range(n):
-        p = parent[i]
-        if p == -2:
-            continue
-        out_dist[verts[i]] = true_dist[i]
-        out_parent[verts[i]] = None if p == -1 else verts[p]
-        out_origin[verts[i]] = verts[origin[i]]
-    return BoundedSPT(out_dist, out_parent, out_origin, clip)
+    return BoundedSPT(true_dist, parent, origin, reached, clip)

@@ -258,7 +258,11 @@ def _every_exploration_spanner(graph, eps, rng, net_method):
         rank = {v: repr(v) for v in net_points}
         for u in sorted(net_points, key=rank.__getitem__):
             run = bounded_approx_spt(csr, [u], radius, eps)
-            true_dist, parent = run.dist, run.parent
+            # the run's index lists as label maps over what it reached
+            true_dist = {csr.verts[i]: d for i, d in enumerate(run.dist)
+                         if d < math.inf}
+            parent = {v: None if run.parent[i] == -1 else csr.verts[run.parent[i]]
+                      for i, v in enumerate(csr.verts) if v in true_dist}
             for v in true_dist:
                 participation[v] = participation.get(v, 0) + 1
             walked = set()
@@ -307,10 +311,36 @@ def _parity_cases():
         yield family, 45, 1, 0.12, 1.0, "greedy"
 
 
+def _relabelled(g, how, seed):
+    """``g`` under labels that are not its vertex indices: strings that
+    sort in the reverse of the insertion order, or the same ints
+    inserted in a shuffled order."""
+    verts = list(g.vertices())
+    order = list(verts)
+    if how == "strings":
+        name = {v: "v%02d" % (len(verts) - 1 - k) for k, v in enumerate(verts)}
+    else:
+        name = {v: v for v in verts}
+        random.Random(seed).shuffle(order)
+    out = WeightedGraph(name[v] for v in order)
+    for u, v, w in g.edges():
+        out.add_edge(name[u], name[v], w)
+    return out
+
+
 class TestParentLoopParity:
     """Reused explorations give the spanner every loop that re-runs
     each exploration gives it: the same edges in the same insertion
     order, the same ledger and the same per-scale statistics."""
+
+    @staticmethod
+    def _assert_parity(g, eps, seed, net_method):
+        res = doubling_spanner(g, eps, random.Random(seed), net_method=net_method)
+        spanner, ledger, scales = _every_exploration_spanner(
+            g, eps, random.Random(seed), net_method)
+        assert list(res.spanner.edges()) == list(spanner.edges())
+        assert res.ledger.entries() == ledger.entries()
+        assert res.scales == scales
 
     @pytest.mark.parametrize("family, n, seed, eps, factor, net_method",
                              list(_parity_cases()))
@@ -319,9 +349,16 @@ class TestParentLoopParity:
         g = _parity_graph(family, n, seed)
         if factor != 1.0:
             g = g.reweighted(lambda u, v, w: w * factor)
-        res = doubling_spanner(g, eps, random.Random(seed), net_method=net_method)
-        spanner, ledger, scales = _every_exploration_spanner(
-            g, eps, random.Random(seed), net_method)
-        assert list(res.spanner.edges()) == list(spanner.edges())
-        assert res.ledger.entries() == ledger.entries()
-        assert res.scales == scales
+        self._assert_parity(g, eps, seed, net_method)
+
+    @pytest.mark.parametrize("net_method", ["greedy", "distributed"])
+    @pytest.mark.parametrize("how", ["strings", "shuffled"])
+    @pytest.mark.parametrize("family", ["geometric", "ties"])
+    def test_labels_that_are_not_indices(self, family, how, net_method):
+        """Every other input has vertices 0…n−1 inserted in order, where
+        a label equals its index; here none does, so a loop that mixed
+        the two would add other edges or count other statistics."""
+        g = _relabelled(_parity_graph(family, 25, 1), how, seed=3)
+        index_of = g.freeze().index_of
+        assert sum(index_of(v) != v for v in g.vertices()) > 20
+        self._assert_parity(g, 0.08, 1, net_method)

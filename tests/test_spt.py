@@ -2,7 +2,10 @@
 
 import heapq
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +26,9 @@ from repro.spt import (
 )
 from repro.analysis import verify_spanning_tree
 from repro.congest import RoundLedger
+from repro.core.nets import greedy_net
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 class TestApproxSPT:
@@ -83,11 +89,12 @@ class TestApproxSPT:
 class TestBoundedApproxSPT:
     def test_multi_source_within_radius(self, medium_er):
         sources = [0, 1, 2]
-        dist, parent, origin, _ = bounded_approx_spt(medium_er, sources, 60.0, 0.25)
+        run = bounded_approx_spt(medium_er, sources, 60.0, 0.25)
         exact, _ = dijkstra(medium_er, sources)
-        for v, d in dist.items():
-            assert d <= 60.0 + 1e-9
-            assert d >= exact[v] - 1e-9
+        verts = medium_er.freeze().verts
+        for i in run.reached:
+            assert run.dist[i] <= 60.0 + 1e-9
+            assert run.dist[i] >= exact[verts[i]] - 1e-9
 
     @pytest.mark.parametrize("eps", [0.1, 0.25, 0.5, 1.0])
     def test_reaches_every_vertex_within_radius_over_one_plus_eps(self, medium_er, eps):
@@ -96,40 +103,134 @@ class TestBoundedApproxSPT:
         it never fails the true-weight pruning.  §7's explorations rely
         on this to find every net point within 2Δ/(1+ε)."""
         sources, radius = [0, 1, 2], 60.0
-        dist, _, _, _ = bounded_approx_spt(medium_er, sources, radius, eps)
+        dist = bounded_approx_spt(medium_er, sources, radius, eps).dist
         exact, _ = dijkstra(medium_er, sources)
+        index_of = medium_er.freeze().index_of
         near = [v for v, d in exact.items() if (1 + eps) * d <= radius * (1 - 1e-9)]
         assert len(near) > len(sources)
         for v in near:
-            assert dist[v] <= (1 + eps) * exact[v] * (1 + 1e-9)
+            assert dist[index_of(v)] <= (1 + eps) * exact[v] * (1 + 1e-9)
 
     def test_origin_points_to_a_source(self, medium_er):
         sources = [0, 5]
-        dist, parent, origin, _ = bounded_approx_spt(medium_er, sources, 100.0, 0.2)
-        for v in dist:
-            assert origin[v] in sources
+        run = bounded_approx_spt(medium_er, sources, 100.0, 0.2)
+        index_of = medium_er.freeze().index_of
+        for i in run.reached:
+            assert run.origin[i] in {index_of(s) for s in sources}
             # walking parents ends at the origin
-            node = v
-            while parent[node] is not None:
-                node = parent[node]
-            assert node == origin[v]
+            node = i
+            while run.parent[node] != -1:
+                node = run.parent[node]
+            assert node == run.origin[i]
+
+    def test_sentinels_mark_the_unreached(self, medium_er):
+        """``reached`` lists each index with a label once, and every other
+        index reads ∞, parent −2 and origin −2; the sources read parent −1."""
+        run = bounded_approx_spt(medium_er, [0, 5, 0], 30.0, 0.2)
+        index_of = medium_er.freeze().index_of
+        reached = set(run.reached)
+        assert len(reached) == len(run.reached) < medium_er.n
+        assert reached == {i for i, d in enumerate(run.dist) if d < math.inf}
+        for i in range(medium_er.n):
+            if i in reached:
+                assert run.parent[i] >= -1 and run.origin[i] >= 0
+            else:
+                assert (run.dist[i], run.parent[i], run.origin[i]) == (math.inf, -2, -2)
+        assert {i for i, p in enumerate(run.parent) if p == -1} == {index_of(0), index_of(5)}
+
+    def test_reached_is_the_settle_order(self, small_er):
+        """A search settles its vertices in ascending rounded distance, so
+        at ε = 0 ``reached`` is sorted by ``dist``."""
+        run = bounded_approx_spt(small_er, [0], 80.0, 0.0)
+        assert run.reached[0] == small_er.freeze().index_of(0)
+        settled = [run.dist[i] for i in run.reached]
+        assert settled == sorted(settled)
 
     def test_everything_reached_with_huge_radius(self, small_er):
-        dist, _, _, _ = bounded_approx_spt(small_er, [0], 1e9, 0.2)
-        assert set(dist) == set(small_er.vertices())
+        run = bounded_approx_spt(small_er, [0], 1e9, 0.2)
+        assert sorted(run.reached) == list(range(small_er.n))
 
     def test_radius_zero_reaches_only_sources(self, small_er):
-        dist, _, _, _ = bounded_approx_spt(small_er, [0, 3], 0.0, 0.2)
-        assert set(dist) == {0, 3}
+        run = bounded_approx_spt(small_er, [0, 3], 0.0, 0.2)
+        verts = small_er.freeze().verts
+        assert {verts[i] for i in run.reached} == {0, 3}
 
     def test_path_weights_are_true_weights(self, small_er):
-        dist, parent, origin, _ = bounded_approx_spt(small_er, [0], 80.0, 0.3)
-        for v in dist:
-            node, total = v, 0.0
-            while parent[node] is not None:
-                total += small_er.weight(node, parent[node])
-                node = parent[node]
-            assert total == pytest.approx(dist[v])
+        run = bounded_approx_spt(small_er, [0], 80.0, 0.3)
+        verts = small_er.freeze().verts
+        for i in run.reached:
+            node, total = i, 0.0
+            while run.parent[node] != -1:
+                total += small_er.weight(verts[node], verts[run.parent[node]])
+                node = run.parent[node]
+            assert total == pytest.approx(run.dist[i])
+
+
+#: a fresh interpreter checks the typed errors; run under ``python -O``
+_INVALID_RADIUS_SCRIPT = """\
+import sys
+from repro.core.nets import greedy_net
+from repro.graphs import random_geometric_graph
+from repro.spt import bounded_approx_spt
+
+if not sys.flags.optimize:
+    sys.exit("expected python -O")
+g = random_geometric_graph(12, seed=1)
+calls = [
+    lambda: bounded_approx_spt(g, [0], float("nan"), 0.1),
+    lambda: bounded_approx_spt(g, [0], -1.0, 0.1),
+    lambda: bounded_approx_spt(g, [0], 1.0, float("nan")),
+    lambda: greedy_net(g, float("nan")),
+    lambda: greedy_net(g, -1.0),
+]
+for call in calls:
+    try:
+        call()
+    except ValueError as exc:
+        print("raised:", exc)
+    else:
+        sys.exit("no ValueError")
+"""
+
+
+class TestInvalidRadiusAndEps:
+    """A NaN or negative radius and a NaN ε raise a ``ValueError`` that
+    names the parameter, also under ``python -O``.  Before, a NaN radius
+    returned the source alone with a finite ``clip``, −1 returned the
+    source at distance 0 above the radius, a NaN ε failed converting NaN
+    to an integer, and ``greedy_net`` returned all of V on either radius."""
+
+    @pytest.mark.parametrize("radius", [math.nan, -1.0, -math.inf])
+    def test_radius(self, radius):
+        g = random_geometric_graph(12, seed=1)
+        with pytest.raises(ValueError, match="radius must be a number >= 0"):
+            bounded_approx_spt(g, [0], radius, 0.1)
+        with pytest.raises(ValueError, match="radius must be a number >= 0"):
+            greedy_net(g, radius)
+
+    def test_eps(self):
+        g = random_geometric_graph(12, seed=1)
+        with pytest.raises(ValueError, match="eps must not be NaN"):
+            bounded_approx_spt(g, [0], 1.0, math.nan)
+
+    def test_zero_and_infinite_radius_stay_valid(self):
+        g = random_geometric_graph(12, seed=1)
+        index_of = g.freeze().index_of
+        assert bounded_approx_spt(g, [0], 0.0, 0.1).reached == [index_of(0)]
+        assert len(bounded_approx_spt(g, [0], math.inf, 0.1).reached) == g.n
+        assert greedy_net(g, 0.0) == set(g.vertices())
+        assert len(greedy_net(g, math.inf)) == 1
+
+    def test_raises_under_python_dash_o(self):
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", _INVALID_RADIUS_SCRIPT],
+            env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        lines = proc.stdout.splitlines()
+        assert [line.split(" must ")[0] for line in lines] == (
+            ["raised: radius"] * 2 + ["raised: eps"] + ["raised: radius"] * 2)
 
 
 def _clip_graph(family, seed, factor):
@@ -158,28 +259,31 @@ def _reference_bounded_approx_spt(graph, sources, radius, eps):
     every settled vertex's arcs in slot order, to the end of the row."""
     csr = graph.freeze() if isinstance(graph, WeightedGraph) else graph
     n = csr.n
-    indptr, indices, weights, verts = csr.indptr, csr.indices, csr.weights, csr.verts
+    indptr, indices, weights = csr.indptr, csr.indices, csr.weights
     rounded = csr.rounded_weights(eps)
     INF = math.inf
     dist = [INF] * n
     true_dist = [INF] * n
     parent = [-2] * n
-    origin = [-1] * n
+    origin = [-2] * n
+    reached = []
     heap = []
     clip = INF
     for s in sources:
         i = csr.index_of(s)
-        dist[i] = 0.0
-        true_dist[i] = 0.0
-        parent[i] = -1
-        origin[i] = i
-        heap.append((0.0, i))
+        if parent[i] != -1:
+            dist[i] = 0.0
+            true_dist[i] = 0.0
+            parent[i] = -1
+            origin[i] = i
+            heap.append((0.0, i))
     heapq.heapify(heap)
     push, pop = heapq.heappush, heapq.heappop
     while heap:
         d, u = pop(heap)
         if d > dist[u]:
             continue  # stale entry
+        reached.append(u)
         tu = true_dist[u]
         ou = origin[u]
         a, b = indptr[u], indptr[u + 1]
@@ -195,17 +299,7 @@ def _reference_bounded_approx_spt(graph, sources, radius, eps):
                     push(heap, (nd, v))
                 elif nt < clip:
                     clip = nt
-    out_dist = {}
-    out_parent = {}
-    out_origin = {}
-    for i in range(n):
-        p = parent[i]
-        if p == -2:
-            continue
-        out_dist[verts[i]] = true_dist[i]
-        out_parent[verts[i]] = None if p == -1 else verts[p]
-        out_origin[verts[i]] = verts[origin[i]]
-    return BoundedSPT(out_dist, out_parent, out_origin, clip)
+    return BoundedSPT(true_dist, parent, origin, reached, clip)
 
 
 #: the row-cache states every case runs on
@@ -255,7 +349,6 @@ def _assert_matches_reference(g, as_csr, sources, radii, eps):
             graph = _view(g, as_csr, eps, state)
             got = bounded_approx_spt(graph, sources, radius, eps)
             assert got == want, (radius, state)
-            assert list(got.parent) == list(want.parent), (radius, state)
 
 
 class TestBoundedApproxSPTClip:
@@ -304,7 +397,7 @@ class TestBoundedApproxSPTClip:
             # a radius equal to the true weight of a path a wide search
             # chooses, and one ulp either side of it
             reach = _reference_bounded_approx_spt(g.to_csr(), [0], math.inf, eps)
-            w = sorted(reach.dist.values())[len(reach.dist) // 2]
+            w = sorted(reach.dist[i] for i in reach.reached)[len(reach.reached) // 2]
             radii = [0.0, 3.0 * factor, math.inf,
                      math.nextafter(w, 0.0), w, math.nextafter(w, math.inf)]
             for sources in ([0], [0, 0], [0, 17]):
@@ -317,7 +410,7 @@ class TestBoundedApproxSPTClip:
         g = path_graph(3, weights=[1.0, 2.0])
         graph = g.freeze() if frozen else g
         result = bounded_approx_spt(graph, [0], 1.5, 0.1)
-        assert set(result.dist) == {0, 1}
+        assert result.reached == [0, 1]
         assert result.clip == 3.0
         assert bounded_approx_spt(graph, [0], 3.0, 0.1).clip == math.inf
 
@@ -332,7 +425,7 @@ class TestBoundedApproxSPTClip:
         g.add_edge(0, 2, 1.0)
         graph = g.freeze() if frozen else g
         result = bounded_approx_spt(graph, [0], 1.0, 0.1)
-        assert set(result.dist) == {0, 1, 2}
+        assert sorted(result.reached) == [0, 1, 2]
         assert result.clip == math.inf
 
 
