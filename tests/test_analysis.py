@@ -104,13 +104,67 @@ class TestVerifiers:
             verify_subgraph(square, h)
 
     def test_spanning_tree_rejects_cycle(self, square):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"^not a tree: n=4, m=4$"):
             verify_spanning_tree(square, square)
 
     def test_spanning_tree_rejects_partial_span(self, square):
         h = square.edge_subgraph([(0, 1)], include_all_vertices=False)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"^tree does not span all vertices$"):
             verify_spanning_tree(square, h)
+
+    def test_spanning_tree_rejects_a_cycle_with_n_minus_1_edges(self, square):
+        """Every vertex and n − 1 edges, but a cycle and an isolated
+        vertex: a test that only counted edges would pass it."""
+        g = square.copy()
+        g.add_edge(0, 4, 1.0)
+        h = square.copy()
+        h.add_vertex(4)
+        assert (h.n, h.m) == (5, 4)
+        with pytest.raises(ValidationError, match=r"^not a tree: n=5, m=4$"):
+            verify_spanning_tree(g, h)
+
+    def test_spanning_tree_rejects_a_foreign_or_reweighted_edge(self, square):
+        foreign = path_graph(4, [1.0, 1.0, 1.0])
+        foreign.remove_edge(1, 2)
+        foreign.add_edge(0, 2, 1.0)  # a chord the cycle lacks
+        with pytest.raises(ValidationError, match=r"^edge \{0, 2\} not in the host graph$"):
+            verify_spanning_tree(square, foreign)
+        heavy = path_graph(4, [1.0, 2.0, 1.0])
+        with pytest.raises(ValidationError,
+                           match=r"^edge \{1, 2\} weight 2.0 differs from host 1.0$"):
+            verify_spanning_tree(square, heavy)
+
+    def test_spanning_tree_checks_fail_in_order(self, square):
+        """Subgraph before span, span before tree."""
+        foreign = WeightedGraph()
+        foreign.add_edge(0, 2, 1.0)  # no span and no host edge
+        with pytest.raises(ValidationError, match="not in the host graph"):
+            verify_spanning_tree(square, foreign)
+        partial = WeightedGraph([0, 1, 2])  # no span and no tree
+        with pytest.raises(ValidationError, match="does not span"):
+            verify_spanning_tree(square, partial)
+        extra = WeightedGraph([0, 1, 2, 3, 9])
+        with pytest.raises(ValidationError, match="does not span"):
+            verify_spanning_tree(square, extra)
+
+    def test_spanning_tree_in_another_vertex_order(self, square):
+        """A tree whose vertices were inserted in another order than the
+        host's, valid and invalid."""
+        tree = WeightedGraph([3, 1, 2, 0])
+        for u, v in [(2, 3), (0, 1), (1, 2)]:
+            tree.add_edge(u, v, 1.0)
+        verify_spanning_tree(square, tree)
+        tree.add_edge(0, 3, 1.0)
+        with pytest.raises(ValidationError, match=r"^not a tree: n=4, m=4$"):
+            verify_spanning_tree(square, tree)
+        tree.remove_edge(0, 3)
+        tree.add_edge(0, 2, 1.0)
+        with pytest.raises(ValidationError, match=r"^edge \{0, 2\} not in the host graph$"):
+            verify_spanning_tree(square, tree)
+        single = WeightedGraph([0])
+        verify_spanning_tree(WeightedGraph([0]), single)
+        with pytest.raises(ValidationError, match=r"^not a tree: n=0, m=0$"):
+            verify_spanning_tree(WeightedGraph(), WeightedGraph())
 
     def test_spanner_rejects_stretch_violation(self, square):
         h = square.copy()
