@@ -383,8 +383,8 @@ def certify_edge_stretch(
         raise ValueError(f"sample must be in (0, 1], got {sample}")
     if fail_fast and bound is None:
         raise ValueError("fail_fast requires a stretch bound")
-    gcsr = graph.freeze() if isinstance(graph, WeightedGraph) else graph
-    hcsr = spanner.freeze() if isinstance(spanner, WeightedGraph) else spanner
+    gcsr = graph.freeze()
+    hcsr = spanner.freeze()
     mode = "sampled" if sample is not None else (
         "bounded" if bound is not None else "exact"
     )

@@ -30,7 +30,7 @@ def lightness(graph: WeightedGraph, subgraph: WeightedGraph) -> float:
         If ``graph`` is disconnected (it has no MST).
     """
     denom = mst_weight(graph)
-    view = subgraph.freeze() if isinstance(subgraph, WeightedGraph) else subgraph
+    view = subgraph.freeze()
     num = view.total_weight()
     if denom == 0:
         return 1.0 if num == 0 else float("inf")

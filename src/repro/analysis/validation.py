@@ -72,8 +72,8 @@ def verify_spanning_tree(graph: WeightedGraph, tree: WeightedGraph) -> None:
     label-level checks, which fail in the order subgraph, span, tree, so
     their messages are what a caller sees.
     """
-    host = graph.freeze() if isinstance(graph, WeightedGraph) else graph
-    view = tree.freeze() if isinstance(tree, WeightedGraph) else tree
+    host = graph.freeze()
+    view = tree.freeze()
     if _spans_as_a_tree(host, view):
         return
     verify_subgraph(graph, tree)

@@ -115,12 +115,13 @@ class SyncNetwork:
 
     Counters
     --------
-    ``rounds_executed``, ``messages_sent``, ``words_sent`` and
-    ``active_node_rounds`` (the number of ``step`` invocations — the
-    engine's utilization measure) cover the current run and are
-    zeroed by :meth:`reset`; the ``total_*`` counterparts accumulate over
-    the network's lifetime so multi-phase constructions that reuse one
-    network can report aggregate traffic.
+    ``rounds_executed`` covers the current run (it is what
+    :attr:`NodeView.round` reads) and is zeroed by :meth:`reset`.
+    ``total_rounds``, ``total_messages_sent``, ``total_words_sent`` and
+    ``total_active_node_rounds`` (the number of ``step`` invocations —
+    the engine's utilization measure) accumulate over the network's
+    lifetime, so multi-phase constructions that reuse one network report
+    aggregate traffic; a run's own traffic is the difference across it.
     """
 
     def __init__(
@@ -131,9 +132,6 @@ class SyncNetwork:
         self.graph = graph
         self.words_per_message = words_per_message
         self.rounds_executed = 0
-        self.messages_sent = 0
-        self.words_sent = 0
-        self.active_node_rounds = 0
         self.total_rounds = 0
         self.total_messages_sent = 0
         self.total_words_sent = 0
@@ -159,12 +157,9 @@ class SyncNetwork:
         return self._views[v]
 
     def reset(self) -> None:
-        """Clear node state and per-run counters (reuse the network for a
+        """Clear node state and the round counter (reuse the network for a
         new run).  Lifetime ``total_*`` counters are preserved."""
         self.rounds_executed = 0
-        self.messages_sent = 0
-        self.words_sent = 0
-        self.active_node_rounds = 0
         for view in self._views.values():
             view.state = {}
             view._wake = False
@@ -174,9 +169,9 @@ class SyncNetwork:
         self, sender: Vertex, view: NodeView, outbox: Dict[Vertex, Any]
     ) -> None:
         # Validate the whole outbox before touching the counters: a raised
-        # BandwidthViolation / ValueError must not leave messages_sent or
-        # words_sent partially advanced by earlier messages of the same
-        # outbox.
+        # BandwidthViolation / ValueError must not leave total_messages_sent
+        # or total_words_sent partially advanced by earlier messages of the
+        # same outbox.
         words_total = 0
         for dst, payload in outbox.items():
             if dst not in view._incident:
@@ -190,8 +185,6 @@ class SyncNetwork:
                     f"{words} words, budget is {self.words_per_message}"
                 )
             words_total += words
-        self.messages_sent += len(outbox)
-        self.words_sent += words_total
         self.total_messages_sent += len(outbox)
         self.total_words_sent += words_total
 
@@ -212,8 +205,7 @@ class SyncNetwork:
             activity contract.
         """
         # Lifetime total_* counters before/after bracket exactly this
-        # run's traffic (per-run counters may carry state when reset()
-        # was skipped), so the fold into the process-wide registry is a
+        # run's traffic, so the fold into the process-wide registry is a
         # clean delta per run.
         rounds0 = self.total_rounds
         messages0 = self.total_messages_sent
@@ -343,7 +335,6 @@ class SyncNetwork:
                     done[i] = 1 if now_done else 0
                     done_count += 1 if now_done else -1
                 active += 1
-            self.active_node_rounds += active
             self.total_active_node_rounds += active
             active_gauge.set(active)
             self.rounds_executed += 1
@@ -353,5 +344,5 @@ class SyncNetwork:
     def __repr__(self) -> str:
         return (
             f"SyncNetwork(n={self.graph.n}, m={self.graph.m}, "
-            f"rounds={self.rounds_executed}, msgs={self.messages_sent})"
+            f"rounds={self.total_rounds}, msgs={self.total_messages_sent})"
         )

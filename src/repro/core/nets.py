@@ -64,7 +64,6 @@ class NetResult:
     """
 
     points: Set[Vertex]
-    delta_param: float  # Δ
     delta: float  # δ
     alpha: float
     beta: float
@@ -170,7 +169,6 @@ def build_net(
 
     return NetResult(
         points=net,
-        delta_param=delta_param,
         delta=delta,
         alpha=(1.0 + delta) * delta_param,
         beta=delta_param / (1.0 + delta),
@@ -199,7 +197,7 @@ def greedy_net(graph: WeightedGraph, radius: float) -> Set[Vertex]:
     """
     if not radius >= 0:
         raise ValueError(f"radius must be a number >= 0, got {radius!r}")
-    csr = graph.freeze() if isinstance(graph, WeightedGraph) else graph
+    csr = graph.freeze()
     order = sorted(csr.vertices(), key=repr)
     if radius < csr.min_weight():
         return set(order)

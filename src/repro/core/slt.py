@@ -180,7 +180,7 @@ def slt_base(
         for a, b in zip(path, path[1:]):
             if not h.has_edge(a, b):
                 h.add_edge(a, b, graph.weight(a, b))
-    ledger.charge("abp-local", local_phase_rounds(decomp.max_hop_diameter()))
+    ledger.charge("abp-local", local_phase_rounds(decomp.max_hop_diameter))
     ledger.charge("abp-broadcast", broadcast_rounds(2 * decomp.num_fragments, height))
 
     tslt = approx_spt(h, root, eps, height, ledger, phase="approx-spt-H")

@@ -84,7 +84,7 @@ class CSRGraph:
 
     __slots__ = (
         "indptr", "indices", "weights", "verts", "_index", "_mirror",
-        "_rounded", "_by_weight", "_sorted", "_mst", "_bfs",
+        "_min_weight", "_rounded", "_by_weight", "_sorted", "_mst", "_bfs",
     )
 
     def __init__(
@@ -102,6 +102,7 @@ class CSRGraph:
         self.verts = verts
         self._index: Dict[Vertex, int] = {v: i for i, v in enumerate(verts)}
         self._mirror: Optional[List[int]] = None
+        self._min_weight: Optional[float] = None
         self._rounded: Dict[float, "array[float]"] = {}
         self._by_weight: Dict[float, Tuple[bytearray, List[Optional[WeightRow]]]] = {}
         self._mst: Optional[List[Tuple[int, int, float]]] = None
@@ -137,6 +138,11 @@ class CSRGraph:
                 weights[pos] = w
                 pos += 1
         return cls(indptr, indices, weights, verts)
+
+    def freeze(self) -> "CSRGraph":
+        """The view itself: it is already frozen.  Code that accepts
+        either backend reaches the frozen view with ``graph.freeze()``."""
+        return self
 
     def to_weighted(self) -> "WeightedGraph":
         """Thaw back into a mutable :class:`WeightedGraph`."""
@@ -361,8 +367,16 @@ class CSRGraph:
         return sum(self.weights) / 2.0
 
     def min_weight(self) -> float:
-        """Minimum edge weight (``inf`` on an edgeless graph)."""
-        return min(self.weights, default=float("inf"))
+        """Minimum edge weight (``inf`` on an edgeless graph).
+
+        Found on the first call and cached, like :meth:`rounded_weights`:
+        the view never changes, and ``WeightedGraph`` drops it on
+        mutation, so the §6–§7 scale loops that ask at every scale scan
+        the column once.
+        """
+        if self._min_weight is None:
+            self._min_weight = min(self.weights, default=float("inf"))
+        return self._min_weight
 
     def max_weight(self) -> float:
         """Maximum edge weight (0 on an edgeless graph)."""

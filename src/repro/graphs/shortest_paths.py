@@ -79,7 +79,7 @@ def _labelled_sssp(
     at most one extra edge sweep, and every later call on the same graph
     reuses the index arrays.
     """
-    csr = graph.freeze() if isinstance(graph, WeightedGraph) else graph
+    csr = graph.freeze()
     sources = _normalize_sources(csr, sources)
     dist, parent = pykern.sssp(
         csr.indptr, csr.indices, csr.weights,
@@ -159,7 +159,7 @@ def all_pairs_shortest_paths(graph: GraphLike) -> Dict[Vertex, Dict[Vertex, floa
     A :class:`WeightedGraph` input is frozen once so all ``n`` runs share
     the CSR fast path.
     """
-    csr = graph.freeze() if isinstance(graph, WeightedGraph) else graph
+    csr = graph.freeze()
     return {v: dijkstra(csr, v)[0] for v in csr.vertices()}
 
 
@@ -171,7 +171,7 @@ def hop_distances(graph: GraphLike, source: Vertex) -> Dict[Vertex, int]:
     ValueError
         If ``source`` is not a vertex.
     """
-    csr = graph.freeze() if isinstance(graph, WeightedGraph) else graph
+    csr = graph.freeze()
     _check_source(csr, source)
     verts = csr.verts
     return {verts[i]: d for i, d in _csr_hop_distances(csr, csr.index_of(source))}
@@ -214,7 +214,7 @@ def hop_diameter(graph: GraphLike) -> int:
     """
     if graph.n == 0:
         return 0
-    csr = graph.freeze() if isinstance(graph, WeightedGraph) else graph
+    csr = graph.freeze()
     n = csr.n
     indptr, indices = csr.indptr, csr.indices
     mark = [-1] * n  # mark[v] == src iff v was reached in src's BFS

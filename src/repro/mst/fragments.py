@@ -4,8 +4,10 @@ The first phase of the [KP98]/[Elk17b] MST algorithm leaves a partition of
 the MST T into O(√n) *base fragments*, each of hop-diameter O(√n); the
 remaining O(√n) MST edges (*external edges*) connect the fragments into the
 virtual tree T′, which is small enough to broadcast to the whole network.
-The Euler-tour construction (§3), the SLT's ABP computation (§4.2) and the
-bucket machinery of §5 all consume this decomposition.
+The Euler-tour construction (§3, and through it the bucket machinery of
+§5) and the SLT's ABP computation (§4.2) charge their rounds from two
+numbers of this decomposition: how many fragments there are and their
+largest hop diameter.  T′ itself is never needed, so it is not built.
 
 We build it directly: a post-order sweep over T closes a fragment whenever
 the open subtree hanging below the current vertex reaches ``s = ceil(√n)``
@@ -78,16 +80,13 @@ class Fragment:
 
     Attributes
     ----------
-    index:
-        Fragment id (0 = the fragment containing the global root).
     root:
         The fragment's root ``r_i`` — the unique vertex with an MST edge
-        toward the parent fragment (the global root for fragment 0).
+        toward the parent fragment (the global root for its own fragment).
     members:
         Vertex set of the fragment.
     """
 
-    index: int
     root: Vertex
     members: Set[Vertex] = field(default_factory=set)
 
@@ -98,41 +97,47 @@ class Fragment:
 
 @dataclass
 class FragmentDecomposition:
-    """The fragment partition plus the virtual fragment tree T′ (§3.1)."""
+    """The base fragments of T rooted at ``root`` (§3.1), with what the
+    round charges read from them, each computed once.
+
+    Attributes
+    ----------
+    tree / root:
+        The MST T and the global root ``rt`` it is rooted at.
+    fragments:
+        The base fragments, in the order the post-order sweep closed
+        them (the root's fragment last).
+    children:
+        T oriented away from ``root``: every vertex's children, in id
+        order (§3) — the orientation the Euler tour walks.
+    max_hop_diameter:
+        The largest fragment hop diameter, which Lemma 2's local stages
+        and §4.2's ABP phase charge.
+    """
 
     tree: WeightedGraph
     root: Vertex
     fragments: List[Fragment]
-    fragment_of: Dict[Vertex, int]
-    #: external (inter-fragment) MST edges, as (child_root, parent_vertex, w):
-    #: the edge from fragment i's root r_i to its T-parent p(r_i).
-    external_edges: List[Tuple[Vertex, Vertex, float]]
-    #: fragment-tree parent: fragment index -> parent fragment index
-    fragment_parent: Dict[int, Optional[int]]
+    children: Dict[Vertex, List[Vertex]]
+    max_hop_diameter: int
 
     @property
     def num_fragments(self) -> int:
         """Number of base fragments."""
         return len(self.fragments)
 
-    def max_hop_diameter(self) -> int:
-        """Largest fragment hop-diameter (drives local-phase round costs)."""
-        return max((f.hop_diameter(self.tree) for f in self.fragments), default=0)
 
-
-def _rooted_children(tree: WeightedGraph, root: Vertex) -> Tuple[Dict[Vertex, Optional[Vertex]], Dict[Vertex, List[Vertex]]]:
+def _rooted_children(tree: WeightedGraph, root: Vertex) -> Dict[Vertex, List[Vertex]]:
     """Orient the tree away from ``root``; children sorted by id (§3:
     "the order between the children of a vertex is determined using their
     id")."""
     parent: Dict[Vertex, Optional[Vertex]] = {root: None}
-    order: List[Vertex] = [root]
     stack = [root]
     while stack:
         u = stack.pop()
         for v in tree.neighbors(u):
             if v not in parent:
                 parent[v] = u
-                order.append(v)
                 stack.append(v)
     children: Dict[Vertex, List[Vertex]] = {v: [] for v in parent}
     for v, p in parent.items():
@@ -140,7 +145,7 @@ def _rooted_children(tree: WeightedGraph, root: Vertex) -> Tuple[Dict[Vertex, Op
             children[p].append(v)
     for v in children:
         children[v].sort(key=repr)
-    return parent, children
+    return children
 
 
 def decompose_fragments(
@@ -171,7 +176,7 @@ def decompose_fragments(
     n = tree.n
     s = target_size if target_size is not None else max(1, math.isqrt(n - 1) + 1)
 
-    parent, children = _rooted_children(tree, root)
+    children = _rooted_children(tree, root)
 
     # Post-order traversal (iterative; trees can be deep).
     post: List[Vertex] = []
@@ -186,22 +191,13 @@ def decompose_fragments(
             stack.append((c, False))
 
     fragments: List[Fragment] = []
-    fragment_of: Dict[Vertex, int] = {}
     open_below: Dict[Vertex, List[Vertex]] = {}  # open (unassigned) subtree per vertex
-
-    def close_fragment(frag_root: Vertex, members: List[Vertex]) -> None:
-        idx = len(fragments)
-        frag = Fragment(index=idx, root=frag_root, members=set(members))
-        fragments.append(frag)
-        for m in members:
-            fragment_of[m] = idx
-
     for v in post:
         mine = [v]
         for c in children[v]:
             mine.extend(open_below.pop(c, []))
         if len(mine) >= s or v == root:
-            close_fragment(v, mine)
+            fragments.append(Fragment(root=v, members=set(mine)))
         else:
             open_below[v] = mine
     if open_below:
@@ -210,32 +206,10 @@ def decompose_fragments(
             f"below {sorted(map(repr, open_below))[:3]} were never merged"
         )
 
-    # Re-index so the fragment containing the global root is number 0.
-    root_idx = fragment_of[root]
-    if root_idx != 0:
-        perm = {root_idx: 0, 0: root_idx}
-        fragments[0], fragments[root_idx] = fragments[root_idx], fragments[0]
-        for i, frag in enumerate(fragments):
-            frag.index = i
-        for vtx, idx in fragment_of.items():
-            fragment_of[vtx] = perm.get(idx, idx)
-
-    # External edges and the fragment tree T'.
-    external_edges: List[Tuple[Vertex, Vertex, float]] = []
-    fragment_parent: Dict[int, Optional[int]] = {0: None}
-    for frag in fragments:
-        if frag.members and parent[frag.root] is not None:
-            p = parent[frag.root]
-            external_edges.append((frag.root, p, tree.weight(frag.root, p)))
-            fragment_parent[frag.index] = fragment_of[p]
-        elif frag.root == root:
-            fragment_parent[frag.index] = None
-
     return FragmentDecomposition(
         tree=tree,
         root=root,
         fragments=fragments,
-        fragment_of=fragment_of,
-        external_edges=external_edges,
-        fragment_parent=fragment_parent,
+        children=children,
+        max_hop_diameter=max(f.hop_diameter(tree) for f in fragments),
     )

@@ -126,7 +126,7 @@ def kruskal_mst(graph: "WeightedGraph | CSRGraph") -> WeightedGraph:
     ValueError
         If ``graph`` is disconnected (no spanning tree exists).
     """
-    csr = graph.freeze() if isinstance(graph, WeightedGraph) else graph
+    csr = graph.freeze()
     verts = csr.verts
     tree = WeightedGraph(verts)
     for i, j, w in csr.mst_edges(_kruskal_edges):
@@ -144,5 +144,5 @@ def mst_weight(graph: "WeightedGraph | CSRGraph") -> float:
     ValueError
         If ``graph`` is disconnected (no spanning tree exists).
     """
-    csr = graph.freeze() if isinstance(graph, WeightedGraph) else graph
+    csr = graph.freeze()
     return sum(w for _, _, w in csr.mst_edges(_kruskal_edges))

@@ -43,7 +43,6 @@ class SpanNode:
     path: Tuple[str, ...]
     count: int = 0
     total_wall_s: float = 0.0
-    total_cpu_s: float = 0.0
     mem_bytes: Optional[int] = None  # summed tracemalloc deltas, if traced
     children: List["SpanNode"] = field(default_factory=list)
 
@@ -97,7 +96,6 @@ def aggregate_spans(spans: Sequence[SpanRecord]) -> List[SpanNode]:
                 roots.append(node)
         node.count += 1
         node.total_wall_s += span.wall_s
-        node.total_cpu_s += span.cpu_s
         if span.mem_bytes is not None:
             node.mem_bytes = (node.mem_bytes or 0) + span.mem_bytes
     return roots

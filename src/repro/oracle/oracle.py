@@ -186,7 +186,7 @@ class DistanceOracle:
             raise ValueError(
                 f"unknown landmark strategy {strategy!r}; choose from {STRATEGIES}"
             )
-        csr = structure.freeze() if isinstance(structure, WeightedGraph) else structure
+        csr = structure.freeze()
         if csr.n == 0:
             raise ValueError("cannot build an oracle over an empty structure")
         # far-sampling's selection Dijkstras double as the potentials,

@@ -72,7 +72,7 @@ def baswana_sen_spanner(
         raise ValueError(f"k must be an integer >= 1, got {k!r}")
     if ledger is not None:
         ledger.charge("baswana-sen", _ROUNDS_PER_PHASE * k)
-    csr = graph.freeze() if isinstance(graph, WeightedGraph) else graph
+    csr = graph.freeze()
     if k == 1:
         return csr.to_weighted()
     rng = ensure_rng(rng)

@@ -14,8 +14,9 @@ count is O(n^{1+1/k}) in expectation with rate ``β = ln(n)/k``.
 §5 *simulates* this algorithm on cluster graphs whose vertices are MST
 clusters; to support that, the implementation here is a pure synchronous
 function over an abstract adjacency structure, independent of the CONGEST
-simulator, and it reports the per-round message traffic the §5 driver
-needs for its convergecast/broadcast round accounting.
+simulator.  The §5 driver charges each simulated round by the number of
+clusters, not by the messages a round carries, so no traffic is counted
+here.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import math
 import random
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     Dict, FrozenSet, Hashable, Iterable, List, Mapping, NamedTuple, Optional,
     Sequence, Set, Tuple, Union,
@@ -67,15 +68,11 @@ class ElkinNeimanRun:
         The sampled exponential shifts ``r(x)``.
     rounds:
         Number of synchronous propagation rounds (= k).
-    messages_per_round:
-        Messages exchanged in each round — the §5 cluster-graph driver
-        charges its convergecast/broadcast phases from these counts.
     """
 
     edges: Set[FrozenSet[Node]]
     shifts: Dict[Node, float]
     rounds: int
-    messages_per_round: List[int] = field(default_factory=list)
 
 
 class IndexRows(NamedTuple):
@@ -131,7 +128,7 @@ def elkin_neiman_spanner(
     Returns
     -------
     ElkinNeimanRun
-        Spanner edges and instrumentation.
+        Spanner edges, shifts and rounds.
 
     Raises
     ------
@@ -159,7 +156,6 @@ def elkin_neiman_spanner(
     n_nodes = len(labels)
     reprs = list(map(repr, labels))
     senders = [y for y in sorted(range(n_nodes), key=reprs.__getitem__) if rows[y]]
-    total = sum(map(len, rows))
 
     # m[x]: best shifted value seen; best[x][y] = (value, delivering neighbour)
     m: List[float] = [shifts[x] for x in labels]
@@ -168,11 +164,9 @@ def elkin_neiman_spanner(
     # round-0 messages: (s(x), m(x) - 1) to every neighbour
     out_src: List[int] = list(range(n_nodes))
     out_val: List[float] = [mx - 1 for mx in m]
-    messages_per_round: List[int] = []
 
     changed = senders
     for _round in range(k):
-        messages_per_round.append(total)
         before = m[:]
         for y in changed:
             src = out_src[y]
@@ -198,6 +192,4 @@ def elkin_neiman_spanner(
             for src, (val, sender) in bx.items():
                 if src != x and val >= cut:
                     edges.add(frozenset((label, labels[sender])))
-    return ElkinNeimanRun(
-        edges=edges, shifts=shifts, rounds=k, messages_per_round=messages_per_round
-    )
+    return ElkinNeimanRun(edges=edges, shifts=shifts, rounds=k)

@@ -114,11 +114,13 @@ def approx_spt(
 
 class BoundedSPT(NamedTuple):
     """Result of :func:`bounded_approx_spt`, over the frozen view's dense
-    indices; the fields are documented there."""
+    indices; the fields are documented there.  It holds what its callers
+    read (the §7 scale loop reads ``parent``, ``reached`` and ``clip``,
+    the §6 nets ``parent``) and no source index per vertex: a path's
+    source is where its ``parent`` walk ends."""
 
     dist: List[float]
     parent: List[int]
-    origin: List[int]
     reached: List[int]
     clip: float
 
@@ -137,7 +139,7 @@ def bounded_approx_spt(
 
     Returns
     -------
-    BoundedSPT(dist, parent, origin, reached, clip):
+    BoundedSPT(dist, parent, reached, clip):
         Lists indexed by the frozen view's dense vertex index
         (``csr.verts[i]`` is vertex ``i``), with
         :func:`repro.kernels.pykern.sssp`'s sentinels:
@@ -145,8 +147,6 @@ def bounded_approx_spt(
         nearest source, at most ``radius``, or ∞ where unreached;
         ``parent[i]`` — predecessor index on that path, ``-1`` at a
         source and ``-2`` where unreached;
-        ``origin[i]`` — index of the source the path starts at, ``-2``
-        where unreached;
         ``reached`` — the indices the search settled, each once, in the
         order it settled them;
         ``clip`` — the smallest true path weight the radius test turned
@@ -197,7 +197,7 @@ def bounded_approx_spt(
         raise ValueError(f"radius must be a number >= 0, got {radius!r}")
     if math.isnan(eps):
         raise ValueError(f"eps must not be NaN, got {eps!r}")
-    csr = graph.freeze() if isinstance(graph, WeightedGraph) else graph
+    csr = graph.freeze()
     n = csr.n
     indptr, indices, weights = csr.indptr, csr.indices, csr.weights
     rounded = csr.rounded_weights(eps)
@@ -205,7 +205,6 @@ def bounded_approx_spt(
     dist: List[float] = [INF] * n
     true_dist: List[float] = [INF] * n
     parent: List[int] = [pykern.PARENT_UNREACHED] * n
-    origin: List[int] = [pykern.PARENT_UNREACHED] * n
     reached: List[int] = []
     heap: List[Tuple[float, int]] = []
     clip = INF
@@ -215,7 +214,6 @@ def bounded_approx_spt(
             dist[i] = 0.0
             true_dist[i] = 0.0
             parent[i] = pykern.PARENT_SOURCE
-            origin[i] = i
             heap.append((0.0, i))
     heapq.heapify(heap)
     push, pop, settle = heapq.heappush, heapq.heappop, reached.append
@@ -225,7 +223,6 @@ def bounded_approx_spt(
             continue  # stale entry
         settle(u)
         tu = true_dist[u]
-        ou = origin[u]
         row = by_weight[u]
         if row is None:
             a, b = indptr[u], indptr[u + 1]
@@ -240,7 +237,6 @@ def bounded_approx_spt(
                             dist[v] = nd
                             true_dist[v] = nt
                             parent[v] = u
-                            origin[v] = ou
                             push(heap, (nd, v))
                         elif nt < clip:
                             clip = nt
@@ -257,11 +253,10 @@ def bounded_approx_spt(
                     dist[v] = nd
                     true_dist[v] = nt
                     parent[v] = u
-                    origin[v] = ou
                     push(heap, (nd, v))
             elif nt >= clip:
                 break
             elif d + r < dist[v]:
                 clip = nt
                 break
-    return BoundedSPT(true_dist, parent, origin, reached, clip)
+    return BoundedSPT(true_dist, parent, reached, clip)

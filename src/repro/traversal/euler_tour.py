@@ -14,11 +14,11 @@ fragments, a broadcast that lets everyone evaluate the global lengths
 stage's round cost depends only on the number of base fragments, their
 largest hop diameter and the height of τ, so the ledger charges every
 stage by its formula from those three numbers.  The tour itself comes
-from one direct walk of T, which gives the positions, visit times and
-appearances.  The staged computation of ``ℓ``, ``g`` and the intervals
-is the reference in ``tests/test_euler_tour.py``: it agrees with the
-walk to a relative 1e-9 (the two add the same weights in different
-orders).
+from one direct walk of T, oriented as the fragment decomposition
+rooted it, which gives the positions, visit times and appearances.  The
+staged computation of ``ℓ``, ``g`` and the intervals is the reference
+in ``tests/test_euler_tour.py``: it agrees with the walk to a relative
+1e-9 (the two add the same weights in different orders).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import Dict, Hashable, List, Optional, Tuple
 from repro.congest.ledger import RoundLedger
 from repro.congest.primitives import broadcast_rounds, convergecast_rounds, local_phase_rounds
 from repro.graphs.weighted_graph import WeightedGraph
-from repro.mst.fragments import FragmentDecomposition, decompose_fragments, _rooted_children
+from repro.mst.fragments import FragmentDecomposition, decompose_fragments
 
 Vertex = Hashable
 
@@ -77,11 +77,10 @@ class EulerTour:
 
 
 def _direct_tour(
-    tree: WeightedGraph, root: Vertex
+    tree: WeightedGraph, root: Vertex, children: Dict[Vertex, List[Vertex]]
 ) -> Tuple[List[Vertex], List[float]]:
-    """The DFS tour (iterative), children in id order: positions and
-    visit times."""
-    _, children = _rooted_children(tree, root)
+    """The DFS tour (iterative) over ``children``, T oriented away from
+    ``root`` with children in id order: positions and visit times."""
     order: List[Vertex] = [root]
     times: List[float] = [0.0]
     weight = tree.weight
@@ -116,7 +115,11 @@ def compute_euler_tour(
     tree:
         The MST (must be a tree containing ``root``).
     decomposition:
-        Pre-computed base fragments (recomputed if omitted).
+        The base fragments of ``tree`` rooted at ``root``
+        (:func:`~repro.mst.fragments.decompose_fragments`, which checks
+        that ``tree`` is a tree); built here if omitted.  The tour walks
+        its ``children`` and charges from its fragment count and largest
+        hop diameter.
     bfs_height:
         Height of the BFS tree τ (for Lemma-1 charges); defaults to the
         number of fragments, a conservative stand-in when τ is unknown.
@@ -124,15 +127,20 @@ def compute_euler_tour(
     Raises
     ------
     ValueError
-        If ``tree`` is not a tree.
+        If ``tree`` is not a tree or ``root`` not one of its vertices, or
+        if ``decomposition`` belongs to another tree object or another
+        root.
     """
-    if not tree.is_tree():
-        raise ValueError("Euler tour requires a tree")
     decomp = decomposition if decomposition is not None else decompose_fragments(tree, root)
+    if decomp.tree is not tree or decomp.root != root:
+        raise ValueError(
+            f"the decomposition is of another tree or root "
+            f"(rooted at {decomp.root!r}, the tour at {root!r})"
+        )
     height = bfs_height if bfs_height is not None else decomp.num_fragments
 
     ledger = RoundLedger()
-    max_frag_diam = decomp.max_hop_diameter()
+    max_frag_diam = decomp.max_hop_diameter
     num_frags = decomp.num_fragments
 
     # §3.1: broadcast the fragment tree T' (one message per external edge).
@@ -155,7 +163,7 @@ def compute_euler_tour(
     # ignoring the weights", §4.1).
     ledger.charge("unweighted-index-pass", ledger.total)
 
-    order, times = _direct_tour(tree, root)
+    order, times = _direct_tour(tree, root, decomp.children)
     appearances: Dict[Vertex, List[int]] = {}
     for i, v in enumerate(order):
         appearances.setdefault(v, []).append(i)

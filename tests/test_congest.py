@@ -119,14 +119,13 @@ class TestSyncNetwork:
         net.run(_Flood())
         net.reset()
         assert net.rounds_executed == 0
-        assert net.messages_sent == 0
         assert net.view(0).state == {}
 
     def test_message_accounting(self):
         g = path_graph(2)
         net = SyncNetwork(g)
         net.run(_Flood())
-        assert net.messages_sent >= 2  # at least the setup exchange
+        assert net.total_messages_sent >= 2  # at least the setup exchange
 
 
 class TestSparseEngine:
@@ -215,7 +214,7 @@ class TestSparseEngine:
         g = cycle_graph(12)
         net = SyncNetwork(g)
         net.run(_Flood())
-        assert 0 < net.active_node_rounds < g.n * (net.rounds_executed - 1)
+        assert 0 < net.total_active_node_rounds < g.n * (net.rounds_executed - 1)
 
     def test_lifetime_counters_survive_reset(self):
         g = cycle_graph(6)
@@ -227,12 +226,13 @@ class TestSparseEngine:
         assert net.rounds_executed == 0
         assert (net.total_rounds, net.total_messages_sent, net.total_words_sent) == first
         net.run(_Flood())
-        assert net.total_rounds == first[0] + net.rounds_executed
-        assert net.total_messages_sent == first[1] + net.messages_sent
+        assert net.total_rounds == 2 * first[0] == first[0] + net.rounds_executed
+        assert net.total_messages_sent == 2 * first[1]
+        assert net.total_words_sent == 2 * first[2]
 
     def test_counters_untouched_on_bandwidth_violation(self):
         """The whole outbox is validated before any message is counted, so
-        a violation never leaves messages_sent/words_sent half-advanced."""
+        a violation never leaves the traffic counters half-advanced."""
 
         class MixedOutbox(CongestAlgorithm):
             def setup(self, node):
@@ -243,15 +243,15 @@ class TestSparseEngine:
         net = SyncNetwork(path_graph(3), words_per_message=4)
         with pytest.raises(BandwidthViolation):
             net.run(MixedOutbox())
-        assert net.messages_sent == 0
-        assert net.words_sent == 0
+        assert net.total_messages_sent == 0
+        assert net.total_words_sent == 0
 
     def test_counters_untouched_on_non_neighbor_send(self):
         net = SyncNetwork(path_graph(4))
         with pytest.raises(ValueError):
             net.run(_NonNeighborSender(target=3))
-        assert net.messages_sent == 0
-        assert net.words_sent == 0
+        assert net.total_messages_sent == 0
+        assert net.total_words_sent == 0
 
 
 class TestNodeView:

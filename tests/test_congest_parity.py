@@ -102,7 +102,6 @@ class DenseNetwork(TracingNetwork):
                     for dst, payload in outbox.items():
                         inflight[vidx[dst]][sender] = payload
                         any_message = True
-            self.active_node_rounds += n
             self.total_active_node_rounds += n
             self.rounds_executed += 1
             self.total_rounds += 1
@@ -198,8 +197,9 @@ class TestPrimitiveParity:
         for network_cls in (TracingNetwork, DenseNetwork):
             net = network_cls(g)
             rounds = net.run(Drain())
-            results[network_cls] = (rounds, net.messages_sent, net.words_sent,
-                                    net.trace, net.view(1).state.get("got"))
+            results[network_cls] = (rounds, net.total_messages_sent,
+                                    net.total_words_sent, net.trace,
+                                    net.view(1).state.get("got"))
         assert results[TracingNetwork] == results[DenseNetwork]
         assert results[TracingNetwork][4] == [1, 2, 3]
 
@@ -242,8 +242,8 @@ class TestGlobalRoundParity:
                                                  dense_states) = runs
 
         assert sparse_rounds == dense_rounds
-        assert sparse.messages_sent == dense.messages_sent
-        assert sparse.words_sent == dense.words_sent
+        assert sparse.total_messages_sent == dense.total_messages_sent
+        assert sparse.total_words_sent == dense.total_words_sent
         assert sparse.trace == dense.trace
         assert sparse_states == dense_states
-        assert sparse.active_node_rounds <= dense.active_node_rounds
+        assert sparse.total_active_node_rounds <= dense.total_active_node_rounds

@@ -389,10 +389,7 @@ def _spt_snapshot(spt: SPTree):
 
 
 def _run_snapshot(run, rng: random.Random):
-    return (
-        list(run.edges), list(run.shifts.items()), run.rounds,
-        run.messages_per_round, rng.getstate(),
-    )
+    return list(run.edges), list(run.shifts.items()), run.rounds, rng.getstate()
 
 
 def _random_adjacency(seed: int) -> Dict[Node, Set[Node]]:

@@ -5,6 +5,7 @@ distances, same guarantees — so every generator family is pushed through
 both backends and the results compared exactly.
 """
 
+import math
 import random
 from array import array
 
@@ -12,6 +13,7 @@ import pytest
 
 from repro.analysis import max_edge_stretch
 from repro.graphs import (
+    WeightedGraph,
     barbell_graph,
     caterpillar_graph,
     complete_graph,
@@ -29,6 +31,7 @@ from repro.graphs import (
     star_graph,
     unit_ball_graph,
 )
+from repro.graphs import csr as csr_module
 from repro.graphs.csr import round_up_weights
 from repro.graphs.shortest_paths import bounded_dijkstra, hop_distances
 from repro.spanners.baswana_sen import baswana_sen_spanner
@@ -175,6 +178,36 @@ class TestAlgorithmParity:
         c2 = g.freeze()
         assert c2 is not c1
         assert c2.m != c1.m
+
+    def test_a_frozen_view_freezes_to_itself(self):
+        csr = erdos_renyi_graph(20, 0.3, seed=9).freeze()
+        assert csr.freeze() is csr
+
+    def test_min_weight_scans_the_column_once(self, monkeypatch):
+        scans = []
+
+        def counting_min(*args, **kwargs):
+            scans.append(args)
+            return min(*args, **kwargs)
+
+        monkeypatch.setattr(csr_module, "min", counting_min, raising=False)
+        csr = erdos_renyi_graph(20, 0.3, seed=9).to_csr()
+        assert csr.min_weight() == min(csr.weights)
+        assert csr.min_weight() == min(csr.weights)
+        assert len(scans) == 1
+
+    def test_min_weight_of_an_edgeless_view_is_inf(self):
+        assert WeightedGraph([0, 1, 2]).freeze().min_weight() == math.inf
+
+    def test_min_weight_of_a_mutated_graph_is_its_own(self):
+        g = erdos_renyi_graph(20, 0.3, seed=9)
+        old = g.freeze()
+        lightest = old.min_weight()
+        u, v = next((u, v) for u in range(20) for v in range(u + 1, 20)
+                    if not g.has_edge(u, v))
+        g.add_edge(u, v, lightest / 2)
+        assert g.freeze().min_weight() == lightest / 2 == min(g.freeze().weights)
+        assert old.min_weight() == lightest
 
     def test_spanner_stretch_from_csr_input(self):
         """baswana_sen_spanner accepts either backend and both results

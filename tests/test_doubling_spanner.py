@@ -8,6 +8,7 @@ import pytest
 from repro.analysis import (
     lightness,
     max_pairwise_stretch,
+    verify_spanner,
     verify_subgraph,
 )
 from repro.congest import RoundLedger, build_bfs_tree
@@ -88,6 +89,26 @@ class TestWeightsBelowOne:
         assert res.scales[0].scale <= g.min_weight()
         assert res.spanner.is_connected()
         assert max_pairwise_stretch(g, res.spanner) <= res.stretch_bound + 1e-9
+
+
+class TestPowerOfTwoScaling:
+    """§7 under every weight scaled by 2^k (k = ±40) keeps its
+    guarantees: a spanning subgraph with certified stretch at most
+    1 + 30ε.  The outputs may differ from the unscaled ones, because the
+    (1+ε)-rounding does not commute with 2^k, and the scales span
+    [min(1, w_min), max(w(T), 1+ε)], anchored at Δ = 1 rather than at
+    the weights, so a scaled input runs more of them."""
+
+    @pytest.mark.parametrize("k", [-40, 40])
+    @pytest.mark.parametrize("net_method, n", [("greedy", 30), ("distributed", 20)])
+    def test_spanning_subgraph_within_the_stretch_bound(self, net_method, n, k):
+        factor = 2.0 ** k
+        g = random_geometric_graph(n, seed=0).reweighted(
+            lambda u, v, w: w * factor)
+        res = doubling_spanner(g, 0.08, random.Random(0), net_method=net_method)
+        assert res.stretch_bound == 1.0 + 30.0 * 0.08
+        verify_spanner(g, res.spanner, res.stretch_bound)
+        assert res.spanner.is_connected()
 
 
 class TestScales:

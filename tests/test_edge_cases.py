@@ -205,7 +205,7 @@ class TestFragmentExtremes:
         t = random_tree(15, seed=5)
         decomp = decompose_fragments(t, 0, target_size=1)
         assert decomp.num_fragments == 15  # every vertex its own fragment
-        assert decomp.max_hop_diameter() == 0
+        assert decomp.max_hop_diameter == 0
 
     def test_target_size_n(self):
         t = random_tree(15, seed=6)

@@ -106,7 +106,7 @@ def elkin_neiman_distributed(
     for v in graph.vertices():
         for nbr in net.view(v).state["en_edges"]:
             edges.add(frozenset((v, nbr)))
-    run = ElkinNeimanRun(edges=edges, shifts=shifts, rounds=rounds, messages_per_round=[])
+    run = ElkinNeimanRun(edges=edges, shifts=shifts, rounds=rounds)
     return run, rounds
 
 

@@ -19,7 +19,8 @@ from repro.graphs import (
     WeightedGraph, path_graph, random_geometric_graph, random_tree, star_graph,
 )
 from repro.mst import decompose_fragments, kruskal_mst
-from repro.mst.fragments import FragmentDecomposition, _rooted_children
+from repro.mst import fragments as fragments_module
+from repro.mst.fragments import FragmentDecomposition
 from repro.traversal import EulerTour, compute_euler_tour
 
 Vertex = Hashable
@@ -30,6 +31,11 @@ Vertex = Hashable
 def _agree(a: float, b: float) -> bool:
     """Equal up to summation-order round-off, at any weight scale."""
     return math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-9)
+
+
+def _fragment_of(decomp: FragmentDecomposition) -> Dict[Vertex, int]:
+    """Vertex -> the position of its fragment in ``decomp.fragments``."""
+    return {v: i for i, f in enumerate(decomp.fragments) for v in f.members}
 
 
 def _staged_lengths(
@@ -45,7 +51,7 @@ def _staged_lengths(
     g(v): twice the weight of v's full subtree in T.  Both are computed
     bottom-up exactly as the distributed stages do.
     """
-    frag_of = decomp.fragment_of
+    frag_of = _fragment_of(decomp)
     local_len: Dict[Vertex, float] = {}
     for v in post_order:
         total = 0.0
@@ -93,7 +99,7 @@ def _staged(
 ) -> Tuple[Dict[Vertex, float], Dict[Vertex, float], Dict[Vertex, Tuple[float, float]]]:
     """ℓ, g and the DFS intervals from the staged computation."""
     decomp = decompose_fragments(tree, root)
-    _, children = _rooted_children(tree, root)
+    children = decomp.children
     post: List[Vertex] = []
     stack: List[Tuple[Vertex, bool]] = [(root, False)]
     while stack:
@@ -194,13 +200,11 @@ class TestStagedIntervals:
     def test_child_interval_nested_in_parent(self):
         t = random_tree(30, seed=7)
         intervals = _staged(t, 0)[2]
-        parent, _ = _rooted_children(t, 0)
-        for v, p in parent.items():
-            if p is None:
-                continue
-            a, b = intervals[v]
+        for p, children in decompose_fragments(t, 0).children.items():
             pa, pb = intervals[p]
-            assert pa <= a <= b <= pb
+            for v in children:
+                a, b = intervals[v]
+                assert pa <= a <= b <= pb
 
     def test_leaf_interval_is_degenerate(self):
         intervals = _staged(star_graph(6), 0)[2]
@@ -213,7 +217,7 @@ class TestStagedIntervals:
         t = random_tree(60, seed=8)
         local_len, global_len, _ = _staged(t, 0)
         decomp = decompose_fragments(t, 0)
-        _, children = _rooted_children(t, 0)
+        children, frag_of = decomp.children, _fragment_of(decomp)
 
         def subtree(v):
             out, stack = [], [v]
@@ -225,7 +229,7 @@ class TestStagedIntervals:
 
         inside = 0
         for v in t.vertices():
-            if all(decomp.fragment_of[u] == decomp.fragment_of[v] for u in subtree(v)):
+            if all(frag_of[u] == frag_of[v] for u in subtree(v)):
                 assert local_len[v] == global_len[v]
                 inside += 1
             else:
@@ -291,6 +295,36 @@ class TestRoundAccounting:
         decomp = decompose_fragments(t, 0)
         tour = compute_euler_tour(t, 0, decomposition=decomp)
         assert tour.size == 2 * 40 - 1
+        fresh = compute_euler_tour(t, 0)
+        assert (tour.order, tour.times) == (fresh.order, fresh.times)
+        assert tour.ledger.by_phase() == fresh.ledger.by_phase()
+
+    def test_walk_reads_the_decomposition_without_rooting_again(self, monkeypatch):
+        """T is rooted once: handed a decomposition, the tour neither
+        checks the tree again nor orients it again."""
+        t = random_tree(40, seed=9)
+        decomp = decompose_fragments(t, 0)
+        want = compute_euler_tour(t, 0, decomp, 5)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("the tour rooted T again")
+
+        monkeypatch.setattr(type(t), "is_tree", refused)
+        monkeypatch.setattr(fragments_module, "_rooted_children", refused)
+        got = compute_euler_tour(t, 0, decomp, 5)
+        assert (got.order, got.times, got.ledger.by_phase()) == (
+            want.order, want.times, want.ledger.by_phase())
+
+    def test_decomposition_of_another_tree_rejected(self):
+        t = random_tree(30, seed=10)
+        copy = t.copy()
+        with pytest.raises(ValueError, match="another tree or root"):
+            compute_euler_tour(copy, 0, decompose_fragments(t, 0))
+
+    def test_decomposition_of_another_root_rejected(self):
+        t = random_tree(30, seed=10)
+        with pytest.raises(ValueError, match="another tree or root"):
+            compute_euler_tour(t, 3, decompose_fragments(t, 0))
 
 
 class TestValidation:

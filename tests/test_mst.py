@@ -45,8 +45,7 @@ class _ChildrenHiddenFromAssignment(list):
 
 def _hiding_rooted_children(rooted):
     def hiding(tree, root):
-        parent, children = rooted(tree, root)
-        return parent, {v: _ChildrenHiddenFromAssignment(c) for v, c in children.items()}
+        return {v: _ChildrenHiddenFromAssignment(c) for v, c in rooted(tree, root).items()}
     return hiding
 
 
@@ -66,8 +65,7 @@ class Hidden(list):
 rooted = fragments._rooted_children
 
 def hiding(tree, root):
-    parent, children = rooted(tree, root)
-    return parent, {v: Hidden(c) for v, c in children.items()}
+    return {v: Hidden(c) for v, c in rooted(tree, root).items()}
 
 fragments._rooted_children = hiding
 try:
@@ -239,40 +237,40 @@ class TestFragments:
         t = random_tree(100, seed=4)
         s = math.isqrt(99) + 1
         decomp = decompose_fragments(t, 0, target_size=s)
-        assert decomp.max_hop_diameter() <= 2 * s
+        assert decomp.max_hop_diameter <= 2 * s
 
-    def test_root_fragment_is_index_zero(self):
-        t = random_tree(40, seed=5)
-        decomp = decompose_fragments(t, 7)
-        assert 7 in decomp.fragments[0].members
-        assert decomp.fragment_parent[0] is None
-
-    def test_external_edges_connect_fragment_tree(self):
+    def test_fragment_roots_are_the_tops_of_their_fragments(self):
+        """Each fragment's root is its one member whose parent lies
+        outside it; the global root's fragment has none outside."""
         t = random_tree(80, seed=6)
-        decomp = decompose_fragments(t, 0)
-        assert len(decomp.external_edges) == decomp.num_fragments - 1
-        for child_root, parent_vertex, w in decomp.external_edges:
-            assert t.has_edge(child_root, parent_vertex)
-            assert t.weight(child_root, parent_vertex) == w
-            assert (
-                decomp.fragment_of[child_root] != decomp.fragment_of[parent_vertex]
-            )
-
-    def test_fragment_parent_consistent(self):
-        t = random_tree(80, seed=7)
-        decomp = decompose_fragments(t, 0)
+        decomp = decompose_fragments(t, 7)
+        parent = {c: v for v, cs in decomp.children.items() for c in cs}
         for frag in decomp.fragments:
-            parent_idx = decomp.fragment_parent[frag.index]
-            if parent_idx is None:
-                assert frag.index == 0
-            else:
-                assert 0 <= parent_idx < decomp.num_fragments
+            tops = [v for v in frag.members if parent.get(v) not in frag.members]
+            assert tops == [frag.root]
+        assert decomp.fragments[-1].root == 7
+
+    @pytest.mark.parametrize("root", [0, 7, 39])
+    def test_children_orient_the_tree_from_the_root(self, root):
+        """``children`` holds every vertex, each non-root once as a child
+        of a tree neighbour, in id order."""
+        t = random_tree(40, seed=5)
+        decomp = decompose_fragments(t, root)
+        assert set(decomp.children) == set(t.vertices())
+        child_of = [c for cs in decomp.children.values() for c in cs]
+        assert sorted(child_of) == sorted(v for v in t.vertices() if v != root)
+        for v, cs in decomp.children.items():
+            assert all(t.has_edge(v, c) for c in cs)
+            assert cs == sorted(cs, key=repr)
+        depth = hop_distances(t, root)
+        assert all(depth[c] == depth[v] + 1
+                   for v, cs in decomp.children.items() for c in cs)
 
     def test_path_tree_single_fragment_chain(self):
         t = path_graph(16)
         decomp = decompose_fragments(t, 0, target_size=4)
         assert decomp.num_fragments == 4
-        assert decomp.max_hop_diameter() <= 8
+        assert decomp.max_hop_diameter <= 8
 
     def test_non_tree_rejected(self, triangle):
         with pytest.raises(ValueError):
@@ -288,7 +286,7 @@ class TestFragments:
 
         t = star_graph(50)  # star is already a tree
         decomp = decompose_fragments(t, 0)
-        assert decomp.max_hop_diameter() <= 2 * (math.isqrt(49) + 1)
+        assert decomp.max_hop_diameter <= 2 * (math.isqrt(49) + 1)
         members = set()
         for f in decomp.fragments:
             members |= f.members
@@ -349,7 +347,7 @@ class TestSubtreeHopDiameter:
         decomp = decompose_fragments(tree, root, target_size=size)
         expected = [_reference_hop_diameter(tree, f.members) for f in decomp.fragments]
         assert [f.hop_diameter(tree) for f in decomp.fragments] == expected
-        assert decomp.max_hop_diameter() == max(expected)
+        assert decomp.max_hop_diameter == max(expected)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_boruvka_components_match_reference(self, seed, monkeypatch):

@@ -17,7 +17,8 @@ from repro.graphs import (
     dijkstra,
     erdos_renyi_graph,
     grid_graph,
-    path_graph)
+    path_graph,
+    random_geometric_graph)
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -190,6 +191,35 @@ class TestGreedyNetExtremes:
         firsts = {min(c, key=repr) for c in g.connected_components()}
         assert (len(firsts) > 1) == (family == "disconnected")
         assert greedy_net(g, g.total_weight() + 1.0) == firsts
+
+
+class TestPowerOfTwoScaling:
+    """§6 under every weight and the radius scaled by 2^k (k = ±40).
+
+    A power-of-two factor is exact in every path sum, in every
+    comparison with the radius and in the lightest-edge shortcut, so the
+    greedy net is the same set.  The distributed net rounds weights up
+    to powers of 1+δ, which does not commute with 2^k, so only its
+    guarantees carry over."""
+
+    @pytest.mark.parametrize("k", [-40, 40])
+    @pytest.mark.parametrize("radius", [1.0, 5.0, 20.0, 80.0])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_greedy_net_is_the_same(self, seed, radius, k):
+        g = random_geometric_graph(30, seed=seed)
+        factor = 2.0 ** k
+        scaled = g.reweighted(lambda u, v, w: w * factor)
+        assert greedy_net(scaled, radius * factor) == greedy_net(g, radius)
+
+    @pytest.mark.parametrize("k", [-40, 40])
+    @pytest.mark.parametrize("delta_param", [3.0, 12.0, 40.0])
+    def test_build_net_keeps_its_guarantees(self, delta_param, k):
+        factor = 2.0 ** k
+        g = random_geometric_graph(30, seed=1).reweighted(
+            lambda u, v, w: w * factor)
+        res = build_net(g, delta_param * factor, 0.5, random.Random(k))
+        assert res.alpha == 1.5 * delta_param * factor
+        verify_net(g, res.points, res.alpha, res.beta)
 
 
 class TestGreedyNetParity:

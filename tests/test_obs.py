@@ -408,7 +408,7 @@ class TestOracleInstrumentation:
 # CONGEST: lifetime counters, reset semantics, global fold
 # ---------------------------------------------------------------------------
 class TestNetworkCounters:
-    def test_reset_clears_per_run_but_not_lifetime(self):
+    def test_reset_clears_the_round_but_not_lifetime(self):
         g = grid_graph(4, 4)
         net = SyncNetwork(g)
         build_bfs_tree(g, min(g.vertices()), network=net)
@@ -416,14 +416,11 @@ class TestNetworkCounters:
             net.total_rounds, net.total_messages_sent,
             net.total_words_sent, net.total_active_node_rounds,
         )
-        assert net.rounds_executed > 0 and net.messages_sent > 0
-        assert totals == (
-            net.rounds_executed, net.messages_sent,
-            net.words_sent, net.active_node_rounds,
-        )
+        assert net.total_messages_sent > 0 and net.total_words_sent > 0
+        assert net.total_active_node_rounds > 0
+        assert net.rounds_executed == net.total_rounds > 0
         net.reset()
-        assert (net.rounds_executed, net.messages_sent,
-                net.words_sent, net.active_node_rounds) == (0, 0, 0, 0)
+        assert net.rounds_executed == 0
         assert (net.total_rounds, net.total_messages_sent,
                 net.total_words_sent, net.total_active_node_rounds) == totals
 

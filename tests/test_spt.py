@@ -111,21 +111,19 @@ class TestBoundedApproxSPT:
         for v in near:
             assert dist[index_of(v)] <= (1 + eps) * exact[v] * (1 + 1e-9)
 
-    def test_origin_points_to_a_source(self, medium_er):
+    def test_parents_lead_to_a_source(self, medium_er):
         sources = [0, 5]
         run = bounded_approx_spt(medium_er, sources, 100.0, 0.2)
         index_of = medium_er.freeze().index_of
         for i in run.reached:
-            assert run.origin[i] in {index_of(s) for s in sources}
-            # walking parents ends at the origin
             node = i
             while run.parent[node] != -1:
                 node = run.parent[node]
-            assert node == run.origin[i]
+            assert node in {index_of(s) for s in sources}
 
     def test_sentinels_mark_the_unreached(self, medium_er):
         """``reached`` lists each index with a label once, and every other
-        index reads ∞, parent −2 and origin −2; the sources read parent −1."""
+        index reads ∞ and parent −2; the sources read parent −1."""
         run = bounded_approx_spt(medium_er, [0, 5, 0], 30.0, 0.2)
         index_of = medium_er.freeze().index_of
         reached = set(run.reached)
@@ -133,9 +131,9 @@ class TestBoundedApproxSPT:
         assert reached == {i for i, d in enumerate(run.dist) if d < math.inf}
         for i in range(medium_er.n):
             if i in reached:
-                assert run.parent[i] >= -1 and run.origin[i] >= 0
+                assert run.parent[i] >= -1
             else:
-                assert (run.dist[i], run.parent[i], run.origin[i]) == (math.inf, -2, -2)
+                assert (run.dist[i], run.parent[i]) == (math.inf, -2)
         assert {i for i, p in enumerate(run.parent) if p == -1} == {index_of(0), index_of(5)}
 
     def test_reached_is_the_settle_order(self, small_er):
@@ -265,7 +263,6 @@ def _reference_bounded_approx_spt(graph, sources, radius, eps):
     dist = [INF] * n
     true_dist = [INF] * n
     parent = [-2] * n
-    origin = [-2] * n
     reached = []
     heap = []
     clip = INF
@@ -275,7 +272,6 @@ def _reference_bounded_approx_spt(graph, sources, radius, eps):
             dist[i] = 0.0
             true_dist[i] = 0.0
             parent[i] = -1
-            origin[i] = i
             heap.append((0.0, i))
     heapq.heapify(heap)
     push, pop = heapq.heappush, heapq.heappop
@@ -285,7 +281,6 @@ def _reference_bounded_approx_spt(graph, sources, radius, eps):
             continue  # stale entry
         reached.append(u)
         tu = true_dist[u]
-        ou = origin[u]
         a, b = indptr[u], indptr[u + 1]
         for v, w, r in zip(indices[a:b], weights[a:b], rounded[a:b]):
             nd = d + r
@@ -295,11 +290,10 @@ def _reference_bounded_approx_spt(graph, sources, radius, eps):
                     dist[v] = nd
                     true_dist[v] = nt
                     parent[v] = u
-                    origin[v] = ou
                     push(heap, (nd, v))
                 elif nt < clip:
                     clip = nt
-    return BoundedSPT(true_dist, parent, origin, reached, clip)
+    return BoundedSPT(true_dist, parent, reached, clip)
 
 
 #: the row-cache states every case runs on

@@ -1,4 +1,5 @@
-"""No public name of the library is reached from the tests alone.
+"""No public name or record field of the library is reached from the
+tests alone.
 
 An AST scan: every public function and class of ``src/repro`` outside
 ``repro.lint``, and every public method of a public class, must be
@@ -9,8 +10,14 @@ name, an attribute, or the attribute path of a ``("repro...",
 ``benchmarks/`` (the functions their tracers and counters wrap).
 Imports and ``__all__`` entries are not references, and a name matches
 by its last component alone, so a method counts as used wherever an
-attribute of that name is read.  The names in :data:`ALLOWED` stay for
-the reason given with each.
+attribute of that name is read.
+
+Every public field and property of a public dataclass or ``NamedTuple``
+must likewise be read there as an attribute (``x.field``); a keyword
+that fills it, or a bare name that happens to match, does not count.
+A result field that only tests read is work the constructions do for
+nobody.  The names in :data:`ALLOWED` stay for the reason given with
+each.
 """
 
 from __future__ import annotations
@@ -50,11 +57,22 @@ ALLOWED: Dict[str, str] = {
         "the counterpart of regressions: tests check what the gate counts "
         "as faster or smaller"
     ),
+    # §5 diagnostics: the light goldens pin them and the case tests read
+    # them; ROADMAP item 6 wants the case in the harness records
+    "BucketStats.num_edges": "§5 diagnostic: |E_i|, pinned by the light goldens",
+    "BucketStats.case": (
+        "§5 diagnostic: which case ran, pinned by the light goldens and read "
+        "by the case tests"
+    ),
+    "BucketStats.num_clusters": (
+        "§5 diagnostic: the cluster count, pinned by the light goldens"
+    ),
     # paper quantities the tests check guarantees with
     "WeightedGraph.aspect_ratio": "paper quantity: the aspect ratio Λ",
     "packing_number": "paper quantity: Lemma 6's packing bound",
     "LEListResult.max_list_length": "paper quantity: the LE-list length",
     "SPTree.stretch_to_root": "paper quantity: an SPT's root stretch",
+    "EulerTour.length": "paper quantity: the tour's length L = 2·w(T)",
 }
 
 
@@ -80,6 +98,62 @@ def _public_definitions() -> List[Tuple[str, str, str]]:
                             (str(rel), f"{node.name}.{item.name}", item.name)
                         )
     return found
+
+
+def _last_name(node: ast.expr) -> str:
+    """``x`` of ``x`` or ``a.b.x``; empty for anything else."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return ""
+
+
+def _is_record(node: ast.ClassDef) -> bool:
+    """A ``@dataclass`` (with or without arguments) or a ``NamedTuple``."""
+    decorators = (d.func if isinstance(d, ast.Call) else d
+                  for d in node.decorator_list)
+    return (any(_last_name(d) == "dataclass" for d in decorators)
+            or any(_last_name(b) == "NamedTuple" for b in node.bases))
+
+
+def _record_fields() -> List[Tuple[str, str, str]]:
+    """``(module path, qualified name, field name)`` of every public field
+    and property of a public dataclass or ``NamedTuple`` outside
+    ``repro.lint``."""
+    found = []
+    for path in sorted(LIBRARY.rglob("*.py")):
+        rel = path.relative_to(LIBRARY)
+        if rel.parts[0] == "lint":
+            continue
+        for node in ast.parse(path.read_text()).body:
+            if (not isinstance(node, ast.ClassDef) or node.name.startswith("_")
+                    or not _is_record(node)):
+                continue
+            for item in node.body:
+                if (isinstance(item, ast.AnnAssign)
+                        and isinstance(item.target, ast.Name)):
+                    name = item.target.id
+                elif (isinstance(item, ast.FunctionDef)
+                        and any(_last_name(d) == "property"
+                                for d in item.decorator_list)):
+                    name = item.name
+                else:
+                    continue
+                if not name.startswith("_"):
+                    found.append((str(rel), f"{node.name}.{name}", name))
+    return found
+
+
+def _attribute_reads(directories: Iterable[str]) -> Set[str]:
+    """Every attribute name read (``x.name`` in a load) in ``directories``."""
+    names: Set[str] = set()
+    for directory in directories:
+        for path in sorted((ROOT / directory).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    names.add(node.attr)
+    return names
 
 
 def _wrap_target(node: ast.Tuple) -> Iterable[str]:
@@ -114,6 +188,12 @@ def _test_only() -> Dict[str, str]:
             if last not in used}
 
 
+def _unread_fields() -> Dict[str, str]:
+    """Qualified name -> module of every record field no user reads."""
+    read = _attribute_reads(USERS)
+    return {qual: rel for rel, qual, last in _record_fields() if last not in read}
+
+
 def test_no_public_name_is_reached_from_tests_alone():
     unused = {qual: rel for qual, rel in _test_only().items()
               if qual not in ALLOWED}
@@ -124,8 +204,18 @@ def test_no_public_name_is_reached_from_tests_alone():
     )
 
 
+def test_no_record_field_is_read_by_tests_alone():
+    unread = {qual: rel for qual, rel in _unread_fields().items()
+              if qual not in ALLOWED}
+    assert not unread, (
+        "record fields that only tests read (delete them with the work "
+        "that fills them, or add them to ALLOWED with a reason): "
+        + ", ".join(f"{rel}: {qual}" for qual, rel in sorted(unread.items()))
+    )
+
+
 def test_every_allowed_name_is_defined_and_still_test_only():
-    test_only = _test_only()
+    test_only = {**_test_only(), **_unread_fields()}
     stale = sorted(set(ALLOWED) - set(test_only))
     assert not stale, f"ALLOWED entries used outside the tests or gone: {stale}"
     tested = _references(["tests"], [])
