@@ -10,8 +10,9 @@ smoke and stress tiers, split into the construction's phases:
   net point per scale), with the weight roundings behind it;
 * **path walk and the rest** — the remaining construction time: the
   per-scale loop that walks each reported path into the spanner
-  (``path_steps`` counts ``WeightedGraph.has_edge`` calls, one per step
-  walked), the BFS tree and the MST.
+  (``walks`` counts the net-point visits that walk, ``path_steps`` the
+  ``WeightedGraph.has_edge`` calls, one per step walked), the
+  participation count, the BFS tree and the MST.
 
 ``exploration_calls`` counts the searches that actually run: since
 explorations are reused across scales, fewer than one per net point per
@@ -19,16 +20,19 @@ scale.  ``peak_mb`` is the construction's tracemalloc peak, measured in
 a separate untimed run, because the reuse keeps each net point's last
 tree alive.
 
-Three sides run this same script in a child process, on a fresh input
+Four sides run this same script in a child process, on a fresh input
 graph per run: the baseline on a ``git archive`` export of
 :data:`BASELINE_COMMIT` (the commit before the §7 hot-path rewrite),
 the parent on an export of :data:`PARENT_COMMIT` (the commit before
 explorations read each row in ascending weight and stopped at the
-radius), and the change on the
-checkout this script sits in.  Every case's edge, insertion-order and
-ledger digests must be equal on all three sides, and the stress tier
-must clear :data:`REQUIRED_SPEEDUP` over the baseline and
-:data:`REQUIRED_PARENT_SPEEDUP` over the parent.  The files written:
+radius), the previous side on an export of :data:`PREVIOUS_COMMIT` (the
+commit before walks and participation were carried across scales and
+greedy nets ran on dense indices), and the change on the checkout this
+script sits in.  Every case's edge, insertion-order and ledger digests
+must be equal on all four sides, and the stress tier must clear
+:data:`REQUIRED_SPEEDUP` over the baseline and
+:data:`REQUIRED_PARENT_SPEEDUP` over the parent; the previous side is
+reported, not gated.  The files written:
 
 * ``benchmarks/BENCH_doubling_speedup.txt`` — the human-readable table;
 * ``benchmarks/BENCH_doubling_speedup.json`` — the record CI's
@@ -47,6 +51,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib
 import json
 import random
 import statistics
@@ -69,6 +74,8 @@ JSON_PATH = HERE / "BENCH_doubling_speedup.json"
 BASELINE_COMMIT = "529f358"
 #: the commit before explorations read each row in ascending weight
 PARENT_COMMIT = "11a55a2"
+#: the commit before walks and participation were carried across scales
+PREVIOUS_COMMIT = "0aba68a"
 #: (profile, tier) cases; timed runs per tier (each side reports medians)
 CASES: List[Tuple[str, str]] = [
     ("doubling-geometric", "smoke"), ("doubling-grid", "smoke"),
@@ -80,7 +87,7 @@ REQUIRED_SPEEDUP = {"doubling-geometric": 4.0, "doubling-grid": 2.0}
 #: stress-tier acceptance bars: parent seconds / change seconds
 REQUIRED_PARENT_SPEEDUP = {"doubling-geometric": 1.25, "doubling-grid": 1.2}
 #: the sides of every case, oldest first
-SIDES = ("baseline", "parent", "change")
+SIDES = ("baseline", "parent", "previous", "change")
 
 PHASES = ("nets", "explorations", "path_walk_and_rest", "total")
 #: (module, attribute, phase): the functions timed, wrapped under the
@@ -96,9 +103,11 @@ COUNTED: List[Tuple[str, str, str]] = [
     ("repro.core.doubling_spanner", "greedy_net", "net_calls"),
     ("repro.core.nets", "dijkstra", "net_searches"),
     ("repro.core.nets", "bounded_dijkstra", "net_searches"),
+    ("repro.core.nets", "sssp", "net_searches"),
     ("repro.core.doubling_spanner", "bounded_approx_spt", "exploration_calls"),
     ("repro.spt.approx_spt", "_round_up_weight", "weight_roundings"),
     ("repro.graphs.csr", "round_up_weight", "weight_roundings"),
+    ("repro.core.doubling_spanner", "_walk", "walks"),
     ("repro.graphs.weighted_graph", "WeightedGraph.has_edge", "path_steps"),
 ]
 #: (module, attribute, counter): the functions that round a whole weight
@@ -108,8 +117,8 @@ COUNTED_PER_WEIGHT: List[Tuple[str, str, str]] = [
     ("repro.graphs.csr", "round_up_weights", "weight_roundings"),
 ]
 REQUIRED_JSON_KEYS = {
-    "baseline_commit", "parent_commit", "machine", "cases", "runs",
-    "required_speedup", "required_parent_speedup",
+    "baseline_commit", "parent_commit", "previous_commit", "machine", "cases",
+    "runs", "required_speedup", "required_parent_speedup",
 }
 
 
@@ -155,7 +164,10 @@ def _counted_run(make_graph: Callable[[], Any],
 
     graph = make_graph()
     with counted_calls(COUNTED, counts), wrapped(COUNTED_PER_WEIGHT, per_weight):
-        construct(graph)
+        result = construct(graph)
+    if not hasattr(importlib.import_module("repro.core.doubling_spanner"), "_walk"):
+        # before walks were carried across scales, every net-point visit walked
+        counts["walks"] = sum(s.net_size for s in result.scales)
     return counts
 
 
@@ -217,8 +229,8 @@ def _table(record: Dict[str, Any]) -> List[str]:
     machine = record["machine"]
     lines = [
         f"=== §7 doubling spanner, greedy nets: commit {record['baseline_commit']}"
-        f" (baseline) and commit {record['parent_commit']} (parent) vs this"
-        " change ===",
+        f" (baseline), commit {record['parent_commit']} (parent) and commit "
+        f"{record['previous_commit']} (previous) vs this change ===",
         f"{machine['cpu']}, {machine['cores']} cores, CPython "
         f"{machine['python']}; wall seconds, per-phase medians of "
         f"{RUNS['smoke']} (smoke) / {RUNS['stress']} (stress) runs on fresh inputs",
@@ -232,37 +244,43 @@ def _table(record: Dict[str, Any]) -> List[str]:
             f"--- {case}: n={new['n']}, {new['scales']} scales, "
             f"{new['spanner_edges']} spanner edges; speedup "
             f"{_speedup(sides, 'baseline'):.2f}x over the baseline, "
-            f"{_speedup(sides, 'parent'):.2f}x over the parent; digests {same} ---",
-            f"{'phase':<22} {'baseline s':>11} {'parent s':>10} {'change s':>10}"
-            f" {'vs base':>8} {'vs parent':>10}",
+            f"{_speedup(sides, 'parent'):.2f}x over the parent, "
+            f"{_speedup(sides, 'previous'):.2f}x over the previous side; "
+            f"digests {same} ---",
+            f"{'phase':<22} {'baseline s':>11} {'parent s':>10} {'prev s':>10}"
+            f" {'change s':>10} {'vs base':>8} {'vs parent':>10} {'vs prev':>8}",
         ]
         for phase in PHASES:
-            b, p, c = (sides[side]["seconds"][phase] for side in SIDES)
-            ratios = (f"{b / c:.1f}x", f"{p / c:.1f}x") if c > 0 else ("-", "-")
-            lines.append(f"{phase:<22} {b:>11.4f} {p:>10.4f} {c:>10.4f}"
-                         f" {ratios[0]:>8} {ratios[1]:>10}")
-        lines.append(f"{'calls':<22} {'baseline':>11} {'parent':>10} {'change':>10}")
+            b, p, q, c = (sides[side]["seconds"][phase] for side in SIDES)
+            ratios = ([f"{x / c:.1f}x" for x in (b, p, q)] if c > 0 else ["-"] * 3)
+            lines.append(f"{phase:<22} {b:>11.4f} {p:>10.4f} {q:>10.4f} {c:>10.4f}"
+                         f" {ratios[0]:>8} {ratios[1]:>10} {ratios[2]:>8}")
+        lines.append(f"{'calls':<22} {'baseline':>11} {'parent':>10} {'previous':>10}"
+                     f" {'change':>10}")
         for key in new["counts"]:
-            b, p, c = (sides[side]["counts"][key] for side in SIDES)
-            lines.append(f"{key:<22} {b:>11} {p:>10} {c:>10}")
-        b, p, c = (sides[side]["peak_mb"] for side in SIDES)
-        lines.append(f"{'peak_mb (tracemalloc)':<22} {b:>11.3f} {p:>10.3f} {c:>10.3f}")
+            b, p, q, c = (sides[side]["counts"][key] for side in SIDES)
+            lines.append(f"{key:<22} {b:>11} {p:>10} {q:>10} {c:>10}")
+        b, p, q, c = (sides[side]["peak_mb"] for side in SIDES)
+        lines.append(f"{'peak_mb (tracemalloc)':<22} {b:>11.3f} {p:>10.3f} {q:>10.3f}"
+                     f" {c:>10.3f}")
     return lines
 
 
 def run() -> int:
     base = measure_baseline("bench_doubling", BASELINE_COMMIT)
     parent = measure_baseline("bench_doubling", PARENT_COMMIT)
+    previous = measure_baseline("bench_doubling", PREVIOUS_COMMIT)
     new = measure_side("bench_doubling", ROOT / "src")
     record = {
         "baseline_commit": BASELINE_COMMIT,
         "parent_commit": PARENT_COMMIT,
+        "previous_commit": PREVIOUS_COMMIT,
         "machine": machine(),
         "runs": RUNS,
         "required_speedup": REQUIRED_SPEEDUP,
         "required_parent_speedup": REQUIRED_PARENT_SPEEDUP,
         "cases": {case: {"baseline": base[case], "parent": parent[case],
-                         "change": new[case]}
+                         "previous": previous[case], "change": new[case]}
                   for case in base},
     }
     lines = _table(record)
@@ -285,7 +303,8 @@ def check() -> int:
         print(f"FAIL: {JSON_PATH.name} lacks keys: {sorted(missing)}")
         return 1
     for key, commit in (("baseline_commit", BASELINE_COMMIT),
-                        ("parent_commit", PARENT_COMMIT)):
+                        ("parent_commit", PARENT_COMMIT),
+                        ("previous_commit", PREVIOUS_COMMIT)):
         if record[key] != commit:
             print(f"FAIL: committed {key} {record[key]} != {commit}")
             return 1
@@ -301,7 +320,7 @@ def check() -> int:
             failures.append(f"{case}: sides {sorted(sides)} != {sorted(SIDES)}")
             continue
         new = sides["change"]
-        for side in ("baseline", "parent"):
+        for side in SIDES[:-1]:
             if sides[side]["digests"] != new["digests"]:
                 failures.append(f"{case}: digests differ from the {side}'s")
         if any(set(sides[side]["seconds"]) != set(PHASES) for side in SIDES):
@@ -322,7 +341,11 @@ def check() -> int:
     stress = "; ".join(
         f"{c} {_speedup(s, 'baseline'):.1f}x / {_speedup(s, 'parent'):.1f}x"
         for c, s in sorted(record["cases"].items()) if c.endswith("/stress"))
+    previous = "; ".join(
+        f"{c} {_speedup(s, 'previous'):.2f}x"
+        for c, s in sorted(record["cases"].items()) if c.endswith("/stress"))
     print(f"OK: vs commits {BASELINE_COMMIT} / {PARENT_COMMIT}: {stress}; "
+          f"vs commit {PREVIOUS_COMMIT} (reported): {previous}; "
           f"digests equal on all {len(expected)} cases")
     return 0
 
@@ -331,7 +354,7 @@ def main(argv: Any = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     mode = parser.add_mutually_exclusive_group(required=True)
     mode.add_argument("--run", action="store_true",
-                      help="measure both sides and rewrite the evidence files")
+                      help="measure every side and rewrite the evidence files")
     mode.add_argument("--check", action="store_true",
                       help="validate the committed evidence (the CI gate)")
     args = parser.parse_args(argv)

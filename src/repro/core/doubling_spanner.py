@@ -27,10 +27,8 @@ from __future__ import annotations
 import math
 import random
 
-from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
-from typing import List, Optional, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 from repro.congest.bfs import build_bfs_tree
 from repro.congest.ledger import RoundLedger
@@ -40,6 +38,11 @@ from repro.graphs.weighted_graph import Vertex, WeightedGraph
 from repro.kernels.pykern import PARENT_UNREACHED
 from repro.mst.kruskal import kruskal_mst
 from repro.spt.approx_spt import bounded_approx_spt
+
+
+#: a net point's last exploration: clip, parent list, reached list and
+#: walked set, over the frozen view's dense indices
+_Memo = Tuple[float, List[int], List[int], Set[int]]
 
 
 def en16_round_cost(n: int, height: int, beta: int) -> int:
@@ -150,7 +153,7 @@ def doubling_spanner(
     spanner = WeightedGraph(graph.vertices())
     scales: List[ScaleStats] = []
     csr = graph.freeze()  # shared by every per-net-point exploration
-    verts, index_of, unreached = csr.verts, csr.index_of, PARENT_UNREACHED
+    verts, index_of = csr.verts, csr.index_of
     # net points are visited, and walked to, by ascending repr; rank[i]
     # orders vertex i's repr, and equal reprs share a rank
     reprs = [repr(v) for v in verts]
@@ -165,12 +168,18 @@ def doubling_spanner(
     delta = 0.5  # the paper's "e.g., we can take δ = 1/2"
     skeleton_size = max(1, math.ceil(math.sqrt(n * max(math.log(n + 1), 1.0))))
     beta = max(1, math.ceil(math.log2(n + 1)))  # charged [EN16] hopbound
-    # net-point index -> (clip, parent list, reached indices, walked set)
-    # of its last exploration, all over csr's dense indices.  The search
-    # repeats itself decision for decision at every radius below its
-    # clip, and the radius 2·(1+ε)^i grows strictly with i, so an
-    # exploration re-runs only once the radius reaches its clip.
-    explored: List[Optional[Tuple[float, List[int], List[int], Set[int]]]] = [None] * n
+    # net-point index -> its last exploration.  The search repeats itself
+    # decision for decision at every radius below its clip, and the
+    # radius 2·(1+ε)^i grows strictly with i, so an exploration re-runs
+    # only once the radius reaches its clip.
+    explored: List[Optional[_Memo]] = [None] * n
+    # carried from scale to scale: the path count of each net point's
+    # last walk, and per vertex how many of the last net's explorations
+    # reached it
+    paths: List[int] = [0] * n
+    load: List[int] = [0] * n
+    last_net: Set[int] = set()
+    max_overlap = 0
 
     for i in range(first_scale, num_scales):
         scale = base ** i
@@ -198,35 +207,39 @@ def doubling_spanner(
         radius = 2.0 * scale
         # in the set's own order, so paths enter the spanner in that order
         net = [index_of(v) for v in net_points]
-        reached_lists: List[List[int]] = []
+        net_set = set(net)
+        left = last_net - net_set
+        for u in left:  # an exploration leaves the count with its net point
+            gone = explored[u]
+            if gone is not None:  # always: the last net was explored
+                for x in gone[2]:
+                    load[x] -= 1
+        changed = bool(left)
+        same_net = net_set == last_net
         paths_added = 0
         for u in sorted(net, key=rank.__getitem__):
             memo = explored[u]
+            # a net point that stays keeps its tree in the count, and over
+            # an unchanged net that tree's last walk added every path a
+            # walk would add now, so only its path count is read again
+            counted, known = u in last_net, same_net
             if memo is None or radius >= memo[0]:
+                if memo is not None and counted:
+                    for x in memo[2]:
+                        load[x] -= 1
                 run = bounded_approx_spt(csr, [verts[u]], radius, eps)
                 memo = explored[u] = (run.clip, run.parent, run.reached, set())
-            _clip, parent, reached, walked = memo
-            reached_lists.append(reached)
-            # every vertex on an already-walked path leads to u over edges
-            # a walk of this same tree added, at this scale or an earlier
-            # one, so a later walk stops there
-            rank_u = rank[u]
-            for v in net:
-                if rank[v] <= rank_u or parent[v] == unreached:
-                    continue
-                # add the reported path to the spanner; a label is
-                # looked up only to ask for, and add, an edge
-                node = v
-                while node not in walked and parent[node] >= 0:
-                    walked.add(node)
-                    prev = parent[node]
-                    a, b = verts[prev], verts[node]
-                    if not spanner.has_edge(a, b):
-                        spanner.add_edge(a, b, graph.weight(a, b))
-                    node = prev
-                paths_added += 1
-        participation = Counter(chain.from_iterable(reached_lists))
-        max_overlap = max(participation.values(), default=0)
+                counted = known = False
+            if not counted:
+                for x in memo[2]:
+                    load[x] += 1
+                changed = True
+            if not known:
+                paths[u] = _walk(spanner, graph, verts, net, rank, u, memo)
+            paths_added += paths[u]
+        if changed:
+            max_overlap = max(load)
+        last_net = net_set
         scale_ledger.charge(
             f"scale{i}:explorations",
             bounded_exploration_cost(n, height, beta, max_overlap, skeleton_size),
@@ -251,3 +264,28 @@ def doubling_spanner(
         scales=scales,
         ledger=ledger,
     )
+
+
+def _walk(spanner: WeightedGraph, graph: WeightedGraph, verts: Sequence[Vertex],
+          net: List[int], rank: List[int], u: int, memo: _Memo) -> int:
+    """Add to ``spanner`` the path to ``u`` from every net point ranked
+    above it that ``u``'s tree reached, in ``net``'s order, and return
+    how many paths that is.  A vertex in the tree's walked set leads to
+    ``u`` over edges a walk of this tree added, so a walk stops there; a
+    label is looked up only to ask for, and add, an edge."""
+    _clip, parent, _reached, walked = memo
+    rank_u, unreached = rank[u], PARENT_UNREACHED
+    count = 0
+    for v in net:
+        if rank[v] <= rank_u or parent[v] == unreached:
+            continue
+        node = v
+        while node not in walked and parent[node] >= 0:
+            walked.add(node)
+            prev = parent[node]
+            a, b = verts[prev], verts[node]
+            if not spanner.has_edge(a, b):
+                spanner.add_edge(a, b, graph.weight(a, b))
+            node = prev
+        count += 1
+    return count

@@ -113,9 +113,9 @@ def estimate_mst_weight_via_nets(
 
     # start at i with α·2^i strictly below the minimal edge weight, so that
     # N_start = V (the paper's i = -⌈log α⌉ for unit minimal weight) — the
-    # Ψ >= L direction needs the first net to span every vertex.
-    min_w = graph.min_weight()
-    start = math.floor(math.log2(max(min_w, 1e-12) / alpha)) - 1
+    # Ψ >= L direction needs the first net to span every vertex, however
+    # light that edge is.  n > 1 and a spanning tree exists, so it is finite.
+    start = math.floor(math.log2(graph.freeze().min_weight() / alpha)) - 1
 
     psi = 0.0
     net_sizes: Dict[int, int] = {}

@@ -25,9 +25,8 @@ from typing import List, Optional, Set
 from repro.congest.bfs import build_bfs_tree
 from repro.congest.ledger import RoundLedger
 from repro.determinism import ensure_rng
-from repro.graphs.shortest_paths import bounded_dijkstra
 from repro.graphs.weighted_graph import Vertex, WeightedGraph
-from repro.kernels.pykern import PARENT_UNREACHED
+from repro.kernels.pykern import PARENT_UNREACHED, sssp
 from repro.lelists.le_lists import compute_le_lists, first_in_ball
 from repro.spt.approx_spt import bkkl_round_cost, bounded_approx_spt
 
@@ -181,14 +180,16 @@ def build_net(
 def greedy_net(graph: WeightedGraph, radius: float) -> Set[Vertex]:
     """Sequential greedy (r, r)-net — the baseline §6 replaces.
 
-    Scan vertices in id order; keep each vertex farther than ``radius``
-    from all kept ones.  Inherently sequential (the paper's motivation for
-    Theorem 3), but optimal parameters: r-covering and r-separated.
+    Scan vertices in the order of their reprs (equal reprs in vertex
+    order); keep each vertex farther than ``radius`` from all kept ones.
+    Inherently sequential (the paper's motivation for Theorem 3), but
+    optimal parameters: r-covering and r-separated.
 
     Only whether a vertex lies within ``radius`` of a kept one matters,
-    so each kept vertex explores its ``radius``-ball alone; below the
-    minimum edge weight every ball is a single vertex and the net is
-    all of ``V`` without any search.
+    so each kept vertex marks covered the ball that
+    :func:`repro.kernels.pykern.sssp` capped at ``radius`` settles on the
+    frozen view; below the minimum edge weight every ball is a single
+    vertex and the net is all of ``V`` without any search.
 
     Raises
     ------
@@ -198,13 +199,19 @@ def greedy_net(graph: WeightedGraph, radius: float) -> Set[Vertex]:
     if not radius >= 0:
         raise ValueError(f"radius must be a number >= 0, got {radius!r}")
     csr = graph.freeze()
-    order = sorted(csr.vertices(), key=repr)
+    verts = csr.verts
+    reprs = [repr(v) for v in verts]
+    order = sorted(range(csr.n), key=reprs.__getitem__)
     if radius < csr.min_weight():
-        return set(order)
+        return {verts[i] for i in order}
+    indptr, indices, weights = csr.indptr, csr.indices, csr.weights
     net: Set[Vertex] = set()
-    covered: Set[Vertex] = set()
-    for v in order:
-        if v not in covered:
-            net.add(v)
-            covered.update(bounded_dijkstra(csr, v, radius)[0])
+    covered = bytearray(csr.n)
+    for i in order:
+        if not covered[i]:
+            net.add(verts[i])
+            parent = sssp(indptr, indices, weights, (i,), radius)[1]
+            for j, p in enumerate(parent):
+                if p != PARENT_UNREACHED:
+                    covered[j] = 1
     return net

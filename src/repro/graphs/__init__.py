@@ -10,7 +10,6 @@ from repro.graphs.weighted_graph import WeightedGraph, canonical_edge
 from repro.graphs.csr import CSRGraph
 from repro.graphs.shortest_paths import (
     dijkstra,
-    bounded_dijkstra,
     all_pairs_shortest_paths,
     hop_distances,
     hop_diameter,
@@ -47,7 +46,6 @@ __all__ = [
     "CSRGraph",
     "canonical_edge",
     "dijkstra",
-    "bounded_dijkstra",
     "all_pairs_shortest_paths",
     "hop_distances",
     "hop_diameter",

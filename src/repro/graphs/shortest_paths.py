@@ -2,9 +2,10 @@
 
 These are the *centralized* references the test-suite and the analysis
 package use to validate the distributed constructions: exact Dijkstra,
-distance-bounded Dijkstra (needed by the §7 doubling spanner, which runs
-2Δ-bounded explorations), hop-ignoring BFS (the paper's hop-diameter ``D``),
-and small-graph all-pairs distances.
+hop-ignoring BFS (the paper's hop-diameter ``D``), and small-graph
+all-pairs distances.  A distance-bounded search is
+:func:`repro.kernels.pykern.sssp` with a ``cap``, over a frozen view's
+columns and dense indices.
 """
 
 from __future__ import annotations
@@ -69,44 +70,20 @@ def _check_source(graph: GraphLike, source: Vertex) -> None:
         raise ValueError(f"source {source!r} is not a vertex")
 
 
-def _labelled_sssp(
-    graph: GraphLike, sources: Iterable[Vertex] | Vertex, cap: Optional[float]
-) -> Tuple[Dict[Vertex, float], Dict[Vertex, Optional[Vertex]]]:
-    """One :func:`repro.kernels.pykern.sssp` run, translated to labels.
-
-    A :class:`WeightedGraph` is frozen to its cached CSR view first.  A
-    full SSSP is Ω(m) anyway, so freezing (invalidated by mutation) costs
-    at most one extra edge sweep, and every later call on the same graph
-    reuses the index arrays.
-    """
-    csr = graph.freeze()
-    sources = _normalize_sources(csr, sources)
-    dist, parent = pykern.sssp(
-        csr.indptr, csr.indices, csr.weights,
-        [csr.index_of(s) for s in sources], cap,
-    )
-    verts = csr.verts
-    out_dist: Dict[Vertex, float] = {}
-    out_parent: Dict[Vertex, Optional[Vertex]] = {}
-    for i in range(csr.n):
-        p = parent[i]
-        if p == pykern.PARENT_UNREACHED:
-            continue
-        out_dist[verts[i]] = dist[i]
-        out_parent[verts[i]] = None if p == pykern.PARENT_SOURCE else verts[p]
-    return out_dist, out_parent
-
-
 def dijkstra(
     graph: GraphLike, sources: Iterable[Vertex] | Vertex
 ) -> Tuple[Dict[Vertex, float], Dict[Vertex, Optional[Vertex]]]:
-    """Multi-source Dijkstra.
+    """Multi-source Dijkstra: one :func:`repro.kernels.pykern.sssp` run,
+    translated to labels.
 
     Parameters
     ----------
     graph:
         The weighted graph — either a :class:`WeightedGraph` (frozen to
-        its cached CSR view) or a :class:`CSRGraph`.
+        its cached CSR view) or a :class:`CSRGraph`.  A full SSSP is
+        Ω(m) anyway, so freezing (invalidated by mutation) costs at most
+        one extra edge sweep, and every later call on the same graph
+        reuses the index arrays.
     sources:
         A single vertex or an iterable of source vertices (all at
         distance 0).
@@ -124,33 +101,21 @@ def dijkstra(
     ValueError
         On an empty source set or a source that is not a vertex.
     """
-    return _labelled_sssp(graph, sources, None)
-
-
-def bounded_dijkstra(
-    graph: GraphLike, sources: Iterable[Vertex] | Vertex, radius: float
-) -> Tuple[Dict[Vertex, float], Dict[Vertex, Optional[Vertex]]]:
-    """Dijkstra restricted to the ball ``B_G(sources, radius)``.
-
-    Only vertices at distance ``<= radius`` from the nearest source
-    appear in the output.  This is the sequential analogue of the
-    Δ-bounded explorations of §7; the kernel never sets a label above
-    ``radius``, so the heap holds the ball and nothing else.  (The
-    bounded-radius certification engine in :mod:`repro.analysis.certify`
-    is the batched, target-tracking sibling of this primitive.)
-
-    Like :func:`dijkstra`, ``sources`` may be a single vertex or an
-    iterable of vertices (all at distance 0), and a
-    :class:`WeightedGraph` input is frozen to its cached CSR view first —
-    a bounded exploration is exactly the repeated-call pattern the cache
-    exists for.
-
-    Raises
-    ------
-    ValueError
-        On an empty source set or a source that is not a vertex.
-    """
-    return _labelled_sssp(graph, sources, radius)
+    csr = graph.freeze()
+    sources = _normalize_sources(csr, sources)
+    dist, parent = pykern.sssp(
+        csr.indptr, csr.indices, csr.weights, [csr.index_of(s) for s in sources]
+    )
+    verts = csr.verts
+    out_dist: Dict[Vertex, float] = {}
+    out_parent: Dict[Vertex, Optional[Vertex]] = {}
+    for i in range(csr.n):
+        p = parent[i]
+        if p == pykern.PARENT_UNREACHED:
+            continue
+        out_dist[verts[i]] = dist[i]
+        out_parent[verts[i]] = None if p == pykern.PARENT_SOURCE else verts[p]
+    return out_dist, out_parent
 
 
 def all_pairs_shortest_paths(graph: GraphLike) -> Dict[Vertex, Dict[Vertex, float]]:

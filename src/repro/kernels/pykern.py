@@ -12,8 +12,8 @@ and the ``memoryview`` columns an mmap-ed
 Cap contract: with a finite ``cap``, :func:`sssp` settles every vertex
 whose true distance is ``<= cap`` exactly and never sets a label above
 the cap, so every entry beyond it is ``inf`` with parent ``-2``: the
-ball ``B(sources, cap)`` exactly, which is what
-:func:`repro.graphs.shortest_paths.bounded_dijkstra` returns.
+ball ``B(sources, cap)`` exactly, which is what the greedy nets of
+:func:`repro.core.nets.greedy_net` mark covered.
 """
 
 from __future__ import annotations

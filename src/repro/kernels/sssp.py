@@ -7,8 +7,8 @@ after it resolved, so the module itself is stdlib-safe.  Both return
 distances only, as plain Python lists of floats, because every caller
 immediately builds label-keyed dicts or aggregates from them.  Parent
 pointers come from :func:`repro.kernels.pykern.sssp` alone: the
-label-keyed ``dijkstra`` and ``bounded_dijkstra`` of
-:mod:`repro.graphs.shortest_paths` call it directly, with its ``cap``.
+label-keyed ``dijkstra`` of :mod:`repro.graphs.shortest_paths` calls it
+directly, and :func:`repro.core.nets.greedy_net` with its ``cap``.
 
 A caller that runs several SSSPs over the same columns converts them
 once with :func:`backend_columns` and hands the result to every call:

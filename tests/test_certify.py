@@ -45,7 +45,6 @@ from repro.analysis.validation import ValidationError
 from repro.cli import main
 from repro.graphs import (
     WeightedGraph,
-    bounded_dijkstra,
     dijkstra,
     erdos_renyi_graph,
     grid_graph,
@@ -55,6 +54,7 @@ from repro.graphs import (
 )
 from repro.harness import get_profile, run_profile, run_suite
 from repro.harness.runner import ALGORITHMS, SPANNER_CERTIFIED_ALGORITHMS
+from repro.kernels import pykern
 from repro.mst import kruskal_mst
 from repro.obs import metrics as obs_metrics
 from repro.obs.metrics import DEFAULT_COUNT_BOUNDS, MetricsRegistry
@@ -616,21 +616,16 @@ class TestDijkstraRegressions:
             dijkstra(g, [])
         with pytest.raises(ValueError, match="at least one source"):
             dijkstra(g.freeze(), iter(()))
-        with pytest.raises(ValueError, match="at least one source"):
-            bounded_dijkstra(g, [], 2.0)
 
     def test_non_vertex_string_source_raises(self):
         g = path_graph(3)
         with pytest.raises(ValueError, match="not a vertex"):
             dijkstra(g, "abc")
-        with pytest.raises(ValueError, match="not a vertex"):
-            bounded_dijkstra(g, "abc", 2.0)
         # any other non-vertex source, alone or among vertices, is named
         t = kruskal_mst(g)
         for call in (
             lambda: dijkstra(g, 99),
             lambda: dijkstra(g, [0, 99]),
-            lambda: bounded_dijkstra(g, 99, 2.0),
             lambda: hop_distances(g, 99),
             lambda: root_stretch(g, t, 99),
             lambda: slt_report(g, t, 99),
@@ -647,11 +642,13 @@ class TestDijkstraRegressions:
         dist, _ = dijkstra(g, ["a", "c"])  # iterables of strings stay legal
         assert dist["b"] == 1.0
 
-    def test_bounded_dijkstra_multi_source(self):
-        g = path_graph(9)
-        dist, _ = bounded_dijkstra(g, [0, 8], 2.0)
-        assert set(dist) == {0, 1, 2, 6, 7, 8}
-        assert dist[2] == 2.0 and dist[6] == 2.0
+    def test_capped_sssp_multi_source(self):
+        csr = path_graph(9).freeze()
+        dist, _ = pykern.sssp(csr.indptr, csr.indices, csr.weights,
+                              [csr.index_of(0), csr.index_of(8)], 2.0)
+        ball = {csr.verts[i]: d for i, d in enumerate(dist) if d < INF}
+        assert set(ball) == {0, 1, 2, 6, 7, 8}
+        assert ball[2] == 2.0 and ball[6] == 2.0
 
 
 class TestHarnessCertification:

@@ -33,7 +33,8 @@ from repro.graphs import (
 )
 from repro.graphs import csr as csr_module
 from repro.graphs.csr import round_up_weights
-from repro.graphs.shortest_paths import bounded_dijkstra, hop_distances
+from repro.graphs.shortest_paths import hop_distances
+from repro.kernels import pykern
 from repro.spanners.baswana_sen import baswana_sen_spanner
 
 FAMILIES = {
@@ -151,15 +152,19 @@ class TestTraversalParity:
         for v, d in dist_g.items():
             assert dist_c[v] == pytest.approx(d)
 
-    def test_bounded_dijkstra(self, pair):
+    def test_capped_sssp(self, pair):
+        """A capped ``pykern.sssp`` run on the view's columns settles the
+        ball the label-keyed Dijkstra of ``g`` finds, and nothing else."""
         g, csr = pair
         src = next(iter(g.vertices()))
         radius = 2.5
-        dist_g, _ = bounded_dijkstra(g, src, radius)
-        dist_c, _ = bounded_dijkstra(csr, src, radius)
-        assert dist_g.keys() == dist_c.keys()
-        for v, d in dist_g.items():
-            assert dist_c[v] == pytest.approx(d)
+        dist_g, _ = dijkstra(g, src)
+        dist_c, _ = pykern.sssp(csr.indptr, csr.indices, csr.weights,
+                                [csr.index_of(src)], radius)
+        ball = {csr.verts[i]: d for i, d in enumerate(dist_c) if d < float("inf")}
+        assert ball.keys() == {v for v, d in dist_g.items() if d <= radius}
+        for v, d in ball.items():
+            assert d == pytest.approx(dist_g[v])
 
     def test_hop_distances_and_diameter(self, pair):
         g, csr = pair

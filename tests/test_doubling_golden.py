@@ -75,6 +75,19 @@ EXPLORATIONS = {
 }
 
 
+#: name -> net-point visits that walk their tree into the spanner.  A
+#: visit walks only when the net changed since the last scale or the
+#: point's exploration re-ran, so a weaker carry-over rule raises the
+#: count toward the visits of :data:`EXPLORATIONS`.
+WALKS = {
+    "geo1": 683,
+    "geo2": 768,
+    "geo3": 770,
+    "grid-smoke": 250,
+    "geo-stress": 3996,
+}
+
+
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -121,3 +134,18 @@ def test_explorations_rerun_only_past_their_clip(name, monkeypatch):
     res = _build(name)
     visits = sum(s.net_size for s in res.scales)
     assert (len(runs), visits) == EXPLORATIONS[name]
+
+
+@pytest.mark.parametrize("name", sorted(WALKS))
+def test_walks_only_where_the_net_or_the_tree_changed(name, monkeypatch):
+    module = importlib.import_module("repro.core.doubling_spanner")
+    original = module._walk
+    walks = []
+
+    def counted(*args):
+        walks.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, "_walk", counted)
+    _build(name)
+    assert len(walks) == WALKS[name]

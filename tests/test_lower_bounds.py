@@ -81,6 +81,31 @@ class TestTheorem7Reduction:
         assert est.psi == 0.0
 
 
+class TestPowerOfTwoScaling:
+    """The reduction under every weight scaled by 2^k.  A power of two is
+    exact in every path sum, in the greedy nets' radius tests and in Ψ's
+    terms, so the nets keep their sizes at scales shifted by k and Ψ
+    scales exactly.  The first scale starts from the lightest edge itself:
+    clamping it at 1e-12 left the first net short of V once the lightest
+    edge fell below that (19, 1 and 1 of 20 points at 2^-45, 2^-50 and
+    2^-60, where Ψ/L read 11.60, 1.81 and 1853 for 12.59)."""
+
+    @pytest.mark.parametrize("k", [-60, -50, 50, 60])
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_first_net_is_everything_and_psi_scales(self, seed, k):
+        g = random_geometric_graph(20, seed=seed)
+        factor = 2.0 ** k
+        scaled = g.reweighted(lambda u, v, w: w * factor)
+        est = estimate_mst_weight_via_nets(g, net_method="greedy")
+        got = estimate_mst_weight_via_nets(scaled, net_method="greedy")
+        first = min(got.net_sizes)
+        assert got.net_sizes[first] == g.n
+        assert list(got.net_sizes.values()) == list(est.net_sizes.values())
+        assert sorted(got.net_sizes) == [i + k for i in sorted(est.net_sizes)]
+        assert got.psi == est.psi * factor
+        assert got.approximation_ratio == pytest.approx(est.approximation_ratio)
+
+
 class TestHardFamily:
     def test_shape(self):
         g, mst_w = das_sarma_hard_graph(100, seed=0)

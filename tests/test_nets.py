@@ -243,6 +243,18 @@ class TestGreedyNetParity:
         assert got == want
         assert list(got) == list(want)
 
+    @pytest.mark.parametrize("labels", ["ints", "strings"])
+    def test_matches_reference_at_every_doubling_scale(self, labels):
+        """Every radius εΔ/3 a §7 construction asks for at ε = 0.08; the
+        string labels ``v0``… scan in another order than their indices."""
+        g = random_geometric_graph(30, seed=9973)
+        if labels == "strings":
+            g = _string_labelled(g)
+        for i in range(-2, 80):
+            radius = 0.08 * 1.08 ** i / 3.0
+            got, want = greedy_net(g, radius), _reference_greedy_net(g, radius)
+            assert list(got) == list(want)
+
 
 class TestNetInvariant:
     """An iteration that admits no net point raises a typed error, also

@@ -6,13 +6,25 @@ from repro.graphs import (
     WeightedGraph,
     cycle_graph,
     dijkstra,
-    bounded_dijkstra,
     all_pairs_shortest_paths,
     grid_graph,
     hop_distances,
     hop_diameter,
     path_graph,
 )
+from repro.kernels import pykern
+
+
+def capped_sssp(graph, sources, radius):
+    """The ball ``B(sources, radius)`` of one capped ``pykern.sssp`` run
+    over ``graph``'s frozen view, as label-keyed ``(dist, parent)``."""
+    csr = graph.freeze()
+    dist, parent = pykern.sssp(csr.indptr, csr.indices, csr.weights,
+                               [csr.index_of(s) for s in sources], radius)
+    verts = csr.verts
+    return ({verts[i]: d for i, d in enumerate(dist) if parent[i] != -2},
+            {verts[i]: None if p == -1 else verts[p]
+             for i, p in enumerate(parent) if p != -2})
 
 
 class TestDijkstra:
@@ -44,16 +56,23 @@ class TestDijkstra:
         dist, _ = dijkstra(g, 0)
         assert 2 not in dist
 
+    def test_rejects_empty_and_string_sources(self):
+        g = path_graph(3)
+        with pytest.raises(ValueError):
+            dijkstra(g, [])
+        with pytest.raises(ValueError):
+            dijkstra(g, "nope")
 
-class TestBoundedDijkstra:
+
+class TestCappedSSSP:
     def test_respects_radius(self):
         g = path_graph(10)
-        dist, _ = bounded_dijkstra(g, 0, 3.0)
+        dist, _ = capped_sssp(g, [0], 3.0)
         assert set(dist) == {0, 1, 2, 3}
 
     def test_matches_unbounded_within_ball(self, small_er):
         full, _ = dijkstra(small_er, 0)
-        bounded, _ = bounded_dijkstra(small_er, 0, 50.0)
+        bounded, _ = capped_sssp(small_er, [0], 50.0)
         for v, d in bounded.items():
             assert d == pytest.approx(full[v])
         for v, d in full.items():
@@ -62,22 +81,15 @@ class TestBoundedDijkstra:
 
     def test_multi_source(self):
         g = path_graph(9)
-        dist, parent = bounded_dijkstra(g, [0, 8], 2.0)
+        dist, parent = capped_sssp(g, [0, 8], 2.0)
         assert set(dist) == {0, 1, 2, 6, 7, 8}
         assert parent[0] is None and parent[8] is None
         assert dist[7] == 1.0
 
     def test_multi_source_matches_unbounded(self, small_er):
         full, _ = dijkstra(small_er, [0, 5])
-        bounded, _ = bounded_dijkstra(small_er, [0, 5], 40.0)
+        bounded, _ = capped_sssp(small_er, [0, 5], 40.0)
         assert bounded == {v: d for v, d in full.items() if d <= 40.0}
-
-    def test_rejects_empty_and_string_sources(self):
-        g = path_graph(3)
-        with pytest.raises(ValueError):
-            bounded_dijkstra(g, [], 1.0)
-        with pytest.raises(ValueError):
-            bounded_dijkstra(g, "nope", 1.0)
 
 
 class TestHopMetrics:

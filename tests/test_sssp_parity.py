@@ -1,10 +1,12 @@
 """Every plain Dijkstra against verbatim copies of the heap loops it replaced.
 
-``dijkstra``, ``bounded_dijkstra`` and the oracle's landmark potentials
-all run one shared kernel loop.  The references below are copies of the
-hand-written loops each of them used to carry: ``_csr_dijkstra`` and
-``_csr_bounded_dijkstra`` from ``repro.graphs.shortest_paths``, and the
-landmark module's ``_sssp`` with the selection code around it.  Outputs
+``dijkstra``, the capped ``pykern.sssp`` run the greedy nets make, and
+the oracle's landmark potentials all run one shared kernel loop.  The
+references below are copies of the hand-written loops they used to
+carry: ``_csr_dijkstra`` and ``_csr_bounded_dijkstra`` from
+``repro.graphs.shortest_paths``, and the landmark module's ``_sssp``
+with the selection code around it.  A capped run is translated to labels
+as the label-keyed bounded Dijkstra it replaced did.  Outputs
 must be equal with ``==`` and in the same dict insertion order, on
 seeded ER, geometric and all-ties grid graphs and on two components
 beside an isolated vertex, at three weight scales,
@@ -24,7 +26,6 @@ import pytest
 
 from repro.graphs import (
     WeightedGraph,
-    bounded_dijkstra,
     dijkstra,
     erdos_renyi_graph,
     grid_graph,
@@ -32,7 +33,7 @@ from repro.graphs import (
 )
 from repro.graphs.csr import CSRGraph
 from repro.graphs.shortest_paths import _normalize_sources
-from repro.kernels import has_numpy
+from repro.kernels import has_numpy, pykern
 from repro.oracle.landmarks import landmarks_with_potentials
 
 INF = float("inf")
@@ -212,6 +213,21 @@ def _frozen(graph) -> CSRGraph:
     return graph.freeze() if isinstance(graph, WeightedGraph) else graph
 
 
+def _capped_sssp(graph, sources, radius):
+    """One ``pykern.sssp`` run capped at ``radius``, as label-keyed
+    ``(dist, parent)`` dicts in index order."""
+    csr = _frozen(graph)
+    dist, parent = pykern.sssp(
+        csr.indptr, csr.indices, csr.weights,
+        [csr.index_of(s) for s in _normalize_sources(csr, sources)], radius,
+    )
+    verts = csr.verts
+    reached = [i for i, p in enumerate(parent) if p != pykern.PARENT_UNREACHED]
+    return ({verts[i]: dist[i] for i in reached},
+            {verts[i]: None if parent[i] == pykern.PARENT_SOURCE
+             else verts[parent[i]] for i in reached})
+
+
 def _source_sets(graph) -> List[object]:
     verts = list(graph.vertices())
     one = verts[0]
@@ -251,17 +267,17 @@ class TestDijkstraParity:
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("factor", FACTORS)
     @pytest.mark.parametrize("family", FAMILIES)
-    def test_bounded_dijkstra_equals_reference(self, family, factor, kind):
+    def test_capped_sssp_equals_reference(self, family, factor, kind):
         graph = _input(family, factor, kind)
         for sources in _source_sets(graph):
             for radius in _radii(graph, sources):
                 want = _ref_csr_bounded_dijkstra(_frozen(graph), sources, radius)
-                _assert_identical(bounded_dijkstra(graph, sources, radius), want)
+                _assert_identical(_capped_sssp(graph, sources, radius), want)
 
     def test_radii_cover_empty_partial_and_full_balls(self):
         graph = _input("geometric", 1.0, "weighted")
         sizes = [
-            len(bounded_dijkstra(graph, 0, r)[0]) for r in _radii(graph, 0)
+            len(_capped_sssp(graph, 0, r)[0]) for r in _radii(graph, 0)
         ]
         assert sizes[0] == sizes[1] == 1
         assert 1 < sizes[2] < sizes[3] < sizes[4] == graph.n
