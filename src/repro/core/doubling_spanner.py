@@ -35,14 +35,13 @@ from repro.congest.ledger import RoundLedger
 from repro.core.nets import build_net, greedy_net
 from repro.determinism import ensure_rng
 from repro.graphs.weighted_graph import Vertex, WeightedGraph
-from repro.kernels.pykern import PARENT_UNREACHED
 from repro.mst.kruskal import kruskal_mst
 from repro.spt.approx_spt import bounded_approx_spt
 
 
-#: a net point's last exploration: clip, parent list, reached list and
-#: walked set, over the frozen view's dense indices
-_Memo = Tuple[float, List[int], List[int], Set[int]]
+#: a net point's last exploration: clip, label list, parent list,
+#: reached list and walked set, over the frozen view's dense indices
+_Memo = Tuple[float, List[float], List[int], List[int], Set[int]]
 
 
 def en16_round_cost(n: int, height: int, beta: int) -> int:
@@ -212,7 +211,7 @@ def doubling_spanner(
         for u in left:  # an exploration leaves the count with its net point
             gone = explored[u]
             if gone is not None:  # always: the last net was explored
-                for x in gone[2]:
+                for x in gone[3]:
                     load[x] -= 1
         changed = bool(left)
         same_net = net_set == last_net
@@ -225,17 +224,18 @@ def doubling_spanner(
             counted, known = u in last_net, same_net
             if memo is None or radius >= memo[0]:
                 if memo is not None and counted:
-                    for x in memo[2]:
+                    for x in memo[3]:
                         load[x] -= 1
                 run = bounded_approx_spt(csr, [verts[u]], radius, eps)
-                memo = explored[u] = (run.clip, run.parent, run.reached, set())
+                memo = explored[u] = (run.clip, run.dist, run.parent, run.reached,
+                                      set())
                 counted = known = False
             if not counted:
-                for x in memo[2]:
+                for x in memo[3]:
                     load[x] += 1
                 changed = True
             if not known:
-                paths[u] = _walk(spanner, graph, verts, net, rank, u, memo)
+                paths[u] = _walk(spanner, graph, verts, net, rank, u, memo, radius)
             paths_added += paths[u]
         if changed:
             max_overlap = max(load)
@@ -267,17 +267,18 @@ def doubling_spanner(
 
 
 def _walk(spanner: WeightedGraph, graph: WeightedGraph, verts: Sequence[Vertex],
-          net: List[int], rank: List[int], u: int, memo: _Memo) -> int:
+          net: List[int], rank: List[int], u: int, memo: _Memo, radius: float) -> int:
     """Add to ``spanner`` the path to ``u`` from every net point ranked
-    above it that ``u``'s tree reached, in ``net``'s order, and return
-    how many paths that is.  A vertex in the tree's walked set leads to
-    ``u`` over edges a walk of this tree added, so a walk stops there; a
-    label is looked up only to ask for, and add, an edge."""
-    _clip, parent, _reached, walked = memo
-    rank_u, unreached = rank[u], PARENT_UNREACHED
+    above it that ``u``'s tree settled, a label at most ``radius``, in
+    ``net``'s order, and return how many paths that is.  A vertex in the
+    tree's walked set leads to ``u`` over edges a walk of this tree
+    added, so a walk stops there; a label is looked up only to ask for,
+    and add, an edge."""
+    _clip, label, parent, _reached, walked = memo
+    rank_u = rank[u]
     count = 0
     for v in net:
-        if rank[v] <= rank_u or parent[v] == unreached:
+        if rank[v] <= rank_u or label[v] > radius:
             continue
         node = v
         while node not in walked and parent[node] >= 0:

@@ -123,7 +123,8 @@ def build_net(
     height = bfs.height
 
     active: Set[Vertex] = set(graph.vertices())
-    index_of = graph.freeze().index_of  # the explorations' dense indices
+    csr = graph.freeze()  # the explorations' dense indices
+    index_of, verts, weight = csr.index_of, csr.verts, graph.weight
     net: Set[Vertex] = set()
     history: List[int] = []
     iterations = 0
@@ -157,14 +158,21 @@ def build_net(
         net |= joiners
 
         # (1+δ)-approximate SPT rooted at the new net points; deactivate
-        # everything within (1+δ)·Δ of them (tree distances).
+        # every vertex whose tree path from them weighs at most (1+δ)·Δ
+        # (tree distances), which covers it.  Such a path's label is at
+        # most (1+δ) times its weight, so the search settles it within
+        # (1+δ)²·Δ; a vertex within Δ has a label, and so a tree path,
+        # of at most (1+δ)·Δ, so the later joiners stay Δ apart.
         ledger.charge(
             f"iter{iterations}:approx-spt", bkkl_round_cost(n, height, delta)
         )
-        tree_parent = bounded_approx_spt(
-            graph, joiners, radius=(1.0 + delta) * delta_param, eps=delta
-        ).parent
-        active = {v for v in active if tree_parent[index_of(v)] == PARENT_UNREACHED}
+        reach = (1.0 + delta) * delta_param
+        tree = bounded_approx_spt(graph, joiners, (1.0 + delta) * reach, delta)
+        length = [math.inf] * n
+        for i in tree.reached:  # in settle order: a parent before its child
+            p = tree.parent[i]
+            length[i] = 0.0 if p < 0 else length[p] + weight(verts[p], verts[i])
+        active = {v for v in active if length[index_of(v)] > reach}
 
     return NetResult(
         points=net,

@@ -27,8 +27,7 @@ The label-level inspection API (``vertices``/``edges``/``neighbors``/
 ``neighbor_items``/``degree``/``has_edge``/``weight``...) mirrors
 ``WeightedGraph`` so read-only consumers accept either backend; the
 index-level API (``row``, ``indices``, ``weights``, ``mirror``,
-``rounded_weights``, ``weight_sorted_rows``, ``mst_edges``,
-``bfs_tree``) is what the rewritten hot paths use directly.
+``rounded_weights``, ``mst_edges``, ``bfs_tree``) is what the rewritten hot paths use directly.
 """
 
 from __future__ import annotations
@@ -48,8 +47,6 @@ Vertex = Hashable
 Edge = Tuple[Vertex, Vertex]
 #: a BFS tree's parent map, depth map and measured rounds
 BFSParts = Tuple[Dict[Vertex, Optional[Vertex]], Dict[Vertex, int], int]
-#: one row's arcs as ``(w, j, rounded w)``, ascending by ``(w, j)``
-WeightRow = List[Tuple[float, int, float]]
 
 
 def round_up_weights(weights: Iterable[float], eps: float) -> List[float]:
@@ -84,7 +81,7 @@ class CSRGraph:
 
     __slots__ = (
         "indptr", "indices", "weights", "verts", "_index", "_mirror",
-        "_min_weight", "_rounded", "_by_weight", "_sorted", "_mst", "_bfs",
+        "_min_weight", "_rounded", "_sorted", "_mst", "_bfs",
     )
 
     def __init__(
@@ -104,7 +101,6 @@ class CSRGraph:
         self._mirror: Optional[List[int]] = None
         self._min_weight: Optional[float] = None
         self._rounded: Dict[float, "array[float]"] = {}
-        self._by_weight: Dict[float, Tuple[bytearray, List[Optional[WeightRow]]]] = {}
         self._mst: Optional[List[Tuple[int, int, float]]] = None
         self._bfs: Dict[Vertex, BFSParts] = {}
         # when the label order is already canonical (the common case:
@@ -216,30 +212,6 @@ class CSRGraph:
             column = array("d", round_up_weights(self.weights, eps))
             self._rounded[eps] = column
         return column
-
-    def weight_sorted_rows(
-        self, eps: float
-    ) -> Tuple[bytearray, List[Optional[WeightRow]]]:
-        """``(scanned, rows)``: the rows sorted by true weight, per ``eps``.
-
-        The explorations at ``eps``
-        (:func:`repro.spt.approx_spt.bounded_approx_spt`) fill both
-        lists, one entry per vertex.  ``scanned[i]`` counts the first two
-        explorations that scan row ``i``, which read it in slot order.
-        ``rows[i]`` stays ``None`` until a third scan sorts the row into
-        ``(weights[s], indices[s], rounded_weights(eps)[s])`` triples,
-        ascending by true weight, ties by neighbour index; every later
-        scan reads that list.  A sort costs a few plain scans, so a row
-        that one or two explorations read, as in a standalone
-        :func:`repro.core.nets.build_net`, is never sorted.  A sorted arc
-        holds about 120 bytes; the cache goes away with the view, which
-        ``WeightedGraph`` drops on mutation.
-        """
-        cache = self._by_weight.get(eps)
-        if cache is None:
-            rows: List[Optional[WeightRow]] = [None] * len(self.verts)
-            cache = self._by_weight[eps] = (bytearray(len(rows)), rows)
-        return cache
 
     def mst_edges(
         self, compute: Callable[["CSRGraph"], List[Tuple[int, int, float]]]

@@ -115,9 +115,9 @@ def approx_spt(
 class BoundedSPT(NamedTuple):
     """Result of :func:`bounded_approx_spt`, over the frozen view's dense
     indices; the fields are documented there.  It holds what its callers
-    read (the §7 scale loop reads ``parent``, ``reached`` and ``clip``,
-    the §6 nets ``parent``) and no source index per vertex: a path's
-    source is where its ``parent`` walk ends."""
+    read (the §7 scale loop reads ``dist``, ``parent``, ``reached`` and
+    ``clip``, the §6 nets ``parent`` and ``reached``) and no source index
+    per vertex: a path's source is where its ``parent`` walk ends."""
 
     dist: List[float]
     parent: List[int]
@@ -143,15 +143,15 @@ def bounded_approx_spt(
         Lists indexed by the frozen view's dense vertex index
         (``csr.verts[i]`` is vertex ``i``), with
         :func:`repro.kernels.pykern.sssp`'s sentinels:
-        ``dist[i]`` — weight (true weights) of the chosen path from the
-        nearest source, at most ``radius``, or ∞ where unreached;
+        ``dist[i]`` — the label: the rounded weight of the chosen path
+        from the nearest source; final where it is at most ``radius``,
+        tentative above it, ∞ where no path was seen;
         ``parent[i]`` — predecessor index on that path, ``-1`` at a
-        source and ``-2`` where unreached;
-        ``reached`` — the indices the search settled, each once, in the
-        order it settled them;
-        ``clip`` — the smallest true path weight the radius test turned
-        away on a relaxation that would have lowered a label, or ∞ when
-        it turned none away; above ``radius`` unless both are ∞.
+        source and ``-2`` where no path was seen;
+        ``reached`` — the indices the search settled, those whose label
+        is at most ``radius``, each once, in the order it settled them;
+        ``clip`` — the smallest tentative label, above ``radius``, or ∞
+        when there is none.
 
     Raises
     ------
@@ -163,35 +163,17 @@ def bounded_approx_spt(
 
     Notes
     -----
-    Paths are selected under weights rounded up to powers of (1+ε) but
-    pruned by *true* accumulated weight against ``radius``, so every
-    reported path genuinely fits the bound while its weight is within
-    (1+ε) of optimal among radius-bounded paths.
-
-    The radius enters the search only through that pruning test.  A
-    relaxation it accepts at ``radius`` it accepts at any larger radius,
-    and one it rejects at ``radius`` stays rejected below ``clip``; a
-    relaxation that would not lower a label is rejected at every radius.
-    So a call with any radius in ``[radius, clip)`` pops the same heap
-    entries in the same sequence, sets the same labels from every row,
-    and returns an equal result — ``reached`` and ``clip`` included.
-    The §7 construction uses this to skip repeated explorations across
-    scales.  A :class:`WeightedGraph` input is frozen to its cached CSR
-    view first, so :func:`repro.core.nets.build_net` and the doubling
-    spanner run the same loop.  The search relaxes over
-    :meth:`CSRGraph.rounded_weights`, the rounded column cached on the
-    frozen graph, so every weight is rounded once per ε rather than once
-    per relaxation.  The result is the arrays the search fills, with no
-    label translation: a caller turns an index into a label through
-    ``csr.verts`` where it needs one.
-
-    A row scanned twice before at this ε is read in ascending true
-    weight (:meth:`CSRGraph.weight_sorted_rows`, sorted on its third scan
-    and cached on the view) and stops at the radius: past it, only the
-    first arc that would lower a label can set ``clip``.  Within a row
-    each relaxation touches another neighbour and reads only labels set
-    before the row, and heap entries order by ``(rounded distance,
-    index)``, so the row order changes no output, bit for bit.
+    One label: Dijkstra over :meth:`CSRGraph.rounded_weights`, every
+    weight rounded up to a power of (1+ε), popping while the smallest
+    label is at most ``radius``.  A reported path's true weight is at
+    most its rounded weight, so at most ``radius`` and within (1+ε) of
+    the distance, and every vertex within ``radius/(1+ε)`` is settled
+    (DESIGN.md, "§7 doubling spanner").  Pops follow ``(label, index)``
+    order, so a call with any radius in ``[radius, clip)`` pops the same
+    entries and returns an equal result.  A :class:`WeightedGraph` input
+    is frozen to its cached CSR view first, so
+    :func:`repro.core.nets.build_net` and the doubling spanner run the
+    same loop.
     """
     if not radius >= 0:
         raise ValueError(f"radius must be a number >= 0, got {radius!r}")
@@ -199,64 +181,32 @@ def bounded_approx_spt(
         raise ValueError(f"eps must not be NaN, got {eps!r}")
     csr = graph.freeze()
     n = csr.n
-    indptr, indices, weights = csr.indptr, csr.indices, csr.weights
+    indptr, indices = csr.indptr, csr.indices
     rounded = csr.rounded_weights(eps)
-    scanned, by_weight = csr.weight_sorted_rows(eps)
     dist: List[float] = [INF] * n
-    true_dist: List[float] = [INF] * n
     parent: List[int] = [pykern.PARENT_UNREACHED] * n
     reached: List[int] = []
     heap: List[Tuple[float, int]] = []
-    clip = INF
     for s in sources:
         i = csr.index_of(s)
         if parent[i] != pykern.PARENT_SOURCE:  # a repeated source starts once
             dist[i] = 0.0
-            true_dist[i] = 0.0
             parent[i] = pykern.PARENT_SOURCE
             heap.append((0.0, i))
     heapq.heapify(heap)
     push, pop, settle = heapq.heappush, heapq.heappop, reached.append
-    while heap:
+    while heap and heap[0][0] <= radius:
         d, u = pop(heap)
         if d > dist[u]:
             continue  # stale entry
         settle(u)
-        tu = true_dist[u]
-        row = by_weight[u]
-        if row is None:
-            a, b = indptr[u], indptr[u + 1]
-            if scanned[u] < 2:
-                # the first two scans of this row at this ε: slot order, to the end
-                scanned[u] += 1
-                for v, w, r in zip(indices[a:b], weights[a:b], rounded[a:b]):
-                    nd = d + r
-                    if nd < dist[v]:
-                        nt = tu + w
-                        if nt <= radius:
-                            dist[v] = nd
-                            true_dist[v] = nt
-                            parent[v] = u
-                            push(heap, (nd, v))
-                        elif nt < clip:
-                            clip = nt
-                continue
-            row = by_weight[u] = sorted(zip(weights[a:b], indices[a:b], rounded[a:b]))
-        # ascending w gives ascending tu + w, so once the radius turns an
-        # arc away it turns away every later one, and only the first of
-        # them that would lower a label can set clip
-        for w, v, r in row:
-            nt = tu + w
-            if nt <= radius:
-                nd = d + r
-                if nd < dist[v]:
-                    dist[v] = nd
-                    true_dist[v] = nt
-                    parent[v] = u
-                    push(heap, (nd, v))
-            elif nt >= clip:
-                break
-            elif d + r < dist[v]:
-                clip = nt
-                break
-    return BoundedSPT(true_dist, parent, reached, clip)
+        a, b = indptr[u], indptr[u + 1]
+        for v, r in zip(indices[a:b], rounded[a:b]):
+            nd = d + r
+            if nd < dist[v]:
+                dist[v] = nd
+                parent[v] = u
+                push(heap, (nd, v))
+    while heap and heap[0][0] > dist[heap[0][1]]:
+        pop(heap)  # stale entries above the radius
+    return BoundedSPT(dist, parent, reached, heap[0][0] if heap else INF)

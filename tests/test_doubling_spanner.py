@@ -281,7 +281,7 @@ def _every_exploration_spanner(graph, eps, rng, net_method):
             run = bounded_approx_spt(csr, [u], radius, eps)
             # the run's index lists as label maps over what it reached
             true_dist = {csr.verts[i]: d for i, d in enumerate(run.dist)
-                         if d < math.inf}
+                         if d <= radius}
             parent = {v: None if run.parent[i] == -1 else csr.verts[run.parent[i]]
                       for i, v in enumerate(csr.verts) if v in true_dist}
             for v in true_dist:
