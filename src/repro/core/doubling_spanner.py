@@ -1,8 +1,9 @@
 """Light (1+ε)-spanners for doubling graphs — §7 (Theorem 5).
 
-For every distance scale ``Δ = (1+ε)^i`` from ``min(1, w_min)`` (``w_min``
-the lightest edge weight, rounded down to a power of 1+ε) up to the MST
-weight:
+For every distance scale ``Δ = w_min·(1+ε)^i``, ``i = 0…⌈log_{1+ε}(w(T)/w_min)⌉``
+(``w_min`` the lightest edge weight, ``w(T)`` the MST weight, so the
+number of scales depends on ``w(T)/w_min`` alone; a graph with no edge
+runs one scale, Δ = 1):
 
 1. build a net whose covering radius is ``ε·Δ/2`` (via Theorem 3 with
    δ = 1/2, i.e. a ``(εΔ/2, 2εΔ/9)``-net — our net parametrization with
@@ -71,7 +72,7 @@ class ScaleStats:
     """Per-scale diagnostics for the benchmarks."""
 
     index: int
-    scale: float  # Δ = (1+ε)^i; i < 0 only when some edge is lighter than 1
+    scale: float  # Δ = w_min·(1+ε)^i
     net_size: int
     paths_added: int
     max_overlap: int  # max explorations any vertex participated in
@@ -160,10 +161,14 @@ def doubling_spanner(
     rank = [order[r] for r in reprs]
 
     base = 1.0 + eps
-    num_scales = max(1, math.ceil(math.log(max(mst_weight, base), base))) + 1
-    # the smallest scale must not exceed the lightest edge, or edges
-    # lighter than 1 are never explored
-    first_scale = min(0, math.floor(math.log(csr.min_weight(), base))) if csr.m else 0
+    # the scales start at the lightest edge, so that edge is explored,
+    # and end at w(T); with no edge (n = 1) one scale at Δ = 1 visits
+    # the lone vertex
+    if csr.m:
+        w_min = csr.min_weight()
+        num_scales = math.ceil(math.log(mst_weight / w_min, base)) + 1
+    else:
+        w_min, num_scales = 1.0, 1
     delta = 0.5  # the paper's "e.g., we can take δ = 1/2"
     skeleton_size = max(1, math.ceil(math.sqrt(n * max(math.log(n + 1), 1.0))))
     beta = max(1, math.ceil(math.log2(n + 1)))  # charged [EN16] hopbound
@@ -180,8 +185,8 @@ def doubling_spanner(
     last_net: Set[int] = set()
     max_overlap = 0
 
-    for i in range(first_scale, num_scales):
-        scale = base ** i
+    for i in range(num_scales):
+        scale = w_min * base ** i
         scale_ledger = RoundLedger()
 
         # --- net with covering radius εΔ/2 (Δ_net = εΔ/3, δ = 1/2) ---

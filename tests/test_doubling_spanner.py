@@ -95,9 +95,10 @@ class TestPowerOfTwoScaling:
     """§7 under every weight scaled by 2^k (k = ±40) keeps its
     guarantees: a spanning subgraph with certified stretch at most
     1 + 30ε.  The outputs may differ from the unscaled ones, because the
-    (1+ε)-rounding does not commute with 2^k, and the scales span
-    [min(1, w_min), max(w(T), 1+ε)], anchored at Δ = 1 rather than at
-    the weights, so a scaled input runs more of them."""
+    (1+ε)-rounding does not commute with 2^k.  The scales are anchored
+    at the lightest weight, Δ_i = w_min·(1+ε)^i up to w(T), so a scaled
+    input runs as many of them as the unscaled one; anchored at Δ = 1,
+    ``random_geometric_graph(30, seed=0)`` ran 78, 438 and 356."""
 
     @pytest.mark.parametrize("k", [-40, 40])
     @pytest.mark.parametrize("net_method, n", [("greedy", 30), ("distributed", 20)])
@@ -110,12 +111,28 @@ class TestPowerOfTwoScaling:
         verify_spanner(g, res.spanner, res.stretch_bound)
         assert res.spanner.is_connected()
 
+    @pytest.mark.parametrize("net_method, n", [("greedy", 30), ("distributed", 20)])
+    def test_scale_count_depends_on_the_weight_ratio_alone(self, net_method, n):
+        counts = []
+        for k in (0, -40, 40):
+            factor = 2.0 ** k
+            g = random_geometric_graph(n, seed=0).reweighted(
+                lambda u, v, w: w * factor)
+            res = doubling_spanner(g, 0.08, random.Random(0), net_method=net_method)
+            assert res.scales[0].scale == g.min_weight()
+            counts.append(len(res.scales))
+        assert counts == [counts[0]] * 3
+        if net_method == "greedy":
+            assert counts[0] == 71
+
 
 class TestScales:
     def test_scale_stats_cover_all_scales(self):
         g = random_geometric_graph(25, seed=9)
         res = doubling_spanner(g, 0.1, random.Random(9), net_method="greedy")
-        assert res.scales[0].scale == pytest.approx(1.0)
+        assert res.scales[0].scale == g.min_weight()
+        assert res.scales[-1].scale >= kruskal_mst(g).total_weight() * (1 - 1e-12)
+        assert res.scales[-2].scale < kruskal_mst(g).total_weight()
         assert all(
             b.scale == pytest.approx(a.scale * 1.1)
             for a, b in zip(res.scales, res.scales[1:])
@@ -254,13 +271,16 @@ def _every_exploration_spanner(graph, eps, rng, net_method):
     scales = []
     csr = graph.freeze()
     base = 1.0 + eps
-    num_scales = max(1, math.ceil(math.log(max(mst_weight, base), base))) + 1
-    first_scale = min(0, math.floor(math.log(csr.min_weight(), base))) if csr.m else 0
+    if csr.m:
+        w_min = csr.min_weight()
+        num_scales = math.ceil(math.log(mst_weight / w_min, base)) + 1
+    else:
+        w_min, num_scales = 1.0, 1
     delta = 0.5
     skeleton_size = max(1, math.ceil(math.sqrt(n * max(math.log(n + 1), 1.0))))
     beta = max(1, math.ceil(math.log2(n + 1)))
-    for i in range(first_scale, num_scales):
-        scale = base ** i
+    for i in range(num_scales):
+        scale = w_min * base ** i
         scale_ledger = RoundLedger()
         net_param = eps * scale / 3.0
         if net_method == "distributed":
