@@ -10,6 +10,12 @@ compared bit for bit through ``float.hex``, ``bound_exceeded`` and every
 set of targets closed before being settled keeps its size), and
 ``fallbacks`` (searches that crossed the §5.1 radius and kept going) may
 only go down.
+
+The two ``doubling-*`` records were re-recorded once, on purpose, when
+§7's explorations became one-label searches and its scales were anchored
+at the lightest weight (``tests/test_doubling_golden.py``): the spanner
+keeps 234 of the graph's 327 edges where it kept 240, and its certified
+stretch is bit for bit the same.
 """
 
 import functools
@@ -153,14 +159,14 @@ GOLDEN = {
         'fallbacks': 0, 'sampled_edges': None}),
     'doubling-exact': ('0x1.0e64f1a7d75e1p+0', False, {
         'mode': 'exact', 'bound': None, 'sample': None,
-        'edges_total': 327, 'edges_in_spanner': 240,
-        'edges_checked': 87, 'edges_resolved': 0,
+        'edges_total': 327, 'edges_in_spanner': 234,
+        'edges_checked': 93, 'edges_resolved': 0,
         'sources_explored': 26, 'sources_short_circuited': 4,
         'fallbacks': 0, 'sampled_edges': None}),
     'doubling-bounded': ('0x1.0e64f1a7d75e1p+0', False, {
         'mode': 'bounded', 'bound': 3.4, 'sample': None,
-        'edges_total': 327, 'edges_in_spanner': 240,
-        'edges_checked': 87, 'edges_resolved': 0,
+        'edges_total': 327, 'edges_in_spanner': 234,
+        'edges_checked': 93, 'edges_resolved': 0,
         'sources_explored': 26, 'sources_short_circuited': 4,
         'fallbacks': 0, 'sampled_edges': None}),
     'mst-bounded': ('0x1.6ec0ebbba7c3cp+3', False, {
