@@ -37,12 +37,12 @@ from repro.core.nets import build_net, greedy_net
 from repro.determinism import ensure_rng
 from repro.graphs.weighted_graph import Vertex, WeightedGraph
 from repro.mst.kruskal import kruskal_mst
-from repro.spt.approx_spt import bounded_approx_spt
+from repro.spt.approx_spt import BoundedSPT, bounded_approx_spt
 
 
-#: a net point's last exploration: clip, label list, parent list,
-#: reached list and walked set, over the frozen view's dense indices
-_Memo = Tuple[float, List[float], List[int], List[int], Set[int]]
+#: a net point's exploration and the walked set of its tree, over the
+#: frozen view's dense indices
+_Memo = Tuple[BoundedSPT, Set[int]]
 
 
 def en16_round_cost(n: int, height: int, beta: int) -> int:
@@ -172,10 +172,11 @@ def doubling_spanner(
     delta = 0.5  # the paper's "e.g., we can take δ = 1/2"
     skeleton_size = max(1, math.ceil(math.sqrt(n * max(math.log(n + 1), 1.0))))
     beta = max(1, math.ceil(math.log2(n + 1)))  # charged [EN16] hopbound
-    # net-point index -> its last exploration.  The search repeats itself
-    # decision for decision at every radius below its clip, and the
-    # radius 2·(1+ε)^i grows strictly with i, so an exploration re-runs
-    # only once the radius reaches its clip.
+    # net-point index -> its exploration and walked set.  Each search
+    # starts the first time its point joins the net and resumes at every
+    # later scale the point is in it: the radius 2Δ grows with the
+    # scale, and a search resumed at a larger radius equals the search
+    # started there, so no search runs twice.
     explored: List[Optional[_Memo]] = [None] * n
     # carried from scale to scale: the path count of each net point's
     # last walk, and per vertex how many of the last net's explorations
@@ -216,30 +217,31 @@ def doubling_spanner(
         for u in left:  # an exploration leaves the count with its net point
             gone = explored[u]
             if gone is not None:  # always: the last net was explored
-                for x in gone[3]:
+                for x in gone[0].reached:
                     load[x] -= 1
         changed = bool(left)
         same_net = net_set == last_net
         paths_added = 0
         for u in sorted(net, key=rank.__getitem__):
             memo = explored[u]
-            # a net point that stays keeps its tree in the count, and over
-            # an unchanged net that tree's last walk added every path a
-            # walk would add now, so only its path count is read again
-            counted, known = u in last_net, same_net
-            if memo is None or radius >= memo[0]:
-                if memo is not None and counted:
-                    for x in memo[3]:
-                        load[x] -= 1
-                run = bounded_approx_spt(csr, [verts[u]], radius, eps)
-                memo = explored[u] = (run.clip, run.dist, run.parent, run.reached,
-                                      set())
-                counted = known = False
-            if not counted:
-                for x in memo[3]:
-                    load[x] += 1
+            if memo is None:
+                memo = explored[u] = (
+                    bounded_approx_spt(csr, [verts[u]], radius, eps), set())
+                grown = memo[0].reached
+            else:
+                start = len(memo[0].reached)
+                memo[0].resume(radius)
+                grown = memo[0].reached[start:]
+            # a net point that stays keeps its settled vertices in the
+            # count, and over an unchanged net (where every point stays)
+            # a tree that settled nothing new adds no path its last walk
+            # did not, so only its path count is read again
+            counted = u in last_net
+            for x in grown if counted else memo[0].reached:
+                load[x] += 1
+            if grown or not counted:
                 changed = True
-            if not known:
+            if grown or not same_net:
                 paths[u] = _walk(spanner, graph, verts, net, rank, u, memo, radius)
             paths_added += paths[u]
         if changed:
@@ -274,12 +276,14 @@ def doubling_spanner(
 def _walk(spanner: WeightedGraph, graph: WeightedGraph, verts: Sequence[Vertex],
           net: List[int], rank: List[int], u: int, memo: _Memo, radius: float) -> int:
     """Add to ``spanner`` the path to ``u`` from every net point ranked
-    above it that ``u``'s tree settled, a label at most ``radius``, in
-    ``net``'s order, and return how many paths that is.  A vertex in the
-    tree's walked set leads to ``u`` over edges a walk of this tree
-    added, so a walk stops there; a label is looked up only to ask for,
-    and add, an edge."""
-    _clip, label, parent, _reached, walked = memo
+    above it that ``u``'s search settled, a label at most ``radius``, in
+    ``net``'s order, and return how many paths that is.  An unsettled
+    point may hold a tentative label and parent, so the label is what
+    is tested.  A vertex in the tree's walked set leads to ``u`` over
+    edges a walk of this tree added, so a walk stops there; a label is
+    looked up only to ask for, and add, an edge."""
+    search, walked = memo
+    label, parent = search.dist, search.parent
     rank_u = rank[u]
     count = 0
     for v in net:

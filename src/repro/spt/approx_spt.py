@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.congest.ledger import RoundLedger
 from repro.graphs.csr import CSRGraph
@@ -112,17 +112,49 @@ def approx_spt(
     return SPTree(root=root, parent=parent, dist=dist, rounds=rounds)
 
 
-class BoundedSPT(NamedTuple):
-    """Result of :func:`bounded_approx_spt`, over the frozen view's dense
-    indices; the fields are documented there.  It holds what its callers
-    read (the §7 scale loop reads ``dist``, ``parent``, ``reached`` and
-    ``clip``, the §6 nets ``parent`` and ``reached``) and no source index
-    per vertex: a path's source is where its ``parent`` walk ends."""
+class BoundedSPT:
+    """A (1+ε)-approximate exploration over the frozen view's dense
+    indices, paused at a radius; :meth:`resume` continues it to a larger
+    one.  Built by :func:`bounded_approx_spt`, which documents the
+    fields.  It keeps no source index per vertex: a path's source is
+    where its ``parent`` walk ends."""
 
-    dist: List[float]
-    parent: List[int]
-    reached: List[int]
-    clip: float
+    __slots__ = ("dist", "parent", "reached", "_heap", "_columns")
+
+    def __init__(self, csr: CSRGraph, sources: Iterable[Vertex], eps: float) -> None:
+        n = csr.n
+        self.dist: List[float] = [INF] * n
+        self.parent: List[int] = [pykern.PARENT_UNREACHED] * n
+        self.reached: List[int] = []
+        self._heap: List[Tuple[float, int]] = []
+        self._columns = (csr.indptr, csr.indices, csr.rounded_weights(eps))
+        for s in sources:
+            i = csr.index_of(s)
+            if self.parent[i] != pykern.PARENT_SOURCE:  # a repeated source starts once
+                self.dist[i] = 0.0
+                self.parent[i] = pykern.PARENT_SOURCE
+                self._heap.append((0.0, i))
+        heapq.heapify(self._heap)
+
+    def resume(self, radius: float) -> None:
+        """Settle every vertex whose label is at most ``radius``, in
+        ``(label, index)`` order, appending each to ``reached``.  A
+        radius no larger than the last one settles nothing."""
+        heap, dist, parent = self._heap, self.dist, self.parent
+        indptr, indices, rounded = self._columns
+        push, pop, settle = heapq.heappush, heapq.heappop, self.reached.append
+        while heap and heap[0][0] <= radius:
+            d, u = pop(heap)
+            if d > dist[u]:
+                continue  # stale entry
+            settle(u)
+            a, b = indptr[u], indptr[u + 1]
+            for v, r in zip(indices[a:b], rounded[a:b]):
+                nd = d + r
+                if nd < dist[v]:
+                    dist[v] = nd
+                    parent[v] = u
+                    push(heap, (nd, v))
 
 
 def bounded_approx_spt(
@@ -134,24 +166,24 @@ def bounded_approx_spt(
     """Multi-source ``radius``-bounded (1+ε)-approximate shortest paths.
 
     The §7 doubling spanner runs, from every net point in parallel, a
-    2Δ-bounded (1+ε)-approximate exploration; this is its sequential core
-    (:func:`repro.core.doubling_spanner.doubling_spanner` charges its rounds).
+    2Δ-bounded (1+ε)-approximate exploration; this starts its sequential
+    core (:func:`repro.core.doubling_spanner.doubling_spanner` charges its
+    rounds, and resumes it at every larger scale).
 
     Returns
     -------
-    BoundedSPT(dist, parent, reached, clip):
+    BoundedSPT:
         Lists indexed by the frozen view's dense vertex index
         (``csr.verts[i]`` is vertex ``i``), with
         :func:`repro.kernels.pykern.sssp`'s sentinels:
         ``dist[i]`` — the label: the rounded weight of the chosen path
-        from the nearest source; final where it is at most ``radius``,
-        tentative above it, ∞ where no path was seen;
+        from the nearest source; final where it is at most the radius
+        last resumed to, tentative above it, ∞ where no path was seen;
         ``parent[i]`` — predecessor index on that path, ``-1`` at a
-        source and ``-2`` where no path was seen;
+        source and ``-2`` where no path was seen; final where the label
+        is;
         ``reached`` — the indices the search settled, those whose label
-        is at most ``radius``, each once, in the order it settled them;
-        ``clip`` — the smallest tentative label, above ``radius``, or ∞
-        when there is none.
+        is at most that radius, each once, in ``(label, index)`` order.
 
     Raises
     ------
@@ -165,48 +197,21 @@ def bounded_approx_spt(
     -----
     One label: Dijkstra over :meth:`CSRGraph.rounded_weights`, every
     weight rounded up to a power of (1+ε), popping while the smallest
-    label is at most ``radius``.  A reported path's true weight is at
-    most its rounded weight, so at most ``radius`` and within (1+ε) of
+    label is at most the radius.  A reported path's true weight is at
+    most its rounded weight, so at most the radius and within (1+ε) of
     the distance, and every vertex within ``radius/(1+ε)`` is settled
-    (DESIGN.md, "§7 doubling spanner").  Pops follow ``(label, index)``
-    order, so a call with any radius in ``[radius, clip)`` pops the same
-    entries and returns an equal result.  A :class:`WeightedGraph` input
-    is frozen to its cached CSR view first, so
-    :func:`repro.core.nets.build_net` and the doubling spanner run the
-    same loop.
+    (DESIGN.md, "§7 doubling spanner").  Weights are positive, so a
+    settled label and its parent never change, and pops follow
+    ``(label, index)`` order whatever the push order: a search resumed
+    at a larger radius is, list for list, the search started there.  A
+    :class:`WeightedGraph` input is frozen to its cached CSR view first,
+    so :func:`repro.core.nets.build_net` and the doubling spanner run
+    the same loop.
     """
     if not radius >= 0:
         raise ValueError(f"radius must be a number >= 0, got {radius!r}")
     if math.isnan(eps):
         raise ValueError(f"eps must not be NaN, got {eps!r}")
-    csr = graph.freeze()
-    n = csr.n
-    indptr, indices = csr.indptr, csr.indices
-    rounded = csr.rounded_weights(eps)
-    dist: List[float] = [INF] * n
-    parent: List[int] = [pykern.PARENT_UNREACHED] * n
-    reached: List[int] = []
-    heap: List[Tuple[float, int]] = []
-    for s in sources:
-        i = csr.index_of(s)
-        if parent[i] != pykern.PARENT_SOURCE:  # a repeated source starts once
-            dist[i] = 0.0
-            parent[i] = pykern.PARENT_SOURCE
-            heap.append((0.0, i))
-    heapq.heapify(heap)
-    push, pop, settle = heapq.heappush, heapq.heappop, reached.append
-    while heap and heap[0][0] <= radius:
-        d, u = pop(heap)
-        if d > dist[u]:
-            continue  # stale entry
-        settle(u)
-        a, b = indptr[u], indptr[u + 1]
-        for v, r in zip(indices[a:b], rounded[a:b]):
-            nd = d + r
-            if nd < dist[v]:
-                dist[v] = nd
-                parent[v] = u
-                push(heap, (nd, v))
-    while heap and heap[0][0] > dist[heap[0][1]]:
-        pop(heap)  # stale entries above the radius
-    return BoundedSPT(dist, parent, reached, heap[0][0] if heap else INF)
+    search = BoundedSPT(graph.freeze(), sources, eps)
+    search.resume(radius)
+    return search

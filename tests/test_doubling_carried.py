@@ -6,11 +6,14 @@ re-ran, and keeps one per-vertex participation count that a net point's
 reached list enters and leaves with the point or its exploration.  The
 reference below is a verbatim copy of the scale loop before that: every
 net point walks at every scale, and each scale counts participation
-afresh with a ``Counter``.  The two must give the same spanner edges in
-the same insertion order, the same ledger and the same per-scale
-statistics, on the golden inputs, string labels, distributed nets, an
-input whose greedy net drops a point and takes it back, and an input
-whose net stays while only some of its explorations re-run.
+afresh with a ``Counter``.  Its searches are the one-label searches of
+``tests/test_doubling_resume.py``'s reference, re-run once the radius
+reaches their clip, where the construction resumes each one.  The two
+must give the same spanner edges in the same insertion order, the same
+ledger and the same per-scale statistics, on the golden inputs, string
+labels, distributed nets, an input whose greedy net drops a point and
+takes it back, and an input whose net stays while only some of its
+searches settle more.
 """
 
 import importlib
@@ -35,9 +38,9 @@ from repro.determinism import ensure_rng
 from repro.graphs import WeightedGraph, erdos_renyi_graph, random_geometric_graph
 from repro.graphs.weighted_graph import Vertex
 from repro.harness.profiles import get_profile
-from repro.kernels.pykern import PARENT_UNREACHED
 from repro.mst.kruskal import kruskal_mst
-from repro.spt.approx_spt import bounded_approx_spt
+
+from test_doubling_resume import rerun_search
 
 DOUBLING = importlib.import_module("repro.core.doubling_spanner")
 
@@ -60,7 +63,7 @@ def walk_every_point_spanner(graph, eps, rng=None, net_method="distributed"):
     spanner = WeightedGraph(graph.vertices())
     scales: List[ScaleStats] = []
     csr = graph.freeze()  # shared by every per-net-point exploration
-    verts, index_of, unreached = csr.verts, csr.index_of, PARENT_UNREACHED
+    verts, index_of = csr.verts, csr.index_of
     # net points are visited, and walked to, by ascending repr; rank[i]
     # orders vertex i's repr, and equal reprs share a rank
     reprs = [repr(v) for v in verts]
@@ -68,22 +71,24 @@ def walk_every_point_spanner(graph, eps, rng=None, net_method="distributed"):
     rank = [order[r] for r in reprs]
 
     base = 1.0 + eps
-    num_scales = max(1, math.ceil(math.log(max(mst_weight, base), base))) + 1
-    # the smallest scale must not exceed the lightest edge, or edges
-    # lighter than 1 are never explored
-    first_scale = min(0, math.floor(math.log(csr.min_weight(), base))) if csr.m else 0
+    if csr.m:
+        w_min = csr.min_weight()
+        num_scales = math.ceil(math.log(mst_weight / w_min, base)) + 1
+    else:
+        w_min, num_scales = 1.0, 1
     delta = 0.5  # the paper's "e.g., we can take δ = 1/2"
     skeleton_size = max(1, math.ceil(math.sqrt(n * max(math.log(n + 1), 1.0))))
     beta = max(1, math.ceil(math.log2(n + 1)))  # charged [EN16] hopbound
-    # net-point index -> (clip, parent list, reached indices, walked set)
-    # of its last exploration, all over csr's dense indices.  The search
-    # repeats itself decision for decision at every radius below its
-    # clip, and the radius 2·(1+ε)^i grows strictly with i, so an
-    # exploration re-runs only once the radius reaches its clip.
-    explored: List[Optional[Tuple[float, List[int], List[int], Set[int]]]] = [None] * n
+    # net-point index -> (clip, label list, parent list, reached indices,
+    # walked set) of its last exploration, all over csr's dense indices.
+    # The search repeats itself at every radius below its clip, the
+    # smallest tentative label it left, so an exploration re-runs only
+    # once the radius reaches its clip.
+    explored: List[Optional[Tuple[float, List[float], List[int], List[int], Set[int]]]] = (
+        [None] * n)
 
-    for i in range(first_scale, num_scales):
-        scale = base ** i
+    for i in range(num_scales):
+        scale = w_min * base ** i
         scale_ledger = RoundLedger()
 
         # --- net with covering radius εΔ/2 (Δ_net = εΔ/3, δ = 1/2) ---
@@ -113,16 +118,16 @@ def walk_every_point_spanner(graph, eps, rng=None, net_method="distributed"):
         for u in sorted(net, key=rank.__getitem__):
             memo = explored[u]
             if memo is None or radius >= memo[0]:
-                run = bounded_approx_spt(csr, [verts[u]], radius, eps)
-                memo = explored[u] = (run.clip, run.parent, run.reached, set())
-            _clip, parent, reached, walked = memo
+                run = rerun_search(csr, [verts[u]], radius, eps)
+                memo = explored[u] = (run.clip, run.dist, run.parent, run.reached, set())
+            _clip, label, parent, reached, walked = memo
             reached_lists.append(reached)
             # every vertex on an already-walked path leads to u over edges
             # a walk of this same tree added, at this scale or an earlier
             # one, so a later walk stops there
             rank_u = rank[u]
             for v in net:
-                if rank[v] <= rank_u or parent[v] == unreached:
+                if rank[v] <= rank_u or label[v] > radius:
                     continue
                 # add the reported path to the spanner; a label is
                 # looked up only to ask for, and add, an edge
@@ -172,29 +177,34 @@ def assert_same_as_walking_every_point(graph, eps, seed, net_method):
 
 def _scale_log(graph, eps, seed, monkeypatch):
     """Per scale of a greedy-net construction: the net, the net points
-    whose exploration ran, and the net points that walked."""
-    log = []
-    net, spt, walk = DOUBLING.greedy_net, DOUBLING.bounded_approx_spt, DOUBLING._walk
+    whose search settled vertices it had not settled before (a search
+    that starts settles at least its source), and the net points that
+    walked."""
+    log, searches, sizes = [], {}, []
+    net, start, walk = DOUBLING.greedy_net, DOUBLING.bounded_approx_spt, DOUBLING._walk
 
     def logged_net(g, radius):
+        sizes.append({v: len(search.reached) for v, search in searches.items()})
         points = net(g, radius)
-        log.append((set(points), set(), set()))
+        log.append((set(points), set()))
         return points
 
-    def logged_spt(csr, sources, radius, e):
-        log[-1][1].update(sources)
-        return spt(csr, sources, radius, e)
+    def logged_start(csr, sources, radius, e):
+        search = searches[sources[0]] = start(csr, sources, radius, e)
+        return search
 
-    def logged_walk(spanner, g, verts, points, rank, u, memo):
-        log[-1][2].add(verts[u])
-        return walk(spanner, g, verts, points, rank, u, memo)
+    def logged_walk(spanner, g, verts, points, rank, u, memo, radius):
+        log[-1][1].add(verts[u])
+        return walk(spanner, g, verts, points, rank, u, memo, radius)
 
     with monkeypatch.context() as patch:
         patch.setattr(DOUBLING, "greedy_net", logged_net)
-        patch.setattr(DOUBLING, "bounded_approx_spt", logged_spt)
+        patch.setattr(DOUBLING, "bounded_approx_spt", logged_start)
         patch.setattr(DOUBLING, "_walk", logged_walk)
         doubling_spanner(graph, eps, random.Random(seed), net_method="greedy")
-    return log
+    sizes.append({v: len(search.reached) for v, search in searches.items()})
+    return [(points, {v for v, k in after.items() if k > before.get(v, 0)}, walked)
+            for (points, walked), before, after in zip(log, sizes, sizes[1:])]
 
 
 def _golden_input(name):
@@ -224,7 +234,7 @@ def _strings(g):
 #: a greedy net that drops a point and takes it back at a later scale
 REJOIN = (lambda: erdos_renyi_graph(20, 0.2, seed=1), 0.08, 1)
 #: nets that stay from one scale to the next while only some of their
-#: explorations re-run
+#: searches settle more
 PARTIAL = (lambda: random_geometric_graph(12, seed=1), 0.08, 1)
 
 
@@ -248,11 +258,11 @@ class TestCarriedStateParity:
     def test_a_net_point_that_leaves_and_rejoins(self, monkeypatch):
         make, eps, seed = REJOIN
         log = _scale_log(make(), eps, seed, monkeypatch)
-        # (re-ran its exploration, walked) per point and scale it rejoins at
+        # (its search settled more, walked) per point and scale it rejoins at
         rejoins = []
         gone: Set[Vertex] = set()
-        for (before, _ran, _walked), (after, ran, walked) in zip(log, log[1:]):
-            rejoins += [(v in ran, v in walked) for v in after & gone]
+        for (before, _grew, _walked), (after, grew, walked) in zip(log, log[1:]):
+            rejoins += [(v in grew, v in walked) for v in after & gone]
             gone = (gone | (before - after)) - after
         # some point comes back with the tree it kept, which re-enters
         # the count, and every point that comes back walks again
@@ -260,14 +270,15 @@ class TestCarriedStateParity:
         assert all(walked for _ran, walked in rejoins)
         assert_same_as_walking_every_point(make(), eps, seed, "greedy")
 
-    def test_a_net_that_stays_while_some_explorations_rerun(self, monkeypatch):
+    def test_a_net_that_stays_while_some_searches_settle_more(self, monkeypatch):
         make, eps, seed = PARTIAL
         log = _scale_log(make(), eps, seed, monkeypatch)
-        partial = [(net, ran, walked) for (last, _r, _w), (net, ran, walked)
-                   in zip(log, log[1:]) if net == last and 0 < len(ran) < len(net)]
+        partial = [(net, grew, walked) for (last, _g, _w), (net, grew, walked)
+                   in zip(log, log[1:]) if net == last and 0 < len(grew) < len(net)]
         assert partial
-        # over an unchanged net, exactly the points that explored again walk
-        assert all(walked == ran for _net, ran, walked in partial)
+        # over an unchanged net, exactly the points whose search settled
+        # more walk
+        assert all(walked == grew for _net, grew, walked in partial)
         assert_same_as_walking_every_point(make(), eps, seed, "greedy")
 
 
@@ -276,6 +287,6 @@ class TestWalks:
         graph, eps, seed = _golden_input("geo1")
         log = _scale_log(graph, eps, seed, monkeypatch)
         last: Set[Vertex] = set()
-        for net, ran, walked in log:
-            assert walked == (net if net != last else ran)
+        for net, grew, walked in log:
+            assert walked == (net if net != last else grew)
             last = net

@@ -8,7 +8,11 @@ greedy net must cover and separate at its radius, and the doubling
 spanner must be a spanning subgraph with certified stretch at most
 1 + 30ε that equals, edge for edge and in insertion order, the scale
 loop that walks every net point at every scale
-(``tests/test_doubling_carried.py``).
+(``tests/test_doubling_carried.py``) and the scale loop that re-runs
+each search past its clip (``tests/test_doubling_resume.py``).  The
+one-label search itself must resume to what a fresh search to the same
+radius settles, settle every vertex within radius/(1+ε), and report
+paths whose true weight is at most the radius.
 """
 
 from hypothesis import example, given, settings
@@ -16,9 +20,11 @@ from hypothesis import strategies as st
 
 from repro.analysis import verify_net, verify_spanner
 from repro.core.nets import greedy_net
-from repro.graphs import WeightedGraph
+from repro.graphs import WeightedGraph, dijkstra
+from repro.spt import bounded_approx_spt
 
 from test_doubling_carried import assert_same_as_walking_every_point
+from test_doubling_resume import assert_same_as_rerunning
 
 #: repeats make exact ties, m next to m·(1 + 2^-52) near ties
 MANTISSAS = (1.0, 1.0 * (1 + 2 ** -52), 1.5, 1.5 * (1 + 2 ** -52), 3.0)
@@ -81,5 +87,60 @@ class TestDoublingSpanner:
     @staticmethod
     def _check(g, eps, net_method):
         res = assert_same_as_walking_every_point(g, eps, g.n, net_method)
+        assert_same_as_rerunning(g, eps, g.n, net_method)
         assert res.stretch_bound == 1.0 + 30.0 * eps
         verify_spanner(g, res.spanner, res.stretch_bound)
+
+
+class TestResumableSearch:
+    """A net point's search at scale Δ, radius 2Δ, on wide weights."""
+
+    @given(wide_weight_graphs(), st.sampled_from([0.03, 0.08, 0.12]),
+           st.integers(-2, 6))
+    @settings(max_examples=200, deadline=None)
+    @example((_edge(2.0 ** -20), 2.0 ** -21), 0.12, 0)
+    def test_resumed_equals_started(self, drawn, eps, steps):
+        """Resumed from Δ to Δ·(1+ε)^steps (steps < 0 settles nothing
+        more), the search equals the one started at the larger radius."""
+        g, delta = drawn
+        top = 2.0 * delta * max(1.0, (1.0 + eps) ** steps)
+        search = bounded_approx_spt(g, [0], 2.0 * delta, eps)
+        search.resume(2.0 * delta * (1.0 + eps) ** steps)
+        fresh = bounded_approx_spt(g, [0], top, eps)
+        assert (search.dist, search.parent, search.reached) == (
+            fresh.dist, fresh.parent, fresh.reached)
+
+    @given(wide_weight_graphs(), st.sampled_from([0.03, 0.08, 0.12]))
+    @settings(max_examples=200, deadline=None)
+    def test_settles_every_vertex_within_radius_over_one_plus_eps(self, drawn, eps):
+        g, delta = drawn
+        radius = 2.0 * delta
+        settled = set(bounded_approx_spt(g, [0], radius, eps).reached)
+        index_of = g.freeze().index_of
+        dist, _ = dijkstra(g, 0)
+        for v, d in dist.items():
+            # a relative 1e-12 for the float sums of rounded weights
+            if d <= radius / (1.0 + eps) * (1.0 - 1e-12):
+                assert index_of(v) in settled
+
+    @given(wide_weight_graphs(), st.sampled_from([0.03, 0.08, 0.12]))
+    @settings(max_examples=200, deadline=None)
+    @example((_edge(1.0 * (1 + 2 ** -52)), 0.5), 0.03)
+    def test_reported_paths_weigh_at_most_the_radius(self, drawn, eps):
+        """A path's true weight is at most its label, the sum of its
+        rounded weights, and so at most the radius, up to a relative
+        1e-12: ``round_up_weights`` takes the exponent 1e-12 below
+        log_{1+ε} w, so a weight within that of a power of 1+ε above it
+        rounds to that power (1 + 2^-52 rounds to 1 at ε = 0.03)."""
+        g, delta = drawn
+        radius = 2.0 * delta
+        search = bounded_approx_spt(g, [0], radius, eps)
+        verts, parent = g.freeze().verts, search.parent
+        slack = 1.0 + 1e-12
+        for i in search.reached:
+            node, total = i, 0.0
+            while parent[node] >= 0:
+                total += g.weight(verts[node], verts[parent[node]])
+                node = parent[node]
+            assert total <= search.dist[i] * slack
+            assert total <= radius * slack

@@ -1,6 +1,5 @@
 """Tests for the exact and approximate shortest-path trees."""
 
-import heapq
 import math
 import os
 import subprocess
@@ -10,7 +9,6 @@ from pathlib import Path
 import pytest
 
 from repro.graphs import (
-    CSRGraph,
     WeightedGraph,
     dijkstra,
     erdos_renyi_graph,
@@ -18,8 +16,8 @@ from repro.graphs import (
     path_graph,
     random_geometric_graph,
 )
+from repro.kernels import pykern
 from repro.spt import (
-    BoundedSPT,
     approx_spt,
     bkkl_round_cost,
     bounded_approx_spt,
@@ -122,18 +120,23 @@ class TestBoundedApproxSPT:
             assert node in {index_of(s) for s in sources}
 
     def test_sentinels_mark_the_unreached(self, medium_er):
-        """``reached`` lists each index with a label once, and every other
-        index reads ∞ and parent −2; the sources read parent −1."""
+        """``reached`` lists once each index whose label is at most the
+        radius; every other index holds a tentative label above it, or
+        ∞ and parent −2 where no path was seen; the sources read parent
+        −1."""
         run = bounded_approx_spt(medium_er, [0, 5, 0], 30.0, 0.2)
         index_of = medium_er.freeze().index_of
         reached = set(run.reached)
         assert len(reached) == len(run.reached) < medium_er.n
-        assert reached == {i for i, d in enumerate(run.dist) if d < math.inf}
+        assert reached == {i for i, d in enumerate(run.dist) if d <= 30.0}
+        assert any(30.0 < d < math.inf for d in run.dist)
         for i in range(medium_er.n):
             if i in reached:
                 assert run.parent[i] >= -1
+            elif run.dist[i] == math.inf:
+                assert run.parent[i] == -2
             else:
-                assert (run.dist[i], run.parent[i]) == (math.inf, -2)
+                assert run.parent[i] >= 0
         assert {i for i, p in enumerate(run.parent) if p == -1} == {index_of(0), index_of(5)}
 
     def test_reached_is_the_settle_order(self, small_er):
@@ -153,7 +156,9 @@ class TestBoundedApproxSPT:
         verts = small_er.freeze().verts
         assert {verts[i] for i in run.reached} == {0, 3}
 
-    def test_path_weights_are_true_weights(self, small_er):
+    def test_path_weights_are_at_most_their_labels(self, small_er):
+        """A label is the rounded weight of its path, and a true weight
+        is at most its rounded one."""
         run = bounded_approx_spt(small_er, [0], 80.0, 0.3)
         verts = small_er.freeze().verts
         for i in run.reached:
@@ -161,7 +166,7 @@ class TestBoundedApproxSPT:
             while run.parent[node] != -1:
                 total += small_er.weight(verts[node], verts[run.parent[node]])
                 node = run.parent[node]
-            assert total == pytest.approx(run.dist[i])
+            assert total <= run.dist[i] <= 80.0
 
 
 #: a fresh interpreter checks the typed errors; run under ``python -O``
@@ -231,7 +236,7 @@ class TestInvalidRadiusAndEps:
             ["raised: radius"] * 2 + ["raised: eps"] + ["raised: radius"] * 2)
 
 
-def _clip_graph(family, seed, factor):
+def _search_graph(family, seed, factor):
     if family == "er":
         g = erdos_renyi_graph(30, 0.15, seed=seed)
     elif family == "geometric":
@@ -252,232 +257,100 @@ def _clip_graph(family, seed, factor):
     return g.reweighted(lambda u, v, w: w * factor)
 
 
-def _reference_bounded_approx_spt(graph, sources, radius, eps):
-    """The exploration loop before rows were read in weight order:
-    every settled vertex's arcs in slot order, to the end of the row."""
-    csr = graph.freeze() if isinstance(graph, WeightedGraph) else graph
-    n = csr.n
-    indptr, indices, weights = csr.indptr, csr.indices, csr.weights
-    rounded = csr.rounded_weights(eps)
-    INF = math.inf
-    dist = [INF] * n
-    true_dist = [INF] * n
-    parent = [-2] * n
-    reached = []
-    heap = []
-    clip = INF
-    for s in sources:
-        i = csr.index_of(s)
-        if parent[i] != -1:
-            dist[i] = 0.0
-            true_dist[i] = 0.0
-            parent[i] = -1
-            heap.append((0.0, i))
-    heapq.heapify(heap)
-    push, pop = heapq.heappush, heapq.heappop
-    while heap:
-        d, u = pop(heap)
-        if d > dist[u]:
-            continue  # stale entry
-        reached.append(u)
-        tu = true_dist[u]
-        a, b = indptr[u], indptr[u + 1]
-        for v, w, r in zip(indices[a:b], weights[a:b], rounded[a:b]):
-            nd = d + r
-            if nd < dist[v]:
-                nt = tu + w
-                if nt <= radius:
-                    dist[v] = nd
-                    true_dist[v] = nt
-                    parent[v] = u
-                    push(heap, (nd, v))
-                elif nt < clip:
-                    clip = nt
-    return BoundedSPT(true_dist, parent, reached, clip)
+def _assert_matches_reference(graph, sources, radius, eps):
+    """The search equals the reference: :func:`pykern.sssp` over the
+    rounded column, capped at ``radius``, which never sets a label above
+    its cap.  Same settled set, labels and parents, and ``reached`` in
+    ``(label, index)`` order; every other label is above the radius."""
+    csr = graph.freeze()
+    want_dist, want_parent = pykern.sssp(
+        csr.indptr, csr.indices, csr.rounded_weights(eps),
+        [csr.index_of(s) for s in sources], radius)
+    got = bounded_approx_spt(graph, sources, radius, eps)
+    settled = [i for i, p in enumerate(want_parent) if p != pykern.PARENT_UNREACHED]
+    assert got.reached == sorted(settled, key=lambda i: (want_dist[i], i))
+    for i in range(csr.n):
+        if want_parent[i] != pykern.PARENT_UNREACHED:
+            assert (got.dist[i], got.parent[i]) == (want_dist[i], want_parent[i])
+        else:
+            assert got.dist[i] > radius or got.dist[i] == math.inf
 
 
-#: the row-cache states every case runs on
-_VIEW_STATES = ("fresh", "once", "several", "other-eps")
+_FAMILIES = ["er", "geometric", "ties", "ulp-ties", "two-components"]
 
 
-def _view(g, as_csr, eps, state):
-    """A new input over a copy of ``g`` whose rows at ``eps`` are in
-    ``state``: untouched, scanned once by one exploration, partly
-    sorted by several (some rows sorted, some scanned once or twice,
-    some untouched), or sorted at another ε only."""
-    if as_csr:
-        base = g.freeze()
-        graph = CSRGraph(base.indptr, base.indices, base.weights, base.verts)
-    else:
-        graph = g.copy()
-    verts = list(g.vertices())
-    if state == "once":
-        bounded_approx_spt(graph, verts[:1], math.inf, eps)
-    elif state == "several":
-        weights = sorted(w for _u, _v, w in g.edges())
-        median = weights[len(weights) // 2]
-        for s, reach in [(s, 1.5) for s in verts[::8]] + [(s, 1.0) for s in verts[::6]]:
-            bounded_approx_spt(graph, [s], reach * median, eps)
-    elif state == "other-eps":
-        for s in verts[:3]:
-            bounded_approx_spt(graph, [s], math.inf, 0.25)
-    return graph
-
-
-def _row_states(graph, eps):
-    """How many rows at ``eps`` are untouched, scanned once, scanned
-    twice, and sorted."""
-    csr = graph.freeze() if isinstance(graph, WeightedGraph) else graph
-    scanned, rows = csr.weight_sorted_rows(eps)
-    unsorted = [count for count, row in zip(scanned, rows) if row is None]
-    return (unsorted.count(0), unsorted.count(1), unsorted.count(2),
-            len(rows) - len(unsorted))
-
-
-def _assert_matches_reference(g, as_csr, sources, radii, eps):
-    """Every radius on every row-cache state equals the reference loop."""
-    reference_view = g.to_csr()
-    for radius in radii:
-        want = _reference_bounded_approx_spt(reference_view, sources, radius, eps)
-        for state in _VIEW_STATES:
-            graph = _view(g, as_csr, eps, state)
-            got = bounded_approx_spt(graph, sources, radius, eps)
-            assert got == want, (radius, state)
-
-
-class TestBoundedApproxSPTClip:
-    """``clip`` is the smallest true weight the radius test turned away;
-    every radius in [radius, clip) repeats the search exactly.  Reading
-    each row in ascending weight and stopping at the radius returns what
-    the slot-order loop returns, whatever the rows cached on the view at
-    that ε: none, scanned once, partly sorted, or sorted at another ε."""
+class TestOneLabelSearch:
+    """The search is Dijkstra over the rounded column, paused once its
+    smallest label exceeds the radius: it settles what a capped Dijkstra
+    settles, and a search resumed at a larger radius equals, list for
+    list, the search started there."""
 
     @pytest.mark.parametrize("frozen", [False, True], ids=["dict", "csr"])
     @pytest.mark.parametrize("factor", [1.0, 1e-6, 1e6])
-    @pytest.mark.parametrize("family", ["er", "geometric", "ties", "two-components"])
+    @pytest.mark.parametrize("family", _FAMILIES)
     @pytest.mark.parametrize("seed", [1, 2])
-    def test_same_result_below_clip(self, seed, family, factor, frozen):
-        g = _clip_graph(family, seed, factor)
+    def test_equals_a_capped_dijkstra(self, seed, family, factor, frozen):
+        g = _search_graph(family, seed, factor)
         graph = g.freeze() if frozen else g
-        finite = 0
-        for eps in (0.05, 0.3):
-            for sources in ([0], [0, 17]):
-                for r in (0.0, 1.0, 3.0, 40.0, 150.0, 1e9):
-                    radius = r * factor
-                    first = bounded_approx_spt(graph, sources, radius, eps)
-                    assert isinstance(first, BoundedSPT)
-                    assert first.clip > radius
-                    if first.clip == math.inf:
-                        top = sys.float_info.max
-                    else:
-                        top = math.nextafter(first.clip, 0)
-                        finite += 1
-                    for again in (math.nextafter(radius, math.inf),
-                                  radius + (top - radius) / 2, top):
-                        result = bounded_approx_spt(graph, sources, again, eps)
-                        assert result == first
-                        assert list(result.parent) == list(first.parent)
-        assert finite > 0
-
-    @pytest.mark.parametrize("frozen", [False, True], ids=["dict", "csr"])
-    @pytest.mark.parametrize("factor", [1.0, 1e-6, 1e6])
-    @pytest.mark.parametrize(
-        "family", ["er", "geometric", "ties", "ulp-ties", "two-components"]
-    )
-    @pytest.mark.parametrize("seed", [1, 2])
-    def test_equals_the_reference_loop(self, seed, family, factor, frozen):
-        g = _clip_graph(family, seed, factor)
         for eps in (0.0, 0.05, 0.5):
-            # a radius equal to the true weight of a path a wide search
-            # chooses, and one ulp either side of it
-            reach = _reference_bounded_approx_spt(g.to_csr(), [0], math.inf, eps)
-            w = sorted(reach.dist[i] for i in reach.reached)[len(reach.reached) // 2]
+            # a radius equal to a label a wide search settles, and one
+            # ulp either side of it
+            wide = bounded_approx_spt(g, [0], math.inf, eps)
+            w = sorted(wide.dist[i] for i in wide.reached)[len(wide.reached) // 2]
             radii = [0.0, 3.0 * factor, math.inf,
                      math.nextafter(w, 0.0), w, math.nextafter(w, math.inf)]
             for sources in ([0], [0, 0], [0, 17]):
-                _assert_matches_reference(g, frozen, sources, radii, eps)
+                for radius in radii:
+                    _assert_matches_reference(graph, sources, radius, eps)
 
-    @pytest.mark.parametrize("frozen", [False, True], ids=["dict", "csr"])
-    def test_clip_is_a_turned_away_path_weight(self, frozen):
-        """On a path 0 -1- 1 -2- 2 the search from 0 at radius 1.5 turns
-        away the relaxation into 2 at true weight 3."""
-        g = path_graph(3, weights=[1.0, 2.0])
-        graph = g.freeze() if frozen else g
-        result = bounded_approx_spt(graph, [0], 1.5, 0.1)
-        assert result.reached == [0, 1]
-        assert result.clip == 3.0
-        assert bounded_approx_spt(graph, [0], 3.0, 0.1).clip == math.inf
-
-    @pytest.mark.parametrize("frozen", [False, True], ids=["dict", "csr"])
-    def test_clip_ignores_relaxations_that_lower_no_label(self, frozen):
-        """A triangle 0-1 (1), 1-2 (1), 0-2 (1): at radius 1 both
-        neighbours of 0 settle directly, and the two-edge path 0-1-2 at
-        true weight 2 would not lower 2's label, so nothing counts."""
-        g = WeightedGraph()
-        g.add_edge(0, 1, 1.0)
-        g.add_edge(1, 2, 1.0)
-        g.add_edge(0, 2, 1.0)
-        graph = g.freeze() if frozen else g
-        result = bounded_approx_spt(graph, [0], 1.0, 0.1)
-        assert sorted(result.reached) == [0, 1, 2]
-        assert result.clip == math.inf
-
-
-class TestWeightOrderedRows:
-    """The row cache's states, and the inputs outside the clip grid:
-    string labels and a radius at a tied path weight."""
-
-    def test_views_reach_every_row_state(self):
-        """The warmed views the cases run on hold what they claim: rows
-        in every state, or nothing at that ε."""
-        g = _clip_graph("geometric", 2, 1.0)
-        for frozen in (False, True):
-            assert _row_states(_view(g, frozen, 0.05, "fresh"), 0.05) == (30, 0, 0, 0)
-            assert _row_states(_view(g, frozen, 0.05, "once"), 0.05) == (0, 30, 0, 0)
-            states = _row_states(_view(g, frozen, 0.05, "several"), 0.05)
-            assert all(count > 0 for count in states), states
-            other = _view(g, frozen, 0.05, "other-eps")
-            assert _row_states(other, 0.05) == (30, 0, 0, 0)
-            assert _row_states(other, 0.25) == (0, 0, 0, 30)
+    @pytest.mark.parametrize("factor", [1.0, 1e-6, 1e6])
+    @pytest.mark.parametrize("family", _FAMILIES)
+    def test_resumed_equals_started(self, family, factor):
+        g = _search_graph(family, 1, factor)
+        for eps in (0.0, 0.05, 0.5):
+            for sources in ([0], [0, 17]):
+                search = bounded_approx_spt(g, sources, 0.0, eps)
+                top = 0.0
+                # a repeated radius, and a smaller one, settle nothing
+                for r in (1.0, 1.0, 3.0, 2.0, 40.0, 150.0, math.inf):
+                    search.resume(r * factor)
+                    top = max(top, r * factor)
+                    fresh = bounded_approx_spt(g, sources, top, eps)
+                    assert (search.dist, search.parent, search.reached) == (
+                        fresh.dist, fresh.parent, fresh.reached)
 
     def test_string_labels(self):
-        base = _clip_graph("geometric", 1, 1.0)
+        base = _search_graph("geometric", 1, 1.0)
         # insertion order differs from the labels' sorted order
         g = WeightedGraph("v%02d" % (29 - v) for v in base.vertices())
         for u, v, w in base.edges():
             g.add_edge("v%02d" % (29 - u), "v%02d" % (29 - v), w)
-        radii = [0.0, 1.0, 2.5, 6.0, math.inf]
         for frozen in (False, True):
+            graph = g.freeze() if frozen else g
             for sources in (["v29"], ["v29", "v29"], ["v29", "v12"]):
-                _assert_matches_reference(g, frozen, sources, radii, 0.05)
+                for radius in (0.0, 1.0, 2.5, 6.0, math.inf):
+                    _assert_matches_reference(graph, sources, radius, 0.05)
 
-    def test_radius_at_a_tied_path_weight(self):
-        """Two paths to 3 of true weight exactly 2 and one a ulp above:
-        a radius at 2, and one ulp either side of it."""
+    def test_radius_at_a_tied_label(self):
+        """Two paths to 3 of weight exactly 2 and one a ulp above: a
+        radius at 2, and one ulp either side of it."""
         up = 1.0 + 2.0 ** -51  # 1.0 + up is the float right above 2.0
         g = WeightedGraph()
         for u, v, w in [(0, 1, 1.0), (1, 3, 1.0), (0, 2, 1.0), (2, 3, 1.0),
                         (0, 4, 1.0), (4, 3, up), (3, 5, 0.5), (0, 5, 2.5)]:
             g.add_edge(u, v, w)
         radii = [math.nextafter(2.0, 0.0), 2.0, math.nextafter(2.0, 3.0), 2.5]
-        for frozen in (False, True):
-            for eps in (0.0, 0.05, 0.5):
-                _assert_matches_reference(g, frozen, [0], radii, eps)
+        for eps in (0.0, 0.05, 0.5):
+            for radius in radii:
+                _assert_matches_reference(g, [0], radius, eps)
 
-    def test_row_cache_lives_on_the_view(self):
-        """A third exploration at one ε sorts the rows it settles again;
-        the cache goes away when the graph mutates."""
-        g = path_graph(4, weights=[3.0, 1.0, 2.0])
-        csr = g.freeze()
-        bounded_approx_spt(g, [0], 3.5, 0.1)  # scans rows 0 and 1
-        assert _row_states(csr, 0.1) == (2, 2, 0, 0)
-        bounded_approx_spt(g, [1], 1.5, 0.1)  # scans rows 1 and 2
-        assert _row_states(csr, 0.1) == (1, 2, 1, 0)
-        bounded_approx_spt(g, [1], 1.5, 0.1)  # sorts row 1, scans row 2
-        assert _row_states(csr, 0.1) == (1, 1, 1, 1)
-        scanned, rows = csr.weight_sorted_rows(0.1)
-        assert rows[1] == [(1.0, 2, csr.rounded_weights(0.1)[csr.edge_slot(1, 2)]),
-                           (3.0, 0, csr.rounded_weights(0.1)[csr.edge_slot(1, 0)])]
-        g.add_edge(0, 3, 1.0)
-        assert _row_states(g.freeze(), 0.1) == (4, 0, 0, 0)
-        assert g.freeze() is not csr
+    def test_a_path_graph_settles_up_to_the_radius(self):
+        """On a path 0 -1- 1 -2- 2 the search from 0 at radius 1.5 settles
+        0 and 1 and leaves 2 at a tentative label above it, which a
+        resume to that label settles."""
+        g = path_graph(3, weights=[1.0, 2.0])
+        search = bounded_approx_spt(g, [0], 1.5, 0.1)
+        assert search.reached == [0, 1]
+        assert search.parent[2] == 1 and search.dist[2] > 1.5
+        search.resume(search.dist[2])
+        assert search.reached == [0, 1, 2]
