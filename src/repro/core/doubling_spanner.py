@@ -142,7 +142,9 @@ def doubling_spanner(
     if n == 0:
         raise ValueError("doubling_spanner needs a graph with at least one vertex")
     rng = ensure_rng(rng)
-    root = min(graph.vertices(), key=repr)
+    csr = graph.freeze()  # shared by every per-net-point exploration
+    verts, index_of, order = csr.verts, csr.index_of, csr.repr_order()
+    root = verts[order[0]]  # the first vertex of least repr
 
     ledger = RoundLedger()
     bfs = build_bfs_tree(graph, root)
@@ -152,13 +154,11 @@ def doubling_spanner(
     mst_weight = kruskal_mst(graph).total_weight()
     spanner = WeightedGraph(graph.vertices())
     scales: List[ScaleStats] = []
-    csr = graph.freeze()  # shared by every per-net-point exploration
-    verts, index_of = csr.verts, csr.index_of
     # net points are visited, and walked to, by ascending repr; rank[i]
     # orders vertex i's repr, and equal reprs share a rank
-    reprs = [repr(v) for v in verts]
-    order = {r: k for k, r in enumerate(sorted(set(reprs)))}
-    rank = [order[r] for r in reprs]
+    rank = [0] * n
+    for prev, j in zip(order, order[1:]):
+        rank[j] = rank[prev] + (repr(verts[j]) != repr(verts[prev]))
 
     base = 1.0 + eps
     # the scales start at the lightest edge, so that edge is explored,

@@ -189,7 +189,8 @@ def greedy_net(graph: WeightedGraph, radius: float) -> Set[Vertex]:
     """Sequential greedy (r, r)-net — the baseline §6 replaces.
 
     Scan vertices in the order of their reprs (equal reprs in vertex
-    order); keep each vertex farther than ``radius`` from all kept ones.
+    order, :meth:`CSRGraph.repr_order`, sorted once per frozen view);
+    keep each vertex farther than ``radius`` from all kept ones.
     Inherently sequential (the paper's motivation for Theorem 3), but
     optimal parameters: r-covering and r-separated.
 
@@ -207,9 +208,7 @@ def greedy_net(graph: WeightedGraph, radius: float) -> Set[Vertex]:
     if not radius >= 0:
         raise ValueError(f"radius must be a number >= 0, got {radius!r}")
     csr = graph.freeze()
-    verts = csr.verts
-    reprs = [repr(v) for v in verts]
-    order = sorted(range(csr.n), key=reprs.__getitem__)
+    verts, order = csr.verts, csr.repr_order()
     if radius < csr.min_weight():
         return {verts[i] for i in order}
     indptr, indices, weights = csr.indptr, csr.indices, csr.weights

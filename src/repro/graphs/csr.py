@@ -81,7 +81,7 @@ class CSRGraph:
 
     __slots__ = (
         "indptr", "indices", "weights", "verts", "_index", "_mirror",
-        "_min_weight", "_rounded", "_sorted", "_mst", "_bfs",
+        "_min_weight", "_repr_order", "_rounded", "_sorted", "_mst", "_bfs",
     )
 
     def __init__(
@@ -100,6 +100,7 @@ class CSRGraph:
         self._index: Dict[Vertex, int] = {v: i for i, v in enumerate(verts)}
         self._mirror: Optional[List[int]] = None
         self._min_weight: Optional[float] = None
+        self._repr_order: Optional[List[int]] = None
         self._rounded: Dict[float, "array[float]"] = {}
         self._mst: Optional[List[Tuple[int, int, float]]] = None
         self._bfs: Dict[Vertex, BFSParts] = {}
@@ -349,6 +350,20 @@ class CSRGraph:
         if self._min_weight is None:
             self._min_weight = min(self.weights, default=float("inf"))
         return self._min_weight
+
+    def repr_order(self) -> List[int]:
+        """The vertex indices in the order of the vertices' reprs, equal
+        reprs in vertex order.
+
+        Sorted on the first call and cached, like :meth:`min_weight`, so
+        the greedy nets that scan in this order at every §7 scale, and
+        the scale loop that ranks its net points by it, sort once per
+        frozen view.  Callers must not mutate the list.
+        """
+        if self._repr_order is None:
+            reprs = [repr(v) for v in self.verts]
+            self._repr_order = sorted(range(len(reprs)), key=reprs.__getitem__)
+        return self._repr_order
 
     def max_weight(self) -> float:
         """Maximum edge weight (0 on an edgeless graph)."""

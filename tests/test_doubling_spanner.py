@@ -20,6 +20,7 @@ from repro.core.doubling_spanner import (
 )
 from repro.core.nets import build_net, greedy_net
 from repro.graphs import (
+    CSRGraph,
     WeightedGraph,
     erdos_renyi_graph,
     grid_graph,
@@ -187,6 +188,26 @@ class TestScales:
         assert any(cap < g.n for cap in caps)  # the bound binds somewhere
         for s, cap in zip(res.scales, caps):
             assert s.net_size <= cap
+
+
+class TestReprOrder:
+    def test_a_construction_sorts_the_reprs_once(self, monkeypatch):
+        """The greedy net at every scale and the scale loop's ranks read
+        one repr order, sorted once on the frozen view."""
+        orders = []
+        original = CSRGraph.repr_order
+
+        def logged(view):
+            orders.append(original(view))
+            return orders[-1]
+
+        monkeypatch.setattr(CSRGraph, "repr_order", logged)
+        g = _relabelled(random_geometric_graph(30, seed=1), "strings", seed=1)
+        res = doubling_spanner(g, 0.08, random.Random(1), net_method="greedy")
+        assert len(orders) == len(res.scales) + 1
+        assert all(order is orders[0] for order in orders)
+        verts = g.freeze().verts
+        assert [verts[i] for i in orders[0]] == sorted(verts)
 
 
 class TestRoundCostFormulas:
