@@ -6,33 +6,44 @@ smoke and stress tiers, split into the construction's phases:
 
 * **nets** — time inside ``greedy_net`` (one call per scale), with the
   shortest-path searches it starts;
-* **explorations** — time inside ``bounded_approx_spt`` (one call per
-  net point per scale), with the weight roundings behind it;
+* **explorations** — time inside ``bounded_approx_spt`` and
+  ``BoundedSPT.resume``, with the weight roundings behind them: one
+  ``bounded_approx_spt`` call per search run on the sides before the
+  searches were resumed, and on the change one per search started plus
+  one resume per net-point visit at every later scale;
 * **path walk and the rest** — the remaining construction time: the
-  per-scale loop that walks each reported path into the spanner
-  (``walks`` counts the net-point visits that walk, ``path_steps`` the
-  ``WeightedGraph.has_edge`` calls, one per step walked), the
-  participation count, the BFS tree and the MST.
+  per-scale loop that walks each reported path into the spanner (``walks`` counts the net-point visits that walk,
+  ``path_steps`` the ``WeightedGraph.has_edge`` calls, one per step
+  walked), the participation count, the BFS tree and the MST.
 
-``exploration_calls`` counts the searches that actually run: since
-explorations are reused across scales, fewer than one per net point per
-scale.  ``peak_mb`` is the construction's tracemalloc peak, measured in
-a separate untimed run, because the reuse keeps each net point's last
-tree alive.
+``exploration_calls`` counts the ``bounded_approx_spt`` calls: the
+searches run on the older sides, the searches started on the change;
+``resumes`` counts ``BoundedSPT.resume`` calls (none before the
+change).
+``peak_mb`` is the construction's tracemalloc peak, measured in a
+separate untimed run, because each net point's search stays alive
+across scales.  The change side also builds
+``random_geometric_graph(720, seed=21)`` at ε = 0.08 with greedy nets
+(:data:`LARGE`), reporting seconds and the tracemalloc peak.
 
-Four sides run this same script in a child process, on a fresh input
-graph per run: the baseline on a ``git archive`` export of
-:data:`BASELINE_COMMIT` (the commit before the §7 hot-path rewrite),
-the parent on an export of :data:`PARENT_COMMIT` (the commit before
-explorations read each row in ascending weight and stopped at the
-radius), the previous side on an export of :data:`PREVIOUS_COMMIT` (the
-commit before walks and participation were carried across scales and
-greedy nets ran on dense indices), and the change on the checkout this
-script sits in.  Every case's edge, insertion-order and ledger digests
-must be equal on all four sides, and the stress tier must clear
-:data:`REQUIRED_SPEEDUP` over the baseline and
-:data:`REQUIRED_PARENT_SPEEDUP` over the parent; the previous side is
-reported, not gated.  The files written:
+Five sides run this same script in child processes, each child one run
+of every case, and the sides take turns for :data:`RUNS` rounds, so a
+slow spell of the shared machine lands on every side alike; each side
+reports its fastest run.  The sides: the baseline on a ``git archive``
+export of :data:`BASELINE_COMMIT` (the commit before the §7 hot-path
+rewrite), the parent on an export of :data:`PARENT_COMMIT` (the commit
+before explorations read each row in ascending weight), the previous
+side on an export of :data:`PREVIOUS_COMMIT` (the last commit whose
+explorations chose paths on rounded weights but pruned them on true
+ones), the re-run side on an export of :data:`RERUN_COMMIT` (one-label
+searches, re-run from scratch once the radius reached their clip), and
+the change on the checkout this script sits in.  The three oldest sides
+run the two-label search, whose output differs on purpose, so their
+digests are recorded, not gated.  The gate: every case's edge,
+insertion-order and ledger digests equal the re-run side's, the stress
+tier clears :data:`REQUIRED_SPEEDUP` over the baseline and
+:data:`REQUIRED_PARENT_SPEEDUP` over the parent, and :data:`LARGE`
+takes under :data:`LARGE_SECONDS`.  The files written:
 
 * ``benchmarks/BENCH_doubling_speedup.txt`` — the human-readable table;
 * ``benchmarks/BENCH_doubling_speedup.json`` — the record CI's
@@ -50,11 +61,11 @@ about a minute.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import importlib
 import json
 import random
-import statistics
 import sys
 import time
 import tracemalloc
@@ -62,7 +73,7 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Tuple
 
 from evidence import (
-    counted_calls, machine, measure_baseline, measure_side, timed_phases, wrapped,
+    counted_calls, exported_src, machine, measure_side, timed_phases, wrapped,
 )
 
 HERE = Path(__file__).resolve().parent
@@ -74,20 +85,31 @@ JSON_PATH = HERE / "BENCH_doubling_speedup.json"
 BASELINE_COMMIT = "529f358"
 #: the commit before explorations read each row in ascending weight
 PARENT_COMMIT = "11a55a2"
-#: the commit before walks and participation were carried across scales
-PREVIOUS_COMMIT = "0aba68a"
-#: (profile, tier) cases; timed runs per tier (each side reports medians)
+#: the last commit whose explorations pruned on true weights (reported)
+PREVIOUS_COMMIT = "6e4cb37"
+#: one-label searches re-run past their clip: the output the change
+#: must reproduce byte for byte
+RERUN_COMMIT = "ef1fdf9"
+#: (profile, tier) cases every side runs
 CASES: List[Tuple[str, str]] = [
     ("doubling-geometric", "smoke"), ("doubling-grid", "smoke"),
     ("doubling-geometric", "stress"), ("doubling-grid", "stress"),
 ]
-RUNS = {"smoke": 5, "stress": 3}
+#: the case only the change side runs: n, the generator seed and ε
+LARGE = (720, 21, 0.08)
+LARGE_CASE = "random-geometric-720"
+#: its acceptance bar, wall seconds
+LARGE_SECONDS = 10.0
+#: turns: every side runs every case once per turn
+RUNS = 3
 #: stress-tier acceptance bars: baseline seconds / change seconds
 REQUIRED_SPEEDUP = {"doubling-geometric": 4.0, "doubling-grid": 2.0}
 #: stress-tier acceptance bars: parent seconds / change seconds
 REQUIRED_PARENT_SPEEDUP = {"doubling-geometric": 1.25, "doubling-grid": 1.2}
-#: the sides of every case, oldest first
-SIDES = ("baseline", "parent", "previous", "change")
+#: the sides of every case, oldest first, and the commits they export
+SIDES = ("baseline", "parent", "previous", "rerun", "change")
+COMMITS = {"baseline": BASELINE_COMMIT, "parent": PARENT_COMMIT,
+           "previous": PREVIOUS_COMMIT, "rerun": RERUN_COMMIT}
 
 PHASES = ("nets", "explorations", "path_walk_and_rest", "total")
 #: (module, attribute, phase): the functions timed, wrapped under the
@@ -95,6 +117,7 @@ PHASES = ("nets", "explorations", "path_walk_and_rest", "total")
 TIMED: List[Tuple[str, str, str]] = [
     ("repro.core.doubling_spanner", "greedy_net", "nets"),
     ("repro.core.doubling_spanner", "bounded_approx_spt", "explorations"),
+    ("repro.spt.approx_spt", "BoundedSPT.resume", "explorations"),
 ]
 #: (module, attribute, counter): the functions counted.  A name absent
 #: on one side counts nothing there: the rewrite changed what the nets
@@ -105,6 +128,7 @@ COUNTED: List[Tuple[str, str, str]] = [
     ("repro.core.nets", "bounded_dijkstra", "net_searches"),
     ("repro.core.nets", "sssp", "net_searches"),
     ("repro.core.doubling_spanner", "bounded_approx_spt", "exploration_calls"),
+    ("repro.spt.approx_spt", "BoundedSPT.resume", "resumes"),
     ("repro.spt.approx_spt", "_round_up_weight", "weight_roundings"),
     ("repro.graphs.csr", "round_up_weight", "weight_roundings"),
     ("repro.core.doubling_spanner", "_walk", "walks"),
@@ -117,8 +141,9 @@ COUNTED_PER_WEIGHT: List[Tuple[str, str, str]] = [
     ("repro.graphs.csr", "round_up_weights", "weight_roundings"),
 ]
 REQUIRED_JSON_KEYS = {
-    "baseline_commit", "parent_commit", "previous_commit", "machine", "cases",
-    "runs", "required_speedup", "required_parent_speedup",
+    "baseline_commit", "parent_commit", "previous_commit", "rerun_commit",
+    "machine", "cases", "runs", "required_speedup", "required_parent_speedup",
+    "large_seconds",
 }
 
 
@@ -135,6 +160,19 @@ def _case(profile_name: str, tier: str) -> Tuple[Callable[[], Any], Callable[[An
                                 net_method=params["net_method"])
 
     return lambda: profile.build_graph(tier), construct
+
+
+def _large_case() -> Tuple[Callable[[], Any], Callable[[Any], Any]]:
+    """:data:`LARGE`'s fresh-input factory and construction."""
+    from repro.core import doubling_spanner
+    from repro.graphs import random_geometric_graph
+
+    n, seed, eps = LARGE
+
+    def construct(graph: Any) -> Any:
+        return doubling_spanner(graph, eps, random.Random(seed), net_method="greedy")
+
+    return lambda: random_geometric_graph(n, seed=seed), construct
 
 
 def _timed_run(make_graph: Callable[[], Any],
@@ -195,29 +233,51 @@ def _digests(result: Any) -> Dict[str, str]:
     }
 
 
+def _record(make_graph: Callable[[], Any], construct: Callable[[Any], Any],
+            counted: bool = True) -> Dict[str, Any]:
+    """One timed run of a case, its peak and, if ``counted``, its calls."""
+    result, seconds = _timed_run(make_graph, construct)
+    record = {
+        "n": result.spanner.n,
+        "scales": len(result.scales),
+        "spanner_edges": result.spanner.m,
+        "seconds": {p: round(seconds[p], 4) for p in PHASES},
+        "peak_mb": _peak_run(make_graph, construct),
+        "digests": _digests(result),
+    }
+    if counted:
+        record["counts"] = _counted_run(make_graph, construct)
+    return record
+
+
 def measure() -> int:
-    """Child side: measure every case with the ``repro`` on the path."""
+    """Child side: one run of every case with the ``repro`` on the path,
+    and :data:`LARGE` when that ``repro`` is this checkout's."""
     import repro
 
     _timed_run(*_case(*CASES[0]))  # warm-up: imports, first-call set-up
-    cases = {}
-    for profile_name, tier in CASES:
-        make_graph, construct = _case(profile_name, tier)
-        runs = [_timed_run(make_graph, construct) for _ in range(RUNS[tier])]
-        result = runs[0][0]
-        cases[f"{profile_name}/{tier}"] = {
-            "n": result.spanner.n,
-            "scales": len(result.scales),
-            "spanner_edges": result.spanner.m,
-            "seconds": {p: round(statistics.median(s[p] for _r, s in runs), 4)
-                        for p in PHASES},
-            "total_runs": [round(s["total"], 4) for _r, s in runs],
-            "counts": _counted_run(make_graph, construct),
-            "peak_mb": _peak_run(make_graph, construct),
-            "digests": _digests(result),
-        }
+    cases = {f"{p}/{t}": _record(*_case(p, t)) for p, t in CASES}
+    if Path(repro.__file__).resolve().is_relative_to((ROOT / "src").resolve()):
+        cases[LARGE_CASE] = _record(*_large_case(), counted=False)
     print(json.dumps({"source": repro.__file__, "cases": cases}))
     return 0
+
+
+def _fastest(runs: List[Dict[str, Any]]) -> Dict[str, Any]:
+    """One side's cases from its runs: per case the fastest run, every
+    run's total, the smallest peak and the digests, which must agree
+    across runs (``"unstable"`` otherwise)."""
+    merged: Dict[str, Any] = {}
+    for key in runs[0]:
+        records = [run[key] for run in runs]
+        digests = {json.dumps(r["digests"], sort_keys=True) for r in records}
+        merged[key] = dict(
+            min(records, key=lambda r: r["seconds"]["total"]),
+            total_runs=[r["seconds"]["total"] for r in records],
+            peak_mb=min(r["peak_mb"] for r in records),
+            digests=records[0]["digests"] if len(digests) == 1 else "unstable",
+        )
+    return merged
 
 
 def _speedup(sides: Dict[str, Any], side: str) -> float:
@@ -229,59 +289,78 @@ def _table(record: Dict[str, Any]) -> List[str]:
     machine = record["machine"]
     lines = [
         f"=== §7 doubling spanner, greedy nets: commit {record['baseline_commit']}"
-        f" (baseline), commit {record['parent_commit']} (parent) and commit "
-        f"{record['previous_commit']} (previous) vs this change ===",
+        f" (baseline), commit {record['parent_commit']} (parent), commit "
+        f"{record['previous_commit']} (previous) and commit "
+        f"{record['rerun_commit']} (rerun) vs this change ===",
         f"{machine['cpu']}, {machine['cores']} cores, CPython "
-        f"{machine['python']}; wall seconds, per-phase medians of "
-        f"{RUNS['smoke']} (smoke) / {RUNS['stress']} (stress) runs on fresh inputs",
+        f"{machine['python']}; wall seconds per phase of the fastest of "
+        f"{record['runs']} runs per side, the sides taking turns, on fresh inputs",
+        "digests: the baseline, parent and previous sides run the two-label "
+        "search (recorded, not gated); the change must equal the rerun side",
     ]
     for case, sides in record["cases"].items():
         new = sides["change"]
-        same = ("equal" if all(sides[side]["digests"] == new["digests"]
-                               for side in SIDES) else "DIFFER")
+        if case == LARGE_CASE:
+            n, seed, eps = LARGE
+            lines += [
+                "",
+                f"--- {case}: random_geometric_graph({n}, seed={seed}), eps={eps}, "
+                f"greedy nets, change side only: {new['scales']} scales, "
+                f"{new['spanner_edges']} spanner edges ---",
+                f"total {new['seconds']['total']:.2f} s (runs "
+                f"{', '.join(f'{t:.2f}' for t in new['total_runs'])}; bar "
+                f"{record['large_seconds']:.0f} s), tracemalloc peak "
+                f"{new['peak_mb']:.1f} MB",
+            ]
+            continue
+        same = {side: "equal" if sides[side]["digests"] == new["digests"] else "differ"
+                for side in SIDES[:-1]}
         lines += [
             "",
             f"--- {case}: n={new['n']}, {new['scales']} scales, "
             f"{new['spanner_edges']} spanner edges; speedup "
-            f"{_speedup(sides, 'baseline'):.2f}x over the baseline, "
-            f"{_speedup(sides, 'parent'):.2f}x over the parent, "
-            f"{_speedup(sides, 'previous'):.2f}x over the previous side; "
-            f"digests {same} ---",
-            f"{'phase':<22} {'baseline s':>11} {'parent s':>10} {'prev s':>10}"
-            f" {'change s':>10} {'vs base':>8} {'vs parent':>10} {'vs prev':>8}",
+            + ", ".join(f"{_speedup(sides, side):.2f}x over the {side}"
+                        for side in SIDES[:-1])
+            + "; digests vs "
+            + ", ".join(f"{side} {same[side]}" for side in SIDES[:-1]) + " ---",
+            f"{'phase':<22}" + "".join(f" {side + ' s':>11}" for side in SIDES),
         ]
         for phase in PHASES:
-            b, p, q, c = (sides[side]["seconds"][phase] for side in SIDES)
-            ratios = ([f"{x / c:.1f}x" for x in (b, p, q)] if c > 0 else ["-"] * 3)
-            lines.append(f"{phase:<22} {b:>11.4f} {p:>10.4f} {q:>10.4f} {c:>10.4f}"
-                         f" {ratios[0]:>8} {ratios[1]:>10} {ratios[2]:>8}")
-        lines.append(f"{'calls':<22} {'baseline':>11} {'parent':>10} {'previous':>10}"
-                     f" {'change':>10}")
+            lines.append(f"{phase:<22}" + "".join(
+                f" {sides[side]['seconds'][phase]:>11.4f}" for side in SIDES))
+        lines.append(f"{'calls':<22}" + "".join(f" {side:>11}" for side in SIDES))
         for key in new["counts"]:
-            b, p, q, c = (sides[side]["counts"][key] for side in SIDES)
-            lines.append(f"{key:<22} {b:>11} {p:>10} {q:>10} {c:>10}")
-        b, p, q, c = (sides[side]["peak_mb"] for side in SIDES)
-        lines.append(f"{'peak_mb (tracemalloc)':<22} {b:>11.3f} {p:>10.3f} {q:>10.3f}"
-                     f" {c:>10.3f}")
+            lines.append(f"{key:<22}" + "".join(
+                f" {sides[side]['counts'][key]:>11}" for side in SIDES))
+        lines.append(f"{'peak_mb (tracemalloc)':<22}" + "".join(
+            f" {sides[side]['peak_mb']:>11.3f}" for side in SIDES))
     return lines
 
 
 def run() -> int:
-    base = measure_baseline("bench_doubling", BASELINE_COMMIT)
-    parent = measure_baseline("bench_doubling", PARENT_COMMIT)
-    previous = measure_baseline("bench_doubling", PREVIOUS_COMMIT)
-    new = measure_side("bench_doubling", ROOT / "src")
+    runs: Dict[str, List[Dict[str, Any]]] = {side: [] for side in SIDES}
+    with contextlib.ExitStack() as stack:
+        sources = {side: stack.enter_context(exported_src(commit))
+                   for side, commit in COMMITS.items()}
+        sources["change"] = ROOT / "src"
+        for turn in range(RUNS):
+            # rotate who goes first, so no side always follows the same one
+            for side in SIDES[turn % len(SIDES):] + SIDES[:turn % len(SIDES)]:
+                runs[side].append(measure_side("bench_doubling", sources[side]))
+    merged = {side: _fastest(runs[side]) for side in SIDES}
     record = {
         "baseline_commit": BASELINE_COMMIT,
         "parent_commit": PARENT_COMMIT,
         "previous_commit": PREVIOUS_COMMIT,
+        "rerun_commit": RERUN_COMMIT,
         "machine": machine(),
         "runs": RUNS,
         "required_speedup": REQUIRED_SPEEDUP,
         "required_parent_speedup": REQUIRED_PARENT_SPEEDUP,
-        "cases": {case: {"baseline": base[case], "parent": parent[case],
-                         "previous": previous[case], "change": new[case]}
-                  for case in base},
+        "large_seconds": LARGE_SECONDS,
+        "cases": {case: {side: merged[side][case] for side in SIDES
+                         if case in merged[side]}
+                  for case in merged["change"]},
     }
     lines = _table(record)
     TXT_PATH.write_text("\n".join(lines) + "\n")
@@ -302,27 +381,33 @@ def check() -> int:
     if missing:
         print(f"FAIL: {JSON_PATH.name} lacks keys: {sorted(missing)}")
         return 1
-    for key, commit in (("baseline_commit", BASELINE_COMMIT),
-                        ("parent_commit", PARENT_COMMIT),
-                        ("previous_commit", PREVIOUS_COMMIT)):
-        if record[key] != commit:
-            print(f"FAIL: committed {key} {record[key]} != {commit}")
+    for side, commit in COMMITS.items():
+        if record[f"{side}_commit"] != commit:
+            print(f"FAIL: committed {side}_commit {record[f'{side}_commit']} != {commit}")
             return 1
-    expected = sorted(f"{p}/{t}" for p, t in CASES)
+    expected = sorted([f"{p}/{t}" for p, t in CASES] + [LARGE_CASE])
     if sorted(record["cases"]) != expected:
         print(f"FAIL: cases {sorted(record['cases'])} != {expected}")
         return 1
     # gate against this script's bars, not the file's copy of them
     bars = {"baseline": REQUIRED_SPEEDUP, "parent": REQUIRED_PARENT_SPEEDUP}
     failures = []
+    large = record["cases"][LARGE_CASE]
+    if set(large) != {"change"}:
+        failures.append(f"{LARGE_CASE}: sides {sorted(large)} != ['change']")
+    elif not large["change"]["seconds"]["total"] < LARGE_SECONDS:
+        failures.append(f"{LARGE_CASE}: {large['change']['seconds']['total']} s "
+                        f"is not under {LARGE_SECONDS} s")
     for case, sides in sorted(record["cases"].items()):
+        if case == LARGE_CASE:
+            continue
         if set(sides) != set(SIDES):
             failures.append(f"{case}: sides {sorted(sides)} != {sorted(SIDES)}")
             continue
-        new = sides["change"]
-        for side in SIDES[:-1]:
-            if sides[side]["digests"] != new["digests"]:
-                failures.append(f"{case}: digests differ from the {side}'s")
+        if "unstable" in (sides["change"]["digests"], sides["rerun"]["digests"]):
+            failures.append(f"{case}: digests vary from run to run")
+        elif sides["change"]["digests"] != sides["rerun"]["digests"]:
+            failures.append(f"{case}: digests differ from the rerun side's")
         if any(set(sides[side]["seconds"]) != set(PHASES) for side in SIDES):
             failures.append(f"{case}: per-phase seconds incomplete")
             continue
@@ -341,12 +426,14 @@ def check() -> int:
     stress = "; ".join(
         f"{c} {_speedup(s, 'baseline'):.1f}x / {_speedup(s, 'parent'):.1f}x"
         for c, s in sorted(record["cases"].items()) if c.endswith("/stress"))
-    previous = "; ".join(
-        f"{c} {_speedup(s, 'previous'):.2f}x"
+    reported = "; ".join(
+        f"{c} {_speedup(s, 'previous'):.2f}x / {_speedup(s, 'rerun'):.2f}x"
         for c, s in sorted(record["cases"].items()) if c.endswith("/stress"))
     print(f"OK: vs commits {BASELINE_COMMIT} / {PARENT_COMMIT}: {stress}; "
-          f"vs commit {PREVIOUS_COMMIT} (reported): {previous}; "
-          f"digests equal on all {len(expected)} cases")
+          f"vs commits {PREVIOUS_COMMIT} / {RERUN_COMMIT} (reported): {reported}; "
+          f"digests equal commit {RERUN_COMMIT}'s on all {len(CASES)} cases; "
+          f"{LARGE_CASE} {large['change']['seconds']['total']:.2f} s, "
+          f"peak {large['change']['peak_mb']:.1f} MB")
     return 0
 
 

@@ -9,10 +9,10 @@ which runs in Õ((√n + D)/poly ε) CONGEST rounds.  Per DESIGN.md,
   SPT (weights rounded up to powers of (1+ε) before the tree is chosen, so
   the approximation is real, not cosmetic), charged at the [BKKL17] cost;
 * :func:`~repro.spt.approx_spt.bounded_approx_spt` — the Δ-bounded
-  multi-source variant §7 needs; its :class:`~repro.spt.approx_spt.BoundedSPT`
-  result holds the search's own arrays over the frozen view's dense
-  indices (no labels), and reports the radius up to which the same
-  search repeats.
+  multi-source variant §6 and §7 need; its
+  :class:`~repro.spt.approx_spt.BoundedSPT` result holds the search's own
+  arrays over the frozen view's dense indices (no labels), and resumes
+  to a larger radius as the search started there would run.
 
 The message-level Bellman–Ford program that validates the simulator
 against Dijkstra lives with its tests, in ``tests/test_bellman_ford.py``.

@@ -11,6 +11,10 @@ before the tree is selected, and the returned ``dist`` values are the true
   exercised against an actually-inexact SPT);
 * the tree generally differs from the exact SPT, as [BKKL17]'s would.
 
+The bounded search of §6–§7, :func:`bounded_approx_spt`, prunes on the
+rounded labels and returns them; a path's true weight is at most its
+label.
+
 Round cost: [BKKL17] give Õ((√n + D)/poly ε); we charge
 ``(ceil(sqrt(n)) + height) · ceil(log2(n+1))^2 · ceil(1/ε)`` — the same
 measured-quantity convention as every other ledger charge (constants fixed
