@@ -303,19 +303,22 @@ class TestOneLabelSearch:
                 for radius in radii:
                     _assert_matches_reference(graph, sources, radius, eps)
 
+    @pytest.mark.parametrize("frozen", [False, True], ids=["dict", "csr"])
     @pytest.mark.parametrize("factor", [1.0, 1e-6, 1e6])
     @pytest.mark.parametrize("family", _FAMILIES)
-    def test_resumed_equals_started(self, family, factor):
-        g = _search_graph(family, 1, factor)
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_resumed_equals_started(self, seed, family, factor, frozen):
+        g = _search_graph(family, seed, factor)
+        graph = g.freeze() if frozen else g
         for eps in (0.0, 0.05, 0.5):
             for sources in ([0], [0, 17]):
-                search = bounded_approx_spt(g, sources, 0.0, eps)
+                search = bounded_approx_spt(graph, sources, 0.0, eps)
                 top = 0.0
                 # a repeated radius, and a smaller one, settle nothing
                 for r in (1.0, 1.0, 3.0, 2.0, 40.0, 150.0, math.inf):
                     search.resume(r * factor)
                     top = max(top, r * factor)
-                    fresh = bounded_approx_spt(g, sources, top, eps)
+                    fresh = bounded_approx_spt(graph, sources, top, eps)
                     assert (search.dist, search.parent, search.reached) == (
                         fresh.dist, fresh.parent, fresh.reached)
 
