@@ -12,9 +12,10 @@ smoke and stress tiers, split into the construction's phases:
   searches were resumed, and on the change one per search started plus
   one resume per net-point visit at every later scale;
 * **path walk and the rest** — the remaining construction time: the
-  per-scale loop that walks each reported path into the spanner (``walks`` counts the net-point visits that walk,
-  ``path_steps`` the ``WeightedGraph.has_edge`` calls, one per step
-  walked), the participation count, the BFS tree and the MST.
+  per-scale loop that walks each reported path into the spanner
+  (``walks`` counts the net-point visits that walk, ``path_steps`` the
+  ``WeightedGraph.has_edge`` calls, one per step walked), the
+  participation count, the BFS tree and the MST.
 
 ``exploration_calls`` counts the ``bounded_approx_spt`` calls: the
 searches run on the older sides, the searches started on the change;

@@ -27,7 +27,8 @@ The label-level inspection API (``vertices``/``edges``/``neighbors``/
 ``neighbor_items``/``degree``/``has_edge``/``weight``...) mirrors
 ``WeightedGraph`` so read-only consumers accept either backend; the
 index-level API (``row``, ``indices``, ``weights``, ``mirror``,
-``rounded_weights``, ``mst_edges``, ``bfs_tree``) is what the rewritten hot paths use directly.
+``rounded_weights``, ``repr_order``, ``mst_edges``, ``bfs_tree``) is
+what the rewritten hot paths use directly.
 """
 
 from __future__ import annotations
