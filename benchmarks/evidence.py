@@ -39,15 +39,16 @@ Wrapper = Callable[[Callable[..., Any], str], Callable[..., Any]]
 @contextlib.contextmanager
 def wrapped(targets: List[Tuple[str, str, str]], make: Wrapper) -> Iterator[None]:
     """Replace each present ``(module, attribute path, key)`` target by
-    ``make(original, key)``; restore them after."""
+    ``make(original, key)``; restore them after.  A target whose path
+    is absent, as on a side older than the name, is skipped."""
     saved = []
     try:
         for module, path, key in targets:
             owner: Any = importlib.import_module(module)
             *outer, attr = path.split(".")
             for part in outer:
-                owner = getattr(owner, part)
-            if attr in owner.__dict__:
+                owner = getattr(owner, part, None)
+            if attr in getattr(owner, "__dict__", {}):
                 original = owner.__dict__[attr]
                 saved.append((owner, attr, original))
                 setattr(owner, attr, make(original, key))
