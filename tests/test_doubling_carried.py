@@ -37,10 +37,9 @@ from repro.core.nets import build_net, greedy_net
 from repro.determinism import ensure_rng
 from repro.graphs import WeightedGraph, erdos_renyi_graph, random_geometric_graph
 from repro.graphs.weighted_graph import Vertex
-from repro.harness.profiles import get_profile
 from repro.mst.kruskal import kruskal_mst
 
-from test_doubling_resume import rerun_search
+from test_doubling_resume import golden_input, rerun_search
 
 DOUBLING = importlib.import_module("repro.core.doubling_spanner")
 
@@ -207,19 +206,6 @@ def _scale_log(graph, eps, seed, monkeypatch):
             for (points, walked), before, after in zip(log, sizes, sizes[1:])]
 
 
-def _golden_input(name):
-    """The inputs ``tests/test_doubling_golden.py`` pins, with their ε
-    and seed."""
-    if name == "grid-smoke":
-        profile = get_profile("doubling-grid")
-        return profile.build_graph("smoke"), 0.1, profile.seed
-    if name == "geo-stress":
-        profile = get_profile("doubling-geometric")
-        return profile.build_graph("stress"), profile.params["eps"], profile.seed
-    seed = int(name[len("geo"):])
-    return random_geometric_graph(30, seed=seed), 0.08, seed
-
-
 def _strings(g):
     """``g`` with labels ``v00``… that sort in the reverse of the
     vertices' insertion order, so no label is its index."""
@@ -241,7 +227,7 @@ PARTIAL = (lambda: random_geometric_graph(12, seed=1), 0.08, 1)
 class TestCarriedStateParity:
     @pytest.mark.parametrize("name", ["geo1", "geo2", "geo3", "grid-smoke", "geo-stress"])
     def test_golden_inputs(self, name):
-        graph, eps, seed = _golden_input(name)
+        graph, eps, seed = golden_input(name)
         assert_same_as_walking_every_point(graph, eps, seed, "greedy")
 
     @pytest.mark.parametrize("net_method", ["greedy", "distributed"])
@@ -284,7 +270,7 @@ class TestCarriedStateParity:
 
 class TestWalks:
     def test_a_visit_walks_only_where_the_net_or_its_tree_changed(self, monkeypatch):
-        graph, eps, seed = _golden_input("geo1")
+        graph, eps, seed = golden_input("geo1")
         log = _scale_log(graph, eps, seed, monkeypatch)
         last: Set[Vertex] = set()
         for net, grew, walked in log:

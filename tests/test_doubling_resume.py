@@ -41,6 +41,8 @@ from repro.kernels.pykern import PARENT_SOURCE, PARENT_UNREACHED
 from repro.lelists.le_lists import fl16_round_cost
 from repro.mst.kruskal import kruskal_mst
 
+from test_doubling_spanner import _relabelled
+
 DOUBLING = importlib.import_module("repro.core.doubling_spanner")
 INF = math.inf
 
@@ -287,23 +289,6 @@ def golden_input(name):
     return random_geometric_graph(30, seed=seed), 0.08, seed
 
 
-def relabelled(g, how, seed):
-    """``g`` under labels that are not its vertex indices: strings that
-    sort in the reverse of the insertion order, or the same ints
-    inserted in a shuffled order."""
-    verts = list(g.vertices())
-    order = list(verts)
-    if how == "strings":
-        name = {v: "v%02d" % (len(verts) - 1 - k) for k, v in enumerate(verts)}
-    else:
-        name = {v: v for v in verts}
-        random.Random(seed).shuffle(order)
-    out = WeightedGraph(name[v] for v in order)
-    for u, v, w in g.edges():
-        out.add_edge(name[u], name[v], w)
-    return out
-
-
 def _logged(graph, eps, seed, monkeypatch):
     """A greedy-net construction's nets, one set per scale, and the
     sources of the searches it started, in order."""
@@ -338,7 +323,7 @@ class TestResumeParity:
     def test_labels_that_are_not_indices(self, family, how, net_method):
         base = (random_geometric_graph(25, seed=1) if family == "geometric"
                 else grid_graph(5, 5))  # every weight 1: ties everywhere
-        g = relabelled(base, how, seed=3)
+        g = _relabelled(base, how, seed=3)
         index_of = g.freeze().index_of
         assert sum(index_of(v) != v for v in g.vertices()) > 20
         assert_same_as_rerunning(g, 0.08, 1, net_method)
