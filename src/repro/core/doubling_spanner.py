@@ -163,10 +163,14 @@ def doubling_spanner(
     base = 1.0 + eps
     # the scales start at the lightest edge, so that edge is explored,
     # and end at w(T); with no edge (n = 1) one scale at Δ = 1 visits
-    # the lone vertex
+    # the lone vertex.  w(T)/w_min may pass the float range while both
+    # weights are in it, and then the logarithms are subtracted.
     if csr.m:
         w_min = csr.min_weight()
-        num_scales = math.ceil(math.log(mst_weight / w_min, base)) + 1
+        ratio = mst_weight / w_min
+        span = (math.log(ratio, base) if ratio < math.inf
+                else math.log(mst_weight, base) - math.log(w_min, base))
+        num_scales = math.ceil(span) + 1
     else:
         w_min, num_scales = 1.0, 1
     delta = 0.5  # the paper's "e.g., we can take δ = 1/2"
@@ -187,7 +191,10 @@ def doubling_spanner(
     max_overlap = 0
 
     for i in range(num_scales):
-        scale = w_min * base ** i
+        try:
+            scale = w_min * base ** i
+        except OverflowError:  # (1+ε)^i alone passes the float range
+            scale = math.exp(math.log(w_min) + i * math.log(base))
         scale_ledger = RoundLedger()
 
         # --- net with covering radius εΔ/2 (Δ_net = εΔ/3, δ = 1/2) ---

@@ -139,6 +139,26 @@ class TestScales:
             for a, b in zip(res.scales, res.scales[1:])
         )
 
+    def test_weight_ratio_past_the_float_range(self):
+        """w(T)/w_min above the largest float, with both weights in
+        range: the scales still run from w_min to w(T), a factor 1+ε
+        apart, though (1+ε)^i alone passes the range at the last ones."""
+        g = WeightedGraph([0, 1, 2])
+        g.add_edge(0, 1, 1e-300)
+        g.add_edge(1, 2, 1e10)
+        assert 1e10 / 1e-300 == math.inf
+        res = doubling_spanner(g, 0.12, random.Random(0), net_method="greedy")
+        verify_spanner(g, res.spanner, res.stretch_bound)
+        assert res.spanner.m == 2
+        steps = math.log(1e10, 1.12) - math.log(1e-300, 1.12)
+        assert len(res.scales) == math.ceil(steps) + 1
+        assert res.scales[0].scale == 1e-300
+        assert res.scales[-2].scale < 1e10 <= res.scales[-1].scale
+        assert all(
+            b.scale == pytest.approx(a.scale * 1.12)
+            for a, b in zip(res.scales, res.scales[1:])
+        )
+
     def test_net_sizes_weakly_decreasing_at_large_scales(self):
         g = random_geometric_graph(25, seed=10)
         res = doubling_spanner(g, 0.1, random.Random(10), net_method="greedy")
