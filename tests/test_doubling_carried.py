@@ -1,177 +1,30 @@
 """§7 scales carry their walks and participation count across scales.
 
 ``doubling_spanner`` walks a net point's tree into the spanner only
-when the net changed since the last scale or the point's exploration
-re-ran, and keeps one per-vertex participation count that a net point's
-reached list enters and leaves with the point or its exploration.  The
-reference below is a verbatim copy of the scale loop before that: every
-net point walks at every scale, and each scale counts participation
-afresh with a ``Counter``.  Its searches are the one-label searches of
-``tests/test_doubling_resume.py``'s reference, re-run once the radius
-reaches their clip, where the construction resumes each one.  The two
-must give the same spanner edges in the same insertion order, the same
-ledger and the same per-scale statistics, on the golden inputs, string
-labels, distributed nets, an input whose greedy net drops a point and
-takes it back, and an input whose net stays while only some of its
-searches settle more.
+when the net changed since the last scale or the point's search settled
+more, and keeps one per-vertex participation count that a net point's
+settled list enters and leaves with the point or its search.  The tests
+below log, per scale, the net, the points whose search settled more and
+the points that walked, and check those rules on an input whose greedy
+net drops a point and takes it back and on one whose net stays while
+only some of its searches settle more.  On both, the construction must
+also equal the loop that runs a fresh search and walks every net point
+at every scale (``tests/test_doubling_spanner.py``, which compares it
+with that loop on more inputs, the golden ones among them).
 """
 
 import importlib
-import math
 import random
-from collections import Counter
-from itertools import chain
-from typing import List, Optional, Set, Tuple
+from typing import Set
 
-import pytest
-
-from repro.congest.bfs import build_bfs_tree
-from repro.congest.ledger import RoundLedger
-from repro.core.doubling_spanner import (
-    ScaleStats,
-    bounded_exploration_cost,
-    doubling_spanner,
-    en16_round_cost,
-)
-from repro.core.nets import build_net, greedy_net
-from repro.determinism import ensure_rng
-from repro.graphs import WeightedGraph, erdos_renyi_graph, random_geometric_graph
+from repro.core.doubling_spanner import doubling_spanner
+from repro.core.nets import greedy_net
+from repro.graphs import erdos_renyi_graph, random_geometric_graph
 from repro.graphs.weighted_graph import Vertex
-from repro.mst.kruskal import kruskal_mst
 
-from test_doubling_resume import golden_input, rerun_search
+from test_doubling_spanner import assert_same_as_every_exploration, golden_input
 
 DOUBLING = importlib.import_module("repro.core.doubling_spanner")
-
-
-def walk_every_point_spanner(graph, eps, rng=None, net_method="distributed"):
-    """The scale loop before walks and participation were carried
-    across scales, verbatim: every net point walks at every scale and
-    each scale builds its own ``Counter``.  Returns the spanner, the
-    ledger and the per-scale statistics."""
-    n = graph.n
-    rng = ensure_rng(rng)
-    root = min(graph.vertices(), key=repr)
-
-    ledger = RoundLedger()
-    bfs = build_bfs_tree(graph, root)
-    ledger.charge("bfs-tree", bfs.rounds)
-    height = bfs.height
-
-    mst_weight = kruskal_mst(graph).total_weight()
-    spanner = WeightedGraph(graph.vertices())
-    scales: List[ScaleStats] = []
-    csr = graph.freeze()  # shared by every per-net-point exploration
-    verts, index_of = csr.verts, csr.index_of
-    # net points are visited, and walked to, by ascending repr; rank[i]
-    # orders vertex i's repr, and equal reprs share a rank
-    reprs = [repr(v) for v in verts]
-    order = {r: k for k, r in enumerate(sorted(set(reprs)))}
-    rank = [order[r] for r in reprs]
-
-    base = 1.0 + eps
-    if csr.m:
-        w_min = csr.min_weight()
-        num_scales = math.ceil(math.log(mst_weight / w_min, base)) + 1
-    else:
-        w_min, num_scales = 1.0, 1
-    delta = 0.5  # the paper's "e.g., we can take δ = 1/2"
-    skeleton_size = max(1, math.ceil(math.sqrt(n * max(math.log(n + 1), 1.0))))
-    beta = max(1, math.ceil(math.log2(n + 1)))  # charged [EN16] hopbound
-    # net-point index -> (clip, label list, parent list, reached indices,
-    # walked set) of its last exploration, all over csr's dense indices.
-    # The search repeats itself at every radius below its clip, the
-    # smallest tentative label it left, so an exploration re-runs only
-    # once the radius reaches its clip.
-    explored: List[Optional[Tuple[float, List[float], List[int], List[int], Set[int]]]] = (
-        [None] * n)
-
-    for i in range(num_scales):
-        scale = w_min * base ** i
-        scale_ledger = RoundLedger()
-
-        # --- net with covering radius εΔ/2 (Δ_net = εΔ/3, δ = 1/2) ---
-        net_param = eps * scale / 3.0
-        if net_method == "distributed":
-            net_res = build_net(graph, net_param, delta, rng, root=root)
-            net_points: Set[Vertex] = net_res.points
-            scale_ledger.merge(net_res.ledger, prefix=f"scale{i}:net:")
-        else:
-            net_points = greedy_net(graph, net_param)
-            from repro.lelists.le_lists import fl16_round_cost
-
-            iters = math.ceil(math.log2(n + 2))
-            scale_ledger.charge(
-                f"scale{i}:net", iters * fl16_round_cost(n, height, delta)
-            )
-
-        # --- [EN16] hopset for this scale's explorations (charged, not built) ---
-        scale_ledger.charge(f"scale{i}:hopset", en16_round_cost(n, height, beta))
-
-        # --- 2Δ-bounded explorations from every net point ---
-        radius = 2.0 * scale
-        # in the set's own order, so paths enter the spanner in that order
-        net = [index_of(v) for v in net_points]
-        reached_lists: List[List[int]] = []
-        paths_added = 0
-        for u in sorted(net, key=rank.__getitem__):
-            memo = explored[u]
-            if memo is None or radius >= memo[0]:
-                run = rerun_search(csr, [verts[u]], radius, eps)
-                memo = explored[u] = (run.clip, run.dist, run.parent, run.reached, set())
-            _clip, label, parent, reached, walked = memo
-            reached_lists.append(reached)
-            # every vertex on an already-walked path leads to u over edges
-            # a walk of this same tree added, at this scale or an earlier
-            # one, so a later walk stops there
-            rank_u = rank[u]
-            for v in net:
-                if rank[v] <= rank_u or label[v] > radius:
-                    continue
-                # add the reported path to the spanner; a label is
-                # looked up only to ask for, and add, an edge
-                node = v
-                while node not in walked and parent[node] >= 0:
-                    walked.add(node)
-                    prev = parent[node]
-                    a, b = verts[prev], verts[node]
-                    if not spanner.has_edge(a, b):
-                        spanner.add_edge(a, b, graph.weight(a, b))
-                    node = prev
-                paths_added += 1
-        participation = Counter(chain.from_iterable(reached_lists))
-        max_overlap = max(participation.values(), default=0)
-        scale_ledger.charge(
-            f"scale{i}:explorations",
-            bounded_exploration_cost(n, height, beta, max_overlap, skeleton_size),
-        )
-
-        ledger.merge(scale_ledger)
-        scales.append(
-            ScaleStats(
-                index=i,
-                scale=scale,
-                net_size=len(net_points),
-                paths_added=paths_added,
-                max_overlap=max_overlap,
-                rounds=scale_ledger.total,
-            )
-        )
-
-    return spanner, ledger, scales
-
-
-def assert_same_as_walking_every_point(graph, eps, seed, net_method):
-    """The construction and the reference agree edge for edge, in
-    insertion order, phase for phase and scale for scale; returns the
-    construction's result."""
-    res = doubling_spanner(graph, eps, random.Random(seed), net_method=net_method)
-    spanner, ledger, scales = walk_every_point_spanner(
-        graph, eps, random.Random(seed), net_method)
-    assert list(res.spanner.edges()) == list(spanner.edges())
-    assert res.ledger.by_phase() == ledger.by_phase()
-    assert res.scales == scales
-    return res
 
 
 def _scale_log(graph, eps, seed, monkeypatch):
@@ -206,17 +59,6 @@ def _scale_log(graph, eps, seed, monkeypatch):
             for (points, walked), before, after in zip(log, sizes, sizes[1:])]
 
 
-def _strings(g):
-    """``g`` with labels ``v00``… that sort in the reverse of the
-    vertices' insertion order, so no label is its index."""
-    verts = list(g.vertices())
-    name = {v: "v%02d" % (len(verts) - 1 - k) for k, v in enumerate(verts)}
-    out = WeightedGraph(name[v] for v in verts)
-    for u, v, w in g.edges():
-        out.add_edge(name[u], name[v], w)
-    return out
-
-
 #: a greedy net that drops a point and takes it back at a later scale
 REJOIN = (lambda: erdos_renyi_graph(20, 0.2, seed=1), 0.08, 1)
 #: nets that stay from one scale to the next while only some of their
@@ -225,22 +67,6 @@ PARTIAL = (lambda: random_geometric_graph(12, seed=1), 0.08, 1)
 
 
 class TestCarriedStateParity:
-    @pytest.mark.parametrize("name", ["geo1", "geo2", "geo3", "grid-smoke", "geo-stress"])
-    def test_golden_inputs(self, name):
-        graph, eps, seed = golden_input(name)
-        assert_same_as_walking_every_point(graph, eps, seed, "greedy")
-
-    @pytest.mark.parametrize("net_method", ["greedy", "distributed"])
-    def test_string_labels(self, net_method):
-        g = _strings(random_geometric_graph(25, seed=1))
-        assert sum(g.freeze().index_of(v) != int(v[1:]) for v in g.vertices()) > 20
-        assert_same_as_walking_every_point(g, 0.08, 1, net_method)
-
-    @pytest.mark.parametrize("n, seed, eps", [(20, 6, 0.1), (25, 2, 0.08), (30, 3, 0.05)])
-    def test_distributed_nets(self, n, seed, eps):
-        g = random_geometric_graph(n, seed=seed)
-        assert_same_as_walking_every_point(g, eps, seed, "distributed")
-
     def test_a_net_point_that_leaves_and_rejoins(self, monkeypatch):
         make, eps, seed = REJOIN
         log = _scale_log(make(), eps, seed, monkeypatch)
@@ -254,7 +80,7 @@ class TestCarriedStateParity:
         # the count, and every point that comes back walks again
         assert (False, True) in rejoins
         assert all(walked for _ran, walked in rejoins)
-        assert_same_as_walking_every_point(make(), eps, seed, "greedy")
+        assert_same_as_every_exploration(make(), eps, seed, "greedy")
 
     def test_a_net_that_stays_while_some_searches_settle_more(self, monkeypatch):
         make, eps, seed = PARTIAL
@@ -265,7 +91,7 @@ class TestCarriedStateParity:
         # over an unchanged net, exactly the points whose search settled
         # more walk
         assert all(walked == grew for _net, grew, walked in partial)
-        assert_same_as_walking_every_point(make(), eps, seed, "greedy")
+        assert_same_as_every_exploration(make(), eps, seed, "greedy")
 
 
 class TestWalks:

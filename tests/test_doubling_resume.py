@@ -36,12 +36,11 @@ from repro.core.nets import build_net, greedy_net
 from repro.determinism import ensure_rng
 from repro.graphs import WeightedGraph, erdos_renyi_graph, grid_graph, random_geometric_graph
 from repro.graphs.weighted_graph import Vertex
-from repro.harness.profiles import get_profile
 from repro.kernels.pykern import PARENT_SOURCE, PARENT_UNREACHED
 from repro.lelists.le_lists import fl16_round_cost
 from repro.mst.kruskal import kruskal_mst
 
-from test_doubling_spanner import _relabelled
+from test_doubling_spanner import _relabelled, golden_input
 
 DOUBLING = importlib.import_module("repro.core.doubling_spanner")
 INF = math.inf
@@ -274,19 +273,6 @@ def assert_same_as_rerunning(graph, eps, seed, net_method):
     assert res.ledger.entries() == ledger.entries()
     assert res.scales == scales
     return res
-
-
-def golden_input(name):
-    """The inputs ``tests/test_doubling_golden.py`` pins, with their ε
-    and seed."""
-    if name == "grid-smoke":
-        profile = get_profile("doubling-grid")
-        return profile.build_graph("smoke"), 0.1, profile.seed
-    if name == "geo-stress":
-        profile = get_profile("doubling-geometric")
-        return profile.build_graph("stress"), profile.params["eps"], profile.seed
-    seed = int(name[len("geo"):])
-    return random_geometric_graph(30, seed=seed), 0.08, seed
 
 
 def _logged(graph, eps, seed, monkeypatch):

@@ -27,6 +27,7 @@ from repro.graphs import (
     random_geometric_graph,
     unit_ball_graph,
 )
+from repro.harness.profiles import get_profile
 from repro.lelists.le_lists import fl16_round_cost
 from repro.mst import kruskal_mst
 from repro.spt import bounded_approx_spt
@@ -299,8 +300,9 @@ class TestInputContract:
 
 def _every_exploration_spanner(graph, eps, rng, net_method):
     """The per-scale loop before explorations were reused across scales:
-    one fresh ``bounded_approx_spt`` per net point per scale.  The
-    reference :class:`TestParentLoopParity` compares against."""
+    one fresh ``bounded_approx_spt`` per net point per scale, every net
+    point walking at every scale, participation counted afresh.  The
+    reference :func:`assert_same_as_every_exploration` compares with."""
     n = graph.n
     root = min(graph.vertices(), key=repr)
     ledger = RoundLedger()
@@ -374,6 +376,32 @@ def _every_exploration_spanner(graph, eps, rng, net_method):
     return spanner, ledger, scales
 
 
+def assert_same_as_every_exploration(graph, eps, seed, net_method):
+    """The construction and :func:`_every_exploration_spanner` agree
+    edge for edge, in insertion order, ledger entry for ledger entry and
+    scale for scale; returns the construction's result."""
+    res = doubling_spanner(graph, eps, random.Random(seed), net_method=net_method)
+    spanner, ledger, scales = _every_exploration_spanner(
+        graph, eps, random.Random(seed), net_method)
+    assert list(res.spanner.edges()) == list(spanner.edges())
+    assert res.ledger.entries() == ledger.entries()
+    assert res.scales == scales
+    return res
+
+
+def golden_input(name):
+    """The inputs ``tests/test_doubling_golden.py`` pins, with their ε
+    and seed."""
+    if name == "grid-smoke":
+        profile = get_profile("doubling-grid")
+        return profile.build_graph("smoke"), 0.1, profile.seed
+    if name == "geo-stress":
+        profile = get_profile("doubling-geometric")
+        return profile.build_graph("stress"), profile.params["eps"], profile.seed
+    seed = int(name[len("geo"):])
+    return random_geometric_graph(30, seed=seed), 0.08, seed
+
+
 def _parity_graph(family, n, seed):
     if family == "geometric":
         return random_geometric_graph(n, seed=seed)
@@ -411,18 +439,10 @@ def _relabelled(g, how, seed):
 
 
 class TestParentLoopParity:
-    """Reused explorations give the spanner every loop that re-runs
-    each exploration gives it: the same edges in the same insertion
-    order, the same ledger and the same per-scale statistics."""
-
-    @staticmethod
-    def _assert_parity(g, eps, seed, net_method):
-        res = doubling_spanner(g, eps, random.Random(seed), net_method=net_method)
-        spanner, ledger, scales = _every_exploration_spanner(
-            g, eps, random.Random(seed), net_method)
-        assert list(res.spanner.edges()) == list(spanner.edges())
-        assert res.ledger.entries() == ledger.entries()
-        assert res.scales == scales
+    """Resumed searches and carried walks give the spanner every loop
+    that runs a fresh search and walks every net point at every scale
+    gives it: the same edges in the same insertion order, the same
+    ledger and the same per-scale statistics."""
 
     @pytest.mark.parametrize("family, n, seed, eps, factor, net_method",
                              list(_parity_cases()))
@@ -431,7 +451,18 @@ class TestParentLoopParity:
         g = _parity_graph(family, n, seed)
         if factor != 1.0:
             g = g.reweighted(lambda u, v, w: w * factor)
-        self._assert_parity(g, eps, seed, net_method)
+        assert_same_as_every_exploration(g, eps, seed, net_method)
+
+    @pytest.mark.parametrize("name", ["geo1", "geo2", "geo3", "grid-smoke", "geo-stress"])
+    def test_golden_inputs(self, name):
+        graph, eps, seed = golden_input(name)
+        assert_same_as_every_exploration(graph, eps, seed, "greedy")
+
+    @pytest.mark.parametrize("factor", [2.0 ** -40, 2.0 ** 40])
+    def test_weights_far_from_one(self, factor):
+        g = erdos_renyi_graph(25, 4.0 / 25, seed=1).reweighted(
+            lambda u, v, w: w * factor)
+        assert_same_as_every_exploration(g, 0.08, 1, "greedy")
 
     @pytest.mark.parametrize("net_method", ["greedy", "distributed"])
     @pytest.mark.parametrize("how", ["strings", "shuffled"])
@@ -443,4 +474,4 @@ class TestParentLoopParity:
         g = _relabelled(_parity_graph(family, 25, 1), how, seed=3)
         index_of = g.freeze().index_of
         assert sum(index_of(v) != v for v in g.vertices()) > 20
-        self._assert_parity(g, 0.08, 1, net_method)
+        assert_same_as_every_exploration(g, 0.08, 1, net_method)

@@ -95,6 +95,19 @@ class TestBuildNet:
         # at least n / (2α + 1) points are needed to cover a path
         assert len(res.points) >= 50 / (2 * res.alpha + 1) - 1
 
+    @pytest.mark.parametrize("w, points", [(1.6, 1), (2.0, 2)])
+    def test_deactivates_by_tree_path_weight(self, monkeypatch, w, points):
+        """With only the first vertex in π joining, the other end of one
+        edge is deactivated exactly when the edge weighs at most
+        (1+δ)·Δ = 1.8, though 1.6 and 2.0 both round up to 1.5² = 2.25."""
+        g = WeightedGraph([0, 1])
+        g.add_edge(0, 1, w)
+        monkeypatch.setattr(nets_module, "first_in_ball",
+                            lambda le, v, radius: min(le.pi, key=le.pi.__getitem__))
+        res = build_net(g, 1.2, 0.5, random.Random(0))
+        assert (len(res.points), res.iterations) == (points, points)
+        verify_net(g, res.points, res.alpha, res.beta)
+
     def test_invalid_parameters(self, small_er):
         with pytest.raises(ValueError):
             build_net(small_er, -1.0, 0.5)

@@ -7,8 +7,8 @@ exact ties and m next to m·(1 + 2^-52) near ties.  On every draw the
 greedy net must cover and separate at its radius, and the doubling
 spanner must be a spanning subgraph with certified stretch at most
 1 + 30ε that equals, edge for edge and in insertion order, the scale
-loop that walks every net point at every scale
-(``tests/test_doubling_carried.py``) and the scale loop that re-runs
+loop that runs a fresh search and walks every net point at every scale
+(``tests/test_doubling_spanner.py``) and the scale loop that re-runs
 each search past its clip (``tests/test_doubling_resume.py``).  The
 one-label search itself must resume to what a fresh search to the same
 radius settles, settle every vertex within radius/(1+ε), and report
@@ -23,8 +23,8 @@ from repro.core.nets import greedy_net
 from repro.graphs import WeightedGraph, dijkstra
 from repro.spt import bounded_approx_spt
 
-from test_doubling_carried import assert_same_as_walking_every_point
 from test_doubling_resume import assert_same_as_rerunning
+from test_doubling_spanner import assert_same_as_every_exploration
 
 #: repeats make exact ties, m next to m·(1 + 2^-52) near ties
 MANTISSAS = (1.0, 1.0 * (1 + 2 ** -52), 1.5, 1.5 * (1 + 2 ** -52), 3.0)
@@ -86,7 +86,7 @@ class TestDoublingSpanner:
 
     @staticmethod
     def _check(g, eps, net_method):
-        res = assert_same_as_walking_every_point(g, eps, g.n, net_method)
+        res = assert_same_as_every_exploration(g, eps, g.n, net_method)
         assert_same_as_rerunning(g, eps, g.n, net_method)
         assert res.stretch_bound == 1.0 + 30.0 * eps
         verify_spanner(g, res.spanner, res.stretch_bound)
