@@ -57,18 +57,23 @@ def round_up_weights(weights: Iterable[float], eps: float) -> List[float]:
     3); ``eps <= 0`` leaves the weights unchanged.  ``log(1 + eps)`` is
     taken once, and each power ``(1 + eps) ** e`` once per exponent.
     CPython evaluates ``math.log(w, b)`` as ``log(w) / log(b)``, so
-    dividing by the stored logarithm gives the exponent that
-    ``ceil(log(w, 1 + eps) - 1e-12)`` gives, and so the same rounded
-    weight, bit for bit.
+    dividing by the stored logarithm gives the exponent
+    ``ceil(log(w, 1 + eps) - 1e-12)``.  The slack keeps a weight that is
+    a power on that power; a weight a hair above a power gets it too, and
+    takes the next one instead, so no weight rounds down.
     """
     if eps <= 0:
         return list(weights)
     base = 1.0 + eps
     log_base = math.log(base)
     log, ceil = math.log, math.ceil
+    weights = list(weights)
     exponents = [ceil(log(w) / log_base - 1e-12) for w in weights]
     powers = {e: base ** e for e in dict.fromkeys(exponents)}
-    return [powers[e] for e in exponents]
+    rounded = [powers[e] for e in exponents]
+    for i in [i for i, (r, w) in enumerate(zip(rounded, weights)) if r < w]:
+        rounded[i] = base ** (exponents[i] + 1)
+    return rounded
 
 
 class CSRGraph:

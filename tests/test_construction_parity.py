@@ -16,8 +16,8 @@ and ``_ref_cluster_graph`` (a dict of sets, ``edge_sort_key`` on every
 repeated pair), key order and representatives included.
 
 The rounded column (also as the LE lists' distances read it) and
-``light_spanner``'s bucket sweep must agree bit for bit with ``_ref_round_up_weight`` (one ``math.log(w, 1+ε)`` and one
-power per weight) and ``_ref_bucket_sweep`` (``_ref_bucket_index`` per
+``light_spanner``'s bucket sweep must agree bit for bit with ``_ref_round_up_weight`` (one ``math.log(w, 1+ε)`` per weight,
+and the next power where the first is below the weight) and ``_ref_bucket_sweep`` (``_ref_bucket_index`` per
 edge) on exact powers and caps, their ±1 ulp neighbours and weights over
 more than 12 orders of magnitude.  ``build_bfs_tree`` keeps τ on the
 frozen view; ``TestBFSTreeCache`` states that cache's contract.
@@ -127,11 +127,14 @@ def _ref_kruskal_mst(graph):
 
 
 def _ref_round_up_weight(w: float, eps: float) -> float:
-    """Round ``w`` up to the next integer power of ``1 + eps``."""
+    """Round ``w`` up to the next integer power of ``1 + eps``: the
+    slack keeps a power on itself, and a power below ``w`` moves up."""
     if eps <= 0:
         return w
     base = 1.0 + eps
     exponent = math.ceil(math.log(w, base) - 1e-12)
+    if base ** exponent < w:
+        exponent += 1
     return base ** exponent
 
 

@@ -128,19 +128,22 @@ class TestResumableSearch:
     @example((_edge(1.0 * (1 + 2 ** -52)), 0.5), 0.03)
     def test_reported_paths_weigh_at_most_the_radius(self, drawn, eps):
         """A path's true weight is at most its label, the sum of its
-        rounded weights, and so at most the radius, up to a relative
-        1e-12: ``round_up_weights`` takes the exponent 1e-12 below
-        log_{1+ε} w, so a weight within that of a power of 1+ε above it
-        rounds to that power (1 + 2^-52 rounds to 1 at ε = 0.03)."""
+        rounded weights, and so at most the radius, with no allowance:
+        no weight rounds down (1 + 2^-52 rounds to 1.03 at ε = 0.03, not
+        to 1), and summed from the source down, the order in which the
+        label was summed, each partial sum of true weights stays at most
+        the label's."""
         g, delta = drawn
         radius = 2.0 * delta
         search = bounded_approx_spt(g, [0], radius, eps)
         verts, parent = g.freeze().verts, search.parent
-        slack = 1.0 + 1e-12
         for i in search.reached:
-            node, total = i, 0.0
-            while parent[node] >= 0:
-                total += g.weight(verts[node], verts[parent[node]])
-                node = parent[node]
-            assert total <= search.dist[i] * slack
-            assert total <= radius * slack
+            path = [i]
+            while parent[path[-1]] >= 0:
+                path.append(parent[path[-1]])
+            path.reverse()
+            total = 0.0
+            for u, v in zip(path, path[1:]):
+                total += g.weight(verts[u], verts[v])
+            assert total <= search.dist[i]
+            assert total <= radius
