@@ -18,9 +18,6 @@ machine-enforces them:
 * **CONGEST contract** (``REP401``, ``REP403``) — node programs touch
   the network only through the :class:`~repro.congest.algorithm.NodeView`
   API and never build a view themselves.
-* **Pool-boundary safety** (``REP501``–``REP503``) — nothing
-  unpicklable (lambdas, nested functions) crosses a
-  :mod:`multiprocessing` pool boundary; initializers are module-level.
 * **Typing gate** (``REP601``) — the ``mypy --strict`` packages stay
   fully annotated, enforced locally without mypy installed.
 * **Output discipline** (``REP701``) — no bare ``print(...)`` in
@@ -36,9 +33,14 @@ combined tree (see :mod:`repro.lint.program`):
   packages.
 * **Seed-taint** (``REP1001``–``REP1002``) — no call chain may seal
   the rng/seed determinism chain at silent defaults.
-* **Pool-safety** (``REP1011``–``REP1013``) — nothing reachable from a
-  multiprocessing worker writes module state, mutates frozen CSR
-  arrays, or touches the process-global obs registry.
+* **Pool-safety** (``REP1011``–``REP1013``) — nothing reachable from
+  the entry point of a worker process (``Process(target=...)``, how
+  :mod:`repro.serve`'s daemon starts each worker of its pool) writes
+  module state, mutates frozen CSR arrays, or touches the
+  process-global obs registry.
+
+DESIGN.md's rule catalog names, for every code, the construct of the
+tree it guards.
 
 Violations are suppressed line-by-line with a *documented* waiver::
 

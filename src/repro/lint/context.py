@@ -3,27 +3,16 @@
 One :class:`FileContext` is built per linted file: the parsed AST, a
 parent map (rules frequently need "who consumes this node"), the
 dotted module name when the file lives under a ``src`` root, and the
-raw source lines for precise reporting.  The AST name helpers and the
-pool vocabulary that both the per-file rules and the whole-program
-fact extractor read are defined here too.
+raw source lines for precise reporting.  The AST name helpers that
+both the per-file rules and the whole-program fact extractor read are
+defined here too.
 """
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import Dict, FrozenSet, List, Optional
-
-#: callables that construct a :mod:`multiprocessing` pool / executor.
-POOL_CONSTRUCTORS: FrozenSet[str] = frozenset(
-    {"Pool", "ThreadPool", "ProcessPoolExecutor"}
-)
-
-#: pool / executor methods that ship a callable to workers.
-DISPATCH_METHODS: FrozenSet[str] = frozenset({
-    "apply", "apply_async", "imap", "imap_unordered", "map", "map_async",
-    "starmap", "starmap_async", "submit",
-})
+from typing import Dict, List, Optional
 
 
 def dotted_name(node: ast.AST) -> str:

@@ -8,7 +8,8 @@ conservative call graph from intraprocedural summaries
 and runs two dataflow passes over it
 (:mod:`~repro.lint.program.dataflow`): seed-taint (``REP1001``/
 ``REP1002``) and the pool-safety race detector (``REP1011``–
-``REP1013``).  Findings are ordinary :class:`~repro.lint.diagnostics.
+``REP1013``), rooted at the ``Process(target=...)`` entry points of
+worker processes.  Findings are ordinary :class:`~repro.lint.diagnostics.
 Diagnostic` values and honour line-level ``allow[...]`` waivers.
 """
 

@@ -20,14 +20,13 @@ invent one.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.lint.program.facts import (
     CallFact,
     ClassFacts,
     FileFacts,
     FunctionFacts,
-    PoolEntryFact,
 )
 
 _MAX_ALIAS_HOPS = 4
@@ -44,7 +43,7 @@ class ProgramIndex:
     def __init__(self, facts: Iterable[FileFacts]) -> None:
         #: module name -> facts, for files under a src root
         self.modules: Dict[str, FileFacts] = {}
-        #: every scanned file (pool entries in tests still count)
+        #: every scanned file (worker entries in tests still count)
         self.files: Tuple[FileFacts, ...] = tuple(facts)
         #: "module:qualname" -> (owning file, summary)
         self.functions: Dict[str, Tuple[FileFacts, FunctionFacts]] = {}
@@ -202,15 +201,15 @@ class ProgramIndex:
             self._edges = adjacency
         return self._edges
 
-    def pool_entries(self) -> List[Tuple[FileFacts, PoolEntryFact, str]]:
-        """Every pool entry resolved to a project function fqn."""
-        resolved: List[Tuple[FileFacts, PoolEntryFact, str]] = []
+    def worker_roots(self) -> Set[str]:
+        """Every worker entry point resolved to a project function fqn."""
+        roots: Set[str] = set()
         for ff in self.files:
-            for entry in ff.pool_entries:
-                target = self.resolve_dotted(ff, entry.target)
+            for entry in ff.worker_entries:
+                target = self.resolve_dotted(ff, entry)
                 if target is not None:
-                    resolved.append((ff, entry, target))
-        return resolved
+                    roots.add(target)
+        return roots
 
     def module_import_edges(self) -> Dict[str, List[Tuple[str, int, int, bool]]]:
         """Module-granularity import graph.

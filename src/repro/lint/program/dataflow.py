@@ -23,23 +23,20 @@ slot is a deliberate choice and is never flagged.
 
 Pool-safety (``REP1011``–``REP1013``)
 -------------------------------------
-Functions transitively reachable from a :mod:`multiprocessing` worker
-entry point (pool ``initializer=`` targets and callables shipped via
-``imap``/``map``/``submit``/... — ``functools.partial`` unwrapped) run
-in forked children where writes never come home and races corrupt
+Functions transitively reachable from a worker process's entry point
+(the ``target=`` of a ``Process(...)`` call, ``functools.partial``
+unwrapped; the serve daemon starts each worker of its pool this way)
+run in a child process where writes never come home and races corrupt
 shared views:
 
-* ``REP1011`` — writing module-level mutable state.  The *initializer
-  itself* is exempt: populating per-process state from the initializer
-  is the documented protocol (a module-level dict the initializer fills
-  once and the worker functions read).
+* ``REP1011`` — writing module-level mutable state.
 * ``REP1012`` — mutating frozen CSR arrays (``indptr``/``indices``/
   ``weights``/``verts``) that may be mmap-backed and shared.
 * ``REP1013`` — touching :mod:`repro.obs`'s process-global metrics
   registry instead of the snapshot/merge protocol (local
   ``MetricsRegistry``, picklable snapshot shipped back, parent merges).
 
-Every finding names the witness chain from the pool entry so the fix
+Every finding names the witness chain from the entry point so the fix
 site is obvious.
 """
 
@@ -227,13 +224,7 @@ def _check_seal(
 # -- pool-safety --------------------------------------------------------
 def pool_safety_pass(index: ProgramIndex) -> List[Diagnostic]:
     """Run the REP1011–REP1013 worker-reachability race checks."""
-    entries = index.pool_entries()
-    if not entries:
-        return []
-    initializer_roots = {
-        target for _, entry, target in entries if entry.kind == "initializer"
-    }
-    roots = {target for _, _, target in entries}
+    roots = index.worker_roots()
     parents: Dict[str, Optional[str]] = {root: None for root in sorted(roots)}
     order: List[str] = []
     queue = deque(sorted(roots))
@@ -249,18 +240,17 @@ def pool_safety_pass(index: ProgramIndex) -> List[Diagnostic]:
     for key in order:
         ff, fn = index.functions[key]
         chain = _witness_chain(parents, key)
-        if key not in initializer_roots:
-            for write in fn.global_writes:
-                out.append(Diagnostic(
-                    path=ff.path, line=write.lineno, col=write.col,
-                    code="REP1011",
-                    message=(
-                        f"'{fn.qualname}' writes module-level state "
-                        f"'{write.name}' ({write.detail}) but runs in a "
-                        f"pool worker ({chain}); worker writes never "
-                        f"reach the parent — return results instead"
-                    ),
-                ))
+        for write in fn.global_writes:
+            out.append(Diagnostic(
+                path=ff.path, line=write.lineno, col=write.col,
+                code="REP1011",
+                message=(
+                    f"'{fn.qualname}' writes module-level state "
+                    f"'{write.name}' ({write.detail}) but runs in a "
+                    f"pool worker ({chain}); worker writes never "
+                    f"reach the parent — return results instead"
+                ),
+            ))
         for write in fn.csr_writes:
             out.append(Diagnostic(
                 path=ff.path, line=write.lineno, col=write.col,

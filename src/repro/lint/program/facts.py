@@ -3,10 +3,10 @@
 One AST walk per file distils everything the cross-file passes need —
 import edges, module-scope name bindings, conservative per-function
 summaries (calls with argument shapes, global writes, CSR-array
-mutations), class layouts, and :mod:`multiprocessing` pool entry
-points.  The result (:class:`FileFacts`) is a frozen, picklable value:
-it is what the content-hash cache stores, so a warm ``--program`` run
-never re-parses an unchanged file.
+mutations), class layouts, and the entry points of worker processes
+(``Process(target=...)``).  The result (:class:`FileFacts`) is a
+frozen, picklable value: it is what the content-hash cache stores, so
+a warm ``--program`` run never re-parses an unchanged file.
 
 Summaries are *intraprocedural* and syntactic on purpose: a call is
 recorded as the dotted expression written at the call site plus which
@@ -28,7 +28,7 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.lint.context import DISPATCH_METHODS, POOL_CONSTRUCTORS, dotted_name, leaf_name
+from repro.lint.context import dotted_name, leaf_name
 
 #: qualname used for statements executed at module import time.
 MODULE_SCOPE = "<module>"
@@ -118,15 +118,6 @@ class FunctionFacts:
 
 
 @dataclass(frozen=True)
-class PoolEntryFact:
-    """A callable shipped into a multiprocessing pool or child process."""
-
-    lineno: int
-    target: str  # dotted expression of the worker callable as written
-    kind: str  # "initializer" | "dispatch" | "process"
-
-
-@dataclass(frozen=True)
 class ClassFacts:
     """Class layout for class-scoped name resolution."""
 
@@ -141,12 +132,13 @@ class FileFacts:
 
     path: str
     module: Optional[str]  # dotted name under a src root, else None
-    is_package: bool  # True for __init__.py files
     imports: Tuple[ImportFact, ...]
     aliases: Tuple[Tuple[str, str], ...]  # local name -> dotted target
     functions: Tuple[FunctionFacts, ...]
     classes: Tuple[ClassFacts, ...]
-    pool_entries: Tuple[PoolEntryFact, ...]
+    #: worker entry points: the ``target=`` of each ``Process(...)`` call,
+    #: as written (how the serve daemon starts each worker of its pool)
+    worker_entries: Tuple[str, ...]
 
     def alias_map(self) -> Dict[str, str]:
         return dict(self.aliases)
@@ -237,19 +229,18 @@ class _Extractor:
         self.aliases: Dict[str, str] = {}
         self.functions: List[FunctionFacts] = []
         self.classes: List[ClassFacts] = []
-        self.pool_entries: List[PoolEntryFact] = []
+        self.worker_entries: List[str] = []
         self.module_globals: Set[str] = set()
         # stack state
         self._fn_stack: List[_FunctionAccumulator] = []
         self._class_stack: List[str] = []
-        self._pool_names: List[Set[str]] = [set()]
         self._module_acc = _FunctionAccumulator(
             qualname=MODULE_SCOPE, lineno=1, params=(), n_positional=0,
             is_method=False, seed_names=set(),
         )
 
     # -- entry ---------------------------------------------------------
-    def run(self, is_package: bool) -> FileFacts:
+    def run(self) -> FileFacts:
         for name in self._collect_module_globals():
             self.module_globals.add(name)
         self._walk_body(self.tree.body, lazy=False)
@@ -257,12 +248,11 @@ class _Extractor:
         return FileFacts(
             path=self.path,
             module=self.module,
-            is_package=is_package,
             imports=tuple(self.imports),
             aliases=tuple(sorted(self.aliases.items())),
             functions=tuple(functions),
             classes=tuple(self.classes),
-            pool_entries=tuple(self.pool_entries),
+            worker_entries=tuple(self.worker_entries),
         )
 
     def _collect_module_globals(self) -> Set[str]:
@@ -426,9 +416,7 @@ class _Extractor:
         if args.kwarg:
             acc.locals.add(args.kwarg.arg)
         self._fn_stack.append(acc)
-        self._pool_names.append(set())
         self._walk_body(node.body, lazy=True)
-        self._pool_names.pop()
         self._fn_stack.pop()
         self.functions.append(acc.finish())
 
@@ -450,30 +438,12 @@ class _Extractor:
     def _handle_statement(self, node: ast.stmt, lazy: bool) -> None:
         if isinstance(node, ast.Assign):
             for target in node.targets:
-                self._record_binding(target, node.value)
                 self._record_store(target)
         elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
             if getattr(node, "value", None) is not None or isinstance(
                 node, ast.AugAssign
             ):
                 self._record_store(node.target)
-        elif isinstance(node, ast.With):
-            for item in node.items:
-                if item.optional_vars is not None:
-                    self._record_binding(item.optional_vars, item.context_expr)
-
-    def _record_binding(self, target: ast.expr, value: ast.expr) -> None:
-        """Track names bound to pool objects inside the current function."""
-        if isinstance(target, ast.Name):
-            if self._is_pool_constructor(value):
-                self._pool_names[-1].add(target.id)
-            else:
-                self._pool_names[-1].discard(target.id)
-
-    def _is_pool_constructor(self, node: ast.expr) -> bool:
-        return isinstance(node, ast.Call) and (
-            leaf_name(node.func) in POOL_CONSTRUCTORS
-        )
 
     # -- stores (global writes / CSR mutations) ------------------------
     def _record_store(self, target: ast.expr) -> None:
@@ -572,42 +542,14 @@ class _Extractor:
                     node.lineno, node.col_offset, base.id,
                     f"mutator:{node.func.attr}",
                 ))
-        # pool entry points
-        if self._is_pool_constructor(node):
-            for kw in node.keywords:
-                if kw.arg == "initializer":
-                    target = dotted_name(_unwrap_partial(kw.value))
-                    if target:
-                        self.pool_entries.append(PoolEntryFact(
-                            node.lineno, target, "initializer",
-                        ))
-        elif leaf_name(node.func) in _PROCESS_CONSTRUCTORS:
-            # Process(target=...) — a daemon-style worker entry point;
-            # everything reachable from it runs in a child process, so
-            # the worker-reachability races apply exactly as they do to
-            # pool dispatch targets.
+        # Process(target=...): everything reachable from the target runs
+        # in a child process
+        if leaf_name(node.func) in _PROCESS_CONSTRUCTORS:
             for kw in node.keywords:
                 if kw.arg == "target":
                     target = dotted_name(_unwrap_partial(kw.value))
                     if target:
-                        self.pool_entries.append(PoolEntryFact(
-                            node.lineno, target, "process",
-                        ))
-        elif isinstance(node.func, ast.Attribute) and (
-            node.func.attr in DISPATCH_METHODS
-            and isinstance(node.func.value, ast.Name)
-            and any(node.func.value.id in s for s in self._pool_names)
-        ):
-            shipped: Optional[ast.expr] = node.args[0] if node.args else None
-            for kw in node.keywords:
-                if kw.arg in ("func", "fn"):
-                    shipped = kw.value
-            if shipped is not None:
-                target = dotted_name(_unwrap_partial(shipped))
-                if target:
-                    self.pool_entries.append(PoolEntryFact(
-                        node.lineno, target, "dispatch",
-                    ))
+                        self.worker_entries.append(target)
         if not callee:
             return
         seeded_pos = tuple(
@@ -632,6 +574,4 @@ class _Extractor:
 
 def extract_facts(path: str, module: Optional[str], tree: ast.Module) -> FileFacts:
     """Extract :class:`FileFacts` from one parsed file."""
-    return _Extractor(path, module, tree).run(
-        is_package=path.endswith("__init__.py")
-    )
+    return _Extractor(path, module, tree).run()

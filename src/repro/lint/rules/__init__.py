@@ -4,7 +4,6 @@ from repro.lint.rules import (
     congest,
     csr,
     iteration,
-    pool,
     prints,
     rng,
     typing_gate,
@@ -14,7 +13,6 @@ __all__ = [
     "congest",
     "csr",
     "iteration",
-    "pool",
     "prints",
     "rng",
     "typing_gate",

@@ -39,13 +39,7 @@ class Suppression:
 
     line: int
     codes: Tuple[str, ...]
-    justification: str
     used: bool = field(default=False)
-
-    @property
-    def documented(self) -> bool:
-        """True when the mandatory justification clause is present."""
-        return bool(self.justification.strip())
 
 
 def parse_suppressions(
@@ -95,7 +89,5 @@ def parse_suppressions(
                 "'-- justification' clause",
             )
             continue
-        suppressions[line] = Suppression(
-            line=line, codes=codes, justification=justification
-        )
+        suppressions[line] = Suppression(line=line, codes=codes)
     return suppressions, diagnostics

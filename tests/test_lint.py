@@ -8,6 +8,7 @@ rule is package-scoped) and linted through the real engine entry
 points.
 """
 import json
+import re
 import textwrap
 from pathlib import Path
 
@@ -34,6 +35,26 @@ def _codes(diagnostics):
 
 def lint_source(tmp_path, rel, source):
     return lint_file(_write(tmp_path, rel, source))
+
+
+def _design_catalog_rows():
+    """The cells of each row of DESIGN.md's "Rule catalog" table."""
+    text = (REPO_ROOT / "DESIGN.md").read_text()
+    section = text.split("### Rule catalog\n", 1)[1].split("\n### ", 1)[0]
+    table = [line for line in section.splitlines() if line.startswith("|")]
+    return [[cell.strip() for cell in line.strip("|").split("|")]
+            for line in table[2:]]
+
+
+def _expand_codes(cell):
+    """``REP001–REP003`` and ``REP401, REP403`` as lists of codes."""
+    codes = []
+    for part in cell.split(","):
+        first, _, last = part.strip().partition("–")
+        lo = int(first[3:])
+        hi = int(last[3:]) if last else lo
+        codes.extend(f"REP{i:03d}" for i in range(lo, hi + 1))
+    return codes
 
 
 # ---------------------------------------------------------------------------
@@ -247,67 +268,6 @@ class TestCongestContract:
 
 
 # ---------------------------------------------------------------------------
-# REP5xx — pool-boundary safety
-# ---------------------------------------------------------------------------
-class TestPoolBoundary:
-    def test_good_module_level_worker(self, tmp_path):
-        diags = lint_source(tmp_path, "script.py", """\
-            from multiprocessing import Pool
-
-
-            def work(x: int) -> int:
-                return x * 2
-
-
-            def run() -> None:
-                with Pool(2) as pool:
-                    pool.map(work, [1, 2, 3])
-        """)
-        assert diags == []
-
-    def test_lambda_shipped_is_rep501(self, tmp_path):
-        diags = lint_source(tmp_path, "script.py", """\
-            from multiprocessing import Pool
-
-
-            def run() -> None:
-                with Pool(2) as pool:
-                    pool.map(lambda x: x * 2, [1, 2, 3])
-        """)
-        assert _codes(diags) == [(6, "REP501")]
-
-    def test_nested_function_shipped_is_rep502(self, tmp_path):
-        diags = lint_source(tmp_path, "script.py", """\
-            from multiprocessing import Pool
-
-
-            def run() -> None:
-                def work(x):
-                    return x * 2
-
-                with Pool(2) as pool:
-                    pool.map(work, [1, 2, 3])
-        """)
-        assert _codes(diags) == [(9, "REP502")]
-
-    def test_computed_initializer_is_rep503(self, tmp_path):
-        diags = lint_source(tmp_path, "script.py", """\
-            import functools
-            from multiprocessing import Pool
-
-
-            def init(flag):
-                pass
-
-
-            def run() -> None:
-                with Pool(2, initializer=functools.partial(init, True)) as pool:
-                    pass
-        """)
-        assert _codes(diags) == [(10, "REP503")]
-
-
-# ---------------------------------------------------------------------------
 # REP6xx — strict-typing gate
 # ---------------------------------------------------------------------------
 class TestTypingGate:
@@ -491,13 +451,22 @@ class TestEngine:
         # engine codes (REP0xx) + per-file rule families + the
         # whole-program families (REP9xx import graph, REP10xx dataflow)
         assert {
-            "REP0", "REP1", "REP2", "REP3", "REP4", "REP5", "REP6", "REP7",
-            "REP9",
+            "REP0", "REP1", "REP2", "REP3", "REP4", "REP6", "REP7", "REP9",
         } <= families
         assert {"REP1001", "REP1002", "REP1011", "REP1012", "REP1013"} <= set(
             catalog
         )
         assert set(catalog) == set(all_codes())
+        # DESIGN.md's catalog lists exactly the registered codes, and each
+        # row names, as its subject, a path of the tree it guards
+        rows = _design_catalog_rows()
+        listed = [code for row in rows for code in _expand_codes(row[0])]
+        assert sorted(listed) == all_codes()
+        for row in rows:
+            paths = re.findall(r"`((?:src|tests)/[^`:]*)", row[-1])
+            assert paths, f"{row[0]}: the subject names no path"
+            missing = [p for p in paths if not (REPO_ROOT / p).exists()]
+            assert not missing, f"{row[0]}: no such path {missing}"
 
 
 class TestCli:

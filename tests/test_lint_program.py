@@ -306,7 +306,7 @@ class TestSeedTaint:
 
 
 # ---------------------------------------------------------------------------
-# REP1011–REP1013 — pool-safety race detector
+# REP1011–REP1013 — pool-safety race detector, rooted at Process(target=...)
 # ---------------------------------------------------------------------------
 _OBS_STUB = {
     "src/repro/obs/__init__.py": """\
@@ -327,45 +327,31 @@ def _write_obs_stub(tmp_path):
 class TestPoolSafety:
     def test_worker_side_global_write_is_rep1011(self, tmp_path):
         _write(tmp_path, "src/repro/analysis/par.py", """\
-            from multiprocessing import Pool
-            from typing import Dict, List
+            from multiprocessing import Process
+            from typing import Dict
 
             _STATE: Dict[str, int] = {}
 
 
-            def _init(n: int) -> None:
+            def _work(n: int) -> None:
                 _STATE["n"] = n
 
 
-            def _record(i: int) -> None:
-                _STATE["last"] = i
-
-
-            def _work(i: int) -> int:
-                _record(i)
-                return i
-
-
-            def run(items: List[int]) -> List[int]:
-                with Pool(2, initializer=_init, initargs=(3,)) as pool:
-                    return list(pool.imap(_work, items))
+            def run(n: int) -> None:
+                Process(target=_work, args=(n,)).start()
         """)
-        codes = _codes(tmp_path)
-        # _record's write is flagged; the initializer's identical write
-        # is the documented per-process-state protocol and is exempt
-        assert ("src/repro/analysis/par.py", 12, "REP1011") in codes
-        assert ("src/repro/analysis/par.py", 8, "REP1011") not in codes
+        assert _codes(tmp_path) == [("src/repro/analysis/par.py", 8, "REP1011")]
 
     def test_differential_per_file_rules_miss_what_program_catches(
         self, tmp_path
     ):
-        """The tentpole's reason to exist, as a test: the worker-side
-        write above is invisible to every per-file rule (module-level
-        worker, no lambdas, picklable args), and only the reachability
-        pass connects `pool.imap(_work, ...)` to `_record`'s write."""
+        """The worker-side write is invisible to every per-file rule
+        (module-level worker, picklable args); only the reachability
+        pass connects `Process(target=_work)` to `_record`'s write, and
+        its finding names that chain."""
         _write(tmp_path, "src/repro/analysis/par.py", """\
-            from multiprocessing import Pool
-            from typing import Dict, List
+            from multiprocessing import Process
+            from typing import Dict
 
             _STATE: Dict[str, int] = {}
 
@@ -374,46 +360,46 @@ class TestPoolSafety:
                 _STATE["last"] = i
 
 
-            def _work(i: int) -> int:
+            def _work(i: int) -> None:
                 _record(i)
-                return i
 
 
-            def run(items: List[int]) -> List[int]:
-                with Pool(2) as pool:
-                    return list(pool.imap(_work, items))
+            def run(i: int) -> None:
+                proc = Process(target=_work, args=(i,))
+                proc.start()
+                proc.join()
         """)
         assert _codes(tmp_path, program=False) == []
         assert _codes(tmp_path) == [
             ("src/repro/analysis/par.py", 8, "REP1011"),
         ]
+        (finding,) = lint_paths([tmp_path], program=True)
+        assert "(entry '_work' via _record)" in finding.message
 
     def test_csr_mutation_reachable_from_worker_is_rep1012(self, tmp_path):
         _write(tmp_path, "src/repro/analysis/par.py", """\
-            from multiprocessing import Pool
-            from typing import Any, List
+            from multiprocessing import Process
+            from typing import Any
 
 
             def _clamp(graph: Any) -> None:
                 graph.weights[0] = 0.0
 
 
-            def _work(graph: Any) -> int:
+            def _work(graph: Any) -> None:
                 _clamp(graph)
-                return 0
 
 
-            def run(graphs: List[Any]) -> List[int]:
-                with Pool(2) as pool:
-                    return list(pool.map(_work, graphs))
+            def run(graph: Any) -> None:
+                Process(target=_work, args=(graph,)).start()
         """)
         assert ("src/repro/analysis/par.py", 6, "REP1012") in _codes(tmp_path)
 
     def test_process_target_is_a_pool_root(self, tmp_path):
-        """Process(target=...) workers (the serve daemon's shape) are
-        reachability roots exactly like pool dispatch targets."""
+        """A process started from a spawn context (the serve daemon's
+        ``ctx.Process(target=worker_main)``) is a root too."""
         _write(tmp_path, "src/repro/analysis/proc.py", """\
-            from multiprocessing import Process
+            from multiprocessing import get_context
             from typing import Dict
 
             _STATE: Dict[str, int] = {}
@@ -424,7 +410,7 @@ class TestPoolSafety:
 
 
             def run(n: int) -> None:
-                proc = Process(target=_worker, args=(n,))
+                proc = get_context("spawn").Process(target=_worker, args=(n,))
                 proc.start()
                 proc.join()
         """)
@@ -466,28 +452,24 @@ class TestPoolSafety:
     def test_obs_global_registry_in_worker_is_rep1013(self, tmp_path):
         _write_obs_stub(tmp_path)
         _write(tmp_path, "src/repro/analysis/par.py", """\
-            from multiprocessing import Pool
-            from typing import List
+            from multiprocessing import Process
 
             from repro.obs import counter
 
 
-            def _work(i: int) -> int:
+            def _work(i: int) -> None:
                 counter("chunks")
-                return i
 
 
-            def run(items: List[int]) -> List[int]:
-                with Pool(2) as pool:
-                    return list(pool.map(_work, items))
+            def run(i: int) -> None:
+                Process(target=_work, args=(i,)).start()
         """)
-        assert ("src/repro/analysis/par.py", 8, "REP1013") in _codes(tmp_path)
+        assert ("src/repro/analysis/par.py", 7, "REP1013") in _codes(tmp_path)
 
     def test_parent_side_obs_calls_are_clean(self, tmp_path):
         _write_obs_stub(tmp_path)
         _write(tmp_path, "src/repro/analysis/par.py", """\
-            from multiprocessing import Pool
-            from typing import List
+            from multiprocessing import Process
 
             from repro.obs import counter
 
@@ -496,31 +478,29 @@ class TestPoolSafety:
                 return i + 1
 
 
-            def run(items: List[int]) -> List[int]:
-                with Pool(2) as pool:
-                    out = list(pool.map(_work, items))
+            def run(i: int) -> None:
+                proc = Process(target=_work, args=(i,))
+                proc.start()
+                proc.join()
                 counter("batches")
-                return out
         """)
         assert _codes(tmp_path) == []
 
     def test_partial_wrapped_worker_is_traced(self, tmp_path):
         _write(tmp_path, "src/repro/analysis/par.py", """\
             import functools
-            from multiprocessing import Pool
-            from typing import Dict, List
+            from multiprocessing import Process
+            from typing import Dict
 
             _CACHE: Dict[int, int] = {}
 
 
-            def _work(scale: int, i: int) -> int:
+            def _work(scale: int, i: int) -> None:
                 _CACHE[i] = i * scale
-                return i * scale
 
 
-            def run(items: List[int]) -> List[int]:
-                with Pool(2) as pool:
-                    return list(pool.map(functools.partial(_work, 3), items))
+            def run(i: int) -> None:
+                Process(target=functools.partial(_work, 3), args=(i,)).start()
         """)
         assert ("src/repro/analysis/par.py", 9, "REP1011") in _codes(tmp_path)
 
