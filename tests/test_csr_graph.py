@@ -127,6 +127,41 @@ class TestStructuralParity:
         assert csr.rounded_weights(0.0) is csr.weights
 
 
+def _powers(eps, lo=1e-6, hi=1e6):
+    """Every ``(exponent, (1+eps) ** exponent)`` that lies in [lo, hi]."""
+    base = 1.0 + eps
+    top = math.floor(math.log(hi) / math.log(base))
+    return [(e, base ** e) for e in range(-top, top + 1)
+            if lo <= base ** e <= hi]
+
+
+class TestRoundUpWeights:
+    """``round_up_weights`` rounds strictly up: a power of 1+ε keeps its
+    value, and any weight above one, by as little as an ulp, takes the
+    next power, never the one below it."""
+
+    EPS = [0.01, 0.03, 0.1, 0.5, 1.0]
+
+    @pytest.mark.parametrize("eps", EPS)
+    def test_a_power_rounds_to_itself(self, eps):
+        powers = [p for _, p in _powers(eps)]
+        assert round_up_weights(powers, eps) == powers
+
+    @pytest.mark.parametrize("eps", EPS)
+    def test_an_ulp_above_a_power_takes_the_next(self, eps):
+        base = 1.0 + eps
+        pairs = _powers(eps)
+        above = [math.nextafter(p, math.inf) for _, p in pairs]
+        assert round_up_weights(above, eps) == [base ** (e + 1) for e, _ in pairs]
+        assert round_up_weights([1.0 + 2 ** -52], 0.03) == [1.03]
+
+    @pytest.mark.parametrize("eps", EPS)
+    def test_an_ulp_below_a_power_takes_that_power(self, eps):
+        pairs = _powers(eps)
+        below = [math.nextafter(p, 0.0) for _, p in pairs]
+        assert round_up_weights(below, eps) == [p for _, p in pairs]
+
+
 class TestTraversalParity:
     def test_dijkstra_distances(self, pair):
         g, csr = pair

@@ -502,6 +502,14 @@ class TestCli:
         for code in all_codes():
             assert code in out
 
+    def test_rules_listing_lists_only_registered_codes(self, capsys):
+        """One line per registered code and no other: a removed family
+        (the pool rules, REP501–REP503) leaves no line behind."""
+        assert main(["lint", "--rules"]) == 0
+        listed = re.findall(r"^(REP\d+) ", capsys.readouterr().out, re.M)
+        assert listed == all_codes()
+        assert not [code for code in listed if code.startswith("REP5")]
+
     def test_unparseable_file_exits_one_without_traceback(
         self, tmp_path, capsys
     ):

@@ -19,7 +19,9 @@ from pathlib import Path
 from repro.cli import main
 from repro.lint import lint_paths
 from repro.lint.cache import AnalysisCache
+from repro.lint.engine import analyze_file, iter_python_files
 from repro.lint.program import LAYERS, allowed_import, render_contract
+from repro.lint.program.callgraph import ProgramIndex
 from repro.lint.program.contract import EXTERNAL_CONTRACT
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -676,6 +678,28 @@ class TestProgramCliAndGate:
             [REPO_ROOT / "src", REPO_ROOT / "tests"], program=True
         )
         assert diags == [], "\n".join(d.render() for d in diags)
+
+    def test_serve_worker_main_is_the_trees_one_process_root(self):
+        """REP1011–REP1013's subject in DESIGN.md's catalog: the serve
+        daemon's ``ctx.Process(target=worker_main)`` is the only worker
+        entry point in ``src/``, and its start-up is what they reach."""
+        facts = [a.facts for a in map(analyze_file,
+                                      iter_python_files([REPO_ROOT / "src"]))
+                 if a.facts is not None]
+        index = ProgramIndex(facts)
+        assert index.worker_roots() == {"repro.serve.daemon:worker_main"}
+        edges = index.edges()
+        reached, frontier = set(), ["repro.serve.daemon:worker_main"]
+        while frontier:
+            key = frontier.pop()
+            if key not in reached:
+                reached.add(key)
+                frontier.extend(callee for callee, _ in edges.get(key, ()))
+        assert {
+            "repro.serve.shm:attach_oracle",
+            "repro.serve.shm:AttachedOracle.__init__",
+            "repro.serve.daemon:_WorkerLoop.__init__",
+        } <= reached
 
 
 # ---------------------------------------------------------------------------
