@@ -5,12 +5,15 @@ Times ``doubling_spanner(..., net_method="greedy")`` on the
 smoke and stress tiers, split into the construction's phases:
 
 * **nets** — time inside ``greedy_net`` (one call per scale), with the
-  shortest-path searches it starts;
-* **explorations** — time inside ``bounded_approx_spt`` and
-  ``BoundedSPT.resume``, with the weight roundings behind them: one
+  shortest-path searches it runs, one ball per kept vertex;
+* **explorations** — time inside ``bounded_approx_spt`` and the
+  ``Search.resume`` calls of ``repro.kernels.pykern`` that no timed call
+  encloses, with the weight roundings behind them: one
   ``bounded_approx_spt`` call per search run on the sides before the
   searches were resumed, and on the change one per search started plus
-  one resume per net-point visit at every later scale;
+  one resume per net-point visit at every later scale.  The greedy
+  nets resume their ball searches too; those calls run inside
+  ``greedy_net`` and stay in **nets**;
 * **path walk and the rest** — the remaining construction time: the
   per-scale loop that walks each reported path into the spanner
   (``walks`` counts the net-point visits that walk, ``path_steps`` the
@@ -19,8 +22,9 @@ smoke and stress tiers, split into the construction's phases:
 
 ``exploration_calls`` counts the ``bounded_approx_spt`` calls: the
 searches run on the older sides, the searches started on the change;
-``resumes`` counts ``BoundedSPT.resume`` calls (none before the
-change).
+``resumes`` counts §7's ``Search.resume`` calls (none before the
+change): every call less the greedy nets' one per ball, which
+``net_searches`` counts as the searches ``repro.core.nets`` starts.
 ``peak_mb`` is the construction's tracemalloc peak, measured in a
 separate untimed run, because each net point's search stays alive
 across scales.  The change side also builds
@@ -118,7 +122,11 @@ PHASES = ("nets", "explorations", "path_walk_and_rest", "total")
 TIMED: List[Tuple[str, str, str]] = [
     ("repro.core.doubling_spanner", "greedy_net", "nets"),
     ("repro.core.doubling_spanner", "bounded_approx_spt", "explorations"),
-    ("repro.spt.approx_spt", "BoundedSPT.resume", "explorations"),
+]
+#: (module, attribute, phase): timed only where no :data:`TIMED` call
+#: encloses them, so a greedy net's ball search stays in its phase
+RESUMES: List[Tuple[str, str, str]] = [
+    ("repro.kernels.pykern", "Search.resume", "explorations"),
 ]
 #: (module, attribute, counter): the functions counted.  A name absent
 #: on one side counts nothing there: the rewrite changed what the nets
@@ -128,8 +136,9 @@ COUNTED: List[Tuple[str, str, str]] = [
     ("repro.core.nets", "dijkstra", "net_searches"),
     ("repro.core.nets", "bounded_dijkstra", "net_searches"),
     ("repro.core.nets", "sssp", "net_searches"),
+    ("repro.core.nets", "Search", "net_searches"),
     ("repro.core.doubling_spanner", "bounded_approx_spt", "exploration_calls"),
-    ("repro.spt.approx_spt", "BoundedSPT.resume", "resumes"),
+    ("repro.kernels.pykern", "Search.resume", "resumes"),
     ("repro.spt.approx_spt", "_round_up_weight", "weight_roundings"),
     ("repro.graphs.csr", "round_up_weight", "weight_roundings"),
     ("repro.core.doubling_spanner", "_walk", "walks"),
@@ -182,7 +191,7 @@ def _timed_run(make_graph: Callable[[], Any],
     spent = {phase: 0.0 for _m, _a, phase in TIMED}
 
     graph = make_graph()
-    with timed_phases(TIMED, spent):
+    with timed_phases(TIMED, spent, RESUMES):
         t0 = time.perf_counter()
         result = construct(graph)
         total = time.perf_counter() - t0
@@ -207,6 +216,9 @@ def _counted_run(make_graph: Callable[[], Any],
     if not hasattr(importlib.import_module("repro.core.doubling_spanner"), "_walk"):
         # before walks were carried across scales, every net-point visit walked
         counts["walks"] = sum(s.net_size for s in result.scales)
+    if hasattr(importlib.import_module("repro.core.nets"), "Search"):
+        # each greedy-net ball is one search, resumed once
+        counts["resumes"] -= counts["net_searches"]
     return counts
 
 

@@ -23,7 +23,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterator, List, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Tuple
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
@@ -37,7 +37,7 @@ Wrapper = Callable[[Callable[..., Any], str], Callable[..., Any]]
 
 
 @contextlib.contextmanager
-def wrapped(targets: List[Tuple[str, str, str]], make: Wrapper) -> Iterator[None]:
+def wrapped(targets: Iterable[Tuple[str, str, str]], make: Wrapper) -> Iterator[None]:
     """Replace each present ``(module, attribute path, key)`` target by
     ``make(original, key)``; restore them after.  A target whose path
     is absent, as on a side older than the name, is skipped."""
@@ -60,11 +60,14 @@ def wrapped(targets: List[Tuple[str, str, str]], make: Wrapper) -> Iterator[None
 
 @contextlib.contextmanager
 def timed_phases(
-    targets: List[Tuple[str, str, str]], spent: Dict[str, float]
+    targets: List[Tuple[str, str, str]], spent: Dict[str, float],
+    outermost: Iterable[Tuple[str, str, str]] = (),
 ) -> Iterator[None]:
     """:func:`wrapped` with timers: each call of a target adds its wall
     seconds to ``spent[key]``, less the seconds of the target calls it
-    makes itself, which count under their own keys."""
+    makes itself, which count under their own keys.  A target of
+    ``outermost`` is timed so only where no timed call encloses it;
+    inside one, its seconds stay with that call."""
     nested: List[float] = []  # per open call: seconds of its timed callees
 
     def timer(fn: Callable[..., Any], key: str) -> Callable[..., Any]:
@@ -80,7 +83,14 @@ def timed_phases(
                     nested[-1] += elapsed
         return timed
 
-    with wrapped(targets, timer):
+    def outer(fn: Callable[..., Any], key: str) -> Callable[..., Any]:
+        timed = timer(fn, key)
+
+        def maybe_timed(*args: Any, **kwargs: Any) -> Any:
+            return (fn if nested else timed)(*args, **kwargs)
+        return maybe_timed
+
+    with wrapped(targets, timer), wrapped(outermost, outer):
         yield
 
 

@@ -36,13 +36,14 @@ from repro.congest.ledger import RoundLedger
 from repro.core.nets import build_net, greedy_net
 from repro.determinism import ensure_rng
 from repro.graphs.weighted_graph import Vertex, WeightedGraph
+from repro.kernels.pykern import Search
 from repro.mst.kruskal import kruskal_mst
-from repro.spt.approx_spt import BoundedSPT, bounded_approx_spt
+from repro.spt.approx_spt import bounded_approx_spt
 
 
 #: a net point's exploration and the walked set of its tree, over the
 #: frozen view's dense indices
-_Memo = Tuple[BoundedSPT, Set[int]]
+_Memo = Tuple[Search, Set[int]]
 
 
 def en16_round_cost(n: int, height: int, beta: int) -> int:

@@ -26,7 +26,7 @@ from repro.congest.bfs import build_bfs_tree
 from repro.congest.ledger import RoundLedger
 from repro.determinism import ensure_rng
 from repro.graphs.weighted_graph import Vertex, WeightedGraph
-from repro.kernels.pykern import PARENT_UNREACHED, sssp
+from repro.kernels.pykern import Search
 from repro.lelists.le_lists import compute_le_lists, first_in_ball
 from repro.spt.approx_spt import bkkl_round_cost, bounded_approx_spt
 
@@ -195,10 +195,10 @@ def greedy_net(graph: WeightedGraph, radius: float) -> Set[Vertex]:
     optimal parameters: r-covering and r-separated.
 
     Only whether a vertex lies within ``radius`` of a kept one matters,
-    so each kept vertex marks covered the ball that
-    :func:`repro.kernels.pykern.sssp` capped at ``radius`` settles on the
-    frozen view; below the minimum edge weight every ball is a single
-    vertex and the net is all of ``V`` without any search.
+    so each kept vertex marks covered its ball, the ``reached`` list of
+    a :class:`~repro.kernels.pykern.Search` capped at ``radius``; below
+    the minimum edge weight every ball is a single vertex and the net
+    is all of ``V`` without any search.
 
     Raises
     ------
@@ -217,8 +217,8 @@ def greedy_net(graph: WeightedGraph, radius: float) -> Set[Vertex]:
     for i in order:
         if not covered[i]:
             net.add(verts[i])
-            parent = sssp(indptr, indices, weights, (i,), radius)[1]
-            for j, p in enumerate(parent):
-                if p != PARENT_UNREACHED:
-                    covered[j] = 1
+            ball = Search(indptr, indices, weights, (i,), radius)
+            ball.resume(radius)
+            for j in ball.reached:
+                covered[j] = 1
     return net

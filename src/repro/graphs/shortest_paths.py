@@ -3,9 +3,9 @@
 These are the *centralized* references the test-suite and the analysis
 package use to validate the distributed constructions: exact Dijkstra,
 hop-ignoring BFS (the paper's hop-diameter ``D``), and small-graph
-all-pairs distances.  A distance-bounded search is
-:func:`repro.kernels.pykern.sssp` with a ``cap``, over a frozen view's
-columns and dense indices.
+all-pairs distances.  A distance-bounded search is a
+:class:`repro.kernels.pykern.Search` with a ``cap``, over a frozen
+view's columns and dense indices.
 """
 
 from __future__ import annotations

@@ -18,12 +18,12 @@ harness's ``kernel-sssp`` profiles and its huge tier name a backend and
 call the kernels directly.  Stretch certification
 (:mod:`repro.analysis.certify`) runs a heap loop of its own, and the
 label-keyed Dijkstras of :mod:`repro.graphs.shortest_paths` call
-:func:`~repro.kernels.pykern.sssp` directly.
+:func:`~repro.kernels.pykern.sssp`, the one heap loop run to the end.
 
 Parity contract: both backends produce distances equal to 1e-9 on every
 workload; ``tests/test_kernels.py`` fuzzes it, and CI runs the full
 suite on a no-numpy leg so the fallback is proven, not assumed.  The
-numpy kernel returns distances only: :func:`~repro.kernels.pykern.sssp`
+numpy kernel returns distances only: :class:`~repro.kernels.pykern.Search`
 is the one source of parent pointers.
 
 The second half of the layer is the ``.rpg`` packed format

@@ -9,17 +9,15 @@ lists, ``array('d')`` columns from :class:`~repro.graphs.csr.CSRGraph`,
 and the ``memoryview`` columns an mmap-ed
 :class:`~repro.kernels.binfmt.PackedGraph` exposes, all interchangeably.
 
-Cap contract: with a finite ``cap``, :func:`sssp` settles every vertex
-whose true distance is ``<= cap`` exactly and never sets a label above
-the cap, so every entry beyond it is ``inf`` with parent ``-2``: the
-ball ``B(sources, cap)`` exactly, which is what the greedy nets of
-:func:`repro.core.nets.greedy_net` mark covered.
+The one heap loop is :class:`Search`, which pauses at a radius and
+resumes: :func:`sssp` runs it to the end, the greedy nets run it capped
+at their radius, and the §6–§7 explorations resume it across scales.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 INF = float("inf")
 
@@ -28,45 +26,85 @@ PARENT_SOURCE = -1
 PARENT_UNREACHED = -2
 
 
+class Search:
+    """A Dijkstra from ``sources``, every one at label 0, paused at a
+    radius: :meth:`resume` continues it to a larger one.  Its lists, by
+    dense vertex index: ``dist``, the label (final up to the last
+    radius, tentative above it, ``inf`` where no path was seen);
+    ``parent``, the predecessor on that path (``-1`` at a source, ``-2``
+    where no path was seen; final where the label is); and ``reached``,
+    the settled indices in settle order.  Weights are non-negative, so
+    settled labels never decrease: a search resumed at a larger radius
+    is, list for list, the search started there.
+
+    Cap contract: no label above ``cap`` is ever set, so once resumed
+    past ``cap`` the search has settled the ball ``B(sources, cap)`` at
+    exact distances and left every other vertex at ``inf``, parent
+    ``-2``: the ball the greedy nets mark covered.
+    """
+
+    __slots__ = ("dist", "parent", "reached", "_heap", "_columns", "_cap")
+
+    def __init__(
+        self,
+        indptr: Sequence[int],
+        indices: Sequence[int],
+        weights: Sequence[float],
+        sources: Sequence[int],
+        cap: float = INF,
+    ) -> None:
+        n = len(indptr) - 1
+        self.dist: List[float] = [INF] * n
+        self.parent: List[int] = [PARENT_UNREACHED] * n
+        self.reached: List[int] = []
+        self._heap: List[Tuple[float, int]] = []
+        self._columns = (indptr, indices, weights)
+        self._cap = cap
+        for s in sources:
+            if self.parent[s] != PARENT_SOURCE:
+                self.dist[s] = 0.0
+                self.parent[s] = PARENT_SOURCE
+                self._heap.append((0.0, s))
+        heapq.heapify(self._heap)
+
+    def resume(self, radius: float) -> None:
+        """Settle every vertex whose label is at most ``radius``, by
+        label and then index, appending each to ``reached``.  A radius
+        no larger than the last one settles nothing."""
+        heap, dist, parent, cap = self._heap, self.dist, self.parent, self._cap
+        indptr, indices, weights = self._columns
+        push, pop, settle = heapq.heappush, heapq.heappop, self.reached.append
+        while heap and heap[0][0] <= radius:
+            d, u = pop(heap)
+            if d > dist[u]:
+                continue  # stale entry
+            settle(u)
+            a, b = indptr[u], indptr[u + 1]
+            for v, w in zip(indices[a:b], weights[a:b]):
+                nd = d + w
+                if nd < dist[v] and nd <= cap:
+                    dist[v] = nd
+                    parent[v] = u
+                    push(heap, (nd, v))
+
+
 def sssp(
     indptr: Sequence[int],
     indices: Sequence[int],
     weights: Sequence[float],
     sources: Sequence[int],
-    cap: Optional[float] = None,
 ) -> Tuple[List[float], List[int]]:
-    """One SSSP run with every vertex of ``sources`` at distance 0.
+    """One SSSP run with every vertex of ``sources`` at distance 0: a
+    :class:`Search` run to the end.
 
     Returns flat ``(dist, parent)`` lists of length ``n``; ``parent[v]``
     is ``-1`` for sources, ``-2`` for unreached vertices, else the
     predecessor index on a shortest path.  Duplicate sources are
-    harmless.  A label above ``cap`` is never set, so vertices farther
-    than ``cap`` from every source come back unreached.
+    harmless.
     """
-    n = len(indptr) - 1
-    bound = INF if cap is None else cap
-    dist: List[float] = [INF] * n
-    parent: List[int] = [PARENT_UNREACHED] * n
-    heap: List[Tuple[float, int]] = []
-    for s in sources:
-        if dist[s] != 0.0:
-            dist[s] = 0.0
-            parent[s] = PARENT_SOURCE
-            heap.append((0.0, s))
-    heapq.heapify(heap)
-    pop, push = heapq.heappop, heapq.heappush
-    while heap:
-        d, u = pop(heap)
-        if d > dist[u]:
-            continue  # stale entry
-        a, b = indptr[u], indptr[u + 1]
-        for v, w in zip(indices[a:b], weights[a:b]):
-            nd = d + w
-            if nd < dist[v] and nd <= bound:
-                dist[v] = nd
-                parent[v] = u
-                push(heap, (nd, v))
-    return dist, parent
+    search = Search(indptr, indices, weights, sources)
+    search.resume(INF)
+    return search.dist, search.parent
 
 
 def sssp_matrix(

@@ -9,22 +9,20 @@ which runs in Õ((√n + D)/poly ε) CONGEST rounds.  Per DESIGN.md,
   SPT (weights rounded up to powers of (1+ε) before the tree is chosen, so
   the approximation is real, not cosmetic), charged at the [BKKL17] cost;
 * :func:`~repro.spt.approx_spt.bounded_approx_spt` — the Δ-bounded
-  multi-source variant §6 and §7 need; its
-  :class:`~repro.spt.approx_spt.BoundedSPT` result holds the search's own
-  arrays over the frozen view's dense indices (no labels), and resumes
-  to a larger radius as the search started there would run.
+  multi-source variant §6 and §7 need: a resumable
+  :class:`~repro.kernels.pykern.Search` over the rounded column, on the
+  frozen view's dense indices (no labels).
 
 The message-level Bellman–Ford program that validates the simulator
 against Dijkstra lives with its tests, in ``tests/test_bellman_ford.py``.
 """
 
 from repro.spt.tree import SPTree
-from repro.spt.approx_spt import BoundedSPT, approx_spt, bounded_approx_spt, bkkl_round_cost
+from repro.spt.approx_spt import approx_spt, bounded_approx_spt, bkkl_round_cost
 
 __all__ = [
     "SPTree",
     "approx_spt",
     "bounded_approx_spt",
-    "BoundedSPT",
     "bkkl_round_cost",
 ]

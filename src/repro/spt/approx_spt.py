@@ -11,9 +11,10 @@ before the tree is selected, and the returned ``dist`` values are the true
   exercised against an actually-inexact SPT);
 * the tree generally differs from the exact SPT, as [BKKL17]'s would.
 
-The bounded search of §6–§7, :func:`bounded_approx_spt`, prunes on the
-rounded labels and returns them; a path's true weight is at most its
-label.
+The bounded search of §6–§7, :func:`bounded_approx_spt`, is a
+:class:`repro.kernels.pykern.Search` over the rounded column: it pauses
+on the rounded labels and returns them, and a path's true weight is at
+most its label.
 
 Round cost: [BKKL17] give Õ((√n + D)/poly ε); we charge
 ``(ceil(sqrt(n)) + height) · ceil(log2(n+1))^2 · ceil(1/ε)`` — the same
@@ -23,17 +24,14 @@ once, uniform across constructions).
 
 from __future__ import annotations
 
-import heapq
 import math
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
 from repro.congest.ledger import RoundLedger
 from repro.graphs.csr import CSRGraph
 from repro.graphs.weighted_graph import Vertex, WeightedGraph
 from repro.kernels import pykern
 from repro.spt.tree import SPTree
-
-INF = float("inf")
 
 
 def bkkl_round_cost(n: int, height: int, eps: float) -> int:
@@ -89,7 +87,7 @@ def approx_spt(
 
     csr = graph.freeze()
     _, parent_idx = pykern.sssp(
-        csr.indptr, csr.indices, csr.rounded_weights(eps), [csr.index_of(root)], None
+        csr.indptr, csr.indices, csr.rounded_weights(eps), [csr.index_of(root)]
     )
     verts = csr.verts
     parent: Dict[Vertex, Optional[Vertex]] = {}
@@ -116,57 +114,12 @@ def approx_spt(
     return SPTree(root=root, parent=parent, dist=dist, rounds=rounds)
 
 
-class BoundedSPT:
-    """A (1+ε)-approximate exploration over the frozen view's dense
-    indices, paused at a radius; :meth:`resume` continues it to a larger
-    one.  Built by :func:`bounded_approx_spt`, which documents the
-    fields.  It keeps no source index per vertex: a path's source is
-    where its ``parent`` walk ends."""
-
-    __slots__ = ("dist", "parent", "reached", "_heap", "_columns")
-
-    def __init__(self, csr: CSRGraph, sources: Iterable[Vertex], eps: float) -> None:
-        n = csr.n
-        self.dist: List[float] = [INF] * n
-        self.parent: List[int] = [pykern.PARENT_UNREACHED] * n
-        self.reached: List[int] = []
-        self._heap: List[Tuple[float, int]] = []
-        self._columns = (csr.indptr, csr.indices, csr.rounded_weights(eps))
-        for s in sources:
-            i = csr.index_of(s)
-            if self.parent[i] != pykern.PARENT_SOURCE:  # a repeated source starts once
-                self.dist[i] = 0.0
-                self.parent[i] = pykern.PARENT_SOURCE
-                self._heap.append((0.0, i))
-        heapq.heapify(self._heap)
-
-    def resume(self, radius: float) -> None:
-        """Settle every vertex whose label is at most ``radius``, in
-        ``(label, index)`` order, appending each to ``reached``.  A
-        radius no larger than the last one settles nothing."""
-        heap, dist, parent = self._heap, self.dist, self.parent
-        indptr, indices, rounded = self._columns
-        push, pop, settle = heapq.heappush, heapq.heappop, self.reached.append
-        while heap and heap[0][0] <= radius:
-            d, u = pop(heap)
-            if d > dist[u]:
-                continue  # stale entry
-            settle(u)
-            a, b = indptr[u], indptr[u + 1]
-            for v, r in zip(indices[a:b], rounded[a:b]):
-                nd = d + r
-                if nd < dist[v]:
-                    dist[v] = nd
-                    parent[v] = u
-                    push(heap, (nd, v))
-
-
 def bounded_approx_spt(
     graph: "WeightedGraph | CSRGraph",
     sources: Iterable[Vertex],
     radius: float,
     eps: float,
-) -> BoundedSPT:
+) -> pykern.Search:
     """Multi-source ``radius``-bounded (1+ε)-approximate shortest paths.
 
     The §7 doubling spanner runs, from every net point in parallel, a
@@ -176,18 +129,13 @@ def bounded_approx_spt(
 
     Returns
     -------
-    BoundedSPT:
-        Lists indexed by the frozen view's dense vertex index
-        (``csr.verts[i]`` is vertex ``i``), with
-        :func:`repro.kernels.pykern.sssp`'s sentinels:
-        ``dist[i]`` — the label: the rounded weight of the chosen path
-        from the nearest source; final where it is at most the radius
-        last resumed to, tentative above it, ∞ where no path was seen;
-        ``parent[i]`` — predecessor index on that path, ``-1`` at a
-        source and ``-2`` where no path was seen; final where the label
-        is;
-        ``reached`` — the indices the search settled, those whose label
-        is at most that radius, each once, in ``(label, index)`` order.
+    pykern.Search:
+        The search over the rounded column, resumed to ``radius``: its
+        ``dist`` (the rounded labels), ``parent`` and ``reached`` lists
+        are indexed by the frozen view's dense vertex index
+        (``csr.verts[i]`` is vertex ``i``), and ``reached`` holds the
+        indices whose label is at most the radius, in ``(label, index)``
+        order.
 
     Raises
     ------
@@ -204,10 +152,8 @@ def bounded_approx_spt(
     label is at most the radius.  A reported path's true weight is at
     most its rounded weight, so at most the radius and within (1+ε) of
     the distance, and every vertex within ``radius/(1+ε)`` is settled
-    (DESIGN.md, "§7 doubling spanner").  Weights are positive, so a
-    settled label and its parent never change, and pops follow
-    ``(label, index)`` order whatever the push order: a search resumed
-    at a larger radius is, list for list, the search started there.  A
+    (DESIGN.md, "§7 doubling spanner").  Weights are positive, so pops
+    follow ``(label, index)`` order whatever the push order.  A
     :class:`WeightedGraph` input is frozen to its cached CSR view first,
     so :func:`repro.core.nets.build_net` and the doubling spanner run
     the same loop.
@@ -216,6 +162,8 @@ def bounded_approx_spt(
         raise ValueError(f"radius must be a number >= 0, got {radius!r}")
     if math.isnan(eps):
         raise ValueError(f"eps must not be NaN, got {eps!r}")
-    search = BoundedSPT(graph.freeze(), sources, eps)
+    csr = graph.freeze()
+    search = pykern.Search(csr.indptr, csr.indices, csr.rounded_weights(eps),
+                           [csr.index_of(s) for s in sources])
     search.resume(radius)
     return search

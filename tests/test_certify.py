@@ -644,9 +644,10 @@ class TestDijkstraRegressions:
 
     def test_capped_sssp_multi_source(self):
         csr = path_graph(9).freeze()
-        dist, _ = pykern.sssp(csr.indptr, csr.indices, csr.weights,
-                              [csr.index_of(0), csr.index_of(8)], 2.0)
-        ball = {csr.verts[i]: d for i, d in enumerate(dist) if d < INF}
+        search = pykern.Search(csr.indptr, csr.indices, csr.weights,
+                               [csr.index_of(0), csr.index_of(8)], 2.0)
+        search.resume(INF)
+        ball = {csr.verts[i]: d for i, d in enumerate(search.dist) if d < INF}
         assert set(ball) == {0, 1, 2, 6, 7, 8}
         assert ball[2] == 2.0 and ball[6] == 2.0
 

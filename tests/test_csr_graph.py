@@ -188,15 +188,17 @@ class TestTraversalParity:
             assert dist_c[v] == pytest.approx(d)
 
     def test_capped_sssp(self, pair):
-        """A capped ``pykern.sssp`` run on the view's columns settles the
-        ball the label-keyed Dijkstra of ``g`` finds, and nothing else."""
+        """A ``pykern.Search`` capped at the radius on the view's columns
+        settles the ball the label-keyed Dijkstra of ``g`` finds, and
+        nothing else."""
         g, csr = pair
         src = next(iter(g.vertices()))
         radius = 2.5
         dist_g, _ = dijkstra(g, src)
-        dist_c, _ = pykern.sssp(csr.indptr, csr.indices, csr.weights,
-                                [csr.index_of(src)], radius)
-        ball = {csr.verts[i]: d for i, d in enumerate(dist_c) if d < float("inf")}
+        search = pykern.Search(csr.indptr, csr.indices, csr.weights,
+                               [csr.index_of(src)], radius)
+        search.resume(radius)
+        ball = {csr.verts[i]: search.dist[i] for i in search.reached}
         assert ball.keys() == {v for v, d in dist_g.items() if d <= radius}
         for v, d in ball.items():
             assert d == pytest.approx(dist_g[v])

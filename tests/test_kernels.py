@@ -8,7 +8,7 @@ from ``pykern.sssp``, and every parent chain must witness a shortest
 path.  The suite fuzzes that contract over every smoke-tier harness
 profile plus the adversarial shapes vectorized relaxation gets wrong
 first (zero-weight edges, disconnected components, isolated vertices,
-duplicate sources), checks the pure-Python kernel's cap contract, and
+duplicate sources), checks the capped search's cap contract, and
 then checks the kernel= plumbing end to end: the oracle and the
 harness profiles, where certification ignores the kernel.
 
@@ -147,17 +147,20 @@ def test_python_kernel_cap_contract():
     ip, idx, w = _csr_columns(g)
     exact, exact_parent = pykern.sssp(ip, idx, w, [0])
     cap = sorted(d for d in exact if not math.isinf(d))[len(exact) // 3]
-    capped, parent = pykern.sssp(ip, idx, w, [0], cap=cap)
+    search = pykern.Search(ip, idx, w, [0], cap)
+    search.resume(math.inf)
+    capped, parent = search.dist, search.parent
     beyond = 0
     for v, d in enumerate(exact):
         if d <= cap:
             assert capped[v] == d  # within cap: exact
             assert parent[v] == exact_parent[v]
         else:
-            # the python kernel never sets a label above the cap
+            # the capped search never sets a label above the cap
             assert math.isinf(capped[v]) and parent[v] == -2
             beyond += 1
     assert beyond > 0
+    assert sorted(search.reached) == [v for v, d in enumerate(exact) if d <= cap]
 
 
 def test_residual_detects_perturbation():

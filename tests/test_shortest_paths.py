@@ -16,12 +16,14 @@ from repro.kernels import pykern
 
 
 def capped_sssp(graph, sources, radius):
-    """The ball ``B(sources, radius)`` of one capped ``pykern.sssp`` run
-    over ``graph``'s frozen view, as label-keyed ``(dist, parent)``."""
+    """The ball ``B(sources, radius)`` of one ``pykern.Search`` capped at
+    ``radius`` over ``graph``'s frozen view, run to the end, as
+    label-keyed ``(dist, parent)``."""
     csr = graph.freeze()
-    dist, parent = pykern.sssp(csr.indptr, csr.indices, csr.weights,
-                               [csr.index_of(s) for s in sources], radius)
-    verts = csr.verts
+    search = pykern.Search(csr.indptr, csr.indices, csr.weights,
+                           [csr.index_of(s) for s in sources], radius)
+    search.resume(float("inf"))
+    dist, parent, verts = search.dist, search.parent, csr.verts
     return ({verts[i]: d for i, d in enumerate(dist) if parent[i] != -2},
             {verts[i]: None if p == -1 else verts[p]
              for i, p in enumerate(parent) if p != -2})

@@ -16,7 +16,7 @@ from repro.graphs import (
     path_graph,
     random_geometric_graph,
 )
-from repro.kernels import pykern
+from repro.graphs.csr import CSRGraph
 from repro.spt import (
     approx_spt,
     bkkl_round_cost,
@@ -25,6 +25,7 @@ from repro.spt import (
 from repro.analysis import verify_spanning_tree
 from repro.congest import RoundLedger
 from repro.core.nets import greedy_net
+from test_sssp_parity import _ref_csr_bounded_dijkstra
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -258,20 +259,22 @@ def _search_graph(family, seed, factor):
 
 
 def _assert_matches_reference(graph, sources, radius, eps):
-    """The search equals the reference: :func:`pykern.sssp` over the
-    rounded column, capped at ``radius``, which never sets a label above
-    its cap.  Same settled set, labels and parents, and ``reached`` in
+    """The search equals the reference: the bounded Dijkstra loop the
+    search replaced (``test_sssp_parity._ref_csr_bounded_dijkstra``) run
+    over the rounded column, which never sets a label above ``radius``.
+    Same settled set, labels and parents, and ``reached`` in
     ``(label, index)`` order; every other label is above the radius."""
     csr = graph.freeze()
-    want_dist, want_parent = pykern.sssp(
-        csr.indptr, csr.indices, csr.rounded_weights(eps),
-        [csr.index_of(s) for s in sources], radius)
+    rounded = CSRGraph(csr.indptr, csr.indices, csr.rounded_weights(eps), csr.verts)
+    want_dist, want_parent = _ref_csr_bounded_dijkstra(rounded, sources, radius)
+    want = {csr.index_of(v): (d, want_parent[v]) for v, d in want_dist.items()}
     got = bounded_approx_spt(graph, sources, radius, eps)
-    settled = [i for i, p in enumerate(want_parent) if p != pykern.PARENT_UNREACHED]
-    assert got.reached == sorted(settled, key=lambda i: (want_dist[i], i))
+    assert got.reached == sorted(want, key=lambda i: (want[i][0], i))
     for i in range(csr.n):
-        if want_parent[i] != pykern.PARENT_UNREACHED:
-            assert (got.dist[i], got.parent[i]) == (want_dist[i], want_parent[i])
+        if i in want:
+            d, p = want[i]
+            assert got.dist[i] == d
+            assert got.parent[i] == (-1 if p is None else csr.index_of(p))
         else:
             assert got.dist[i] > radius or got.dist[i] == math.inf
 

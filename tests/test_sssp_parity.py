@@ -1,13 +1,14 @@
 """Every plain Dijkstra against verbatim copies of the heap loops it replaced.
 
-``dijkstra``, the capped ``pykern.sssp`` run the greedy nets make, and
+``dijkstra``, the capped ``pykern.Search`` the greedy nets run, and
 the oracle's landmark potentials all run one shared kernel loop.  The
 references below are copies of the hand-written loops they used to
 carry: ``_csr_dijkstra`` and ``_csr_bounded_dijkstra`` from
 ``repro.graphs.shortest_paths``, and the landmark module's ``_sssp``
-with the selection code around it.  A capped run is translated to labels
-as the label-keyed bounded Dijkstra it replaced did.  Outputs
-must be equal with ``==`` and in the same dict insertion order, on
+with the selection code around it.  A capped search is translated to
+labels as the label-keyed bounded Dijkstra it replaced did, and every
+ball a greedy net marks covered must equal the bounded reference's.
+Outputs must be equal with ``==`` and in the same dict insertion order, on
 seeded ER, geometric and all-ties grid graphs and on two components
 beside an isolated vertex, at three weight scales,
 from one, a duplicated and four sources, over ``WeightedGraph``,
@@ -32,6 +33,8 @@ from repro.graphs import (
     random_geometric_graph,
 )
 from repro.graphs.csr import CSRGraph
+from repro.core import nets
+from repro.core.nets import greedy_net
 from repro.graphs.shortest_paths import _normalize_sources
 from repro.kernels import has_numpy, pykern
 from repro.oracle.landmarks import landmarks_with_potentials
@@ -214,15 +217,17 @@ def _frozen(graph) -> CSRGraph:
 
 
 def _capped_sssp(graph, sources, radius):
-    """One ``pykern.sssp`` run capped at ``radius``, as label-keyed
-    ``(dist, parent)`` dicts in index order."""
+    """One ``pykern.Search`` capped at ``radius`` and resumed to it, as
+    the greedy nets run it, as label-keyed ``(dist, parent)`` dicts in
+    index order."""
     csr = _frozen(graph)
-    dist, parent = pykern.sssp(
+    search = pykern.Search(
         csr.indptr, csr.indices, csr.weights,
         [csr.index_of(s) for s in _normalize_sources(csr, sources)], radius,
     )
-    verts = csr.verts
-    reached = [i for i, p in enumerate(parent) if p != pykern.PARENT_UNREACHED]
+    search.resume(radius)
+    dist, parent, verts = search.dist, search.parent, csr.verts
+    reached = sorted(search.reached)
     return ({verts[i]: dist[i] for i in reached},
             {verts[i]: None if parent[i] == pykern.PARENT_SOURCE
              else verts[parent[i]] for i in reached})
@@ -281,6 +286,40 @@ class TestDijkstraParity:
         ]
         assert sizes[0] == sizes[1] == 1
         assert 1 < sizes[2] < sizes[3] < sizes[4] == graph.n
+
+
+class TestGreedyNetBalls:
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("factor", FACTORS)
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_each_kept_vertex_covers_the_reference_ball(
+        self, family, factor, kind, monkeypatch
+    ):
+        """``greedy_net`` marks covered, for every vertex it keeps, the
+        ball of the bounded reference loop from that vertex."""
+        graph = _input(family, factor, kind)
+        csr = _frozen(graph)
+        verts = csr.verts
+        balls: Dict = {}
+
+        class Recording(pykern.Search):
+            def __init__(self, indptr, indices, weights, sources, cap):
+                super().__init__(indptr, indices, weights, sources, cap)
+                (source,) = sources
+                balls[verts[source]] = (self, cap)
+
+        monkeypatch.setattr(nets, "Search", Recording)
+        for radius in _radii(graph, verts[0]):
+            balls.clear()
+            kept = greedy_net(graph, radius)
+            if radius < csr.min_weight():
+                assert not balls and kept == set(verts)
+                continue
+            assert balls.keys() == kept
+            for v, (search, cap) in balls.items():
+                want = _ref_csr_bounded_dijkstra(csr, v, radius)[0]
+                assert cap == radius
+                assert {verts[i] for i in search.reached} == want.keys()
 
 
 class TestLandmarkParity:
