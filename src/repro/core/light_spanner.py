@@ -54,7 +54,7 @@ from repro.determinism import ensure_rng
 from repro.graphs.csr import CSRGraph
 from repro.graphs.weighted_graph import Vertex, WeightedGraph
 from repro.mst.fragments import decompose_fragments
-from repro.mst.kruskal import edge_sort_key, kruskal_mst
+from repro.mst.kruskal import edge_sort_key, kruskal_mst, mst_round_cost
 from repro.spanners.baswana_sen import baswana_sen_spanner
 from repro.spanners.elkin_neiman import IndexRows, elkin_neiman_spanner
 from repro.traversal.euler_tour import EulerTour, compute_euler_tour
@@ -260,10 +260,7 @@ def light_spanner(
     height = bfs.height
 
     mst = kruskal_mst(graph)
-    ledger.charge(
-        "mst-construction",
-        (math.isqrt(max(n - 1, 0)) + 1 + height) * max(1, math.ceil(math.log2(n + 1))),
-    )
+    ledger.charge("mst-construction", mst_round_cost(n, height))
     decomp = decompose_fragments(mst, root)
     tour = compute_euler_tour(mst, root, decomp, height)
     ledger.merge(tour.ledger, prefix="tour:")

@@ -39,7 +39,7 @@ from repro.congest.primitives import (
 from repro.core.bfn_reduction import bfn_bounds, bfn_reweighted_graph
 from repro.graphs.weighted_graph import Vertex, WeightedGraph
 from repro.mst.fragments import decompose_fragments
-from repro.mst.kruskal import kruskal_mst
+from repro.mst.kruskal import kruskal_mst, mst_round_cost
 from repro.spt.approx_spt import approx_spt
 from repro.traversal.euler_tour import EulerTour, compute_euler_tour
 
@@ -157,10 +157,7 @@ def slt_base(
     height = bfs.height
 
     tree = mst if mst is not None else kruskal_mst(graph)
-    ledger.charge(
-        "mst-construction",
-        (math.isqrt(max(n - 1, 0)) + 1 + height) * max(1, math.ceil(math.log2(n + 1))),
-    )
+    ledger.charge("mst-construction", mst_round_cost(n, height))
     decomp = decompose_fragments(tree, root)
     tour = compute_euler_tour(tree, root, decomp, height)
     ledger.merge(tour.ledger, prefix="tour:")

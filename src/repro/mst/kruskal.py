@@ -9,6 +9,7 @@ uses the same order, hence both produce the identical tree.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Hashable, List, Tuple
 
 from repro.graphs.csr import CSRGraph
@@ -49,10 +50,6 @@ class UnionFind:
         self._parent[rv] = ru
         self._size[ru] += self._size[rv]
         return True
-
-    def same(self, u: Vertex, v: Vertex) -> bool:
-        """True iff ``u`` and ``v`` are in the same set."""
-        return self.find(u) == self.find(v)
 
 
 def edge_sort_key(u: Vertex, v: Vertex, w: float) -> Tuple[float, str, str]:
@@ -132,6 +129,11 @@ def kruskal_mst(graph: "WeightedGraph | CSRGraph") -> WeightedGraph:
     for i, j, w in csr.mst_edges(_kruskal_edges):
         tree.add_edge(verts[i], verts[j], w)
     return tree
+
+
+def mst_round_cost(n: int, height: int) -> int:
+    """Charged rounds for the [KP98, Elk17b] MST: (⌈√n⌉ + height)·⌈log2(n+1)⌉."""
+    return (math.isqrt(max(n - 1, 0)) + 1 + height) * max(1, math.ceil(math.log2(n + 1)))
 
 
 def mst_weight(graph: "WeightedGraph | CSRGraph") -> float:

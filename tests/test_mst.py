@@ -84,9 +84,9 @@ class TestUnionFind:
             uf.add(v)
         assert uf.union(0, 1)
         assert uf.union(2, 3)
-        assert not uf.same(0, 2)
+        assert uf.find(0) != uf.find(2)
         assert uf.union(1, 3)
-        assert uf.same(0, 2)
+        assert uf.find(0) == uf.find(2)
 
     def test_union_already_merged(self):
         uf = UnionFind()

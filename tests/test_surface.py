@@ -4,13 +4,15 @@ tests alone.
 An AST scan: every public function and class of ``src/repro`` outside
 ``repro.lint``, and every public method of a public class, must be
 referenced somewhere outside ``tests/``: in ``src/`` itself,
-``benchmarks/``, ``perfbench/`` or ``examples/``.  A reference is a
-name, an attribute, or the attribute path of a ``("repro...",
-"attribute.path", ...)`` wrap target in ``perfbench/`` or
-``benchmarks/`` (the functions their tracers and counters wrap).
+``benchmarks/``, ``perfbench/`` or ``examples/``.  A reference is an
+attribute read, or a component of the attribute path of a
+``("repro...", "attribute.path", ...)`` wrap target in ``perfbench/``
+or ``benchmarks/`` (the functions their tracers and counters wrap);
+for a module-level function or class, a bare name is one too.
 Imports and ``__all__`` entries are not references, and a name matches
 by its last component alone, so a method counts as used wherever an
-attribute of that name is read.
+attribute of that name is read, but not where a local variable, a
+parameter or a builtin happens to share its name.
 
 Every public field and property of a public dataclass or ``NamedTuple``,
 ``repro.lint``'s included, must likewise be read there as an attribute
@@ -51,11 +53,19 @@ ALLOWED: Dict[str, str] = {
     "RoundLedger.entries": (
         "reference: the §7 parity tests compare whole charge logs, in order"
     ),
+    "WeightedGraph.subgraph": (
+        "fixture, and the reference for the fragment-diameter tests"
+    ),
     "NodeView.edge_weight": (
         "node-program interface: a node's incident weight, which the "
         "reference Bellman-Ford program in the tests reads"
     ),
+    "NodeView.round": (
+        "node-program interface: the current round, which the tests' "
+        "node programs read"
+    ),
     "ServeClient.shutdown": "client side of the daemon's shutdown op",
+    "ServeClient.info": "client side of the daemon's info op",
     "ServeClient.crash_worker": (
         "client side of the daemon's crash_worker op, the crash-isolation "
         "tests' endpoint"
@@ -149,17 +159,6 @@ def _record_fields() -> List[Tuple[str, str, str]]:
     return found
 
 
-def _attribute_reads(directories: Iterable[str]) -> Set[str]:
-    """Every attribute name read (``x.name`` in a load) in ``directories``."""
-    names: Set[str] = set()
-    for directory in directories:
-        for path in sorted((ROOT / directory).rglob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                    names.add(node.attr)
-    return names
-
-
 def _wrap_target(node: ast.Tuple) -> Iterable[str]:
     """The attribute path of a ``("repro...", "a.b", ...)`` tuple, split."""
     head = [e.value for e in node.elts[:2] if isinstance(e, ast.Constant)]
@@ -170,31 +169,42 @@ def _wrap_target(node: ast.Tuple) -> Iterable[str]:
     return ()
 
 
-def _references(directories: Iterable[str], wrappers: Iterable[str]) -> Set[str]:
+def _references(
+    directories: Iterable[str], wrappers: Iterable[str]
+) -> Tuple[Set[str], Set[str]]:
+    """``(names, attributes)`` referenced in ``directories``: every bare
+    name, and every attribute read or wrap-target component."""
     names: Set[str] = set()
+    attributes: Set[str] = set()
     wrapping = set(wrappers)
     for directory in directories:
         for path in sorted((ROOT / directory).rglob("*.py")):
             for node in ast.walk(ast.parse(path.read_text())):
                 if isinstance(node, ast.Name):
                     names.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    names.add(node.attr)
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    attributes.add(node.attr)
                 elif directory in wrapping and isinstance(node, ast.Tuple):
-                    names.update(_wrap_target(node))
-    return names
+                    attributes.update(_wrap_target(node))
+    return names, attributes
+
+
+def _referenced(qual: str, last: str, names: Set[str], attributes: Set[str]) -> bool:
+    """A method by an attribute of its name; a module-level name also
+    by a bare name."""
+    return last in attributes or ("." not in qual and last in names)
 
 
 def _test_only() -> Dict[str, str]:
     """Qualified name -> module of every public name no user references."""
-    used = _references(USERS, WRAPPERS)
+    names, attributes = _references(USERS, WRAPPERS)
     return {qual: rel for rel, qual, last in _public_definitions()
-            if last not in used}
+            if not _referenced(qual, last, names, attributes)}
 
 
 def _unread_fields() -> Dict[str, str]:
     """Qualified name -> module of every record field no user reads."""
-    read = _attribute_reads(USERS)
+    read = _references(USERS, ())[1]
     return {qual: rel for rel, qual, last in _record_fields() if last not in read}
 
 
@@ -222,7 +232,8 @@ def test_every_allowed_name_is_defined_and_still_test_only():
     test_only = {**_test_only(), **_unread_fields()}
     stale = sorted(set(ALLOWED) - set(test_only))
     assert not stale, f"ALLOWED entries used outside the tests or gone: {stale}"
-    tested = _references(["tests"], [])
-    untested = sorted(q for q in ALLOWED if q.rsplit(".", 1)[-1] not in tested)
+    names, attributes = _references(["tests"], [])
+    untested = sorted(q for q in ALLOWED
+                      if not _referenced(q, q.rsplit(".", 1)[-1], names, attributes))
     assert not untested, f"ALLOWED entries no test reaches: {untested}"
     assert all(reason.strip() for reason in ALLOWED.values())
