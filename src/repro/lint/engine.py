@@ -32,7 +32,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import repro.lint.rules  # noqa: F401  (imported for the registration side effect)
 from repro.lint.cache import AnalysisCache
-from repro.lint.context import FileContext
+from repro.lint.context import FileContext, module_name_for
 from repro.lint.diagnostics import Diagnostic
 from repro.lint.program.analyzer import analyze_program
 from repro.lint.program.codes import PROGRAM_CODES
@@ -64,15 +64,16 @@ class FileAnalysis:
 
     ``hygiene`` diagnostics (REP000–REP002) are never suppressible;
     ``findings`` are raw rule output still subject to ``allow[...]``
-    waivers; ``facts`` feed the whole-program passes (None when the
-    file did not parse).
+    waivers; ``facts`` feed the whole-program passes (a file that did
+    not parse keeps its module name alone, so imports of it resolve to
+    it, not to its package).
     """
 
     path: str
+    facts: FileFacts
     hygiene: List[Diagnostic] = field(default_factory=list)
     findings: List[Diagnostic] = field(default_factory=list)
     suppressions: Dict[int, Suppression] = field(default_factory=dict)
-    facts: Optional[FileFacts] = None
 
 
 def analyze_file(path: Path, content: Optional[bytes] = None) -> FileAnalysis:
@@ -82,7 +83,8 @@ def analyze_file(path: Path, content: Optional[bytes] = None) -> FileAnalysis:
     errors all come back as a ``REP000`` diagnostic so one broken file
     cannot take down a whole-tree run.
     """
-    analysis = FileAnalysis(path=str(path))
+    unparsed = extract_facts(str(path), module_name_for(path), ast.Module([], []))
+    analysis = FileAnalysis(path=str(path), facts=unparsed)
     if content is None:
         content = path.read_bytes()
     try:
@@ -230,6 +232,5 @@ def lint_paths(
 
     program_diagnostics: List[Diagnostic] = []
     if program:
-        facts = [a.facts for a in analyses if a.facts is not None]
-        program_diagnostics = analyze_program(facts)
+        program_diagnostics = analyze_program(a.facts for a in analyses)
     return finalize(analyses, program_diagnostics, program_ran=program)

@@ -216,15 +216,15 @@ class ProgramIndex:
 
         Returns ``module -> [(imported module, line, col, lazy)]`` with
         import targets snapped to the longest project-module prefix
-        (``from repro.graphs.csr import CSRGraph`` -> ``repro.graphs.csr``).
-        External imports are excluded — they are REP903 business.
+        (``from repro.graphs.csr import A, B`` -> one ``repro.graphs.csr``
+        edge).  External imports are excluded — they are REP903 business.
         """
         graph: Dict[str, List[Tuple[str, int, int, bool]]] = {}
         for module, ff in self.modules.items():
-            out: List[Tuple[str, int, int, bool]] = []
+            out: Dict[Tuple[str, int, int, bool], None] = {}
             for imp in ff.imports:
                 target_module, _ = self._split_module(imp.target)
                 if target_module is not None and target_module != module:
-                    out.append((target_module, imp.lineno, imp.col, imp.lazy))
-            graph[module] = out
+                    out[(target_module, imp.lineno, imp.col, imp.lazy)] = None
+            graph[module] = list(out)
         return graph

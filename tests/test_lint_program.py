@@ -112,6 +112,55 @@ class TestLayering:
         assert ("src/repro/mst/a.py", 1, "REP902") in codes
         assert ("src/repro/mst/b.py", 1, "REP902") in codes
 
+    def test_one_rep902_per_import_statement(self, tmp_path):
+        _write(tmp_path, "src/repro/mst/a.py", """\
+            from repro.mst.b import g, h
+
+
+            def f() -> int:
+                return g() + h()
+        """)
+        _write(tmp_path, "src/repro/mst/b.py", """\
+            from repro.mst.a import f
+
+
+            def g() -> int:
+                return 0
+
+
+            def h() -> int:
+                return 1
+        """)
+        assert [c for c in _codes(tmp_path) if c[2] == "REP902"] == [
+            ("src/repro/mst/a.py", 1, "REP902"),
+            ("src/repro/mst/b.py", 1, "REP902"),
+        ]
+
+    def test_a_file_that_does_not_parse_closes_no_cycle(self, tmp_path):
+        """Imports of a module that fails to parse resolve to it, not to
+        its package's ``__init__``: REP000 alone, and no REP902 for a
+        ``repro.graphs <-> repro.graphs.paths`` cycle."""
+        _write(tmp_path, "src/repro/graphs/__init__.py", """\
+            from repro.graphs.csr import CSRGraph, freeze
+            from repro.graphs.paths import bfs, dijkstra
+        """)
+        _write(tmp_path, "src/repro/graphs/csr.py", """\
+            class CSRGraph
+                pass
+        """)
+        _write(tmp_path, "src/repro/graphs/paths.py", """\
+            from repro.graphs.csr import CSRGraph
+
+
+            def bfs(g: CSRGraph) -> int:
+                return 0
+
+
+            def dijkstra(g: CSRGraph) -> int:
+                return 0
+        """)
+        assert _codes(tmp_path) == [("src/repro/graphs/csr.py", 1, "REP000")]
+
     def test_lazy_import_breaks_the_cycle(self, tmp_path):
         _write(tmp_path, "src/repro/mst/a.py", """\
             from repro.mst.b import g
@@ -684,8 +733,7 @@ class TestProgramCliAndGate:
         daemon's ``ctx.Process(target=worker_main)`` is the only worker
         entry point in ``src/``, and its start-up is what they reach."""
         facts = [a.facts for a in map(analyze_file,
-                                      iter_python_files([REPO_ROOT / "src"]))
-                 if a.facts is not None]
+                                      iter_python_files([REPO_ROOT / "src"]))]
         index = ProgramIndex(facts)
         assert index.worker_roots() == {"repro.serve.daemon:worker_main"}
         edges = index.edges()
